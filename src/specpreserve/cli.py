@@ -26,7 +26,6 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
-    adjoint,
     is_member,
     sample_structured,
     structure_residual,
@@ -220,7 +219,6 @@ def cmd_inspect(args) -> int:
 
     res = structure_residual(A, space, cls)
     member = is_member(A, space, cls, tol)
-    adj = adjoint(A, space)
     eigs = np.linalg.eigvals(np.asarray(A, dtype=complex))
     scale = max(1.0, float(np.max(np.abs(eigs))))
 

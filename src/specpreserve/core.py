@@ -50,6 +50,19 @@ def as_matrix(A, name="matrix") -> np.ndarray:
     return A
 
 
+def working_field(M) -> np.ndarray:
+    """M in its own field: its real part when the imaginary part is exactly
+    zero, so LAPACK gets real routines for real data.
+
+    The test is exact, never a tolerance: data with any nonzero imaginary
+    entry stays complex and is passed on unchanged.
+    """
+    M = np.asarray(M)
+    if np.iscomplexobj(M) and not np.any(M.imag):
+        return np.ascontiguousarray(M.real)
+    return M
+
+
 class StructureClass(enum.Enum):
     """Which algebra of the scalar product a matrix is required to live in.
 
@@ -252,12 +265,17 @@ class ScalarProductSpace:
 
 
 def adjoint(A, space: ScalarProductSpace) -> np.ndarray:
-    """Adjoint of A with respect to the scalar product: ``H^-1 A* H``."""
+    """Adjoint of A with respect to the scalar product: ``H^-1 A* H``.
+
+    Computed in the working field of A and H, so real data gets real
+    arithmetic and a real result.
+    """
     A = as_matrix(A, "A")
     n = space.n
     if A.shape != (n, n):
         raise ArgumentError(f"A has shape {A.shape}, space has dimension {n}")
-    return space.h_solve(space.star_mat(A) @ space.H)
+    H = working_field(space.H)
+    return np.linalg.solve(H, working_field(space.star_mat(A)) @ H)
 
 
 def structure_residual(A, space: ScalarProductSpace, cls: StructureClass) -> float:
@@ -285,8 +303,9 @@ def pseudoinverse(X, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
 
 def numerical_rank(X, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count of singular values above ``rank_tol * sigma_max``."""
-    X = np.asarray(X, dtype=complex)
+    """Count of singular values above ``rank_tol * sigma_max``, taken in the
+    working field of X."""
+    X = working_field(X)
     if X.size == 0:
         return 0
     s = np.linalg.svd(X, compute_uv=False)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .core import (
     ScalarProductSpace,
@@ -24,6 +23,7 @@ from .core import (
     frob,
     numerical_rank,
     structure_residual,
+    working_field,
 )
 from .errors import ArgumentError, InfeasiblePlanError
 from .spectral import JordanPair, ReassignmentAssembly, jordan_block
@@ -44,12 +44,18 @@ ORACLE_NMAX_ENV = "SPECPRESERVE_ORACLE_NMAX"
 
 
 def oracle_dim_limit() -> int:
-    """Largest dimension the dense eigensolver oracle will touch."""
-    raw = os.environ.get(ORACLE_NMAX_ENV, "")
-    try:
-        return int(raw) if raw else 64
-    except ValueError:
+    """Largest dimension the dense eigensolver oracle will touch.
+
+    Unset or empty means 64; a value that is not an integer is an error.
+    """
+    raw = os.environ.get(ORACLE_NMAX_ENV, "").strip()
+    if not raw:
         return 64
+    try:
+        return int(raw)
+    except ValueError:
+        raise ArgumentError(
+            f"{ORACLE_NMAX_ENV} must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -87,35 +93,28 @@ class SpectrumVerdict:
 
 
 def _assign_multisets(ea, eb):
-    """Optimal pairing of two equal-size complex multisets (Hungarian)."""
-    cost = np.abs(ea[:, None] - eb[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return [(complex(ea[i]), complex(eb[j]), float(cost[i, j]))
-            for i, j in zip(rows, cols)]
+    """Optimal pairing of two complex multisets (Hungarian).
 
-
-def spectrum_multiset_compare(A, B, tol: float = 1e-8) -> SpectrumVerdict:
-    """Compare the spectra of A and B as multisets.
-
-    Eigenvalues are paired by the Hungarian method on pairwise distances
-    (a greedy pass would misreport swapped conjugate pairs); the verdict is
-    matched when the largest paired distance stays below
-    ``tol * max(1, spectral scale)``.
+    Returns the row indices into ea, the column indices into eb and the
+    paired distances; when the sizes differ, the smaller side is paired in
+    full.
     """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise ArgumentError("A and B must be square and of equal size")
-    if A.shape[0] > oracle_dim_limit():
-        raise ArgumentError(
-            f"oracle limited to n <= {oracle_dim_limit()} "
-            f"(set {ORACLE_NMAX_ENV} to raise)")
-    ea = np.linalg.eigvals(A)
-    eb = np.linalg.eigvals(B)
+    cost = np.abs(np.subtract.outer(ea, eb))
+    # scipy.optimize is not imported at the top: scipy (>= 1.9) loads it on
+    # this first attribute access, which keeps ~0.1 s off the start-up of
+    # every command that never pairs spectra
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    return rows, cols, cost[rows, cols]
+
+
+def _compare_spectra(ea, eb, tol) -> SpectrumVerdict:
+    """Verdict on two equal-size eigenvalue multisets at ``tol * scale``."""
     scale = max(1.0, float(np.max(np.abs(ea)) if ea.size else 0.0),
                 float(np.max(np.abs(eb)) if eb.size else 0.0))
     threshold = tol * scale
-    pairs = _assign_multisets(ea, eb)
+    rows, cols, dist = _assign_multisets(ea, eb)
+    pairs = [(complex(ea[i]), complex(eb[j]), float(d))
+             for i, j, d in zip(rows, cols, dist)]
     bad = [p for p in pairs if p[2] > threshold]
     maxd = max((p[2] for p in pairs), default=0.0)
     return SpectrumVerdict(
@@ -125,6 +124,27 @@ def spectrum_multiset_compare(A, B, tol: float = 1e-8) -> SpectrumVerdict:
         max_distance=float(maxd),
         threshold=float(threshold),
     )
+
+
+def spectrum_multiset_compare(A, B, tol: float = 1e-8) -> SpectrumVerdict:
+    """Compare the spectra of A and B as multisets.
+
+    Eigenvalues are paired by the Hungarian method on pairwise distances
+    (a greedy pass would misreport swapped conjugate pairs); the verdict is
+    matched when the largest paired distance stays below
+    ``tol * max(1, spectral scale)``.  Each spectrum is computed in the
+    working field of its matrix.
+    """
+    A = as_matrix(A, "A")
+    B = as_matrix(B, "B")
+    if A.shape != B.shape or A.shape[0] != A.shape[1]:
+        raise ArgumentError("A and B must be square and of equal size")
+    if A.shape[0] > oracle_dim_limit():
+        raise ArgumentError(
+            f"oracle limited to n <= {oracle_dim_limit()} "
+            f"(set {ORACLE_NMAX_ENV} to raise)")
+    return _compare_spectra(np.linalg.eigvals(working_field(A)),
+                            np.linalg.eigvals(working_field(B)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -165,22 +185,25 @@ class PerturbationReport:
 
 
 def _planned_spectrum(eigs_a, currents, targets, match_tol, scale, notes):
-    """Replace the current eigenvalues inside sigma(A) by the targets."""
-    remaining = list(eigs_a)
+    """Replace the current eigenvalues inside sigma(A) by the targets.
+
+    Currents are paired with eigenvalues of A by the same optimal
+    assignment the verdict uses.
+    """
+    rows, cols, dist = _assign_multisets(currents, eigs_a)
+    paired = dict(zip(rows.tolist(), dist.tolist()))
     planned = []
-    for c, t in zip(currents, targets):
-        if not remaining:
+    for i, (c, t) in enumerate(zip(currents, targets)):
+        if i not in paired:
             notes.append(f"no eigenvalue of A left to match {c:.6g}")
             continue
-        dists = [abs(c - r) for r in remaining]
-        k = int(np.argmin(dists))
-        if dists[k] > match_tol * scale:
+        if paired[i] > match_tol * scale:
             notes.append(
                 f"current value {c:.6g} not found in the spectrum of A "
-                f"(closest at distance {dists[k]:.3e})")
-        remaining.pop(k)
+                f"(paired at distance {paired[i]:.3e})")
         planned.append(t)
-    return np.asarray(planned + remaining, dtype=complex)
+    remaining = np.delete(eigs_a, cols)
+    return np.concatenate([np.asarray(planned, dtype=complex), remaining])
 
 
 def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
@@ -198,7 +221,9 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     their residual is reported.  Family-of-solutions members with a free
     parameter make no claim about the complement, so callers verify them
     with check_spillover=False, which skips the fixed-pair and
-    spectrum-replacement checks.
+    spectrum-replacement checks.  The eigensolves, the rank SVD and the
+    adjoint solve run in the working field of their matrices: real LAPACK
+    for exactly real data.
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
@@ -233,11 +258,11 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
             "family member: no claim on the complement, spectrum "
             "replacement not checked")
     elif A.shape[0] <= oracle_dim_limit():
-        w, V = np.linalg.eig(A)
-        planned = _planned_spectrum(list(w), list(currents), list(targets),
-                                    match_tol, sp_scale, notes)
-        ref = np.diag(planned)
-        verdict = spectrum_multiset_compare(perturbed, ref, tol=match_tol)
+        w, V = np.linalg.eig(working_field(A))
+        planned = _planned_spectrum(w, currents, targets, match_tol, sp_scale,
+                                    notes)
+        verdict = _compare_spectra(np.linalg.eigvals(working_field(perturbed)),
+                                   planned, match_tol)
         if fixed_pairs is None:
             keep = [i for i, lam in enumerate(w)
                     if currents.size == 0

@@ -3,10 +3,13 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 
 import golden
+import specpreserve
 from specpreserve import matio
 from specpreserve.cli import main
 
@@ -20,6 +23,16 @@ def _copy_job(jobs_dir, name, tmp_path):
     dst = tmp_path / name
     shutil.copytree(src, dst)
     return dst
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the Hungarian step is imported on first use; most commands never reach it
+    src = os.path.dirname(os.path.dirname(specpreserve.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, specpreserve.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0
 
 
 class TestInspect:

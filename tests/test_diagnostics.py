@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import golden
+import specpreserve.core
+import specpreserve.diagnostics
 from specpreserve import (
+    ArgumentError,
     InfeasiblePlanError,
     InstanceRecipe,
     PlanGroup,
@@ -12,6 +15,8 @@ from specpreserve import (
     ReassignmentSpec,
     ScalarProductSpace,
     assemble_complex,
+    assemble_real_jordan,
+    assemble_real_lie,
     extract_jordan_pairs,
     generate_instance,
     is_member,
@@ -20,7 +25,8 @@ from specpreserve import (
     structure_residual,
     verify_reassignment,
 )
-from specpreserve.diagnostics import oracle_dim_limit
+from specpreserve.core import frob
+from specpreserve.diagnostics import _planned_spectrum, oracle_dim_limit
 
 
 class TestSpectrumCompare:
@@ -63,6 +69,36 @@ class TestSpectrumCompare:
     def test_oracle_bound_default(self, monkeypatch):
         monkeypatch.delenv("SPECPRESERVE_ORACLE_NMAX", raising=False)
         assert oracle_dim_limit() == 64
+        monkeypatch.setenv("SPECPRESERVE_ORACLE_NMAX", "")
+        assert oracle_dim_limit() == 64
+
+    @pytest.mark.parametrize("raw", ["lots", "6 4", "64.0"])
+    def test_oracle_bound_malformed_raises(self, monkeypatch, raw):
+        monkeypatch.setenv("SPECPRESERVE_ORACLE_NMAX", raw)
+        with pytest.raises(ArgumentError) as err:
+            oracle_dim_limit()
+        assert "SPECPRESERVE_ORACLE_NMAX" in str(err.value)
+        assert repr(raw) in str(err.value)
+
+
+class TestPlannedSpectrum:
+    def test_optimal_matching_gives_no_spurious_note(self):
+        # greedy pairs 1+2d with 1+3d first and leaves 1+4d at distance 4d
+        # from 1; the optimal assignment pairs both within 2d
+        d = 1e-3
+        notes = []
+        planned = _planned_spectrum(np.array([1.0, 1 + 3 * d]),
+                                    np.array([1 + 2 * d, 1 + 4 * d]),
+                                    np.array([5.0, 6.0]), 3 * d, 1.0, notes)
+        assert notes == []
+        np.testing.assert_array_equal(planned, [5.0, 6.0])
+
+    def test_missing_current_is_noted(self):
+        notes = []
+        planned = _planned_spectrum(np.array([1.0, 2.0, 3.0]), np.array([2.5]),
+                                    np.array([7.0]), 1e-6, 3.0, notes)
+        assert len(notes) == 1 and "not found in the spectrum of A" in notes[0]
+        assert sorted(planned.real) == [1.0, 3.0, 7.0]
 
 
 class TestVerifyReassignment:
@@ -120,6 +156,106 @@ class TestVerifyReassignment:
             match_tol=1e-3)
         assert rep.fixed_residual <= 1e-3
         assert rep.realness
+
+
+def _real_field_case(arrangement):
+    """A real instance, its no-spillover assembly and its real delta."""
+    if arrangement == "real-jordan":
+        plan = (1.0, -2.0, 3.0, 0.5, -1.5, 2.5)
+        mapping = {1.0: 1.3, -2.0: -2.4}
+        rec = InstanceRecipe("identity", "jordan", "real", "T",
+                             tuple(PlanGroup(v, (1,)) for v in plan), seed=81)
+        assemble = assemble_real_jordan
+    else:
+        plan = (1 + 2j, 1 - 2j, -1 + 2j, -1 - 2j, 0.5, -0.5, 1.5j, -1.5j)
+        mapping = {0.5: 0.8, -0.5: -0.8}
+        rec = InstanceRecipe("skewj", "lie", "real", "T",
+                             tuple(PlanGroup(v, (1,)) for v in plan), seed=82)
+        assemble = assemble_real_lie
+    inst = generate_instance(rec)
+    groups = tuple(
+        ReassignmentGroup(p.value, mapping[complex(np.round(p.value, 6))],
+                          (p.chain,))
+        for p in inst.pairs if complex(np.round(p.value, 6)) in mapping)
+    asm = assemble(inst.A, ReassignmentSpec(groups), inst.space, inst.cls)
+    delta = reassign_no_spillover(inst.A, asm, inst.space, inst.cls,
+                                  verify=False).delta
+    return inst, asm, delta
+
+
+def _lapack_spy(monkeypatch):
+    """Record (routine, dtype) of every dense eig/eigvals/svd call."""
+    seen = []
+    for name in ("eig", "eigvals", "svd"):
+        def spy(a, *args, _orig=getattr(np.linalg, name), _name=name, **kw):
+            seen.append((_name, np.asarray(a).dtype))
+            return _orig(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return seen
+
+
+class TestRealFieldOracle:
+    @pytest.mark.parametrize("arrangement", ["real-jordan", "real-lie"])
+    def test_real_arithmetic_matches_complex(self, monkeypatch, arrangement):
+        inst, asm, delta = _real_field_case(arrangement)
+        assert delta.dtype == np.float64
+        real = verify_reassignment(inst.A.real, delta, asm, inst.space,
+                                   inst.cls)
+        # reference: the same data cast to complex, with the working-field
+        # reduction switched off so LAPACK runs its complex routines
+        for module in (specpreserve.core, specpreserve.diagnostics):
+            monkeypatch.setattr(module, "working_field", np.asarray)
+        seen = _lapack_spy(monkeypatch)
+        cplx = verify_reassignment(inst.A.astype(complex),
+                                   delta.astype(complex), asm, inst.space,
+                                   inst.cls)
+        assert {dt for _, dt in seen} == {np.dtype(complex)}
+
+        assert real.spectrum_verdict.matched and cplx.spectrum_verdict.matched
+        assert real.delta_rank == cplx.delta_rank == 2
+        assert real.realness and cplx.realness
+        assert real.notes == cplx.notes
+        scale = max(1.0, frob(inst.A))
+        for a, b in [(real.reassigned_residual, cplx.reassigned_residual),
+                     (real.structure_residual, cplx.structure_residual),
+                     (real.fixed_residual, cplx.fixed_residual),
+                     (real.spectrum_verdict.max_distance,
+                      cplx.spectrum_verdict.max_distance)]:
+            assert abs(a - b) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("arrangement", ["real-jordan", "real-lie"])
+    def test_lapack_sees_real_arrays_for_real_data(self, monkeypatch,
+                                                   arrangement):
+        inst, asm, delta = _real_field_case(arrangement)
+        seen = _lapack_spy(monkeypatch)
+        # a complex dtype with zero imaginary part is still real data
+        for A, d in [(inst.A.real, delta),
+                     (inst.A.astype(complex), delta.astype(complex))]:
+            seen.clear()
+            rep = verify_reassignment(A, d, asm, inst.space, inst.cls)
+            assert rep.spectrum_verdict.matched
+            assert sorted(name for name, _ in seen) == ["eig", "eigvals", "svd"]
+            assert {dt for _, dt in seen} == {np.dtype(np.float64)}
+
+    def test_lapack_sees_complex_arrays_for_complex_data(self, monkeypatch):
+        rec = InstanceRecipe("flip", "jordan", "complex", "CT",
+                             (PlanGroup(1.0, (1,)), PlanGroup(-3.0, (1,)),
+                              PlanGroup(2 + 1j, (1,)), PlanGroup(2 - 1j, (1,))),
+                             seed=70)
+        inst = generate_instance(rec)
+        p = next(p for p in inst.pairs if abs(p.value - 1.0) < 1e-6)
+        asm = assemble_complex(
+            inst.A, ReassignmentSpec((ReassignmentGroup(p.value, 1.5,
+                                                        (p.chain,)),)),
+            inst.space, inst.cls)
+        delta = reassign_no_spillover(inst.A, asm, inst.space, inst.cls,
+                                      verify=False).delta
+        assert np.any(inst.A.imag) and np.any(delta.imag)
+        seen = _lapack_spy(monkeypatch)
+        rep = verify_reassignment(inst.A, delta, asm, inst.space, inst.cls)
+        assert rep.spectrum_verdict.matched
+        assert sorted(name for name, _ in seen) == ["eig", "eigvals", "svd"]
+        assert {dt for _, dt in seen} == {np.dtype(complex)}
 
 
 class TestGenerateInstance:
