@@ -33,6 +33,7 @@ from .core import (
 from .diagnostics import (
     InstanceRecipe,
     PlanGroup,
+    _assign_multisets,
     generate_instance,
     oracle_dim_limit,
 )
@@ -292,22 +293,24 @@ def _collect_targets(job):
 
 
 def _match_eigvecs(A, currents, match_tol=1e-6):
-    """Pick eigenvectors of A for the requested current eigenvalues."""
+    """Pick eigenvectors of A for the requested current eigenvalues.
+
+    Currents are paired with eigenvalues of A by the optimal assignment (a
+    nearest-first pass can take the eigenvalue a later current needs).
+    """
     w, V = np.linalg.eig(np.asarray(A, dtype=complex))
     scale = max(1.0, float(np.max(np.abs(w))))
-    used = set()
+    rows, cols, dist = _assign_multisets(np.asarray(currents, dtype=complex), w)
+    paired = {i: (k, d) for i, k, d in zip(rows.tolist(), cols.tolist(),
+                                           dist.tolist())}
     vecs = []
-    for c in currents:
-        dists = np.abs(w - c)
-        for i in used:
-            dists[i] = np.inf
-        k = int(np.argmin(dists))
-        if dists[k] > match_tol * scale:
+    for i, c in enumerate(currents):
+        k, d = paired.get(i, (None, np.inf))
+        if d > match_tol * scale:
             raise StructureError(
                 "current_eigenvalue",
                 f"requested current value {c:.6g} is not an eigenvalue of A "
-                f"(closest at distance {dists[k]:.3e})")
-        used.add(k)
+                f"(closest at distance {d:.3e})")
         vecs.append(V[:, k])
     return vecs
 

@@ -11,9 +11,11 @@ the Jordan and Lie algebras this library works in.  With H the block flip
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ArgumentError, StructureError
 
@@ -119,7 +121,67 @@ def _normalize_star(star) -> str:
     raise ArgumentError(f"unknown star flavor {star!r} (expected 't' or 'ct')")
 
 
-@dataclass(frozen=True)
+class _MonomialH:
+    """H with exactly one unimodular entry per row and column,
+    ``H[i, cols[i]] = vals[i]``: H and ``H^-1 = H^H`` act by indexing and
+    scaling, which is exact."""
+
+    def __init__(self, H, cols):
+        self.cols = cols
+        self.vals = H[np.arange(H.shape[0]), cols]
+        self.rows = np.argsort(cols)
+        self.inv_vals = np.conj(self.vals)[self.rows]
+
+    @staticmethod
+    def _scale_rows(v, M):
+        return v.reshape((-1,) + (1,) * (M.ndim - 1)) * M
+
+    def apply(self, B):
+        return self._scale_rows(self.vals, B[self.cols])
+
+    def solve(self, B):
+        return self._scale_rows(self.inv_vals, B[self.rows])
+
+
+class _DenseH:
+    """Any other H: H applied by a product, H^-1 by its LU factors, which
+    are computed on the first solve."""
+
+    def __init__(self, H):
+        self.H = H
+
+    @functools.cached_property
+    def lu(self):
+        return scipy.linalg.lu_factor(self.H, check_finite=False)
+
+    def _call(self, fn, B):
+        if np.iscomplexobj(self.H):
+            return fn(B)
+        # a real operator on complex data: one real call on [Re B, Im B]
+        R = B.reshape(B.shape[0], -1)
+        k = R.shape[1]
+        Y = fn(np.hstack([R.real, R.imag]))
+        return (Y[:, :k] + 1j * Y[:, k:]).reshape(B.shape)
+
+    def apply(self, B):
+        return self._call(lambda R: self.H @ R, B)
+
+    def solve(self, B):
+        return self._call(
+            lambda R: scipy.linalg.lu_solve(self.lu, R, check_finite=False), B)
+
+
+def _h_operator(H):
+    """The cheapest exact way to apply H and H^-1."""
+    nz = H != 0
+    if (np.all(np.count_nonzero(nz, axis=0) == 1)
+            and np.all(np.count_nonzero(nz, axis=1) == 1)
+            and np.all(np.abs(H[nz]) == 1.0)):
+        return _MonomialH(H, np.argmax(nz, axis=1))
+    return _DenseH(H)
+
+
+@dataclass(frozen=True, eq=False)
 class ScalarProductSpace:
     """The matrix H, the star flavor and the sign eps1 defining the form.
 
@@ -140,7 +202,9 @@ class ScalarProductSpace:
     The sign eps1 is detected from H and both defining properties are
     checked at construction; an H that fails them (for instance one typed
     in at too few decimals for the requested tolerance) is rejected rather
-    than re-orthogonalized.
+    than re-orthogonalized.  H is stored read-only in its field (float64 on
+    real spaces).  Spaces compare and hash by value: H entrywise, star,
+    field, eps1 and structure_tol.
     """
 
     H: np.ndarray
@@ -163,7 +227,7 @@ class ScalarProductSpace:
                 raise StructureError(
                     "real_space_H", "real-field space requires a real H",
                     residual=float(np.max(np.abs(H.imag))))
-            H = H.real.astype(complex)
+            H = H.real
             star = "T"
 
         Hs = H.T if star == "T" and field == "complex" else H.conj().T
@@ -188,12 +252,24 @@ class ScalarProductSpace:
                 f"(residual {unit_res:.3e})",
                 residual=unit_res)
 
-        H = H.copy()
+        H = np.array(H, order="C")
         H.setflags(write=False)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "star", star)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "epsilon1", eps1)
+
+    def _key(self):
+        return (self.star, self.field, self.epsilon1, self.structure_tol)
+
+    def __eq__(self, other):
+        if not isinstance(other, ScalarProductSpace):
+            return NotImplemented
+        return self._key() == other._key() and np.array_equal(self.H, other.H)
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which array_equal treats as equal
+        return hash(self._key() + (self.H.shape, (self.H + 0.0).tobytes()))
 
     @property
     def n(self) -> int:
@@ -223,9 +299,27 @@ class ScalarProductSpace:
             return complex(lam)
         return complex(np.conj(lam))
 
+    @functools.cached_property
+    def _h_op(self):
+        # built on first use and kept for the life of the space; not a
+        # field, so it stays out of eq, hash and repr
+        return _h_operator(self.H)
+
+    def h_apply(self, B) -> np.ndarray:
+        """The product ``H B``, by indexing when H is a signed or phased
+        permutation."""
+        return self._h_op.apply(np.asarray(B, dtype=complex))
+
     def h_solve(self, B) -> np.ndarray:
-        """Solve H X = B by a dense solve (robust to H given at low precision)."""
-        return np.linalg.solve(self.H, np.asarray(B, dtype=complex))
+        """Solve ``H X = B``.
+
+        A signed or phased permutation H (one entry of modulus exactly 1 per
+        row and column) is inverted exactly as ``H^H``; any other H by its LU
+        factors, computed once per space.  ``H^H`` is never substituted for
+        a dense H: an H given at low precision is unitary only to that
+        precision.
+        """
+        return self._h_op.solve(np.asarray(B, dtype=complex))
 
     # -- common presets -------------------------------------------------
 

@@ -866,7 +866,11 @@ def generate_instance(recipe: InstanceRecipe,
                              recipe.cayley_strength)
     UG = U @ G
     A = np.linalg.solve(UG, A0 @ UG)
-    moved = [(lam, np.linalg.solve(UG, X)) for lam, X in chains]
+    # one solve for every chain: UG is factored once
+    values, blocks = zip(*chains)
+    moved_blocks = np.hsplit(np.linalg.solve(UG, np.hstack(blocks)),
+                             np.cumsum([X.shape[1] for X in blocks])[:-1])
+    moved = list(zip(values, moved_blocks))
 
     if recipe.field == "real":
         imax = float(np.max(np.abs(A.imag)))

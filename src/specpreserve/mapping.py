@@ -8,10 +8,16 @@ The whole solution family is
 
 over free parameters Z with ``Z* = e1 e2 Z``; Z = 0 gives the unique
 Frobenius-minimal solution.  Star is the star of the space throughout.
+
+The Z = 0 member is kept as factors ``U V`` of width 2p and multiplied out
+once, so it costs O(n^2 p) and forms no n x n matrix before that product;
+the Z term, ``H^-1 P* Z P`` with ``P = I - X X^+``, is expanded without
+forming P and takes the only n-column application of ``H^-1``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,21 +61,45 @@ class FeasibilityReport:
     violations: tuple
 
 
-def feasibility_check(X, B, space: ScalarProductSpace, cls: StructureClass,
-                      tol: ToleranceProfile | None = None) -> FeasibilityReport:
-    """Check whether some structured A satisfies ``A X = B``."""
-    tol = tol or ToleranceProfile()
-    cls = StructureClass.parse(cls)
-    X = as_matrix(X, "X")
-    B = as_matrix(B, "B")
-    if X.shape != B.shape or X.shape[0] != space.n:
-        raise ArgumentError(
-            f"X and B must both be {space.n} x p, got {X.shape} and {B.shape}")
-    Xd = pseudoinverse(X, tol.rank_tol)
-    r_range = float(np.linalg.norm(B @ Xd @ X - B))
+def _family_factors(B, HB, R, Q, space, cls):
+    """Factors ``(U, V)`` of the Z = 0 member, ``U @ V``:
+
+        B R + e1 e2 H^-1 R* [(H B)* - Q],   U = [B, e1 e2 H^-1 R*],
+                                            V = [R; (H B)* - Q]
+
+    with ``R = X^+`` and ``Q = (X* H B)* X^+``.  When only the first p
+    columns of B are nonzero, B may be passed as those columns, with R and
+    Q the matching p rows.
+    """
+    s = space.epsilon1 * cls.epsilon2
+    st = space.star_mat
+    U = np.hstack([B, s * space.h_solve(st(R))])
+    V = np.vstack([R, st(HB) - Q])
+    return U, V
+
+
+def _map_factors(X, B, Xd, space, cls):
+    """``(U, V, W)``: the family factors of ``A X = B`` for ``X^+ = Xd``,
+    and ``W = X* H B``."""
+    HB = space.h_apply(B)
+    W = space.star_mat(X) @ HB
+    U, V = _family_factors(B, HB, Xd, space.star_mat(W) @ Xd, space, cls)
+    return U, V, W
+
+
+def _z_term(Z, X, Xd, space):
+    """``H^-1 P* Z P`` for ``P = I - X X^+``, expanded without forming P."""
+    st = space.star_mat
+    XsZ = st(X) @ Z
+    ZX = Z @ X
+    M = Z - st(Xd) @ (XsZ - (XsZ @ X) @ Xd) - ZX @ Xd
+    return space.h_solve(M)
+
+
+def _feasibility(X, B, Xd, W, space, cls, tol) -> FeasibilityReport:
+    r_range = float(np.linalg.norm(B @ (Xd @ X) - B))
     thr_range = tol.residual_tol * frob(B) + ABS_FLOOR * max(1.0, frob(B))
 
-    W = space.star_mat(X) @ space.H @ B
     s = space.epsilon1 * cls.epsilon2
     r_sym = float(np.linalg.norm(W - s * space.star_mat(W)))
     # the floor follows the rounding scale of forming W itself: W can vanish
@@ -90,14 +120,49 @@ def feasibility_check(X, B, space: ScalarProductSpace, cls: StructureClass,
     )
 
 
+def _check_shapes(X, B, space):
+    X = as_matrix(X, "X")
+    B = as_matrix(B, "B")
+    if X.shape != B.shape or X.shape[0] != space.n:
+        raise ArgumentError(
+            f"X and B must both be {space.n} x p, got {X.shape} and {B.shape}")
+    return X, B
+
+
+def feasibility_check(X, B, space: ScalarProductSpace, cls: StructureClass,
+                      tol: ToleranceProfile | None = None) -> FeasibilityReport:
+    """Check whether some structured A satisfies ``A X = B``."""
+    tol = tol or ToleranceProfile()
+    cls = StructureClass.parse(cls)
+    X, B = _check_shapes(X, B, space)
+    Xd = pseudoinverse(X, tol.rank_tol)
+    W = space.star_mat(X) @ space.h_apply(B)
+    return _feasibility(X, B, Xd, W, space, cls, tol)
+
+
 @dataclass(frozen=True)
 class StructuredMapSolution:
-    """The Z = 0 solution plus everything needed to enumerate the family."""
+    """The Z = 0 solution plus everything needed to enumerate the family.
 
-    family_base: np.ndarray
-    projector: np.ndarray
+    The solution is held as ``factors = (U, V)`` with ``family_base = U @ V``,
+    together with X and its pseudoinverse, from which the projector
+    ``I - X X^+`` and every member ``with_z`` are computed on demand.
+    """
+
+    factors: tuple
+    X: np.ndarray
+    X_pinv: np.ndarray
     space: ScalarProductSpace
     cls: StructureClass
+
+    @functools.cached_property
+    def family_base(self) -> np.ndarray:
+        U, V = self.factors
+        return U @ V
+
+    @property
+    def projector(self) -> np.ndarray:
+        return np.eye(self.space.n) - self.X @ self.X_pinv
 
     def with_z(self, Z, tol: ToleranceProfile | None = None) -> np.ndarray:
         """Family member for an admissible parameter Z (``Z* = e1 e2 Z``)."""
@@ -108,9 +173,7 @@ class StructuredMapSolution:
             raise StructureError(
                 "z_symmetry",
                 f"Z fails Z* = e1 e2 Z (residual {r:.3e})", residual=r)
-        P = self.projector
-        return self.family_base + self.space.h_solve(
-            self.space.star_mat(P) @ Z @ P)
+        return self.family_base + _z_term(Z, self.X, self.X_pinv, self.space)
 
 
 def map_family(X, B, space: ScalarProductSpace, cls: StructureClass,
@@ -121,9 +184,10 @@ def map_family(X, B, space: ScalarProductSpace, cls: StructureClass,
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    X = as_matrix(X, "X")
-    B = as_matrix(B, "B")
-    report = feasibility_check(X, B, space, cls, tol)
+    X, B = _check_shapes(X, B, space)
+    Xd = pseudoinverse(X, tol.rank_tol)
+    U, V, W = _map_factors(X, B, Xd, space, cls)
+    report = _feasibility(X, B, Xd, W, space, cls, tol)
     if not report.feasible:
         names = ", ".join(v[0] for v in report.violations)
         raise StructureError(
@@ -131,17 +195,8 @@ def map_family(X, B, space: ScalarProductSpace, cls: StructureClass,
             f"A X = B has no structured solution: {names} failed "
             f"(range {report.range_residual:.3e}, symmetry {report.symmetry_residual:.3e})",
             residual=max(report.range_residual, report.symmetry_residual))
-
-    H = space.H
-    st = space.star_mat
-    Xd = pseudoinverse(X, tol.rank_tol)
-    n = space.n
-    P = np.eye(n) - X @ Xd
-    BXd = B @ Xd
-    W = st(X) @ H @ B
-    s = space.epsilon1 * cls.epsilon2
-    base = BXd + s * space.h_solve(st(H @ BXd) - st(Xd) @ st(W) @ Xd)
-    return StructuredMapSolution(family_base=base, projector=P, space=space, cls=cls)
+    return StructuredMapSolution(factors=(U, V), X=X, X_pinv=Xd, space=space,
+                                 cls=cls)
 
 
 def solve_structured(X, B, space: ScalarProductSpace, cls: StructureClass,

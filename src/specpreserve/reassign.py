@@ -13,6 +13,12 @@ over admissible parameters Z, and the closed-form no-spillover update
 whose rank equals rank(D) and which leaves every other Jordan pair of A
 untouched, known or not.  Real arrangements produce real perturbations;
 realness is verified, never silently truncated.
+
+Under the Gram certificate (``W = e1 e2 W*`` for ``W = X* H X D``) the
+family is the solution family of ``delta X = X D`` and is evaluated by the
+factored kernel of ``mapping``: O(n^2 p), with one n-column application of
+``H^-1`` only for the Z term.  The no-spillover update applies the inverse
+Gram matrix to ``X_c* H``, also O(n^2 p).
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .core import (
 )
 from .diagnostics import PerturbationReport, verify_reassignment
 from .errors import ArgumentError, RealnessError, StructureError
+from .mapping import _map_factors, _z_term
 from .spectral import (
     ReassignmentAssembly,
     ReassignmentGroup,
@@ -63,8 +70,9 @@ class ReassignmentResult:
 
 
 def _check_certificate(assembly, space, cls, tol):
-    r = certificate_residual(assembly, space, cls)
+    """Raise unless the Gram certificate holds; returns ``X_c* H X_c``."""
     G = space.star_mat(assembly.X_c) @ space.H @ assembly.X_c
+    r = certificate_residual(assembly, space, cls, gram=G)
     scale = max(1.0, frob(G) * frob(assembly.Lambda_a - assembly.Lambda_c))
     if r > tol.structure_tol * scale:
         raise StructureError(
@@ -72,6 +80,7 @@ def _check_certificate(assembly, space, cls, tol):
             f"assembly fails the Gram symmetry certificate "
             f"(residual {r:.3e}); the requested targets are incompatible "
             f"with the structure", residual=r)
+    return G
 
 
 def _check_z(Z, assembly, space, cls, tol):
@@ -124,16 +133,12 @@ def reassign_family(A, assembly: ReassignmentAssembly, space: ScalarProductSpace
     Z = _check_z(Z, assembly, space, cls, tol)
 
     X = assembly.X_c
-    D = assembly.Lambda_a - assembly.Lambda_c
-    st = space.star_mat
-    H = space.H
     Xd = pseudoinverse(X, tol.rank_tol)
-    delta = X @ D @ Xd
-    delta = delta + cls.epsilon2 * space.h_solve(st(Xd) @ st(D) @ st(X) @ H)
-    delta = delta - space.h_solve(st(Xd) @ st(X) @ H @ X @ D @ Xd)
+    U, V, _ = _map_factors(X, X @ (assembly.Lambda_a - assembly.Lambda_c),
+                           Xd, space, cls)
+    delta = U @ V
     if Z is not None:
-        P = np.eye(n) - X @ Xd
-        delta = delta + space.h_solve(st(P) @ Z @ P)
+        delta = delta + _z_term(Z, X, Xd, space)
     delta = _finalize(delta, assembly)
     report = None
     if verify:
@@ -164,7 +169,7 @@ def reassign_no_spillover(A, assembly: ReassignmentAssembly,
     n = space.n
     if A.shape != (n, n):
         raise ArgumentError("A must match the space dimension")
-    _check_certificate(assembly, space, cls, tol)
+    G = _check_certificate(assembly, space, cls, tol)
 
     if fixed_spectrum_guard is not None:
         guard = np.asarray(list(fixed_spectrum_guard), dtype=complex)
@@ -183,8 +188,6 @@ def reassign_no_spillover(A, assembly: ReassignmentAssembly,
                               stacklevel=2)
 
     X = assembly.X_c
-    G = space.star_mat(X) @ space.H @ X
-    p = G.shape[0]
     s = np.linalg.svd(G, compute_uv=False)
     if s.size == 0 or s[-1] <= tol.rank_tol * max(1.0, s[0]):
         raise StructureError(

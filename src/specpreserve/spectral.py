@@ -179,13 +179,15 @@ class ReassignmentAssembly:
 
 
 def certificate_residual(assembly: ReassignmentAssembly, space: ScalarProductSpace,
-                         cls: StructureClass) -> float:
+                         cls: StructureClass, gram=None) -> float:
     """Residual of the key symmetry ``W = e1 e2 W*`` for
     ``W = X_c* H X_c (Lambda_a - Lambda_c)``; the reassignment formulas are
-    valid exactly when this holds."""
+    valid exactly when this holds.  gram may pass ``X_c* H X_c`` when the
+    caller has it already."""
     cls = StructureClass.parse(cls)
-    W = space.star_mat(assembly.X_c) @ space.H @ assembly.X_c \
-        @ (assembly.Lambda_a - assembly.Lambda_c)
+    if gram is None:
+        gram = space.star_mat(assembly.X_c) @ space.H @ assembly.X_c
+    W = gram @ (assembly.Lambda_a - assembly.Lambda_c)
     s = space.epsilon1 * cls.epsilon2
     return float(np.linalg.norm(W - s * space.star_mat(W)))
 

@@ -6,6 +6,14 @@ All updates stay inside the Jordan/Lie algebra of the space.  The central
 compatibility condition is on the Gram matrix ``G = X* H X``: a target
 restriction L is reachable by a structured perturbation iff
 ``G L = e2 L* G``.
+
+Reproducing and preserving a subspace solve ``A X = B`` with the factored
+kernel of ``mapping``: O(n^2 p), with one n-column application of ``H^-1``
+only for the Z term.  The complementary update is the same formula for the
+square basis ``[X_c X_f]``; it needs only the first p rows of the basis
+inverse and ``(X* H B_c)* X^-1``, both from one LU of the basis with p
+right-hand sides each, so past the O(n^3) checks (rank SVD, fixed-pair
+residual, LU) it costs O(n^2 p).
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from .core import (
     pseudoinverse,
 )
 from .errors import ArgumentError, StructureError
-from .mapping import solve_structured
+from .mapping import _family_factors, solve_structured
 
 __all__ = [
     "CompatibilityReport",
@@ -142,9 +150,8 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
     return solve_structured(X_c @ R, X_c @ Rt, space, cls, Z, tol)
 
 
-def _spectral_gap(Lambda_c, Lambda_f, space, cls):
-    ec = np.linalg.eigvals(as_matrix(Lambda_c))
-    ef = np.linalg.eigvals(as_matrix(Lambda_f))
+def _spectral_gap(ec, ef, space, cls):
+    """Distance between the paired eigenvalues ec and the eigenvalues ef."""
     paired = np.array([cls.epsilon2 * space.star_scalar(l) for l in ec])
     return float(np.min(np.abs(paired[:, None] - ef[None, :])))
 
@@ -170,8 +177,9 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     Lambda_f = as_matrix(Lambda_f, "Lambda_f")
     n = space.n
     p = X_c.shape[1]
-    Lambda_c = pseudoinverse(X_c, tol.rank_tol) @ A @ X_c
-    rc = np.linalg.norm(A @ X_c - X_c @ Lambda_c)
+    AX_c = A @ X_c
+    Lambda_c = pseudoinverse(X_c, tol.rank_tol) @ AX_c
+    rc = np.linalg.norm(AX_c - X_c @ Lambda_c)
     rf = np.linalg.norm(A @ X_f - X_f @ Lambda_f)
     scale = max(frob(A), 1e-300)
     if rc > eig_tol * scale * frob(X_c):
@@ -184,21 +192,23 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
             "invariant_pair_residual",
             f"(X_f, Lambda_f) is not an invariant pair (residual {rf:.3e})",
             residual=float(rf))
-    gap = _spectral_gap(Lambda_c, Lambda_f, space, cls)
-    spectral_scale = max(1.0, frob(np.linalg.eigvals(Lambda_c)), frob(np.linalg.eigvals(Lambda_f)))
+    ec = np.linalg.eigvals(Lambda_c)
+    ef = np.linalg.eigvals(Lambda_f)
+    gap = _spectral_gap(ec, ef, space, cls)
+    spectral_scale = max(1.0, frob(ec), frob(ef))
+    G = gram_matrix(X_c, space)
     if gap < separation * spectral_scale:
         raise StructureError(
             "spectral_disjointness",
             f"paired spectrum of the changed block meets the fixed spectrum "
             f"(min gap {gap:.3e})", residual=gap)
     if gap < 10 * separation * spectral_scale:
-        G = gram_matrix(X_c, space)
         warnings.warn(
             f"spectral gap {gap:.3e} is close to the separation threshold; "
             f"Gram 1-norm condition {np.real(np.linalg.cond(G, 1)):.2e}",
             stacklevel=2)
 
-    W = gram_matrix(X_c, space) @ Lambda_a
+    W = G @ Lambda_a
     s = space.epsilon1 * cls.epsilon2
     rw = float(np.linalg.norm(W - s * space.star_mat(W)))
     if rw > tol.structure_tol * max(1.0, frob(W)):
@@ -212,13 +222,16 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
         raise ArgumentError("[X_c X_f] must be square")
     if numerical_rank(X, tol.rank_tol) < n:
         raise StructureError("nonsingular_basis", "[X_c X_f] is numerically singular")
-    B = np.hstack([X_c @ Lambda_a - A @ X_c, np.zeros((n, n - p))])
-    Xi = np.linalg.inv(X)
+    # B = [B_c, 0]: only the first p rows of X^-1 meet B, so R = (X^-1)[:p]
+    # and Q = (X* H B_c)* X^-1 come from one LU of X, as X^T [R^T Q^T]
+    B_c = X_c @ Lambda_a - AX_c
+    HB = space.h_apply(B_c)
     st = space.star_mat
-    H = space.H
-    BXi = B @ Xi
-    delta = BXi + s * space.h_solve(st(H @ BXi) - st(Xi) @ st(st(X) @ H @ B) @ Xi)
-    return delta
+    rhs = np.hstack([np.eye(n, p), st(st(X) @ HB).T])
+    RQ = scipy.linalg.lu_solve(scipy.linalg.lu_factor(X, check_finite=False),
+                               rhs, trans=1, check_finite=False).T
+    U, V = _family_factors(B_c, HB, RQ[:p], RQ[p:], space, cls)
+    return U @ V
 
 
 def gram_inverse_apply(G, RHS):

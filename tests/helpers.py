@@ -64,6 +64,8 @@ def make_space(n, star, eps1, field, preset, rng, structure_tol=1e-8):
             if n % 2:
                 return None
             H = flip_matrix(n)
+        elif preset == "signature":
+            H = np.diag([(-1.0) ** k for k in range(n)])
         elif preset == "random":
             H = random_structured_unitary(n, star, eps1, field, rng)
         else:

@@ -7,11 +7,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import golden
 import specpreserve
 from specpreserve import matio
-from specpreserve.cli import main
+from specpreserve.cli import _match_eigvecs, main
 
 
 def _run(*argv):
@@ -33,6 +34,19 @@ def test_import_leaves_scipy_optimize_unloaded():
             "sys.exit('scipy.optimize' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert proc.returncode == 0
+
+
+def test_eigenvector_matching_is_optimal():
+    # nearest-first would give 1 + 2d the eigenvalue 1 + 3d and leave
+    # 1 + 4d at distance 4d from 1
+    d = 2e-6
+    A = np.diag([1.0, 1.0 + 3 * d, 5.0])
+    vecs = _match_eigvecs(A, [1 + 2 * d, 1 + 4 * d])
+    np.testing.assert_allclose(np.abs(np.column_stack(vecs)), np.eye(3)[:, :2])
+    with pytest.raises(specpreserve.StructureError,
+                       match=r"requested current value 2 is not an eigenvalue "
+                             r"of A \(closest at distance 1\.000e\+00\)"):
+        _match_eigvecs(A, [1 + 2 * d, 2.0])
 
 
 class TestInspect:

@@ -56,6 +56,38 @@ class TestScalarProductSpace:
         with pytest.raises(ValueError):
             space.H[0, 0] = 2.0
 
+    def test_h_is_stored_in_its_field(self):
+        assert ScalarProductSpace.flip(4, field="real").H.dtype == np.float64
+        assert ScalarProductSpace.flip(4, field="complex").H.dtype == np.complex128
+        assert ScalarProductSpace(golden.LIE4_H, star="ct").H.dtype == np.complex128
+
+    def test_equal_by_value_and_hashable(self):
+        a = ScalarProductSpace.skewj(4, star="t", field="real")
+        b = ScalarProductSpace(np.array(a.H), star="t", field="real")
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1 and {a: 1}[b] == 1
+        for other in (ScalarProductSpace.skewj(4, star="t", field="complex"),
+                      ScalarProductSpace.skewj(4, star="ct", field="complex"),
+                      ScalarProductSpace.skewj(4, star="t", field="real",
+                                               structure_tol=1e-6),
+                      ScalarProductSpace.flip(4, star="t", field="real")):
+            assert a != other
+        assert a != "skewj"
+
+    def test_signed_zero_entries_hash_alike(self):
+        H = np.array([[-0.0, 1.0], [1.0, -0.0]])
+        a = ScalarProductSpace(H, star="t", field="real")
+        b = ScalarProductSpace(np.abs(H), star="t", field="real")
+        assert np.signbit(a.H).any() and a == b and hash(a) == hash(b)
+
+    def test_cached_inverse_stays_out_of_eq_and_repr(self, rng):
+        H = helpers.random_structured_unitary(4, "CT", -1, "complex", rng)
+        a = ScalarProductSpace(H, star="ct")
+        b = ScalarProductSpace(H, star="ct")
+        before = repr(a)
+        a.h_solve(np.eye(4))
+        assert a == b and hash(a) == hash(b) and repr(a) == before
+
 
 class TestAdjoint:
     def test_identity_h_is_conjugate_transpose(self, rng):
