@@ -121,6 +121,25 @@ def _normalize_star(star) -> str:
     raise ArgumentError(f"unknown star flavor {star!r} (expected 't' or 'ct')")
 
 
+def _star(M, star, field) -> np.ndarray:
+    """The star of a (star, field) pair applied to matrix data: the plain
+    transpose only for the bilinear form on a complex space."""
+    M = np.asarray(M, dtype=complex)
+    if star == "T" and field == "complex":
+        return M.T.copy()
+    return M.conj().T.copy()
+
+
+def _swap_h(n, sign) -> np.ndarray:
+    """``[[0, I], [sign I, 0]]`` for even n: the flip (sign 1) and skewj
+    (sign -1) presets, whose eps1 is the sign."""
+    m = n // 2
+    H = np.zeros((n, n))
+    H[:m, m:] = np.eye(m)
+    H[m:, :m] = sign * np.eye(m)
+    return H
+
+
 class _MonomialH:
     """H with exactly one unimodular entry per row and column,
     ``H[i, cols[i]] = vals[i]``: H and ``H^-1 = H^H`` act by indexing and
@@ -289,10 +308,7 @@ class ScalarProductSpace:
 
     def star_mat(self, M) -> np.ndarray:
         """Apply the star of this space to matrix data."""
-        M = np.asarray(M, dtype=complex)
-        if self.star == "T" and self.field == "complex":
-            return M.T.copy()
-        return M.conj().T.copy()
+        return _star(M, self.star, self.field)
 
     def star_scalar(self, lam) -> complex:
         if self.star == "T" and self.field == "complex":
@@ -332,22 +348,14 @@ class ScalarProductSpace:
         """H = [[0, I], [I, 0]] (n must be even)."""
         if n % 2:
             raise ArgumentError("flip space needs even dimension")
-        m = n // 2
-        H = np.zeros((n, n))
-        H[:m, m:] = np.eye(m)
-        H[m:, :m] = np.eye(m)
-        return cls(H, star=star, field=field, structure_tol=structure_tol)
+        return cls(_swap_h(n, 1), star=star, field=field, structure_tol=structure_tol)
 
     @classmethod
     def skewj(cls, n, *, star="CT", field="complex", structure_tol=DEFAULT_STRUCTURE_TOL):
         """H = [[0, I], [-I, 0]] (n must be even)."""
         if n % 2:
             raise ArgumentError("skewj space needs even dimension")
-        m = n // 2
-        H = np.zeros((n, n))
-        H[:m, m:] = np.eye(m)
-        H[m:, :m] = -np.eye(m)
-        return cls(H, star=star, field=field, structure_tol=structure_tol)
+        return cls(_swap_h(n, -1), star=star, field=field, structure_tol=structure_tol)
 
     @classmethod
     def signature(cls, signs, *, star="CT", field="complex", structure_tol=DEFAULT_STRUCTURE_TOL):
@@ -408,11 +416,19 @@ def numerical_rank(X, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(s > rank_tol * s[0]))
 
 
+def gram_matrix(X, space: ScalarProductSpace) -> np.ndarray:
+    """The form's Gram matrix ``X* H X`` of a chain/basis matrix."""
+    X = as_matrix(X, "X")
+    return space.star_mat(X) @ space.H @ X
+
+
 def z_symmetry_residual(Z, space: ScalarProductSpace, cls: StructureClass) -> float:
     """Distance of Z from the admissible parameter class ``Z* = eps1 eps2 Z``.
 
     This is the symmetry the free parameter of the structured linear-map
-    solver must carry; it differs from membership in the algebra itself.
+    solver must carry, and the one test of the Gram certificate
+    ``W = e1 e2 W*`` of the reassignment, mapping and subspace updates; it
+    differs from membership in the algebra itself.
     """
     Z = as_matrix(Z, "Z")
     cls = StructureClass.parse(cls)

@@ -19,14 +19,17 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
+    _star,
+    _swap_h,
     as_matrix,
     frob,
+    gram_matrix,
     numerical_rank,
     structure_residual,
     working_field,
 )
 from .errors import ArgumentError, InfeasiblePlanError
-from .spectral import JordanPair, ReassignmentAssembly, jordan_block
+from .spectral import JordanPair, ReassignmentAssembly, _group_orbits
 
 __all__ = [
     "oracle_dim_limit",
@@ -41,6 +44,9 @@ __all__ = [
 ]
 
 ORACLE_NMAX_ENV = "SPECPRESERVE_ORACLE_NMAX"
+
+# eps1 of each preset H; random spaces take the recipe's (default +1)
+_PRESET_EPS1 = {"identity": 1, "flip": 1, "signature": 1, "skewj": -1}
 
 
 def oracle_dim_limit() -> int:
@@ -236,7 +242,7 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     struct = structure_residual(delta, space, cls)
     rank = numerical_rank(delta, tol.rank_tol)
     if gram_condition is None:
-        G = space.star_mat(X) @ space.H @ X
+        G = gram_matrix(X, space)
         gram_condition = float(np.real(np.linalg.cond(G, 1)))
     scale = max(frob(delta), 1e-300)
     realness = bool(np.max(np.abs(delta.imag)) <= 1e-10 * scale)
@@ -291,7 +297,7 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
 
 
 # ---------------------------------------------------------------------------
-# instance generation: canonical blocks
+# instance generation: recipes and canonical units
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -340,8 +346,7 @@ class InstanceRecipe:
             raise ArgumentError(f"unknown space kind {self.space_kind!r}")
         if self.field not in ("real", "complex"):
             raise ArgumentError(f"unknown field {self.field!r}")
-        implied = {"identity": 1, "flip": 1, "signature": 1, "skewj": -1}.get(
-            self.space_kind)
+        implied = _PRESET_EPS1.get(self.space_kind)
         if self.eps1 not in (-1, 0, 1):
             raise ArgumentError("eps1 must be -1, 0 or +1")
         if self.eps1 and implied is not None and self.eps1 != implied:
@@ -364,10 +369,6 @@ class GeneratedInstance:
     recipe: InstanceRecipe
 
 
-def _sip(k):
-    return np.fliplr(np.eye(k))
-
-
 def _embed(block_chains, offset, width, total):
     """Lift block-local chains (value, X_local) to global coordinates."""
     out = []
@@ -377,241 +378,25 @@ def _embed(block_chains, offset, width, total):
         out.append((lam, X))
     return out
 
-
-def _unit_couple(lam, k, eps1, eps2, sesquilinear):
-    """Canonical block for a non-self-paired couple (lam, e2 lam*)."""
-    J = jordan_block(lam, k)
-    S = _sip(k)
-    Js = J.conj().T if sesquilinear else J.T
-    B = eps2 * S @ Js @ S
-    A = scipy.linalg.block_diag(J, B)
-    H = np.zeros((2 * k, 2 * k), dtype=complex)
-    H[:k, k:] = S
-    H[k:, :k] = eps1 * S
-    mu = eps2 * (np.conj(lam) if sesquilinear else lam)
-    D = np.diag([float(eps2) ** j for j in range(k)])
-    X1 = np.vstack([np.eye(k), np.zeros((k, k))]).astype(complex)
-    X2 = np.vstack([np.zeros((k, k)), D]).astype(complex)
-    return A, H, [(complex(lam), X1), (complex(mu), X2)]
-
-
-def _unit_self_jordan(lam, k, eps1):
-    """Self-paired Jordan-algebra block: J_k(lam) against +-S or iS."""
-    J = jordan_block(lam, k)
-    H = _sip(k).astype(complex)
-    if eps1 == -1:
-        H = 1j * H
-    X = np.eye(k, dtype=complex)
-    return J, H, [(complex(lam), X)]
-
-
-def _unit_self_lie_sesq(beta, k, eps1):
-    """Self-paired Lie block for the sesquilinear form: eigenvalue i*beta."""
-    A = -1j * jordan_block(-float(beta), k)
-    H = _sip(k).astype(complex)
-    if eps1 == -1:
-        H = 1j * H
-    X = np.diag([1j ** j for j in range(k)]).astype(complex)
-    return A, H, [(complex(1j * beta), X)]
-
-
-def _unit_self_doubled(lam, k, eps1):
-    """Twin equal Jordan blocks against an antisymmetric H; the shape of
-    self-paired eigenvalues when the bilinear form is skew (eps1 = -1)."""
-    J = jordan_block(lam, k)
-    A = scipy.linalg.block_diag(J, J)
-    S = _sip(k)
-    H = np.zeros((2 * k, 2 * k), dtype=complex)
-    H[:k, k:] = S
-    H[k:, :k] = eps1 * S
-    X1 = np.vstack([np.eye(k), np.zeros((k, k))]).astype(complex)
-    X2 = np.vstack([np.zeros((k, k)), np.eye(k)]).astype(complex)
-    return A, H, [(complex(lam), X1), (complex(lam), X2)]
-
-
-def _realify(A_c, H_c, chains):
-    """Turn a conjugation-symmetric complex block into a real one.
-
-    The input is a 2m-dimensional structure X satisfying
-    ``conj(X) = P X P`` with P the half-swap; conjugating by the unitary
-    T = (1/sqrt2) [[I, iI], [I, -iI]] then produces a real matrix.  Chains
-    map through the same change of basis.
-    """
-    m = A_c.shape[0] // 2
-    I = np.eye(m)
-    T = np.block([[I, 1j * I], [I, -1j * I]]) / np.sqrt(2.0)
-    Ts = T.conj().T
-    A_r = Ts @ A_c @ T
-    H_r = Ts @ H_c @ T
-    if max(np.max(np.abs(A_r.imag)), np.max(np.abs(H_r.imag))) > 1e-12 * max(
-            1.0, frob(A_c), frob(H_c)):
-        raise InfeasiblePlanError(
-            "internal: block realification produced a complex result")
-    new_chains = [(lam, Ts @ X) for lam, X in chains]
-    return A_r.real.astype(complex), H_r.real.astype(complex), new_chains
-
-
-def _pair_with_conjugate(A_c, H_c, chains):
-    """diag(block, conj block) with the conjugate's chains, then realify."""
-    m = A_c.shape[0]
-    A_p = scipy.linalg.block_diag(A_c, np.conj(A_c))
-    H_p = scipy.linalg.block_diag(H_c, np.conj(H_c))
-    up = [(lam, np.vstack([X, np.zeros_like(X)])) for lam, X in chains]
-    dn = [(np.conj(lam), np.vstack([np.zeros_like(X), np.conj(X)]))
-          for lam, X in chains]
-    return _realify(A_p, H_p, up + dn)
-
-
-# ---------------------------------------------------------------------------
-# instance generation: plan grouping
-# ---------------------------------------------------------------------------
-
-def _match_plan(groups, used, value, band):
-    for i, g in enumerate(groups):
-        if i not in used and abs(g.value - value) <= band:
-            return i
-    return None
-
-
-def _plan_units_complex(recipe, band):
-    """Emit canonical units for a complex-field plan."""
+def _plan_units(recipe, band):
+    """Canonical units for the recipe's plan, orbit by orbit in plan order:
+    each orbit's units come from its pairing-table row, longest chain first
+    for multi-member orbits and as planned for single ones."""
     eps1 = _preset_eps1(recipe)
-    eps2 = recipe.cls.epsilon2
-    sesq = recipe.star != "T"
-    groups = list(recipe.plan)
-    used = set()
+    star = "T" if recipe.star == "T" else "CT"
+    orbits, violations = _group_orbits(
+        [(g.value, None, g.chains) for g in recipe.plan], recipe.cls, star,
+        recipe.field, band)
+    if violations:
+        raise InfeasiblePlanError("; ".join(violations))
     units = []
-    for i, g in enumerate(groups):
-        if i in used:
-            continue
-        partner = eps2 * (np.conj(g.value) if sesq else g.value)
-        if abs(partner - g.value) <= band:
-            used.add(i)
-            if recipe.cls is StructureClass.LIE and not sesq:
-                raise InfeasiblePlanError(
-                    f"value {g.value:.6g} is self-paired for the bilinear Lie "
-                    "algebra only at zero, which is not supported")
-            if recipe.cls is StructureClass.LIE:
-                if abs(g.value.real) > band:
-                    raise InfeasiblePlanError(
-                        f"self-paired Lie value {g.value:.6g} must be imaginary")
-                for k in g.chains:
-                    units.append(_unit_self_lie_sesq(g.value.imag, k, eps1))
-            else:
-                if sesq and abs(g.value.imag) > band:
-                    raise InfeasiblePlanError(
-                        f"self-paired Jordan value {g.value:.6g} must be real")
-                if eps1 == -1 and not sesq:
-                    # a skew bilinear form forces twin blocks
-                    counts = {}
-                    for k in g.chains:
-                        counts[k] = counts.get(k, 0) + 1
-                    if any(c % 2 for c in counts.values()):
-                        raise InfeasiblePlanError(
-                            "a skew bilinear form forces even chain "
-                            f"multiplicities; value {g.value:.6g} violates this")
-                    for k, c in counts.items():
-                        for _ in range(c // 2):
-                            units.append(_unit_self_doubled(g.value, k, eps1))
-                else:
-                    for k in g.chains:
-                        units.append(_unit_self_jordan(g.value, k, eps1))
-            continue
-        j = _match_plan(groups, used | {i}, partner, band)
-        if j is None:
-            raise InfeasiblePlanError(
-                f"plan is not closed under pairing: {g.value:.6g} needs "
-                f"{partner:.6g}")
-        if sorted(groups[j].chains) != sorted(g.chains):
-            raise InfeasiblePlanError(
-                f"paired values {g.value:.6g}/{groups[j].value:.6g} need "
-                "equal chain lengths")
-        used.update((i, j))
-        for k in sorted(g.chains, reverse=True):
-            units.append(_unit_couple(g.value, k, eps1, eps2, sesq))
-    return units
-
-
-def _plan_units_real(recipe, band):
-    """Emit canonical real units for a real-field plan."""
-    eps1 = _preset_eps1(recipe)
-    eps2 = recipe.cls.epsilon2
-    groups = list(recipe.plan)
-    used = set()
-    units = []
-
-    def grab(value, errmsg):
-        j = _match_plan(groups, used, value, band)
-        if j is None:
-            raise InfeasiblePlanError(errmsg)
-        used.add(j)
-        return groups[j]
-
-    for i, g in enumerate(groups):
-        if i in used:
-            continue
-        used.add(i)
-        v = g.value
-        is_real = abs(v.imag) <= band
-        is_imag = abs(v.real) <= band
-        if is_real and is_imag:
-            raise InfeasiblePlanError("zero eigenvalues are not supported")
-        if recipe.cls is StructureClass.JORDAN:
-            if is_real:
-                if eps1 == -1:
-                    counts = {}
-                    for k in g.chains:
-                        counts[k] = counts.get(k, 0) + 1
-                    if any(c % 2 for c in counts.values()):
-                        raise InfeasiblePlanError(
-                            "a real skew form forces even chain multiplicities "
-                            f"for real value {v.real:.6g}")
-                    for k, c in counts.items():
-                        for _ in range(c // 2):
-                            units.append(_unit_self_doubled(v.real, k, eps1))
-                else:
-                    for k in g.chains:
-                        units.append(_unit_self_jordan(v.real, k, eps1))
-            else:
-                if eps1 == -1:
-                    raise InfeasiblePlanError(
-                        "complex conjugate couples over a real skew form are "
-                        "not in the generator catalogue")
-                h = grab(np.conj(v), f"plan needs the conjugate of {v:.6g}")
-                if sorted(h.chains) != sorted(g.chains):
-                    raise InfeasiblePlanError(
-                        f"conjugate values {v:.6g} need equal chain lengths")
-                for k in sorted(g.chains, reverse=True):
-                    # the couple block diag(J(lam), J(conj lam)) is already
-                    # conjugation-symmetric; realify it in place
-                    units.append(_realify(*_unit_couple(v, k, eps1, 1, True)))
-        else:
-            if is_real:
-                h = grab(-v, f"plan needs the negated value {-v.real:.6g}")
-                if sorted(h.chains) != sorted(g.chains):
-                    raise InfeasiblePlanError(
-                        f"paired values {v:.6g}/{-v:.6g} need equal chain lengths")
-                for k in sorted(g.chains, reverse=True):
-                    units.append(_unit_couple(v.real, k, eps1, eps2, False))
-            elif is_imag:
-                h = grab(np.conj(v), f"plan needs the conjugate of {v:.6g}")
-                if sorted(h.chains) != sorted(g.chains):
-                    raise InfeasiblePlanError(
-                        f"conjugate values {v:.6g} need equal chain lengths")
-                for k in sorted(g.chains, reverse=True):
-                    units.append(_pair_with_conjugate(
-                        *_unit_self_lie_sesq(v.imag, k, eps1)))
-            else:
-                hc = grab(np.conj(v), f"plan needs the conjugate of {v:.6g}")
-                hm = grab(-v, f"plan needs the negated value {-v:.6g}")
-                hmc = grab(-np.conj(v), f"plan needs {-np.conj(v):.6g}")
-                for other in (hc, hm, hmc):
-                    if sorted(other.chains) != sorted(g.chains):
-                        raise InfeasiblePlanError(
-                            f"the family of {v:.6g} needs equal chain lengths")
-                for k in sorted(g.chains, reverse=True):
-                    units.append(_pair_with_conjugate(
-                        *_unit_couple(v, k, eps1, eps2, True)))
+    for orbit, _, members in orbits:
+        g = recipe.plan[members[0]]
+        build = orbit.row.units[eps1 == -1]
+        if isinstance(build, str):
+            raise InfeasiblePlanError(f"{g.value:.6g}: {build}")
+        ks = g.chains if len(members) == 1 else sorted(g.chains, reverse=True)
+        units.extend(build(g.value, ks, eps1, recipe.cls.epsilon2))
     return units
 
 
@@ -620,27 +405,7 @@ def _plan_units_real(recipe, band):
 # ---------------------------------------------------------------------------
 
 def _preset_eps1(recipe) -> int:
-    if recipe.space_kind == "skewj":
-        return -1
-    if recipe.space_kind in ("identity", "flip", "signature"):
-        return 1
-    return recipe.eps1 or 1
-
-
-def _skewj(n):
-    m = n // 2
-    H = np.zeros((n, n))
-    H[:m, m:] = np.eye(m)
-    H[m:, :m] = -np.eye(m)
-    return H
-
-
-def _flip(n):
-    m = n // 2
-    H = np.zeros((n, n))
-    H[:m, m:] = np.eye(m)
-    H[m:, :m] = np.eye(m)
-    return H
+    return _PRESET_EPS1.get(recipe.space_kind) or recipe.eps1 or 1
 
 
 def _skew_orthogonal_normalize(H):
@@ -767,14 +532,10 @@ def _build_preset_h(recipe, H0):
     kind = recipe.space_kind
     if kind == "identity":
         return np.eye(n)
-    if kind == "flip":
+    if kind in ("flip", "skewj"):
         if n % 2:
-            raise InfeasiblePlanError("flip space needs even dimension")
-        return _flip(n)
-    if kind == "skewj":
-        if n % 2:
-            raise InfeasiblePlanError("skewj space needs even dimension")
-        return _skewj(n)
+            raise InfeasiblePlanError(f"{kind} space needs even dimension")
+        return _swap_h(n, _PRESET_EPS1[kind])
     if kind == "signature":
         if recipe.field == "real" or recipe.star != "T":
             w = np.linalg.eigvalsh(H0 if _preset_eps1(recipe) == 1 else 1j * H0)
@@ -819,10 +580,7 @@ def generate_instance(recipe: InstanceRecipe,
         raise ArgumentError("recipe has an empty spectrum plan")
     scale = max([1.0] + [abs(g.value) for g in recipe.plan])
     band = snap_tol * scale
-    if recipe.field == "real":
-        units = _plan_units_real(recipe, band)
-    else:
-        units = _plan_units_complex(recipe, band)
+    units = _plan_units(recipe, band)
 
     n = recipe.n
     units = _balance_signs(units, recipe, n)
@@ -842,10 +600,7 @@ def generate_instance(recipe: InstanceRecipe,
     rng = np.random.default_rng(recipe.seed)
 
     def star_mat(M):
-        M = np.asarray(M, dtype=complex)
-        if recipe.star == "T" and recipe.field == "complex":
-            return M.T
-        return M.conj().T
+        return _star(M, recipe.star, recipe.field)
 
     if recipe.space_kind == "random":
         V = rng.standard_normal((n, n))

@@ -100,8 +100,7 @@ def _feasibility(X, B, Xd, W, space, cls, tol) -> FeasibilityReport:
     r_range = float(np.linalg.norm(B @ (Xd @ X) - B))
     thr_range = tol.residual_tol * frob(B) + ABS_FLOOR * max(1.0, frob(B))
 
-    s = space.epsilon1 * cls.epsilon2
-    r_sym = float(np.linalg.norm(W - s * space.star_mat(W)))
+    r_sym = z_symmetry_residual(W, space, cls)
     # the floor follows the rounding scale of forming W itself: W can vanish
     # identically (isotropic X) while carrying O(eps |X||B|) noise
     thr_sym = tol.residual_tol * frob(W) + ABS_FLOOR * max(

@@ -34,6 +34,7 @@ from .core import (
     ToleranceProfile,
     as_matrix,
     frob,
+    gram_matrix,
     pseudoinverse,
     z_symmetry_residual,
 )
@@ -44,12 +45,13 @@ from .spectral import (
     ReassignmentAssembly,
     ReassignmentGroup,
     ReassignmentSpec,
+    _pairing_orbit,
     assemble_complex,
     assemble_real_jordan,
     assemble_real_lie,
     certificate_residual,
 )
-from .subspaces import gram_inverse_apply
+from .subspaces import _no_spillover_update
 
 __all__ = [
     "ReassignmentResult",
@@ -71,7 +73,7 @@ class ReassignmentResult:
 
 def _check_certificate(assembly, space, cls, tol):
     """Raise unless the Gram certificate holds; returns ``X_c* H X_c``."""
-    G = space.star_mat(assembly.X_c) @ space.H @ assembly.X_c
+    G = gram_matrix(assembly.X_c, space)
     r = certificate_residual(assembly, space, cls, gram=G)
     scale = max(1.0, frob(G) * frob(assembly.Lambda_a - assembly.Lambda_c))
     if r > tol.structure_tol * scale:
@@ -187,19 +189,9 @@ def reassign_no_spillover(A, assembly: ReassignmentAssembly,
                 warnings.warn(msg + "; proceeding without the guarantee",
                               stacklevel=2)
 
-    X = assembly.X_c
-    s = np.linalg.svd(G, compute_uv=False)
-    if s.size == 0 or s[-1] <= tol.rank_tol * max(1.0, s[0]):
-        raise StructureError(
-            "gram_singular",
-            "X_c* H X_c is numerically singular; the changed family is not "
-            "self-contained under the eigenvalue pairing")
-    Y, cond = gram_inverse_apply(G, space.star_mat(X) @ space.H)
-    if cond > 1e8:
-        warnings.warn(
-            f"Gram matrix badly conditioned (1-norm estimate {cond:.2e})",
-            stacklevel=2)
-    delta = X @ (assembly.Lambda_a - assembly.Lambda_c) @ Y
+    delta, cond = _no_spillover_update(
+        G, assembly.X_c, assembly.Lambda_a - assembly.Lambda_c, space,
+        tol.rank_tol, floor=1.0)
     delta = _finalize(delta, assembly)
     report = None
     if verify:
@@ -224,11 +216,12 @@ def reassign_simple(A, eigpairs, targets, space: ScalarProductSpace,
     and dispatches by mode: "no-spillover" (default, Z must be None) or
     "family" (Z allowed).
 
-    complete_pairing inserts missing conjugate partner groups
-    automatically; this only works in a real-field space, where the partner
-    chain is the conjugate of the given one.  Partners under the
-    ``lambda -> e2 lambda*`` pairing that involve independent eigenvector
-    data (for instance -lambda in the real Lie case) are never invented.
+    complete_pairing inserts the missing orbit members that the pairing
+    table marks as conjugates of a given group; this only works in a
+    real-field space, where the partner chain is the conjugate of the given
+    one.  Partners under the ``lambda -> e2 lambda*`` pairing that involve
+    independent eigenvector data (for instance -lambda in the real Lie
+    case) are never invented.
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
@@ -262,13 +255,15 @@ def reassign_simple(A, eigpairs, targets, space: ScalarProductSpace,
         extra = []
         have = [g.current for g in groups]
         for g in groups:
-            c = np.conj(g.current)
-            if abs(c - g.current) <= band:
+            orbit = _pairing_orbit(g.current, cls, "T", "real", band)
+            j = orbit.row.conj[0]
+            if j == 0:
                 continue
+            c = orbit.images(g.current)[j]
             if any(abs(c - v) <= band for v in have):
                 continue
             extra.append(ReassignmentGroup(
-                current=c, target=np.conj(g.target),
+                current=c, target=orbit.images(g.target)[j],
                 chains=(np.conj(g.chains[0]),)))
             have.append(c)
         groups = groups + extra

@@ -8,12 +8,19 @@ closed under that pairing; real matrices additionally force closure under
 conjugation, which splits the real case into quadruples
 ``{l, conj l, -l, -conj l}``, imaginary pairs and real pairs for the Lie
 algebra, and conjugate couples plus real singletons for the Jordan algebra.
+One table, ``_ORBITS``, lists these orbit kinds with their members, their
+conjugation pattern and the canonical block the instance generator builds
+for each (Mackey, Mackey & Tisseur, SIAM J. Matrix Anal. Appl. 27, 2006);
+closure validation, the assemblies and the generator all group eigenvalues
+through it.
 """
 
 from __future__ import annotations
 
+import collections
 import warnings
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -22,10 +29,13 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
+    _normalize_star,
     as_matrix,
     frob,
+    gram_matrix,
+    z_symmetry_residual,
 )
-from .errors import ArgumentError, StructureError
+from .errors import ArgumentError, InfeasiblePlanError, StructureError
 
 __all__ = [
     "JordanPair",
@@ -84,7 +94,8 @@ class JordanPair:
 def pairing_partner(lam, cls: StructureClass, star) -> complex:
     """The eigenvalue forced alongside lam by the structure:
     ``e2 * lam`` for the bilinear form, ``e2 * conj(lam)`` for the
-    sesquilinear one."""
+    sesquilinear one.  On a real field the orbit of lam also contains the
+    conjugates of both (see ``_pairing_orbit``)."""
     cls = StructureClass.parse(cls)
     key = str(star).strip().lower()
     if key in ("t", "transpose", "bilinear"):
@@ -92,8 +103,10 @@ def pairing_partner(lam, cls: StructureClass, star) -> complex:
     return cls.epsilon2 * complex(np.conj(lam))
 
 
-def _space_partner(lam, space: ScalarProductSpace, cls: StructureClass) -> complex:
-    return StructureClass.parse(cls).epsilon2 * space.star_scalar(lam)
+def _form_star(space: ScalarProductSpace) -> str:
+    """The star the form applies to eigenvalues: complex eigenvector data
+    of a real space lives in its sesquilinear complexification."""
+    return space.star if space.field == "complex" else "CT"
 
 
 @dataclass(frozen=True)
@@ -184,16 +197,14 @@ def certificate_residual(assembly: ReassignmentAssembly, space: ScalarProductSpa
     ``W = X_c* H X_c (Lambda_a - Lambda_c)``; the reassignment formulas are
     valid exactly when this holds.  gram may pass ``X_c* H X_c`` when the
     caller has it already."""
-    cls = StructureClass.parse(cls)
     if gram is None:
-        gram = space.star_mat(assembly.X_c) @ space.H @ assembly.X_c
-    W = gram @ (assembly.Lambda_a - assembly.Lambda_c)
-    s = space.epsilon1 * cls.epsilon2
-    return float(np.linalg.norm(W - s * space.star_mat(W)))
+        gram = gram_matrix(assembly.X_c, space)
+    return z_symmetry_residual(gram @ (assembly.Lambda_a - assembly.Lambda_c),
+                               space, cls)
 
 
 # ---------------------------------------------------------------------------
-# pairing closure
+# pairing orbits
 # ---------------------------------------------------------------------------
 
 def _snap(lam: complex, band: float) -> complex:
@@ -205,45 +216,311 @@ def _snap(lam: complex, band: float) -> complex:
     return complex(re, im)
 
 
+def _sip(k):
+    return np.fliplr(np.eye(k))
+
+
+def _unit_couple(lam, k, eps1, eps2, sesquilinear):
+    """Canonical block for a non-self-paired couple (lam, e2 lam*)."""
+    J = jordan_block(lam, k)
+    S = _sip(k)
+    Js = J.conj().T if sesquilinear else J.T
+    B = eps2 * S @ Js @ S
+    A = scipy.linalg.block_diag(J, B)
+    H = np.zeros((2 * k, 2 * k), dtype=complex)
+    H[:k, k:] = S
+    H[k:, :k] = eps1 * S
+    mu = pairing_partner(lam, StructureClass(eps2), "CT" if sesquilinear else "T")
+    D = np.diag([float(eps2) ** j for j in range(k)])
+    X1 = np.vstack([np.eye(k), np.zeros((k, k))]).astype(complex)
+    X2 = np.vstack([np.zeros((k, k)), D]).astype(complex)
+    return A, H, [(complex(lam), X1), (complex(mu), X2)]
+
+
+def _unit_self_jordan(lam, k, eps1):
+    """Self-paired Jordan-algebra block: J_k(lam) against +-S or iS."""
+    J = jordan_block(lam, k)
+    H = _sip(k).astype(complex)
+    if eps1 == -1:
+        H = 1j * H
+    X = np.eye(k, dtype=complex)
+    return J, H, [(complex(lam), X)]
+
+
+def _unit_self_lie_sesq(beta, k, eps1):
+    """Self-paired Lie block for the sesquilinear form: eigenvalue i*beta."""
+    A = -1j * jordan_block(-float(beta), k)
+    H = _sip(k).astype(complex)
+    if eps1 == -1:
+        H = 1j * H
+    X = np.diag([1j ** j for j in range(k)]).astype(complex)
+    return A, H, [(complex(1j * beta), X)]
+
+
+def _unit_self_doubled(lam, k, eps1):
+    """Twin equal Jordan blocks against an antisymmetric H; the shape of
+    self-paired eigenvalues when the bilinear form is skew (eps1 = -1)."""
+    J = jordan_block(lam, k)
+    A = scipy.linalg.block_diag(J, J)
+    S = _sip(k)
+    H = np.zeros((2 * k, 2 * k), dtype=complex)
+    H[:k, k:] = S
+    H[k:, :k] = eps1 * S
+    X1 = np.vstack([np.eye(k), np.zeros((k, k))]).astype(complex)
+    X2 = np.vstack([np.zeros((k, k)), np.eye(k)]).astype(complex)
+    return A, H, [(complex(lam), X1), (complex(lam), X2)]
+
+
+def _realify(A_c, H_c, chains):
+    """Turn a conjugation-symmetric complex block into a real one.
+
+    The input is a 2m-dimensional structure X satisfying
+    ``conj(X) = P X P`` with P the half-swap; conjugating by the unitary
+    T = (1/sqrt2) [[I, iI], [I, -iI]] then produces a real matrix.  Chains
+    map through the same change of basis.
+    """
+    m = A_c.shape[0] // 2
+    I = np.eye(m)
+    T = np.block([[I, 1j * I], [I, -1j * I]]) / np.sqrt(2.0)
+    Ts = T.conj().T
+    A_r = Ts @ A_c @ T
+    H_r = Ts @ H_c @ T
+    if max(np.max(np.abs(A_r.imag)), np.max(np.abs(H_r.imag))) > 1e-12 * max(
+            1.0, frob(A_c), frob(H_c)):
+        raise InfeasiblePlanError(
+            "internal: block realification produced a complex result")
+    new_chains = [(lam, Ts @ X) for lam, X in chains]
+    return A_r.real.astype(complex), H_r.real.astype(complex), new_chains
+
+
+def _pair_with_conjugate(A_c, H_c, chains):
+    """diag(block, conj block) with the conjugate's chains, then realify."""
+    A_p = scipy.linalg.block_diag(A_c, np.conj(A_c))
+    H_p = scipy.linalg.block_diag(H_c, np.conj(H_c))
+    up = [(lam, np.vstack([X, np.zeros_like(X)])) for lam, X in chains]
+    dn = [(np.conj(lam), np.vstack([np.zeros_like(X), np.conj(X)]))
+          for lam, X in chains]
+    return _realify(A_p, H_p, up + dn)
+
+
+def _per_chain(block):
+    """Unit builder: one ``block(v, k, eps1, eps2)`` per chain length k."""
+    return lambda v, ks, eps1, eps2: [block(v, k, eps1, eps2) for k in ks]
+
+
+def _twins(part):
+    """Unit builder for a self-paired value of a skew bilinear form: equal
+    chains come in twins, each pair one doubled block at ``part(v)``."""
+    def build(v, ks, eps1, eps2):
+        counts = collections.Counter(ks)
+        if any(c % 2 for c in counts.values()):
+            raise InfeasiblePlanError(f"{v:.6g}: {_ODD_TWINS}")
+        return [_unit_self_doubled(part(v), k, eps1)
+                for k, c in counts.items() for _ in range(c // 2)]
+    return build
+
+
+_REAL_LIE_ZERO = "zero eigenvalues are not supported in the real Lie case"
+_BILINEAR_LIE_SELF = ("the bilinear Lie algebra pairs a value with itself "
+                      "only at zero, which has no canonical block")
+_REAL_SKEW_COUPLE = ("complex conjugate couples over a real skew form are "
+                     "not in the generator catalogue")
+_ODD_TWINS = "a skew bilinear form forces even chain multiplicities"
+
+
+@dataclass(frozen=True)
+class _OrbitRow:
+    """One kind of pairing orbit.
+
+    members lists the images of the representative l, in emission order:
+    0 is l, 1 conj l, 2 the pairing partner p l, 3 conj p l.  On real
+    fields conj[i] is the member that is the conjugate of member i: i
+    itself for a real member, a later member when member i carries chain
+    data whose conjugate is that member's, an earlier one when member i is
+    that conjugate.  units holds the canonical unit builders for eps1 = +1
+    and -1, ``builder(v, chain_lengths, eps1, eps2)``, or the reason the
+    generator has none; reason, when set, says why the library does not
+    support the orbit at all.
+    """
+
+    kind: str
+    members: tuple
+    conj: tuple | None = None
+    units: tuple = ()
+    reason: str | None = None
+
+
+_SELF_JORDAN = _per_chain(lambda v, k, e1, e2: _unit_self_jordan(v, k, e1))
+_SELF_LIE = _per_chain(lambda v, k, e1, e2: _unit_self_lie_sesq(v.imag, k, e1))
+_COUPLE_SESQ = _per_chain(lambda v, k, e1, e2: _unit_couple(v, k, e1, e2, True))
+_COUPLE_BILINEAR = _per_chain(
+    lambda v, k, e1, e2: _unit_couple(v, k, e1, e2, False))
+_REAL_JORDAN = _OrbitRow("real", (0,), (0,), (
+    _per_chain(lambda v, k, e1, e2: _unit_self_jordan(v.real, k, e1)),
+    _twins(lambda v: v.real)))
+_REAL_COUPLE = _OrbitRow("couple", (0, 1), (1, 0), (
+    # diag(J(l), J(conj l)) is already conjugation-symmetric
+    _per_chain(lambda v, k, e1, e2: _realify(*_unit_couple(v, k, e1, 1, True))),
+    _REAL_SKEW_COUPLE))
+_SESQ_COUPLE = _OrbitRow("couple", (0, 2), units=(_COUPLE_SESQ, _COUPLE_SESQ))
+
+# (field, star, class, shape of l) -> row; the shape is self/couple on the
+# complex field and zero/real/imag/generic (after snapping) on the real one
+_ORBITS = {
+    ("complex", "CT", StructureClass.JORDAN, "self"):
+        _OrbitRow("self", (0,), units=(_SELF_JORDAN, _SELF_JORDAN)),
+    ("complex", "CT", StructureClass.JORDAN, "couple"): _SESQ_COUPLE,
+    ("complex", "T", StructureClass.JORDAN, "self"):
+        _OrbitRow("self", (0,), units=(_SELF_JORDAN, _twins(lambda v: v))),
+    ("complex", "CT", StructureClass.LIE, "self"):
+        _OrbitRow("self", (0,), units=(_SELF_LIE, _SELF_LIE)),
+    ("complex", "CT", StructureClass.LIE, "couple"): _SESQ_COUPLE,
+    ("complex", "T", StructureClass.LIE, "self"):
+        _OrbitRow("self", (0,), units=(_BILINEAR_LIE_SELF, _BILINEAR_LIE_SELF)),
+    ("complex", "T", StructureClass.LIE, "couple"):
+        _OrbitRow("couple", (0, 2), units=(_COUPLE_BILINEAR, _COUPLE_BILINEAR)),
+    ("real", "T", StructureClass.JORDAN, "zero"): _REAL_JORDAN,
+    ("real", "T", StructureClass.JORDAN, "real"): _REAL_JORDAN,
+    ("real", "T", StructureClass.JORDAN, "imag"): _REAL_COUPLE,
+    ("real", "T", StructureClass.JORDAN, "generic"): _REAL_COUPLE,
+    ("real", "T", StructureClass.LIE, "zero"):
+        _OrbitRow("zero", (0,), (0,), reason=_REAL_LIE_ZERO),
+    ("real", "T", StructureClass.LIE, "real"): _OrbitRow("real", (0, 2), (0, 1), (
+        _per_chain(lambda v, k, e1, e2: _unit_couple(v.real, k, e1, e2, False)),) * 2),
+    ("real", "T", StructureClass.LIE, "imag"): _OrbitRow("imag", (0, 1), (1, 0), (
+        _per_chain(lambda v, k, e1, e2: _pair_with_conjugate(
+            *_unit_self_lie_sesq(v.imag, k, e1))),) * 2),
+    ("real", "T", StructureClass.LIE, "generic"): _OrbitRow(
+        "generic", (0, 1, 2, 3), (1, 0, 3, 2), (
+            _per_chain(lambda v, k, e1, e2: _pair_with_conjugate(
+                *_unit_couple(v, k, e1, e2, True))),) * 2),
+}
+
+# assembly block order: couples, then selfs (complex); generic, imag, real
+# (real Lie); couples, then reals (real Jordan)
+_KIND_ORDER = ("couple", "generic", "imag", "real", "self")
+_KIND_WORDS = {"self": "self-paired", "couple": "paired with another value",
+               "generic": "neither real nor imaginary", "imag": "imaginary",
+               "real": "real", "zero": "zero"}
+
+
+class _Orbit(NamedTuple):
+    row: _OrbitRow
+    rep: complex        # the representative: snapped on real fields
+    values: tuple       # member values, in emission order
+    images: Callable    # z -> the member maps applied to z
+
+
+def _pairing_orbit(lam, cls, star, field, band=0.0) -> _Orbit:
+    """The orbit of lam under ``l -> e2 l*`` and, on a real field, also
+    ``l -> conj l``: its table row and member values.
+
+    On a real field lam is snapped (parts within band become exactly 0)
+    and the star is the transpose; a real representative is held as a
+    float, so its members are computed exactly from it.
+    """
+    cls = StructureClass.parse(cls)
+    lam = complex(lam)
+    if not np.isfinite(lam):
+        raise ArgumentError(f"eigenvalue {lam} is not finite")
+    if field == "real":
+        star = "T"
+        rep = _snap(lam, band)
+        shape = ("zero" if rep == 0 else "real" if rep.imag == 0.0
+                 else "imag" if rep.real == 0.0 else "generic")
+    else:
+        star = _normalize_star(star)
+        rep = lam
+        self_paired = abs(pairing_partner(lam, cls, star) - lam) <= band
+        shape = "self" if self_paired else "couple"
+    row = _ORBITS[field, star, cls, shape]
+    if row.kind == "real":
+        rep = rep.real
+
+    def images(z):
+        out = []
+        for k in row.members:
+            w = pairing_partner(z, cls, star) if k & 2 else z
+            out.append(np.conj(w) if k & 1 else w)
+        return tuple(out)
+
+    return _Orbit(row, rep, images(rep), images)
+
+
+def _group_orbits(entries, cls, star, field, band):
+    """Collect ``(value, target, chain_lengths)`` entries into orbits.
+
+    Each entry not yet used represents its orbit; every further member
+    takes the first unused entry within band of its value, which must
+    carry the same map applied to the representative's target (unless the
+    targets are None) and the same chain lengths.  Returns
+    ``(orbits, violations)``, orbits as ``(orbit, member targets, member
+    entry indices)`` in order of their representatives.
+    """
+    orbits, violations, used = [], [], set()
+    for i, (value, target, lengths) in enumerate(entries):
+        if i in used:
+            continue
+        used.add(i)
+        orbit = _pairing_orbit(value, cls, star, field, band)
+        row = orbit.row
+        if row.reason:
+            violations.append(f"{value:.6g}: {row.reason}")
+            continue
+        targets = None
+        if target is not None:
+            t = _pairing_orbit(target, cls, star, field, band)
+            kind = t.row.kind
+            # a couple may also move onto a self-paired target
+            allowed = (row.kind, "self") if row.kind == "couple" else (row.kind,)
+            if t.row.reason or kind not in allowed:
+                violations.append(
+                    f"current {value:.6g} is {_KIND_WORDS[row.kind]} but "
+                    f"target {target:.6g} is {_KIND_WORDS[kind]}")
+                continue
+            targets = orbit.images(t.rep)
+        members = [i]
+        for m, want in enumerate(orbit.values[1:], 1):
+            j = next((j for j, e in enumerate(entries)
+                      if j not in used and abs(e[0] - want) <= band), None)
+            if j is None:
+                violations.append(
+                    f"current {value:.6g} needs partner group at {want:.6g}")
+                break
+            used.add(j)
+            members.append(j)
+            _, got, other = entries[j]
+            if targets is not None and abs(got - targets[m]) > band:
+                violations.append(
+                    f"partner of {value:.6g} at {want:.6g} must target "
+                    f"{targets[m]:.6g}, got {got:.6g}")
+            if sorted(other) != sorted(lengths):
+                violations.append(
+                    f"partner groups {value:.6g} / {want:.6g} have different "
+                    f"chain lengths {tuple(lengths)} vs {tuple(other)}")
+        else:
+            orbits.append((orbit, targets, members))
+    return orbits, violations
+
+
+def _spec_entries(spec):
+    return [(g.current, g.target, g.chain_lengths) for g in spec.groups]
+
+
 def validate_pairing_closure(spec: ReassignmentSpec, space: ScalarProductSpace,
                              cls: StructureClass, snap_tol: float = SNAP_TOL) -> list:
     """Check that the requested replacement is closed under the pairing
-    ``lambda <-> e2 lambda*``.
+    ``lambda <-> e2 lambda*``, and on a real space also under conjugation.
 
-    Returns a list of violation strings (empty means closed): every
-    non-self-paired current needs a partner group with the partner target
-    and matching chain lengths, and self-paired currents must map to
-    self-paired targets.
+    Returns a list of violation strings (empty means closed): every member
+    of each orbit needs its own group, carrying the same map of the
+    representative's target and matching chain lengths; a target must be
+    of its current's orbit kind (a self-paired current needs a self-paired
+    target; a couple may also move onto a self-paired target).
     """
-    cls = StructureClass.parse(cls)
     band = snap_tol * spec.spectral_scale
-    violations = []
-    groups = list(spec.groups)
-    for i, g in enumerate(groups):
-        pc = _space_partner(g.current, space, cls)
-        pt = _space_partner(g.target, space, cls)
-        if abs(pc - g.current) <= band:
-            # self-paired current: the target must be self-paired too
-            if abs(pt - g.target) > band:
-                violations.append(
-                    f"current {g.current:.6g} is self-paired but target "
-                    f"{g.target:.6g} is not (partner {pt:.6g})")
-            continue
-        partners = [h for h in groups if abs(h.current - pc) <= band]
-        if not partners:
-            violations.append(
-                f"current {g.current:.6g} needs partner group at {pc:.6g}")
-            continue
-        h = partners[0]
-        if abs(h.target - pt) > band:
-            violations.append(
-                f"partner of {g.current:.6g} must target {pt:.6g}, "
-                f"got {h.target:.6g}")
-        if sorted(h.chain_lengths) != sorted(g.chain_lengths):
-            violations.append(
-                f"partner groups {g.current:.6g} / {h.current:.6g} have "
-                f"different chain lengths {g.chain_lengths} vs {h.chain_lengths}")
-    return violations
+    return _group_orbits(_spec_entries(spec), cls, _form_star(space),
+                         space.field, band)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +680,7 @@ def gram_blocks(pairs, space: ScalarProductSpace, cls: StructureClass,
     if not pairs:
         raise ArgumentError("need at least one Jordan pair")
     X = np.hstack([p.chain for p in pairs])
-    G = space.star_mat(X) @ space.H @ X
+    G = gram_matrix(X, space)
     m = len(pairs)
     scale = max(1.0, max(abs(p.value) for p in pairs))
     slices = []
@@ -415,7 +692,7 @@ def gram_blocks(pairs, space: ScalarProductSpace, cls: StructureClass,
     deviations = np.zeros((m, m))
     for j in range(m):
         for k in range(m):
-            partner = _space_partner(pairs[j].value, space, cls)
+            partner = pairing_partner(pairs[j].value, cls, _form_star(space))
             predicted[j, k] = abs(partner - pairs[k].value) > gap_tol * scale
             bj, bk = slices[j], slices[k]
             deviations[j, k] = float(np.linalg.norm(G[bj[0]:bj[1], bk[0]:bk[1]]))
@@ -461,17 +738,13 @@ def _sorted_chains(group):
 def _conjugate_merge(rep_chains, conj_chains, match_tol, label):
     """Snap a conjugate partner's chains onto the representative's.
 
-    Chains come sorted by length; each partner chain is scalar-aligned to
+    Chains come sorted by length, with equal lengths checked by the orbit
+    grouping; each partner chain is scalar-aligned to
     the conjugate of the representative chain before averaging, so an
     eigensolver's arbitrary phase does not corrupt the merge.  A mismatch
     beyond match_tol after alignment means the inputs do not describe
     conjugate chains and is an error.
     """
-    if len(rep_chains) != len(conj_chains):
-        raise StructureError(
-            "conjugate_chains",
-            f"{label}: partner group has {len(conj_chains)} chains, "
-            f"expected {len(rep_chains)}")
     merged = []
     for X, Y in zip(rep_chains, conj_chains):
         if X.shape != Y.shape:
@@ -489,237 +762,6 @@ def _conjugate_merge(rep_chains, conj_chains, match_tol, label):
                 residual=float(mismatch))
         merged.append((X + c * Yc) / 2.0)
     return merged
-
-
-def _find_group(groups, used, value, band):
-    for i, g in enumerate(groups):
-        if i in used:
-            continue
-        if abs(g.current - value) <= band:
-            return i
-    return None
-
-
-def assemble_complex(A, spec: ReassignmentSpec, space: ScalarProductSpace,
-                     cls: StructureClass, snap_tol: float = SNAP_TOL,
-                     chain_tol: float = CHAIN_TOL) -> ReassignmentAssembly:
-    """Order the groups for a complex-field reassignment: non-self-paired
-    couples first, each as (representative chains, partner chains), then the
-    self-paired groups."""
-    cls = StructureClass.parse(cls)
-    violations = validate_pairing_closure(spec, space, cls, snap_tol)
-    if violations:
-        raise StructureError(
-            "pairing_closure", "; ".join(violations))
-    band = snap_tol * spec.spectral_scale
-    groups = list(spec.groups)
-    used = set()
-    couples = []
-    selfs = []
-    for i, g in enumerate(groups):
-        if i in used:
-            continue
-        pc = _space_partner(g.current, space, cls)
-        if abs(pc - g.current) <= band:
-            used.add(i)
-            selfs.append(g)
-            continue
-        j = _find_group(groups, used | {i}, pc, band)
-        if j is None:
-            raise StructureError(
-                "pairing_closure", f"missing partner group for {g.current:.6g}")
-        used.update((i, j))
-        couples.append((g, groups[j]))
-
-    X_parts, Lc_parts, La_parts, blocks = [], [], [], []
-    for g, h in couples:
-        gc = _sorted_chains(g)
-        hc = _sorted_chains(h)
-        _validate_chains(A, g.current, gc, chain_tol, "eigenvalue")
-        _validate_chains(A, h.current, hc, chain_tol, "partner eigenvalue")
-        X_parts.extend(gc)
-        X_parts.extend(hc)
-        Lc_parts.append(_group_lambda(g.current, gc))
-        Lc_parts.append(_group_lambda(h.current, hc))
-        La_parts.append(_group_lambda(g.target, gc))
-        La_parts.append(_group_lambda(h.target, hc))
-        blocks.append(FamilyBlock("couple", g.current, g.target,
-                                  g.multiplicity + h.multiplicity))
-    for g in selfs:
-        gc = _sorted_chains(g)
-        _validate_chains(A, g.current, gc, chain_tol, "eigenvalue")
-        X_parts.extend(gc)
-        Lc_parts.append(_group_lambda(g.current, gc))
-        La_parts.append(_group_lambda(g.target, gc))
-        blocks.append(FamilyBlock("self", g.current, g.target, g.multiplicity))
-
-    return ReassignmentAssembly(
-        X_c=np.hstack(X_parts),
-        Lambda_c=_block_diag(Lc_parts),
-        Lambda_a=_block_diag(La_parts),
-        arrangement="complex",
-        blocks=tuple(blocks),
-        real_output=False,
-        conjugation=None,
-    )
-
-
-def _flip_blocks(sizes):
-    """Permutation diag of [[0, I_s], [I_s, 0]] style blocks."""
-    mats = []
-    for s in sizes:
-        F = np.zeros((2 * s, 2 * s))
-        F[:s, s:] = np.eye(s)
-        F[s:, :s] = np.eye(s)
-        mats.append(F)
-    return mats
-
-
-def assemble_real_lie(A, spec: ReassignmentSpec, space: ScalarProductSpace,
-                      cls: StructureClass = StructureClass.LIE,
-                      snap_tol: float = SNAP_TOL,
-                      chain_tol: float = CHAIN_TOL,
-                      match_tol: float = CHAIN_MATCH_TOL) -> ReassignmentAssembly:
-    """Real Lie-algebra arrangement.
-
-    Nonzero eigenvalues are grouped into quadruples
-    ``{l, conj l, -l, -conj l}`` (generic), imaginary pairs ``{l, conj l}``
-    and real pairs ``{l, -l}``; targets must fall in the same category and
-    follow the family.  Partner chains are snapped to exact conjugates so
-    the resulting perturbation is real.
-    """
-    cls = StructureClass.parse(cls)
-    if cls is not StructureClass.LIE:
-        raise ArgumentError("assemble_real_lie is for the Lie algebra")
-    if space.field != "real":
-        raise ArgumentError("assemble_real_lie needs a real-field space")
-    band = snap_tol * spec.spectral_scale
-    groups = list(spec.groups)
-    used = set()
-    generic, imag, real = [], [], []
-
-    def classify(lam):
-        s = _snap(lam, band)
-        if s == 0:
-            raise StructureError(
-                "zero_eigenvalue",
-                "zero eigenvalues cannot be reassigned in the real Lie case")
-        if s.imag == 0.0:
-            return "real", s
-        if s.real == 0.0:
-            return "imag", s
-        return "generic", s
-
-    for i, g in enumerate(groups):
-        if i in used:
-            continue
-        used.add(i)
-        kind, lam = classify(g.current)
-        tkind, tgt = classify(g.target)
-        if tkind != kind:
-            raise StructureError(
-                "pairing_closure",
-                f"target {g.target:.6g} must stay in the same class "
-                f"({kind}) as current {g.current:.6g}")
-        if kind == "real":
-            j = _find_group(groups, used, -lam, band)
-            if j is None:
-                raise StructureError(
-                    "pairing_closure", f"missing group for {-lam:.6g}")
-            used.add(j)
-            h = groups[j]
-            if abs(h.target + tgt) > band:
-                raise StructureError(
-                    "pairing_closure",
-                    f"group at {-lam:.6g} must target {-tgt:.6g}, got {h.target:.6g}")
-            real.append((lam.real, tgt.real, g, h))
-        elif kind == "imag":
-            j = _find_group(groups, used, np.conj(lam), band)
-            if j is None:
-                raise StructureError(
-                    "pairing_closure", f"missing conjugate group for {lam:.6g}")
-            used.add(j)
-            h = groups[j]
-            if abs(h.target - np.conj(tgt)) > band:
-                raise StructureError(
-                    "pairing_closure",
-                    f"conjugate group must target {np.conj(tgt):.6g}, "
-                    f"got {h.target:.6g}")
-            imag.append((lam, tgt, g, h))
-        else:
-            jc = _find_group(groups, used, np.conj(lam), band)
-            jm = _find_group(groups, used, -lam, band)
-            jmc = _find_group(groups, used, -np.conj(lam), band)
-            if jc is None or jm is None or jmc is None:
-                raise StructureError(
-                    "pairing_closure",
-                    f"eigenvalue {lam:.6g} needs the full family "
-                    f"{{l, conj l, -l, -conj l}}")
-            used.update((jc, jm, jmc))
-            hc, hm, hmc = groups[jc], groups[jm], groups[jmc]
-            checks = [
-                (hc.target, np.conj(tgt), "conjugate"),
-                (hm.target, -tgt, "negated"),
-                (hmc.target, -np.conj(tgt), "negated conjugate"),
-            ]
-            for got, want, name in checks:
-                if abs(got - want) > band:
-                    raise StructureError(
-                        "pairing_closure",
-                        f"{name} group of {lam:.6g} must target {want:.6g}, "
-                        f"got {got:.6g}")
-            generic.append((lam, tgt, g, hc, hm, hmc))
-
-    X_parts, Lc_parts, La_parts, blocks, R_parts = [], [], [], [], []
-
-    def emit(value, target, chains):
-        X_parts.extend(chains)
-        Lc_parts.append(_group_lambda(value, chains))
-        La_parts.append(_group_lambda(target, chains))
-        return sum(c.shape[1] for c in chains)
-
-    for lam, tgt, g, hc, hm, hmc in generic:
-        xr = _conjugate_merge(_sorted_chains(g), _sorted_chains(hc),
-                              match_tol, f"quadruple {lam:.6g}")
-        xm = _conjugate_merge(_sorted_chains(hm), _sorted_chains(hmc),
-                              match_tol, f"quadruple {-lam:.6g}")
-        _validate_chains(A, lam, xr, chain_tol, "eigenvalue")
-        _validate_chains(A, -lam, xm, chain_tol, "eigenvalue")
-        s = emit(lam, tgt, xr)
-        emit(np.conj(lam), np.conj(tgt), [np.conj(X) for X in xr])
-        emit(-lam, -tgt, xm)
-        emit(-np.conj(lam), -np.conj(tgt), [np.conj(X) for X in xm])
-        blocks.append(FamilyBlock("generic", lam, tgt, 4 * s))
-        R_parts.extend(_flip_blocks([s, s]))
-    for lam, tgt, g, h in imag:
-        xr = _conjugate_merge(_sorted_chains(g), _sorted_chains(h),
-                              match_tol, f"imaginary pair {lam:.6g}")
-        _validate_chains(A, lam, xr, chain_tol, "eigenvalue")
-        s = emit(lam, tgt, xr)
-        emit(np.conj(lam), np.conj(tgt), [np.conj(X) for X in xr])
-        blocks.append(FamilyBlock("imag", lam, tgt, 2 * s))
-        R_parts.extend(_flip_blocks([s]))
-    for lam, tgt, g, h in real:
-        xp = [_realify_chain(X, match_tol, f"real eigenvalue {lam:.6g}")
-              for X in _sorted_chains(g)]
-        xm = [_realify_chain(X, match_tol, f"real eigenvalue {-lam:.6g}")
-              for X in _sorted_chains(h)]
-        _validate_chains(A, lam, xp, chain_tol, "eigenvalue")
-        _validate_chains(A, -lam, xm, chain_tol, "eigenvalue")
-        s = emit(lam, tgt, xp)
-        s += emit(-lam, -tgt, xm)
-        blocks.append(FamilyBlock("real", lam, tgt, s))
-        R_parts.append(np.eye(s))
-
-    return ReassignmentAssembly(
-        X_c=np.hstack(X_parts),
-        Lambda_c=_block_diag(Lc_parts),
-        Lambda_a=_block_diag(La_parts),
-        arrangement="real-lie",
-        blocks=tuple(blocks),
-        real_output=True,
-        conjugation=_block_diag(R_parts).real,
-    )
 
 
 def _realify_chain(X, match_tol, label):
@@ -742,6 +784,106 @@ def _realify_chain(X, match_tol, label):
     return X.real.astype(complex)
 
 
+def _assemble(A, spec, space, cls, field, snap_tol, chain_tol, match_tol):
+    """The one assembly body: group the spec into pairing orbits, then
+    emit them in block order, each orbit's members in table order with
+    their chains longest first.
+
+    On the complex field every member keeps its own group's values and
+    chains.  On a real field the values are the table's images of the
+    snapped representative and target; a real member's chains are cast
+    real, a member with a conjugate partner has the partner's chains merged
+    onto its own, and the partner emits their exact conjugates.
+    """
+    cls = StructureClass.parse(cls)
+    band = snap_tol * spec.spectral_scale
+    groups = spec.groups
+    orbits, violations = _group_orbits(_spec_entries(spec), cls,
+                                       _form_star(space), field, band)
+    if violations:
+        raise StructureError("pairing_closure", "; ".join(violations))
+    orbits.sort(key=lambda o: _KIND_ORDER.index(o[0].row.kind))
+
+    X_parts, Lc_parts, La_parts, blocks, R_parts = [], [], [], [], []
+    for orbit, targets, members in orbits:
+        kind, conj = orbit.row.kind, orbit.row.conj
+        gs = [groups[j] for j in members]
+        if conj is None:
+            values = [(g.current, g.target) for g in gs]
+        else:
+            values = list(zip(orbit.values, targets))
+        label = f"{kind} orbit of {orbit.rep:.6g}"
+        emitted = []
+        for i, (g, (value, target)) in enumerate(zip(gs, values)):
+            chains = _sorted_chains(g)
+            j = i if conj is None else conj[i]
+            if j < i:
+                chains = [np.conj(X) for X in emitted[j]]
+            elif j > i:
+                chains = _conjugate_merge(chains, _sorted_chains(gs[j]),
+                                          match_tol, label)
+            elif conj is not None:
+                chains = [_realify_chain(X, match_tol, label) for X in chains]
+            if j >= i:
+                _validate_chains(A, value, chains, chain_tol, "eigenvalue")
+            emitted.append(chains)
+            X_parts.extend(chains)
+            Lc_parts.append(_group_lambda(value, chains))
+            La_parts.append(_group_lambda(target, chains))
+        width = sum(X.shape[1] for X in emitted[0])
+        blocks.append(FamilyBlock(kind, *values[0], width * len(members)))
+        if conj is not None:
+            R_parts.append(np.kron(np.eye(len(conj))[list(conj)], np.eye(width)))
+
+    real = field == "real"
+    return ReassignmentAssembly(
+        X_c=np.hstack(X_parts),
+        Lambda_c=_block_diag(Lc_parts),
+        Lambda_a=_block_diag(La_parts),
+        arrangement=f"real-{cls.name.lower()}" if real else "complex",
+        blocks=tuple(blocks),
+        real_output=real,
+        conjugation=_block_diag(R_parts).real if real else None,
+    )
+
+
+def _require_real(fn, space, cls, want):
+    cls = StructureClass.parse(cls)
+    if cls is not want:
+        raise ArgumentError(f"{fn} is for the {want.name.capitalize()} algebra")
+    if space.field != "real":
+        raise ArgumentError(f"{fn} needs a real-field space")
+    return cls
+
+
+def assemble_complex(A, spec: ReassignmentSpec, space: ScalarProductSpace,
+                     cls: StructureClass, snap_tol: float = SNAP_TOL,
+                     chain_tol: float = CHAIN_TOL) -> ReassignmentAssembly:
+    """Order the groups for a complex-field reassignment: non-self-paired
+    couples first, each as (representative chains, partner chains), then the
+    self-paired groups.  Every group keeps its own values."""
+    return _assemble(A, spec, space, cls, "complex", snap_tol, chain_tol,
+                     CHAIN_MATCH_TOL)
+
+
+def assemble_real_lie(A, spec: ReassignmentSpec, space: ScalarProductSpace,
+                      cls: StructureClass = StructureClass.LIE,
+                      snap_tol: float = SNAP_TOL,
+                      chain_tol: float = CHAIN_TOL,
+                      match_tol: float = CHAIN_MATCH_TOL) -> ReassignmentAssembly:
+    """Real Lie-algebra arrangement.
+
+    Nonzero eigenvalues are grouped into quadruples
+    ``{l, conj l, -l, -conj l}`` (generic), imaginary pairs ``{l, conj l}``
+    and real pairs ``{l, -l}``, emitted in that order; targets must fall in
+    the same category and follow the family.  Partner chains are snapped
+    to exact conjugates so the resulting perturbation is real.
+    """
+    cls = _require_real("assemble_real_lie", space, cls, StructureClass.LIE)
+    return _assemble(A, spec, space, cls, "real", snap_tol, chain_tol,
+                     match_tol)
+
+
 def assemble_real_jordan(A, spec: ReassignmentSpec, space: ScalarProductSpace,
                          cls: StructureClass = StructureClass.JORDAN,
                          snap_tol: float = SNAP_TOL,
@@ -749,76 +891,7 @@ def assemble_real_jordan(A, spec: ReassignmentSpec, space: ScalarProductSpace,
                          match_tol: float = CHAIN_MATCH_TOL) -> ReassignmentAssembly:
     """Real Jordan-algebra arrangement: conjugate couples first (chains and
     their exact conjugates), then real eigenvalues with real chains."""
-    cls = StructureClass.parse(cls)
-    if cls is not StructureClass.JORDAN:
-        raise ArgumentError("assemble_real_jordan is for the Jordan algebra")
-    if space.field != "real":
-        raise ArgumentError("assemble_real_jordan needs a real-field space")
-    band = snap_tol * spec.spectral_scale
-    groups = list(spec.groups)
-    used = set()
-    couples, singles = [], []
-    for i, g in enumerate(groups):
-        if i in used:
-            continue
-        used.add(i)
-        lam = _snap(g.current, band)
-        tgt = _snap(g.target, band)
-        if lam.imag == 0.0:
-            if tgt.imag != 0.0:
-                raise StructureError(
-                    "pairing_closure",
-                    f"real current {lam.real:.6g} must have a real target, "
-                    f"got {g.target:.6g}")
-            singles.append((lam.real, tgt.real, g))
-            continue
-        if tgt.imag == 0.0:
-            raise StructureError(
-                "pairing_closure",
-                f"non-real current {lam:.6g} must have a non-real target")
-        j = _find_group(groups, used, np.conj(lam), band)
-        if j is None:
-            raise StructureError(
-                "pairing_closure", f"missing conjugate group for {lam:.6g}")
-        used.add(j)
-        h = groups[j]
-        if abs(h.target - np.conj(tgt)) > band:
-            raise StructureError(
-                "pairing_closure",
-                f"conjugate group must target {np.conj(tgt):.6g}, got {h.target:.6g}")
-        couples.append((lam, tgt, g, h))
-
-    X_parts, Lc_parts, La_parts, blocks, R_parts = [], [], [], [], []
-    for lam, tgt, g, h in couples:
-        xr = _conjugate_merge(_sorted_chains(g), _sorted_chains(h),
-                              match_tol, f"conjugate couple {lam:.6g}")
-        _validate_chains(A, lam, xr, chain_tol, "eigenvalue")
-        X_parts.extend(xr)
-        X_parts.extend(np.conj(X) for X in xr)
-        s = sum(X.shape[1] for X in xr)
-        Lc_parts.append(_group_lambda(lam, xr))
-        Lc_parts.append(_group_lambda(np.conj(lam), xr))
-        La_parts.append(_group_lambda(tgt, xr))
-        La_parts.append(_group_lambda(np.conj(tgt), xr))
-        blocks.append(FamilyBlock("couple", lam, tgt, 2 * s))
-        R_parts.extend(_flip_blocks([s]))
-    for lam, tgt, g in singles:
-        xr = [_realify_chain(X, match_tol, f"real eigenvalue {lam:.6g}")
-              for X in _sorted_chains(g)]
-        _validate_chains(A, lam, xr, chain_tol, "eigenvalue")
-        X_parts.extend(xr)
-        s = sum(X.shape[1] for X in xr)
-        Lc_parts.append(_group_lambda(lam, xr))
-        La_parts.append(_group_lambda(tgt, xr))
-        blocks.append(FamilyBlock("real", lam, tgt, s))
-        R_parts.append(np.eye(s))
-
-    return ReassignmentAssembly(
-        X_c=np.hstack(X_parts),
-        Lambda_c=_block_diag(Lc_parts),
-        Lambda_a=_block_diag(La_parts),
-        arrangement="real-jordan",
-        blocks=tuple(blocks),
-        real_output=True,
-        conjugation=_block_diag(R_parts).real,
-    )
+    cls = _require_real("assemble_real_jordan", space, cls,
+                        StructureClass.JORDAN)
+    return _assemble(A, spec, space, cls, "real", snap_tol, chain_tol,
+                     match_tol)

@@ -30,11 +30,15 @@ from .core import (
     ToleranceProfile,
     as_matrix,
     frob,
+    gram_matrix,
     numerical_rank,
     pseudoinverse,
+    working_field,
+    z_symmetry_residual,
 )
 from .errors import ArgumentError, StructureError
 from .mapping import _family_factors, solve_structured
+from .spectral import _form_star, pairing_partner
 
 __all__ = [
     "CompatibilityReport",
@@ -62,12 +66,6 @@ class CompatibilityReport:
     condition_residual: float
     compatible: bool
     notes: str = ""
-
-
-def gram_matrix(X, space: ScalarProductSpace) -> np.ndarray:
-    """The form's Gram matrix ``X* H X`` of a chain/basis matrix."""
-    X = as_matrix(X, "X")
-    return space.star_mat(X) @ space.H @ X
 
 
 def lambda_compatibility(X_a, Lambda_a, space: ScalarProductSpace,
@@ -152,7 +150,7 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
 
 def _spectral_gap(ec, ef, space, cls):
     """Distance between the paired eigenvalues ec and the eigenvalues ef."""
-    paired = np.array([cls.epsilon2 * space.star_scalar(l) for l in ec])
+    paired = np.array([pairing_partner(l, cls, _form_star(space)) for l in ec])
     return float(np.min(np.abs(paired[:, None] - ef[None, :])))
 
 
@@ -209,8 +207,7 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
             stacklevel=2)
 
     W = G @ Lambda_a
-    s = space.epsilon1 * cls.epsilon2
-    rw = float(np.linalg.norm(W - s * space.star_mat(W)))
+    rw = z_symmetry_residual(W, space, cls)
     if rw > tol.structure_tol * max(1.0, frob(W)):
         raise StructureError(
             "lambda_compatibility",
@@ -270,24 +267,35 @@ def no_spillover(A, X_c, Lambda_c, Lambda_a, space: ScalarProductSpace,
         raise StructureError(
             "invariant_pair_residual",
             f"A X_c = X_c Lambda_c fails (residual {r:.3e})", residual=float(r))
-    W = gram_matrix(X_c, space) @ Lambda_a
-    s = space.epsilon1 * cls.epsilon2
-    rw = float(np.linalg.norm(W - s * space.star_mat(W)))
+    G = gram_matrix(X_c, space)
+    W = G @ Lambda_a
+    rw = z_symmetry_residual(W, space, cls)
     if rw > tol.structure_tol * max(1.0, frob(W)):
         raise StructureError(
             "lambda_compatibility",
             f"Lambda_a incompatible with the structure (residual {rw:.3e})",
             residual=rw)
+    return _no_spillover_update(G, X_c, Lambda_a - Lambda_c, space,
+                                tol.rank_tol, floor=0.0)[0]
 
-    G = gram_matrix(X_c, space)
-    if numerical_rank(G, tol.rank_tol) < p:
+
+def _no_spillover_update(G, X_c, D, space, rank_tol, floor):
+    """``X_c D G^-1 X_c* H`` for the Gram matrix ``G = X_c* H X_c``; returns
+    the update and the 1-norm condition estimate of G.
+
+    G counts as singular when its smallest singular value is at most
+    ``rank_tol * max(floor, sigma_max)``: floor 0 is the relative rank
+    test, floor 1 adds an absolute one.
+    """
+    s = np.linalg.svd(working_field(G), compute_uv=False)
+    if s.size == 0 or s[-1] <= rank_tol * max(floor, s[0]):
         raise StructureError(
             "gram_singular",
-            "X_c* H X_c is numerically singular; the changed block is not "
-            "paired selfcontained (check eigenvalue pairing of the selection)")
+            "X_c* H X_c is numerically singular; the changed family is not "
+            "self-contained under the eigenvalue pairing")
     Y, cond = gram_inverse_apply(G, space.star_mat(X_c) @ space.H)
     if cond > COND_WARN:
         warnings.warn(
             f"Gram matrix badly conditioned (1-norm estimate {cond:.2e}); "
-            "the no-spillover guarantee degrades", stacklevel=2)
-    return X_c @ (Lambda_a - Lambda_c) @ Y
+            "the no-spillover guarantee degrades", stacklevel=3)
+    return X_c @ D @ Y, cond

@@ -77,6 +77,17 @@ class TestInspect:
         # all printed eigenvalues have their pairing partner present
         assert all(row["partner_present"] for row in report["pairing"])
 
+    def test_printed_jordan_example(self, jobs_dir, tmp_path, capsys):
+        d = _copy_job(jobs_dir, "jordan5", tmp_path)
+        job = json.loads((d / "job.json").read_text())
+        job["out"] = "inspect_out"
+        (d / "inspect_job.json").write_text(json.dumps(job))
+        assert _run("inspect", str(d / "inspect_job.json")) == 0
+        assert "member: True" in capsys.readouterr().out
+        report = json.loads((d / "inspect_out" / "inspect.json").read_text())
+        assert report["member"] is True
+        assert all(row["partner_present"] for row in report["pairing"])
+
     def test_non_member_reported_without_error(self, tmp_path, rng, capsys):
         A = rng.standard_normal((4, 4))
         matio.save_matrix(tmp_path / "A.json", A, "real")
