@@ -45,7 +45,6 @@ from .errors import (
 from .reassign import reassign_simple
 from .spectral import extract_jordan_pairs, pairing_partner
 from .subspaces import (
-    lambda_compatibility,
     no_spillover,
     preserve_complementary,
     preserve_invariant,
@@ -130,11 +129,9 @@ def _resolve_space(job, args, n, tol) -> ScalarProductSpace:
     if name == "identity":
         return ScalarProductSpace(np.eye(n), **kw)
     if name == "flip":
-        return ScalarProductSpace.flip(n, **{k: v for k, v in kw.items() if k != "field"},
-                                       field=kw.get("field", "complex"))
+        return ScalarProductSpace.flip(n, **kw)
     if name in ("skewj", "skewJ"):
-        return ScalarProductSpace.skewj(n, **{k: v for k, v in kw.items() if k != "field"},
-                                        field=kw.get("field", "complex"))
+        return ScalarProductSpace.skewj(n, **kw)
     if os.path.exists(_job_path(job, name)):
         H = matio.load_matrix(_job_path(job, name))
         return ScalarProductSpace(H, **kw)
@@ -400,13 +397,6 @@ def cmd_invariant(args) -> int:
     eig_tol = max(1e-6, tol.residual_tol)
 
     if submode == "reproduce":
-        compat = lambda_compatibility(X, La, space, cls, tol)
-        if not compat.compatible:
-            raise StructureError(
-                "lambda_compatibility",
-                f"target restriction incompatible "
-                f"(condition_residual {compat.condition_residual:.6e})",
-                residual=compat.condition_residual)
         delta = reproduce_invariant(A, X, La, space, cls, Z=Z, tol=tol)
     elif submode == "preserve":
         Lc = _load_lambda(job, job.get("lambda_current"), "lambda_current")
@@ -541,17 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a structured instance")
     common(p)
     p.set_defaults(func=cmd_gen)
+    parser.set_defaults(complete_pairing=False, z=None, submode=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not hasattr(args, "complete_pairing"):
-        args.complete_pairing = False
-    if not hasattr(args, "z"):
-        args.z = None
-    if not hasattr(args, "submode"):
-        args.submode = None
     try:
         return args.func(args)
     except (FormatError, OSError) as e:

@@ -436,6 +436,31 @@ def z_symmetry_residual(Z, space: ScalarProductSpace, cls: StructureClass) -> fl
     return float(np.linalg.norm(space.star_mat(Z) - s * Z))
 
 
+def _check_gram_compatible(G, L, space, cls, tol, condition="lambda_compatibility",
+                           what="Lambda_a incompatible with the structure"):
+    """Raise unless the target restriction L is reachable on a basis with
+    Gram matrix G; returns the residual.
+
+    Because ``G* = e1 G``, ``G L = e2 L* G`` is the certificate
+    ``W = e1 e2 W*`` for ``W = G L``, with the same residual norm.  The
+    threshold scales with ``|G| |L|``, the rounding scale of forming W.
+    """
+    r = z_symmetry_residual(G @ L, space, cls)
+    if r > tol.structure_tol * max(1.0, frob(G) * frob(L)):
+        raise StructureError(condition, f"{what} (condition_residual {r:.3e})",
+                             residual=r)
+    return r
+
+
+def _check_invariant_pair(A, X, L, tol, what, condition="invariant_pair_residual"):
+    """Raise unless ``A X = X L`` holds to the relative residual
+    ``|A X - X L| / (|A| |X|)`` at most tol."""
+    r = frob(A @ X - X @ L) / max(frob(A) * frob(X), 1e-300)
+    if r > tol:
+        raise StructureError(
+            condition, f"{what} fails (relative residual {r:.3e})", residual=r)
+
+
 def sample_structured(space: ScalarProductSpace, cls: StructureClass, seed,
                       scale: float = 1.0) -> np.ndarray:
     """Seeded random matrix with ``Z* = eps1 eps2 Z``, by symmetrization.

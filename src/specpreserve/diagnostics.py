@@ -19,6 +19,7 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
+    _normalize_star,
     _star,
     _swap_h,
     as_matrix,
@@ -327,7 +328,8 @@ class InstanceRecipe:
     (diag of +-1, inertia taken from the plan), skewj ([[0,I],[-I,0]]) or
     random (a seeded unitary congruence of the canonical form).  The plan
     must be closed under the eigenvalue pairing of the class and, for real
-    instances, under conjugation.
+    instances, under conjugation.  star takes the spellings a
+    ScalarProductSpace accepts and is stored as "T" or "CT".
     """
 
     space_kind: str
@@ -341,6 +343,7 @@ class InstanceRecipe:
 
     def __post_init__(self):
         object.__setattr__(self, "cls", StructureClass.parse(self.cls))
+        object.__setattr__(self, "star", _normalize_star(self.star))
         object.__setattr__(self, "plan", tuple(self.plan))
         if self.space_kind not in ("identity", "flip", "signature", "skewj", "random"):
             raise ArgumentError(f"unknown space kind {self.space_kind!r}")
@@ -383,10 +386,9 @@ def _plan_units(recipe, band):
     each orbit's units come from its pairing-table row, longest chain first
     for multi-member orbits and as planned for single ones."""
     eps1 = _preset_eps1(recipe)
-    star = "T" if recipe.star == "T" else "CT"
     orbits, violations = _group_orbits(
-        [(g.value, None, g.chains) for g in recipe.plan], recipe.cls, star,
-        recipe.field, band)
+        [(g.value, None, g.chains) for g in recipe.plan], recipe.cls,
+        recipe.star, recipe.field, band)
     if violations:
         raise InfeasiblePlanError("; ".join(violations))
     units = []

@@ -96,6 +96,25 @@ def _z_term(Z, X, Xd, space):
     return space.h_solve(M)
 
 
+def _admissible_z(Z, space, cls, tol, real=False) -> np.ndarray:
+    """Z as an n x n matrix, checked to be an admissible family parameter:
+    ``Z* = e1 e2 Z`` and, when real is set, real."""
+    Z = as_matrix(Z, "Z")
+    if Z.shape != (space.n, space.n):
+        raise ArgumentError("Z must be n x n")
+    thr = tol.structure_tol * max(1.0, frob(Z))
+    r = z_symmetry_residual(Z, space, cls)
+    if r > thr:
+        raise StructureError(
+            "z_symmetry", f"Z fails Z* = e1 e2 Z (residual {r:.3e})", residual=r)
+    imag = float(np.max(np.abs(Z.imag)))
+    if real and imag > thr:
+        raise StructureError(
+            "z_real", "real arrangements require a real parameter Z",
+            residual=imag)
+    return Z
+
+
 def _feasibility(X, B, Xd, W, space, cls, tol) -> FeasibilityReport:
     r_range = float(np.linalg.norm(B @ (Xd @ X) - B))
     thr_range = tol.residual_tol * frob(B) + ABS_FLOOR * max(1.0, frob(B))
@@ -165,13 +184,7 @@ class StructuredMapSolution:
 
     def with_z(self, Z, tol: ToleranceProfile | None = None) -> np.ndarray:
         """Family member for an admissible parameter Z (``Z* = e1 e2 Z``)."""
-        tol = tol or ToleranceProfile()
-        Z = as_matrix(Z, "Z")
-        r = z_symmetry_residual(Z, self.space, self.cls)
-        if r > tol.structure_tol * max(1.0, frob(Z)):
-            raise StructureError(
-                "z_symmetry",
-                f"Z fails Z* = e1 e2 Z (residual {r:.3e})", residual=r)
+        Z = _admissible_z(Z, self.space, self.cls, tol or ToleranceProfile())
         return self.family_base + _z_term(Z, self.X, self.X_pinv, self.space)
 
 

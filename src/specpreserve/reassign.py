@@ -32,15 +32,15 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
+    _check_gram_compatible,
     as_matrix,
     frob,
     gram_matrix,
     pseudoinverse,
-    z_symmetry_residual,
 )
 from .diagnostics import PerturbationReport, verify_reassignment
 from .errors import ArgumentError, RealnessError, StructureError
-from .mapping import _map_factors, _z_term
+from .mapping import _admissible_z, _map_factors, _z_term
 from .spectral import (
     ReassignmentAssembly,
     ReassignmentGroup,
@@ -49,7 +49,6 @@ from .spectral import (
     assemble_complex,
     assemble_real_jordan,
     assemble_real_lie,
-    certificate_residual,
 )
 from .subspaces import _no_spillover_update
 
@@ -74,31 +73,11 @@ class ReassignmentResult:
 def _check_certificate(assembly, space, cls, tol):
     """Raise unless the Gram certificate holds; returns ``X_c* H X_c``."""
     G = gram_matrix(assembly.X_c, space)
-    r = certificate_residual(assembly, space, cls, gram=G)
-    scale = max(1.0, frob(G) * frob(assembly.Lambda_a - assembly.Lambda_c))
-    if r > tol.structure_tol * scale:
-        raise StructureError(
-            "symmetry_certificate",
-            f"assembly fails the Gram symmetry certificate "
-            f"(residual {r:.3e}); the requested targets are incompatible "
-            f"with the structure", residual=r)
+    _check_gram_compatible(
+        G, assembly.Lambda_a - assembly.Lambda_c, space, cls, tol,
+        "symmetry_certificate", "assembly fails the Gram symmetry certificate; "
+        "the requested targets are incompatible with the structure")
     return G
-
-
-def _check_z(Z, assembly, space, cls, tol):
-    if Z is None:
-        return None
-    Z = as_matrix(Z, "Z")
-    if Z.shape != (space.n, space.n):
-        raise ArgumentError("Z must be n x n")
-    r = z_symmetry_residual(Z, space, cls)
-    if r > tol.structure_tol * max(1.0, frob(Z)):
-        raise StructureError(
-            "z_symmetry", f"Z fails Z* = e1 e2 Z (residual {r:.3e})", residual=r)
-    if assembly.real_output and np.max(np.abs(Z.imag)) > tol.structure_tol * max(1.0, frob(Z)):
-        raise StructureError(
-            "z_real", "real arrangements require a real parameter Z")
-    return Z
 
 
 def _finalize(delta, assembly):
@@ -132,7 +111,6 @@ def reassign_family(A, assembly: ReassignmentAssembly, space: ScalarProductSpace
     if A.shape != (n, n):
         raise ArgumentError("A must match the space dimension")
     _check_certificate(assembly, space, cls, tol)
-    Z = _check_z(Z, assembly, space, cls, tol)
 
     X = assembly.X_c
     Xd = pseudoinverse(X, tol.rank_tol)
@@ -140,6 +118,7 @@ def reassign_family(A, assembly: ReassignmentAssembly, space: ScalarProductSpace
                            Xd, space, cls)
     delta = U @ V
     if Z is not None:
+        Z = _admissible_z(Z, space, cls, tol, real=assembly.real_output)
         delta = delta + _z_term(Z, X, Xd, space)
     delta = _finalize(delta, assembly)
     report = None

@@ -12,8 +12,8 @@ kernel of ``mapping``: O(n^2 p), with one n-column application of ``H^-1``
 only for the Z term.  The complementary update is the same formula for the
 square basis ``[X_c X_f]``; it needs only the first p rows of the basis
 inverse and ``(X* H B_c)* X^-1``, both from one LU of the basis with p
-right-hand sides each, so past the O(n^3) checks (rank SVD, fixed-pair
-residual, LU) it costs O(n^2 p).
+right-hand sides each, so past the O(n^3) fixed-pair residual and LU
+(whose condition estimate also decides nonsingularity) it costs O(n^2 p).
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
+    _check_gram_compatible,
+    _check_invariant_pair,
     as_matrix,
     frob,
     gram_matrix,
     numerical_rank,
     pseudoinverse,
     working_field,
-    z_symmetry_residual,
 )
 from .errors import ArgumentError, StructureError
 from .mapping import _family_factors, solve_structured
@@ -68,6 +69,17 @@ class CompatibilityReport:
     notes: str = ""
 
 
+def _basis_gram(X_a, Lambda_a, space, tol) -> np.ndarray:
+    """``X_a* H X_a`` after checking that X_a has full column rank and
+    Lambda_a is p x p."""
+    p = X_a.shape[1]
+    if Lambda_a.shape != (p, p):
+        raise ArgumentError("Lambda_a must be p x p for X_a with p columns")
+    if numerical_rank(X_a, tol.rank_tol) < p:
+        raise StructureError("rank", "X_a is rank deficient")
+    return gram_matrix(X_a, space)
+
+
 def lambda_compatibility(X_a, Lambda_a, space: ScalarProductSpace,
                          cls: StructureClass,
                          tol: ToleranceProfile | None = None) -> CompatibilityReport:
@@ -77,19 +89,15 @@ def lambda_compatibility(X_a, Lambda_a, space: ScalarProductSpace,
     cls = StructureClass.parse(cls)
     X_a = as_matrix(X_a, "X_a")
     Lambda_a = as_matrix(Lambda_a, "Lambda_a")
-    p = X_a.shape[1]
-    if Lambda_a.shape != (p, p):
-        raise ArgumentError("Lambda_a must be p x p for X_a with p columns")
-    if numerical_rank(X_a, tol.rank_tol) < p:
-        raise StructureError("rank", "X_a is rank deficient")
-    G = gram_matrix(X_a, space)
-    r = float(np.linalg.norm(G @ Lambda_a - cls.epsilon2 * space.star_mat(Lambda_a) @ G))
-    scale = max(1.0, frob(G) * frob(Lambda_a))
-    ok = r <= tol.structure_tol * scale
-    notes = "" if ok else (
-        "target restriction is unreachable for this structure; "
-        "adjust Lambda_a so that G L = e2 L* G")
-    return CompatibilityReport(condition_residual=r, compatible=ok, notes=notes)
+    G = _basis_gram(X_a, Lambda_a, space, tol)
+    try:
+        r = _check_gram_compatible(G, Lambda_a, space, cls, tol)
+    except StructureError as e:
+        return CompatibilityReport(
+            condition_residual=e.residual, compatible=False,
+            notes="target restriction is unreachable for this structure; "
+                  "adjust Lambda_a so that G L = e2 L* G")
+    return CompatibilityReport(condition_residual=r, compatible=True)
 
 
 def reproduce_invariant(A, X_a, Lambda_a, space: ScalarProductSpace,
@@ -102,13 +110,8 @@ def reproduce_invariant(A, X_a, Lambda_a, space: ScalarProductSpace,
     A = as_matrix(A, "A")
     X_a = as_matrix(X_a, "X_a")
     Lambda_a = as_matrix(Lambda_a, "Lambda_a")
-    compat = lambda_compatibility(X_a, Lambda_a, space, cls, tol)
-    if not compat.compatible:
-        raise StructureError(
-            "lambda_compatibility",
-            f"Lambda_a incompatible with the structure "
-            f"(residual {compat.condition_residual:.3e})",
-            residual=compat.condition_residual)
+    _check_gram_compatible(_basis_gram(X_a, Lambda_a, space, tol), Lambda_a,
+                           space, cls, tol)
     B = X_a @ Lambda_a - A @ X_a
     return solve_structured(X_a, B, space, cls, Z, tol)
 
@@ -131,19 +134,10 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
         raise ArgumentError("R must be p x p")
     if numerical_rank(R, tol.rank_tol) < p:
         raise StructureError("nonsingular_R", "R is numerically singular")
-    r = np.linalg.norm(A @ X_c - X_c @ Lambda_c)
-    if r > eig_tol * max(frob(A) * frob(X_c), 1e-300):
-        raise StructureError(
-            "invariant_pair_residual",
-            f"A X_c = X_c Lambda_c fails (residual {r:.3e})", residual=float(r))
+    _check_invariant_pair(A, X_c, Lambda_c, eig_tol, "A X_c = X_c Lambda_c")
     GR = space.star_mat(R) @ gram_matrix(X_c, space) @ R
-    rc = float(np.linalg.norm(
-        GR @ Lambda_a - cls.epsilon2 * space.star_mat(Lambda_a) @ GR))
-    if rc > tol.structure_tol * max(1.0, frob(GR) * frob(Lambda_a)):
-        raise StructureError(
-            "lambda_compatibility",
-            f"Lambda_a incompatible in the basis X_c R (residual {rc:.3e})",
-            residual=rc)
+    _check_gram_compatible(GR, Lambda_a, space, cls, tol, "lambda_compatibility",
+                           "Lambda_a incompatible in the basis X_c R")
     Rt = R @ Lambda_a - Lambda_c @ R
     return solve_structured(X_c @ R, X_c @ Rt, space, cls, Z, tol)
 
@@ -177,19 +171,9 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     p = X_c.shape[1]
     AX_c = A @ X_c
     Lambda_c = pseudoinverse(X_c, tol.rank_tol) @ AX_c
-    rc = np.linalg.norm(AX_c - X_c @ Lambda_c)
-    rf = np.linalg.norm(A @ X_f - X_f @ Lambda_f)
-    scale = max(frob(A), 1e-300)
-    if rc > eig_tol * scale * frob(X_c):
-        raise StructureError(
-            "invariant_pair_residual",
-            f"range(X_c) is not invariant under A (residual {rc:.3e})",
-            residual=float(rc))
-    if rf > eig_tol * scale * frob(X_f):
-        raise StructureError(
-            "invariant_pair_residual",
-            f"(X_f, Lambda_f) is not an invariant pair (residual {rf:.3e})",
-            residual=float(rf))
+    _check_invariant_pair(A, X_c, Lambda_c, eig_tol,
+                          "invariance of range(X_c) under A")
+    _check_invariant_pair(A, X_f, Lambda_f, eig_tol, "A X_f = X_f Lambda_f")
     ec = np.linalg.eigvals(Lambda_c)
     ef = np.linalg.eigvals(Lambda_f)
     gap = _spectral_gap(ec, ef, space, cls)
@@ -206,27 +190,28 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
             f"Gram 1-norm condition {np.real(np.linalg.cond(G, 1)):.2e}",
             stacklevel=2)
 
-    W = G @ Lambda_a
-    rw = z_symmetry_residual(W, space, cls)
-    if rw > tol.structure_tol * max(1.0, frob(W)):
-        raise StructureError(
-            "lambda_compatibility",
-            f"Lambda_a incompatible with the structure (residual {rw:.3e})",
-            residual=rw)
+    _check_gram_compatible(G, Lambda_a, space, cls, tol)
 
     X = np.hstack([X_c, X_f])
     if X.shape != (n, n):
         raise ArgumentError("[X_c X_f] must be square")
-    if numerical_rank(X, tol.rank_tol) < n:
-        raise StructureError("nonsingular_basis", "[X_c X_f] is numerically singular")
+    # one LU of X decides nonsingularity, by LAPACK's reciprocal 1-norm
+    # condition estimate (0 for an exactly singular X), and solves below
+    getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (X,))
+    lu, piv, _ = getrf(X)
+    rcond = gecon(lu, np.abs(X).sum(axis=0).max(), norm="1")[0]
+    if not rcond > tol.rank_tol:
+        raise StructureError(
+            "nonsingular_basis",
+            f"[X_c X_f] is numerically singular (reciprocal condition "
+            f"estimate {rcond:.3e})", residual=rcond)
     # B = [B_c, 0]: only the first p rows of X^-1 meet B, so R = (X^-1)[:p]
-    # and Q = (X* H B_c)* X^-1 come from one LU of X, as X^T [R^T Q^T]
+    # and Q = (X* H B_c)* X^-1 come from the LU of X, as X^T [R^T Q^T]
     B_c = X_c @ Lambda_a - AX_c
     HB = space.h_apply(B_c)
     st = space.star_mat
     rhs = np.hstack([np.eye(n, p), st(st(X) @ HB).T])
-    RQ = scipy.linalg.lu_solve(scipy.linalg.lu_factor(X, check_finite=False),
-                               rhs, trans=1, check_finite=False).T
+    RQ = scipy.linalg.lu_solve((lu, piv), rhs, trans=1, check_finite=False).T
     U, V = _family_factors(B_c, HB, RQ[:p], RQ[p:], space, cls)
     return U @ V
 
@@ -262,19 +247,9 @@ def no_spillover(A, X_c, Lambda_c, Lambda_a, space: ScalarProductSpace,
     p = X_c.shape[1]
     if Lambda_c.shape != (p, p) or Lambda_a.shape != (p, p):
         raise ArgumentError("Lambda_c and Lambda_a must be p x p")
-    r = np.linalg.norm(A @ X_c - X_c @ Lambda_c)
-    if r > eig_tol * max(frob(A) * frob(X_c), 1e-300):
-        raise StructureError(
-            "invariant_pair_residual",
-            f"A X_c = X_c Lambda_c fails (residual {r:.3e})", residual=float(r))
+    _check_invariant_pair(A, X_c, Lambda_c, eig_tol, "A X_c = X_c Lambda_c")
     G = gram_matrix(X_c, space)
-    W = G @ Lambda_a
-    rw = z_symmetry_residual(W, space, cls)
-    if rw > tol.structure_tol * max(1.0, frob(W)):
-        raise StructureError(
-            "lambda_compatibility",
-            f"Lambda_a incompatible with the structure (residual {rw:.3e})",
-            residual=rw)
+    _check_gram_compatible(G, Lambda_a, space, cls, tol)
     return _no_spillover_update(G, X_c, Lambda_a - Lambda_c, space,
                                 tol.rank_tol, floor=0.0)[0]
 

@@ -225,6 +225,22 @@ class TestGen:
         assert truth["membership_residual"] <= 1e-10
         assert all(p["residual"] <= 1e-10 for p in truth["pairs"])
 
+    def test_star_spellings_build_the_same_member(self, tmp_path):
+        A = {}
+        for star in ("t", "T"):
+            job = {"recipe": {
+                "space": "flip", "class": "jordan", "field": "complex",
+                "star": star, "seed": 1,
+                "plan": [{"value": [1.0, 2.0], "chains": [1]},
+                         {"value": [1.0, -2.0], "chains": [1]}]},
+                "out": star}
+            (tmp_path / f"{star}.json").write_text(json.dumps(job))
+            assert _run("gen", str(tmp_path / f"{star}.json")) == 0
+            truth = json.loads((tmp_path / star / "ground_truth.json").read_text())
+            assert truth["membership_residual"] <= 1e-12
+            A[star] = (tmp_path / star / "A.json").read_text()
+        assert A["t"] == A["T"]
+
     def test_infeasible_plan_exits_2(self, tmp_path):
         job = {"recipe": {
             "space": "identity", "class": "jordan", "field": "real",

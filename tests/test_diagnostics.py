@@ -334,3 +334,18 @@ class TestRecipeValidation:
         from specpreserve import ArgumentError
         with pytest.raises(ArgumentError):
             InstanceRecipe("torus", "jordan")
+
+    def test_star_spellings_build_the_same_member(self):
+        # complex bilinear Jordan: every value is self-paired
+        plan = (PlanGroup(1 + 2j, (1,)), PlanGroup(1 - 2j, (1,)))
+        lower, upper = (
+            generate_instance(InstanceRecipe("flip", "jordan", "complex", star,
+                                             plan, seed=1))
+            for star in ("t", "T"))
+        assert lower.recipe.star == "T"
+        np.testing.assert_array_equal(lower.A, upper.A)
+        assert structure_residual(lower.A, lower.space, lower.cls) <= 1e-12
+
+    def test_unknown_star(self):
+        with pytest.raises(ArgumentError):
+            InstanceRecipe("flip", "jordan", star="x")

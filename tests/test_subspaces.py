@@ -144,6 +144,42 @@ class TestPreserveInvariant:
 
 
 class TestPreserveComplementary:
+    @staticmethod
+    def _symmetric():
+        space = ScalarProductSpace(np.eye(6), star="t", field="real")
+        A = helpers.random_member(space, "jordan", 25).real
+        w, V = np.linalg.eigh(A)
+        return space, A, w, V
+
+    @pytest.mark.parametrize("last", ["duplicate", "scaled"])
+    def test_singular_basis_rejected(self, last):
+        space, A, w, V = self._symmetric()
+        X_f, w_f = V[:, 2:].copy(), w[2:].copy()
+        if last == "duplicate":  # exactly singular
+            X_f[:, -1], w_f[-1] = X_f[:, 0], w_f[0]
+        else:  # V is orthogonal, so sigma_min / sigma_max = 1e-13
+            X_f[:, -1] *= 1e-13
+        with pytest.raises(StructureError) as exc:
+            subspaces.preserve_complementary(
+                A, V[:, :2], np.diag(w[:2] + 1.0), X_f, np.diag(w_f), space,
+                "jordan")
+        assert exc.value.condition == "nonsingular_basis"
+
+    def test_nonsingularity_takes_no_square_svd(self, monkeypatch):
+        space, A, w, V = self._symmetric()
+        shapes = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        subspaces.preserve_complementary(
+            A, V[:, :2], np.diag(w[:2] + 1.0), V[:, 2:], np.diag(w[2:]), space,
+            "jordan")
+        assert (6, 6) not in shapes
+
     def _setup(self, seed):
         space = ScalarProductSpace.flip(6, star="ct")
         cls = StructureClass.JORDAN
