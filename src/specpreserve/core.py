@@ -43,8 +43,14 @@ def frob(A) -> float:
     return float(np.linalg.norm(np.atleast_1d(np.asarray(A))))
 
 
-def as_matrix(A, name="matrix") -> np.ndarray:
-    A = np.asarray(A, dtype=complex)
+def as_matrix(A, name="matrix", space=None) -> np.ndarray:
+    """A as a 2-D array: float64 on a real space when its imaginary part
+    is exactly zero (``working_field``'s test, so nothing is dropped),
+    complex128 otherwise and without a space."""
+    real = space is not None and space.field == "real"
+    A = working_field(A) if real else np.asarray(A)
+    A = A.astype(float if real and not np.iscomplexobj(A) else complex,
+                 copy=False)
     if A.ndim == 1:
         A = A.reshape(-1, 1)
     if A.ndim != 2:
@@ -122,9 +128,9 @@ def _normalize_star(star) -> str:
 
 
 def _star(M, star, field) -> np.ndarray:
-    """The star of a (star, field) pair applied to matrix data: the plain
-    transpose only for the bilinear form on a complex space."""
-    M = np.asarray(M, dtype=complex)
+    """The star of a (star, field) pair applied to matrix data in its field:
+    the plain transpose only for the bilinear form on a complex space."""
+    M = np.asarray(M)
     if star == "T" and field == "complex":
         return M.T.copy()
     return M.conj().T.copy()
@@ -173,21 +179,24 @@ class _DenseH:
     def lu(self):
         return scipy.linalg.lu_factor(self.H, check_finite=False)
 
-    def _call(self, fn, B):
-        if np.iscomplexobj(self.H):
-            return fn(B)
-        # a real operator on complex data: one real call on [Re B, Im B]
-        R = B.reshape(B.shape[0], -1)
-        k = R.shape[1]
-        Y = fn(np.hstack([R.real, R.imag]))
-        return (Y[:, :k] + 1j * Y[:, k:]).reshape(B.shape)
-
     def apply(self, B):
-        return self._call(lambda R: self.H @ R, B)
+        return _real_apply(self.H, B)
 
     def solve(self, B):
-        return self._call(
-            lambda R: scipy.linalg.lu_solve(self.lu, R, check_finite=False), B)
+        return _real_apply(self.H, B, lambda R: scipy.linalg.lu_solve(
+            self.lu, R, check_finite=False))
+
+
+def _real_apply(M, B, fn=None) -> np.ndarray:
+    """``M B``, or ``fn(B)`` for another linear map fn of M; a real M meets
+    complex B as one real call on ``[Re B, Im B]``, never cast to complex."""
+    fn = fn or (lambda R: M @ R)
+    if np.iscomplexobj(M) or not np.iscomplexobj(B):
+        return fn(B)
+    R = B.reshape(B.shape[0], -1)
+    k = R.shape[1]
+    Y = fn(np.hstack([R.real, R.imag]))
+    return (Y[:, :k] + 1j * Y[:, k:]).reshape(Y.shape[:1] + B.shape[1:])
 
 
 def _h_operator(H):
@@ -322,9 +331,9 @@ class ScalarProductSpace:
         return _h_operator(self.H)
 
     def h_apply(self, B) -> np.ndarray:
-        """The product ``H B``, by indexing when H is a signed or phased
-        permutation."""
-        return self._h_op.apply(np.asarray(B, dtype=complex))
+        """The product ``H B`` in the field of B and H, by indexing when H
+        is a signed or phased permutation."""
+        return self._h_op.apply(np.asarray(B))
 
     def h_solve(self, B) -> np.ndarray:
         """Solve ``H X = B``.
@@ -333,9 +342,9 @@ class ScalarProductSpace:
         row and column) is inverted exactly as ``H^H``; any other H by its LU
         factors, computed once per space.  ``H^H`` is never substituted for
         a dense H: an H given at low precision is unitary only to that
-        precision.
+        precision.  Real B on a real space gives a real result.
         """
-        return self._h_op.solve(np.asarray(B, dtype=complex))
+        return self._h_op.solve(np.asarray(B))
 
     # -- common presets -------------------------------------------------
 
@@ -394,13 +403,16 @@ def is_member(A, space: ScalarProductSpace, cls: StructureClass,
         tol = ToleranceProfile()
     structure_tol = tol.structure_tol if isinstance(tol, ToleranceProfile) else float(tol)
     A = as_matrix(A, "A")
-    return structure_residual(A, space, cls) <= structure_tol * max(1.0, frob(A))
+    bound = structure_tol * max(1.0, frob(A))
+    # a real space admits only real matrices
+    return ((space.field == "complex" or frob(A.imag) <= bound)
+            and structure_residual(A, space, cls) <= bound)
 
 
 def pseudoinverse(X, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with singular values below
-    ``rank_tol * sigma_max`` treated as zero."""
-    X = as_matrix(X, "X")
+    ``rank_tol * sigma_max`` treated as zero; real X gets a real one."""
+    X = X if np.isrealobj(X) and np.ndim(X) == 2 else as_matrix(X, "X")
     return np.linalg.pinv(X, rcond=rank_tol)
 
 
@@ -416,10 +428,17 @@ def numerical_rank(X, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(s > rank_tol * s[0]))
 
 
+def _star_h(X, space) -> np.ndarray:
+    """``X* H``; on a real space ``e1 (H X)*``, so H never meets complex X."""
+    if space.field == "complex":
+        return space.star_mat(X) @ space.H
+    return space.epsilon1 * space.star_mat(space.h_apply(X))
+
+
 def gram_matrix(X, space: ScalarProductSpace) -> np.ndarray:
     """The form's Gram matrix ``X* H X`` of a chain/basis matrix."""
-    X = as_matrix(X, "X")
-    return space.star_mat(X) @ space.H @ X
+    X = as_matrix(X, "X", space)
+    return _star_h(X, space) @ X
 
 
 def z_symmetry_residual(Z, space: ScalarProductSpace, cls: StructureClass) -> float:
@@ -430,7 +449,7 @@ def z_symmetry_residual(Z, space: ScalarProductSpace, cls: StructureClass) -> fl
     ``W = e1 e2 W*`` of the reassignment, mapping and subspace updates; it
     differs from membership in the algebra itself.
     """
-    Z = as_matrix(Z, "Z")
+    Z = as_matrix(Z, "Z", space)
     cls = StructureClass.parse(cls)
     s = space.epsilon1 * cls.epsilon2
     return float(np.linalg.norm(space.star_mat(Z) - s * Z))
@@ -455,7 +474,7 @@ def _check_gram_compatible(G, L, space, cls, tol, condition="lambda_compatibilit
 def _check_invariant_pair(A, X, L, tol, what, condition="invariant_pair_residual"):
     """Raise unless ``A X = X L`` holds to the relative residual
     ``|A X - X L| / (|A| |X|)`` at most tol."""
-    r = frob(A @ X - X @ L) / max(frob(A) * frob(X), 1e-300)
+    r = frob(_real_apply(A, X) - X @ L) / max(frob(A) * frob(X), 1e-300)
     if r > tol:
         raise StructureError(
             condition, f"{what} fails (relative residual {r:.3e})", residual=r)

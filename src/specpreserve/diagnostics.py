@@ -217,7 +217,6 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
                         space: ScalarProductSpace, cls: StructureClass,
                         fixed_pairs=None, tol: ToleranceProfile | None = None,
                         match_tol: float = 1e-6,
-                        gram_condition: float | None = None,
                         check_spillover: bool = True) -> PerturbationReport:
     """Build the verification bundle for a perturbation.
 
@@ -242,9 +241,7 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     reassigned = float(np.linalg.norm(perturbed @ X - X @ assembly.Lambda_a))
     struct = structure_residual(delta, space, cls)
     rank = numerical_rank(delta, tol.rank_tol)
-    if gram_condition is None:
-        G = gram_matrix(X, space)
-        gram_condition = float(np.real(np.linalg.cond(G, 1)))
+    gram_condition = float(np.real(np.linalg.cond(gram_matrix(X, space), 1)))
     scale = max(frob(delta), 1e-300)
     realness = bool(np.max(np.abs(delta.imag)) <= 1e-10 * scale)
 
@@ -289,7 +286,7 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
         reassigned_residual=reassigned,
         structure_residual=struct,
         delta_rank=rank,
-        gram_condition_estimate=float(gram_condition),
+        gram_condition_estimate=gram_condition,
         realness=realness,
         spectrum_verdict=verdict,
         fixed_residual=fixed_res,
@@ -572,7 +569,8 @@ def generate_instance(recipe: InstanceRecipe,
     the requested H by an exact unitary congruence, and conjugated by a
     seeded Cayley automorphism of the form.  Ground-truth Jordan pairs are
     carried through both transformations, so membership and the planned
-    Jordan structure hold to machine precision.
+    Jordan structure hold to machine precision.  A real recipe gives a
+    float64 A.
 
     Plans the catalogue cannot realize for the requested space (wrong
     inertia, pairing violations, structurally forced even multiplicities)
@@ -602,7 +600,8 @@ def generate_instance(recipe: InstanceRecipe,
     rng = np.random.default_rng(recipe.seed)
 
     def star_mat(M):
-        return _star(M, recipe.star, recipe.field)
+        # the construction runs in complex arithmetic on every field
+        return _star(np.asarray(M, dtype=complex), recipe.star, recipe.field)
 
     if recipe.space_kind == "random":
         V = rng.standard_normal((n, n))
@@ -634,7 +633,7 @@ def generate_instance(recipe: InstanceRecipe,
         if imax > 1e-10 * max(1.0, frob(A)):
             raise InfeasiblePlanError(
                 f"internal: real instance came out complex (imag {imax:.3e})")
-        A = A.real.astype(complex)
+        A = np.ascontiguousarray(A.real)
 
     space = ScalarProductSpace(H1, star=recipe.star, field=recipe.field)
     pairs = []

@@ -99,7 +99,7 @@ def _z_term(Z, X, Xd, space):
 def _admissible_z(Z, space, cls, tol, real=False) -> np.ndarray:
     """Z as an n x n matrix, checked to be an admissible family parameter:
     ``Z* = e1 e2 Z`` and, when real is set, real."""
-    Z = as_matrix(Z, "Z")
+    Z = as_matrix(Z, "Z", space)
     if Z.shape != (space.n, space.n):
         raise ArgumentError("Z must be n x n")
     thr = tol.structure_tol * max(1.0, frob(Z))
@@ -107,7 +107,7 @@ def _admissible_z(Z, space, cls, tol, real=False) -> np.ndarray:
     if r > thr:
         raise StructureError(
             "z_symmetry", f"Z fails Z* = e1 e2 Z (residual {r:.3e})", residual=r)
-    imag = float(np.max(np.abs(Z.imag)))
+    imag = float(np.max(np.abs(Z.imag))) if np.iscomplexobj(Z) else 0.0
     if real and imag > thr:
         raise StructureError(
             "z_real", "real arrangements require a real parameter Z",
@@ -139,8 +139,8 @@ def _feasibility(X, B, Xd, W, space, cls, tol) -> FeasibilityReport:
 
 
 def _check_shapes(X, B, space):
-    X = as_matrix(X, "X")
-    B = as_matrix(B, "B")
+    X = as_matrix(X, "X", space)
+    B = as_matrix(B, "B", space)
     if X.shape != B.shape or X.shape[0] != space.n:
         raise ArgumentError(
             f"X and B must both be {space.n} x p, got {X.shape} and {B.shape}")
@@ -183,8 +183,10 @@ class StructuredMapSolution:
         return np.eye(self.space.n) - self.X @ self.X_pinv
 
     def with_z(self, Z, tol: ToleranceProfile | None = None) -> np.ndarray:
-        """Family member for an admissible parameter Z (``Z* = e1 e2 Z``)."""
-        Z = _admissible_z(Z, self.space, self.cls, tol or ToleranceProfile())
+        """Family member for an admissible parameter Z (``Z* = e1 e2 Z``,
+        real on a real space)."""
+        Z = _admissible_z(Z, self.space, self.cls, tol or ToleranceProfile(),
+                          real=self.space.field == "real")
         return self.family_base + _z_term(Z, self.X, self.X_pinv, self.space)
 
 

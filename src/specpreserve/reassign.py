@@ -80,8 +80,29 @@ def _check_certificate(assembly, space, cls, tol):
     return G
 
 
+def _real_basis(assembly):
+    """The kernel's ``(X, B)`` for ``delta X_c = X_c (Lambda_a - Lambda_c)``:
+    on a real arrangement the real basis ``X_c T``, ``B T`` (``Re x_i, Im x_i``
+    per conjugate pair, ``Re x_i`` per self-conjugate column), which gives
+    the same update; realness is checked on it, ``conj(M) = M R``."""
+    X, R = assembly.X_c, assembly.conjugation
+    B = X @ (assembly.Lambda_a - assembly.Lambda_c)
+    if not assembly.real_output or R is None:
+        return X, B
+    for M in (X, B):
+        err = frob(np.conj(M) - M @ R)
+        if err > IMAG_CAST_TOL * max(frob(M), 1e-300):
+            raise RealnessError(
+                f"real arrangement not closed under conjugation (residual "
+                f"{err:.3e}); check the conjugate chains", imag_magnitude=err)
+    k, partner = np.arange(len(R)), np.argmax(R, axis=0)  # conj x_k = x_partner
+    first = np.minimum(k, partner)
+    return tuple(np.where(partner >= k, M[:, first].real, M[:, first].imag)
+                 for M in (X, B))
+
+
 def _finalize(delta, assembly):
-    if not assembly.real_output:
+    if not assembly.real_output or not np.iscomplexobj(delta):
         return delta
     scale = max(frob(delta), 1e-300)
     imax = float(np.max(np.abs(delta.imag)))
@@ -106,16 +127,15 @@ def reassign_family(A, assembly: ReassignmentAssembly, space: ScalarProductSpace
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A")
+    A = as_matrix(A, "A", space)
     n = space.n
     if A.shape != (n, n):
         raise ArgumentError("A must match the space dimension")
     _check_certificate(assembly, space, cls, tol)
 
-    X = assembly.X_c
+    X, B = _real_basis(assembly)
     Xd = pseudoinverse(X, tol.rank_tol)
-    U, V, _ = _map_factors(X, X @ (assembly.Lambda_a - assembly.Lambda_c),
-                           Xd, space, cls)
+    U, V, _ = _map_factors(X, B, Xd, space, cls)
     delta = U @ V
     if Z is not None:
         Z = _admissible_z(Z, space, cls, tol, real=assembly.real_output)
@@ -146,14 +166,14 @@ def reassign_no_spillover(A, assembly: ReassignmentAssembly,
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A")
+    A = as_matrix(A, "A", space)
     n = space.n
     if A.shape != (n, n):
         raise ArgumentError("A must match the space dimension")
     G = _check_certificate(assembly, space, cls, tol)
 
     if fixed_spectrum_guard is not None:
-        guard = np.asarray(list(fixed_spectrum_guard), dtype=complex)
+        guard = np.asarray(list(fixed_spectrum_guard))
         for what, values in (("changed eigenvalue family", assembly.current_values),
                              ("target values", assembly.target_values)):
             scale = max(1.0, float(np.max(np.abs(values))),
@@ -168,14 +188,14 @@ def reassign_no_spillover(A, assembly: ReassignmentAssembly,
                 warnings.warn(msg + "; proceeding without the guarantee",
                               stacklevel=2)
 
-    delta, cond = _no_spillover_update(
-        G, assembly.X_c, assembly.Lambda_a - assembly.Lambda_c, space,
-        tol.rank_tol, floor=1.0)
-    delta = _finalize(delta, assembly)
+    X, B = _real_basis(assembly)
+    delta = _finalize(_no_spillover_update(
+        G if X is assembly.X_c else gram_matrix(X, space), X, B, space,
+        tol.rank_tol, floor=1.0), assembly)
     report = None
     if verify:
         report = verify_reassignment(
-            A, delta, assembly, space, cls, tol=tol, gram_condition=cond,
+            A, delta, assembly, space, cls, tol=tol,
             match_tol=max(1e-6, tol.residual_tol), check_spillover=True)
     return ReassignmentResult(delta=delta, report=report)
 
@@ -204,9 +224,8 @@ def reassign_simple(A, eigpairs, targets, space: ScalarProductSpace,
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A")
-    eigpairs = [(complex(l), np.asarray(x, dtype=complex).reshape(-1, 1))
-                for l, x in eigpairs]
+    A = as_matrix(A, "A", space)
+    eigpairs = [(complex(l), np.asarray(x).reshape(-1, 1)) for l, x in eigpairs]
     targets = [complex(t) for t in targets]
     if len(eigpairs) != len(targets):
         raise ArgumentError("eigpairs and targets must have equal length")

@@ -706,10 +706,8 @@ def gram_blocks(pairs, space: ScalarProductSpace, cls: StructureClass,
 # ---------------------------------------------------------------------------
 
 def _block_diag(mats):
-    mats = [as_matrix(m) for m in mats]
-    if not mats:
-        return np.zeros((0, 0), dtype=complex)
-    return scipy.linalg.block_diag(*mats).astype(complex)
+    """Block diagonal of 2-D blocks, in their common field."""
+    return scipy.linalg.block_diag(*mats) if mats else np.zeros((0, 0))
 
 
 def _group_lambda(value, chains):
@@ -766,7 +764,7 @@ def _realify_chain(X, match_tol, label):
             "real_chain",
             f"{label}: chain must be real (max imaginary part {imag:.3e})",
             residual=imag)
-    return X.real.astype(complex)
+    return np.ascontiguousarray(X.real)
 
 
 def _assemble(A, spec, space, cls, field, snap_tol, chain_tol, match_tol):
@@ -781,7 +779,7 @@ def _assemble(A, spec, space, cls, field, snap_tol, chain_tol, match_tol):
     onto its own, and the partner emits their exact conjugates.
     """
     cls = StructureClass.parse(cls)
-    A = None if A is None else as_matrix(A, "A")
+    A = None if A is None else as_matrix(A, "A", space)
     band = snap_tol * spec.spectral_scale
     groups = spec.groups
     orbits, violations = _group_orbits(_spec_entries(spec), cls,
@@ -827,13 +825,13 @@ def _assemble(A, spec, space, cls, field, snap_tol, chain_tol, match_tol):
 
     real = field == "real"
     return ReassignmentAssembly(
-        X_c=np.hstack(X_parts),
-        Lambda_c=_block_diag(Lc_parts),
-        Lambda_a=_block_diag(La_parts),
+        X_c=as_matrix(np.hstack(X_parts), "X_c", space),
+        Lambda_c=as_matrix(_block_diag(Lc_parts), "Lambda_c", space),
+        Lambda_a=as_matrix(_block_diag(La_parts), "Lambda_a", space),
         arrangement=f"real-{cls.name.lower()}" if real else "complex",
         blocks=tuple(blocks),
         real_output=real,
-        conjugation=_block_diag(R_parts).real if real else None,
+        conjugation=_block_diag(R_parts) if real else None,
     )
 
 

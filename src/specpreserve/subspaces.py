@@ -30,6 +30,8 @@ from .core import (
     ToleranceProfile,
     _check_gram_compatible,
     _check_invariant_pair,
+    _real_apply,
+    _star_h,
     as_matrix,
     frob,
     gram_matrix,
@@ -87,8 +89,8 @@ def lambda_compatibility(X_a, Lambda_a, space: ScalarProductSpace,
     on range(X_a): requires ``(X_a* H X_a) L_a = e2 L_a* (X_a* H X_a)``."""
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    X_a = as_matrix(X_a, "X_a")
-    Lambda_a = as_matrix(Lambda_a, "Lambda_a")
+    X_a = as_matrix(X_a, "X_a", space)
+    Lambda_a = as_matrix(Lambda_a, "Lambda_a", space)
     G = _basis_gram(X_a, Lambda_a, space, tol)
     try:
         r = _check_gram_compatible(G, Lambda_a, space, cls, tol)
@@ -107,12 +109,12 @@ def reproduce_invariant(A, X_a, Lambda_a, space: ScalarProductSpace,
     Lambda_a.  Z = None yields the Frobenius-minimal member of the family."""
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A")
-    X_a = as_matrix(X_a, "X_a")
-    Lambda_a = as_matrix(Lambda_a, "Lambda_a")
+    A = as_matrix(A, "A", space)
+    X_a = as_matrix(X_a, "X_a", space)
+    Lambda_a = as_matrix(Lambda_a, "Lambda_a", space)
     _check_gram_compatible(_basis_gram(X_a, Lambda_a, space, tol), Lambda_a,
                            space, cls, tol)
-    B = X_a @ Lambda_a - A @ X_a
+    B = X_a @ Lambda_a - _real_apply(A, X_a)
     return solve_structured(X_a, B, space, cls, Z, tol)
 
 
@@ -124,11 +126,11 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
     invariant, in the re-basis X_c R, with new restriction Lambda_a."""
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A")
-    X_c = as_matrix(X_c, "X_c")
-    Lambda_c = as_matrix(Lambda_c, "Lambda_c")
-    Lambda_a = as_matrix(Lambda_a, "Lambda_a")
-    R = as_matrix(R, "R")
+    A = as_matrix(A, "A", space)
+    X_c = as_matrix(X_c, "X_c", space)
+    Lambda_c = as_matrix(Lambda_c, "Lambda_c", space)
+    Lambda_a = as_matrix(Lambda_a, "Lambda_a", space)
+    R = as_matrix(R, "R", space)
     p = X_c.shape[1]
     if R.shape != (p, p):
         raise ArgumentError("R must be p x p")
@@ -162,14 +164,14 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A")
-    X_c = as_matrix(X_c, "X_c")
-    X_f = as_matrix(X_f, "X_f")
-    Lambda_a = as_matrix(Lambda_a, "Lambda_a")
-    Lambda_f = as_matrix(Lambda_f, "Lambda_f")
+    A = as_matrix(A, "A", space)
+    X_c = as_matrix(X_c, "X_c", space)
+    X_f = as_matrix(X_f, "X_f", space)
+    Lambda_a = as_matrix(Lambda_a, "Lambda_a", space)
+    Lambda_f = as_matrix(Lambda_f, "Lambda_f", space)
     n = space.n
     p = X_c.shape[1]
-    AX_c = A @ X_c
+    AX_c = _real_apply(A, X_c)
     Lambda_c = pseudoinverse(X_c, tol.rank_tol) @ AX_c
     _check_invariant_pair(A, X_c, Lambda_c, eig_tol,
                           "invariance of range(X_c) under A")
@@ -219,7 +221,6 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
 def gram_inverse_apply(G, RHS):
     """Solve ``G Y = RHS`` by LU with partial pivoting plus one step of
     iterative refinement; returns (Y, one_norm_condition_estimate)."""
-    G = as_matrix(G, "G")
     lu, piv = scipy.linalg.lu_factor(G)
     cond = float(np.real(np.linalg.cond(G, 1)))
     Y = scipy.linalg.lu_solve((lu, piv), RHS)
@@ -240,23 +241,23 @@ def no_spillover(A, X_c, Lambda_c, Lambda_a, space: ScalarProductSpace,
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A")
-    X_c = as_matrix(X_c, "X_c")
-    Lambda_c = as_matrix(Lambda_c, "Lambda_c")
-    Lambda_a = as_matrix(Lambda_a, "Lambda_a")
+    A = as_matrix(A, "A", space)
+    X_c = as_matrix(X_c, "X_c", space)
+    Lambda_c = as_matrix(Lambda_c, "Lambda_c", space)
+    Lambda_a = as_matrix(Lambda_a, "Lambda_a", space)
     p = X_c.shape[1]
     if Lambda_c.shape != (p, p) or Lambda_a.shape != (p, p):
         raise ArgumentError("Lambda_c and Lambda_a must be p x p")
     _check_invariant_pair(A, X_c, Lambda_c, eig_tol, "A X_c = X_c Lambda_c")
     G = gram_matrix(X_c, space)
     _check_gram_compatible(G, Lambda_a, space, cls, tol)
-    return _no_spillover_update(G, X_c, Lambda_a - Lambda_c, space,
-                                tol.rank_tol, floor=0.0)[0]
+    return _no_spillover_update(G, X_c, X_c @ (Lambda_a - Lambda_c), space,
+                                tol.rank_tol, floor=0.0)
 
 
-def _no_spillover_update(G, X_c, D, space, rank_tol, floor):
-    """``X_c D G^-1 X_c* H`` for the Gram matrix ``G = X_c* H X_c``; returns
-    the update and the 1-norm condition estimate of G.
+def _no_spillover_update(G, X, B, space, rank_tol, floor):
+    """``B G^-1 X* H`` for ``B = X D`` and ``G = X* H X``, which depends
+    only on the map ``X -> B``: ``(X T, B T)`` gives it for invertible T.
 
     G counts as singular when its smallest singular value is at most
     ``rank_tol * max(floor, sigma_max)``: floor 0 is the relative rank
@@ -268,9 +269,9 @@ def _no_spillover_update(G, X_c, D, space, rank_tol, floor):
             "gram_singular",
             "X_c* H X_c is numerically singular; the changed family is not "
             "self-contained under the eigenvalue pairing")
-    Y, cond = gram_inverse_apply(G, space.star_mat(X_c) @ space.H)
+    Y, cond = gram_inverse_apply(G, _star_h(X, space))
     if cond > COND_WARN:
         warnings.warn(
             f"Gram matrix badly conditioned (1-norm estimate {cond:.2e}); "
             "the no-spillover guarantee degrades", stacklevel=3)
-    return X_c @ D @ Y, cond
+    return B @ Y

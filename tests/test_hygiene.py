@@ -37,3 +37,55 @@ def test_no_unused_module_imports(path):
               for name in _bound_names(node)
               if name not in used and name not in exported]
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+# modules whose kernels keep the field of their data: the boundary
+# (``core.as_matrix`` with the space) decides it, and nothing here casts
+FIELD_KEEPING = ("mapping.py", "reassign.py", "subspaces.py")
+
+
+def _complex_dtype(node):
+    """True for ``complex``, ``np.complex128`` and kin, or a "complex..."
+    dtype string."""
+    if isinstance(node, ast.Name):
+        return node.id == "complex"
+    if isinstance(node, ast.Attribute):
+        return node.attr.startswith("complex") or node.attr in ("cdouble",
+                                                                "csingle")
+    return isinstance(node, ast.Constant) and "complex" in str(node.value)
+
+
+def _complex_casts(tree):
+    """Lines of ``astype(complex)``, ``dtype=complex`` and a complex dtype
+    passed by position, as in ``np.asarray(M, complex)``."""
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        astype = isinstance(node.func, ast.Attribute) and node.func.attr == "astype"
+        dtypes = (node.args if astype else node.args[1:]) + [
+            kw.value for kw in node.keywords if kw.arg == "dtype"]
+        if any(_complex_dtype(d) for d in dtypes):
+            hits.append(node.lineno)
+    return hits
+
+
+@pytest.mark.parametrize("name", FIELD_KEEPING)
+def test_field_keeping_modules_never_cast_to_complex(name):
+    path = pathlib.Path(specpreserve.__file__).parent / name
+    hits = _complex_casts(ast.parse(path.read_text(encoding="utf-8")))
+    assert not hits, f"{name} casts to complex on lines {hits}"
+
+
+@pytest.mark.parametrize("planted,flagged", [
+    ("np.asarray(M, dtype=complex)", True),
+    ("M.astype(complex)", True),
+    ("np.zeros((n, n), dtype=np.complex128)", True),
+    ("np.asarray(M, complex)", True),
+    ("M.astype('complex128')", True),
+    ("complex(z)", False),
+    ("np.asarray(M)", False),
+    ("M.astype(float)", False),
+])
+def test_complex_cast_rule_catches_a_planted_cast(planted, flagged):
+    assert bool(_complex_casts(ast.parse(planted))) == flagged
