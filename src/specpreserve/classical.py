@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_matrix, frob, numerical_rank, pseudoinverse
+from .core import _check_invariant_pair, as_matrix, numerical_rank, pseudoinverse
 from .errors import ArgumentError, StructureError
 
 __all__ = [
@@ -27,21 +27,10 @@ EIGPAIR_TOL = 1e-6
 
 
 def _as_vector(x, n, name):
-    x = np.asarray(x, dtype=complex).reshape(-1)
+    x = as_matrix(x, name).reshape(-1)
     if x.shape[0] != n:
         raise ArgumentError(f"{name} must have length {n}, got {x.shape[0]}")
     return x
-
-
-def _check_eigpair(A, lam, x, tol, name="(lambda, x)"):
-    r = np.linalg.norm(A @ x - lam * x)
-    scale = max(frob(A) * np.linalg.norm(x), 1e-300)
-    if r / scale > tol:
-        raise StructureError(
-            "eigenpair_residual",
-            f"{name} is not an eigenpair at tolerance {tol:g} "
-            f"(relative residual {r / scale:.3e})",
-            residual=float(r / scale))
 
 
 def brauer_update(A, x_k, lambda_k, q, eig_tol=EIGPAIR_TOL):
@@ -55,7 +44,8 @@ def brauer_update(A, x_k, lambda_k, q, eig_tol=EIGPAIR_TOL):
     n = A.shape[0]
     x_k = _as_vector(x_k, n, "x_k")
     q = _as_vector(q, n, "q")
-    _check_eigpair(A, complex(lambda_k), x_k, eig_tol, "(lambda_k, x_k)")
+    _check_invariant_pair(A, x_k[:, None], np.array([[lambda_k]]), eig_tol,
+                          "eigenpair (lambda_k, x_k)", "eigenpair_residual")
     return A + np.outer(x_k, q)
 
 
@@ -73,8 +63,9 @@ def brauer_shift(A, lam, v, r, mu, eig_tol=EIGPAIR_TOL):
     if abs(rv - 1.0) > 1e-10:
         raise StructureError(
             "normalization", f"r^T v must equal 1, got {rv}", residual=abs(rv - 1.0))
-    _check_eigpair(A, complex(lam), v, eig_tol, "(lam, v)")
-    return A + (complex(mu) - complex(lam)) * np.outer(v, r)
+    _check_invariant_pair(A, v[:, None], np.array([[lam]]), eig_tol,
+                          "eigenpair (lam, v)", "eigenpair_residual")
+    return A + (mu - lam) * np.outer(v, r)
 
 
 def rado_update(A, X, Omega, C, eig_tol=EIGPAIR_TOL, rank_tol=1e-10):
@@ -94,14 +85,7 @@ def rado_update(A, X, Omega, C, eig_tol=EIGPAIR_TOL, rank_tol=1e-10):
         raise ArgumentError("inconsistent shapes for rado_update")
     if numerical_rank(X, rank_tol) < p:
         raise StructureError("rank", "eigenvector matrix X is rank deficient")
-    r = np.linalg.norm(A @ X - X @ Omega)
-    scale = max(frob(A) * frob(X), 1e-300)
-    if r / scale > eig_tol:
-        raise StructureError(
-            "invariant_pair_residual",
-            f"A X = X Omega fails at tolerance {eig_tol:g} "
-            f"(relative residual {r / scale:.3e})",
-            residual=float(r / scale))
+    _check_invariant_pair(A, X, Omega, eig_tol, "A X = X Omega")
     return A + X @ C
 
 
@@ -147,13 +131,7 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, Z=None,
         raise ArgumentError("inconsistent shapes for preserve_invariant")
     if numerical_rank(R, rank_tol) < p:
         raise StructureError("nonsingular_R", "R is numerically singular")
-    r = np.linalg.norm(A @ X_c - X_c @ Lambda_c)
-    scale = max(frob(A) * frob(X_c), 1e-300)
-    if r / scale > eig_tol:
-        raise StructureError(
-            "invariant_pair_residual",
-            f"A X_c = X_c Lambda_c fails (relative residual {r / scale:.3e})",
-            residual=float(r / scale))
+    _check_invariant_pair(A, X_c, Lambda_c, eig_tol, "A X_c = X_c Lambda_c")
     XR = X_c @ R
     XRd = pseudoinverse(XR, rank_tol)
     delta = X_c @ (R @ Lambda_a - Lambda_c @ R) @ XRd

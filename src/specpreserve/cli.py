@@ -364,9 +364,8 @@ def cmd_reassign(args) -> int:
 
     out = _out_dir(job, args)
     if out is not None:
-        field = "real" if (space.field == "real" and not np.iscomplexobj(result.delta)) else None
-        matio.save_matrix(os.path.join(out, "delta.json"), result.delta, field)
-        matio.save_matrix(os.path.join(out, "perturbed.json"), A + result.delta, field)
+        matio.save_matrix(os.path.join(out, "delta.json"), result.delta)
+        matio.save_matrix(os.path.join(out, "perturbed.json"), A + result.delta)
         payload = rep.summary()
         payload["mode"] = mode
         payload["fixed_residual_supplied"] = fixed_supplied
@@ -394,7 +393,6 @@ def cmd_invariant(args) -> int:
     X = matio.load_matrix(_job_path(job, job["basis"]))
     La = _load_lambda(job, job.get("lambda_target"), "lambda_target")
     Z = _resolve_z(job, args, space, cls, seed)
-    eig_tol = max(1e-6, tol.residual_tol)
 
     if submode == "reproduce":
         delta = reproduce_invariant(A, X, La, space, cls, Z=Z, tol=tol)
@@ -402,16 +400,14 @@ def cmd_invariant(args) -> int:
         Lc = _load_lambda(job, job.get("lambda_current"), "lambda_current")
         R = (matio.load_matrix(_job_path(job, job["r"]))
              if job.get("r") else np.eye(X.shape[1]))
-        delta = preserve_invariant(A, X, Lc, R, La, space, cls, Z=Z, tol=tol,
-                                   eig_tol=eig_tol)
+        delta = preserve_invariant(A, X, Lc, R, La, space, cls, Z=Z, tol=tol)
     elif submode == "complementary":
         Xf = matio.load_matrix(_job_path(job, job["fixed_basis"]))
         Lf = _load_lambda(job, job.get("fixed_lambda"), "fixed_lambda")
-        delta = preserve_complementary(A, X, La, Xf, Lf, space, cls, tol=tol,
-                                       eig_tol=eig_tol)
+        delta = preserve_complementary(A, X, La, Xf, Lf, space, cls, tol=tol)
     else:
         Lc = _load_lambda(job, job.get("lambda_current"), "lambda_current")
-        delta = no_spillover(A, X, Lc, La, space, cls, tol=tol, eig_tol=eig_tol)
+        delta = no_spillover(A, X, Lc, La, space, cls, tol=tol)
 
     res = float(np.linalg.norm((A + delta) @ X - X @ La))
     struct = structure_residual(delta, space, cls)
@@ -463,15 +459,12 @@ def cmd_gen(args) -> int:
     out = _out_dir(job, args)
     if out is None:
         raise FormatError("gen needs an output directory (job 'out' or --out)")
-    field = inst.recipe.field
-    matio.save_matrix(os.path.join(out, "A.json"), inst.A,
-                      field if field == "real" else None)
-    matio.save_matrix(os.path.join(out, "H.json"), inst.space.H,
-                      field if field == "real" else None)
+    matio.save_matrix(os.path.join(out, "A.json"), inst.A)
+    matio.save_matrix(os.path.join(out, "H.json"), inst.space.H)
     truth = {
         "class": inst.cls.name.lower(),
         "star": inst.space.star,
-        "field": field,
+        "field": recipe.field,
         "seed": recipe.seed,
         "membership_residual": res,
         "pairs": [{

@@ -44,31 +44,22 @@ def frob(A) -> float:
 
 
 def as_matrix(A, name="matrix", space=None) -> np.ndarray:
-    """A as a 2-D array: float64 on a real space when its imaginary part
-    is exactly zero (``working_field``'s test, so nothing is dropped),
-    complex128 otherwise and without a space."""
-    real = space is not None and space.field == "real"
-    A = working_field(A) if real else np.asarray(A)
-    A = A.astype(float if real and not np.iscomplexobj(A) else complex,
-                 copy=False)
+    """A as a 2-D array in its field, the one place a field is decided:
+    float64 when the data is exactly real, unless the space is complex;
+    complex128 when it has a nonzero imaginary entry or the space is
+    complex.  Anything with a ``field`` (a space, an instance recipe) can
+    stand in for the space.  The test is exact, so nothing is dropped."""
+    A = np.asarray(A)
+    if (getattr(space, "field", "real") == "complex"
+            or np.iscomplexobj(A) and np.any(A.imag)):
+        A = A.astype(complex, copy=False)
+    else:
+        A = np.ascontiguousarray(A.real, dtype=float)
     if A.ndim == 1:
         A = A.reshape(-1, 1)
     if A.ndim != 2:
         raise ArgumentError(f"{name} must be 2-dimensional, got shape {A.shape}")
     return A
-
-
-def working_field(M) -> np.ndarray:
-    """M in its own field: its real part when the imaginary part is exactly
-    zero, so LAPACK gets real routines for real data.
-
-    The test is exact, never a tolerance: data with any nonzero imaginary
-    entry stays complex and is passed on unchanged.
-    """
-    M = np.asarray(M)
-    if np.iscomplexobj(M) and not np.any(M.imag):
-        return np.ascontiguousarray(M.real)
-    return M
 
 
 class StructureClass(enum.Enum):
@@ -110,6 +101,13 @@ class ToleranceProfile:
     structure_tol: float = DEFAULT_STRUCTURE_TOL
     rank_tol: float = DEFAULT_RANK_TOL
     residual_tol: float = DEFAULT_RESIDUAL_TOL
+
+    @property
+    def eig_tol(self) -> float:
+        """Relative residual allowed for computed eigen-data (invariant
+        pairs, Jordan chains, spectrum matching): residual_tol, but never
+        below 1e-6, the accuracy of eigenvectors from a dense solver."""
+        return max(1e-6, self.residual_tol)
 
     def __post_init__(self):
         for name in ("structure_tol", "rank_tol", "residual_tol"):
@@ -238,7 +236,7 @@ class ScalarProductSpace:
     H: np.ndarray
     star: str = "CT"
     field: str = dc_field(default="")
-    epsilon1: int = 0
+    epsilon1: int = dc_field(default=0, init=False)
     structure_tol: float = DEFAULT_STRUCTURE_TOL
 
     def __post_init__(self):
@@ -247,7 +245,7 @@ class ScalarProductSpace:
         if H.shape[0] != H.shape[1]:
             raise ArgumentError(f"H must be square, got shape {H.shape}")
         star = _normalize_star(self.star)
-        field = self.field or ("real" if np.max(np.abs(H.imag)) == 0.0 else "complex")
+        field = self.field or ("complex" if np.iscomplexobj(H) else "real")
         if field not in ("real", "complex"):
             raise ArgumentError(f"unknown field {self.field!r}")
         if field == "real":
@@ -257,8 +255,10 @@ class ScalarProductSpace:
                     residual=float(np.max(np.abs(H.imag))))
             H = H.real
             star = "T"
+        object.__setattr__(self, "field", field)
+        H = as_matrix(H, "H", self)
 
-        Hs = H.T if star == "T" and field == "complex" else H.conj().T
+        Hs = _star(H, star, field)
         r_plus = np.linalg.norm(Hs - H)
         r_minus = np.linalg.norm(Hs + H)
         eps1 = 1 if r_plus <= r_minus else -1
@@ -284,7 +284,6 @@ class ScalarProductSpace:
         H.setflags(write=False)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "star", star)
-        object.__setattr__(self, "field", field)
         object.__setattr__(self, "epsilon1", eps1)
 
     def _key(self):
@@ -378,15 +377,15 @@ class ScalarProductSpace:
 def adjoint(A, space: ScalarProductSpace) -> np.ndarray:
     """Adjoint of A with respect to the scalar product: ``H^-1 A* H``.
 
-    Computed in the working field of A and H, so real data gets real
-    arithmetic and a real result.
+    Computed in the field of A and H, so real data gets real arithmetic and
+    a real result.
     """
     A = as_matrix(A, "A")
     n = space.n
     if A.shape != (n, n):
         raise ArgumentError(f"A has shape {A.shape}, space has dimension {n}")
-    H = working_field(space.H)
-    return np.linalg.solve(H, working_field(space.star_mat(A)) @ H)
+    H = as_matrix(space.H, "H")
+    return np.linalg.solve(H, space.star_mat(A) @ H)
 
 
 def structure_residual(A, space: ScalarProductSpace, cls: StructureClass) -> float:
@@ -411,15 +410,15 @@ def is_member(A, space: ScalarProductSpace, cls: StructureClass,
 
 def pseudoinverse(X, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with singular values below
-    ``rank_tol * sigma_max`` treated as zero; real X gets a real one."""
-    X = X if np.isrealobj(X) and np.ndim(X) == 2 else as_matrix(X, "X")
-    return np.linalg.pinv(X, rcond=rank_tol)
+    ``rank_tol * sigma_max`` treated as zero, in the dtype of X."""
+    X = np.asarray(X)
+    return np.linalg.pinv(X if X.ndim == 2 else as_matrix(X, "X"), rcond=rank_tol)
 
 
 def numerical_rank(X, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count of singular values above ``rank_tol * sigma_max``, taken in the
-    working field of X."""
-    X = working_field(X)
+    field of X."""
+    X = as_matrix(X, "X")
     if X.size == 0:
         return 0
     s = np.linalg.svd(X, compute_uv=False)

@@ -27,7 +27,6 @@ from .core import (
     gram_matrix,
     numerical_rank,
     structure_residual,
-    working_field,
 )
 from .errors import ArgumentError, InfeasiblePlanError
 from .spectral import JordanPair, ReassignmentAssembly, _group_orbits
@@ -140,7 +139,7 @@ def spectrum_multiset_compare(A, B, tol: float = 1e-8) -> SpectrumVerdict:
     (a greedy pass would misreport swapped conjugate pairs); the verdict is
     matched when the largest paired distance stays below
     ``tol * max(1, spectral scale)``.  Each spectrum is computed in the
-    working field of its matrix.
+    field of its matrix.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -150,8 +149,7 @@ def spectrum_multiset_compare(A, B, tol: float = 1e-8) -> SpectrumVerdict:
         raise ArgumentError(
             f"oracle limited to n <= {oracle_dim_limit()} "
             f"(set {ORACLE_NMAX_ENV} to raise)")
-    return _compare_spectra(np.linalg.eigvals(working_field(A)),
-                            np.linalg.eigvals(working_field(B)), tol)
+    return _compare_spectra(np.linalg.eigvals(A), np.linalg.eigvals(B), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +208,7 @@ def _planned_spectrum(eigs_a, currents, targets, match_tol, scale, notes):
                 f"(paired at distance {paired[i]:.3e})")
         planned.append(t)
     remaining = np.delete(eigs_a, cols)
-    return np.concatenate([np.asarray(planned, dtype=complex), remaining])
+    return np.concatenate([planned, remaining])
 
 
 def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
@@ -228,8 +226,8 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     parameter make no claim about the complement, so callers verify them
     with check_spillover=False, which skips the fixed-pair and
     spectrum-replacement checks.  The eigensolves, the rank SVD and the
-    adjoint solve run in the working field of their matrices: real LAPACK
-    for exactly real data.
+    adjoint solve run in the field of their matrices: real LAPACK for
+    exactly real data.
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
@@ -262,11 +260,11 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
             "family member: no claim on the complement, spectrum "
             "replacement not checked")
     elif A.shape[0] <= oracle_dim_limit():
-        w, V = np.linalg.eig(working_field(A))
+        w, V = np.linalg.eig(A)
         planned = _planned_spectrum(w, currents, targets, match_tol, sp_scale,
                                     notes)
-        verdict = _compare_spectra(np.linalg.eigvals(working_field(perturbed)),
-                                   planned, match_tol)
+        verdict = _compare_spectra(np.linalg.eigvals(perturbed), planned,
+                                   match_tol)
         if fixed_pairs is None:
             keep = [i for i, lam in enumerate(w)
                     if currents.size == 0
@@ -373,7 +371,7 @@ def _embed(block_chains, offset, width, total):
     """Lift block-local chains (value, X_local) to global coordinates."""
     out = []
     for lam, Xl in block_chains:
-        X = np.zeros((total, Xl.shape[1]), dtype=complex)
+        X = np.zeros((total, Xl.shape[1]), Xl.dtype)
         X[offset:offset + width, :] = Xl
         out.append((lam, X))
     return out
@@ -444,14 +442,13 @@ def _hermitian_congruence(H0, H1, scale_i=False):
 
 def _involutory_symmetric_sqrt(H):
     """Unitary symmetric W with W W^T = H, for real symmetric orthogonal H."""
-    if np.max(np.abs(np.asarray(H).imag)) > 1e-12:
+    if np.max(np.abs(H.imag)) > 1e-12:
         raise InfeasiblePlanError(
             "the bilinear congruence route needs a real symmetric H")
-    Hr = np.asarray(H, dtype=complex)
-    n = Hr.shape[0]
-    if np.linalg.norm(Hr @ Hr - np.eye(n)) > 1e-10 * n:
+    n = H.shape[0]
+    if np.linalg.norm(H @ H - np.eye(n)) > 1e-10 * n:
         raise InfeasiblePlanError("H must be involutory for the sqrt route")
-    return ((1 - 1j) * Hr + (1 + 1j) * np.eye(n)) / 2.0
+    return ((1 - 1j) * H + (1 + 1j) * np.eye(n)) / 2.0
 
 
 def _congruence_transform(H0, H1, star, eps1, field):
@@ -545,18 +542,18 @@ def _build_preset_h(recipe, H0):
     raise ArgumentError(f"unknown space kind {kind!r}")
 
 
-def _random_automorphism(space_H, star_mat, eps1, field, rng, strength):
+def _random_automorphism(space_H, recipe, eps1, rng):
     """Cayley transform of a sampled element of the form's automorphism
     Lie algebra; satisfies G* H G = H exactly in exact arithmetic."""
     n = space_H.shape[0]
     M = rng.standard_normal((n, n))
-    if field == "complex":
+    if recipe.field == "complex":
         M = M + 1j * rng.standard_normal((n, n))
-    K = (M - eps1 * star_mat(M)) / 2.0
+    K = (M - eps1 * _star(M, recipe.star, recipe.field)) / 2.0
     W = np.linalg.solve(space_H, K)
     nrm = np.linalg.norm(W, 2)
     if nrm > 0:
-        W = W * (strength / nrm)
+        W = W * (recipe.cayley_strength / nrm)
     I = np.eye(n)
     return np.linalg.solve((I + W).T, (I - W).T).T
 
@@ -569,8 +566,8 @@ def generate_instance(recipe: InstanceRecipe,
     the requested H by an exact unitary congruence, and conjugated by a
     seeded Cayley automorphism of the form.  Ground-truth Jordan pairs are
     carried through both transformations, so membership and the planned
-    Jordan structure hold to machine precision.  A real recipe gives a
-    float64 A.
+    Jordan structure hold to machine precision.  A real recipe is built in
+    float64 throughout and gives a float64 A.
 
     Plans the catalogue cannot realize for the requested space (wrong
     inertia, pairing violations, structurally forced even multiplicities)
@@ -584,8 +581,8 @@ def generate_instance(recipe: InstanceRecipe,
 
     n = recipe.n
     units = _balance_signs(units, recipe, n)
-    A0 = scipy.linalg.block_diag(*[u[0] for u in units]).astype(complex)
-    H0 = scipy.linalg.block_diag(*[u[1] for u in units]).astype(complex)
+    A0 = as_matrix(scipy.linalg.block_diag(*[u[0] for u in units]), "A0", recipe)
+    H0 = as_matrix(scipy.linalg.block_diag(*[u[1] for u in units]), "H0", recipe)
     chains = []
     offset = 0
     for A_u, H_u, ch in units:
@@ -598,46 +595,32 @@ def generate_instance(recipe: InstanceRecipe,
 
     eps1 = _preset_eps1(recipe)
     rng = np.random.default_rng(recipe.seed)
-
-    def star_mat(M):
-        # the construction runs in complex arithmetic on every field
-        return _star(np.asarray(M, dtype=complex), recipe.star, recipe.field)
-
     if recipe.space_kind == "random":
         V = rng.standard_normal((n, n))
         if recipe.field == "complex":
             V = V + 1j * rng.standard_normal((n, n))
-        V, _ = np.linalg.qr(V)
-        H1 = star_mat(V) @ H0 @ V
-        U = V
+        U = as_matrix(np.linalg.qr(V)[0], "U", recipe)
+        H1 = as_matrix(_star(U, recipe.star, recipe.field) @ H0 @ U, "H1", recipe)
     else:
-        H1 = _build_preset_h(recipe, H0).astype(complex)
-        U = _congruence_transform(H0, H1, recipe.star, eps1, recipe.field)
-        err = np.linalg.norm(star_mat(U) @ H0 @ U - H1)
+        H1 = as_matrix(_build_preset_h(recipe, H0), "H1", recipe)
+        U = as_matrix(_congruence_transform(H0, H1, recipe.star, eps1,
+                                            recipe.field), "U", recipe)
+        err = np.linalg.norm(_star(U, recipe.star, recipe.field) @ H0 @ U - H1)
         if err > 1e-8 * max(1.0, frob(H0)):
             raise InfeasiblePlanError(
                 f"internal: congruence onto the preset failed (residual {err:.3e})")
 
-    G = _random_automorphism(H1, star_mat, eps1, recipe.field, rng,
-                             recipe.cayley_strength)
+    G = as_matrix(_random_automorphism(H1, recipe, eps1, rng), "G", recipe)
     UG = U @ G
-    A = np.linalg.solve(UG, A0 @ UG)
+    A = as_matrix(np.linalg.solve(UG, A0 @ UG), "A", recipe)
     # one solve for every chain: UG is factored once
     values, blocks = zip(*chains)
     moved_blocks = np.hsplit(np.linalg.solve(UG, np.hstack(blocks)),
                              np.cumsum([X.shape[1] for X in blocks])[:-1])
-    moved = list(zip(values, moved_blocks))
-
-    if recipe.field == "real":
-        imax = float(np.max(np.abs(A.imag)))
-        if imax > 1e-10 * max(1.0, frob(A)):
-            raise InfeasiblePlanError(
-                f"internal: real instance came out complex (imag {imax:.3e})")
-        A = np.ascontiguousarray(A.real)
 
     space = ScalarProductSpace(H1, star=recipe.star, field=recipe.field)
     pairs = []
-    for lam, X in moved:
+    for lam, X in zip(values, moved_blocks):
         X = X / np.linalg.norm(X[:, 0])
         pairs.append(JordanPair(value=lam, chain=X))
     return GeneratedInstance(A=A, space=space, cls=recipe.cls,

@@ -98,7 +98,8 @@ def _z_term(Z, X, Xd, space):
 
 def _admissible_z(Z, space, cls, tol, real=False) -> np.ndarray:
     """Z as an n x n matrix, checked to be an admissible family parameter:
-    ``Z* = e1 e2 Z`` and, when real is set, real."""
+    ``Z* = e1 e2 Z`` and, when real is set, real to the structure
+    tolerance, in which case its real part is returned."""
     Z = as_matrix(Z, "Z", space)
     if Z.shape != (space.n, space.n):
         raise ArgumentError("Z must be n x n")
@@ -112,7 +113,7 @@ def _admissible_z(Z, space, cls, tol, real=False) -> np.ndarray:
         raise StructureError(
             "z_real", "real arrangements require a real parameter Z",
             residual=imag)
-    return Z
+    return np.ascontiguousarray(Z.real) if real else Z
 
 
 def _feasibility(X, B, Xd, W, space, cls, tol) -> FeasibilityReport:

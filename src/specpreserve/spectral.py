@@ -98,8 +98,7 @@ def pairing_partner(lam, cls: StructureClass, star) -> complex:
     sesquilinear one.  On a real field the orbit of lam also contains the
     conjugates of both (see ``_pairing_orbit``)."""
     cls = StructureClass.parse(cls)
-    key = str(star).strip().lower()
-    if key in ("t", "transpose", "bilinear"):
+    if _normalize_star(star) == "T":
         return cls.epsilon2 * complex(lam)
     return cls.epsilon2 * complex(np.conj(lam))
 

@@ -37,7 +37,6 @@ from .core import (
     gram_matrix,
     numerical_rank,
     pseudoinverse,
-    working_field,
 )
 from .errors import ArgumentError, StructureError
 from .mapping import _family_factors, solve_structured
@@ -120,8 +119,7 @@ def reproduce_invariant(A, X_a, Lambda_a, space: ScalarProductSpace,
 
 def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
                        cls: StructureClass, Z=None,
-                       tol: ToleranceProfile | None = None,
-                       eig_tol: float = 1e-6) -> np.ndarray:
+                       tol: ToleranceProfile | None = None) -> np.ndarray:
     """Structured perturbation keeping the invariant subspace range(X_c)
     invariant, in the re-basis X_c R, with new restriction Lambda_a."""
     tol = tol or ToleranceProfile()
@@ -136,7 +134,7 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
         raise ArgumentError("R must be p x p")
     if numerical_rank(R, tol.rank_tol) < p:
         raise StructureError("nonsingular_R", "R is numerically singular")
-    _check_invariant_pair(A, X_c, Lambda_c, eig_tol, "A X_c = X_c Lambda_c")
+    _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol, "A X_c = X_c Lambda_c")
     GR = space.star_mat(R) @ gram_matrix(X_c, space) @ R
     _check_gram_compatible(GR, Lambda_a, space, cls, tol, "lambda_compatibility",
                            "Lambda_a incompatible in the basis X_c R")
@@ -153,7 +151,6 @@ def _spectral_gap(ec, ef, space, cls):
 def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
                            space: ScalarProductSpace, cls: StructureClass,
                            tol: ToleranceProfile | None = None,
-                           eig_tol: float = 1e-6,
                            separation: float = SPECTRAL_SEPARATION) -> np.ndarray:
     """Structured perturbation reassigning the restriction on range(X_c) to
     Lambda_a while fixing the complementary invariant pair (X_f, Lambda_f).
@@ -173,9 +170,9 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     p = X_c.shape[1]
     AX_c = _real_apply(A, X_c)
     Lambda_c = pseudoinverse(X_c, tol.rank_tol) @ AX_c
-    _check_invariant_pair(A, X_c, Lambda_c, eig_tol,
+    _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol,
                           "invariance of range(X_c) under A")
-    _check_invariant_pair(A, X_f, Lambda_f, eig_tol, "A X_f = X_f Lambda_f")
+    _check_invariant_pair(A, X_f, Lambda_f, tol.eig_tol, "A X_f = X_f Lambda_f")
     ec = np.linalg.eigvals(Lambda_c)
     ef = np.linalg.eigvals(Lambda_f)
     gap = _spectral_gap(ec, ef, space, cls)
@@ -229,8 +226,7 @@ def gram_inverse_apply(G, RHS):
 
 
 def no_spillover(A, X_c, Lambda_c, Lambda_a, space: ScalarProductSpace,
-                 cls: StructureClass, tol: ToleranceProfile | None = None,
-                 eig_tol: float = 1e-6) -> np.ndarray:
+                 cls: StructureClass, tol: ToleranceProfile | None = None) -> np.ndarray:
     """Closed-form structured update touching nothing outside range(X_c):
 
         delta = X_c (L_a - L_c) (X_c* H X_c)^-1 X_c* H
@@ -248,7 +244,7 @@ def no_spillover(A, X_c, Lambda_c, Lambda_a, space: ScalarProductSpace,
     p = X_c.shape[1]
     if Lambda_c.shape != (p, p) or Lambda_a.shape != (p, p):
         raise ArgumentError("Lambda_c and Lambda_a must be p x p")
-    _check_invariant_pair(A, X_c, Lambda_c, eig_tol, "A X_c = X_c Lambda_c")
+    _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol, "A X_c = X_c Lambda_c")
     G = gram_matrix(X_c, space)
     _check_gram_compatible(G, Lambda_a, space, cls, tol)
     return _no_spillover_update(G, X_c, X_c @ (Lambda_a - Lambda_c), space,
@@ -263,7 +259,7 @@ def _no_spillover_update(G, X, B, space, rank_tol, floor):
     ``rank_tol * max(floor, sigma_max)``: floor 0 is the relative rank
     test, floor 1 adds an absolute one.
     """
-    s = np.linalg.svd(working_field(G), compute_uv=False)
+    s = np.linalg.svd(as_matrix(G, "G"), compute_uv=False)
     if s.size == 0 or s[-1] <= rank_tol * max(floor, s[0]):
         raise StructureError(
             "gram_singular",

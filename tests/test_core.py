@@ -30,6 +30,10 @@ class TestScalarProductSpace:
         space = ScalarProductSpace.skewj(4, star="ct")
         assert space.epsilon1 == -1
 
+    def test_eps1_is_detected_never_passed(self):
+        with pytest.raises(TypeError):
+            ScalarProductSpace(np.eye(2), epsilon1=-1)
+
     def test_rejects_non_unitary(self):
         with pytest.raises(StructureError):
             ScalarProductSpace(np.diag([1.0, 2.0]), star="ct")

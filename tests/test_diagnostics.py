@@ -1,5 +1,7 @@
 """Spectrum comparison, verification reports and instance generation."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -201,10 +203,13 @@ class TestRealFieldOracle:
         assert delta.dtype == np.float64
         real = verify_reassignment(inst.A.real, delta, asm, inst.space,
                                    inst.cls)
-        # reference: the same data cast to complex, with the working-field
-        # reduction switched off so LAPACK runs its complex routines
+        # reference: the same data cast to complex, with the field decision
+        # forced to complex so LAPACK runs its complex routines
+        complex_field = types.SimpleNamespace(field="complex")
+        as_matrix = specpreserve.core.as_matrix
         for module in (specpreserve.core, specpreserve.diagnostics):
-            monkeypatch.setattr(module, "working_field", np.asarray)
+            monkeypatch.setattr(module, "as_matrix", lambda A, name="matrix",
+                                space=None: as_matrix(A, name, complex_field))
         seen = _lapack_spy(monkeypatch)
         cplx = verify_reassignment(inst.A.astype(complex),
                                    delta.astype(complex), asm, inst.space,

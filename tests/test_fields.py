@@ -1,16 +1,22 @@
-"""Real data stays real: membership on real spaces requires realness, real
-instances, samples and assemblies are float64, the kernels never hold an
-n x n complex array on a real arrangement, and the realness guard of the
-real-basis reassignment still fires on broken conjugate chains."""
+"""Real data stays real: ``as_matrix`` decides every field, membership on
+real spaces requires realness, real instances, samples and assemblies are
+float64 (the generator builds real recipes in float64 throughout), the
+kernels never hold an n x n complex array on a real arrangement, and the
+realness guards of the real-basis reassignment still fire on broken
+conjugate chains and on an assembly without its conjugation map."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 import helpers
 from specpreserve import (
+    ArgumentError,
+    InfeasiblePlanError,
     InstanceRecipe,
+    JordanPair,
     PlanGroup,
     RealnessError,
     ReassignmentGroup,
@@ -27,7 +33,8 @@ from specpreserve import (
     sample_structured,
     z_symmetry_residual,
 )
-from specpreserve import core, mapping, reassign, spectral, subspaces
+from specpreserve import (classical, core, diagnostics, mapping, reassign,
+                          spectral, subspaces)
 from specpreserve.subspaces import preserve_complementary, reproduce_invariant
 
 N = 6
@@ -42,6 +49,33 @@ def _real_space(preset, star):
         eps1 = -1 if preset.endswith("-") else 1
         return helpers.make_space(N, star, eps1, "real", "random", rng)
     return getattr(ScalarProductSpace, preset)(N, star=star, field="real")
+
+
+def test_as_matrix_decides_the_field():
+    real, cplx = np.eye(2), np.eye(2) * (1 + 0j)
+    for A in (real, cplx, [[1, 0], [0, 1]]):
+        assert core.as_matrix(A).dtype == np.float64
+        assert core.as_matrix(A, space=ScalarProductSpace.identity(2,
+                              field="real")).dtype == np.float64
+        assert core.as_matrix(A, space=ScalarProductSpace.identity(
+            2)).dtype == np.complex128
+    recipe = InstanceRecipe("identity", "jordan", "complex")
+    assert core.as_matrix(real, space=recipe).dtype == np.complex128
+    assert core.as_matrix(1j * real).dtype == np.complex128
+    assert core.as_matrix(1j * real, space=ScalarProductSpace.identity(
+        2, field="real")).dtype == np.complex128
+
+
+def test_no_space_helpers_keep_exactly_real_data_real():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((4, 4))
+    w, V = np.linalg.eigh(A + A.T)
+    x = V[:, 0] * (1 + 0j)
+    assert JordanPair(w[0], x).chain.dtype == np.float64
+    assert classical.brauer_update(A + A.T, x, w[0], x).dtype == np.float64
+    assert classical.brauer_shift(A + A.T, w[0], x, x, 2.0).dtype == np.float64
+    assert classical.reproduce_invariant(
+        A, V[:, :2], np.eye(2)).dtype == np.float64
 
 
 @pytest.mark.parametrize("cls", helpers.CLASSES, ids=lambda c: c.name)
@@ -117,6 +151,41 @@ def test_real_instances_samples_and_assemblies_are_float64():
     asm = _assembly(inst, JORDAN_MOVED, 1.25)
     for M in (asm.X_c, asm.Lambda_c, asm.Lambda_a):
         assert M.dtype == np.float64
+
+
+# every real row of the pairing table, on every preset and both stars
+REAL_ORBITS = {"jordan": ([0.0], [1.5], [1 + 2j, 1 - 2j]),
+               "lie": ([0.0], [0.8, -0.8], [1.5j, -1.5j],
+                       [1 + 2j, 1 - 2j, -1 - 2j, -1 + 2j])}
+PRESETS = [("identity", 0), ("flip", 0), ("signature", 0), ("skewj", 0),
+           ("random", 1), ("random", -1)]
+BUILT = {"A0", "H0", "H1", "U", "G", "A"}
+
+
+def test_real_recipes_are_built_in_float64(monkeypatch):
+    seen = {}
+
+    def spy(A, name="matrix", space=None):
+        out = core.as_matrix(A, name, space)
+        seen[name] = out.dtype
+        return out
+
+    monkeypatch.setattr(diagnostics, "as_matrix", spy)
+    built = 0
+    for cls, orbits in REAL_ORBITS.items():
+        for values in orbits:
+            for (preset, eps1), star in itertools.product(PRESETS, ("T", "CT")):
+                plan = tuple(PlanGroup(v, (1, 1)) for v in values)
+                seen.clear()
+                try:
+                    inst = generate_instance(InstanceRecipe(
+                        preset, cls, "real", star, plan, seed=17, eps1=eps1))
+                except InfeasiblePlanError:
+                    continue
+                built += 1
+                assert {seen[k] for k in BUILT} == {np.dtype(np.float64)}
+                assert inst.A.dtype == np.float64
+    assert built == 62
 
 
 # ---------------------------------------------------------------------------
@@ -217,3 +286,27 @@ def test_broken_conjugate_chain_raises_realness_error():
     for run in (reassign_family, reassign_no_spillover):
         with pytest.raises(RealnessError):
             run(inst.A, broken, space, inst.cls, verify=False)
+
+
+def test_real_arrangement_without_conjugation_map_raises():
+    inst = _real_lie_instance()
+    asm = dataclasses.replace(_assembly(inst, LIE_MOVED, 1.25),
+                              conjugation=None)
+    for run in (reassign_family, reassign_no_spillover):
+        with pytest.raises(ArgumentError, match="conjugation map"):
+            run(inst.A, asm, inst.space, inst.cls, verify=False)
+
+
+def test_nearly_real_z_is_taken_as_its_real_part():
+    """An imaginary part of Z within the structure tolerance is dropped by
+    the admissibility check, so the update is float64 by construction."""
+    inst = _real_jordan_instance()
+    asm = _assembly(inst, JORDAN_MOVED, 1.25)
+    space, cls = inst.space, inst.cls
+    Z = sample_structured(space, cls, seed=7)
+    K = np.random.default_rng(8).standard_normal(Z.shape)
+    noisy = Z + 1e-9 * np.linalg.norm(Z) * 1j * (K + K.T) / np.linalg.norm(K)
+    delta = reassign_family(inst.A, asm, space, cls, Z=noisy, verify=False).delta
+    assert delta.dtype == np.float64
+    assert np.array_equal(
+        delta, reassign_family(inst.A, asm, space, cls, Z=Z, verify=False).delta)

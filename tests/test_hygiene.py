@@ -1,5 +1,6 @@
 """Source hygiene that no installed linter checks: every module-level import
-in the package is used by its module or re-exported through ``__all__``."""
+in the package is used by its module or re-exported through ``__all__``, and
+the field-keeping modules never cast to complex outside ``as_matrix``."""
 
 import ast
 import pathlib
@@ -39,28 +40,37 @@ def test_no_unused_module_imports(path):
     assert not unused, f"{path.name} imports but never uses {unused}"
 
 
-# modules whose kernels keep the field of their data: the boundary
-# (``core.as_matrix`` with the space) decides it, and nothing here casts
-FIELD_KEEPING = ("mapping.py", "reassign.py", "subspaces.py")
+# modules that keep the field of their data: ``core.as_matrix`` (with the
+# space, or anything with a ``field``) is the one place a field is decided,
+# so it is the one function here allowed to cast
+FIELD_KEEPING = ("classical.py", "core.py", "diagnostics.py", "mapping.py",
+                 "reassign.py", "subspaces.py")
+FIELD_BOUNDARY = "as_matrix"
 
 
 def _complex_dtype(node):
-    """True for ``complex``, ``np.complex128`` and kin, or a "complex..."
-    dtype string."""
+    """True for ``complex``, ``np.complex128`` and kin, a "complex..." dtype
+    string, or a conditional with either branch complex."""
     if isinstance(node, ast.Name):
         return node.id == "complex"
     if isinstance(node, ast.Attribute):
         return node.attr.startswith("complex") or node.attr in ("cdouble",
                                                                 "csingle")
+    if isinstance(node, ast.IfExp):
+        return _complex_dtype(node.body) or _complex_dtype(node.orelse)
     return isinstance(node, ast.Constant) and "complex" in str(node.value)
 
 
 def _complex_casts(tree):
     """Lines of ``astype(complex)``, ``dtype=complex`` and a complex dtype
-    passed by position, as in ``np.asarray(M, complex)``."""
+    passed by position, as in ``np.asarray(M, complex)``, outside the
+    boundary function."""
+    boundary = {id(n) for f in ast.walk(tree)
+                if isinstance(f, ast.FunctionDef) and f.name == FIELD_BOUNDARY
+                for n in ast.walk(f)}
     hits = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
+        if not isinstance(node, ast.Call) or id(node) in boundary:
             continue
         astype = isinstance(node.func, ast.Attribute) and node.func.attr == "astype"
         dtypes = (node.args if astype else node.args[1:]) + [
@@ -83,9 +93,15 @@ def test_field_keeping_modules_never_cast_to_complex(name):
     ("np.zeros((n, n), dtype=np.complex128)", True),
     ("np.asarray(M, complex)", True),
     ("M.astype('complex128')", True),
+    # the casts the boundary replaced in core, classical and diagnostics
+    ("A.astype(float if real else complex, copy=False)", True),
+    ("x = np.asarray(x, dtype=complex).reshape(-1)", True),
+    ("A0 = scipy.linalg.block_diag(*blocks).astype(complex)", True),
     ("complex(z)", False),
     ("np.asarray(M)", False),
     ("M.astype(float)", False),
+    ("def as_matrix(A):\n    return A.astype(complex)", False),
+    ("def other(A):\n    return A.astype(complex)", True),
 ])
 def test_complex_cast_rule_catches_a_planted_cast(planted, flagged):
     assert bool(_complex_casts(ast.parse(planted))) == flagged

@@ -42,6 +42,11 @@ class TestPairingPartner:
     def test_lie_bilinear_negates(self):
         assert pairing_partner(1.5, "lie", "t") == -1.5
 
+    def test_unknown_star_is_rejected(self):
+        from specpreserve import ArgumentError
+        with pytest.raises(ArgumentError, match="unknown star"):
+            pairing_partner(1 + 2j, "lie", "bogus")
+
     @given(lam=finite_scalars,
            kind=st.sampled_from(["jordan", "lie"]),
            star=st.sampled_from(["t", "ct"]))

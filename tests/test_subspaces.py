@@ -227,7 +227,7 @@ class TestPreserveComplementary:
         delta = subspaces.preserve_complementary(
             golden.JORDAN5_A, golden.JORDAN5_XC, La,
             golden.JORDAN5_XF, golden.JORDAN5_LF, space, "jordan",
-            tol=LOOSE, eig_tol=1e-3)
+            tol=LOOSE)
         assert np.max(np.abs(delta.imag)) <= 1e-8
         assert np.max(np.abs(delta.real - golden.JORDAN5_DELTA)) <= golden.PRINT_TOL
 
@@ -260,11 +260,24 @@ class TestNoSpillover:
         La = np.diag(golden.SYM3_TARGET)
         delta = subspaces.no_spillover(
             golden.SYM3_A, golden.SYM3_XC, Lc, La, space, "jordan",
-            tol=LOOSE, eig_tol=1e-3)
+            tol=LOOSE)
         assert np.max(np.abs(delta.real - golden.SYM3_DELTA)) <= golden.PRINT_TOL
         assert numerical_rank(delta, 1e-6) == 2
         eigs = np.linalg.eigvals(golden.SYM3_A + delta.real)
         assert np.min(np.abs(eigs - golden.SYM3_FIXED)) <= 1e-3
+
+    def test_pair_tolerance_derives_from_the_profile(self):
+        """The sym3 basis is printed at 4 decimals (relative invariant-pair
+        residual 4.6e-6): the loose profile admits it, as the CLI job does,
+        and the default profile's 1e-6 rejects it."""
+        space = ScalarProductSpace(np.eye(3), star="t", field="real")
+        args = (golden.SYM3_A, golden.SYM3_XC, np.diag(golden.SYM3_CURRENT),
+                np.diag(golden.SYM3_TARGET), space, "jordan")
+        assert (LOOSE.eig_tol, ToleranceProfile().eig_tol) == (1e-3, 1e-6)
+        subspaces.no_spillover(*args, tol=LOOSE)
+        with pytest.raises(StructureError) as err:
+            subspaces.no_spillover(*args)
+        assert err.value.condition == "invariant_pair_residual"
 
     def test_printed_jordan_example_with_fixed_pair(self):
         space = ScalarProductSpace(golden.JORDAN5_H, star="t", field="real",
@@ -273,7 +286,7 @@ class TestNoSpillover:
         La = np.diag(golden.JORDAN5_TARGET)
         delta = subspaces.no_spillover(
             golden.JORDAN5_A, golden.JORDAN5_XC, Lc, La, space, "jordan",
-            tol=LOOSE, eig_tol=1e-3)
+            tol=LOOSE)
         assert np.max(np.abs(delta.imag)) <= 1e-10
         assert np.max(np.abs(delta.real - golden.JORDAN5_DELTA)) <= golden.PRINT_TOL
         fixed = np.linalg.norm(
