@@ -1,7 +1,8 @@
 """Independent verification oracle and structured test-instance generation.
 
 Nothing here reuses the perturbation constructors: spectra come from a
-dense eigensolver, residuals from direct multiplication, and generated
+dense eigenvalue solver, residuals from direct multiplication, the
+no-spillover claim from a randomized annihilation identity, and generated
 instances are built from exact canonical blocks conjugated by exact
 automorphisms of the form, so the oracle genuinely cross-checks the
 library instead of echoing it.
@@ -20,6 +21,7 @@ from .core import (
     StructureClass,
     ToleranceProfile,
     _normalize_star,
+    _real_apply,
     _star,
     _swap_h,
     as_matrix,
@@ -52,16 +54,20 @@ _PRESET_EPS1 = {"identity": 1, "flip": 1, "signature": 1, "skewj": -1}
 def oracle_dim_limit() -> int:
     """Largest dimension the dense eigensolver oracle will touch.
 
-    Unset or empty means 64; a value that is not an integer is an error.
+    Unset or empty means 64 and 0 turns the dense tier off; a value that is
+    not a non-negative integer is an error.
     """
     raw = os.environ.get(ORACLE_NMAX_ENV, "").strip()
     if not raw:
         return 64
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
+        limit = -1
+    if limit < 0:
         raise ArgumentError(
-            f"{ORACLE_NMAX_ENV} must be an integer, got {raw!r}") from None
+            f"{ORACLE_NMAX_ENV} must be a non-negative integer, got {raw!r}")
+    return limit
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +169,9 @@ class PerturbationReport:
     All residuals are Frobenius norms of directly recomputed identities;
     the spectrum verdict compares the perturbed spectrum against the
     planned replacement multiset derived from the unperturbed one.
+    fixed_residual belongs to a supplied fixed pair; spillover_residual is
+    the relative complement-annihilation residual of a no-spillover claim
+    checked without one (None otherwise, family members included).
     """
 
     delta: np.ndarray
@@ -173,6 +182,7 @@ class PerturbationReport:
     realness: bool
     spectrum_verdict: SpectrumVerdict | None
     fixed_residual: float | None = None
+    spillover_residual: float | None = None
     notes: tuple = dc_field(default=())
 
     def summary(self) -> dict:
@@ -183,8 +193,12 @@ class PerturbationReport:
             "gram_condition_estimate": self.gram_condition_estimate,
             "realness": self.realness,
             "fixed_residual": self.fixed_residual,
-            "notes": list(self.notes),
         }
+        # only reports that ran the check carry the key, so the summaries
+        # of family members and supplied-pair checks keep their old fields
+        if self.spillover_residual is not None:
+            d["spillover_residual"] = self.spillover_residual
+        d["notes"] = list(self.notes)
         d["spectrum"] = self.spectrum_verdict.summary() if self.spectrum_verdict else None
         return d
 
@@ -211,6 +225,42 @@ def _planned_spectrum(eigs_a, currents, targets, match_tol, scale, notes):
     return np.concatenate([planned, remaining])
 
 
+# seeded check columns: the same report for the same input
+_SPILL_COLUMNS = 3
+_SPILL_SEED = 20250101
+
+
+def _spillover_residual(A, delta, currents) -> float:
+    """``||delta Y|| / (||delta|| ||Y||)`` with ``Y = q(A) R``.
+
+    ``q(z) = prod (z - c_i)`` runs over the current values with their
+    multiplicity (a length-k chain contributes ``(A - cI)^k``), so q(A)
+    annihilates the moved generalized eigenspaces and Y is a random
+    vector block of the complement; a no-spillover delta must annihilate
+    it.  R holds _SPILL_COLUMNS seeded real columns.  Y is renormalised
+    after each factor; on real A a conjugate pair of currents is applied
+    as the real factor ``A^2 - 2 Re c A + |c|^2 I``, so Y stays real.
+    Uses only A, delta and the currents: O(n^2 deg(q) _SPILL_COLUMNS).
+    """
+    currents = np.asarray(currents)
+    Y = np.random.default_rng(_SPILL_SEED).standard_normal(
+        (A.shape[0], _SPILL_COLUMNS))
+    up = currents[currents.imag > 0]
+    if (not np.iscomplexobj(A)
+            and np.array_equal(np.sort(up),
+                               np.sort(currents[currents.imag < 0].conj()))):
+        linear, quadratic = currents[currents.imag == 0].real, up
+    else:
+        linear, quadratic = currents, ()
+    for c in linear:
+        Y = _real_apply(A, Y) - c * Y
+        Y /= max(frob(Y), 1e-300)
+    for c in quadratic:
+        Y = _real_apply(A, _real_apply(A, Y) - 2 * c.real * Y) + abs(c) ** 2 * Y
+        Y /= max(frob(Y), 1e-300)
+    return frob(_real_apply(delta, Y)) / max(frob(delta) * frob(Y), 1e-300)
+
+
 def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
                         space: ScalarProductSpace, cls: StructureClass,
                         fixed_pairs=None, tol: ToleranceProfile | None = None,
@@ -219,15 +269,18 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     """Build the verification bundle for a perturbation.
 
     fixed_pairs may be a tuple (X_f, Lambda_f) of a known fixed invariant
-    pair; when omitted, check_spillover is set and the matrix is
-    oracle-sized, fixed eigenpairs are recovered from a dense
-    eigendecomposition of A (eigenvalues away from the changed family) and
-    their residual is reported.  Family-of-solutions members with a free
-    parameter make no claim about the complement, so callers verify them
-    with check_spillover=False, which skips the fixed-pair and
-    spectrum-replacement checks.  The eigensolves, the rank SVD and the
-    adjoint solve run in the field of their matrices: real LAPACK for
-    exactly real data.
+    pair, whose residual is reported.  When omitted and check_spillover is
+    set, the no-spillover claim is checked at every size by complement
+    annihilation (``_spillover_residual``; skipped when the currents fill
+    the whole spectrum, leaving no complement): no eigenvectors are
+    computed.
+    The spectrum verdict needs two ``eigvals`` calls (A and A + delta) and
+    runs only while n <= oracle_dim_limit().  Family-of-solutions members
+    with a free parameter make no claim about the complement, so callers
+    verify them with check_spillover=False, which skips the spillover and
+    spectrum-replacement checks.  The eigenvalue solves, the rank SVD, the
+    adjoint solve and every product run in the field of their matrices:
+    real LAPACK and BLAS for exactly real data.
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
@@ -236,48 +289,45 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     notes = []
     X = assembly.X_c
     perturbed = A + delta
-    reassigned = float(np.linalg.norm(perturbed @ X - X @ assembly.Lambda_a))
+    reassigned = float(np.linalg.norm(
+        _real_apply(perturbed, X) - X @ assembly.Lambda_a))
     struct = structure_residual(delta, space, cls)
     rank = numerical_rank(delta, tol.rank_tol)
     gram_condition = float(np.real(np.linalg.cond(gram_matrix(X, space), 1)))
-    scale = max(frob(delta), 1e-300)
-    realness = bool(np.max(np.abs(delta.imag)) <= 1e-10 * scale)
+    realness = (not np.iscomplexobj(delta) or bool(
+        np.max(np.abs(delta.imag)) <= 1e-10 * max(frob(delta), 1e-300)))
 
     currents = assembly.current_values
     targets = assembly.target_values
     sp_scale = max(1.0, float(np.max(np.abs(currents))) if currents.size else 0.0)
 
     fixed_res = None
+    spill_res = None
     if fixed_pairs is not None:
         X_f, L_f = fixed_pairs
         X_f = as_matrix(X_f, "X_f")
         L_f = as_matrix(L_f, "Lambda_f")
-        fixed_res = float(np.linalg.norm(perturbed @ X_f - X_f @ L_f))
+        fixed_res = float(np.linalg.norm(_real_apply(perturbed, X_f) - X_f @ L_f))
 
     verdict = None
     if not check_spillover:
         notes.append(
             "family member: no claim on the complement, spectrum "
             "replacement not checked")
-    elif A.shape[0] <= oracle_dim_limit():
-        w, V = np.linalg.eig(A)
-        planned = _planned_spectrum(w, currents, targets, match_tol, sp_scale,
-                                    notes)
-        verdict = _compare_spectra(np.linalg.eigvals(perturbed), planned,
-                                   match_tol)
-        if fixed_pairs is None:
-            keep = [i for i, lam in enumerate(w)
-                    if currents.size == 0
-                    or np.min(np.abs(lam - currents)) > match_tol * sp_scale]
-            if keep:
-                X_f = V[:, keep]
-                L_f = np.diag(w[keep])
-                fixed_res = float(np.linalg.norm(perturbed @ X_f - X_f @ L_f))
-                notes.append(
-                    f"fixed pair recovered by the eigensolver oracle "
-                    f"({len(keep)} eigenvalues)")
     else:
-        notes.append("matrix exceeds the oracle bound; spectrum not compared")
+        if A.shape[0] <= oracle_dim_limit():
+            planned = _planned_spectrum(np.linalg.eigvals(A), currents,
+                                        targets, match_tol, sp_scale, notes)
+            verdict = _compare_spectra(np.linalg.eigvals(perturbed), planned,
+                                       match_tol)
+        else:
+            notes.append(
+                "matrix exceeds the oracle bound; spectrum not compared")
+        if fixed_pairs is None and currents.size < A.shape[0]:
+            spill_res = _spillover_residual(A, delta, currents)
+            notes.append(
+                f"spillover checked by complement annihilation (q(A) of "
+                f"degree {currents.size}, {_SPILL_COLUMNS} seeded columns)")
 
     return PerturbationReport(
         delta=delta,
@@ -288,6 +338,7 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
         realness=realness,
         spectrum_verdict=verdict,
         fixed_residual=fixed_res,
+        spillover_residual=spill_res,
         notes=tuple(notes),
     )
 

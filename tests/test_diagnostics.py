@@ -1,5 +1,6 @@
 """Spectrum comparison, verification reports and instance generation."""
 
+import functools
 import types
 
 import numpy as np
@@ -28,7 +29,8 @@ from specpreserve import (
     verify_reassignment,
 )
 from specpreserve.core import frob
-from specpreserve.diagnostics import _planned_spectrum, oracle_dim_limit
+from specpreserve.diagnostics import (_planned_spectrum, _spillover_residual,
+                                      oracle_dim_limit)
 
 
 class TestSpectrumCompare:
@@ -81,6 +83,22 @@ class TestSpectrumCompare:
             oracle_dim_limit()
         assert "SPECPRESERVE_ORACLE_NMAX" in str(err.value)
         assert repr(raw) in str(err.value)
+
+    @pytest.mark.parametrize("raw", ["-3", "-1"])
+    def test_oracle_bound_negative_raises(self, monkeypatch, raw):
+        monkeypatch.setenv("SPECPRESERVE_ORACLE_NMAX", raw)
+        with pytest.raises(ArgumentError) as err:
+            oracle_dim_limit()
+        assert "SPECPRESERVE_ORACLE_NMAX" in str(err.value)
+        assert repr(raw) in str(err.value)
+
+    def test_oracle_bound_zero_turns_the_dense_tier_off(self, monkeypatch):
+        monkeypatch.setenv("SPECPRESERVE_ORACLE_NMAX", "0")
+        assert oracle_dim_limit() == 0
+        inst, asm, delta, _ = _annihilation_case("real-jordan", 64)
+        rep = verify_reassignment(inst.A, delta, asm, inst.space, inst.cls)
+        assert rep.spectrum_verdict is None
+        assert rep.spillover_residual <= 1e-14
 
 
 class TestPlannedSpectrum:
@@ -223,7 +241,7 @@ class TestRealFieldOracle:
         scale = max(1.0, frob(inst.A))
         for a, b in [(real.reassigned_residual, cplx.reassigned_residual),
                      (real.structure_residual, cplx.structure_residual),
-                     (real.fixed_residual, cplx.fixed_residual),
+                     (real.spillover_residual, cplx.spillover_residual),
                      (real.spectrum_verdict.max_distance,
                       cplx.spectrum_verdict.max_distance)]:
             assert abs(a - b) <= 1e-12 * scale
@@ -239,7 +257,7 @@ class TestRealFieldOracle:
             seen.clear()
             rep = verify_reassignment(A, d, asm, inst.space, inst.cls)
             assert rep.spectrum_verdict.matched
-            assert sorted(name for name, _ in seen) == ["eig", "eigvals", "svd"]
+            assert sorted(name for name, _ in seen) == ["eigvals", "eigvals", "svd"]
             assert {dt for _, dt in seen} == {np.dtype(np.float64)}
 
     def test_lapack_sees_complex_arrays_for_complex_data(self, monkeypatch):
@@ -259,8 +277,140 @@ class TestRealFieldOracle:
         seen = _lapack_spy(monkeypatch)
         rep = verify_reassignment(inst.A, delta, asm, inst.space, inst.cls)
         assert rep.spectrum_verdict.matched
-        assert sorted(name for name, _ in seen) == ["eig", "eigvals", "svd"]
+        assert sorted(name for name, _ in seen) == ["eigvals", "eigvals", "svd"]
         assert {dt for _, dt in seen} == {np.dtype(complex)}
+
+
+# recipe (space kind, class, field, star), assembly and pairing orbit of a
+# seed value for each arrangement; real Jordan on the flip form, which
+# admits Jordan chains
+ARRANGED = {
+    "real-jordan": (("flip", "jordan", "real", "T"), assemble_real_jordan,
+                    lambda l: [l, l.conjugate()]),
+    "real-lie": (("skewj", "lie", "real", "T"), assemble_real_lie,
+                 lambda l: [l, l.conjugate(), -l, -l.conjugate()]),
+    "complex-lie": (("random", "lie", "complex", "CT"), assemble_complex,
+                    lambda l: [l, -l.conjugate()]),
+}
+ANGLES = (0.7, 0.0, np.pi / 2)   # general, real and imaginary seeds
+
+
+@functools.lru_cache(maxsize=None)
+def _annihilation_case(arrangement, n, chain=False):
+    """A generated n x n instance, its no-spillover delta and the pieces to
+    spill it: the moved family is a general orbit (a conjugate pair on the
+    real arrangements, so the quadratic factor runs) plus a real orbit, or
+    with chain set one orbit of length-2 chains.  Orbits get distinct
+    radii; each target sits half a radius step further out.  Also returns a
+    fixed eigenvector, real on the real arrangements."""
+    recipe_args, assemble, orbit = ARRANGED[arrangement]
+    step = 9.5 / n
+    plan, moved, used, k = [], {}, 0, 0
+    while used < n:
+        angle = ANGLES[k % (2 if arrangement == "complex-lie" else 3)]
+        l = (0.5 + k * step) * np.exp(1j * angle)
+        members = list(dict.fromkeys(complex(np.round(m, 14)) for m in orbit(l)))
+        if used + len(members) > n:
+            k += 1
+            continue
+        length = 2 if chain and k == 0 else 1
+        plan += [PlanGroup(m, (length,)) for m in members]
+        if k < (1 if chain else 2):
+            moved.update((m, m * (1 + step / 2 / abs(m))) for m in members)
+        used += len(members) * length
+        k += 1
+    inst = generate_instance(InstanceRecipe(*recipe_args, plan, seed=n))
+    groups = tuple(ReassignmentGroup(p.value, t, (p.chain,))
+                   for p in inst.pairs for m, t in moved.items()
+                   if abs(p.value - m) < 1e-9)
+    asm = assemble(inst.A, ReassignmentSpec(groups), inst.space, inst.cls)
+    delta = reassign_no_spillover(inst.A, asm, inst.space, inst.cls,
+                                  verify=False).delta
+    x = next(p.chain[:, 0] for p in inst.pairs
+             if p.value.imag == 0 and min(abs(p.value - m) for m in moved) > 1e-9)
+    return inst, asm, delta, x
+
+
+class TestSpilloverResidual:
+    """The no-spillover claim checked by complement annihilation."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("arrangement", list(ARRANGED))
+    def test_clean_delta_passes_and_a_spill_shows(self, monkeypatch,
+                                                  arrangement, n):
+        monkeypatch.setenv("SPECPRESERVE_ORACLE_NMAX", "0")
+        inst, asm, delta, x = _annihilation_case(arrangement, n)
+        assert delta.dtype == inst.A.dtype
+        clean = verify_reassignment(inst.A, delta, asm, inst.space, inst.cls)
+        assert clean.spillover_residual <= 1e-14
+        # a rank-one spill of 1e-8 ||A|| onto one fixed eigenvector
+        u = np.random.default_rng(3).standard_normal(n)
+        spill = (1e-8 * frob(inst.A) / np.linalg.norm(u)
+                 / np.linalg.norm(x) ** 2) * np.outer(u, x.conj())
+        spilled = verify_reassignment(inst.A, delta + spill, asm, inst.space,
+                                      inst.cls)
+        assert spilled.spillover_residual >= 1e-10
+
+    @pytest.mark.parametrize("arrangement", list(ARRANGED))
+    def test_chain_values_count_with_multiplicity(self, arrangement):
+        inst, asm, delta, _ = _annihilation_case(arrangement, 64, chain=True)
+        currents = asm.current_values
+        once = np.array(list(dict.fromkeys(currents.tolist())))
+        assert len(currents) == 2 * len(once)
+        assert _spillover_residual(inst.A, delta, currents) <= 1e-14
+        assert _spillover_residual(inst.A, delta, once) >= 1e-6
+
+    def test_report_above_the_dense_bound(self, monkeypatch):
+        monkeypatch.delenv("SPECPRESERVE_ORACLE_NMAX", raising=False)
+        inst, asm, delta, _ = _annihilation_case("real-lie", 96)
+        rep = verify_reassignment(inst.A, delta, asm, inst.space, inst.cls)
+        assert rep.spectrum_verdict is None
+        assert rep.spillover_residual <= 1e-14
+        assert rep.summary()["spillover_residual"] == rep.spillover_residual
+        assert any("spectrum not compared" in note for note in rep.notes)
+        assert any("complement annihilation" in note for note in rep.notes)
+
+    def test_family_member_carries_no_spillover_residual(self):
+        inst, asm, delta, _ = _annihilation_case("real-jordan", 64)
+        rep = verify_reassignment(inst.A, delta, asm, inst.space, inst.cls,
+                                  check_spillover=False)
+        assert rep.spillover_residual is None
+        assert "spillover_residual" not in rep.summary()
+
+    def test_supplied_fixed_pair_residual_is_unchanged(self):
+        from specpreserve import ToleranceProfile
+        space = ScalarProductSpace(golden.JORDAN5_H, star="t", field="real",
+                                   structure_tol=1e-3)
+        groups = tuple(
+            ReassignmentGroup(c, t, (golden.JORDAN5_XC[:, [j]],))
+            for j, (c, t) in enumerate(zip(golden.JORDAN5_CURRENT,
+                                           golden.JORDAN5_TARGET)))
+        asm = assemble_real_jordan(golden.JORDAN5_A, ReassignmentSpec(groups),
+                                   space, chain_tol=1e-3)
+        delta = reassign_no_spillover(
+            golden.JORDAN5_A, asm, space, "jordan", verify=False,
+            tol=ToleranceProfile(structure_tol=1e-3, residual_tol=1e-3)).delta
+        rep = verify_reassignment(
+            golden.JORDAN5_A, delta, asm, space, "jordan",
+            fixed_pairs=(golden.JORDAN5_XF, golden.JORDAN5_LF),
+            match_tol=1e-3)
+        # a direct product, pinned to the value it has always had
+        assert rep.fixed_residual == pytest.approx(8.265217698032717e-05,
+                                                   rel=1e-12)
+        assert rep.spillover_residual is None and rep.notes == ()
+
+    def test_complex_fixed_pair_on_real_data_matches_complex_product(self):
+        inst, asm, delta, _ = _annihilation_case("real-lie", 64)
+        moved = asm.current_values
+        rest = [p for p in inst.pairs
+                if min(abs(p.value - m) for m in moved) > 1e-9][:6]
+        X_f = np.hstack([p.chain for p in rest])
+        L_f = np.diag([p.value for p in rest])
+        assert np.iscomplexobj(X_f) and not np.iscomplexobj(inst.A)
+        rep = verify_reassignment(inst.A, delta, asm, inst.space, inst.cls,
+                                  fixed_pairs=(X_f, L_f))
+        ref = np.linalg.norm((inst.A + delta).astype(complex) @ X_f - X_f @ L_f)
+        assert abs(rep.fixed_residual - ref) <= 1e-12 * max(1.0, frob(inst.A))
 
 
 class TestGenerateInstance:

@@ -208,8 +208,8 @@ def _arrays(obj):
             yield from _arrays(o)
 
 
-def _dtype_spy(monkeypatch, n):
-    """Wrap the kernel helpers; record every complex array of at least n^2
+def _dtype_spy(monkeypatch, n, spied=SPIED):
+    """Wrap the spied helpers; record every complex array of at least n^2
     entries they receive or return, and which helpers ran."""
     big, called = [], set()
 
@@ -222,9 +222,9 @@ def _dtype_spy(monkeypatch, n):
             return out
         return spy
 
-    for name, home in SPIED.items():
+    for name, home in spied.items():
         wrapped = wrap(name, getattr(home, name))
-        for mod in (core, mapping, reassign, spectral, subspaces):
+        for mod in (core, diagnostics, mapping, reassign, spectral, subspaces):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, wrapped)
     for name in ("h_apply", "h_solve"):
@@ -263,6 +263,60 @@ def test_real_kernels_hold_no_square_complex_array(monkeypatch, arrangement):
         op()
     assert not big, f"complex n x n arrays in the kernel: {big}"
     assert called >= set(SPIED) | {"h_apply", "h_solve"}
+
+
+# ---------------------------------------------------------------------------
+# no n x n complex array in the verification of a real arrangement
+# ---------------------------------------------------------------------------
+
+VERIFY_SPIED = {"_real_apply": core, "_spillover_residual": diagnostics,
+                "structure_residual": core, "numerical_rank": core,
+                "gram_matrix": core}
+
+
+class _MixedProductSpy(np.ndarray):
+    """An array that records every ufunc call (``@`` included) where a
+    complex operand meets a real one of at least ``n^2`` entries: numpy
+    would cast the real one to an n x n complex copy."""
+
+    n = 0
+    mixed = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        arrays = [np.asarray(a) for a in inputs]
+        if any(np.iscomplexobj(a) for a in arrays):
+            _MixedProductSpy.mixed.extend(
+                (ufunc.__name__, a.shape) for a in arrays
+                if not np.iscomplexobj(a) and a.size >= self.n * self.n)
+        return getattr(ufunc, method)(*arrays, **kwargs)
+
+
+@pytest.mark.parametrize("arrangement", ["real-jordan", "real-lie"])
+def test_real_verification_holds_no_square_complex_array(monkeypatch,
+                                                         arrangement):
+    if arrangement == "real-jordan":
+        inst, moved = _real_jordan_instance(), JORDAN_MOVED
+    else:
+        inst, moved = _real_lie_instance(), LIE_MOVED
+    asm = _assembly(inst, moved, 1.25)
+    A, space, cls, n = inst.A, inst.space, inst.cls, inst.space.n
+    delta = reassign_no_spillover(A, asm, space, cls, verify=False).delta
+    rest = [p for p in inst.pairs if min(abs(p.value - v) for v in moved) > 1e-9]
+    fixed = (np.hstack([p.chain for p in rest]),
+             np.diag([p.value for p in rest]))
+    # the chains reach the oracle's products unconverted: the spy sees them
+    _MixedProductSpy.n, _MixedProductSpy.mixed = n, []
+    spy_asm = dataclasses.replace(asm, X_c=asm.X_c.view(_MixedProductSpy))
+    monkeypatch.setenv("SPECPRESERVE_ORACLE_NMAX", str(n))
+    big, called = _dtype_spy(monkeypatch, n, VERIFY_SPIED)
+    for fixed_pairs in (None, fixed):
+        rep = diagnostics.verify_reassignment(A, delta, spy_asm, space, cls,
+                                              fixed_pairs=fixed_pairs)
+        assert rep.spectrum_verdict.matched and rep.delta.dtype == np.float64
+    assert not big, f"complex n x n arrays in the verification: {big}"
+    assert not _MixedProductSpy.mixed, (
+        f"real n x n operands cast to complex: {_MixedProductSpy.mixed}")
+    assert called >= set(VERIFY_SPIED)
 
 
 # ---------------------------------------------------------------------------

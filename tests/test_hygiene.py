@@ -1,6 +1,7 @@
 """Source hygiene that no installed linter checks: every module-level import
-in the package is used by its module or re-exported through ``__all__``, and
-the field-keeping modules never cast to complex outside ``as_matrix``."""
+in the package is used by its module or re-exported through ``__all__``,
+the field-keeping modules never cast to complex outside ``as_matrix``, and
+the verification oracle calls no eigenvector solver."""
 
 import ast
 import pathlib
@@ -105,3 +106,34 @@ def test_field_keeping_modules_never_cast_to_complex(name):
 ])
 def test_complex_cast_rule_catches_a_planted_cast(planted, flagged):
     assert bool(_complex_casts(ast.parse(planted))) == flagged
+
+
+# the verification oracle computes no eigenvectors: its verdict needs only
+# eigenvalues, and the no-spillover claim is checked by annihilation
+def _eigenvector_solves(tree):
+    """Lines calling ``eig`` under any spelling (``np.linalg.eig``,
+    ``numpy.linalg.eig``, ``scipy.linalg.eig``, a bare imported ``eig``)."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "eig" in (getattr(node.func, "attr", None),
+                          getattr(node.func, "id", None))]
+
+
+def test_oracle_calls_no_eigenvector_solver():
+    path = pathlib.Path(specpreserve.__file__).parent / "diagnostics.py"
+    hits = _eigenvector_solves(ast.parse(path.read_text(encoding="utf-8")))
+    assert not hits, f"diagnostics.py calls an eigenvector solver on lines {hits}"
+
+
+@pytest.mark.parametrize("planted,flagged", [
+    # the call the annihilation check replaced
+    ("w, V = np.linalg.eig(A)", True),
+    ("w, V = scipy.linalg.eig(A)", True),
+    ("w, V = numpy.linalg.eig(A)", True),
+    ("w, V = eig(A)", True),
+    ("w = np.linalg.eigvals(A)", False),
+    ("w = scipy.linalg.eigvals(A)", False),
+    ("w = np.linalg.eigvalsh(A)", False),
+])
+def test_eigenvector_rule_catches_a_planted_call(planted, flagged):
+    assert bool(_eigenvector_solves(ast.parse(planted))) == flagged
