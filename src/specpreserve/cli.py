@@ -346,13 +346,10 @@ def cmd_reassign(args) -> int:
         fixed_supplied = float(np.linalg.norm(
             (A + result.delta) @ Xf - Xf @ Lf))
 
-    # a report carries at most one of the two: the spillover residual when
-    # the no-spillover claim was checked without a fixed pair
     if rep.spillover_residual is not None:
         fixed_row = ("spillover residual", f"{rep.spillover_residual:.6e}")
     else:
-        fixed_row = ("fixed-pair residual", "n/a" if rep.fixed_residual is None
-                     else f"{rep.fixed_residual:.6e}")
+        fixed_row = ("fixed-pair residual", "n/a")
     print(f"reassigned {len(currents)} eigenvalue(s) [{mode}]")
     rows = [
         ("reassigned residual", f"{rep.reassigned_residual:.6e}"),

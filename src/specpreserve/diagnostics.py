@@ -237,26 +237,15 @@ def _spillover_residual(A, delta, currents) -> float:
     multiplicity (a length-k chain contributes ``(A - cI)^k``), so q(A)
     annihilates the moved generalized eigenspaces and Y is a random
     vector block of the complement; a no-spillover delta must annihilate
-    it.  R holds _SPILL_COLUMNS seeded real columns.  Y is renormalised
-    after each factor; on real A a conjugate pair of currents is applied
-    as the real factor ``A^2 - 2 Re c A + |c|^2 I``, so Y stays real.
-    Uses only A, delta and the currents: O(n^2 deg(q) _SPILL_COLUMNS).
+    it.  R holds _SPILL_COLUMNS seeded real columns, and Y is renormalised
+    after each factor.  The roots of q are the current values as given, so
+    error in those values raises the residual as spillover does.  Uses
+    only A, delta and the currents: O(n^2 deg(q) _SPILL_COLUMNS).
     """
-    currents = np.asarray(currents)
     Y = np.random.default_rng(_SPILL_SEED).standard_normal(
         (A.shape[0], _SPILL_COLUMNS))
-    up = currents[currents.imag > 0]
-    if (not np.iscomplexobj(A)
-            and np.array_equal(np.sort(up),
-                               np.sort(currents[currents.imag < 0].conj()))):
-        linear, quadratic = currents[currents.imag == 0].real, up
-    else:
-        linear, quadratic = currents, ()
-    for c in linear:
+    for c in currents:
         Y = _real_apply(A, Y) - c * Y
-        Y /= max(frob(Y), 1e-300)
-    for c in quadratic:
-        Y = _real_apply(A, _real_apply(A, Y) - 2 * c.real * Y) + abs(c) ** 2 * Y
         Y /= max(frob(Y), 1e-300)
     return frob(_real_apply(delta, Y)) / max(frob(delta) * frob(Y), 1e-300)
 

@@ -299,7 +299,7 @@ ANGLES = (0.7, 0.0, np.pi / 2)   # general, real and imaginary seeds
 def _annihilation_case(arrangement, n, chain=False):
     """A generated n x n instance, its no-spillover delta and the pieces to
     spill it: the moved family is a general orbit (a conjugate pair on the
-    real arrangements, so the quadratic factor runs) plus a real orbit, or
+    real arrangements, so q has complex factors) plus a real orbit, or
     with chain set one orbit of length-2 chains.  Orbits get distinct
     radii; each target sits half a radius step further out.  Also returns a
     fixed eigenvector, real on the real arrangements."""
