@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _check_invariant_pair, as_matrix, numerical_rank, pseudoinverse
+from .core import (_check_invariant_pair, _decide, as_matrix, numerical_rank,
+                   pseudoinverse)
 from .errors import ArgumentError, StructureError
 
 __all__ = [
@@ -60,9 +61,8 @@ def brauer_shift(A, lam, v, r, mu, eig_tol=EIGPAIR_TOL):
     v = _as_vector(v, n, "v")
     r = _as_vector(r, n, "r")
     rv = r @ v
-    if abs(rv - 1.0) > 1e-10:
-        raise StructureError(
-            "normalization", f"r^T v must equal 1, got {rv}", residual=abs(rv - 1.0))
+    _decide("normalization", abs(rv - 1.0), 1e-10).require(
+        f"r^T v must equal 1, got {rv}", None)
     _check_invariant_pair(A, v[:, None], np.array([[lam]]), eig_tol,
                           "eigenpair (lam, v)", "eigenpair_residual")
     return A + (mu - lam) * np.outer(v, r)

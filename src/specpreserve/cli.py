@@ -26,6 +26,7 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
+    _decide,
     is_member,
     sample_structured,
     structure_residual,
@@ -34,6 +35,7 @@ from .diagnostics import (
     InstanceRecipe,
     PlanGroup,
     _assign_multisets,
+    _fixed_residual,
     generate_instance,
     oracle_dim_limit,
 )
@@ -303,11 +305,9 @@ def _match_eigvecs(A, currents, match_tol=1e-6):
     vecs = []
     for i, c in enumerate(currents):
         k, d = paired.get(i, (None, np.inf))
-        if d > match_tol * scale:
-            raise StructureError(
-                "current_eigenvalue",
-                f"requested current value {c:.6g} is not an eigenvalue of A "
-                f"(closest at distance {d:.3e})")
+        _decide("current_eigenvalue", d, match_tol * scale).require(
+            f"requested current value {c:.6g} is not an eigenvalue of A",
+            "closest at distance")
         vecs.append(V[:, k])
     return vecs
 
@@ -341,10 +341,10 @@ def cmd_reassign(args) -> int:
     rep = result.report
     fixed_supplied = None
     if job.get("fixed_basis"):
-        Xf = matio.load_matrix(_job_path(job, job["fixed_basis"]))
-        Lf = _load_lambda(job, job.get("fixed_lambda"), "fixed_lambda")
-        fixed_supplied = float(np.linalg.norm(
-            (A + result.delta) @ Xf - Xf @ Lf))
+        fixed_supplied = _fixed_residual(
+            A + result.delta,
+            matio.load_matrix(_job_path(job, job["fixed_basis"])),
+            _load_lambda(job, job.get("fixed_lambda"), "fixed_lambda"))
 
     if rep.spillover_residual is not None:
         fixed_row = ("spillover residual", f"{rep.spillover_residual:.6e}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -41,6 +42,33 @@ DEFAULT_RESIDUAL_TOL = 1e-8
 def frob(A) -> float:
     """Frobenius norm, accepting anything array-like (including scalars)."""
     return float(np.linalg.norm(np.atleast_1d(np.asarray(A))))
+
+
+class Decision(NamedTuple):
+    """The outcome of one threshold test, made by ``_decide``."""
+
+    condition: str
+    value: float
+    threshold: float
+    passed: bool
+
+    def require(self, what, measure="residual"):
+        """Raise StructureError unless passed, with the message
+        ``what (measure value)``, or what alone when measure is None."""
+        if not self.passed:
+            if measure is not None:
+                what = f"{what} ({measure} {self.value:.3e})"
+            raise StructureError(self.condition, what, residual=self.value,
+                                 threshold=self.threshold)
+
+
+def _decide(condition, value, threshold, *, at_least=False) -> Decision:
+    """The one threshold rule: a residual passes when ``value <= threshold``,
+    a lower bound (at_least: a gap, an rcond, a singular value) when
+    ``value > threshold``, so zero never does.  A NaN on either side fails."""
+    value, threshold = float(value), float(threshold)
+    return Decision(condition, value, threshold,
+                    value > threshold if at_least else value <= threshold)
 
 
 def as_matrix(A, name="matrix", space=None) -> np.ndarray:
@@ -249,10 +277,9 @@ class ScalarProductSpace:
         if field not in ("real", "complex"):
             raise ArgumentError(f"unknown field {self.field!r}")
         if field == "real":
-            if np.max(np.abs(H.imag)) > self.structure_tol:
-                raise StructureError(
-                    "real_space_H", "real-field space requires a real H",
-                    residual=float(np.max(np.abs(H.imag))))
+            _decide("real_space_H", np.max(np.abs(H.imag)),
+                    self.structure_tol).require(
+                "real-field space requires a real H", None)
             H = H.real
             star = "T"
         object.__setattr__(self, "field", field)
@@ -263,22 +290,14 @@ class ScalarProductSpace:
         r_minus = np.linalg.norm(Hs + H)
         eps1 = 1 if r_plus <= r_minus else -1
         scale = max(1.0, float(np.linalg.norm(H)))
-        sym_res = min(r_plus, r_minus)
-        if sym_res > self.structure_tol * scale:
-            raise StructureError(
-                "H_star_symmetry",
-                f"H fails H* = +/-H at tolerance {self.structure_tol:g} "
-                f"(residual {sym_res:.3e})",
-                residual=float(sym_res))
+        _decide("H_star_symmetry", min(r_plus, r_minus),
+                self.structure_tol * scale).require(
+            f"H fails H* = +/-H at tolerance {self.structure_tol:g}")
         # unitarity is always with respect to the conjugate transpose, even
         # when the form itself is bilinear
-        unit_res = float(np.linalg.norm(H.conj().T @ H - np.eye(n)))
-        if unit_res > self.structure_tol * max(1.0, scale**2):
-            raise StructureError(
-                "H_unitary",
-                f"H fails unitarity at tolerance {self.structure_tol:g} "
-                f"(residual {unit_res:.3e})",
-                residual=unit_res)
+        _decide("H_unitary", np.linalg.norm(H.conj().T @ H - np.eye(n)),
+                self.structure_tol * max(1.0, scale**2)).require(
+            f"H fails unitarity at tolerance {self.structure_tol:g}")
 
         H = np.array(H, order="C")
         H.setflags(write=False)
@@ -454,29 +473,25 @@ def z_symmetry_residual(Z, space: ScalarProductSpace, cls: StructureClass) -> fl
     return float(np.linalg.norm(space.star_mat(Z) - s * Z))
 
 
-def _check_gram_compatible(G, L, space, cls, tol, condition="lambda_compatibility",
-                           what="Lambda_a incompatible with the structure"):
-    """Raise unless the target restriction L is reachable on a basis with
-    Gram matrix G; returns the residual.
+def _gram_compatibility(G, L, space, cls, tol,
+                        condition="lambda_compatibility") -> Decision:
+    """Whether the target restriction L is reachable on a basis with Gram
+    matrix G.
 
     Because ``G* = e1 G``, ``G L = e2 L* G`` is the certificate
     ``W = e1 e2 W*`` for ``W = G L``, with the same residual norm.  The
     threshold scales with ``|G| |L|``, the rounding scale of forming W.
     """
-    r = z_symmetry_residual(G @ L, space, cls)
-    if r > tol.structure_tol * max(1.0, frob(G) * frob(L)):
-        raise StructureError(condition, f"{what} (condition_residual {r:.3e})",
-                             residual=r)
-    return r
+    return _decide(condition, z_symmetry_residual(G @ L, space, cls),
+                   tol.structure_tol * max(1.0, frob(G) * frob(L)))
 
 
 def _check_invariant_pair(A, X, L, tol, what, condition="invariant_pair_residual"):
     """Raise unless ``A X = X L`` holds to the relative residual
     ``|A X - X L| / (|A| |X|)`` at most tol."""
-    r = frob(_real_apply(A, X) - X @ L) / max(frob(A) * frob(X), 1e-300)
-    if r > tol:
-        raise StructureError(
-            condition, f"{what} fails (relative residual {r:.3e})", residual=r)
+    _decide(condition, frob(_real_apply(A, X) - X @ L)
+            / max(frob(A) * frob(X), 1e-300), tol).require(
+        f"{what} fails", "relative residual")
 
 
 def sample_structured(space: ScalarProductSpace, cls: StructureClass, seed,

@@ -203,7 +203,7 @@ class PerturbationReport:
         return d
 
 
-def _planned_spectrum(eigs_a, currents, targets, match_tol, scale, notes):
+def _planned_spectrum(eigs_a, currents, targets, tol, scale, notes):
     """Replace the current eigenvalues inside sigma(A) by the targets.
 
     Currents are paired with eigenvalues of A by the same optimal
@@ -216,7 +216,7 @@ def _planned_spectrum(eigs_a, currents, targets, match_tol, scale, notes):
         if i not in paired:
             notes.append(f"no eigenvalue of A left to match {c:.6g}")
             continue
-        if paired[i] > match_tol * scale:
+        if paired[i] > tol * scale:
             notes.append(
                 f"current value {c:.6g} not found in the spectrum of A "
                 f"(paired at distance {paired[i]:.3e})")
@@ -250,10 +250,15 @@ def _spillover_residual(A, delta, currents) -> float:
     return frob(_real_apply(delta, Y)) / max(frob(delta) * frob(Y), 1e-300)
 
 
+def _fixed_residual(perturbed, X_f, L_f) -> float:
+    """``|(A + delta) X_f - X_f L_f|`` of a supplied fixed pair."""
+    X_f = as_matrix(X_f, "X_f")
+    return frob(_real_apply(perturbed, X_f) - X_f @ as_matrix(L_f, "Lambda_f"))
+
+
 def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
                         space: ScalarProductSpace, cls: StructureClass,
                         fixed_pairs=None, tol: ToleranceProfile | None = None,
-                        match_tol: float = 1e-6,
                         check_spillover: bool = True) -> PerturbationReport:
     """Build the verification bundle for a perturbation.
 
@@ -263,13 +268,14 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     annihilation (``_spillover_residual``; skipped when the currents fill
     the whole spectrum, leaving no complement): no eigenvectors are
     computed.
-    The spectrum verdict needs two ``eigvals`` calls (A and A + delta) and
-    runs only while n <= oracle_dim_limit().  Family-of-solutions members
-    with a free parameter make no claim about the complement, so callers
-    verify them with check_spillover=False, which skips the spillover and
-    spectrum-replacement checks.  The eigenvalue solves, the rank SVD, the
-    adjoint solve and every product run in the field of their matrices:
-    real LAPACK and BLAS for exactly real data.
+    The spectrum verdict needs two ``eigvals`` calls (A and A + delta),
+    matches at ``tol.eig_tol`` and runs only while n <= oracle_dim_limit().
+    Family-of-solutions members with a free parameter make no claim about
+    the complement, so callers verify them with check_spillover=False,
+    which skips the spillover and spectrum-replacement checks.  The
+    eigenvalue solves, the rank SVD, the adjoint solve and every product
+    run in the field of their matrices: real LAPACK and BLAS for exactly
+    real data.
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
@@ -290,13 +296,9 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     targets = assembly.target_values
     sp_scale = max(1.0, float(np.max(np.abs(currents))) if currents.size else 0.0)
 
-    fixed_res = None
     spill_res = None
-    if fixed_pairs is not None:
-        X_f, L_f = fixed_pairs
-        X_f = as_matrix(X_f, "X_f")
-        L_f = as_matrix(L_f, "Lambda_f")
-        fixed_res = float(np.linalg.norm(_real_apply(perturbed, X_f) - X_f @ L_f))
+    fixed_res = None if fixed_pairs is None else _fixed_residual(
+        perturbed, *fixed_pairs)
 
     verdict = None
     if not check_spillover:
@@ -306,9 +308,9 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     else:
         if A.shape[0] <= oracle_dim_limit():
             planned = _planned_spectrum(np.linalg.eigvals(A), currents,
-                                        targets, match_tol, sp_scale, notes)
+                                        targets, tol.eig_tol, sp_scale, notes)
             verdict = _compare_spectra(np.linalg.eigvals(perturbed), planned,
-                                       match_tol)
+                                       tol.eig_tol)
         else:
             notes.append(
                 "matrix exceeds the oracle bound; spectrum not compared")

@@ -19,13 +19,14 @@ class ArgumentError(SpecPreserveError):
 class StructureError(SpecPreserveError):
     """Raised when a mathematical precondition fails.
 
-    Carries the name of the violated condition and the measured residual
-    so callers (and the CLI) can report which hypothesis broke.
+    Carries the violated condition's name, its measured residual and the
+    threshold it failed, so callers (and the CLI) can report what broke.
     """
 
-    def __init__(self, condition, message, residual=None):
+    def __init__(self, condition, message, residual=None, threshold=None):
         self.condition = condition
         self.residual = residual
+        self.threshold = threshold
         super().__init__(message)
 
 

@@ -26,12 +26,13 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
+    _decide,
     as_matrix,
     frob,
     pseudoinverse,
     z_symmetry_residual,
 )
-from .errors import ArgumentError, StructureError
+from .errors import ArgumentError
 
 __all__ = [
     "FeasibilityReport",
@@ -51,8 +52,8 @@ class FeasibilityReport:
 
     feasible is True when both the range condition ``B X^+ X = B`` and the
     symmetry condition ``X* H B = e1 e2 (X* H B)*`` hold at the tolerance;
-    violations lists (condition name, residual, threshold) for the failed
-    ones.
+    violations lists the failed ones as ``core.Decision`` tuples
+    (condition name, residual, threshold, passed).
     """
 
     feasible: bool
@@ -98,21 +99,17 @@ def _z_term(Z, X, Xd, space):
 
 def _admissible_z(Z, space, cls, tol, real=False) -> np.ndarray:
     """Z as an n x n matrix, checked to be an admissible family parameter:
-    ``Z* = e1 e2 Z`` and, when real is set, real to the structure
-    tolerance, in which case its real part is returned."""
+    when real is set, real to the structure tolerance (checked first, and
+    its real part is returned), and ``Z* = e1 e2 Z``."""
     Z = as_matrix(Z, "Z", space)
     if Z.shape != (space.n, space.n):
         raise ArgumentError("Z must be n x n")
     thr = tol.structure_tol * max(1.0, frob(Z))
-    r = z_symmetry_residual(Z, space, cls)
-    if r > thr:
-        raise StructureError(
-            "z_symmetry", f"Z fails Z* = e1 e2 Z (residual {r:.3e})", residual=r)
-    imag = float(np.max(np.abs(Z.imag))) if np.iscomplexobj(Z) else 0.0
-    if real and imag > thr:
-        raise StructureError(
-            "z_real", "real arrangements require a real parameter Z",
-            residual=imag)
+    if real and np.iscomplexobj(Z):
+        _decide("z_real", np.max(np.abs(Z.imag)), thr).require(
+            "real arrangements require a real parameter Z", None)
+    _decide("z_symmetry", z_symmetry_residual(Z, space, cls), thr).require(
+        "Z fails Z* = e1 e2 Z")
     return np.ascontiguousarray(Z.real) if real else Z
 
 
@@ -126,16 +123,14 @@ def _feasibility(X, B, Xd, W, space, cls, tol) -> FeasibilityReport:
     thr_sym = tol.residual_tol * frob(W) + ABS_FLOOR * max(
         1.0, frob(X) * frob(B))
 
-    violations = []
-    if r_range > thr_range:
-        violations.append(("range_condition", r_range, thr_range))
-    if r_sym > thr_sym:
-        violations.append(("symmetry_condition", r_sym, thr_sym))
+    violations = tuple(d for d in (
+        _decide("range_condition", r_range, thr_range),
+        _decide("symmetry_condition", r_sym, thr_sym)) if not d.passed)
     return FeasibilityReport(
         feasible=not violations,
         range_residual=r_range,
         symmetry_residual=r_sym,
-        violations=tuple(violations),
+        violations=violations,
     )
 
 
@@ -204,12 +199,12 @@ def map_family(X, B, space: ScalarProductSpace, cls: StructureClass,
     U, V, W = _map_factors(X, B, Xd, space, cls)
     report = _feasibility(X, B, Xd, W, space, cls, tol)
     if not report.feasible:
-        names = ", ".join(v[0] for v in report.violations)
-        raise StructureError(
-            "feasibility",
-            f"A X = B has no structured solution: {names} failed "
-            f"(range {report.range_residual:.3e}, symmetry {report.symmetry_residual:.3e})",
-            residual=max(report.range_residual, report.symmetry_residual))
+        # the first failed condition's residual and threshold, renamed
+        report.violations[0]._replace(condition="feasibility").require(
+            "A X = B has no structured solution: "
+            f"{', '.join(v.condition for v in report.violations)} failed "
+            f"(range {report.range_residual:.3e}, symmetry "
+            f"{report.symmetry_residual:.3e})", None)
     return StructuredMapSolution(factors=(U, V), X=X, X_pinv=Xd, space=space,
                                  cls=cls)
 

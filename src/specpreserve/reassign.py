@@ -34,14 +34,15 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
-    _check_gram_compatible,
+    _decide,
+    _gram_compatibility,
     as_matrix,
     frob,
     gram_matrix,
     pseudoinverse,
 )
 from .diagnostics import PerturbationReport, verify_reassignment
-from .errors import ArgumentError, RealnessError, StructureError
+from .errors import ArgumentError, RealnessError
 from .mapping import _admissible_z, _map_factors, _z_term
 from .spectral import (
     ReassignmentAssembly,
@@ -75,10 +76,10 @@ class ReassignmentResult:
 def _check_certificate(assembly, space, cls, tol):
     """Raise unless the Gram certificate holds; returns ``X_c* H X_c``."""
     G = gram_matrix(assembly.X_c, space)
-    _check_gram_compatible(
-        G, assembly.Lambda_a - assembly.Lambda_c, space, cls, tol,
-        "symmetry_certificate", "assembly fails the Gram symmetry certificate; "
-        "the requested targets are incompatible with the structure")
+    _gram_compatibility(G, assembly.Lambda_a - assembly.Lambda_c, space, cls,
+                        tol, "symmetry_certificate").require(
+        "assembly fails the Gram symmetry certificate; the requested targets "
+        "are incompatible with the structure", "condition_residual")
     return G
 
 
@@ -133,9 +134,8 @@ def reassign_family(A, assembly: ReassignmentAssembly, space: ScalarProductSpace
         delta = delta + _z_term(Z, X, Xd, space)
     report = None
     if verify:
-        report = verify_reassignment(
-            A, delta, assembly, space, cls, tol=tol,
-            match_tol=tol.eig_tol, check_spillover=False)
+        report = verify_reassignment(A, delta, assembly, space, cls, tol=tol,
+                                     check_spillover=False)
     return ReassignmentResult(delta=delta, report=report)
 
 
@@ -163,18 +163,20 @@ def reassign_no_spillover(A, assembly: ReassignmentAssembly,
     G = _check_certificate(assembly, space, cls, tol)
 
     if fixed_spectrum_guard is not None:
+        # an empty fixed spectrum is disjoint from everything (gap inf)
         guard = np.asarray(list(fixed_spectrum_guard))
         for what, values in (("changed eigenvalue family", assembly.current_values),
                              ("target values", assembly.target_values)):
             scale = max(1.0, float(np.max(np.abs(values))),
-                        float(np.max(np.abs(guard))))
-            gap = float(np.min(np.abs(values[:, None] - guard[None, :])))
-            if gap <= 1e-6 * scale:
-                msg = (f"fixed spectrum meets the {what} (min gap {gap:.3e}); "
-                       "the no-spillover hypothesis fails")
-                if not allow_guard_violation:
-                    raise StructureError("spectral_disjointness", msg,
-                                         residual=gap)
+                        float(np.max(np.abs(guard), initial=0.0)))
+            d = _decide("spectral_disjointness", np.min(
+                np.abs(values[:, None] - guard[None, :]), initial=np.inf),
+                1e-6 * scale, at_least=True)
+            msg = (f"fixed spectrum meets the {what} (min gap {d.value:.3e}); "
+                   "the no-spillover hypothesis fails")
+            if not allow_guard_violation:
+                d.require(msg, None)
+            elif not d.passed:
                 warnings.warn(msg + "; proceeding without the guarantee",
                               stacklevel=2)
 
@@ -184,9 +186,7 @@ def reassign_no_spillover(A, assembly: ReassignmentAssembly,
         tol.rank_tol, floor=1.0)
     report = None
     if verify:
-        report = verify_reassignment(
-            A, delta, assembly, space, cls, tol=tol,
-            match_tol=tol.eig_tol, check_spillover=True)
+        report = verify_reassignment(A, delta, assembly, space, cls, tol=tol)
     return ReassignmentResult(delta=delta, report=report)
 
 
@@ -225,12 +225,11 @@ def reassign_simple(A, eigpairs, targets, space: ScalarProductSpace,
     band = snap_tol * scale
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
-            if abs(values[i] - values[j]) <= band:
-                raise StructureError(
-                    "multiplicity",
-                    f"eigenvalues {values[i]:.6g} and {values[j]:.6g} coincide; "
-                    "simple reassignment needs distinct simple eigenvalues "
-                    "(build Jordan chains and use the assembly path instead)")
+            _decide("multiplicity", abs(values[i] - values[j]), band,
+                    at_least=True).require(
+                f"eigenvalues {values[i]:.6g} and {values[j]:.6g} coincide; "
+                "simple reassignment needs distinct simple eigenvalues "
+                "(build Jordan chains and use the assembly path instead)", None)
 
     groups = [ReassignmentGroup(current=l, target=t, chains=(x,))
               for (l, x), t in zip(eigpairs, targets)]
@@ -262,8 +261,7 @@ def reassign_simple(A, eigpairs, targets, space: ScalarProductSpace,
     else:
         assemble = (assemble_real_lie if cls is StructureClass.LIE
                     else assemble_real_jordan)
-    assembly = assemble(A, spec, space, cls, snap_tol=snap_tol,
-                        chain_tol=tol.eig_tol)
+    assembly = assemble(A, spec, space, cls, snap_tol=snap_tol, tol=tol)
 
     if mode == "family":
         return reassign_family(A, assembly, space, cls, Z=Z, tol=tol, verify=verify)

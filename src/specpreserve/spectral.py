@@ -30,6 +30,7 @@ from .core import (
     StructureClass,
     ToleranceProfile,
     _check_invariant_pair,
+    _decide,
     _normalize_star,
     as_matrix,
     frob,
@@ -57,7 +58,6 @@ __all__ = [
 ]
 
 SNAP_TOL = 1e-8
-CHAIN_TOL = 1e-6
 CHAIN_MATCH_TOL = 1e-2
 MAX_EXTRACT_DIM = 64
 
@@ -628,11 +628,11 @@ def extract_jordan_pairs(A, tol: ToleranceProfile | None = None,
                 C = Nl
             u, s, _ = np.linalg.svd(C, full_matrices=False)
             pick = u[:, :need]
-            if s.size < need or s[need - 1] <= tol.rank_tol * max(1.0, s[0]):
-                raise StructureError(
-                    "jordan_staircase",
-                    f"could not isolate {need} new chain(s) of height {level} "
-                    f"for eigenvalue {lam:.6g}")
+            _decide("jordan_staircase", s[need - 1] if s.size >= need else 0.0,
+                    tol.rank_tol * max(1.0, np.max(s, initial=0.0)),
+                    at_least=True).require(
+                f"could not isolate {need} new chain(s) of height {level} "
+                f"for eigenvalue {lam:.6g}", None)
             for j in range(need):
                 chains.append((level, pick[:, j]))
 
@@ -717,14 +717,14 @@ def _sorted_chains(group):
     return tuple(sorted(group.chains, key=lambda X: -X.shape[1]))
 
 
-def _conjugate_merge(rep_chains, conj_chains, match_tol, label):
+def _conjugate_merge(rep_chains, conj_chains, label):
     """Snap a conjugate partner's chains onto the representative's.
 
     Chains come sorted by length, with equal lengths checked by the orbit
     grouping; each partner chain is scalar-aligned to
     the conjugate of the representative chain before averaging, so an
     eigensolver's arbitrary phase does not corrupt the merge.  A mismatch
-    beyond match_tol after alignment means the inputs do not describe
+    beyond CHAIN_MATCH_TOL after alignment means the inputs do not describe
     conjugate chains and is an error.
     """
     merged = []
@@ -736,17 +736,14 @@ def _conjugate_merge(rep_chains, conj_chains, match_tol, label):
         Yc = np.conj(Y)
         c = np.vdot(Yc, X) / max(np.vdot(Yc, Yc).real, 1e-300)
         mismatch = np.linalg.norm(c * Yc - X) / max(np.linalg.norm(X), 1e-300)
-        if mismatch > match_tol:
-            raise StructureError(
-                "conjugate_chains",
-                f"{label}: partner chain is not a conjugate of the "
-                f"representative chain (relative mismatch {mismatch:.3e})",
-                residual=float(mismatch))
+        _decide("conjugate_chains", mismatch, CHAIN_MATCH_TOL).require(
+            f"{label}: partner chain is not a conjugate of the representative "
+            "chain", "relative mismatch")
         merged.append((X + c * Yc) / 2.0)
     return merged
 
 
-def _realify_chain(X, match_tol, label):
+def _realify_chain(X, label):
     """Cast a chain that must be real, erroring on large imaginary parts.
 
     A unimodular phase is divided out first: eigensolvers are free to
@@ -756,20 +753,17 @@ def _realify_chain(X, match_tol, label):
     lead = flat[np.argmax(np.abs(flat))]
     if abs(lead) > 0:
         X = X * (np.conj(lead) / abs(lead))
-    imag = float(np.max(np.abs(X.imag)))
-    scale = max(1.0, float(np.max(np.abs(X))))
-    if imag > match_tol * scale:
-        raise StructureError(
-            "real_chain",
-            f"{label}: chain must be real (max imaginary part {imag:.3e})",
-            residual=imag)
+    _decide("real_chain", np.max(np.abs(X.imag)),
+            CHAIN_MATCH_TOL * max(1.0, float(np.max(np.abs(X))))).require(
+        f"{label}: chain must be real", "max imaginary part")
     return np.ascontiguousarray(X.real)
 
 
-def _assemble(A, spec, space, cls, field, snap_tol, chain_tol, match_tol):
+def _assemble(A, spec, space, cls, field, snap_tol, tol):
     """The one assembly body: group the spec into pairing orbits, then
     emit them in block order, each orbit's members in table order with
-    their chains longest first.
+    their chains longest first, each held to ``tol.eig_tol`` in
+    ``A X = X J(lambda)`` when A is given.
 
     On the complex field every member keeps its own group's values and
     chains.  On a real field the values are the table's images of the
@@ -779,6 +773,7 @@ def _assemble(A, spec, space, cls, field, snap_tol, chain_tol, match_tol):
     """
     cls = StructureClass.parse(cls)
     A = None if A is None else as_matrix(A, "A", space)
+    tol = tol or ToleranceProfile()
     band = snap_tol * spec.spectral_scale
     groups = spec.groups
     orbits, violations = _group_orbits(_spec_entries(spec), cls,
@@ -803,14 +798,13 @@ def _assemble(A, spec, space, cls, field, snap_tol, chain_tol, match_tol):
             if j < i:
                 chains = [np.conj(X) for X in emitted[j]]
             elif j > i:
-                chains = _conjugate_merge(chains, _sorted_chains(gs[j]),
-                                          match_tol, label)
+                chains = _conjugate_merge(chains, _sorted_chains(gs[j]), label)
             elif conj is not None:
-                chains = [_realify_chain(X, match_tol, label) for X in chains]
+                chains = [_realify_chain(X, label) for X in chains]
             if A is not None and j >= i:
                 for X in chains:
                     _check_invariant_pair(
-                        A, X, jordan_block(value, X.shape[1]), chain_tol,
+                        A, X, jordan_block(value, X.shape[1]), tol.eig_tol,
                         f"chain for eigenvalue {value:.6g}: A X = X J(lambda)",
                         "chain_residual")
             emitted.append(chains)
@@ -845,19 +839,17 @@ def _require_real(fn, space, cls, want):
 
 def assemble_complex(A, spec: ReassignmentSpec, space: ScalarProductSpace,
                      cls: StructureClass, snap_tol: float = SNAP_TOL,
-                     chain_tol: float = CHAIN_TOL) -> ReassignmentAssembly:
+                     tol: ToleranceProfile | None = None) -> ReassignmentAssembly:
     """Order the groups for a complex-field reassignment: non-self-paired
     couples first, each as (representative chains, partner chains), then the
     self-paired groups.  Every group keeps its own values."""
-    return _assemble(A, spec, space, cls, "complex", snap_tol, chain_tol,
-                     CHAIN_MATCH_TOL)
+    return _assemble(A, spec, space, cls, "complex", snap_tol, tol)
 
 
 def assemble_real_lie(A, spec: ReassignmentSpec, space: ScalarProductSpace,
                       cls: StructureClass = StructureClass.LIE,
                       snap_tol: float = SNAP_TOL,
-                      chain_tol: float = CHAIN_TOL,
-                      match_tol: float = CHAIN_MATCH_TOL) -> ReassignmentAssembly:
+                      tol: ToleranceProfile | None = None) -> ReassignmentAssembly:
     """Real Lie-algebra arrangement.
 
     Nonzero eigenvalues are grouped into quadruples
@@ -867,18 +859,15 @@ def assemble_real_lie(A, spec: ReassignmentSpec, space: ScalarProductSpace,
     to exact conjugates so the resulting perturbation is real.
     """
     cls = _require_real("assemble_real_lie", space, cls, StructureClass.LIE)
-    return _assemble(A, spec, space, cls, "real", snap_tol, chain_tol,
-                     match_tol)
+    return _assemble(A, spec, space, cls, "real", snap_tol, tol)
 
 
 def assemble_real_jordan(A, spec: ReassignmentSpec, space: ScalarProductSpace,
                          cls: StructureClass = StructureClass.JORDAN,
                          snap_tol: float = SNAP_TOL,
-                         chain_tol: float = CHAIN_TOL,
-                         match_tol: float = CHAIN_MATCH_TOL) -> ReassignmentAssembly:
+                         tol: ToleranceProfile | None = None) -> ReassignmentAssembly:
     """Real Jordan-algebra arrangement: conjugate couples first (chains and
     their exact conjugates), then real eigenvalues with real chains."""
     cls = _require_real("assemble_real_jordan", space, cls,
                         StructureClass.JORDAN)
-    return _assemble(A, spec, space, cls, "real", snap_tol, chain_tol,
-                     match_tol)
+    return _assemble(A, spec, space, cls, "real", snap_tol, tol)

@@ -28,8 +28,9 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
-    _check_gram_compatible,
     _check_invariant_pair,
+    _decide,
+    _gram_compatibility,
     _real_apply,
     _star_h,
     as_matrix,
@@ -55,6 +56,7 @@ __all__ = [
 
 SPECTRAL_SEPARATION = 1e-6
 COND_WARN = 1e8
+_INCOMPATIBLE = "Lambda_a incompatible with the structure"
 
 
 @dataclass(frozen=True)
@@ -90,15 +92,13 @@ def lambda_compatibility(X_a, Lambda_a, space: ScalarProductSpace,
     cls = StructureClass.parse(cls)
     X_a = as_matrix(X_a, "X_a", space)
     Lambda_a = as_matrix(Lambda_a, "Lambda_a", space)
-    G = _basis_gram(X_a, Lambda_a, space, tol)
-    try:
-        r = _check_gram_compatible(G, Lambda_a, space, cls, tol)
-    except StructureError as e:
-        return CompatibilityReport(
-            condition_residual=e.residual, compatible=False,
-            notes="target restriction is unreachable for this structure; "
-                  "adjust Lambda_a so that G L = e2 L* G")
-    return CompatibilityReport(condition_residual=r, compatible=True)
+    d = _gram_compatibility(_basis_gram(X_a, Lambda_a, space, tol), Lambda_a,
+                            space, cls, tol)
+    return CompatibilityReport(
+        condition_residual=d.value, compatible=d.passed,
+        notes="" if d.passed else
+        "target restriction is unreachable for this structure; "
+        "adjust Lambda_a so that G L = e2 L* G")
 
 
 def reproduce_invariant(A, X_a, Lambda_a, space: ScalarProductSpace,
@@ -111,8 +111,8 @@ def reproduce_invariant(A, X_a, Lambda_a, space: ScalarProductSpace,
     A = as_matrix(A, "A", space)
     X_a = as_matrix(X_a, "X_a", space)
     Lambda_a = as_matrix(Lambda_a, "Lambda_a", space)
-    _check_gram_compatible(_basis_gram(X_a, Lambda_a, space, tol), Lambda_a,
-                           space, cls, tol)
+    _gram_compatibility(_basis_gram(X_a, Lambda_a, space, tol), Lambda_a, space,
+                        cls, tol).require(_INCOMPATIBLE, "condition_residual")
     B = X_a @ Lambda_a - _real_apply(A, X_a)
     return solve_structured(X_a, B, space, cls, Z, tol)
 
@@ -136,8 +136,8 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
         raise StructureError("nonsingular_R", "R is numerically singular")
     _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol, "A X_c = X_c Lambda_c")
     GR = space.star_mat(R) @ gram_matrix(X_c, space) @ R
-    _check_gram_compatible(GR, Lambda_a, space, cls, tol, "lambda_compatibility",
-                           "Lambda_a incompatible in the basis X_c R")
+    _gram_compatibility(GR, Lambda_a, space, cls, tol).require(
+        "Lambda_a incompatible in the basis X_c R", "condition_residual")
     Rt = R @ Lambda_a - Lambda_c @ R
     return solve_structured(X_c @ R, X_c @ Rt, space, cls, Z, tol)
 
@@ -178,18 +178,18 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     gap = _spectral_gap(ec, ef, space, cls)
     spectral_scale = max(1.0, frob(ec), frob(ef))
     G = gram_matrix(X_c, space)
-    if gap < separation * spectral_scale:
-        raise StructureError(
-            "spectral_disjointness",
-            f"paired spectrum of the changed block meets the fixed spectrum "
-            f"(min gap {gap:.3e})", residual=gap)
+    _decide("spectral_disjointness", gap, separation * spectral_scale,
+            at_least=True).require(
+        "paired spectrum of the changed block meets the fixed spectrum",
+        "min gap")
     if gap < 10 * separation * spectral_scale:
         warnings.warn(
             f"spectral gap {gap:.3e} is close to the separation threshold; "
             f"Gram 1-norm condition {np.real(np.linalg.cond(G, 1)):.2e}",
             stacklevel=2)
 
-    _check_gram_compatible(G, Lambda_a, space, cls, tol)
+    _gram_compatibility(G, Lambda_a, space, cls, tol).require(
+        _INCOMPATIBLE, "condition_residual")
 
     X = np.hstack([X_c, X_f])
     if X.shape != (n, n):
@@ -199,11 +199,9 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (X,))
     lu, piv, _ = getrf(X)
     rcond = gecon(lu, np.abs(X).sum(axis=0).max(), norm="1")[0]
-    if not rcond > tol.rank_tol:
-        raise StructureError(
-            "nonsingular_basis",
-            f"[X_c X_f] is numerically singular (reciprocal condition "
-            f"estimate {rcond:.3e})", residual=rcond)
+    _decide("nonsingular_basis", rcond, tol.rank_tol, at_least=True).require(
+        "[X_c X_f] is numerically singular",
+        "reciprocal condition estimate")
     # B = [B_c, 0]: only the first p rows of X^-1 meet B, so R = (X^-1)[:p]
     # and Q = (X* H B_c)* X^-1 come from the LU of X, as X^T [R^T Q^T]
     B_c = X_c @ Lambda_a - AX_c
@@ -246,7 +244,8 @@ def no_spillover(A, X_c, Lambda_c, Lambda_a, space: ScalarProductSpace,
         raise ArgumentError("Lambda_c and Lambda_a must be p x p")
     _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol, "A X_c = X_c Lambda_c")
     G = gram_matrix(X_c, space)
-    _check_gram_compatible(G, Lambda_a, space, cls, tol)
+    _gram_compatibility(G, Lambda_a, space, cls, tol).require(
+        _INCOMPATIBLE, "condition_residual")
     return _no_spillover_update(G, X_c, X_c @ (Lambda_a - Lambda_c), space,
                                 tol.rank_tol, floor=0.0)
 
@@ -260,11 +259,11 @@ def _no_spillover_update(G, X, B, space, rank_tol, floor):
     test, floor 1 adds an absolute one.
     """
     s = np.linalg.svd(as_matrix(G, "G"), compute_uv=False)
-    if s.size == 0 or s[-1] <= rank_tol * max(floor, s[0]):
-        raise StructureError(
-            "gram_singular",
-            "X_c* H X_c is numerically singular; the changed family is not "
-            "self-contained under the eigenvalue pairing")
+    smin, smax = (s[-1], s[0]) if s.size else (0.0, 0.0)
+    _decide("gram_singular", smin, rank_tol * max(floor, smax),
+            at_least=True).require(
+        "X_c* H X_c is numerically singular; the changed family is not "
+        "self-contained under the eigenvalue pairing", None)
     Y, cond = gram_inverse_apply(G, _star_h(X, space))
     if cond > COND_WARN:
         warnings.warn(

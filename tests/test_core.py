@@ -19,6 +19,7 @@ from specpreserve import (
     structure_residual,
     z_symmetry_residual,
 )
+from specpreserve.core import _decide
 
 
 class TestScalarProductSpace:
@@ -242,3 +243,30 @@ class TestSampleStructured:
         Z1 = sample_structured(space, "lie", seed=42)
         Z2 = sample_structured(space, "lie", seed=42)
         np.testing.assert_array_equal(Z1, Z2)
+
+
+class TestDecide:
+    @pytest.mark.parametrize("value,threshold,at_least,passed", [
+        (1.0, 1.0, False, True),     # a residual at its bound passes
+        (np.nextafter(1.0, 2.0), 1.0, False, False),
+        (1.0, 1.0, True, False),     # a gap at its bound fails
+        (0.0, 0.0, True, False),     # zero is never a lower bound met
+        (2.0, 1.0, True, True),
+        (np.nan, 1.0, False, False),
+        (np.nan, 1.0, True, False),
+        (1.0, np.nan, False, False),
+        (1.0, np.nan, True, False),
+        (np.inf, 1.0, True, True),
+    ])
+    def test_rule(self, value, threshold, at_least, passed):
+        assert _decide("c", value, threshold, at_least=at_least).passed is passed
+
+    def test_require_raises_with_residual_and_threshold(self):
+        _decide("c", 1.0, 2.0).require("never raised")
+        with pytest.raises(StructureError) as exc:
+            _decide("c", 3.0, 2.0).require("too big", "condition_residual")
+        assert (exc.value.condition, exc.value.residual,
+                exc.value.threshold) == ("c", 3.0, 2.0)
+        assert str(exc.value) == "too big (condition_residual 3.000e+00)"
+        with pytest.raises(StructureError, match=r"^too big$"):
+            _decide("c", 3.0, 2.0).require("too big", None)

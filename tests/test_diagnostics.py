@@ -166,14 +166,14 @@ class TestVerifyReassignment:
             for j, (c, t) in enumerate(zip(golden.JORDAN5_CURRENT,
                                            golden.JORDAN5_TARGET)))
         asm = assemble_real_jordan(golden.JORDAN5_A, ReassignmentSpec(groups),
-                                   space, chain_tol=1e-3)
+                                   space, tol=ToleranceProfile(residual_tol=1e-3))
         res = reassign_no_spillover(
             golden.JORDAN5_A, asm, space, "jordan", verify=False,
             tol=ToleranceProfile(structure_tol=1e-3, residual_tol=1e-3))
         rep = verify_reassignment(
             golden.JORDAN5_A, res.delta, asm, space, "jordan",
             fixed_pairs=(golden.JORDAN5_XF, golden.JORDAN5_LF),
-            match_tol=1e-3)
+            tol=ToleranceProfile(residual_tol=1e-3))
         assert rep.fixed_residual <= 1e-3
         assert rep.realness
 
@@ -386,14 +386,14 @@ class TestSpilloverResidual:
             for j, (c, t) in enumerate(zip(golden.JORDAN5_CURRENT,
                                            golden.JORDAN5_TARGET)))
         asm = assemble_real_jordan(golden.JORDAN5_A, ReassignmentSpec(groups),
-                                   space, chain_tol=1e-3)
+                                   space, tol=ToleranceProfile(residual_tol=1e-3))
         delta = reassign_no_spillover(
             golden.JORDAN5_A, asm, space, "jordan", verify=False,
             tol=ToleranceProfile(structure_tol=1e-3, residual_tol=1e-3)).delta
         rep = verify_reassignment(
             golden.JORDAN5_A, delta, asm, space, "jordan",
             fixed_pairs=(golden.JORDAN5_XF, golden.JORDAN5_LF),
-            match_tol=1e-3)
+            tol=ToleranceProfile(residual_tol=1e-3))
         # a direct product, pinned to the value it has always had
         assert rep.fixed_residual == pytest.approx(8.265217698032717e-05,
                                                    rel=1e-12)

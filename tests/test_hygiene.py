@@ -1,7 +1,8 @@
 """Source hygiene that no installed linter checks: every module-level import
 in the package is used by its module or re-exported through ``__all__``,
-the field-keeping modules never cast to complex outside ``as_matrix``, and
-the verification oracle calls no eigenvector solver."""
+the field-keeping modules never cast to complex outside ``as_matrix``, the
+verification oracle calls no eigenvector solver, and every threshold test
+raises through ``core._decide``."""
 
 import ast
 import pathlib
@@ -137,3 +138,48 @@ def test_oracle_calls_no_eigenvector_solver():
 ])
 def test_eigenvector_rule_catches_a_planted_call(planted, flagged):
     assert bool(_eigenvector_solves(ast.parse(planted))) == flagged
+
+
+# every threshold test goes through ``core._decide``, whose rule fails a
+# NaN; an inline ``if r > thr: raise`` passes one, since NaN > thr is false.
+# Only ``Decision.require`` builds a StructureError carrying a residual.
+DECISION_CLASS = "Decision"
+
+
+def _inline_threshold_raises(tree):
+    """Lines building a ``StructureError`` with a residual or threshold (by
+    keyword or a third positional argument) outside the decision class."""
+    boundary = {id(n) for c in ast.walk(tree)
+                if isinstance(c, ast.ClassDef) and c.name == DECISION_CLASS
+                for n in ast.walk(c)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in boundary
+            and "StructureError" in (getattr(node.func, "attr", None),
+                                     getattr(node.func, "id", None))
+            and (len(node.args) > 2 or any(
+                kw.arg in ("residual", "threshold") for kw in node.keywords))]
+
+
+def test_threshold_tests_raise_through_decide():
+    hits = {path.name: lines for path in SOURCES
+            if (lines := _inline_threshold_raises(
+                ast.parse(path.read_text(encoding="utf-8"))))}
+    assert not hits, f"inline threshold raises (use core._decide): {hits}"
+
+
+@pytest.mark.parametrize("planted,flagged", [
+    # the shape of the sites _decide replaced
+    ("if r > tol:\n    raise StructureError(c, f'{what} fails', residual=r)",
+     True),
+    ("raise StructureError('c', 'msg', r)", True),
+    ("raise errors.StructureError('c', 'msg', residual=r)", True),
+    ("raise StructureError('c', 'msg', threshold=t)", True),
+    ("def require(self):\n    raise StructureError('c', m, residual=r)", True),
+    ("class Decision:\n    def require(self):\n"
+     "        raise StructureError(self.condition, m, residual=self.value)",
+     False),
+    ("raise StructureError('rank', 'X_a is rank deficient')", False),
+    ("_decide('c', r, t).require('msg', 'condition_residual')", False),
+])
+def test_threshold_rule_catches_a_planted_raise(planted, flagged):
+    assert bool(_inline_threshold_raises(ast.parse(planted))) == flagged

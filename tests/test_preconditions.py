@@ -1,5 +1,6 @@
 """Workflow preconditions: each failing input names its condition and
-carries a positive residual, the Gram compatibility test equals the
+carries a positive residual, a NaN in place of that input fails the same
+condition (as does a NaN H or guard), the Gram compatibility test equals the
 ``W = e1 e2 W*`` certificate of ``W = G L`` across the space catalogue, and
 the workflows that test compatibility agree on the verdict."""
 
@@ -64,31 +65,47 @@ def _assembly(A, w, V, space, targets):
     return assemble_complex(A, spec, space, JORDAN)
 
 
-def _bad_certificate(A, w, V, space):
+def _nan(M):
+    """M with its first entry NaN (both parts when complex)."""
+    M = np.array(M)
+    M.flat[0] = complex(np.nan, np.nan) if np.iscomplexobj(M) else np.nan
+    return M
+
+
+def _break(M, shift, poisoned):
+    """M moved by shift, or, poisoned, M with a NaN entry instead."""
+    return _nan(M) if poisoned else M + shift
+
+
+def _bad_certificate(A, w, V, space, poisoned=False):
     asm = _assembly(A, w, V, space, np.diag(_targets(space, w)))
-    return dataclasses.replace(asm, Lambda_a=asm.Lambda_a + INCOMPATIBLE_SHIFT)
+    return dataclasses.replace(
+        asm, Lambda_a=_break(asm.Lambda_a, INCOMPATIBLE_SHIFT, poisoned))
 
 
-def _asymmetric_z(space):
-    return np.random.default_rng(3).standard_normal((space.n, space.n))
+def _asymmetric_z(space, poisoned=False):
+    K = np.random.default_rng(3).standard_normal((space.n, space.n))
+    return _nan(K + K.T) if poisoned else K
 
 
-def _complex_z_on_real_arrangement():
+def _complex_z_on_real_arrangement(poisoned=False):
     space, A, w, V = _identity_setup()
     K = np.random.default_rng(4).standard_normal((6, 6))
     Z = 1j * (K - K.T)  # Hermitian, so Z* = Z holds, but not real
     assert z_symmetry_residual(Z, space, JORDAN) == 0.0
     return reassign_family(
         A, _assembly(A, w, V, space, np.diag(_targets(space, w))), space,
-        JORDAN, Z=Z, verify=False)
+        JORDAN, Z=_nan(Z) if poisoned else Z, verify=False)
 
 
-def _case(name):
+def _case(name, poisoned=False):
+    """The call that breaks precondition name; poisoned, the input that
+    breaks it holds a NaN instead."""
     space, A, w, V = _flip_setup()
     X, Lc, La = V[:, :2], np.diag(w[:2]), _targets(space, w)
     X_f, Lf = V[:, 2:], np.diag(w[2:])
-    wrong = Lc + 0.1 * np.eye(2)
-    bad = La + INCOMPATIBLE_SHIFT
+    wrong = _break(Lc, 0.1 * np.eye(2), poisoned)
+    bad = _break(La, INCOMPATIBLE_SHIFT, poisoned)
     return {
         "reproduce_invariant": lambda: subspaces.reproduce_invariant(
             A, X, bad, space, JORDAN),
@@ -97,7 +114,7 @@ def _case(name):
         "preserve_invariant/compat": lambda: subspaces.preserve_invariant(
             A, X, Lc, np.eye(2), bad, space, JORDAN),
         "preserve_complementary/pair": lambda: subspaces.preserve_complementary(
-            A, X, La, X_f, Lf + 0.1 * np.eye(4), space, JORDAN),
+            A, X, La, X_f, _break(Lf, 0.1 * np.eye(4), poisoned), space, JORDAN),
         "preserve_complementary/compat": lambda: subspaces.preserve_complementary(
             A, X, bad, X_f, Lf, space, JORDAN),
         "no_spillover/pair": lambda: subspaces.no_spillover(
@@ -105,19 +122,22 @@ def _case(name):
         "no_spillover/compat": lambda: subspaces.no_spillover(
             A, X, Lc, bad, space, JORDAN),
         "reassign_family/certificate": lambda: reassign_family(
-            A, _bad_certificate(A, w, V, space), space, JORDAN, verify=False),
+            A, _bad_certificate(A, w, V, space, poisoned), space, JORDAN,
+            verify=False),
         "reassign_family/z_symmetry": lambda: reassign_family(
             A, _assembly(A, w, V, space, np.diag(La)), space, JORDAN,
-            Z=_asymmetric_z(space), verify=False),
-        "reassign_family/z_real": _complex_z_on_real_arrangement,
+            Z=_asymmetric_z(space, poisoned), verify=False),
+        "reassign_family/z_real": lambda: _complex_z_on_real_arrangement(
+            poisoned),
         "reassign_no_spillover": lambda: reassign_no_spillover(
-            A, _bad_certificate(A, w, V, space), space, JORDAN, verify=False),
-        "with_z": lambda: map_family(
-            X, X @ La - A @ X, space, JORDAN).with_z(_asymmetric_z(space)),
+            A, _bad_certificate(A, w, V, space, poisoned), space, JORDAN,
+            verify=False),
+        "with_z": lambda: map_family(X, X @ La - A @ X, space, JORDAN).with_z(
+            _asymmetric_z(space, poisoned)),
         "assemble_complex": lambda: assemble_complex(
             A, ReassignmentSpec(groups=tuple(
-                ReassignmentGroup(current=w[j], target=La[j, j],
-                                  chains=(V[:, [j]] + 0.1 * V[:, [2]],))
+                ReassignmentGroup(current=w[j], target=La[j, j], chains=(
+                    _break(V[:, [j]], 0.1 * V[:, [2]], poisoned),))
                 for j in range(2))), space, JORDAN),
     }[name]
 
@@ -146,6 +166,53 @@ def test_failing_precondition_is_named_with_residual(name, condition):
         _case(name)()
     assert exc.value.condition == condition
     assert exc.value.residual is not None and exc.value.residual > 0
+
+
+def _fails_on_nan(call, condition):
+    """call raises condition with a NaN residual and its threshold: an IEEE
+    comparison with NaN is false, so no test may read it as a pass."""
+    with pytest.raises(StructureError) as exc:
+        call()
+    assert exc.value.condition == condition
+    assert np.isnan(exc.value.residual)
+    assert exc.value.threshold is not None
+
+
+@pytest.mark.parametrize("name,condition", PRECONDITIONS,
+                         ids=[n for n, _ in PRECONDITIONS])
+def test_nan_input_fails_the_named_precondition(name, condition):
+    _fails_on_nan(_case(name, poisoned=True), condition)
+
+
+def _nan_imaginary_identity(n):
+    H = np.eye(n, dtype=complex)
+    H.imag[0, 0] = np.nan
+    return H
+
+
+@pytest.mark.parametrize("field,H,condition", [
+    ("real", _nan(np.eye(4)), "H_star_symmetry"),
+    ("complex", _nan(np.eye(4, dtype=complex)), "H_star_symmetry"),
+    # the real part alone is a valid H
+    ("real", _nan_imaginary_identity(4), "real_space_H"),
+], ids=["real", "complex", "real-space-imaginary"])
+def test_nan_h_is_rejected(field, H, condition):
+    _fails_on_nan(lambda: ScalarProductSpace(H, field=field), condition)
+
+
+def test_nan_fixed_spectrum_guard_fails_disjointness():
+    space, A, w, V = _flip_setup()
+    asm = _assembly(A, w, V, space, np.diag(_targets(space, w)))
+    _fails_on_nan(lambda: reassign_no_spillover(
+        A, asm, space, JORDAN, fixed_spectrum_guard=[np.nan], verify=False),
+        "spectral_disjointness")
+
+
+def test_nan_right_hand_side_is_infeasible():
+    space, A, w, V = _flip_setup()
+    X = V[:, :2]
+    B = X @ _targets(space, w) - A @ X
+    _fails_on_nan(lambda: map_family(X, _nan(B), space, JORDAN), "feasibility")
 
 
 def test_compatibility_residual_is_the_certificate_residual(rng):

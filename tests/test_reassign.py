@@ -36,7 +36,7 @@ def _lie4_assembly():
         ReassignmentGroup(c, t, (golden.LIE4_XC[:, [j]],))
         for j, (c, t) in enumerate(zip(golden.LIE4_CURRENT, golden.LIE4_TARGET)))
     asm = assemble_complex(golden.LIE4_A, ReassignmentSpec(groups), space,
-                           "lie", chain_tol=1e-3)
+                           "lie", tol=ToleranceProfile(residual_tol=1e-3))
     return space, asm
 
 
@@ -178,6 +178,21 @@ class TestReassignNoSpillover:
                 fixed_spectrum_guard=[1.0 + 0j, -3.0 + 0j],
                 allow_guard_violation=True)
         assert res.delta is not None
+
+    def test_empty_guard_is_disjoint(self):
+        rec = InstanceRecipe("flip", "jordan", "complex", "CT",
+                             (PlanGroup(2 + 1j, (1,)), PlanGroup(2 - 1j, (1,)),
+                              PlanGroup(1.0, (1,)), PlanGroup(-3.0, (1,))),
+                             seed=54)
+        inst = generate_instance(rec)
+        p = _pick(inst.pairs, 1.0)
+        spec = ReassignmentSpec((ReassignmentGroup(p.value, 6.0, (p.chain,)),))
+        asm = assemble_complex(inst.A, spec, inst.space, inst.cls)
+        guarded = reassign_no_spillover(inst.A, asm, inst.space, inst.cls,
+                                        fixed_spectrum_guard=[], verify=False)
+        plain = reassign_no_spillover(inst.A, asm, inst.space, inst.cls,
+                                      verify=False)
+        np.testing.assert_array_equal(guarded.delta, plain.delta)
 
     def test_rank_equals_changed_multiplicity(self):
         rec = InstanceRecipe("flip", "lie", "complex", "CT",

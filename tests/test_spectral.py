@@ -16,6 +16,7 @@ from specpreserve import (
     ScalarProductSpace,
     StructureClass,
     StructureError,
+    ToleranceProfile,
     assemble_complex,
     assemble_real_jordan,
     assemble_real_lie,
@@ -198,7 +199,7 @@ class TestAssembleComplex:
             ReassignmentGroup(c, t, (golden.LIE4_XC[:, [j]],))
             for j, (c, t) in enumerate(zip(golden.LIE4_CURRENT, golden.LIE4_TARGET)))
         asm = assemble_complex(golden.LIE4_A, ReassignmentSpec(groups), space,
-                               "lie", chain_tol=1e-3)
+                               "lie", tol=ToleranceProfile(residual_tol=1e-3))
         np.testing.assert_allclose(asm.X_c, golden.LIE4_XC, atol=1e-12)
         np.testing.assert_allclose(np.diag(asm.Lambda_c), golden.LIE4_CURRENT)
         np.testing.assert_allclose(np.diag(asm.Lambda_a), golden.LIE4_TARGET)
@@ -319,7 +320,7 @@ class TestAssembleRealJordan:
             for j, (c, t) in enumerate(zip(golden.JORDAN5_CURRENT,
                                            golden.JORDAN5_TARGET)))
         asm = assemble_real_jordan(golden.JORDAN5_A, ReassignmentSpec(groups),
-                                   space, chain_tol=1e-3)
+                                   space, tol=ToleranceProfile(residual_tol=1e-3))
         np.testing.assert_allclose(np.diag(asm.Lambda_c), golden.JORDAN5_CURRENT,
                                    atol=1e-12)
         np.testing.assert_allclose(np.diag(asm.Lambda_a), golden.JORDAN5_TARGET,

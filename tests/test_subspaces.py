@@ -318,6 +318,17 @@ class TestNoSpillover:
             subspaces.no_spillover(A, X, Lc, La, space, cls)
         assert exc.value.residual is not None and exc.value.residual > 0
 
+    def test_isotropic_basis_is_gram_singular(self):
+        # X* H X = 0 exactly: the relative singular-value bound is 0, and a
+        # zero singular value must still fail it, before any LU of G
+        space = ScalarProductSpace.flip(4)
+        A = np.diag([2.0, 3.0, 2.0, 3.0])
+        with pytest.raises(StructureError) as exc:
+            subspaces.no_spillover(A, np.eye(4)[:, [0]], [[2.0]], [[5.0]],
+                                   space, "jordan")
+        assert exc.value.condition == "gram_singular"
+        assert exc.value.residual == exc.value.threshold == 0.0
+
 
 class TestInvariantPairIdentities:
     def test_gram_eigen_identity_on_constructed_pairs(self):
