@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (_check_invariant_pair, _decide, as_matrix, numerical_rank,
-                   pseudoinverse)
-from .errors import ArgumentError, StructureError
+from .core import (_check_full_column_rank, _check_invariant_pair, _decide,
+                   as_matrix, pseudoinverse)
+from .errors import ArgumentError
 
 __all__ = [
     "brauer_update",
@@ -83,8 +83,8 @@ def rado_update(A, X, Omega, C, eig_tol=EIGPAIR_TOL, rank_tol=1e-10):
     p = X.shape[1]
     if X.shape[0] != n or Omega.shape != (p, p) or C.shape != (p, n):
         raise ArgumentError("inconsistent shapes for rado_update")
-    if numerical_rank(X, rank_tol) < p:
-        raise StructureError("rank", "eigenvector matrix X is rank deficient")
+    _check_full_column_rank(X, rank_tol, "rank",
+                            "eigenvector matrix X is rank deficient")
     _check_invariant_pair(A, X, Omega, eig_tol, "A X = X Omega")
     return A + X @ C
 
@@ -103,8 +103,7 @@ def reproduce_invariant(A, X_a, Lambda_a, Z=None, rank_tol=1e-10):
     p = X_a.shape[1]
     if X_a.shape[0] != n or Lambda_a.shape != (p, p):
         raise ArgumentError("inconsistent shapes for reproduce_invariant")
-    if numerical_rank(X_a, rank_tol) < p:
-        raise StructureError("rank", "X_a is rank deficient")
+    _check_full_column_rank(X_a, rank_tol, "rank", "X_a is rank deficient")
     Xd = pseudoinverse(X_a, rank_tol)
     delta = (X_a @ Lambda_a - A @ X_a) @ Xd
     if Z is not None:
@@ -129,8 +128,8 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, Z=None,
     p = X_c.shape[1]
     if R.shape != (p, p) or Lambda_a.shape != (p, p) or Lambda_c.shape != (p, p):
         raise ArgumentError("inconsistent shapes for preserve_invariant")
-    if numerical_rank(R, rank_tol) < p:
-        raise StructureError("nonsingular_R", "R is numerically singular")
+    _check_full_column_rank(R, rank_tol, "nonsingular_R",
+                            "R is numerically singular")
     _check_invariant_pair(A, X_c, Lambda_c, eig_tol, "A X_c = X_c Lambda_c")
     XR = X_c @ R
     XRd = pseudoinverse(XR, rank_tol)
@@ -154,7 +153,7 @@ def preserve_complementary(A, X_a, X_f, Lambda_a_hat, Lambda_f_hat, rank_tol=1e-
     X = np.hstack([X_a, X_f])
     if X.shape != (n, n):
         raise ArgumentError("[X_a X_f] must be square")
-    if numerical_rank(X, rank_tol) < n:
-        raise StructureError("nonsingular_basis", "[X_a X_f] is numerically singular")
+    _check_full_column_rank(X, rank_tol, "nonsingular_basis",
+                            "[X_a X_f] is numerically singular")
     B = np.hstack([X_a @ La - A @ X_a, X_f @ Lf - A @ X_f])
     return np.linalg.solve(X.T, B.T).T

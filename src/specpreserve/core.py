@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .errors import ArgumentError, StructureError
 
@@ -429,9 +429,14 @@ def is_member(A, space: ScalarProductSpace, cls: StructureClass,
 
 def pseudoinverse(X, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with singular values below
-    ``rank_tol * sigma_max`` treated as zero, in the dtype of X."""
+    ``rank_tol * sigma_max`` treated as zero, in the dtype of X.  An X
+    with a NaN or infinite entry has no SVD; it gets an all-NaN result, so
+    every residual that uses it is NaN and fails its decision."""
     X = np.asarray(X)
-    return np.linalg.pinv(X if X.ndim == 2 else as_matrix(X, "X"), rcond=rank_tol)
+    X = X if X.ndim == 2 else as_matrix(X, "X")
+    if not np.isfinite(X).all():
+        return np.full(X.shape[::-1], np.nan, dtype=X.dtype)
+    return np.linalg.pinv(X, rcond=rank_tol)
 
 
 def numerical_rank(X, rank_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -444,6 +449,19 @@ def numerical_rank(X, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rank_tol * s[0]))
+
+
+def _check_full_column_rank(M, rank_tol, condition, what):
+    """Raise unless M has full column rank: for p columns, the p-th
+    singular value must exceed ``rank_tol * sigma_max``.  No columns always
+    pass; an M with a NaN or infinite entry fails with NaN singular
+    values."""
+    p = M.shape[1]
+    s = (np.linalg.svd(M, compute_uv=False) if np.isfinite(M).all()
+         else np.full(min(M.shape), np.nan))
+    pth = np.inf if p == 0 else s[p - 1] if p <= s.size else 0.0
+    _decide(condition, pth, rank_tol * (s[0] if s.size else 0.0),
+            at_least=True).require(what, "singular value")
 
 
 def _star_h(X, space) -> np.ndarray:

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .core import (
     ScalarProductSpace,
@@ -31,7 +31,8 @@ from .core import (
     structure_residual,
 )
 from .errors import ArgumentError, InfeasiblePlanError
-from .spectral import JordanPair, ReassignmentAssembly, _group_orbits
+from .spectral import (JordanPair, ReassignmentAssembly, _block_diag,
+                       _group_orbits)
 
 __all__ = [
     "oracle_dim_limit",
@@ -105,16 +106,26 @@ class SpectrumVerdict:
 
 
 def _assign_multisets(ea, eb):
-    """Optimal pairing of two complex multisets (Hungarian).
+    """Optimal pairing of two complex multisets.
 
     Returns the row indices into ea, the column indices into eb and the
     paired distances; when the sizes differ, the smaller side is paired in
-    full.
+    full.  When every value of ea has one nearest value of eb and no two
+    share it, that pairing costs each row its minimum, so it is the unique
+    optimum and the Hungarian would return it too; ties, shared nearest
+    values, NaN and a longer ea go to the Hungarian.
     """
     cost = np.abs(np.subtract.outer(ea, eb))
-    # scipy.optimize is not imported at the top: scipy (>= 1.9) loads it on
-    # this first attribute access, which keeps ~0.1 s off the start-up of
-    # every command that never pairs spectra
+    if 0 < cost.shape[0] <= cost.shape[1]:
+        rows = np.arange(cost.shape[0])
+        cols = np.argmin(cost, axis=1)
+        dist = cost[rows, cols]
+        if (np.all(np.isfinite(dist))
+                and np.all(np.count_nonzero(cost == dist[:, None], axis=1) == 1)
+                and np.unique(cols).size == cols.size):
+            return rows, cols, dist
+    # scipy (>= 1.9) loads scipy.optimize on this first attribute access,
+    # so only a pairing that needs the Hungarian pays its import
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return rows, cols, cost[rows, cols]
 
@@ -623,8 +634,8 @@ def generate_instance(recipe: InstanceRecipe,
 
     n = recipe.n
     units = _balance_signs(units, recipe, n)
-    A0 = as_matrix(scipy.linalg.block_diag(*[u[0] for u in units]), "A0", recipe)
-    H0 = as_matrix(scipy.linalg.block_diag(*[u[1] for u in units]), "H0", recipe)
+    A0 = as_matrix(_block_diag(*[u[0] for u in units]), "A0", recipe)
+    H0 = as_matrix(_block_diag(*[u[1] for u in units]), "H0", recipe)
     chains = []
     offset = 0
     for A_u, H_u, ch in units:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .core import (
     ScalarProductSpace,
@@ -216,6 +216,20 @@ def _snap(lam: complex, band: float) -> complex:
     return complex(re, im)
 
 
+def _block_diag(*blocks):
+    """``scipy.linalg.block_diag`` for 2-D blocks, without loading
+    ``scipy.linalg``: the blocks on the diagonal in their result dtype, a
+    scalar or 1-D block taken as one row, and no blocks as shape (1, 0)."""
+    blocks = [np.atleast_2d(b) for b in blocks or ([],)]
+    out = np.zeros(tuple(np.sum([b.shape for b in blocks], axis=0)),
+                   dtype=np.result_type(*blocks))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
 def _sip(k):
     return np.fliplr(np.eye(k))
 
@@ -226,7 +240,7 @@ def _unit_couple(lam, k, eps1, eps2, sesquilinear):
     S = _sip(k)
     Js = J.conj().T if sesquilinear else J.T
     B = eps2 * S @ Js @ S
-    A = scipy.linalg.block_diag(J, B)
+    A = _block_diag(J, B)
     H = np.zeros((2 * k, 2 * k), dtype=complex)
     H[:k, k:] = S
     H[k:, :k] = eps1 * S
@@ -261,7 +275,7 @@ def _unit_self_doubled(lam, k, eps1):
     """Twin equal Jordan blocks against an antisymmetric H; the shape of
     self-paired eigenvalues when the bilinear form is skew (eps1 = -1)."""
     J = jordan_block(lam, k)
-    A = scipy.linalg.block_diag(J, J)
+    A = _block_diag(J, J)
     S = _sip(k)
     H = np.zeros((2 * k, 2 * k), dtype=complex)
     H[:k, k:] = S
@@ -295,8 +309,8 @@ def _realify(A_c, H_c, chains):
 
 def _pair_with_conjugate(A_c, H_c, chains):
     """diag(block, conj block) with the conjugate's chains, then realify."""
-    A_p = scipy.linalg.block_diag(A_c, np.conj(A_c))
-    H_p = scipy.linalg.block_diag(H_c, np.conj(H_c))
+    A_p = _block_diag(A_c, np.conj(A_c))
+    H_p = _block_diag(H_c, np.conj(H_c))
     up = [(lam, np.vstack([X, np.zeros_like(X)])) for lam, X in chains]
     dn = [(np.conj(lam), np.vstack([np.zeros_like(X), np.conj(X)]))
           for lam, X in chains]
@@ -704,13 +718,8 @@ def gram_blocks(pairs, space: ScalarProductSpace, cls: StructureClass,
 # assemblies
 # ---------------------------------------------------------------------------
 
-def _block_diag(mats):
-    """Block diagonal of 2-D blocks, in their common field."""
-    return scipy.linalg.block_diag(*mats) if mats else np.zeros((0, 0))
-
-
 def _group_lambda(value, chains):
-    return _block_diag([jordan_block(value, X.shape[1]) for X in chains])
+    return _block_diag(*[jordan_block(value, X.shape[1]) for X in chains])
 
 
 def _sorted_chains(group):
@@ -819,12 +828,12 @@ def _assemble(A, spec, space, cls, field, snap_tol, tol):
     real = field == "real"
     return ReassignmentAssembly(
         X_c=as_matrix(np.hstack(X_parts), "X_c", space),
-        Lambda_c=as_matrix(_block_diag(Lc_parts), "Lambda_c", space),
-        Lambda_a=as_matrix(_block_diag(La_parts), "Lambda_a", space),
+        Lambda_c=as_matrix(_block_diag(*Lc_parts), "Lambda_c", space),
+        Lambda_a=as_matrix(_block_diag(*La_parts), "Lambda_a", space),
         arrangement=f"real-{cls.name.lower()}" if real else "complex",
         blocks=tuple(blocks),
         real_output=real,
-        conjugation=_block_diag(R_parts) if real else None,
+        conjugation=_block_diag(*R_parts) if real else None,
     )
 
 

@@ -22,12 +22,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
+    _check_full_column_rank,
     _check_invariant_pair,
     _decide,
     _gram_compatibility,
@@ -36,10 +37,9 @@ from .core import (
     as_matrix,
     frob,
     gram_matrix,
-    numerical_rank,
     pseudoinverse,
 )
-from .errors import ArgumentError, StructureError
+from .errors import ArgumentError
 from .mapping import _family_factors, solve_structured
 from .spectral import _form_star, pairing_partner
 
@@ -78,8 +78,7 @@ def _basis_gram(X_a, Lambda_a, space, tol) -> np.ndarray:
     p = X_a.shape[1]
     if Lambda_a.shape != (p, p):
         raise ArgumentError("Lambda_a must be p x p for X_a with p columns")
-    if numerical_rank(X_a, tol.rank_tol) < p:
-        raise StructureError("rank", "X_a is rank deficient")
+    _check_full_column_rank(X_a, tol.rank_tol, "rank", "X_a is rank deficient")
     return gram_matrix(X_a, space)
 
 
@@ -132,8 +131,8 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
     p = X_c.shape[1]
     if R.shape != (p, p):
         raise ArgumentError("R must be p x p")
-    if numerical_rank(R, tol.rank_tol) < p:
-        raise StructureError("nonsingular_R", "R is numerically singular")
+    _check_full_column_rank(R, tol.rank_tol, "nonsingular_R",
+                            "R is numerically singular")
     _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol, "A X_c = X_c Lambda_c")
     GR = space.star_mat(R) @ gram_matrix(X_c, space) @ R
     _gram_compatibility(GR, Lambda_a, space, cls, tol).require(

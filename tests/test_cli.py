@@ -26,14 +26,41 @@ def _copy_job(jobs_dir, name, tmp_path):
     return dst
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # the Hungarian step is imported on first use; most commands never reach it
+SCIPY_SUBMODULES = ("scipy.linalg", "scipy.optimize")
+
+
+def _scipy_loaded_by(code):
+    """The scipy submodules a fresh interpreter holds after running code."""
     src = os.path.dirname(os.path.dirname(specpreserve.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, specpreserve.cli; "
-            "sys.exit('scipy.optimize' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
-    assert proc.returncode == 0
+    code = (f"import sys\n{code}\nprint(*[m for m in {SCIPY_SUBMODULES!r} "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy loads its submodules on first use: importing the package, and
+    # so every command's start-up, loads neither the Hungarian nor LAPACK
+    # wrappers
+    assert _scipy_loaded_by("import specpreserve.cli") == set()
+
+
+@pytest.mark.parametrize("command,job,unloaded", [
+    # no dense-H solve, no Schur, and a pairing without ties
+    ("reassign", "lie4", SCIPY_SUBMODULES),
+    ("gen", "gen6", SCIPY_SUBMODULES),
+    # the LU of the Gram matrix loads scipy.linalg, the pairing nothing
+    ("reassign", "jordan5", ("scipy.optimize",)),
+], ids=["reassign-lie4", "gen-gen6", "reassign-jordan5"])
+def test_command_loads_only_the_scipy_it_runs(command, job, unloaded,
+                                              jobs_dir, tmp_path):
+    argv = [command, os.path.join(jobs_dir, job, "job.json"),
+            "--out", str(tmp_path)]
+    code = f"from specpreserve.cli import main\nassert main({argv!r}) == 0"
+    assert _scipy_loaded_by(code).isdisjoint(unloaded)
 
 
 def test_eigenvector_matching_is_optimal():
@@ -212,6 +239,20 @@ class TestInvariant:
         err = capsys.readouterr().err
         assert "lambda_compatibility" in err
         assert "condition_residual" in err
+
+    def test_nan_basis_exits_2(self, tmp_path, capsys):
+        # a NaN basis has no SVD; the rank decision fails instead of numpy.
+        # json writes NaN as a bare literal, which the matrix reader accepts
+        X = [np.nan, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0]
+        (tmp_path / "X.json").write_text(json.dumps(
+            {"rows": 4, "cols": 2, "field": "real", "data": X}))
+        matio.save_matrix(tmp_path / "A.json", np.zeros((4, 4)), "real")
+        job = {"matrix": "A.json", "space": "flip", "class": "jordan",
+               "star": "ct", "field": "complex", "basis": "X.json",
+               "submode": "reproduce", "lambda_target": [[1.0, 0.0]] * 2}
+        (tmp_path / "job.json").write_text(json.dumps(job))
+        assert _run("invariant", str(tmp_path / "job.json")) == 2
+        assert "[rank]" in capsys.readouterr().err
 
 
 class TestGen:

@@ -5,6 +5,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import golden
 import specpreserve.core
@@ -29,8 +30,8 @@ from specpreserve import (
     verify_reassignment,
 )
 from specpreserve.core import frob
-from specpreserve.diagnostics import (_planned_spectrum, _spillover_residual,
-                                      oracle_dim_limit)
+from specpreserve.diagnostics import (_assign_multisets, _planned_spectrum,
+                                      _spillover_residual, oracle_dim_limit)
 
 
 class TestSpectrumCompare:
@@ -99,6 +100,94 @@ class TestSpectrumCompare:
         rep = verify_reassignment(inst.A, delta, asm, inst.space, inst.cls)
         assert rep.spectrum_verdict is None
         assert rep.spillover_residual <= 1e-14
+
+
+def _hungarian_spy(monkeypatch):
+    """Record the cost shape of every call to scipy's Hungarian solver."""
+    calls = []
+    orig = scipy.optimize.linear_sum_assignment
+
+    def spy(cost):
+        calls.append(cost.shape)
+        return orig(cost)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+    return calls
+
+
+def _random_values(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _pairing_case(name, rng):
+    """(ea, eb, route): route True when only the Hungarian can pair them,
+    False when every value has its own nearest partner, None when the
+    random draw decides."""
+    d = 2e-6
+    a9, b9 = _random_values(rng, 9), _random_values(rng, 9)
+    return {
+        "square": (a9[:7], b9[:7], None),
+        "square-near-copies": (a9, rng.permutation(a9 + 1e-9 * b9), False),
+        "fewer-rows": (a9[:4], b9, None),
+        "fewer-rows-near-copies": (b9[[5, 0, 3]] + 1e-9, b9, False),
+        "more-rows": (a9, b9[:4], True),
+        "duplicates": (np.array([1.0, 1.0, 2 + 1j]),
+                       np.array([2 + 1j, 1.0, 1.0]), True),
+        "conjugates-equidistant-from-real": (
+            np.array([2.0 + 0j]), np.array([1 + 1j, 1 - 1j]), True),
+        "real-equidistant-from-conjugates": (
+            np.array([1 + 1j, 1 - 1j]), np.array([2.0 + 0j, 7.0 + 0j]), True),
+        # the optimal-pairing example, both ways round: nearest-first pairs
+        # 1 + 2d with 1 + 3d and leaves 1 + 4d at 4d from 1
+        "shared-nearest": (np.array([1 + 2 * d, 1 + 4 * d]),
+                           np.array([1.0, 1 + 3 * d]), True),
+        "shared-nearest-transposed": (np.array([1.0, 1 + 3 * d]),
+                                      np.array([1 + 2 * d, 1 + 4 * d]), True),
+    }[name]
+
+
+class TestAssignMultisets:
+    @pytest.mark.parametrize("name", [
+        "square", "square-near-copies", "fewer-rows", "fewer-rows-near-copies",
+        "more-rows", "duplicates", "conjugates-equidistant-from-real",
+        "real-equidistant-from-conjugates", "shared-nearest",
+        "shared-nearest-transposed"])
+    def test_matches_the_hungarian_exactly(self, name, rng, monkeypatch):
+        ea, eb, route = _pairing_case(name, rng)
+        cost = np.abs(np.subtract.outer(ea, eb))
+        want_rows, want_cols = scipy.optimize.linear_sum_assignment(cost)
+        calls = _hungarian_spy(monkeypatch)
+        rows, cols, dist = _assign_multisets(ea, eb)
+        for got, want in ((rows, want_rows), (cols, want_cols),
+                          (dist, cost[want_rows, want_cols])):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        if route is not None:
+            assert bool(calls) == route
+
+    @pytest.mark.parametrize("ea,eb", [
+        (np.array([1.0, np.nan]), np.array([1.0, 2.0])),
+        # one column, so the infinite distance is its row's only minimum
+        (np.array([np.inf]), np.array([1.0])),
+    ], ids=["nan", "inf"])
+    def test_non_finite_raises_as_the_hungarian_does(self, ea, eb):
+        with pytest.raises(ValueError) as want:
+            scipy.optimize.linear_sum_assignment(
+                np.abs(np.subtract.outer(ea, eb)))
+        with pytest.raises(ValueError) as got:
+            _assign_multisets(ea, eb)
+        assert str(got.value) == str(want.value)
+
+    def test_well_separated_values_skip_the_hungarian(self, rng, monkeypatch):
+        ea = _random_values(rng, 256)
+        perm = rng.permutation(256)
+        eb = (ea + 1e-10 * _random_values(rng, 256))[perm]
+        calls = _hungarian_spy(monkeypatch)
+        rows, cols, dist = _assign_multisets(ea, eb)
+        assert calls == []
+        np.testing.assert_array_equal(rows, np.arange(256))
+        np.testing.assert_array_equal(cols, np.argsort(perm))
+        assert np.max(dist) < 1e-9
 
 
 class TestPlannedSpectrum:

@@ -1,8 +1,9 @@
 """Source hygiene that no installed linter checks: every module-level import
-in the package is used by its module or re-exported through ``__all__``,
-the field-keeping modules never cast to complex outside ``as_matrix``, the
-verification oracle calls no eigenvector solver, and every threshold test
-raises through ``core._decide``."""
+in the package is used by its module or re-exported through ``__all__``, no
+module loads a scipy submodule at import time, the field-keeping modules
+never cast to complex outside ``as_matrix``, the verification oracle calls
+no eigenvector solver, and every threshold test raises through
+``core._decide``."""
 
 import ast
 import pathlib
@@ -40,6 +41,58 @@ def test_no_unused_module_imports(path):
               for name in _bound_names(node)
               if name not in used and name not in exported]
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+# the package imports bare ``scipy``: scipy (>= 1.9) loads ``scipy.linalg``
+# and ``scipy.optimize`` on first attribute access, so a command loads only
+# the submodules its code runs, and the benchmark's tracer, which swaps the
+# modules' ``scipy`` global, still sees every call
+def _import_time_submodules(tree):
+    """Lines importing a scipy submodule outside any function body:
+    ``import scipy.linalg``, ``from scipy.linalg import ...`` and
+    ``from scipy import linalg``."""
+    deferred = {id(n) for f in ast.walk(tree)
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for n in ast.walk(f)}
+    hits = []
+    for node in ast.walk(tree):
+        if id(node) in deferred:
+            continue
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{a.name}"
+                                     for a in node.names]
+        else:
+            continue
+        if any(name.startswith("scipy.") for name in names):
+            hits.append(node.lineno)
+    return hits
+
+
+def test_no_scipy_submodule_is_imported_at_module_level():
+    hits = {path.name: lines for path in SOURCES
+            if (lines := _import_time_submodules(
+                ast.parse(path.read_text(encoding="utf-8"))))}
+    assert not hits, f"module-level scipy submodule imports: {hits}"
+
+
+@pytest.mark.parametrize("planted,flagged", [
+    # the imports the bare ``import scipy`` replaced
+    ("import scipy.linalg", True),
+    ("import scipy.optimize as opt", True),
+    ("from scipy.linalg import block_diag", True),
+    ("from scipy import linalg", True),
+    ("try:\n    import scipy.linalg\nexcept ImportError:\n    pass", True),
+    ("class C:\n    import scipy.linalg", True),
+    ("import scipy", False),
+    ("import numpy.linalg", False),
+    ("from .core import as_matrix", False),
+    ("def load(path):\n    import scipy.io\n    return scipy.io.mmread(path)",
+     False),
+])
+def test_submodule_rule_catches_a_planted_import(planted, flagged):
+    assert bool(_import_time_submodules(ast.parse(planted))) == flagged
 
 
 # modules that keep the field of their data: ``core.as_matrix`` (with the

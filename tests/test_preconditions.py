@@ -18,12 +18,13 @@ from specpreserve import (
     StructureError,
     assemble_complex,
     assemble_real_jordan,
+    feasibility_check,
     map_family,
     reassign_family,
     reassign_no_spillover,
     z_symmetry_residual,
 )
-from specpreserve import subspaces
+from specpreserve import classical, subspaces
 from specpreserve.core import gram_matrix
 
 JORDAN = StructureClass.JORDAN
@@ -213,6 +214,57 @@ def test_nan_right_hand_side_is_infeasible():
     X = V[:, :2]
     B = X @ _targets(space, w) - A @ X
     _fails_on_nan(lambda: map_family(X, _nan(B), space, JORDAN), "feasibility")
+
+
+def _raise_first_violation(report):
+    """Raise the first violation of a feasibility report, as map_family
+    does."""
+    assert not report.feasible
+    report.violations[0].require("infeasible")
+
+
+@pytest.mark.parametrize("call,condition", [
+    (lambda sp, X: subspaces.reproduce_invariant(
+        np.zeros((4, 4)), X, np.eye(2), sp, JORDAN), "rank"),
+    (lambda sp, X: subspaces.lambda_compatibility(X, np.eye(2), sp, JORDAN),
+     "rank"),
+    (lambda sp, X: map_family(X, X, sp, JORDAN), "feasibility"),
+    (lambda sp, X: _raise_first_violation(
+        feasibility_check(X, X, sp, JORDAN)),
+     "range_condition"),
+], ids=["reproduce_invariant", "lambda_compatibility", "map_family",
+        "feasibility_check"])
+def test_nan_basis_fails_a_named_condition(call, condition):
+    # numpy's SVD raises LinAlgError on a NaN; no workflow may reach it
+    X = _nan([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])  # e1+e3, e2+e4
+    space = ScalarProductSpace.flip(4, star="ct")
+    _fails_on_nan(lambda: call(space, X), condition)
+
+
+@pytest.mark.parametrize("call,condition", [
+    (lambda sp, X: subspaces.reproduce_invariant(
+        np.zeros((4, 4)), X, np.eye(2), sp, JORDAN), "rank"),
+    (lambda sp, X: subspaces.preserve_invariant(
+        np.zeros((4, 4)), np.eye(4, 2), np.zeros((2, 2)), X[:2],
+        np.zeros((2, 2)), sp, JORDAN), "nonsingular_R"),
+    (lambda sp, X: classical.reproduce_invariant(
+        np.zeros((4, 4)), X, np.eye(2)), "rank"),
+    (lambda sp, X: classical.rado_update(
+        np.zeros((4, 4)), X, np.zeros((2, 2)), np.zeros((2, 4))), "rank"),
+    (lambda sp, X: classical.preserve_invariant(
+        np.zeros((4, 4)), np.eye(4, 2), np.zeros((2, 2)), X[:2],
+        np.zeros((2, 2))), "nonsingular_R"),
+    (lambda sp, X: classical.preserve_complementary(
+        np.zeros((4, 4)), X, X, np.eye(2), np.eye(2)), "nonsingular_basis"),
+], ids=["reproduce_invariant", "preserve_invariant", "classical-reproduce",
+        "classical-rado", "classical-preserve", "classical-complementary"])
+def test_rank_failure_carries_singular_value_and_threshold(call, condition):
+    space = ScalarProductSpace.flip(4, star="ct")
+    with pytest.raises(StructureError) as exc:
+        call(space, np.ones((4, 2)))
+    assert exc.value.condition == condition
+    assert exc.value.residual is not None and exc.value.threshold is not None
+    assert 0.0 <= exc.value.residual <= exc.value.threshold
 
 
 def test_compatibility_residual_is_the_certificate_residual(rng):

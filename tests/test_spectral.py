@@ -3,6 +3,7 @@ ordered assemblies for every arrangement."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from specpreserve import (
     pairing_partner,
     validate_pairing_closure,
 )
+from specpreserve import spectral
 
 finite_scalars = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=1e6, allow_nan=False, allow_infinity=False)
@@ -396,3 +398,27 @@ class TestScalingCovariance:
         d2 = reassign_no_spillover(inst.A, asm2, inst.space, inst.cls,
                                    verify=False).delta
         np.testing.assert_allclose(d1, d2, atol=1e-9 * max(1.0, np.linalg.norm(d1)))
+
+
+class TestBlockDiag:
+    """``_block_diag`` stands in for ``scipy.linalg.block_diag`` in the
+    canonical units, the assemblies and the generator, so it must give the
+    same bits and dtype."""
+
+    @pytest.mark.parametrize("blocks", [
+        [np.arange(4.0).reshape(2, 2), np.array([[5.0]])],
+        [np.array([[1 + 2j, 3j]]), np.array([[4 - 1j], [2j]])],
+        [np.eye(2), np.array([[1j]]), np.arange(6).reshape(2, 3)],
+        [np.array([1.0, 2.0]), np.array([[3.0, 4.0], [5.0, 6.0]])],
+        [2.5, np.array([1j, 2.0])],
+        [np.zeros((0, 0)), np.eye(2), np.zeros((0, 0), dtype=complex)],
+        [np.zeros((2, 0)), np.array([[7.0]])],
+        [np.array([])],
+        [],
+    ], ids=["real", "complex", "mixed", "1-D", "scalar-and-1-D", "0x0",
+            "2x0", "empty-1-D", "no-blocks"])
+    def test_matches_scipy_bit_for_bit(self, blocks):
+        want = scipy.linalg.block_diag(*blocks)
+        got = spectral._block_diag(*blocks)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
