@@ -397,12 +397,16 @@ def adjoint(A, space: ScalarProductSpace) -> np.ndarray:
     """Adjoint of A with respect to the scalar product: ``H^-1 A* H``.
 
     Computed in the field of A and H, so real data gets real arithmetic and
-    a real result.
+    a real result.  A signed or phased permutation H is applied and inverted
+    by indexing (``space.h_solve``), which gives the dense solve's result up
+    to the sign of zeros; any other H keeps ``np.linalg.solve``.
     """
     A = as_matrix(A, "A")
     n = space.n
     if A.shape != (n, n):
         raise ArgumentError(f"A has shape {A.shape}, space has dimension {n}")
+    if isinstance(space._h_op, _MonomialH):
+        return space.h_solve(_star_h(A, space))
     H = as_matrix(space.H, "H")
     return np.linalg.solve(H, space.star_mat(A) @ H)
 

@@ -20,9 +20,11 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
+    _decide,
     _normalize_star,
     _real_apply,
     _star,
+    _star_h,
     _swap_h,
     as_matrix,
     frob,
@@ -80,8 +82,11 @@ class SpectrumVerdict:
     """Multiset comparison of two spectra by optimal assignment.
 
     pairs holds (value_a, value_b, distance) for every matched couple;
+    slack is how far the exact eigenvalues may sit from the computed ones
+    (nonzero only on the Hermitian tier, see ``_eigenvalues``);
     unmatched_a / unmatched_b collect the two sides of pairs whose distance
-    exceeded the threshold. matched is True when every pair is within it.
+    plus the slack exceeded the threshold. matched is True when every pair
+    is within it.
     """
 
     pairs: tuple
@@ -89,20 +94,22 @@ class SpectrumVerdict:
     unmatched_b: tuple
     max_distance: float
     threshold: float
+    slack: float = 0.0
 
     @property
     def matched(self) -> bool:
-        return self.max_distance <= self.threshold
+        return self.max_distance + self.slack <= self.threshold
 
     def summary(self) -> dict:
-        return {
-            "matched": self.matched,
-            "max_distance": self.max_distance,
-            "threshold": self.threshold,
-            "n_pairs": len(self.pairs),
-            "unmatched_a": [[v.real, v.imag] for v in self.unmatched_a],
-            "unmatched_b": [[v.real, v.imag] for v in self.unmatched_b],
-        }
+        d = {"matched": self.matched, "max_distance": self.max_distance}
+        # only verdicts on the Hermitian tier carry the key, so the others
+        # keep their old fields
+        if self.slack:
+            d["slack"] = self.slack
+        d.update(threshold=self.threshold, n_pairs=len(self.pairs),
+                 unmatched_a=[[v.real, v.imag] for v in self.unmatched_a],
+                 unmatched_b=[[v.real, v.imag] for v in self.unmatched_b])
+        return d
 
 
 def _assign_multisets(ea, eb):
@@ -130,15 +137,16 @@ def _assign_multisets(ea, eb):
     return rows, cols, cost[rows, cols]
 
 
-def _compare_spectra(ea, eb, tol) -> SpectrumVerdict:
-    """Verdict on two equal-size eigenvalue multisets at ``tol * scale``."""
+def _compare_spectra(ea, eb, tol, slack=0.0) -> SpectrumVerdict:
+    """Verdict on two equal-size eigenvalue multisets at ``tol * scale``,
+    each paired distance counted with the slack of the two spectra."""
     scale = max(1.0, float(np.max(np.abs(ea)) if ea.size else 0.0),
                 float(np.max(np.abs(eb)) if eb.size else 0.0))
     threshold = tol * scale
     rows, cols, dist = _assign_multisets(ea, eb)
     pairs = [(complex(ea[i]), complex(eb[j]), float(d))
              for i, j, d in zip(rows, cols, dist)]
-    bad = [p for p in pairs if p[2] > threshold]
+    bad = [p for p in pairs if p[2] + slack > threshold]
     maxd = max((p[2] for p in pairs), default=0.0)
     return SpectrumVerdict(
         pairs=tuple(pairs),
@@ -146,7 +154,42 @@ def _compare_spectra(ea, eb, tol) -> SpectrumVerdict:
         unmatched_b=tuple(p[1] for p in bad),
         max_distance=float(maxd),
         threshold=float(threshold),
+        slack=float(slack),
     )
+
+
+# the share of the matching threshold the Hermitian tier's slack may take
+_HERMITIAN_SHARE = 1e-2
+
+
+def _eigenvalues(M, tol, notes, name):
+    """Eigenvalues of M for a verdict at ``tol``, and their slack.
+
+    With ``K = (M - M*)/2`` the anti-Hermitian part, every eigenvalue of M
+    lies within ``||K||_2`` of an eigenvalue of the Hermitian part
+    ``(M + M*)/2`` (Bauer-Fike), and by continuity the two multisets pair
+    within ``s = 2 n ||K||_F``.  The ``hermitian_tier`` gate passes when s
+    is at most a hundredth of ``tol * max(1, ||M||_F / sqrt(n))``, which
+    is at most the smallest threshold a verdict on M can have, since
+    ``||M||_F / sqrt(n)`` bounds the spectral radius of a Hermitian M from
+    below.  Then the eigenvalues come from ``eigvalsh`` of the Hermitian
+    part with slack s, otherwise from ``eigvals`` with slack 0.  A note
+    records the gate when it passes, or when it fails on an M that is
+    Hermitian within the matching tolerance itself.
+    """
+    n = M.shape[0]
+    slack = 2 * n * frob((M - M.conj().T) / 2)
+    limit = tol * max(1.0, frob(M) / np.sqrt(max(n, 1)))
+    gate = _decide("hermitian_tier", slack, _HERMITIAN_SHARE * limit)
+    if gate.passed:
+        notes.append(f"eigenvalues of {name} from its Hermitian part "
+                     f"(hermitian_tier slack {slack:.3e} <= {gate.threshold:.3e})")
+        return np.linalg.eigvalsh((M + M.conj().T) / 2), slack
+    if slack <= limit:
+        notes.append(f"{name} is Hermitian only to slack {slack:.3e} "
+                     f"(hermitian_tier gate {gate.threshold:.3e}): "
+                     f"eigenvalues from eigvals")
+    return np.linalg.eigvals(M), 0.0
 
 
 def spectrum_multiset_compare(A, B, tol: float = 1e-8) -> SpectrumVerdict:
@@ -154,7 +197,8 @@ def spectrum_multiset_compare(A, B, tol: float = 1e-8) -> SpectrumVerdict:
 
     Eigenvalues are paired by the Hungarian method on pairwise distances
     (a greedy pass would misreport swapped conjugate pairs); the verdict is
-    matched when the largest paired distance stays below
+    matched when the largest paired distance, plus the slack of the
+    Hermitian tier (``_eigenvalues``), stays below
     ``tol * max(1, spectral scale)``.  Each spectrum is computed in the
     field of its matrix.
     """
@@ -166,7 +210,9 @@ def spectrum_multiset_compare(A, B, tol: float = 1e-8) -> SpectrumVerdict:
         raise ArgumentError(
             f"oracle limited to n <= {oracle_dim_limit()} "
             f"(set {ORACLE_NMAX_ENV} to raise)")
-    return _compare_spectra(np.linalg.eigvals(A), np.linalg.eigvals(B), tol)
+    ea, slack_a = _eigenvalues(A, tol, [], "A")
+    eb, slack_b = _eigenvalues(B, tol, [], "B")
+    return _compare_spectra(ea, eb, tol, slack_a + slack_b)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +307,54 @@ def _spillover_residual(A, delta, currents) -> float:
     return frob(_real_apply(delta, Y)) / max(frob(delta) * frob(Y), 1e-300)
 
 
+# seeded sketch of delta: the same report for the same input
+_SKETCH_OVERSAMPLE = 10
+_SKETCH_SEED = 20250102
+# allowance for ||delta - Q B||_F / ||delta||_F, in units of the unit
+# roundoff u: clean updates read 1-10 u.  An accepted sketch misses only
+# singular values below 256 u ||delta||_F, far under the default rank
+# cutoff, and moves the structure residual by at most 512 u ||delta||_F
+_SKETCH_ROUNDING = 256
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _rank_and_structure(delta, space, cls, k, rank_tol, notes):
+    """delta_rank and the structure residual of delta.
+
+    A seeded Gaussian sketch of k columns (Halko, Martinsson & Tropp, SIAM
+    Review 53, 2011) gives ``Q = qr(delta Omega)`` and ``B = Q* delta``.
+    It is accepted when the ``sketch_residual`` gate
+    ``||delta - Q B||_F <= 256 u ||delta||_F`` passes; delta_rank is then
+    the rank of the k x n matrix B, and the structure residual that of
+    ``Q B``: ``adj(Q B) - e2 Q B = [H^-1 B*, Q] [Q* H; -e2 B]``, whose norm
+    is ``||R [Q* H; -e2 B]||_F`` with R from a thin QR of the n x 2k left
+    factor, and ``H^-1`` applied by ``space.h_solve`` to its n x k block.
+    That is O(n^2 k) with no n x n factorization.  When k >= n, or the
+    sketch is rejected (noted), the full SVD and ``structure_residual``
+    answer.
+    """
+    n = delta.shape[0]
+    if k < n:
+        omega = np.random.default_rng(_SKETCH_SEED).standard_normal((n, k))
+        Q = np.linalg.qr(delta @ omega)[0]
+        B = Q.conj().T @ delta
+        fit = _decide("sketch_residual",
+                      frob(Q @ B - delta) / max(frob(delta), 1e-300),
+                      _SKETCH_ROUNDING * _UNIT_ROUNDOFF)
+        if fit.passed:
+            notes.append(f"rank and structure from a {k}-column sketch of "
+                         f"delta (sketch_residual {fit.value:.3e} <= "
+                         f"{fit.threshold:.3e})")
+            left = np.hstack([space.h_solve(space.star_mat(B)), Q])
+            right = np.vstack([_star_h(Q, space), -cls.epsilon2 * B])
+            R = np.linalg.qr(left, mode="r")
+            return numerical_rank(B, rank_tol), frob(R @ right)
+        notes.append(f"a {k}-column sketch does not capture delta "
+                     f"(sketch_residual {fit.value:.3e} > {fit.threshold:.3e}): "
+                     f"rank and structure from the full SVD and adjoint")
+    return numerical_rank(delta, rank_tol), structure_residual(delta, space, cls)
+
+
 def _fixed_residual(perturbed, X_f, L_f) -> float:
     """``|(A + delta) X_f - X_f L_f|`` of a supplied fixed pair."""
     X_f = as_matrix(X_f, "X_f")
@@ -279,14 +373,18 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     annihilation (``_spillover_residual``; skipped when the currents fill
     the whole spectrum, leaving no complement): no eigenvectors are
     computed.
-    The spectrum verdict needs two ``eigvals`` calls (A and A + delta),
-    matches at ``tol.eig_tol`` and runs only while n <= oracle_dim_limit().
+    The spectrum verdict needs the eigenvalues of A and A + delta
+    (``_eigenvalues``: ``eigvalsh`` of the Hermitian part, with its slack,
+    for a matrix Hermitian up to rounding, ``eigvals`` otherwise), matches
+    at ``tol.eig_tol`` and runs only while n <= oracle_dim_limit().
+    delta_rank and the structure residual come from a seeded sketch of
+    delta in O(n^2 p) (``_rank_and_structure``), or from the full SVD and
+    adjoint when p is close to n or the sketch does not capture delta.
     Family-of-solutions members with a free parameter make no claim about
     the complement, so callers verify them with check_spillover=False,
     which skips the spillover and spectrum-replacement checks.  The
-    eigenvalue solves, the rank SVD, the adjoint solve and every product
-    run in the field of their matrices: real LAPACK and BLAS for exactly
-    real data.
+    eigenvalue solves, the factorizations and every product run in the
+    field of their matrices: real LAPACK and BLAS for exactly real data.
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
@@ -297,8 +395,10 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     perturbed = A + delta
     reassigned = float(np.linalg.norm(
         _real_apply(perturbed, X) - X @ assembly.Lambda_a))
-    struct = structure_residual(delta, space, cls)
-    rank = numerical_rank(delta, tol.rank_tol)
+    # k covers the rank bound 2p of every update
+    rank, struct = _rank_and_structure(
+        delta, space, cls, 2 * X.shape[1] + _SKETCH_OVERSAMPLE, tol.rank_tol,
+        notes)
     gram_condition = float(np.real(np.linalg.cond(gram_matrix(X, space), 1)))
     realness = (not np.iscomplexobj(delta) or bool(
         np.max(np.abs(delta.imag)) <= 1e-10 * max(frob(delta), 1e-300)))
@@ -318,10 +418,13 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
             "replacement not checked")
     else:
         if A.shape[0] <= oracle_dim_limit():
-            planned = _planned_spectrum(np.linalg.eigvals(A), currents,
-                                        targets, tol.eig_tol, sp_scale, notes)
-            verdict = _compare_spectra(np.linalg.eigvals(perturbed), planned,
-                                       tol.eig_tol)
+            eigs_a, slack_a = _eigenvalues(A, tol.eig_tol, notes, "A")
+            planned = _planned_spectrum(eigs_a, currents, targets,
+                                        tol.eig_tol, sp_scale, notes)
+            eigs_p, slack_p = _eigenvalues(perturbed, tol.eig_tol, notes,
+                                           "A + delta")
+            verdict = _compare_spectra(eigs_p, planned, tol.eig_tol,
+                                       slack_a + slack_p)
         else:
             notes.append(
                 "matrix exceeds the oracle bound; spectrum not compared")

@@ -116,6 +116,29 @@ class TestAdjoint:
         with pytest.raises(ArgumentError):
             adjoint(np.eye(4), space)
 
+    def test_signed_permutation_h_needs_no_solve(self, rng, monkeypatch):
+        # indexing gives the dense solve's result up to the sign of zeros
+        # (array_equal counts -0.0 equal to 0.0); a dense H keeps the solve
+        spaces = [s for s, _, _ in helpers.space_catalog(
+            6, rng, ("identity", "flip", "skewj", "signature"))]
+        spaces.append(ScalarProductSpace(golden.LIE4_H, star="ct"))
+        dense = ScalarProductSpace(golden.JORDAN5_H, star="t", field="real",
+                                   structure_tol=1e-3)
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: (
+            solves.append(a.shape), solve(a, b))[1])
+        for space in spaces + [dense]:
+            n = space.n
+            A = rng.standard_normal((n, n)) + (
+                1j * rng.standard_normal((n, n)) if space.field == "complex"
+                else 0)
+            H = np.asarray(space.H)
+            want = solve(H, space.star_mat(A) @ H)
+            solves.clear()
+            np.testing.assert_array_equal(adjoint(A, space), want)
+            assert solves == ([(n, n)] if space is dense else [])
+
     def test_involution(self, rng):
         for space, cls, label in helpers.space_catalog(6, rng, ("identity", "flip", "skewj", "random")):
             A = rng.standard_normal((6, 6)) + (

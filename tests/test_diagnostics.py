@@ -30,8 +30,9 @@ from specpreserve import (
     verify_reassignment,
 )
 from specpreserve.core import frob
-from specpreserve.diagnostics import (_assign_multisets, _planned_spectrum,
-                                      _spillover_residual, oracle_dim_limit)
+from specpreserve.diagnostics import (_assign_multisets, _compare_spectra,
+                                      _planned_spectrum, _spillover_residual,
+                                      oracle_dim_limit)
 
 
 class TestSpectrumCompare:
@@ -63,6 +64,15 @@ class TestSpectrumCompare:
         np.testing.assert_allclose(ub, sorted(golden.SYM3_TARGET), atol=1e-9)
         matched_vals = [p[0] for p in v.pairs if p[2] <= v.threshold]
         assert any(abs(m - golden.SYM3_FIXED) < 1e-9 for m in matched_vals)
+
+    def test_slack_counts_against_the_threshold(self):
+        # threshold 1e-6 (scale 1), one pair at 0.9e-6
+        ea, eb = np.array([1.0, 0.5]), np.array([0.5, 1.0 + 0.9e-6])
+        exact = _compare_spectra(ea, eb, 1e-6)
+        assert exact.matched and "slack" not in exact.summary()
+        loose = _compare_spectra(ea, eb, 1e-6, slack=0.2e-6)
+        assert not loose.matched and loose.summary()["slack"] == 0.2e-6
+        assert loose.unmatched_a == (1.0,)
 
     def test_oracle_bound_respected(self, monkeypatch):
         monkeypatch.setenv("SPECPRESERVE_ORACLE_NMAX", "4")
@@ -292,12 +302,15 @@ def _real_field_case(arrangement):
     return inst, asm, delta
 
 
-def _lapack_spy(monkeypatch):
-    """Record (routine, dtype) of every dense eig/eigvals/svd call."""
+def _lapack_spy(monkeypatch, shapes=None):
+    """Record (routine, dtype) of every dense eig/eigvals/eigvalsh/svd/
+    solve/qr/inv call, and (routine, shape) into shapes when given."""
     seen = []
-    for name in ("eig", "eigvals", "svd"):
+    for name in ("eig", "eigvals", "eigvalsh", "svd", "solve", "qr", "inv"):
         def spy(a, *args, _orig=getattr(np.linalg, name), _name=name, **kw):
             seen.append((_name, np.asarray(a).dtype))
+            if shapes is not None:
+                shapes.append((_name, np.shape(a)))
             return _orig(a, *args, **kw)
         monkeypatch.setattr(np.linalg, name, spy)
     return seen
@@ -338,6 +351,9 @@ class TestRealFieldOracle:
     @pytest.mark.parametrize("arrangement", ["real-jordan", "real-lie"])
     def test_lapack_sees_real_arrays_for_real_data(self, monkeypatch,
                                                    arrangement):
+        # real Jordan on H = I is symmetric: the Hermitian tier
+        expected = {"real-jordan": ["eigvalsh", "eigvalsh", "svd"],
+                    "real-lie": ["eigvals", "eigvals", "svd"]}[arrangement]
         inst, asm, delta = _real_field_case(arrangement)
         seen = _lapack_spy(monkeypatch)
         # a complex dtype with zero imaginary part is still real data
@@ -346,7 +362,7 @@ class TestRealFieldOracle:
             seen.clear()
             rep = verify_reassignment(A, d, asm, inst.space, inst.cls)
             assert rep.spectrum_verdict.matched
-            assert sorted(name for name, _ in seen) == ["eigvals", "eigvals", "svd"]
+            assert sorted(name for name, _ in seen) == expected
             assert {dt for _, dt in seen} == {np.dtype(np.float64)}
 
     def test_lapack_sees_complex_arrays_for_complex_data(self, monkeypatch):
@@ -368,6 +384,141 @@ class TestRealFieldOracle:
         assert rep.spectrum_verdict.matched
         assert sorted(name for name, _ in seen) == ["eigvals", "eigvals", "svd"]
         assert {dt for _, dt in seen} == {np.dtype(complex)}
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetric_case(n, shift=0.0):
+    """A real symmetric A on H = I with 4 of its eigenvalues moved: the
+    assembly (targets off by ``shift``) and the no-spillover delta for the
+    unshifted targets."""
+    rng = np.random.default_rng(n)
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    w = np.linspace(-10.0, 10.0, n)
+    A = (V * w) @ V.T
+    A = (A + A.T) / 2
+    space = ScalarProductSpace.identity(n, star="t", field="real")
+    moved = (3, n // 3, n // 2, n - 5)
+    step = 10.0 / n
+
+    def assembly(off):
+        return assemble_real_jordan(A, ReassignmentSpec(tuple(
+            ReassignmentGroup(w[i], w[i] + step + off, (V[:, [i]],))
+            for i in moved)), space, "jordan")
+
+    delta = reassign_no_spillover(A, assembly(0.0), space, "jordan",
+                                  verify=False).delta
+    return A, space, assembly(shift), delta
+
+
+def _has_note(rep, text):
+    return any(text in note for note in rep.notes)
+
+
+class TestSketchedBundle:
+    """delta_rank and the structure residual from a seeded sketch of delta,
+    and the Hermitian tier of the dense eigenvalue check."""
+
+    N = 64
+
+    def test_clean_delta_is_sketched_and_agrees_with_the_full_factorizations(
+            self, monkeypatch):
+        A, space, asm, delta = _symmetric_case(self.N)
+        rep = verify_reassignment(A, delta, asm, space, "jordan")
+        assert _has_note(rep, "18-column sketch of delta (sketch_residual")
+        assert rep.delta_rank == specpreserve.core.numerical_rank(delta) == 4
+        assert abs(rep.structure_residual - structure_residual(
+            delta, space, "jordan")) <= 1e-12 * frob(delta)
+        # the Hermitian tier and the general one agree on the verdict
+        assert _has_note(rep, "eigenvalues of A + delta from its Hermitian")
+        monkeypatch.setattr(specpreserve.diagnostics, "_eigenvalues",
+                            lambda M, tol, notes, name:
+                            (np.linalg.eigvals(M), 0.0))
+        general = verify_reassignment(A, delta, asm, space, "jordan")
+        assert rep.spectrum_verdict.matched and general.spectrum_verdict.matched
+        assert rep.spectrum_verdict.slack > 0
+        assert general.spectrum_verdict.slack == 0
+
+    def test_verified_run_takes_no_square_factorization(self, monkeypatch):
+        n = 256
+        monkeypatch.setenv("SPECPRESERVE_ORACLE_NMAX", str(n))
+        A, space, asm, delta = _symmetric_case(n)
+        shapes = []
+        _lapack_spy(monkeypatch, shapes)
+        rep = verify_reassignment(A, delta, asm, space, "jordan")
+        assert rep.spectrum_verdict.matched and rep.delta_rank == 4
+        assert rep.spillover_residual <= 1e-14
+        # eigvalsh of both Hermitian parts, the sketch's two thin QRs and
+        # the SVD of the 18 x n sketch factor B
+        assert sorted(shapes) == [("eigvalsh", (n, n)), ("eigvalsh", (n, n)),
+                                  ("qr", (n, 18)), ("qr", (n, 36)),
+                                  ("svd", (18, n))]
+
+    def test_rank_one_term_raises_the_rank(self):
+        A, space, asm, delta = _symmetric_case(self.N)
+        u, v = np.random.default_rng(5).standard_normal((2, self.N))
+        term = 1e-6 * frob(delta) * np.outer(u, v) / (frob(u) * frob(v))
+        rep = verify_reassignment(A, delta + term, asm, space, "jordan")
+        assert _has_note(rep, "sketch of delta (sketch_residual")
+        assert rep.delta_rank == 5
+
+    def test_rank_beyond_the_sketch_takes_the_full_svd(self, monkeypatch):
+        A, space, asm, delta = _symmetric_case(self.N)
+        k = 2 * asm.X_c.shape[1] + 10
+        rng = np.random.default_rng(6)
+        wide = rng.standard_normal((self.N, k + 1)) @ rng.standard_normal(
+            (k + 1, self.N))
+        shapes = []
+        _lapack_spy(monkeypatch, shapes)
+        rep = verify_reassignment(A, wide, asm, space, "jordan")
+        assert _has_note(rep, f"a {k}-column sketch does not capture delta")
+        assert rep.delta_rank == k + 1
+        assert ("svd", (self.N, self.N)) in shapes
+        assert abs(rep.structure_residual - structure_residual(
+            wide, space, "jordan")) <= 1e-12 * frob(wide)
+
+    def test_structure_defect_lifts_the_residual(self):
+        A, space, asm, delta = _symmetric_case(self.N)
+        u, v = np.random.default_rng(7).standard_normal((2, self.N))
+        # antisymmetric: the opposite class on H = I, residual 2 |defect|
+        M = np.outer(u, v)
+        defect = M - M.T
+        defect *= 1e-8 * frob(delta) / frob(defect)
+        rep = verify_reassignment(A, delta + defect, asm, space, "jordan")
+        assert _has_note(rep, "sketch of delta (sketch_residual")
+        assert rep.structure_residual >= 1e-8 * frob(delta)
+
+    @pytest.mark.parametrize("times,tier", [(0.5, "eigvalsh"),
+                                            (2.0, "eigvals")])
+    def test_anti_hermitian_part_near_the_gate(self, monkeypatch, times, tier):
+        A, space, asm, delta = _symmetric_case(self.N)
+        n = self.N
+        # an antisymmetric K with slack 2 n |K|_F at `times` the gate of A
+        # (a hundredth of the default eig_tol 1e-6 times |A|_F / sqrt(n))
+        gate = 1e-2 * 1e-6 * frob(A) / np.sqrt(n)
+        u, v = np.random.default_rng(8).standard_normal((2, n))
+        K = np.outer(u, v) - np.outer(v, u)
+        K *= times * gate / (2 * n * frob(K))
+        seen = _lapack_spy(monkeypatch)
+        rep = verify_reassignment(A + K, delta, asm, space, "jordan")
+        assert sorted(name for name, _ in seen if name.startswith("eig")) == [
+            tier, tier]
+        assert rep.spectrum_verdict.matched
+        if tier == "eigvals":
+            assert _has_note(rep, "A is Hermitian only to slack")
+            assert rep.spectrum_verdict.slack == 0.0
+        else:
+            assert _has_note(rep, "eigenvalues of A from its Hermitian part")
+
+    def test_wrong_target_flips_the_verdict_on_the_hermitian_tier(self):
+        A, space, asm, delta = _symmetric_case(self.N)
+        scale = max(1.0, np.max(np.abs(np.linalg.eigvalsh(A))))
+        _, _, wrong, _ = _symmetric_case(self.N, 1e-4 * scale)
+        right = verify_reassignment(A, delta, asm, space, "jordan")
+        off = verify_reassignment(A, delta, wrong, space, "jordan")
+        for rep in (right, off):
+            assert _has_note(rep, "eigenvalues of A + delta from its Hermitian")
+        assert right.spectrum_verdict.matched
+        assert not off.spectrum_verdict.matched
 
 
 # recipe (space kind, class, field, star), assembly and pairing orbit of a

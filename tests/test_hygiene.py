@@ -2,8 +2,8 @@
 in the package is used by its module or re-exported through ``__all__``, no
 module loads a scipy submodule at import time, the field-keeping modules
 never cast to complex outside ``as_matrix``, the verification oracle calls
-no eigenvector solver, and every threshold test raises through
-``core._decide``."""
+no eigenvector solver and factors no square matrix outside its fallback,
+and every threshold test raises through ``core._decide``."""
 
 import ast
 import pathlib
@@ -236,3 +236,90 @@ def test_threshold_tests_raise_through_decide():
 ])
 def test_threshold_rule_catches_a_planted_raise(planted, flagged):
     assert bool(_inline_threshold_raises(ast.parse(planted))) == flagged
+
+
+# the verification oracle factors no n x n matrix on its sketched path: it
+# never solves with or inverts a matrix itself (H^-1 comes from the space),
+# and it reaches an SVD, or the full-matrix rank and structure routines of
+# delta, only in the fallback of ``_rank_and_structure``, the statements
+# after its sketch branch
+ORACLE_ENTRIES = ("verify_reassignment", "spectrum_multiset_compare")
+SKETCHED = "_rank_and_structure"
+NEVER = {"solve", "inv", "pinv", "lstsq"}
+FALLBACK_ONLY = {"svd"}
+DELTA_FALLBACK_ONLY = {"numerical_rank", "structure_residual", "adjoint"}
+
+
+def _called_name(call):
+    return getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+
+
+def _oracle_functions(tree):
+    """The module-level functions reachable from the oracle's entries."""
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    reached, todo = {}, list(ORACLE_ENTRIES)
+    while todo:
+        name = todo.pop()
+        if name in funcs and name not in reached:
+            reached[name] = funcs[name]
+            todo += [_called_name(c) for c in ast.walk(funcs[name])
+                     if isinstance(c, ast.Call)]
+    return reached
+
+
+def _oracle_factorizations(tree):
+    """Lines where oracle code factors a matrix outside the fallback."""
+    oracle = _oracle_functions(tree)
+    fallback = {id(n) for stmt in getattr(oracle.get(SKETCHED), "body", [])
+                if not isinstance(stmt, ast.If) for n in ast.walk(stmt)}
+    hits = []
+    for fn in oracle.values():
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
+                continue
+            name = _called_name(call)
+            on_delta = bool(call.args) and getattr(call.args[0], "id",
+                                                   None) == "delta"
+            if (name in NEVER or id(call) not in fallback and (
+                    name in FALLBACK_ONLY
+                    or name in DELTA_FALLBACK_ONLY and on_delta)):
+                hits.append(call.lineno)
+    return hits
+
+
+def test_oracle_factors_no_square_matrix_outside_the_fallback():
+    path = pathlib.Path(specpreserve.__file__).parent / "diagnostics.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert set(ORACLE_ENTRIES) | {SKETCHED} <= set(_oracle_functions(tree))
+    hits = _oracle_factorizations(tree)
+    assert not hits, f"diagnostics.py factors a matrix on lines {hits}"
+
+
+_FALLBACK = ("def _rank_and_structure(delta, B):\n"
+             "    if k < n:\n"
+             "        return numerical_rank(B), frob(B)\n"
+             "    {}\n"
+             "def verify_reassignment(delta):\n"
+             "    return _rank_and_structure(delta, None)\n")
+
+
+@pytest.mark.parametrize("planted,flagged", [
+    # the calls the sketch replaced
+    ("def verify_reassignment(delta, space):\n"
+     "    return numerical_rank(delta), structure_residual(delta, space)",
+     True),
+    ("def verify_reassignment(A):\n    return np.linalg.solve(A, A)", True),
+    ("def verify_reassignment(A):\n    return _helper(A)\n"
+     "def _helper(A):\n    return scipy.linalg.inv(A)", True),
+    ("def spectrum_multiset_compare(A):\n    return np.linalg.svd(A)", True),
+    (_FALLBACK.replace("frob(B)", "structure_residual(delta)").format(
+        "return 0"), True),
+    (_FALLBACK.format("return np.linalg.lstsq(delta, delta)"), True),
+    (_FALLBACK.format("return numerical_rank(delta), np.linalg.svd(delta)"),
+     False),
+    (_FALLBACK.format("return structure_residual(delta)"), False),
+    ("def generate_instance(A):\n    return np.linalg.solve(A, A)", False),
+    ("def verify_reassignment(B):\n    return numerical_rank(B)", False),
+])
+def test_oracle_factorization_rule_catches_a_planted_call(planted, flagged):
+    assert bool(_oracle_factorizations(ast.parse(planted))) == flagged

@@ -1,6 +1,7 @@
 """The pairing-orbit table: orbit members, the generator catalogue over
-presets x star x field x class x orbit kind, the unsupported rows, and the
-module-level names the benchmark tracer rebinds."""
+presets x star x field x class x orbit kind (and the verification bundle on
+it), the unsupported rows, and the module-level names the benchmark tracer
+rebinds."""
 
 import inspect
 
@@ -26,8 +27,12 @@ from specpreserve import (
     certificate_residual,
     generate_instance,
     pairing_partner,
+    reassign_no_spillover,
+    spectrum_multiset_compare,
     validate_pairing_closure,
 )
+from specpreserve.core import numerical_rank, structure_residual
+from specpreserve.diagnostics import _compare_spectra, _rank_and_structure
 from specpreserve.spectral import _ORBITS, _pairing_orbit
 
 TOL = 1e-8
@@ -152,6 +157,52 @@ def test_generator_catalogue(field, star, cls, kind, preset, eps1):
         R = scipy.linalg.block_diag(*parts)
         np.testing.assert_array_equal(asm.conjugation, R)
         np.testing.assert_allclose(np.conj(asm.X_c), asm.X_c @ R, atol=1e-10)
+
+
+@pytest.mark.parametrize("field,star,cls,kind,preset,eps1", CATALOGUE)
+def test_sketched_bundle_agrees_with_the_full_factorizations(
+        field, star, cls, kind, preset, eps1):
+    values = ORBITS[field, "T" if field == "real" else star, cls, kind]
+    plan = tuple(PlanGroup(v, (1, 1)) for v in values)
+    try:
+        inst = generate_instance(InstanceRecipe(preset, cls, field, star, plan,
+                                                seed=17, eps1=eps1))
+    except InfeasiblePlanError:
+        return    # test_generator_catalogue checks why
+    A, space, n = inst.A, inst.space, inst.A.shape[0]
+    chains = {}
+    for p in inst.pairs:
+        chains.setdefault(complex(np.round(p.value, 10)), []).append(p.chain)
+
+    def no_spillover(chosen):
+        spec = ReassignmentSpec(tuple(ReassignmentGroup(v, 1.25 * v, tuple(c))
+                                      for v, c in chosen.items()))
+        asm = _assemble(inst, spec)
+        return asm.X_c.shape[1], reassign_no_spillover(
+            A, asm, space, inst.cls, verify=False).delta
+
+    try:
+        # one chain of each value: an update of rank at most n / 2
+        p, delta = no_spillover({v: c[:1] for v, c in chains.items()})
+    except StructureError:
+        # the first chains are isotropic: move them all (full rank), which
+        # the sketch must reject
+        p, delta = no_spillover(chains)
+    # a sketch of up to twice the rank bound, short of n: it is rejected
+    # exactly when delta has more rank than columns
+    k, notes = min(2 * p, n - 1), []
+    rank, struct = _rank_and_structure(delta, space, inst.cls, k, 1e-10, notes)
+    assert rank == numerical_rank(delta, 1e-10)
+    assert abs(struct - structure_residual(delta, space, inst.cls)) <= (
+        1e-12 * max(1.0, np.linalg.norm(delta)))
+    assert len(notes) == 1 and ("does not capture" in notes[0]) == (rank > k)
+
+    # the Hermitian tier (where it applies) and eigvals agree on matched
+    for M, N in ((A, A), (A + delta, A), (A + delta, A + delta)):
+        tiered = spectrum_multiset_compare(M, N, tol=1e-6)
+        general = _compare_spectra(np.linalg.eigvals(M), np.linalg.eigvals(N),
+                                   1e-6)
+        assert tiered.matched == general.matched
 
 
 @pytest.mark.parametrize("recipe,reason", [
