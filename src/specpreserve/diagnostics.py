@@ -6,11 +6,20 @@ no-spillover claim from a randomized annihilation identity, and generated
 instances are built from exact canonical blocks conjugated by exact
 automorphisms of the form, so the oracle genuinely cross-checks the
 library instead of echoing it.
+
+The one thing kept between calls is the spectrum of the unperturbed A in
+``verify_reassignment``: a process-wide memo of _SPECTRA_SIZE entries, each
+the read-only LAPACK eigenvalues of one A (O(n) memory, no copy of A),
+keyed by a blake2b digest of A's dtype, shape and bytes and by the tier
+taken.  The perturbed matrix under test, and both matrices of
+``spectrum_multiset_compare``, are solved afresh on every call.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -162,7 +171,7 @@ def _compare_spectra(ea, eb, tol, slack=0.0) -> SpectrumVerdict:
 _HERMITIAN_SHARE = 1e-2
 
 
-def _eigenvalues(M, tol, notes, name):
+def _eigenvalues(M, tol, notes, name, memo=False):
     """Eigenvalues of M for a verdict at ``tol``, and their slack.
 
     With ``K = (M - M*)/2`` the anti-Hermitian part, every eigenvalue of M
@@ -175,7 +184,9 @@ def _eigenvalues(M, tol, notes, name):
     below.  Then the eigenvalues come from ``eigvalsh`` of the Hermitian
     part with slack s, otherwise from ``eigvals`` with slack 0.  A note
     records the gate when it passes, or when it fails on an M that is
-    Hermitian within the matching tolerance itself.
+    Hermitian within the matching tolerance itself.  The gate, the slack
+    and the notes are worked out on every call; with memo set only the
+    LAPACK solve goes through ``_memoized_solve``.
     """
     n = M.shape[0]
     slack = 2 * n * frob((M - M.conj().T) / 2)
@@ -184,23 +195,69 @@ def _eigenvalues(M, tol, notes, name):
     if gate.passed:
         notes.append(f"eigenvalues of {name} from its Hermitian part "
                      f"(hermitian_tier slack {slack:.3e} <= {gate.threshold:.3e})")
-        return np.linalg.eigvalsh((M + M.conj().T) / 2), slack
-    if slack <= limit:
-        notes.append(f"{name} is Hermitian only to slack {slack:.3e} "
-                     f"(hermitian_tier gate {gate.threshold:.3e}): "
-                     f"eigenvalues from eigvals")
-    return np.linalg.eigvals(M), 0.0
+        tier = "eigvalsh"
+    else:
+        if slack <= limit:
+            notes.append(f"{name} is Hermitian only to slack {slack:.3e} "
+                         f"(hermitian_tier gate {gate.threshold:.3e}): "
+                         f"eigenvalues from eigvals")
+        tier, slack = "eigvals", 0.0
+    return (_memoized_solve(M, tier) if memo else _solve(M, tier)), slack
+
+
+def _solve(M, tier):
+    """The LAPACK eigenvalues of M on the tier ``_eigenvalues`` chose."""
+    if tier == "eigvalsh":
+        return np.linalg.eigvalsh((M + M.conj().T) / 2)
+    return np.linalg.eigvals(M)
+
+
+# the memo of ``_memoized_solve``: digest -> read-only eigenvalues, oldest
+# first; a fixed size, so at most _SPECTRA_SIZE vectors of n values
+_SPECTRA_SIZE = 8
+_SPECTRA = OrderedDict()
+_SPECTRA_LOCK = threading.Lock()
+
+
+def _memoized_solve(M, tier):
+    """``_solve(M, tier)``, computed once per distinct M and tier.
+
+    The key is a blake2b digest of M's dtype, shape and C-order bytes and
+    the tier, so a matrix changed in place, or the same bytes read as
+    another dtype or shape, is solved again; no copy of M is kept.  The
+    lock guards lookup and insertion only: the solve runs outside it, and
+    two threads that miss on the same key both solve and store equal
+    values.  Least recently used entries go first.
+    """
+    import hashlib
+    h = hashlib.blake2b(f"{tier}|{M.dtype.str}|{M.shape}|".encode())
+    h.update(np.ascontiguousarray(M).data)
+    key = h.digest()
+    with _SPECTRA_LOCK:
+        w = _SPECTRA.get(key)
+        if w is not None:
+            _SPECTRA.move_to_end(key)
+            return w
+    w = _solve(M, tier)
+    w.flags.writeable = False
+    with _SPECTRA_LOCK:
+        _SPECTRA[key] = w
+        _SPECTRA.move_to_end(key)
+        while len(_SPECTRA) > _SPECTRA_SIZE:
+            _SPECTRA.popitem(last=False)
+    return w
 
 
 def spectrum_multiset_compare(A, B, tol: float = 1e-8) -> SpectrumVerdict:
     """Compare the spectra of A and B as multisets.
 
-    Eigenvalues are paired by the Hungarian method on pairwise distances
-    (a greedy pass would misreport swapped conjugate pairs); the verdict is
-    matched when the largest paired distance, plus the slack of the
-    Hermitian tier (``_eigenvalues``), stays below
-    ``tol * max(1, spectral scale)``.  Each spectrum is computed in the
-    field of its matrix.
+    Eigenvalues are paired optimally on pairwise distances
+    (``_assign_multisets``): nearest neighbours when that pairing is the
+    unique optimum, the Hungarian method otherwise, since a greedy pass
+    would misreport swapped conjugate pairs.  The verdict is matched when
+    the largest paired distance, plus the slack of the Hermitian tier
+    (``_eigenvalues``), stays below ``tol * max(1, spectral scale)``.  Each
+    spectrum is computed in the field of its matrix, afresh on every call.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -322,36 +379,52 @@ def _rank_and_structure(delta, space, cls, k, rank_tol, notes):
     """delta_rank and the structure residual of delta.
 
     A seeded Gaussian sketch of k columns (Halko, Martinsson & Tropp, SIAM
-    Review 53, 2011) gives ``Q = qr(delta Omega)`` and ``B = Q* delta``.
-    It is accepted when the ``sketch_residual`` gate
-    ``||delta - Q B||_F <= 256 u ||delta||_F`` passes; delta_rank is then
-    the rank of the k x n matrix B, and the structure residual that of
-    ``Q B``: ``adj(Q B) - e2 Q B = [H^-1 B*, Q] [Q* H; -e2 B]``, whose norm
-    is ``||R [Q* H; -e2 B]||_F`` with R from a thin QR of the n x 2k left
-    factor, and ``H^-1`` applied by ``space.h_solve`` to its n x k block.
+    Review 53, 2011) gives ``Q, R = qr(delta Omega)`` and ``B = Q* delta``.
+    When the ``sketch_full_rank`` decision finds ``delta Omega`` of full
+    column rank (``sigma_min(R) > rank_tol sigma_max(R)``, from the
+    condition number of the k x k R), delta has rank at least k, beyond the
+    rank bound 2p < k of every update the sketch is sized for, so it goes
+    straight to the full path (noted).  Otherwise the sketch is accepted when
+    the ``sketch_residual`` gate ``||delta - Q B||_F <= 256 u ||delta||_F``
+    passes; delta_rank is then the rank of the k x n matrix B, and the
+    structure residual that of ``Q B``:
+    ``adj(Q B) - e2 Q B = [H^-1 B*, Q] [Q* H; -e2 B]``, whose norm is that
+    of ``[Q* H; -e2 B]`` times the triangular factor of a thin QR of the
+    n x 2k left factor, with ``H^-1`` applied by ``space.h_solve`` to its
+    n x k block.
     That is O(n^2 k) with no n x n factorization.  When k >= n, or the
-    sketch is rejected (noted), the full SVD and ``structure_residual``
-    answer.
+    sketch is refused or rejected (noted), the full SVD and
+    ``structure_residual`` answer.
     """
     n = delta.shape[0]
     if k < n:
         omega = np.random.default_rng(_SKETCH_SEED).standard_normal((n, k))
-        Q = np.linalg.qr(delta @ omega)[0]
-        B = Q.conj().T @ delta
-        fit = _decide("sketch_residual",
-                      frob(Q @ B - delta) / max(frob(delta), 1e-300),
-                      _SKETCH_ROUNDING * _UNIT_ROUNDOFF)
-        if fit.passed:
-            notes.append(f"rank and structure from a {k}-column sketch of "
-                         f"delta (sketch_residual {fit.value:.3e} <= "
-                         f"{fit.threshold:.3e})")
-            left = np.hstack([space.h_solve(space.star_mat(B)), Q])
-            right = np.vstack([_star_h(Q, space), -cls.epsilon2 * B])
-            R = np.linalg.qr(left, mode="r")
-            return numerical_rank(B, rank_tol), frob(R @ right)
-        notes.append(f"a {k}-column sketch does not capture delta "
-                     f"(sketch_residual {fit.value:.3e} > {fit.threshold:.3e}): "
-                     f"rank and structure from the full SVD and adjoint")
+        Q, R = np.linalg.qr(delta @ omega)
+        full = _decide("sketch_full_rank", 1.0 / np.linalg.cond(R), rank_tol,
+                       at_least=True)
+        if full.passed:
+            notes.append(f"a {k}-column sketch is refused: delta Omega has "
+                         f"full column rank (sketch_full_rank "
+                         f"{full.value:.3e} > {full.threshold:.3e}), so "
+                         f"rank delta >= {k}: rank and structure from the "
+                         f"full SVD and adjoint")
+        else:
+            B = Q.conj().T @ delta
+            fit = _decide("sketch_residual",
+                          frob(Q @ B - delta) / max(frob(delta), 1e-300),
+                          _SKETCH_ROUNDING * _UNIT_ROUNDOFF)
+            if fit.passed:
+                notes.append(f"rank and structure from a {k}-column sketch "
+                             f"of delta (sketch_residual {fit.value:.3e} <= "
+                             f"{fit.threshold:.3e})")
+                left = np.hstack([space.h_solve(space.star_mat(B)), Q])
+                right = np.vstack([_star_h(Q, space), -cls.epsilon2 * B])
+                return numerical_rank(B, rank_tol), frob(
+                    np.linalg.qr(left, mode="r") @ right)
+            notes.append(f"a {k}-column sketch does not capture delta "
+                         f"(sketch_residual {fit.value:.3e} > "
+                         f"{fit.threshold:.3e}): rank and structure from "
+                         f"the full SVD and adjoint")
     return numerical_rank(delta, rank_tol), structure_residual(delta, space, cls)
 
 
@@ -376,10 +449,18 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     The spectrum verdict needs the eigenvalues of A and A + delta
     (``_eigenvalues``: ``eigvalsh`` of the Hermitian part, with its slack,
     for a matrix Hermitian up to rounding, ``eigvals`` otherwise), matches
-    at ``tol.eig_tol`` and runs only while n <= oracle_dim_limit().
+    at ``tol.eig_tol`` and runs only while n <= oracle_dim_limit().  The
+    LAPACK eigenvalues of A are memoized per process (``_memoized_solve``:
+    keyed by a digest of A's dtype, shape and bytes and the tier, at most
+    _SPECTRA_SIZE entries of O(n) each, no copy of A), so verifying several
+    updates of one A solves it once; A + delta, the output under test, is
+    solved on every call, and the gate, slack and notes are recomputed, so
+    a report is the same whether A was cached or not.
     delta_rank and the structure residual come from a seeded sketch of
     delta in O(n^2 p) (``_rank_and_structure``), or from the full SVD and
-    adjoint when p is close to n or the sketch does not capture delta.
+    adjoint when p is close to n or the sketch is refused (delta of rank at
+    least the sketch width, as a family member with a parameter) or does
+    not capture delta.
     Family-of-solutions members with a free parameter make no claim about
     the complement, so callers verify them with check_spillover=False,
     which skips the spillover and spectrum-replacement checks.  The
@@ -418,7 +499,8 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
             "replacement not checked")
     else:
         if A.shape[0] <= oracle_dim_limit():
-            eigs_a, slack_a = _eigenvalues(A, tol.eig_tol, notes, "A")
+            eigs_a, slack_a = _eigenvalues(A, tol.eig_tol, notes, "A",
+                                           memo=True)
             planned = _planned_spectrum(eigs_a, currents, targets,
                                         tol.eig_tol, sp_scale, notes)
             eigs_p, slack_p = _eigenvalues(perturbed, tol.eig_tol, notes,

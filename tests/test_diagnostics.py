@@ -1,7 +1,9 @@
 """Spectrum comparison, verification reports and instance generation."""
 
+import concurrent.futures
 import functools
 import types
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from specpreserve import (
     extract_jordan_pairs,
     generate_instance,
     is_member,
+    reassign_family,
     reassign_no_spillover,
     spectrum_multiset_compare,
     structure_residual,
@@ -302,6 +305,20 @@ def _real_field_case(arrangement):
     return inst, asm, delta
 
 
+@pytest.fixture
+def empty_spectra(monkeypatch):
+    """A memo of A's spectra that starts empty and is dropped afterwards."""
+    monkeypatch.setattr(specpreserve.diagnostics, "_SPECTRA", OrderedDict())
+
+
+@pytest.fixture
+def cold_spectra(empty_spectra, monkeypatch):
+    """A memo that keeps nothing, so every verification solves A: the
+    LAPACK spies count the calls of a cold verification, whatever other
+    tests verified the same A before."""
+    monkeypatch.setattr(specpreserve.diagnostics, "_SPECTRA_SIZE", 0)
+
+
 def _lapack_spy(monkeypatch, shapes=None):
     """Record (routine, dtype) of every dense eig/eigvals/eigvalsh/svd/
     solve/qr/inv call, and (routine, shape) into shapes when given."""
@@ -316,6 +333,7 @@ def _lapack_spy(monkeypatch, shapes=None):
     return seen
 
 
+@pytest.mark.usefixtures("cold_spectra")
 class TestRealFieldOracle:
     @pytest.mark.parametrize("arrangement", ["real-jordan", "real-lie"])
     def test_real_arithmetic_matches_complex(self, monkeypatch, arrangement):
@@ -414,6 +432,7 @@ def _has_note(rep, text):
     return any(text in note for note in rep.notes)
 
 
+@pytest.mark.usefixtures("cold_spectra")
 class TestSketchedBundle:
     """delta_rank and the structure residual from a seeded sketch of delta,
     and the Hermitian tier of the dense eigenvalue check."""
@@ -431,7 +450,7 @@ class TestSketchedBundle:
         # the Hermitian tier and the general one agree on the verdict
         assert _has_note(rep, "eigenvalues of A + delta from its Hermitian")
         monkeypatch.setattr(specpreserve.diagnostics, "_eigenvalues",
-                            lambda M, tol, notes, name:
+                            lambda M, tol, notes, name, memo=False:
                             (np.linalg.eigvals(M), 0.0))
         general = verify_reassignment(A, delta, asm, space, "jordan")
         assert rep.spectrum_verdict.matched and general.spectrum_verdict.matched
@@ -470,11 +489,44 @@ class TestSketchedBundle:
         shapes = []
         _lapack_spy(monkeypatch, shapes)
         rep = verify_reassignment(A, wide, asm, space, "jordan")
-        assert _has_note(rep, f"a {k}-column sketch does not capture delta")
+        assert _has_note(rep, f"a {k}-column sketch is refused: delta Omega "
+                         f"has full column rank (sketch_full_rank")
         assert rep.delta_rank == k + 1
         assert ("svd", (self.N, self.N)) in shapes
+        # refused before B = Q* delta: the one thin QR is that of delta Omega
+        assert [s for s in shapes if s[0] == "qr"] == [("qr", (self.N, k))]
         assert abs(rep.structure_residual - structure_residual(
             wide, space, "jordan")) <= 1e-12 * frob(wide)
+
+    def test_noise_under_the_rank_cutoff_is_rejected_by_the_residual(self):
+        A, space, asm, delta = _symmetric_case(self.N)
+        k = 2 * asm.X_c.shape[1] + 10
+        # full rank, but 1e-12 of delta: under the rank cutoff, over the fit
+        noise = np.random.default_rng(9).standard_normal((self.N, self.N))
+        noise *= 1e-12 * frob(delta) / frob(noise)
+        rep = verify_reassignment(A, delta + noise, asm, space, "jordan")
+        assert _has_note(rep, f"a {k}-column sketch does not capture delta "
+                         f"(sketch_residual")
+        assert not _has_note(rep, "sketch_full_rank")
+        assert rep.delta_rank == 4
+
+    def test_family_member_with_a_parameter_skips_the_sketch(self,
+                                                             monkeypatch):
+        inst, asm, _, _ = _annihilation_case("complex-lie", self.N)
+        Z = specpreserve.core.sample_structured(inst.space, inst.cls, seed=4)
+        delta = reassign_family(inst.A, asm, inst.space, inst.cls, Z=Z,
+                                verify=False).delta
+        k = 2 * asm.X_c.shape[1] + 10
+        rank = specpreserve.core.numerical_rank(delta)
+        assert rank > k
+        shapes = []
+        _lapack_spy(monkeypatch, shapes)
+        rep = verify_reassignment(inst.A, delta, asm, inst.space, inst.cls,
+                                  check_spillover=False)
+        assert _has_note(rep, "(sketch_full_rank")
+        assert rep.delta_rank == rank
+        assert [s for s in shapes if s[0] == "qr"] == [("qr", (self.N, k))]
+        assert ("svd", (self.N, self.N)) in shapes
 
     def test_structure_defect_lifts_the_residual(self):
         A, space, asm, delta = _symmetric_case(self.N)
@@ -651,6 +703,124 @@ class TestSpilloverResidual:
                                   fixed_pairs=(X_f, L_f))
         ref = np.linalg.norm((inst.A + delta).astype(complex) @ X_f - X_f @ L_f)
         assert abs(rep.fixed_residual - ref) <= 1e-12 * max(1.0, frob(inst.A))
+
+
+def _eig_spy(monkeypatch):
+    """Record a copy of every matrix handed to eigvals or eigvalsh."""
+    seen = []
+    for name in ("eigvals", "eigvalsh"):
+        def spy(a, _orig=getattr(np.linalg, name), _name=name):
+            seen.append((_name, np.array(a)))
+            return _orig(a)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return seen
+
+
+def _same_report(a, b):
+    return (a.summary() == b.summary() and a.notes == b.notes
+            and a.spectrum_verdict.pairs == b.spectrum_verdict.pairs
+            and np.array_equal(a.delta, b.delta))
+
+
+@pytest.mark.usefixtures("empty_spectra")
+class TestSpectrumMemo:
+    """sigma(A) is solved once per distinct A; sigma(A + delta) every call."""
+
+    def _verify(self, case, A=None):
+        inst, asm, delta, _ = case
+        return verify_reassignment(inst.A if A is None else A, delta, asm,
+                                   inst.space, inst.cls)
+
+    def _cold(self, case, A=None):
+        """The report of a verification that keeps nothing in the memo."""
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(specpreserve.diagnostics, "_SPECTRA_SIZE", 0)
+            return self._verify(case, A)
+
+    @pytest.mark.parametrize("arrangement", list(ARRANGED))
+    def test_warm_report_equals_the_cold_one(self, arrangement):
+        case = _annihilation_case(arrangement, 64)
+        cold = self._cold(case)
+        first, warm = self._verify(case), self._verify(case)
+        assert len(specpreserve.diagnostics._SPECTRA) == 1
+        assert _same_report(cold, first) and _same_report(cold, warm)
+
+    def test_a_is_solved_once_and_a_plus_delta_every_call(self, monkeypatch):
+        case = inst, _, delta, _ = _annihilation_case("real-lie", 64)
+        seen = _eig_spy(monkeypatch)
+        self._verify(case)
+        assert [(name, M.shape) for name, M in seen] == [
+            ("eigvals", (64, 64)), ("eigvals", (64, 64))]
+        assert np.array_equal(seen[0][1], inst.A)
+        seen.clear()
+        self._verify(case)
+        assert [(name, M.shape) for name, M in seen] == [("eigvals", (64, 64))]
+        assert np.array_equal(seen[0][1], inst.A + delta)
+
+    def test_a_changed_in_place_is_solved_again(self, monkeypatch):
+        case = inst, _, _, _ = _annihilation_case("real-jordan", 64)
+        A = inst.A.copy()
+        seen = _eig_spy(monkeypatch)
+        self._verify(case, A)
+        A[0, 1] += 1e-3
+        seen.clear()
+        changed = self._verify(case, A)
+        assert len(seen) == 2 and np.array_equal(seen[0][1], A)
+        assert _same_report(changed, self._cold(case, A.copy()))
+
+    def test_key_holds_dtype_shape_and_tier(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(specpreserve.diagnostics, "_solve",
+                            lambda M, tier: solved.append((M.dtype, M.shape,
+                                                           tier))
+                            or np.zeros(M.shape[0]))
+        memo = specpreserve.diagnostics._memoized_solve
+        M = np.arange(16.0).reshape(4, 4)
+        for N in (M, M.view(np.int64), M.reshape(2, 8), M.reshape(8, 2),
+                  np.asfortranarray(M)):
+            memo(N, "eigvals")
+        memo(M, "eigvalsh")
+        # the Fortran-ordered copy is the same matrix: a hit
+        assert solved == [(M.dtype, (4, 4), "eigvals"),
+                          (np.dtype(np.int64), (4, 4), "eigvals"),
+                          (M.dtype, (2, 8), "eigvals"),
+                          (M.dtype, (8, 2), "eigvals"),
+                          (M.dtype, (4, 4), "eigvalsh")]
+
+    def test_cached_eigenvalues_are_read_only(self):
+        w = specpreserve.diagnostics._memoized_solve(
+            np.diag([1.0, 2.0, 3.0]), "eigvals")
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_eviction_drops_the_least_recently_used(self, monkeypatch):
+        diagnostics = specpreserve.diagnostics
+        solved = []
+        monkeypatch.setattr(diagnostics, "_solve", lambda M, tier:
+                            solved.append(M[0, 0]) or np.diag(M).copy())
+        size = diagnostics._SPECTRA_SIZE
+        for i in range(size + 3):
+            diagnostics._memoized_solve(np.diag([float(i), 1.0]), "eigvals")
+            # the first matrix stays the most recently used
+            diagnostics._memoized_solve(np.diag([0.0, 1.0]), "eigvals")
+            assert len(diagnostics._SPECTRA) == min(i + 1, size)
+        assert solved == list(range(size + 3))
+        # the oldest of the others went first
+        diagnostics._memoized_solve(np.diag([1.0, 1.0]), "eigvals")
+        assert solved[-1] == 1.0 and len(solved) == size + 4
+
+    def test_two_threads_give_the_single_thread_reports(self):
+        # two monomial-H arrangements, inverted by indexing: scipy 1.17's
+        # LAPACK wrappers (lu_solve, which a dense H takes) have returned
+        # wrong values when called from two threads at once
+        cases = [_annihilation_case(a, 64) for a in ("real-jordan", "real-lie")]
+        alone = [self._cold(c) for c in cases]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(pool.map(self._verify, cases * 4))
+        assert all(_same_report(rep, alone[i % 2])
+                   for i, rep in enumerate(runs))
+        assert len(specpreserve.diagnostics._SPECTRA) == 2
 
 
 class TestGenerateInstance:

@@ -2,8 +2,9 @@
 in the package is used by its module or re-exported through ``__all__``, no
 module loads a scipy submodule at import time, the field-keeping modules
 never cast to complex outside ``as_matrix``, the verification oracle calls
-no eigenvector solver and factors no square matrix outside its fallback,
-and every threshold test raises through ``core._decide``."""
+no eigenvector solver, factors no square matrix outside its fallback and
+memoizes the spectrum of no matrix but the unperturbed A, and every
+threshold test raises through ``core._decide``."""
 
 import ast
 import pathlib
@@ -323,3 +324,106 @@ _FALLBACK = ("def _rank_and_structure(delta, B):\n"
 ])
 def test_oracle_factorization_rule_catches_a_planted_call(planted, flagged):
     assert bool(_oracle_factorizations(ast.parse(planted))) == flagged
+
+
+# the oracle keeps one thing between calls, the eigenvalues of the
+# unperturbed A (``_memoized_solve``); the output under test, A + delta, is
+# solved on every call, so the memo is reachable only through the ``memo``
+# switch of ``_eigenvalues``, which only ``verify_reassignment`` sets, on
+# its argument A
+MEMOIZED = "_memoized_solve"
+MEMO_GATE = "_eigenvalues"
+MEMO_CALLER = "verify_reassignment"
+
+
+def _memo_switched_on(call):
+    """True for ``_eigenvalues(..., memo=<not False>)`` or a fifth
+    positional argument."""
+    memo = [kw.value for kw in call.keywords if kw.arg == "memo"]
+    memo += call.args[4:]
+    return any(not (isinstance(v, ast.Constant) and v.value is False)
+               for v in memo)
+
+
+def _memo_leaks(tree):
+    """Lines where the memo could see a matrix other than the A argument
+    of ``verify_reassignment``: a memoized solve outside the ``memo``
+    branch of ``_eigenvalues``, the switch set elsewhere or on another
+    argument, or ``A`` rebound to anything but ``as_matrix(A, ...)``."""
+    hits = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        guarded = {id(n) for c in ast.walk(fn)
+                   if isinstance(c, (ast.If, ast.IfExp))
+                   and isinstance(c.test, ast.Name) and c.test.id == "memo"
+                   for b in (c.body if isinstance(c.body, list) else [c.body])
+                   for n in ast.walk(b)}
+        rebinds = {id(node.targets[0]) for node in ast.walk(fn)
+                   if isinstance(node, ast.Assign) and len(node.targets) == 1
+                   and isinstance(node.value, ast.Call)
+                   and _called_name(node.value) == "as_matrix"
+                   and node.value.args
+                   and getattr(node.value.args[0], "id", None) == "A"}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                name = _called_name(node)
+                if name == MEMOIZED and (fn.name != MEMO_GATE
+                                         or id(node) not in guarded):
+                    hits.append(node.lineno)
+                elif name == MEMO_GATE and _memo_switched_on(node) and (
+                        fn.name != MEMO_CALLER or not node.args
+                        or getattr(node.args[0], "id", None) != "A"):
+                    hits.append(node.lineno)
+            elif (fn.name == MEMO_CALLER and isinstance(node, ast.Name)
+                  and node.id == "A" and isinstance(node.ctx, ast.Store)
+                  and id(node) not in rebinds):
+                hits.append(node.lineno)
+    return hits
+
+
+def test_oracle_memoizes_only_the_unperturbed_a():
+    path = pathlib.Path(specpreserve.__file__).parent / "diagnostics.py"
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    funcs = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}
+    assert {MEMOIZED, MEMO_GATE, MEMO_CALLER} <= funcs
+    assert "memo=True" in source
+    hits = _memo_leaks(tree)
+    assert not hits, f"diagnostics.py memoizes another matrix on lines {hits}"
+
+
+_GATE = ("def _eigenvalues(M, tol, notes, name, memo=False):\n"
+         "    {}\n")
+_CALLER = ("def verify_reassignment(A, delta):\n"
+           "    A = as_matrix(A, 'A')\n"
+           "    perturbed = A + delta\n"
+           "    {}\n")
+
+
+@pytest.mark.parametrize("planted,flagged", [
+    # the output under test through the memo
+    (_CALLER.format("_eigenvalues(perturbed, t, [], 'A + delta', memo=True)"),
+     True),
+    (_CALLER.format("_eigenvalues(A + delta, t, [], 'A + delta', True)"),
+     True),
+    (_CALLER.format("_memoized_solve(perturbed, 'eigvals')"), True),
+    (_CALLER.format("A = A + delta\n"
+                    "    _eigenvalues(A, t, [], 'A', memo=True)"), True),
+    (_CALLER.format("A += delta\n    _eigenvalues(A, t, [], 'A', memo=1)"),
+     True),
+    ("def spectrum_multiset_compare(A, B):\n"
+     "    return _eigenvalues(A, t, [], 'A', memo=True)", True),
+    (_GATE.format("return _memoized_solve(M, tier)"), True),
+    (_GATE.format("if tier:\n        return _memoized_solve(M, tier)"), True),
+    # the memoized path as it stands, and the fresh solves
+    (_CALLER.format("_eigenvalues(A, t, [], 'A', memo=True)"), False),
+    (_CALLER.format("_eigenvalues(perturbed, t, [], 'A + delta')"), False),
+    (_CALLER.format("_eigenvalues(perturbed, t, [], 'A + delta', "
+                    "memo=False)"), False),
+    (_GATE.format("return (_memoized_solve(M, tier) if memo\n"
+                  "            else _solve(M, tier))"), False),
+    (_GATE.format("if memo:\n        return _memoized_solve(M, tier)"), False),
+])
+def test_memo_rule_catches_a_planted_leak(planted, flagged):
+    assert bool(_memo_leaks(ast.parse(planted))) == flagged

@@ -188,14 +188,17 @@ def test_sketched_bundle_agrees_with_the_full_factorizations(
         # the first chains are isotropic: move them all (full rank), which
         # the sketch must reject
         p, delta = no_spillover(chains)
-    # a sketch of up to twice the rank bound, short of n: it is rejected
-    # exactly when delta has more rank than columns
+    # a sketch of up to twice the rank bound, short of n: it answers exactly
+    # when delta has less rank than columns, and is refused for a full-rank
+    # delta Omega otherwise
     k, notes = min(2 * p, n - 1), []
     rank, struct = _rank_and_structure(delta, space, inst.cls, k, 1e-10, notes)
     assert rank == numerical_rank(delta, 1e-10)
     assert abs(struct - structure_residual(delta, space, inst.cls)) <= (
         1e-12 * max(1.0, np.linalg.norm(delta)))
-    assert len(notes) == 1 and ("does not capture" in notes[0]) == (rank > k)
+    assert len(notes) == 1
+    assert ("sketch of delta (sketch_residual" in notes[0]) == (rank < k)
+    assert ("(sketch_full_rank" in notes[0]) == (rank >= k)
 
     # the Hermitian tier (where it applies) and eigvals agree on matched
     for M, N in ((A, A), (A + delta, A), (A + delta, A + delta)):
