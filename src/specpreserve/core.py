@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import threading
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
@@ -194,6 +195,13 @@ class _MonomialH:
         return self._scale_rows(self.inv_vals, B[self.rows])
 
 
+# scipy's LAPACK wrappers can return wrong values, or corrupt the heap,
+# when two threads call them at once (seen with scipy 1.17.1 lu_solve on one
+# shared LU), so every scipy.linalg call in the package runs under this one
+# lock; numpy.linalg gave the sequential results in the same test
+_SCIPY_LAPACK_LOCK = threading.Lock()
+
+
 class _DenseH:
     """Any other H: H applied by a product, H^-1 by its LU factors, which
     are computed on the first solve."""
@@ -203,14 +211,20 @@ class _DenseH:
 
     @functools.cached_property
     def lu(self):
-        return scipy.linalg.lu_factor(self.H, check_finite=False)
+        with _SCIPY_LAPACK_LOCK:
+            return scipy.linalg.lu_factor(self.H, check_finite=False)
 
     def apply(self, B):
         return _real_apply(self.H, B)
 
     def solve(self, B):
-        return _real_apply(self.H, B, lambda R: scipy.linalg.lu_solve(
-            self.lu, R, check_finite=False))
+        lu = self.lu
+
+        def lu_solve(R):
+            with _SCIPY_LAPACK_LOCK:
+                return scipy.linalg.lu_solve(lu, R, check_finite=False)
+
+        return _real_apply(self.H, B, lu_solve)
 
 
 def _real_apply(M, B, fn=None) -> np.ndarray:

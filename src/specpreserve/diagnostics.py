@@ -29,6 +29,7 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
+    _SCIPY_LAPACK_LOCK,
     _decide,
     _normalize_star,
     _real_apply,
@@ -460,7 +461,9 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     delta in O(n^2 p) (``_rank_and_structure``), or from the full SVD and
     adjoint when p is close to n or the sketch is refused (delta of rank at
     least the sketch width, as a family member with a parameter) or does
-    not capture delta.
+    not capture delta.  A delta with a NaN or infinite entry is never
+    factored or solved: its residuals come out NaN, delta_rank is the
+    bound n and the spectrum is not compared, each with a note.
     Family-of-solutions members with a free parameter make no claim about
     the complement, so callers verify them with check_spillover=False,
     which skips the spillover and spectrum-replacement checks.  The
@@ -476,10 +479,18 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     perturbed = A + delta
     reassigned = float(np.linalg.norm(
         _real_apply(perturbed, X) - X @ assembly.Lambda_a))
-    # k covers the rank bound 2p of every update
-    rank, struct = _rank_and_structure(
-        delta, space, cls, 2 * X.shape[1] + _SKETCH_OVERSAMPLE, tol.rank_tol,
-        notes)
+    # a NaN or infinite entry has no SVD or eigenvalues: the residuals are
+    # products and come out NaN, and no delta or A + delta is factored
+    finite = bool(np.isfinite(delta).all())
+    if finite:
+        # k covers the rank bound 2p of every update
+        rank, struct = _rank_and_structure(
+            delta, space, cls, 2 * X.shape[1] + _SKETCH_OVERSAMPLE,
+            tol.rank_tol, notes)
+    else:
+        rank, struct = A.shape[0], float("nan")
+        notes.append("delta has non-finite entries: rank and structure not "
+                     "computed (delta_rank is the bound n)")
     gram_condition = float(np.real(np.linalg.cond(gram_matrix(X, space), 1)))
     realness = (not np.iscomplexobj(delta) or bool(
         np.max(np.abs(delta.imag)) <= 1e-10 * max(frob(delta), 1e-300)))
@@ -498,7 +509,10 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
             "family member: no claim on the complement, spectrum "
             "replacement not checked")
     else:
-        if A.shape[0] <= oracle_dim_limit():
+        if not finite:
+            notes.append("delta has non-finite entries; spectrum not "
+                         "compared")
+        elif A.shape[0] <= oracle_dim_limit():
             eigs_a, slack_a = _eigenvalues(A, tol.eig_tol, notes, "A",
                                            memo=True)
             planned = _planned_spectrum(eigs_a, currents, targets,
@@ -649,7 +663,8 @@ def _skew_orthogonal_normalize(H):
     n = H.shape[0]
     if n % 2:
         raise InfeasiblePlanError("a skew form needs even dimension")
-    T, Q = scipy.linalg.schur(np.asarray(H, dtype=float), output="real")
+    with _SCIPY_LAPACK_LOCK:
+        T, Q = scipy.linalg.schur(np.asarray(H, dtype=float), output="real")
     # T is block diagonal with [[0, b], [-b, 0]] blocks, b = +-1
     for i in range(0, n, 2):
         if abs(T[i, i + 1]) < 0.5:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from .core import (
     ScalarProductSpace,
@@ -553,7 +552,8 @@ def extract_jordan_pairs(A, tol: ToleranceProfile | None = None,
                          max_dim: int = MAX_EXTRACT_DIM) -> list:
     """Compute all Jordan pairs of a desk-scale matrix.
 
-    Eigenvalues come from the Schur form and are clustered at
+    Eigenvalues come from ``eigvals`` in complex arithmetic (the diagonal
+    of the complex Schur form, which is all this needs) and are clustered at
     ``cluster_tol`` (relative); chains are then built from nullspace
     staircases of ``(A - lambda I)^l``.  A defective eigenvalue with a
     chain of length l scatters by roughly eps^(1/l) in floating point, so
@@ -569,8 +569,7 @@ def extract_jordan_pairs(A, tol: ToleranceProfile | None = None,
     if n > max_dim:
         raise ArgumentError(
             f"Jordan extraction is desk-scale only (n <= {max_dim}), got {n}")
-    T, _ = scipy.linalg.schur(A, output="complex")
-    eigs = np.diag(T)
+    eigs = np.linalg.eigvals(np.asarray(A, dtype=complex))
     scale = max(1.0, float(np.max(np.abs(eigs))))
 
     # cluster by connected components at cluster_tol * scale

@@ -14,6 +14,9 @@ square basis ``[X_c X_f]``; it needs only the first p rows of the basis
 inverse and ``(X* H B_c)* X^-1``, both from one LU of the basis with p
 right-hand sides each, so past the O(n^3) fixed-pair residual and LU
 (whose condition estimate also decides nonsingularity) it costs O(n^2 p).
+That LU, with its ``?gecon`` estimate, is the module's one use of
+``scipy.linalg``; the no-spillover update solves with its p x p Gram matrix
+through numpy.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
+    _SCIPY_LAPACK_LOCK,
     _check_full_column_rank,
     _check_invariant_pair,
     _decide,
@@ -195,9 +199,10 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
         raise ArgumentError("[X_c X_f] must be square")
     # one LU of X decides nonsingularity, by LAPACK's reciprocal 1-norm
     # condition estimate (0 for an exactly singular X), and solves below
-    getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (X,))
-    lu, piv, _ = getrf(X)
-    rcond = gecon(lu, np.abs(X).sum(axis=0).max(), norm="1")[0]
+    with _SCIPY_LAPACK_LOCK:
+        getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (X,))
+        lu, piv, _ = getrf(X)
+        rcond = gecon(lu, np.abs(X).sum(axis=0).max(), norm="1")[0]
     _decide("nonsingular_basis", rcond, tol.rank_tol, at_least=True).require(
         "[X_c X_f] is numerically singular",
         "reciprocal condition estimate")
@@ -207,18 +212,22 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     HB = space.h_apply(B_c)
     st = space.star_mat
     rhs = np.hstack([np.eye(n, p), st(st(X) @ HB).T])
-    RQ = scipy.linalg.lu_solve((lu, piv), rhs, trans=1, check_finite=False).T
+    with _SCIPY_LAPACK_LOCK:
+        RQ = scipy.linalg.lu_solve((lu, piv), rhs, trans=1,
+                                   check_finite=False).T
     U, V = _family_factors(B_c, HB, RQ[:p], RQ[p:], space, cls)
     return U @ V
 
 
 def gram_inverse_apply(G, RHS):
-    """Solve ``G Y = RHS`` by LU with partial pivoting plus one step of
-    iterative refinement; returns (Y, one_norm_condition_estimate)."""
-    lu, piv = scipy.linalg.lu_factor(G)
+    """Solve ``G Y = RHS`` by LU with partial pivoting (numpy's ``?gesv``)
+    plus one step of iterative refinement; returns
+    (Y, one_norm_condition_estimate).  G is p x p, so factoring it again
+    for the refinement step costs O(p^3), and numpy's LAPACK spares the
+    command line the import of ``scipy.linalg``."""
     cond = float(np.real(np.linalg.cond(G, 1)))
-    Y = scipy.linalg.lu_solve((lu, piv), RHS)
-    Y = Y + scipy.linalg.lu_solve((lu, piv), RHS - G @ Y)
+    Y = np.linalg.solve(G, RHS)
+    Y = Y + np.linalg.solve(G, RHS - G @ Y)
     return Y, cond
 
 

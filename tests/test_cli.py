@@ -48,19 +48,23 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert _scipy_loaded_by("import specpreserve.cli") == set()
 
 
-@pytest.mark.parametrize("command,job,unloaded", [
-    # no dense-H solve, no Schur, and a pairing without ties
-    ("reassign", "lie4", SCIPY_SUBMODULES),
-    ("gen", "gen6", SCIPY_SUBMODULES),
-    # the LU of the Gram matrix loads scipy.linalg, the pairing nothing
-    ("reassign", "jordan5", ("scipy.optimize",)),
-], ids=["reassign-lie4", "gen-gen6", "reassign-jordan5"])
-def test_command_loads_only_the_scipy_it_runs(command, job, unloaded,
-                                              jobs_dir, tmp_path):
+# every shipped command runs on numpy's LAPACK alone: no dense-H solve, no
+# Schur form (Jordan extraction takes eigvals), the Gram solve of the
+# no-spillover jobs through numpy and a pairing without ties
+SHIPPED_COMMANDS = [("reassign", "lie4"), ("reassign", "jordan5"),
+                    ("invariant", "sym3"), ("gen", "gen6"),
+                    ("inspect", "lie4"), ("inspect", "jordan5"),
+                    ("inspect", "sym3")]
+
+
+@pytest.mark.parametrize("command,job", SHIPPED_COMMANDS,
+                         ids=[f"{c}-{j}" for c, j in SHIPPED_COMMANDS])
+def test_command_loads_only_the_scipy_it_runs(command, job, jobs_dir,
+                                              tmp_path):
     argv = [command, os.path.join(jobs_dir, job, "job.json"),
             "--out", str(tmp_path)]
     code = f"from specpreserve.cli import main\nassert main({argv!r}) == 0"
-    assert _scipy_loaded_by(code).isdisjoint(unloaded)
+    assert _scipy_loaded_by(code) == set()
 
 
 def test_eigenvector_matching_is_optimal():

@@ -2,6 +2,9 @@
 
 import concurrent.futures
 import functools
+import os
+import subprocess
+import sys
 import types
 from collections import OrderedDict
 
@@ -573,6 +576,44 @@ class TestSketchedBundle:
         assert not off.spectrum_verdict.matched
 
 
+@pytest.mark.usefixtures("cold_spectra")
+class TestNonFiniteDelta:
+    """A delta with a NaN entry fails every check and is never factored."""
+
+    @pytest.mark.parametrize("where", ["one-entry", "all-entries"])
+    @pytest.mark.parametrize("n", [40, 128])
+    def test_report_fails_without_factoring_delta(self, monkeypatch, n,
+                                                  where):
+        A, space, asm, delta = _symmetric_case(n)
+        bad = delta.copy()
+        if where == "one-entry":
+            bad[1, 2] = np.nan
+        else:
+            bad[:] = np.nan
+        factored = []
+        for name in ("eig", "eigvals", "eigvalsh", "svd", "solve", "qr",
+                     "inv", "cond", "pinv", "lstsq"):
+            def spy(a, *args, _orig=getattr(np.linalg, name), _name=name,
+                    **kw):
+                if not np.isfinite(a).all():
+                    factored.append(_name)
+                return _orig(a, *args, **kw)
+            monkeypatch.setattr(np.linalg, name, spy)
+        rep = verify_reassignment(A, bad, asm, space, "jordan")
+        assert factored == []
+        assert np.isnan(rep.reassigned_residual)
+        assert np.isnan(rep.structure_residual)
+        assert np.isnan(rep.spillover_residual)
+        assert rep.delta_rank == n
+        assert rep.spectrum_verdict is None
+        assert _has_note(rep, "rank and structure not computed")
+        assert _has_note(rep, "non-finite entries; spectrum not compared")
+        # the clean delta of the same case still gets its verdict at n <= 64
+        clean = verify_reassignment(A, delta, asm, space, "jordan")
+        assert clean.delta_rank == 4
+        assert (clean.spectrum_verdict is not None) == (n <= oracle_dim_limit())
+
+
 # recipe (space kind, class, field, star), assembly and pairing orbit of a
 # seed value for each arrangement; real Jordan on the flip form, which
 # admits Jordan chains
@@ -811,9 +852,8 @@ class TestSpectrumMemo:
         assert solved[-1] == 1.0 and len(solved) == size + 4
 
     def test_two_threads_give_the_single_thread_reports(self):
-        # two monomial-H arrangements, inverted by indexing: scipy 1.17's
-        # LAPACK wrappers (lu_solve, which a dense H takes) have returned
-        # wrong values when called from two threads at once
+        # two monomial-H arrangements, inverted by indexing; a dense H,
+        # which takes scipy's LU, runs in a fresh interpreter below
         cases = [_annihilation_case(a, 64) for a in ("real-jordan", "real-lie")]
         alone = [self._cold(c) for c in cases]
         with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
@@ -821,6 +861,58 @@ class TestSpectrumMemo:
         assert all(_same_report(rep, alone[i % 2])
                    for i, rep in enumerate(runs))
         assert len(specpreserve.diagnostics._SPECTRA) == 2
+
+
+# threads against one dense H, more of them than cores and switching
+# often, in a fresh interpreter so that corrupted memory fails one test
+# instead of aborting the run; ``work(i)`` must give the bits of a
+# sequential call under ROUNDS concurrent calls
+_THREADED = """
+import concurrent.futures
+import sys
+import numpy as np
+{setup}
+want = [work(i) for i in range(CASES)]
+sys.setswitchinterval(1e-5)
+with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+    got = list(pool.map(work, [i % CASES for i in range(ROUNDS)]))
+assert len(got) == ROUNDS
+print(sum(not same(g, want[i % CASES]) for i, g in enumerate(got)))
+"""
+_DENSE_H_WORK = {
+    "h_solve": """
+import helpers
+space = helpers.make_space(64, "CT", 1, "complex", "random",
+                           np.random.default_rng(64))
+rng = np.random.default_rng(65)
+CASES, ROUNDS = 16, 4000
+B = [rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
+     for _ in range(CASES)]
+work = lambda i: space.h_solve(B[i])
+same = lambda a, b: a.tobytes() == b.tobytes()
+""",
+    "verify_reassignment": """
+from specpreserve import verify_reassignment
+from test_diagnostics import _annihilation_case
+inst, asm, delta, _ = _annihilation_case("complex-lie", 64)
+CASES, ROUNDS = 1, 200
+work = lambda i: verify_reassignment(inst.A, delta, asm, inst.space, inst.cls)
+same = lambda a, b: a.summary() == b.summary() and a.notes == b.notes
+""",
+}
+
+
+@pytest.mark.parametrize("work", list(_DENSE_H_WORK))
+def test_threads_on_a_dense_h_match_a_sequential_run(work):
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(specpreserve.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREADED.format(setup=_DENSE_H_WORK[work])],
+        env=env, timeout=300, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["0"]
 
 
 class TestGenerateInstance:

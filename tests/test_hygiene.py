@@ -1,10 +1,11 @@
 """Source hygiene that no installed linter checks: every module-level import
 in the package is used by its module or re-exported through ``__all__``, no
-module loads a scipy submodule at import time, the field-keeping modules
-never cast to complex outside ``as_matrix``, the verification oracle calls
-no eigenvector solver, factors no square matrix outside its fallback and
-memoizes the spectrum of no matrix but the unperturbed A, and every
-threshold test raises through ``core._decide``."""
+module loads a scipy submodule at import time, ``scipy.linalg`` and
+``scipy.optimize`` are used only by an allowlist of definitions, the
+field-keeping modules never cast to complex outside ``as_matrix``, the
+verification oracle calls no eigenvector solver, factors no square matrix
+outside its fallback and memoizes the spectrum of no matrix but the
+unperturbed A, and every threshold test raises through ``core._decide``."""
 
 import ast
 import pathlib
@@ -44,6 +45,16 @@ def test_no_unused_module_imports(path):
     assert not unused, f"{path.name} imports but never uses {unused}"
 
 
+def _imported_names(node):
+    """The dotted names an import statement loads: ``import a.b`` gives
+    a.b, ``from a import b`` both a and a.b; none for other nodes."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    return []
+
+
 # the package imports bare ``scipy``: scipy (>= 1.9) loads ``scipy.linalg``
 # and ``scipy.optimize`` on first attribute access, so a command loads only
 # the submodules its code runs, and the benchmark's tracer, which swaps the
@@ -55,20 +66,9 @@ def _import_time_submodules(tree):
     deferred = {id(n) for f in ast.walk(tree)
                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
                 for n in ast.walk(f)}
-    hits = []
-    for node in ast.walk(tree):
-        if id(node) in deferred:
-            continue
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            names = [node.module] + [f"{node.module}.{a.name}"
-                                     for a in node.names]
-        else:
-            continue
-        if any(name.startswith("scipy.") for name in names):
-            hits.append(node.lineno)
-    return hits
+    return [node.lineno for node in ast.walk(tree) if id(node) not in deferred
+            and any(name.startswith("scipy.")
+                    for name in _imported_names(node))]
 
 
 def test_no_scipy_submodule_is_imported_at_module_level():
@@ -94,6 +94,78 @@ def test_no_scipy_submodule_is_imported_at_module_level():
 ])
 def test_submodule_rule_catches_a_planted_import(planted, flagged):
     assert bool(_import_time_submodules(ast.parse(planted))) == flagged
+
+
+# the shipped commands run on numpy's LAPACK alone; loading
+# ``scipy.linalg`` or ``scipy.optimize`` costs a process about 200 ms, so
+# the package uses them only where numpy has no equivalent: a reusable LU
+# of a dense H, the LU with ``?gecon`` of ``[X_c X_f]``, the real Schur form
+# of a skew form and the Hungarian of a tied pairing
+SCIPY_SUBMODULE_USERS = {
+    "core.py": {"_DenseH"},
+    "subspaces.py": {"preserve_complementary"},
+    "diagnostics.py": {"_skew_orthogonal_normalize", "_assign_multisets"},
+}
+HEAVY_SUBMODULES = ("scipy.linalg", "scipy.optimize")
+
+
+def _heavy_scipy_uses(tree, module):
+    """Lines outside the module's allowlisted top-level definitions that
+    name ``scipy.linalg`` or ``scipy.optimize``: an attribute chain such as
+    ``scipy.linalg.lu_factor`` or an import of either, at any depth."""
+    allowed = {id(n) for d in tree.body
+               if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+               and d.name in SCIPY_SUBMODULE_USERS.get(module, ())
+               for n in ast.walk(d)}
+    hits = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        names = _imported_names(node)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        if any(name == sub or name.startswith(sub + ".")
+               for name in names for sub in HEAVY_SUBMODULES):
+            hits.append(node.lineno)
+    return hits
+
+
+def test_scipy_submodules_are_used_only_where_allowed():
+    hits = {path.name: lines for path in SOURCES
+            if (lines := _heavy_scipy_uses(
+                ast.parse(path.read_text(encoding="utf-8")), path.name))}
+    assert not hits, f"scipy.linalg/optimize outside the allowlist: {hits}"
+
+
+@pytest.mark.parametrize("module,planted,flagged", [
+    # the calls numpy replaced on the command line paths
+    ("subspaces.py", "def gram_inverse_apply(G, R):\n"
+     "    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(G), R)", True),
+    ("spectral.py", "def extract_jordan_pairs(A):\n"
+     "    return scipy.linalg.schur(A, output='complex')", True),
+    ("diagnostics.py", "def verify_reassignment(c):\n"
+     "    return scipy.optimize.linear_sum_assignment(c)", True),
+    ("spectral.py", "def f(A):\n    from scipy.linalg import schur", True),
+    ("spectral.py", "def f(A):\n    from scipy import linalg", True),
+    ("core.py", "def f(A):\n    import scipy.linalg as sl", True),
+    ("core.py", "lu = scipy.linalg.lu_factor", True),
+    # the name of an allowed definition in another module
+    ("spectral.py", "def _assign_multisets(c):\n"
+     "    return scipy.optimize.linear_sum_assignment(c)", True),
+    # the allowlist, and what the rule leaves alone
+    ("diagnostics.py", "def _assign_multisets(c):\n"
+     "    return scipy.optimize.linear_sum_assignment(c)", False),
+    ("core.py", "class _DenseH:\n    def lu(self):\n"
+     "        return scipy.linalg.lu_factor(self.H)", False),
+    ("subspaces.py", "def preserve_complementary(X):\n"
+     "    return scipy.linalg.get_lapack_funcs(('getrf',), (X,))", False),
+    ("matio.py", "def load(path):\n    import scipy.io\n"
+     "    return scipy.io.mmread(path)", False),
+    ("spectral.py", "import scipy", False),
+    ("spectral.py", "def f(A):\n    return np.linalg.eigvals(A)", False),
+])
+def test_scipy_use_rule_catches_a_planted_call(module, planted, flagged):
+    assert bool(_heavy_scipy_uses(ast.parse(planted), module)) == flagged
 
 
 # modules that keep the field of their data: ``core.as_matrix`` (with the

@@ -135,6 +135,48 @@ class TestExtractJordanPairs:
             extract_jordan_pairs(np.eye(70))
 
 
+# Jordan structures (value, chain lengths) with chains up to length 4, each
+# hidden by a seeded similarity
+EXTRACTION_CATALOG = {
+    "diagonal": [(1.0, (1,)), (-2.0, (1,)), (4.0, (1,)), (7.0, (1,))],
+    "chain-4": [(2.0, (4,))],
+    "chains-2-1": [(1.0, (2, 1)), (5.0, (1,))],
+    "chains-3-and-2": [(-1.0, (3,)), (3.0, (2,))],
+    "complex-chains": [(1 + 2j, (2,)), (1 - 2j, (2,)), (-3j, (1, 1))],
+}
+
+
+@pytest.mark.parametrize("structure", EXTRACTION_CATALOG.values(),
+                         ids=EXTRACTION_CATALOG.keys())
+def test_extraction_agrees_with_the_schur_diagonal(structure):
+    """Eigenvalues from ``eigvals`` give the chains of the construction,
+    and each cluster centre lies within ``cluster_tol * scale`` of the
+    mean of the Schur-diagonal values nearest to it."""
+    values = np.array([v for v, _ in structure])
+    J = scipy.linalg.block_diag(*[jordan_block(v, k)
+                                  for v, ks in structure for k in ks])
+    n = J.shape[0]
+    rng = np.random.default_rng(n)
+    S = rng.standard_normal((n, n)) + 0.5 * np.eye(n)
+    if np.any(values.imag):
+        S = S + 1j * rng.standard_normal((n, n))
+    else:
+        J = J.real
+    A = np.linalg.solve(S, J @ S)
+    pairs = extract_jordan_pairs(A)
+    schur = np.diag(scipy.linalg.schur(A.astype(complex), output="complex")[0])
+    scale = max(1.0, float(np.max(np.abs(schur))))
+    for v, ks in structure:
+        got = [p for p in pairs if np.argmin(np.abs(values - p.value))
+               == np.argmin(np.abs(values - v))]
+        assert sorted(p.length for p in got) == sorted(ks)
+        near = schur[np.argmin(np.abs(schur[:, None] - values), axis=1)
+                     == np.argmin(np.abs(values - v))]
+        assert near.size == sum(ks)
+        for p in got:
+            assert abs(p.value - near.mean()) <= 1e-3 * scale
+
+
 class TestGramBlocks:
     def test_self_paired_left_eigenvector_relation(self):
         space = ScalarProductSpace.flip(6, star="ct")

@@ -3,6 +3,7 @@ no-spillover update, including the printed worked examples."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import golden
 import helpers
@@ -329,6 +330,46 @@ class TestNoSpillover:
         assert exc.value.condition == "gram_singular"
         assert exc.value.residual == exc.value.threshold == 0.0
 
+
+
+def _lu_reference(G, RHS):
+    """LU with partial pivoting and one refinement step, by scipy's
+    factor-once routines."""
+    lu = scipy.linalg.lu_factor(G)
+    Y = scipy.linalg.lu_solve(lu, RHS)
+    return Y + scipy.linalg.lu_solve(lu, RHS - G @ Y)
+
+
+class TestGramInverseApply:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("p", [1, 2, 4, 64])
+    def test_matches_the_scipy_lu_reference(self, p, field, rng):
+        def draw(*shape):
+            M = rng.standard_normal(shape)
+            return M + 1j * rng.standard_normal(shape) if field == "complex" else M
+        G = draw(p, p) + p * np.eye(p) / 4
+        RHS = draw(p, 3 * p + 5)
+        Y, cond = subspaces.gram_inverse_apply(G, RHS)
+        want = _lu_reference(G, RHS)
+        assert Y.dtype == want.dtype
+        assert (np.linalg.norm(Y - want)
+                <= 1e-12 * cond * np.linalg.norm(want))
+        assert cond == float(np.real(np.linalg.cond(G, 1)))
+
+    def test_ill_conditioned_gram_still_warns(self):
+        # X_c spans the invariant plane of the double eigenvalue 1 through
+        # two nearly parallel columns, so cond_1(G) is about 4 / eps^2 = 1e9
+        eps = 2 / np.sqrt(1e9)
+        space = ScalarProductSpace(np.eye(4), star="t", field="real")
+        A = np.diag([1.0, 1.0, 3.0, 4.0])
+        X = np.array([[1.0, 1.0], [0.0, eps], [0.0, 0.0], [0.0, 0.0]])
+        cond = np.linalg.cond(X.T @ X, 1)
+        assert 5e8 < cond < 2e9 and cond > subspaces.COND_WARN
+        with pytest.warns(UserWarning, match="Gram matrix badly conditioned"):
+            delta = subspaces.no_spillover(A, X, np.eye(2), 2 * np.eye(2),
+                                           space, "jordan")
+        np.testing.assert_allclose(delta, np.diag([1.0, 1.0, 0.0, 0.0]),
+                                   atol=1e-6)
 
 class TestInvariantPairIdentities:
     def test_gram_eigen_identity_on_constructed_pairs(self):
