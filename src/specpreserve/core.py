@@ -6,6 +6,9 @@ either plain transpose or conjugate transpose) through the form
 ``H^-1 A* H``; requiring the adjoint to equal ``+A`` or ``-A`` carves out
 the Jordan and Lie algebras this library works in.  With H the block flip
 ``[[0, I], [I, 0]]`` these are the familiar Hamiltonian-type classes.
+
+``H^-1`` is applied by indexing when H is a signed or phased permutation,
+and otherwise as a product with the inverse of H, formed once per space.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from .errors import ArgumentError, StructureError
 
@@ -203,39 +205,33 @@ _SCIPY_LAPACK_LOCK = threading.Lock()
 
 
 class _DenseH:
-    """Any other H: H applied by a product, H^-1 by its LU factors, which
-    are computed on the first solve."""
+    """Any other H: H and H^-1 applied by products, with H^-1 formed by
+    ``np.linalg.inv`` (LU with partial pivoting) on the first solve.  H is
+    unitary, so kappa(H) = 1 and the product is as accurate as solving with
+    the LU factors."""
 
     def __init__(self, H):
         self.H = H
 
     @functools.cached_property
-    def lu(self):
-        with _SCIPY_LAPACK_LOCK:
-            return scipy.linalg.lu_factor(self.H, check_finite=False)
+    def inv(self):
+        return np.linalg.inv(self.H)
 
     def apply(self, B):
         return _real_apply(self.H, B)
 
     def solve(self, B):
-        lu = self.lu
-
-        def lu_solve(R):
-            with _SCIPY_LAPACK_LOCK:
-                return scipy.linalg.lu_solve(lu, R, check_finite=False)
-
-        return _real_apply(self.H, B, lu_solve)
+        return _real_apply(self.inv, B)
 
 
-def _real_apply(M, B, fn=None) -> np.ndarray:
-    """``M B``, or ``fn(B)`` for another linear map fn of M; a real M meets
-    complex B as one real call on ``[Re B, Im B]``, never cast to complex."""
-    fn = fn or (lambda R: M @ R)
+def _real_apply(M, B) -> np.ndarray:
+    """``M B``; a real M meets complex B as one real product with
+    ``[Re B, Im B]``, never cast to complex."""
     if np.iscomplexobj(M) or not np.iscomplexobj(B):
-        return fn(B)
+        return M @ B
     R = B.reshape(B.shape[0], -1)
     k = R.shape[1]
-    Y = fn(np.hstack([R.real, R.imag]))
+    Y = M @ np.hstack([R.real, R.imag])
     return (Y[:, :k] + 1j * Y[:, k:]).reshape(Y.shape[:1] + B.shape[1:])
 
 
@@ -371,10 +367,11 @@ class ScalarProductSpace:
         """Solve ``H X = B``.
 
         A signed or phased permutation H (one entry of modulus exactly 1 per
-        row and column) is inverted exactly as ``H^H``; any other H by its LU
-        factors, computed once per space.  ``H^H`` is never substituted for
-        a dense H: an H given at low precision is unitary only to that
-        precision.  Real B on a real space gives a real result.
+        row and column) is inverted exactly as ``H^H``; any other H as the
+        product with its inverse, formed once per space by LU with partial
+        pivoting.  ``H^H`` is never substituted for a dense H: an H given at
+        low precision is unitary only to that precision.  Real B on a real
+        space gives a real result.
         """
         return self._h_op.solve(np.asarray(B))
 
@@ -411,18 +408,16 @@ def adjoint(A, space: ScalarProductSpace) -> np.ndarray:
     """Adjoint of A with respect to the scalar product: ``H^-1 A* H``.
 
     Computed in the field of A and H, so real data gets real arithmetic and
-    a real result.  A signed or phased permutation H is applied and inverted
-    by indexing (``space.h_solve``), which gives the dense solve's result up
-    to the sign of zeros; any other H keeps ``np.linalg.solve``.
+    a real result.  ``H^-1`` comes from ``space.h_solve``: indexing for a
+    signed or phased permutation H, which gives a dense solve's result up
+    to the sign of zeros, and a product with the inverse formed once per
+    space for any other H.
     """
     A = as_matrix(A, "A")
     n = space.n
     if A.shape != (n, n):
         raise ArgumentError(f"A has shape {A.shape}, space has dimension {n}")
-    if isinstance(space._h_op, _MonomialH):
-        return space.h_solve(_star_h(A, space))
-    H = as_matrix(space.H, "H")
-    return np.linalg.solve(H, space.star_mat(A) @ H)
+    return space.h_solve(_star_h(A, space))
 
 
 def structure_residual(A, space: ScalarProductSpace, cls: StructureClass) -> float:

@@ -139,7 +139,7 @@ def _assign_multisets(ea, eb):
         dist = cost[rows, cols]
         if (np.all(np.isfinite(dist))
                 and np.all(np.count_nonzero(cost == dist[:, None], axis=1) == 1)
-                and np.unique(cols).size == cols.size):
+                and len(set(cols.tolist())) == cols.size):
             return rows, cols, dist
     # scipy (>= 1.9) loads scipy.optimize on this first attribute access,
     # so only a pairing that needs the Hungarian pays its import
@@ -392,9 +392,9 @@ def _rank_and_structure(delta, space, cls, k, rank_tol, notes):
     ``adj(Q B) - e2 Q B = [H^-1 B*, Q] [Q* H; -e2 B]``, whose norm is that
     of ``[Q* H; -e2 B]`` times the triangular factor of a thin QR of the
     n x 2k left factor, with ``H^-1`` applied by ``space.h_solve`` to its
-    n x k block.
-    That is O(n^2 k) with no n x n factorization.  When k >= n, or the
-    sketch is refused or rejected (noted), the full SVD and
+    n x k block (a product with the inverse a dense H gets once per space).
+    That is O(n^2 k) with no n x n factorization of delta.  When k >= n, or
+    the sketch is refused or rejected (noted), the full SVD and
     ``structure_residual`` answer.
     """
     n = delta.shape[0]
@@ -463,7 +463,9 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     least the sketch width, as a family member with a parameter) or does
     not capture delta.  A delta with a NaN or infinite entry is never
     factored or solved: its residuals come out NaN, delta_rank is the
-    bound n and the spectrum is not compared, each with a note.
+    bound n and the spectrum is not compared, each with a note.  An A with
+    such an entry is not solved or memoized either: the residuals that
+    multiply it come out NaN and the spectrum is not compared (noted).
     Family-of-solutions members with a free parameter make no claim about
     the complement, so callers verify them with check_spillover=False,
     which skips the spillover and spectrum-replacement checks.  The
@@ -480,8 +482,9 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     reassigned = float(np.linalg.norm(
         _real_apply(perturbed, X) - X @ assembly.Lambda_a))
     # a NaN or infinite entry has no SVD or eigenvalues: the residuals are
-    # products and come out NaN, and no delta or A + delta is factored
+    # products and come out NaN, and no delta, A or A + delta is factored
     finite = bool(np.isfinite(delta).all())
+    finite_a = bool(np.isfinite(A).all())
     if finite:
         # k covers the rank bound 2p of every update
         rank, struct = _rank_and_structure(
@@ -509,9 +512,9 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
             "family member: no claim on the complement, spectrum "
             "replacement not checked")
     else:
-        if not finite:
-            notes.append("delta has non-finite entries; spectrum not "
-                         "compared")
+        if not (finite and finite_a):
+            notes.append(f"{'A' if finite else 'delta'} has non-finite "
+                         "entries; spectrum not compared")
         elif A.shape[0] <= oracle_dim_limit():
             eigs_a, slack_a = _eigenvalues(A, tol.eig_tol, notes, "A",
                                            memo=True)

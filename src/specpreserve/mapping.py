@@ -12,7 +12,8 @@ Frobenius-minimal solution.  Star is the star of the space throughout.
 The Z = 0 member is kept as factors ``U V`` of width 2p and multiplied out
 once, so it costs O(n^2 p) and forms no n x n matrix before that product;
 the Z term, ``H^-1 P* Z P`` with ``P = I - X X^+``, is expanded without
-forming P and takes the only n-column application of ``H^-1``.
+forming P and takes the only n-column application of ``H^-1``, a product
+with the inverse a dense H gets once per space: no call solves with H.
 """
 
 from __future__ import annotations

@@ -19,8 +19,9 @@ to the structure tolerance.
 Under the Gram certificate (``W = e1 e2 W*`` for ``W = X* H X D``) the
 family is the solution family of ``delta X = X D`` and is evaluated by the
 factored kernel of ``mapping``: O(n^2 p), with one n-column application of
-``H^-1`` only for the Z term.  The no-spillover update applies the inverse
-Gram matrix to ``X_c* H``, also O(n^2 p).
+``H^-1`` only for the Z term, a product with the inverse a dense H gets
+once per space.  The no-spillover update applies the inverse Gram matrix
+to ``X_c* H``, also O(n^2 p).
 """
 
 from __future__ import annotations

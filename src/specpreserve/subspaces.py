@@ -9,10 +9,11 @@ restriction L is reachable by a structured perturbation iff
 
 Reproducing and preserving a subspace solve ``A X = B`` with the factored
 kernel of ``mapping``: O(n^2 p), with one n-column application of ``H^-1``
-only for the Z term.  The complementary update is the same formula for the
-square basis ``[X_c X_f]``; it needs only the first p rows of the basis
-inverse and ``(X* H B_c)* X^-1``, both from one LU of the basis with p
-right-hand sides each, so past the O(n^3) fixed-pair residual and LU
+(a product with the inverse a dense H gets once per space) only for the Z
+term.  The complementary update is the same formula for the square basis
+``[X_c X_f]``; it needs only the first p rows of the basis inverse and
+``(X* H B_c)* X^-1``, both from one LU of the basis with p right-hand
+sides each, so past the O(n^3) fixed-pair residual and LU
 (whose condition estimate also decides nonsingularity) it costs O(n^2 p).
 That LU, with its ``?gecon`` estimate, is the module's one use of
 ``scipy.linalg``; the no-spillover update solves with its p x p Gram matrix

@@ -29,11 +29,12 @@ def _copy_job(jobs_dir, name, tmp_path):
 SCIPY_SUBMODULES = ("scipy.linalg", "scipy.optimize")
 
 
-def _scipy_loaded_by(code):
-    """The scipy submodules a fresh interpreter holds after running code."""
+def _modules_loaded_by(code, modules=SCIPY_SUBMODULES):
+    """Which of modules (by default the scipy submodules) a fresh
+    interpreter holds after running code."""
     src = os.path.dirname(os.path.dirname(specpreserve.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = (f"import sys\n{code}\nprint(*[m for m in {SCIPY_SUBMODULES!r} "
+    code = (f"import sys\n{code}\nprint(*[m for m in {tuple(modules)!r} "
             "if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                           capture_output=True, text=True)
@@ -45,7 +46,24 @@ def test_import_leaves_scipy_optimize_unloaded():
     # scipy loads its submodules on first use: importing the package, and
     # so every command's start-up, loads neither the Hungarian nor LAPACK
     # wrappers
-    assert _scipy_loaded_by("import specpreserve.cli") == set()
+    assert _modules_loaded_by("import specpreserve.cli") == set()
+
+
+def test_dense_h_family_solve_leaves_scipy_unloaded(jobs_dir):
+    # H^-1 of a dense H is a product with numpy's inverse, not scipy's LU
+    job = os.path.join(jobs_dir, "jordan5")
+    code = (
+        "import numpy as np\n"
+        "from specpreserve import (ScalarProductSpace, ToleranceProfile, "
+        "matio, sample_structured, solve_structured)\n"
+        f"A, H = (matio.load_matrix(f'{job}/{{m}}.json') for m in 'AH')\n"
+        "space = ScalarProductSpace(H, star='t', field='real', "
+        "structure_tol=1e-3)\n"
+        "X = np.random.default_rng(5).standard_normal((5, 2))\n"
+        "solve_structured(X, A @ X, space, 'jordan', "
+        "Z=sample_structured(space, 'jordan', 7), "
+        "tol=ToleranceProfile(1e-3, residual_tol=1e-3))")
+    assert _modules_loaded_by(code) == set()
 
 
 # every shipped command runs on numpy's LAPACK alone: no dense-H solve, no
@@ -64,7 +82,18 @@ def test_command_loads_only_the_scipy_it_runs(command, job, jobs_dir,
     argv = [command, os.path.join(jobs_dir, job, "job.json"),
             "--out", str(tmp_path)]
     code = f"from specpreserve.cli import main\nassert main({argv!r}) == 0"
-    assert _scipy_loaded_by(code) == set()
+    assert _modules_loaded_by(code) == set()
+
+
+# numpy 2.4's ``np.unique`` imports ``numpy.ma`` (about 37 ms), so the
+# pairing of an update without spillover tests distinctness by a set
+@pytest.mark.parametrize("command,job", SHIPPED_COMMANDS,
+                         ids=[f"{c}-{j}" for c, j in SHIPPED_COMMANDS])
+def test_command_leaves_numpy_ma_unloaded(command, job, jobs_dir, tmp_path):
+    argv = [command, os.path.join(jobs_dir, job, "job.json"),
+            "--out", str(tmp_path)]
+    code = f"from specpreserve.cli import main\nassert main({argv!r}) == 0"
+    assert _modules_loaded_by(code, ["numpy.ma"]) == set()
 
 
 def test_eigenvector_matching_is_optimal():

@@ -614,6 +614,43 @@ class TestNonFiniteDelta:
         assert (clean.spectrum_verdict is not None) == (n <= oracle_dim_limit())
 
 
+class TestNonFiniteA:
+    """An A with a NaN or infinite entry fails the checks that multiply it,
+    and is neither solved nor memoized."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("n", [40, 128])
+    def test_report_fails_without_solving_a(self, monkeypatch, n, value):
+        A, space, asm, delta = _symmetric_case(n)
+        clean = verify_reassignment(A, delta, asm, space, "jordan")
+        bad = A.copy()
+        bad[3, 4] = value
+        factored = []
+        for name in ("eig", "eigvals", "eigvalsh", "svd", "solve", "qr",
+                     "inv", "cond", "pinv", "lstsq"):
+            def spy(a, *args, _orig=getattr(np.linalg, name), _name=name,
+                    **kw):
+                if not np.isfinite(a).all():
+                    factored.append(_name)
+                return _orig(a, *args, **kw)
+            monkeypatch.setattr(np.linalg, name, spy)
+        memo = list(specpreserve.diagnostics._SPECTRA)
+        # inf - inf and inf / inf in the products are NaN, as they should be
+        with np.errstate(invalid="ignore"):
+            rep = verify_reassignment(bad, delta, asm, space, "jordan")
+        assert factored == []
+        assert list(specpreserve.diagnostics._SPECTRA) == memo
+        assert not np.isfinite(rep.reassigned_residual)
+        assert np.isnan(rep.spillover_residual)
+        # delta itself is finite: its rank and structure are as before
+        assert rep.delta_rank == clean.delta_rank == 4
+        assert rep.structure_residual == clean.structure_residual
+        assert rep.spectrum_verdict is None
+        assert _has_note(rep, "A has non-finite entries; spectrum not "
+                              "compared")
+        assert (clean.spectrum_verdict is not None) == (n <= oracle_dim_limit())
+
+
 # recipe (space kind, class, field, star), assembly and pairing orbit of a
 # seed value for each arrangement; real Jordan on the flip form, which
 # admits Jordan chains
@@ -853,7 +890,7 @@ class TestSpectrumMemo:
 
     def test_two_threads_give_the_single_thread_reports(self):
         # two monomial-H arrangements, inverted by indexing; a dense H,
-        # which takes scipy's LU, runs in a fresh interpreter below
+        # inverted once per space, runs in a fresh interpreter below
         cases = [_annihilation_case(a, 64) for a in ("real-jordan", "real-lie")]
         alone = [self._cold(c) for c in cases]
         with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
@@ -866,18 +903,23 @@ class TestSpectrumMemo:
 # threads against one dense H, more of them than cores and switching
 # often, in a fresh interpreter so that corrupted memory fails one test
 # instead of aborting the run; ``work(i)`` must give the bits of a
-# sequential call under ROUNDS concurrent calls
+# sequential call under ROUNDS concurrent calls, and the n x n inverses
+# taken over the run (of H, once) are counted
 _THREADED = """
 import concurrent.futures
 import sys
 import numpy as np
+inverted = []
+_inv = np.linalg.inv
+np.linalg.inv = lambda a: inverted.append(np.shape(a)) or _inv(a)
 {setup}
 want = [work(i) for i in range(CASES)]
 sys.setswitchinterval(1e-5)
 with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
     got = list(pool.map(work, [i % CASES for i in range(ROUNDS)]))
 assert len(got) == ROUNDS
-print(sum(not same(g, want[i % CASES]) for i, g in enumerate(got)))
+print(sum(not same(g, want[i % CASES]) for i, g in enumerate(got)),
+      len(inverted))
 """
 _DENSE_H_WORK = {
     "h_solve": """
@@ -912,7 +954,7 @@ def test_threads_on_a_dense_h_match_a_sequential_run(work):
         [sys.executable, "-c", _THREADED.format(setup=_DENSE_H_WORK[work])],
         env=env, timeout=300, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split() == ["0"]
+    assert proc.stdout.split() == ["0", "1"]
 
 
 class TestGenerateInstance:

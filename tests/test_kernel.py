@@ -1,6 +1,7 @@
 """The factored structured-solve kernel against the dense formulas it
-evaluates, the exact H^-1 of signed and phased permutations, and the size of
-every solve the unparametrized updates run."""
+evaluates, the exact H^-1 of signed and phased permutations, the H^-1 of a
+dense H formed once per space, and the size of every solve the
+unparametrized updates run."""
 
 import os
 
@@ -13,6 +14,7 @@ from specpreserve import (
     ReassignmentAssembly,
     ScalarProductSpace,
     StructureClass,
+    adjoint,
     map_family,
     matio,
     reassign_family,
@@ -169,7 +171,8 @@ def test_kernel_matches_dense_formulas(space, cls, complex_data):
 
 
 # ---------------------------------------------------------------------------
-# H^-1: exact on signed and phased permutations, LU otherwise
+# H^-1: exact on signed and phased permutations, an inverse formed once
+# per space otherwise
 # ---------------------------------------------------------------------------
 
 def _job_space(jobs_dir, name):
@@ -219,12 +222,65 @@ def test_h_solve_agrees_with_dense_solve(name, jobs_dir, rng):
         assert np.linalg.norm(space.H.conj().T @ B - ref) > 1e-7 * np.linalg.norm(ref)
 
 
+_U = np.finfo(float).eps / 2
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("field,star,eps1", [
+    ("real", "T", 1), ("real", "T", -1), ("complex", "CT", 1),
+    ("complex", "T", -1)])
+def test_h_solve_on_random_dense_h_agrees_with_solve(field, star, eps1, n,
+                                                     rng):
+    # the product with the inverse is as accurate as the LU solve: kappa(H)
+    # = 1, so three steps of refinement give a reference accurate to about
+    # u.  On a skew H (eps1 = -1) pivoting leaves both about 1e-14 from it
+    # at n = 256, so they agree to the forward-error scale 2 n u, not to u
+    space = helpers.make_space(n, star, eps1, field, "random", rng)
+    H = np.asarray(space.H)
+    for B in (rng.standard_normal((n, 5)),
+              rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5)),
+              rng.standard_normal(n)):
+        Hb = H.astype(complex) if np.iscomplexobj(B) else H
+        ref = np.linalg.solve(Hb, B)
+        x = ref
+        for _ in range(3):
+            x = x + np.linalg.solve(Hb, B - Hb @ x)
+        got = space.h_solve(B)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        err = lambda y: np.linalg.norm(y - x) / np.linalg.norm(x)
+        assert err(got) <= 2 * err(ref) + 4 * _U
+        assert np.linalg.norm(got - ref) <= 2 * n * _U * np.linalg.norm(ref)
+
+
+def test_dense_h_is_inverted_once_per_space(monkeypatch, rng):
+    space = helpers.make_space(12, "CT", 1, "complex", "random", rng)
+    other = helpers.make_space(12, "CT", 1, "complex", "random",
+                              np.random.default_rng(0))
+    calls = {"inv": [], "solve": []}
+    for name in calls:
+        def spy(a, *args, _orig=getattr(np.linalg, name), _name=name):
+            calls[_name].append(np.shape(a))
+            return _orig(a, *args)
+        monkeypatch.setattr(np.linalg, name, spy)
+    A = rng.standard_normal((12, 12))
+    for _ in range(3):
+        space.h_solve(rng.standard_normal((12, 2)))
+        adjoint(A, space)
+        space.h_apply(A)
+    assert calls == {"inv": [(12, 12)], "solve": []}
+    # another space inverts its own H, once
+    adjoint(A, other)
+    adjoint(A, other)
+    assert calls == {"inv": [(12, 12)] * 2, "solve": []}
+
+
 # ---------------------------------------------------------------------------
 # solve sizes without a Z term
 # ---------------------------------------------------------------------------
 
 def _solve_spy(monkeypatch, space):
-    seen = {"h_solve": [], "lu_solve": [], "lu_factor_h": 0, "dense": []}
+    seen = {"h_solve": [], "lu_solve": [], "lu_factor_h": 0, "inv_h": 0,
+            "dense": []}
     orig_h_solve = ScalarProductSpace.h_solve
 
     def h_solve(self, B):
@@ -242,7 +298,10 @@ def _solve_spy(monkeypatch, space):
 
     for name in ("solve", "inv"):
         def dense(a, *args, _orig=getattr(np.linalg, name), _name=name, **kw):
-            seen["dense"].append((_name, np.shape(a)))
+            if _name == "inv" and np.array_equal(a, space.H):
+                seen["inv_h"] += 1
+            else:
+                seen["dense"].append((_name, np.shape(a)))
             return _orig(a, *args, **kw)
         monkeypatch.setattr(np.linalg, name, dense)
     monkeypatch.setattr(ScalarProductSpace, "h_solve", h_solve)
@@ -288,5 +347,7 @@ def test_unparametrized_updates_solve_at_most_2p_columns(monkeypatch, field,
         assert all(shape[1] <= 2 * p for shape in seen["h_solve"])
         assert all(shape[1] <= 2 * p for shape in seen["lu_solve"])
         assert not [c for c in seen["dense"] if c[0] == "inv" or c[1] == (n, n)]
-    # H is factored once for the space, and not at all when it is monomial
-    assert seen["lu_factor_h"] == (0 if preset == "flip" else 1)
+    # H is inverted once for the space, and not at all when it is monomial;
+    # it is never LU-factored
+    assert seen["inv_h"] == (0 if preset == "flip" else 1)
+    assert seen["lu_factor_h"] == 0
