@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +28,9 @@ from .core import (
     StructureClass,
     ToleranceProfile,
     _decide,
+    _real_apply,
+    as_matrix,
+    frob,
     is_member,
     sample_structured,
     structure_residual,
@@ -35,7 +39,6 @@ from .diagnostics import (
     InstanceRecipe,
     PlanGroup,
     _assign_multisets,
-    _fixed_residual,
     generate_instance,
     oracle_dim_limit,
 )
@@ -54,6 +57,8 @@ from .subspaces import (
 )
 
 __all__ = ["main"]
+
+MATCH_TOL = 1e-6  # relative: a requested current, or a pairing partner
 
 
 # ---------------------------------------------------------------------------
@@ -105,39 +110,41 @@ def _parse_signature(text):
     return signs
 
 
-def _resolve_space(job, args, n, tol) -> ScalarProductSpace:
+def _resolve_space(job, args, A, tol) -> ScalarProductSpace:
+    """The space of --space or the job.  With no field from --field or the
+    job, it is complex when A or a file H has a nonzero imaginary part
+    (``as_matrix``'s rule) and real otherwise, for every preset alike."""
     spec = args.space if args.space is not None else job.get("space")
     if spec is None:
         raise FormatError("no scalar-product space given (job 'space' or --space)")
     star = args.star if args.star is not None else job.get("star", "ct")
     field = args.field if args.field is not None else job.get("field")
-    kw = dict(star=star, structure_tol=tol.structure_tol)
-    if field:
-        kw["field"] = field
 
+    path = build = None
     if isinstance(spec, dict):
         if "file" in spec:
-            H = matio.load_matrix(_job_path(job, spec["file"]))
-            return ScalarProductSpace(H, **kw)
-        if "signature" in spec:
-            return ScalarProductSpace(np.diag(np.asarray(spec["signature"], dtype=float)), **kw)
-        raise FormatError(f"bad space spec {spec!r}")
-    name = str(spec)
-    if name.startswith("file:"):
-        H = matio.load_matrix(_job_path(job, name[5:]))
-        return ScalarProductSpace(H, **kw)
-    if name.startswith("signature:"):
-        return ScalarProductSpace(np.diag(_parse_signature(name[10:])), **kw)
-    if name == "identity":
-        return ScalarProductSpace(np.eye(n), **kw)
-    if name == "flip":
-        return ScalarProductSpace.flip(n, **kw)
-    if name in ("skewj", "skewJ"):
-        return ScalarProductSpace.skewj(n, **kw)
-    if os.path.exists(_job_path(job, name)):
-        H = matio.load_matrix(_job_path(job, name))
-        return ScalarProductSpace(H, **kw)
-    raise FormatError(f"unknown space preset {name!r}")
+            path = spec["file"]
+        elif "signature" in spec:
+            build = partial(ScalarProductSpace.signature, spec["signature"])
+        else:
+            raise FormatError(f"bad space spec {spec!r}")
+    elif str(spec).startswith("file:"):
+        path = spec[5:]
+    elif str(spec).startswith("signature:"):
+        build = partial(ScalarProductSpace.signature, _parse_signature(spec[10:]))
+    elif spec in ("identity", "flip", "skewj", "skewJ"):
+        build = partial(getattr(ScalarProductSpace, spec.lower()), A.shape[0])
+    elif os.path.exists(_job_path(job, str(spec))):
+        path = str(spec)
+    else:
+        raise FormatError(f"unknown space preset {str(spec)!r}")
+
+    H = None if path is None else matio.load_matrix(_job_path(job, path))
+    if not field:
+        field = "complex" if any(np.iscomplexobj(as_matrix(M)) for M in (A, H)
+                                 if M is not None) else "real"
+    kw = dict(star=star, field=field, structure_tol=tol.structure_tol)
+    return build(**kw) if H is None else ScalarProductSpace(H, **kw)
 
 
 def _resolve_class(job, args) -> StructureClass:
@@ -214,7 +221,7 @@ def cmd_inspect(args) -> int:
     tol = _tolerances(job, args)
     A = matio.load_matrix(_job_path(job, job["matrix"]))
     n = A.shape[0]
-    space = _resolve_space(job, args, n, tol)
+    space = _resolve_space(job, args, A, tol)
     cls = _resolve_class(job, args)
 
     res = structure_residual(A, space, cls)
@@ -230,7 +237,7 @@ def cmd_inspect(args) -> int:
             "value": matio.pair_from_complex(lam),
             "partner": matio.pair_from_complex(partner),
             "partner_distance": dist,
-            "partner_present": dist <= 1e-6 * scale,
+            "partner_present": dist <= MATCH_TOL * scale,
         })
 
     jordan = None
@@ -291,11 +298,12 @@ def _collect_targets(job):
     return currents, targets
 
 
-def _match_eigvecs(A, currents, match_tol=1e-6):
+def _match_eigvecs(A, currents):
     """Pick eigenvectors of A for the requested current eigenvalues.
 
     Currents are paired with eigenvalues of A by the optimal assignment (a
-    nearest-first pass can take the eigenvalue a later current needs).
+    nearest-first pass can take the eigenvalue a later current needs); each
+    pair must lie within ``MATCH_TOL`` times the spectral scale.
     """
     w, V = np.linalg.eig(np.asarray(A, dtype=complex))
     scale = max(1.0, float(np.max(np.abs(w))))
@@ -305,11 +313,17 @@ def _match_eigvecs(A, currents, match_tol=1e-6):
     vecs = []
     for i, c in enumerate(currents):
         k, d = paired.get(i, (None, np.inf))
-        _decide("current_eigenvalue", d, match_tol * scale).require(
+        _decide("current_eigenvalue", d, MATCH_TOL * scale).require(
             f"requested current value {c:.6g} is not an eigenvalue of A",
             "closest at distance")
         vecs.append(V[:, k])
     return vecs
+
+
+def _fixed_residual(perturbed, X_f, L_f) -> float:
+    """``|(A + delta) X_f - X_f L_f|`` of the job's fixed pair."""
+    X_f = as_matrix(X_f, "X_f")
+    return frob(_real_apply(perturbed, X_f) - X_f @ as_matrix(L_f, "Lambda_f"))
 
 
 def cmd_reassign(args) -> int:
@@ -317,7 +331,7 @@ def cmd_reassign(args) -> int:
     tol = _tolerances(job, args)
     A = matio.load_matrix(_job_path(job, job["matrix"]))
     n = A.shape[0]
-    space = _resolve_space(job, args, n, tol)
+    space = _resolve_space(job, args, A, tol)
     cls = _resolve_class(job, args)
     seed = args.seed if args.seed is not None else int(job.get("seed", 0))
     currents, targets = _collect_targets(job)
@@ -383,8 +397,7 @@ def cmd_invariant(args) -> int:
     job = _load_job(args.job)
     tol = _tolerances(job, args)
     A = matio.load_matrix(_job_path(job, job["matrix"]))
-    n = A.shape[0]
-    space = _resolve_space(job, args, n, tol)
+    space = _resolve_space(job, args, A, tol)
     cls = _resolve_class(job, args)
     seed = args.seed if args.seed is not None else int(job.get("seed", 0))
     submode = args.submode or job.get("submode")

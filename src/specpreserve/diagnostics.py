@@ -43,8 +43,8 @@ from .core import (
     structure_residual,
 )
 from .errors import ArgumentError, InfeasiblePlanError
-from .spectral import (JordanPair, ReassignmentAssembly, _block_diag,
-                       _group_orbits)
+from .spectral import (SNAP_TOL, JordanPair, ReassignmentAssembly,
+                       _block_diag, _group_orbits)
 
 __all__ = [
     "oracle_dim_limit",
@@ -62,6 +62,8 @@ ORACLE_NMAX_ENV = "SPECPRESERVE_ORACLE_NMAX"
 
 # eps1 of each preset H; random spaces take the recipe's (default +1)
 _PRESET_EPS1 = {"identity": 1, "flip": 1, "signature": 1, "skewj": -1}
+# spectral norm of the Lie-algebra element behind the Cayley automorphism
+CAYLEY_STRENGTH = 0.3
 
 
 def oracle_dim_limit() -> int:
@@ -284,9 +286,9 @@ class PerturbationReport:
     All residuals are Frobenius norms of directly recomputed identities;
     the spectrum verdict compares the perturbed spectrum against the
     planned replacement multiset derived from the unperturbed one.
-    fixed_residual belongs to a supplied fixed pair; spillover_residual is
-    the relative complement-annihilation residual of a no-spillover claim
-    checked without one (None otherwise, family members included).
+    spillover_residual is the relative complement-annihilation residual of
+    a no-spillover claim (None for family members, which make none, and
+    when the currents leave no complement).
     """
 
     delta: np.ndarray
@@ -296,7 +298,6 @@ class PerturbationReport:
     gram_condition_estimate: float
     realness: bool
     spectrum_verdict: SpectrumVerdict | None
-    fixed_residual: float | None = None
     spillover_residual: float | None = None
     notes: tuple = dc_field(default=())
 
@@ -307,10 +308,9 @@ class PerturbationReport:
             "delta_rank": self.delta_rank,
             "gram_condition_estimate": self.gram_condition_estimate,
             "realness": self.realness,
-            "fixed_residual": self.fixed_residual,
         }
         # only reports that ran the check carry the key, so the summaries
-        # of family members and supplied-pair checks keep their old fields
+        # of family members keep their old fields
         if self.spillover_residual is not None:
             d["spillover_residual"] = self.spillover_residual
         d["notes"] = list(self.notes)
@@ -429,24 +429,16 @@ def _rank_and_structure(delta, space, cls, k, rank_tol, notes):
     return numerical_rank(delta, rank_tol), structure_residual(delta, space, cls)
 
 
-def _fixed_residual(perturbed, X_f, L_f) -> float:
-    """``|(A + delta) X_f - X_f L_f|`` of a supplied fixed pair."""
-    X_f = as_matrix(X_f, "X_f")
-    return frob(_real_apply(perturbed, X_f) - X_f @ as_matrix(L_f, "Lambda_f"))
-
-
 def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
                         space: ScalarProductSpace, cls: StructureClass,
-                        fixed_pairs=None, tol: ToleranceProfile | None = None,
+                        tol: ToleranceProfile | None = None,
                         check_spillover: bool = True) -> PerturbationReport:
     """Build the verification bundle for a perturbation.
 
-    fixed_pairs may be a tuple (X_f, Lambda_f) of a known fixed invariant
-    pair, whose residual is reported.  When omitted and check_spillover is
-    set, the no-spillover claim is checked at every size by complement
-    annihilation (``_spillover_residual``; skipped when the currents fill
-    the whole spectrum, leaving no complement): no eigenvectors are
-    computed.
+    With check_spillover set, the no-spillover claim is checked at every
+    size by complement annihilation (``_spillover_residual``; skipped when
+    the currents fill the whole spectrum, leaving no complement): no
+    eigenvectors are computed.
     The spectrum verdict needs the eigenvalues of A and A + delta
     (``_eigenvalues``: ``eigvalsh`` of the Hermitian part, with its slack,
     for a matrix Hermitian up to rounding, ``eigvals`` otherwise), matches
@@ -503,9 +495,6 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     sp_scale = max(1.0, float(np.max(np.abs(currents))) if currents.size else 0.0)
 
     spill_res = None
-    fixed_res = None if fixed_pairs is None else _fixed_residual(
-        perturbed, *fixed_pairs)
-
     verdict = None
     if not check_spillover:
         notes.append(
@@ -527,7 +516,7 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
         else:
             notes.append(
                 "matrix exceeds the oracle bound; spectrum not compared")
-        if fixed_pairs is None and currents.size < A.shape[0]:
+        if currents.size < A.shape[0]:
             spill_res = _spillover_residual(A, delta, currents)
             notes.append(
                 f"spillover checked by complement annihilation (q(A) of "
@@ -541,7 +530,6 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
         gram_condition_estimate=gram_condition,
         realness=realness,
         spectrum_verdict=verdict,
-        fixed_residual=fixed_res,
         spillover_residual=spill_res,
         notes=tuple(notes),
     )
@@ -588,7 +576,6 @@ class InstanceRecipe:
     star: str = "CT"
     plan: tuple = ()
     seed: int = 0
-    cayley_strength: float = 0.3
     eps1: int = 0  # 0 = implied by the preset; random spaces accept +-1
 
     def __post_init__(self):
@@ -800,7 +787,8 @@ def _build_preset_h(recipe, H0):
 
 def _random_automorphism(space_H, recipe, eps1, rng):
     """Cayley transform of a sampled element of the form's automorphism
-    Lie algebra; satisfies G* H G = H exactly in exact arithmetic."""
+    Lie algebra, scaled to spectral norm CAYLEY_STRENGTH; satisfies
+    G* H G = H exactly in exact arithmetic."""
     n = space_H.shape[0]
     M = rng.standard_normal((n, n))
     if recipe.field == "complex":
@@ -809,13 +797,12 @@ def _random_automorphism(space_H, recipe, eps1, rng):
     W = np.linalg.solve(space_H, K)
     nrm = np.linalg.norm(W, 2)
     if nrm > 0:
-        W = W * (recipe.cayley_strength / nrm)
+        W = W * (CAYLEY_STRENGTH / nrm)
     I = np.eye(n)
     return np.linalg.solve((I + W).T, (I - W).T).T
 
 
-def generate_instance(recipe: InstanceRecipe,
-                      snap_tol: float = 1e-8) -> GeneratedInstance:
+def generate_instance(recipe: InstanceRecipe) -> GeneratedInstance:
     """Build a structured matrix realizing the recipe's spectrum plan.
 
     Canonical blocks realizing each pairing family are stacked, moved onto
@@ -823,7 +810,8 @@ def generate_instance(recipe: InstanceRecipe,
     seeded Cayley automorphism of the form.  Ground-truth Jordan pairs are
     carried through both transformations, so membership and the planned
     Jordan structure hold to machine precision.  A real recipe is built in
-    float64 throughout and gives a float64 A.
+    float64 throughout and gives a float64 A.  Plan values within
+    ``SNAP_TOL`` times the spectral scale pair up as one orbit's members.
 
     Plans the catalogue cannot realize for the requested space (wrong
     inertia, pairing violations, structurally forced even multiplicities)
@@ -832,7 +820,7 @@ def generate_instance(recipe: InstanceRecipe,
     if not recipe.plan:
         raise ArgumentError("recipe has an empty spectrum plan")
     scale = max([1.0] + [abs(g.value) for g in recipe.plan])
-    band = snap_tol * scale
+    band = SNAP_TOL * scale
     units = _plan_units(recipe, band)
 
     n = recipe.n

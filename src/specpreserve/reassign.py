@@ -26,7 +26,6 @@ to ``X_c* H``, also O(n^2 p).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +45,7 @@ from .diagnostics import PerturbationReport, verify_reassignment
 from .errors import ArgumentError, RealnessError
 from .mapping import _admissible_z, _map_factors, _z_term
 from .spectral import (
+    SNAP_TOL,
     ReassignmentAssembly,
     ReassignmentGroup,
     ReassignmentSpec,
@@ -54,7 +54,7 @@ from .spectral import (
     assemble_real_jordan,
     assemble_real_lie,
 )
-from .subspaces import _no_spillover_update
+from .subspaces import SPECTRAL_SEPARATION, _no_spillover_update
 
 __all__ = [
     "ReassignmentResult",
@@ -143,7 +143,6 @@ def reassign_family(A, assembly: ReassignmentAssembly, space: ScalarProductSpace
 def reassign_no_spillover(A, assembly: ReassignmentAssembly,
                           space: ScalarProductSpace, cls: StructureClass,
                           fixed_spectrum_guard=None,
-                          allow_guard_violation: bool = False,
                           tol: ToleranceProfile | None = None,
                           verify: bool = True) -> ReassignmentResult:
     """Closed-form no-spillover perturbation of rank ``rank(L_a - L_c)``.
@@ -151,9 +150,9 @@ def reassign_no_spillover(A, assembly: ReassignmentAssembly,
     Every Jordan pair of A whose eigenvalue avoids the changed family stays
     a Jordan pair of ``A + delta`` even when unknown.  When the fixed
     spectrum is known, pass it as fixed_spectrum_guard to certify the
-    disjointness hypothesis; collisions are a hard error unless
-    allow_guard_violation is set, which degrades to a warning and voids the
-    no-spillover guarantee.
+    disjointness hypothesis: the currents and the targets must each lie
+    more than ``SPECTRAL_SEPARATION`` times their scale from it, or the
+    update is refused.  Without a guard the update proceeds uncertified.
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
@@ -170,21 +169,16 @@ def reassign_no_spillover(A, assembly: ReassignmentAssembly,
                              ("target values", assembly.target_values)):
             scale = max(1.0, float(np.max(np.abs(values))),
                         float(np.max(np.abs(guard), initial=0.0)))
-            d = _decide("spectral_disjointness", np.min(
+            _decide("spectral_disjointness", np.min(
                 np.abs(values[:, None] - guard[None, :]), initial=np.inf),
-                1e-6 * scale, at_least=True)
-            msg = (f"fixed spectrum meets the {what} (min gap {d.value:.3e}); "
-                   "the no-spillover hypothesis fails")
-            if not allow_guard_violation:
-                d.require(msg, None)
-            elif not d.passed:
-                warnings.warn(msg + "; proceeding without the guarantee",
-                              stacklevel=2)
+                SPECTRAL_SEPARATION * scale, at_least=True).require(
+                f"fixed spectrum meets the {what}; the no-spillover "
+                "hypothesis fails", "min gap")
 
     X, B = _real_basis(assembly)
     delta = _no_spillover_update(
         G if X is assembly.X_c else gram_matrix(X, space), X, B, space,
-        tol.rank_tol, floor=1.0)
+        tol.rank_tol)
     report = None
     if verify:
         report = verify_reassignment(A, delta, assembly, space, cls, tol=tol)
@@ -195,16 +189,16 @@ def reassign_simple(A, eigpairs, targets, space: ScalarProductSpace,
                     cls: StructureClass, Z=None, mode: str = "no-spillover",
                     complete_pairing: bool = False,
                     tol: ToleranceProfile | None = None,
-                    snap_tol: float = 1e-8,
                     verify: bool = True) -> ReassignmentResult:
     """Convenience wrapper for simple, mutually distinct eigenvalues.
 
     eigpairs is a sequence of (eigenvalue, eigenvector); targets the
     parallel sequence of replacement values.  The wrapper builds one-column
-    chains, snaps near-conjugate inputs into exact conjugate pairs, selects
-    the arrangement matching the space (complex, real Lie or real Jordan)
-    and dispatches by mode: "no-spillover" (default, Z must be None) or
-    "family" (Z allowed).
+    chains, refuses eigenvalues that coincide within ``SNAP_TOL`` times the
+    spectral scale, snaps near-conjugate inputs within that band into exact
+    conjugate pairs, selects the arrangement matching the space (complex,
+    real Lie or real Jordan) and dispatches by mode: "no-spillover"
+    (default, Z must be None) or "family" (Z allowed).
 
     complete_pairing inserts the missing orbit members that the pairing
     table marks as conjugates of a given group; this only works in a
@@ -223,7 +217,7 @@ def reassign_simple(A, eigpairs, targets, space: ScalarProductSpace,
 
     values = [l for l, _ in eigpairs]
     scale = max([1.0] + [abs(v) for v in values])
-    band = snap_tol * scale
+    band = SNAP_TOL * scale
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             _decide("multiplicity", abs(values[i] - values[j]), band,
@@ -262,7 +256,7 @@ def reassign_simple(A, eigpairs, targets, space: ScalarProductSpace,
     else:
         assemble = (assemble_real_lie if cls is StructureClass.LIE
                     else assemble_real_jordan)
-    assembly = assemble(A, spec, space, cls, snap_tol=snap_tol, tol=tol)
+    assembly = assemble(A, spec, space, cls, tol=tol)
 
     if mode == "family":
         return reassign_family(A, assembly, space, cls, Z=Z, tol=tol, verify=verify)

@@ -59,6 +59,7 @@ __all__ = [
 SNAP_TOL = 1e-8
 CHAIN_MATCH_TOL = 1e-2
 MAX_EXTRACT_DIM = 64
+CLUSTER_TOL = 1e-3
 
 
 def jordan_block(lam, k: int) -> np.ndarray:
@@ -521,7 +522,7 @@ def _spec_entries(spec):
 
 
 def validate_pairing_closure(spec: ReassignmentSpec, space: ScalarProductSpace,
-                             cls: StructureClass, snap_tol: float = SNAP_TOL) -> list:
+                             cls: StructureClass) -> list:
     """Check that the requested replacement is closed under the pairing
     ``lambda <-> e2 lambda*``, and on a real space also under conjugation.
 
@@ -529,9 +530,10 @@ def validate_pairing_closure(spec: ReassignmentSpec, space: ScalarProductSpace,
     of each orbit needs its own group, carrying the same map of the
     representative's target and matching chain lengths; a target must be
     of its current's orbit kind (a self-paired current needs a self-paired
-    target; a couple may also move onto a self-paired target).
+    target; a couple may also move onto a self-paired target).  Values
+    within ``SNAP_TOL`` times the spectral scale count as equal.
     """
-    band = snap_tol * spec.spectral_scale
+    band = SNAP_TOL * spec.spectral_scale
     return _group_orbits(_spec_entries(spec), cls, _form_star(space),
                          space.field, band)[1]
 
@@ -547,38 +549,37 @@ def _nullspace(M, threshold):
     return vh[r:].conj().T
 
 
-def extract_jordan_pairs(A, tol: ToleranceProfile | None = None,
-                         cluster_tol: float = 1e-3,
-                         max_dim: int = MAX_EXTRACT_DIM) -> list:
+def extract_jordan_pairs(A, tol: ToleranceProfile | None = None) -> list:
     """Compute all Jordan pairs of a desk-scale matrix.
 
     Eigenvalues come from ``eigvals`` in complex arithmetic (the diagonal
     of the complex Schur form, which is all this needs) and are clustered at
-    ``cluster_tol`` (relative); chains are then built from nullspace
+    ``CLUSTER_TOL`` (relative); chains are then built from nullspace
     staircases of ``(A - lambda I)^l``.  A defective eigenvalue with a
     chain of length l scatters by roughly eps^(1/l) in floating point, so
     the default tolerance accommodates chains up to length four or five;
     distinct eigenvalues closer than the tolerance get merged, so keep
-    instances well separated relative to it.
+    instances well separated relative to it.  A is limited to
+    ``MAX_EXTRACT_DIM`` rows.
     """
     tol = tol or ToleranceProfile()
     A = as_matrix(A, "A")
     n = A.shape[0]
     if A.shape[1] != n:
         raise ArgumentError("A must be square")
-    if n > max_dim:
-        raise ArgumentError(
-            f"Jordan extraction is desk-scale only (n <= {max_dim}), got {n}")
+    if n > MAX_EXTRACT_DIM:
+        raise ArgumentError(f"Jordan extraction is desk-scale only "
+                            f"(n <= {MAX_EXTRACT_DIM}), got {n}")
     eigs = np.linalg.eigvals(np.asarray(A, dtype=complex))
     scale = max(1.0, float(np.max(np.abs(eigs))))
 
-    # cluster by connected components at cluster_tol * scale
+    # cluster by connected components at CLUSTER_TOL * scale
     order = np.argsort(eigs.real + 1e-9 * eigs.imag, kind="stable")
     clusters = []
     for idx in order:
         placed = False
         for members in clusters:
-            if any(abs(eigs[idx] - eigs[m]) <= cluster_tol * scale for m in members):
+            if any(abs(eigs[idx] - eigs[m]) <= CLUSTER_TOL * scale for m in members):
                 members.append(idx)
                 placed = True
                 break
@@ -588,7 +589,7 @@ def extract_jordan_pairs(A, tol: ToleranceProfile | None = None,
     centers = [np.mean(eigs[m]) for m in clusters]
     gaps = [abs(centers[i] - centers[j])
             for i in range(len(centers)) for j in range(i + 1, len(centers))]
-    if gaps and min(gaps) < 10 * cluster_tol * scale:
+    if gaps and min(gaps) < 10 * CLUSTER_TOL * scale:
         warnings.warn(
             f"eigenvalue clusters nearly merge (gap {min(gaps):.3e}); "
             "chain structure decisions may be unreliable", stacklevel=2)
@@ -767,11 +768,12 @@ def _realify_chain(X, label):
     return np.ascontiguousarray(X.real)
 
 
-def _assemble(A, spec, space, cls, field, snap_tol, tol):
+def _assemble(A, spec, space, cls, field, tol):
     """The one assembly body: group the spec into pairing orbits, then
     emit them in block order, each orbit's members in table order with
     their chains longest first, each held to ``tol.eig_tol`` in
-    ``A X = X J(lambda)`` when A is given.
+    ``A X = X J(lambda)`` when A is given.  Values within ``SNAP_TOL``
+    times the spectral scale count as one orbit member.
 
     On the complex field every member keeps its own group's values and
     chains.  On a real field the values are the table's images of the
@@ -782,7 +784,7 @@ def _assemble(A, spec, space, cls, field, snap_tol, tol):
     cls = StructureClass.parse(cls)
     A = None if A is None else as_matrix(A, "A", space)
     tol = tol or ToleranceProfile()
-    band = snap_tol * spec.spectral_scale
+    band = SNAP_TOL * spec.spectral_scale
     groups = spec.groups
     orbits, violations = _group_orbits(_spec_entries(spec), cls,
                                        _form_star(space), field, band)
@@ -846,17 +848,16 @@ def _require_real(fn, space, cls, want):
 
 
 def assemble_complex(A, spec: ReassignmentSpec, space: ScalarProductSpace,
-                     cls: StructureClass, snap_tol: float = SNAP_TOL,
+                     cls: StructureClass,
                      tol: ToleranceProfile | None = None) -> ReassignmentAssembly:
     """Order the groups for a complex-field reassignment: non-self-paired
     couples first, each as (representative chains, partner chains), then the
     self-paired groups.  Every group keeps its own values."""
-    return _assemble(A, spec, space, cls, "complex", snap_tol, tol)
+    return _assemble(A, spec, space, cls, "complex", tol)
 
 
 def assemble_real_lie(A, spec: ReassignmentSpec, space: ScalarProductSpace,
                       cls: StructureClass = StructureClass.LIE,
-                      snap_tol: float = SNAP_TOL,
                       tol: ToleranceProfile | None = None) -> ReassignmentAssembly:
     """Real Lie-algebra arrangement.
 
@@ -867,15 +868,14 @@ def assemble_real_lie(A, spec: ReassignmentSpec, space: ScalarProductSpace,
     to exact conjugates so the resulting perturbation is real.
     """
     cls = _require_real("assemble_real_lie", space, cls, StructureClass.LIE)
-    return _assemble(A, spec, space, cls, "real", snap_tol, tol)
+    return _assemble(A, spec, space, cls, "real", tol)
 
 
 def assemble_real_jordan(A, spec: ReassignmentSpec, space: ScalarProductSpace,
                          cls: StructureClass = StructureClass.JORDAN,
-                         snap_tol: float = SNAP_TOL,
                          tol: ToleranceProfile | None = None) -> ReassignmentAssembly:
     """Real Jordan-algebra arrangement: conjugate couples first (chains and
     their exact conjugates), then real eigenvalues with real chains."""
     cls = _require_real("assemble_real_jordan", space, cls,
                         StructureClass.JORDAN)
-    return _assemble(A, spec, space, cls, "real", snap_tol, tol)
+    return _assemble(A, spec, space, cls, "real", tol)

@@ -154,14 +154,14 @@ def _spectral_gap(ec, ef, space, cls):
 
 def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
                            space: ScalarProductSpace, cls: StructureClass,
-                           tol: ToleranceProfile | None = None,
-                           separation: float = SPECTRAL_SEPARATION) -> np.ndarray:
+                           tol: ToleranceProfile | None = None) -> np.ndarray:
     """Structured perturbation reassigning the restriction on range(X_c) to
     Lambda_a while fixing the complementary invariant pair (X_f, Lambda_f).
 
-    Requires the paired spectrum of the changed block to be disjoint from
-    the fixed spectrum; near-violations degrade the Gram matrix and are
-    reported.
+    Requires the paired spectrum of the changed block to lie more than
+    ``SPECTRAL_SEPARATION`` times the spectral scale from the fixed
+    spectrum; a gap within ten times that degrades the Gram matrix and is
+    warned about.
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
@@ -182,11 +182,11 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     gap = _spectral_gap(ec, ef, space, cls)
     spectral_scale = max(1.0, frob(ec), frob(ef))
     G = gram_matrix(X_c, space)
-    _decide("spectral_disjointness", gap, separation * spectral_scale,
+    _decide("spectral_disjointness", gap, SPECTRAL_SEPARATION * spectral_scale,
             at_least=True).require(
         "paired spectrum of the changed block meets the fixed spectrum",
         "min gap")
-    if gap < 10 * separation * spectral_scale:
+    if gap < 10 * SPECTRAL_SEPARATION * spectral_scale:
         warnings.warn(
             f"spectral gap {gap:.3e} is close to the separation threshold; "
             f"Gram 1-norm condition {np.real(np.linalg.cond(G, 1)):.2e}",
@@ -256,23 +256,21 @@ def no_spillover(A, X_c, Lambda_c, Lambda_a, space: ScalarProductSpace,
     _gram_compatibility(G, Lambda_a, space, cls, tol).require(
         _INCOMPATIBLE, "condition_residual")
     return _no_spillover_update(G, X_c, X_c @ (Lambda_a - Lambda_c), space,
-                                tol.rank_tol, floor=0.0)
+                                tol.rank_tol)
 
 
-def _no_spillover_update(G, X, B, space, rank_tol, floor):
+def _no_spillover_update(G, X, B, space, rank_tol):
     """``B G^-1 X* H`` for ``B = X D`` and ``G = X* H X``, which depends
     only on the map ``X -> B``: ``(X T, B T)`` gives it for invertible T.
 
     G counts as singular when its smallest singular value is at most
-    ``rank_tol * max(floor, sigma_max)``: floor 0 is the relative rank
-    test, floor 1 adds an absolute one.
+    ``rank_tol * sigma_max``, a relative test, so rescaling X leaves the
+    decision unchanged as it leaves the update.
     """
-    s = np.linalg.svd(as_matrix(G, "G"), compute_uv=False)
-    smin, smax = (s[-1], s[0]) if s.size else (0.0, 0.0)
-    _decide("gram_singular", smin, rank_tol * max(floor, smax),
-            at_least=True).require(
+    _check_full_column_rank(
+        G, rank_tol, "gram_singular",
         "X_c* H X_c is numerically singular; the changed family is not "
-        "self-contained under the eigenvalue pairing", None)
+        "self-contained under the eigenvalue pairing")
     Y, cond = gram_inverse_apply(G, _star_h(X, space))
     if cond > COND_WARN:
         warnings.warn(

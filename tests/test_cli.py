@@ -148,6 +148,21 @@ class TestInspect:
         assert report["member"] is True
         assert all(row["partner_present"] for row in report["pairing"])
 
+    @pytest.mark.parametrize("preset", ["identity", "signature:++"])
+    def test_unstated_field_follows_the_matrix(self, tmp_path, preset, capsys):
+        # with no field given, complex data gets a complex space on every
+        # preset, as on flip and skewj; real data keeps a real one
+        for A, field in ((np.array([[1.0, 2 - 1j], [2 + 1j, 3.0]]), "complex"),
+                         (np.array([[1.0, 2.0], [2.0, 3.0]]), "real")):
+            matio.save_matrix(tmp_path / "A.json", A)
+            job = {"matrix": "A.json", "class": "jordan", "out": "out"}
+            (tmp_path / "job.json").write_text(json.dumps(job))
+            assert _run("inspect", str(tmp_path / "job.json"),
+                        "--space", preset) == 0
+            assert "member: True" in capsys.readouterr().out
+            report = json.loads((tmp_path / "out" / "inspect.json").read_text())
+            assert report["member"] is True and report["field"] == field
+
     def test_non_member_reported_without_error(self, tmp_path, rng, capsys):
         A = rng.standard_normal((4, 4))
         matio.save_matrix(tmp_path / "A.json", A, "real")

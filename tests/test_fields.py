@@ -33,8 +33,8 @@ from specpreserve import (
     sample_structured,
     z_symmetry_residual,
 )
-from specpreserve import (classical, core, diagnostics, mapping, reassign,
-                          spectral, subspaces)
+from specpreserve import (classical, cli, core, diagnostics, mapping,
+                          reassign, spectral, subspaces)
 from specpreserve.subspaces import preserve_complementary, reproduce_invariant
 
 N = 6
@@ -224,7 +224,8 @@ def _dtype_spy(monkeypatch, n, spied=SPIED):
 
     for name, home in spied.items():
         wrapped = wrap(name, getattr(home, name))
-        for mod in (core, diagnostics, mapping, reassign, spectral, subspaces):
+        for mod in (cli, core, diagnostics, mapping, reassign, spectral,
+                    subspaces):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, wrapped)
     for name in ("h_apply", "h_solve"):
@@ -309,10 +310,10 @@ def test_real_verification_holds_no_square_complex_array(monkeypatch,
     spy_asm = dataclasses.replace(asm, X_c=asm.X_c.view(_MixedProductSpy))
     monkeypatch.setenv("SPECPRESERVE_ORACLE_NMAX", str(n))
     big, called = _dtype_spy(monkeypatch, n, VERIFY_SPIED)
-    for fixed_pairs in (None, fixed):
-        rep = diagnostics.verify_reassignment(A, delta, spy_asm, space, cls,
-                                              fixed_pairs=fixed_pairs)
-        assert rep.spectrum_verdict.matched and rep.delta.dtype == np.float64
+    rep = diagnostics.verify_reassignment(A, delta, spy_asm, space, cls)
+    assert rep.spectrum_verdict.matched and rep.delta.dtype == np.float64
+    # the command line's fixed-pair residual, a product with real A + delta
+    cli._fixed_residual(A + delta, *fixed)
     assert not big, f"complex n x n arrays in the verification: {big}"
     assert not _MixedProductSpy.mixed, (
         f"real n x n operands cast to complex: {_MixedProductSpy.mixed}")

@@ -160,7 +160,7 @@ class TestReassignNoSpillover:
         # yet it survives
         assert np.min(np.abs(eigs - golden.SYM3_FIXED)) <= 1e-3
 
-    def test_guard_violation_is_hard_error_with_override(self):
+    def test_guard_violation_is_hard_error(self):
         rec = InstanceRecipe("flip", "jordan", "complex", "CT",
                              (PlanGroup(2 + 1j, (1,)), PlanGroup(2 - 1j, (1,)),
                               PlanGroup(1.0, (1,)), PlanGroup(-3.0, (1,))),
@@ -172,12 +172,6 @@ class TestReassignNoSpillover:
         with pytest.raises(StructureError):
             reassign_no_spillover(inst.A, asm, inst.space, inst.cls,
                                   fixed_spectrum_guard=[1.0 + 0j, -3.0 + 0j])
-        with pytest.warns(UserWarning):
-            res = reassign_no_spillover(
-                inst.A, asm, inst.space, inst.cls,
-                fixed_spectrum_guard=[1.0 + 0j, -3.0 + 0j],
-                allow_guard_violation=True)
-        assert res.delta is not None
 
     def test_empty_guard_is_disjoint(self):
         rec = InstanceRecipe("flip", "jordan", "complex", "CT",

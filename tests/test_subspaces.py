@@ -15,6 +15,7 @@ from specpreserve import (
     adjoint,
     is_member,
     numerical_rank,
+    reassign_simple,
     sample_structured,
 )
 from specpreserve import subspaces
@@ -329,6 +330,24 @@ class TestNoSpillover:
                                    space, "jordan")
         assert exc.value.condition == "gram_singular"
         assert exc.value.residual == exc.value.threshold == 0.0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-6])
+    def test_rescaled_basis_gives_the_same_update(self, scale):
+        # delta depends only on the map X -> X D, so a basis scaled by 1e-6
+        # (G ~ 1e-12 I, well conditioned) must give the update of the unit
+        # basis through both entry points
+        B = np.random.default_rng(1).standard_normal((8, 8))
+        A = (B + B.T) / 2
+        w, V = np.linalg.eigh(A)
+        space = ScalarProductSpace.identity(8, star="t", field="real")
+        X, Lc = scale * V[:, :2], np.diag(w[:2])
+        ref = V[:, :2] @ V[:, :2].T
+        direct = subspaces.no_spillover(A, X, Lc, Lc + np.eye(2), space, "jordan")
+        simple = reassign_simple(A, [(w[0], X[:, 0]), (w[1], X[:, 1])],
+                                 w[:2] + 1.0, space, "jordan").delta
+        for delta in (direct, simple):
+            assert np.linalg.norm(delta - ref) <= 1e-12
+        assert np.linalg.norm(simple) == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
 
