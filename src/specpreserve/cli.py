@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -112,39 +111,36 @@ def _parse_signature(text):
 
 def _resolve_space(job, args, A, tol) -> ScalarProductSpace:
     """The space of --space or the job.  With no field from --field or the
-    job, it is complex when A or a file H has a nonzero imaginary part
-    (``as_matrix``'s rule) and real otherwise, for every preset alike."""
+    job, it is complex when A has a nonzero imaginary part (``as_matrix``'s
+    rule) and otherwise the constructor's field of H: real on every preset,
+    complex for a file H with a nonzero imaginary part."""
     spec = args.space if args.space is not None else job.get("space")
     if spec is None:
         raise FormatError("no scalar-product space given (job 'space' or --space)")
     star = args.star if args.star is not None else job.get("star", "ct")
     field = args.field if args.field is not None else job.get("field")
+    field = field or ("complex" if np.iscomplexobj(as_matrix(A)) else "")
+    kw = dict(star=star, field=field, structure_tol=tol.structure_tol)
 
-    path = build = None
     if isinstance(spec, dict):
         if "file" in spec:
-            path = spec["file"]
-        elif "signature" in spec:
-            build = partial(ScalarProductSpace.signature, spec["signature"])
-        else:
-            raise FormatError(f"bad space spec {spec!r}")
-    elif str(spec).startswith("file:"):
-        path = spec[5:]
-    elif str(spec).startswith("signature:"):
-        build = partial(ScalarProductSpace.signature, _parse_signature(spec[10:]))
-    elif spec in ("identity", "flip", "skewj", "skewJ"):
-        build = partial(getattr(ScalarProductSpace, spec.lower()), A.shape[0])
-    elif os.path.exists(_job_path(job, str(spec))):
-        path = str(spec)
-    else:
-        raise FormatError(f"unknown space preset {str(spec)!r}")
-
-    H = None if path is None else matio.load_matrix(_job_path(job, path))
-    if not field:
-        field = "complex" if any(np.iscomplexobj(as_matrix(M)) for M in (A, H)
-                                 if M is not None) else "real"
-    kw = dict(star=star, field=field, structure_tol=tol.structure_tol)
-    return build(**kw) if H is None else ScalarProductSpace(H, **kw)
+            H = matio.load_matrix(_job_path(job, spec["file"]))
+            return ScalarProductSpace(H, **kw)
+        if "signature" in spec:
+            return ScalarProductSpace.signature(spec["signature"], **kw)
+        raise FormatError(f"bad space spec {spec!r}")
+    name = str(spec)
+    if name.startswith("file:"):
+        H = matio.load_matrix(_job_path(job, name[5:]))
+        return ScalarProductSpace(H, **kw)
+    if name.startswith("signature:"):
+        return ScalarProductSpace.signature(_parse_signature(name[10:]), **kw)
+    if name in ("identity", "flip", "skewj", "skewJ"):
+        return getattr(ScalarProductSpace, name.lower())(A.shape[0], **kw)
+    if os.path.exists(_job_path(job, name)):
+        H = matio.load_matrix(_job_path(job, name))
+        return ScalarProductSpace(H, **kw)
+    raise FormatError(f"unknown space preset {name!r}")
 
 
 def _resolve_class(job, args) -> StructureClass:

@@ -264,13 +264,18 @@ def _no_spillover_update(G, X, B, space, rank_tol):
     only on the map ``X -> B``: ``(X T, B T)`` gives it for invertible T.
 
     G counts as singular when its smallest singular value is at most
-    ``rank_tol * sigma_max``, a relative test, so rescaling X leaves the
-    decision unchanged as it leaves the update.
+    ``rank_tol * ||X||_F^2``.  H is unitary, so ``||G|| <= ||X||_F^2``:
+    the bound scales as G does, so rescaling X leaves the decision
+    unchanged as it leaves the update, and a basis that is H-isotropic up
+    to rounding fails it even where G alone looks well conditioned (one
+    column).  The Frobenius norm costs O(np), the 2-norm an SVD of X.
     """
-    _check_full_column_rank(
-        G, rank_tol, "gram_singular",
+    s = (np.linalg.svd(G, compute_uv=False) if np.isfinite(G).all()
+         else np.full(len(G), np.nan))
+    _decide("gram_singular", s[-1] if s.size else np.inf,
+            rank_tol * frob(X) ** 2, at_least=True).require(
         "X_c* H X_c is numerically singular; the changed family is not "
-        "self-contained under the eigenvalue pairing")
+        "self-contained under the eigenvalue pairing", "singular value")
     Y, cond = gram_inverse_apply(G, _star_h(X, space))
     if cond > COND_WARN:
         warnings.warn(

@@ -148,12 +148,17 @@ class TestInspect:
         assert report["member"] is True
         assert all(row["partner_present"] for row in report["pairing"])
 
-    @pytest.mark.parametrize("preset", ["identity", "signature:++"])
-    def test_unstated_field_follows_the_matrix(self, tmp_path, preset, capsys):
-        # with no field given, complex data gets a complex space on every
-        # preset, as on flip and skewj; real data keeps a real one
-        for A, field in ((np.array([[1.0, 2 - 1j], [2 + 1j, 3.0]]), "complex"),
-                         (np.array([[1.0, 2.0], [2.0, 3.0]]), "real")):
+    @pytest.mark.parametrize("preset, complex_A, real_A", [
+        ("identity", [[1.0, 2 - 1j], [2 + 1j, 3.0]], [[1.0, 2.0], [2.0, 3.0]]),
+        ("signature:++", [[1.0, 2 - 1j], [2 + 1j, 3.0]], [[1.0, 2.0], [2.0, 3.0]]),
+        ("flip", [[1 + 2j, 2.0], [3.0, 1 - 2j]], [[1.0, 2.0], [3.0, 1.0]]),
+    ])
+    def test_unstated_field_follows_the_matrix(self, tmp_path, preset,
+                                               complex_A, real_A, capsys):
+        # with no field given, every preset alike gets a complex space for
+        # complex data and a real one (star T) for real data
+        for A, field in ((np.array(complex_A), "complex"),
+                         (np.array(real_A), "real")):
             matio.save_matrix(tmp_path / "A.json", A)
             job = {"matrix": "A.json", "class": "jordan", "out": "out"}
             (tmp_path / "job.json").write_text(json.dumps(job))

@@ -250,8 +250,11 @@ class TestNoSpillover:
         space = ScalarProductSpace.flip(6, star="ct")
         cls = StructureClass.JORDAN
         A, w, V = _structured_with_eigbasis(space, cls, seed=21)
-        X = V[:, :2]
-        Lc = np.diag(w[:2])
+        # an eigenvalue with its conjugate partner: two eigenvectors of
+        # unpaired non-real eigenvalues are H-isotropic, G singular
+        cols = [0, int(np.argmin(np.abs(w - np.conj(w[0]))))]
+        X = V[:, cols]
+        Lc = np.diag(w[cols])
         delta = subspaces.no_spillover(A, X, Lc, Lc, space, cls)
         assert np.linalg.norm(delta) <= 1e-10 * max(1.0, np.linalg.norm(A))
         assert numerical_rank(delta) == 0
@@ -321,15 +324,32 @@ class TestNoSpillover:
         assert exc.value.residual is not None and exc.value.residual > 0
 
     def test_isotropic_basis_is_gram_singular(self):
-        # X* H X = 0 exactly: the relative singular-value bound is 0, and a
-        # zero singular value must still fail it, before any LU of G
+        # X* H X = 0 exactly: a zero singular value fails the bound
+        # rank_tol * ||X||_F^2, before any LU of G
         space = ScalarProductSpace.flip(4)
         A = np.diag([2.0, 3.0, 2.0, 3.0])
         with pytest.raises(StructureError) as exc:
             subspaces.no_spillover(A, np.eye(4)[:, [0]], [[2.0]], [[5.0]],
                                    space, "jordan")
         assert exc.value.condition == "gram_singular"
-        assert exc.value.residual == exc.value.threshold == 0.0
+        assert exc.value.residual == 0.0
+        assert exc.value.threshold == ToleranceProfile().rank_tol
+
+    def test_basis_isotropic_to_rounding_is_gram_singular(self):
+        # x* H x = 2e-14 for a unit x: one column, so G is perfectly
+        # conditioned, yet the update would be ~1e14 too large; both entry
+        # points must refuse it
+        space = ScalarProductSpace.flip(4)
+        A = np.diag([2.0, 3.0, 2.0, 3.0])
+        x = np.array([1.0, 0.0, 1e-14, 0.0])
+        for call in (
+                lambda: subspaces.no_spillover(A, x[:, None], [[2.0]], [[5.0]],
+                                               space, "jordan"),
+                lambda: reassign_simple(A, [(2.0, x)], [5.0], space, "jordan")):
+            with pytest.raises(StructureError) as exc:
+                call()
+            assert exc.value.condition == "gram_singular"
+            assert exc.value.residual == pytest.approx(2e-14, rel=1e-6)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-6])
     def test_rescaled_basis_gives_the_same_update(self, scale):
