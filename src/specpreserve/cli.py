@@ -39,7 +39,6 @@ from .diagnostics import (
     PlanGroup,
     _assign_multisets,
     generate_instance,
-    oracle_dim_limit,
 )
 from .errors import (
     FormatError,
@@ -47,7 +46,7 @@ from .errors import (
     StructureError,
 )
 from .reassign import reassign_simple
-from .spectral import extract_jordan_pairs, pairing_partner
+from .spectral import MAX_EXTRACT_DIM, extract_jordan_pairs, pairing_partner
 from .subspaces import (
     no_spillover,
     preserve_complementary,
@@ -97,23 +96,30 @@ def _tolerances(job, args) -> ToleranceProfile:
     )
 
 
-def _parse_signature(text):
-    signs = []
-    for ch in str(text).replace(",", ""):
-        if ch in "+p1":
-            signs.append(1.0)
-        elif ch in "-mn":
-            signs.append(-1.0)
-        else:
-            raise FormatError(f"bad signature pattern {text!r}")
+def _parse_signature(spec):
+    """The signs of a signature space, from a pattern such as ``"++-"``
+    (``p``/``1`` for +, ``m``/``n`` for -, commas ignored) or a list of
+    +1 and -1."""
+    if isinstance(spec, str):
+        signs = [1.0 if ch in "+p1" else -1.0 if ch in "-mn" else None
+                 for ch in spec.replace(",", "")]
+    elif isinstance(spec, list):
+        signs = [float(v) if isinstance(v, (int, float)) and v in (1, -1)
+                 else None for v in spec]
+    else:
+        signs = [None]
+    if None in signs:
+        raise FormatError(f"bad signature pattern {spec!r}")
     return signs
 
 
 def _resolve_space(job, args, A, tol) -> ScalarProductSpace:
-    """The space of --space or the job.  With no field from --field or the
-    job, it is complex when A has a nonzero imaginary part (``as_matrix``'s
-    rule) and otherwise the constructor's field of H: real on every preset,
-    complex for a file H with a nonzero imaginary part."""
+    """The space of --space or the job.  A job's ``{"file": P}`` and
+    ``{"signature": S}`` read as ``file:P`` and ``signature:S``.  With no
+    field from --field or the job, it is complex when A has a nonzero
+    imaginary part (``as_matrix``'s rule) and otherwise the constructor's
+    field of H: real on every preset, complex for a file H with a nonzero
+    imaginary part."""
     spec = args.space if args.space is not None else job.get("space")
     if spec is None:
         raise FormatError("no scalar-product space given (job 'space' or --space)")
@@ -122,25 +128,25 @@ def _resolve_space(job, args, A, tol) -> ScalarProductSpace:
     field = field or ("complex" if np.iscomplexobj(as_matrix(A)) else "")
     kw = dict(star=star, field=field, structure_tol=tol.structure_tol)
 
-    if isinstance(spec, dict):
-        if "file" in spec:
-            H = matio.load_matrix(_job_path(job, spec["file"]))
-            return ScalarProductSpace(H, **kw)
-        if "signature" in spec:
-            return ScalarProductSpace.signature(spec["signature"], **kw)
-        raise FormatError(f"bad space spec {spec!r}")
     name = str(spec)
-    if name.startswith("file:"):
-        H = matio.load_matrix(_job_path(job, name[5:]))
-        return ScalarProductSpace(H, **kw)
-    if name.startswith("signature:"):
-        return ScalarProductSpace.signature(_parse_signature(name[10:]), **kw)
-    if name in ("identity", "flip", "skewj", "skewJ"):
+    if isinstance(spec, dict):
+        kind = next((k for k in ("file", "signature") if k in spec), None)
+        if kind is None:
+            raise FormatError(f"bad space spec {spec!r}")
+        arg = spec[kind]
+    elif name.startswith(("file:", "signature:")):
+        kind, _, arg = name.partition(":")
+    elif name in ("identity", "flip", "skewj", "skewJ"):
         return getattr(ScalarProductSpace, name.lower())(A.shape[0], **kw)
-    if os.path.exists(_job_path(job, name)):
-        H = matio.load_matrix(_job_path(job, name))
-        return ScalarProductSpace(H, **kw)
-    raise FormatError(f"unknown space preset {name!r}")
+    elif os.path.exists(_job_path(job, name)):
+        kind, arg = "file", name
+    else:
+        raise FormatError(f"unknown space preset {name!r}")
+    if kind == "signature":
+        return ScalarProductSpace.signature(_parse_signature(arg), **kw)
+    if not isinstance(arg, str):
+        raise FormatError(f"bad space file {arg!r}")
+    return ScalarProductSpace(matio.load_matrix(_job_path(job, arg)), **kw)
 
 
 def _resolve_class(job, args) -> StructureClass:
@@ -237,7 +243,7 @@ def cmd_inspect(args) -> int:
         })
 
     jordan = None
-    if n <= oracle_dim_limit():
+    if n <= MAX_EXTRACT_DIM:
         try:
             pairs = extract_jordan_pairs(A, tol)
             jordan = [{"value": matio.pair_from_complex(p.value),

@@ -331,18 +331,6 @@ class ScalarProductSpace:
     def n(self) -> int:
         return self.H.shape[0]
 
-    @property
-    def bilinear(self) -> bool:
-        """True when the form on the working field is the plain-transpose one.
-
-        A real space reports True: transpose and conjugate transpose agree
-        on real matrices.  Matrix-level star operations on complex data in a
-        real space nevertheless conjugate, because complex eigenvector data
-        of a real matrix lives in the complexification of the space, where
-        the form extends sesquilinearly.
-        """
-        return self.star == "T"
-
     def star_mat(self, M) -> np.ndarray:
         """Apply the star of this space to matrix data."""
         return _star(M, self.star, self.field)

@@ -35,7 +35,6 @@ from .core import (
     _real_apply,
     _star,
     _star_h,
-    _swap_h,
     as_matrix,
     frob,
     gram_matrix,
@@ -668,19 +667,22 @@ def _skew_orthogonal_normalize(H):
     return Q[:, perm]
 
 
-def _hermitian_congruence(H0, H1, scale_i=False):
-    """Unitary U with U* H0 U = H1 for unitary (skew-)Hermitian H0, H1."""
-    M0 = 1j * H0 if scale_i else H0
-    M1 = 1j * H1 if scale_i else H1
-    w0, Q0 = np.linalg.eigh(M0)
-    w1, Q1 = np.linalg.eigh(M1)
-    s0 = np.sign(np.round(w0).astype(int))
-    s1 = np.sign(np.round(w1).astype(int))
-    if list(s0) != list(s1):
-        raise InfeasiblePlanError(
-            "the requested H is incompatible with the plan: the form's "
-            f"inertia differs (plan {list(s0)}, preset {list(s1)})")
-    return Q0 @ Q1.conj().T
+def _inertia_carrier(H, eps1, star, field):
+    """The Hermitian matrix that carries the inertia of the form ``H``:
+    H itself when eps1 = +1 and the form is sesquilinear or real, ``iH``
+    for a complex skew-Hermitian form, and None for a complex bilinear or a
+    real skew form, whose congruence classes have no inertia."""
+    if field == "real" or star != "T":
+        if eps1 == 1:
+            return H
+        if field == "complex":
+            return 1j * H
+    return None
+
+
+def _positives(M) -> int:
+    """The number of positive eigenvalues of the Hermitian M."""
+    return int(np.count_nonzero(np.linalg.eigvalsh(M) > 0))
 
 
 def _involutory_symmetric_sqrt(H):
@@ -695,17 +697,21 @@ def _involutory_symmetric_sqrt(H):
 
 
 def _congruence_transform(H0, H1, star, eps1, field):
-    """Unitary U with ``U* H0 U = H1`` (star of the space)."""
-    if field == "real" or star != "T":
-        if eps1 == 1:
-            return _hermitian_congruence(H0, H1, scale_i=False)
-        if field == "real":
-            Q0 = _skew_orthogonal_normalize(H0)
-            Q1 = _skew_orthogonal_normalize(H1)
-            return Q0 @ Q1.T
-        return _hermitian_congruence(H0, H1, scale_i=True)
-    # complex bilinear
-    if eps1 == 1:
+    """Unitary U with ``U* H0 U = H1`` (star of the space).  A form with an
+    inertia is moved by the eigenvectors of its carriers, which must have
+    the same inertia."""
+    M0 = _inertia_carrier(H0, eps1, star, field)
+    if M0 is not None:
+        w0, Q0 = np.linalg.eigh(M0)
+        w1, Q1 = np.linalg.eigh(_inertia_carrier(H1, eps1, star, field))
+        s0 = np.sign(np.round(w0).astype(int))
+        s1 = np.sign(np.round(w1).astype(int))
+        if list(s0) != list(s1):
+            raise InfeasiblePlanError(
+                "the requested H is incompatible with the plan: the form's "
+                f"inertia differs (plan {list(s0)}, preset {list(s1)})")
+        return Q0 @ Q1.conj().T
+    if eps1 == 1:  # complex bilinear symmetric
         W0 = _involutory_symmetric_sqrt(H0)
         W1 = _involutory_symmetric_sqrt(H1)
         return np.conj(W0) @ W1.T
@@ -714,75 +720,34 @@ def _congruence_transform(H0, H1, star, eps1, field):
     return Q0 @ Q1.T
 
 
-def _balance_signs(units, recipe, n):
+def _balance_signs(units, space, kind):
     """Choose the free sign of each block's H so the stacked form reaches
-    the inertia of the requested preset.
+    the inertia of the preset space.
 
     Negating a block's H never breaks membership, so odd-inertia blocks
     (self-paired chains of odd length) are sign characteristic freedom the
     generator can spend; presets with balanced inertia (flip, skewj) or
     definite inertia (identity) constrain the total.
     """
-    eps1 = _preset_eps1(recipe)
-    sesq_complex = recipe.field == "complex" and recipe.star != "T"
-    hermitian_route = eps1 == 1 and (recipe.field == "real" or recipe.star != "T")
-    skew_herm_route = eps1 == -1 and sesq_complex
-    if not (hermitian_route or skew_herm_route):
-        return units
-    if recipe.space_kind == "identity":
-        target = n
-    elif recipe.space_kind in ("flip", "skewj"):
-        target = n // 2
-    else:
-        return units
+    def carrier(H):
+        return _inertia_carrier(H, space.epsilon1, space.star, space.field)
 
-    def positives(H):
-        M = 1j * H if skew_herm_route else H
-        w = np.linalg.eigvalsh(M)
-        return int(np.count_nonzero(w > 0))
-
-    pos = [positives(u[1]) for u in units]
-    total = sum(pos)
-    delta = target - total
-    flips = []
-    for i, u in enumerate(units):
-        m = u[1].shape[0]
-        d = (m - pos[i]) - pos[i]  # change in positives when negating H
-        if d != 0:
-            flips.append((i, d))
+    target = carrier(space.H)
+    if target is None:
+        return units
+    pos = [_positives(carrier(u[1])) for u in units]
+    delta = _positives(target) - sum(pos)
     out = list(units)
-    for i, d in flips:
-        if delta == 0:
-            break
-        if np.sign(d) == np.sign(delta) and abs(d) <= abs(delta):
-            A_u, H_u, ch = out[i]
+    for i, (A_u, H_u, ch) in enumerate(units):
+        d = H_u.shape[0] - 2 * pos[i]  # change in positives when negating H
+        if delta and np.sign(d) == np.sign(delta) and abs(d) <= abs(delta):
             out[i] = (A_u, -H_u, ch)
             delta -= d
     if delta != 0:
         raise InfeasiblePlanError(
-            f"the plan cannot reach the inertia of the "
-            f"{recipe.space_kind} form (off by {delta} after balancing "
-            "sign characteristics)")
+            f"the plan cannot reach the inertia of the {kind} form (off by "
+            f"{delta} after balancing sign characteristics)")
     return out
-
-
-def _build_preset_h(recipe, H0):
-    n = H0.shape[0]
-    kind = recipe.space_kind
-    if kind == "identity":
-        return np.eye(n)
-    if kind in ("flip", "skewj"):
-        if n % 2:
-            raise InfeasiblePlanError(f"{kind} space needs even dimension")
-        return _swap_h(n, _PRESET_EPS1[kind])
-    if kind == "signature":
-        if recipe.field == "real" or recipe.star != "T":
-            w = np.linalg.eigvalsh(H0 if _preset_eps1(recipe) == 1 else 1j * H0)
-            p = int(np.count_nonzero(w > 0))
-        else:
-            p = (n + 1) // 2
-        return np.diag(np.concatenate([np.ones(p), -np.ones(n - p)]))
-    raise ArgumentError(f"unknown space kind {kind!r}")
 
 
 def _random_automorphism(space_H, recipe, eps1, rng):
@@ -824,7 +789,14 @@ def generate_instance(recipe: InstanceRecipe) -> GeneratedInstance:
     units = _plan_units(recipe, band)
 
     n = recipe.n
-    units = _balance_signs(units, recipe, n)
+    kind = recipe.space_kind
+    eps1 = _preset_eps1(recipe)
+    kw = dict(star=recipe.star, field=recipe.field)
+    if kind in ("flip", "skewj") and n % 2:
+        raise InfeasiblePlanError(f"{kind} space needs even dimension")
+    if kind in ("identity", "flip", "skewj"):
+        space = getattr(ScalarProductSpace, kind)(n, **kw)
+        units = _balance_signs(units, space, kind)
     A0 = as_matrix(_block_diag(*[u[0] for u in units]), "A0", recipe)
     H0 = as_matrix(_block_diag(*[u[1] for u in units]), "H0", recipe)
     chains = []
@@ -837,24 +809,28 @@ def generate_instance(recipe: InstanceRecipe) -> GeneratedInstance:
         raise InfeasiblePlanError(
             f"internal: unit sizes ({offset}) disagree with the plan ({n})")
 
-    eps1 = _preset_eps1(recipe)
     rng = np.random.default_rng(recipe.seed)
-    if recipe.space_kind == "random":
+    if kind == "random":
         V = rng.standard_normal((n, n))
         if recipe.field == "complex":
             V = V + 1j * rng.standard_normal((n, n))
         U = as_matrix(np.linalg.qr(V)[0], "U", recipe)
-        H1 = as_matrix(_star(U, recipe.star, recipe.field) @ H0 @ U, "H1", recipe)
+        space = ScalarProductSpace(
+            _star(U, recipe.star, recipe.field) @ H0 @ U, **kw)
     else:
-        H1 = as_matrix(_build_preset_h(recipe, H0), "H1", recipe)
-        U = as_matrix(_congruence_transform(H0, H1, recipe.star, eps1,
+        if kind == "signature":
+            M0 = _inertia_carrier(H0, eps1, recipe.star, recipe.field)
+            p = (n + 1) // 2 if M0 is None else _positives(M0)
+            space = ScalarProductSpace.signature([1] * p + [-1] * (n - p), **kw)
+        U = as_matrix(_congruence_transform(H0, space.H, recipe.star, eps1,
                                             recipe.field), "U", recipe)
-        err = np.linalg.norm(_star(U, recipe.star, recipe.field) @ H0 @ U - H1)
+        err = np.linalg.norm(
+            _star(U, recipe.star, recipe.field) @ H0 @ U - space.H)
         if err > 1e-8 * max(1.0, frob(H0)):
             raise InfeasiblePlanError(
                 f"internal: congruence onto the preset failed (residual {err:.3e})")
 
-    G = as_matrix(_random_automorphism(H1, recipe, eps1, rng), "G", recipe)
+    G = as_matrix(_random_automorphism(space.H, recipe, eps1, rng), "G", recipe)
     UG = U @ G
     A = as_matrix(np.linalg.solve(UG, A0 @ UG), "A", recipe)
     # one solve for every chain: UG is factored once
@@ -862,7 +838,6 @@ def generate_instance(recipe: InstanceRecipe) -> GeneratedInstance:
     moved_blocks = np.hsplit(np.linalg.solve(UG, np.hstack(blocks)),
                              np.cumsum([X.shape[1] for X in blocks])[:-1])
 
-    space = ScalarProductSpace(H1, star=recipe.star, field=recipe.field)
     pairs = []
     for lam, X in zip(values, moved_blocks):
         X = X / np.linalg.norm(X[:, 0])

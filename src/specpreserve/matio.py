@@ -60,17 +60,13 @@ class MatrixData:
         return a.real if self.field == "real" else a
 
     @classmethod
-    def from_array(cls, a, field=None) -> "MatrixData":
-        a = np.atleast_2d(np.asarray(a))
-        if field is None:
-            field = "real" if np.max(np.abs(np.asarray(a, dtype=complex).imag),
-                                     initial=0.0) == 0.0 else "complex"
-        if field == "real":
-            a = np.asarray(a, dtype=complex)
-            if np.max(np.abs(a.imag), initial=0.0) != 0.0:
-                raise FormatError("cannot store a complex matrix as real")
+    def from_array(cls, a) -> "MatrixData":
+        """The record of an array, real exactly when no entry has a nonzero
+        imaginary part."""
+        a = np.asarray(np.atleast_2d(a), dtype=complex)
+        field = "real" if np.max(np.abs(a.imag), initial=0.0) == 0.0 else "complex"
         return cls(rows=a.shape[0], cols=a.shape[1], field=field,
-                   entries=tuple(complex(v) for v in np.asarray(a, dtype=complex).reshape(-1)))
+                   entries=tuple(complex(v) for v in a.reshape(-1)))
 
 
 def complex_from_pair(v) -> complex:
@@ -87,8 +83,8 @@ def pair_from_complex(z) -> list:
     return [z.real, z.imag]
 
 
-def matrix_to_payload(a, field=None) -> dict:
-    md = MatrixData.from_array(a, field)
+def matrix_to_payload(a) -> dict:
+    md = MatrixData.from_array(a)
     if md.field == "real":
         data = [e.real for e in md.entries]
     else:
@@ -111,8 +107,8 @@ def matrix_from_payload(payload) -> np.ndarray:
                       entries=tuple(entries)).to_array()
 
 
-def save_matrix(path, a, field=None):
-    payload = matrix_to_payload(a, field)
+def save_matrix(path, a):
+    payload = matrix_to_payload(a)
     with open(path, "w", encoding="utf-8") as fh:
         dump_json(payload, fh)
         fh.write("\n")
@@ -153,7 +149,11 @@ def load_matrix(path) -> np.ndarray:
 # JSON emission with explicit float precision
 # ---------------------------------------------------------------------------
 
-def _emit(obj, out, float_fmt):
+# 17 significant digits round-trip every double
+FLOAT_FMT = ".17g"
+
+
+def _emit(obj, out):
     if obj is None:
         out.write("null")
     elif obj is True:
@@ -167,11 +167,11 @@ def _emit(obj, out, float_fmt):
         if np.isnan(v) or np.isinf(v):
             out.write("null")
         else:
-            out.write(format(v, float_fmt))
+            out.write(format(v, FLOAT_FMT))
     elif isinstance(obj, str):
         out.write(json.dumps(obj))
     elif isinstance(obj, (complex, np.complexfloating)):
-        _emit([obj.real, obj.imag], out, float_fmt)
+        _emit([obj.real, obj.imag], out)
     elif isinstance(obj, dict):
         out.write("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -179,7 +179,7 @@ def _emit(obj, out, float_fmt):
                 out.write(", ")
             out.write(json.dumps(str(k)))
             out.write(": ")
-            _emit(v, out, float_fmt)
+            _emit(v, out)
         out.write("}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
@@ -187,14 +187,14 @@ def _emit(obj, out, float_fmt):
         for i, v in enumerate(seq):
             if i:
                 out.write(", ")
-            _emit(v, out, float_fmt)
+            _emit(v, out)
         out.write("]")
     else:
         raise FormatError(f"cannot serialize {type(obj).__name__}")
 
 
-def dump_json(obj, fh, float_fmt: str = ".17g"):
-    """Write JSON with a fixed float format (17 significant digits)."""
+def dump_json(obj, fh):
+    """Write JSON with every float at ``FLOAT_FMT``."""
     buf = io.StringIO()
-    _emit(obj, buf, float_fmt)
+    _emit(obj, buf)
     fh.write(buf.getvalue())

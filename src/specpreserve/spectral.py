@@ -192,15 +192,13 @@ class ReassignmentAssembly:
 
 
 def certificate_residual(assembly: ReassignmentAssembly, space: ScalarProductSpace,
-                         cls: StructureClass, gram=None) -> float:
+                         cls: StructureClass) -> float:
     """Residual of the key symmetry ``W = e1 e2 W*`` for
     ``W = X_c* H X_c (Lambda_a - Lambda_c)``; the reassignment formulas are
-    valid exactly when this holds.  gram may pass ``X_c* H X_c`` when the
-    caller has it already."""
-    if gram is None:
-        gram = gram_matrix(assembly.X_c, space)
-    return z_symmetry_residual(gram @ (assembly.Lambda_a - assembly.Lambda_c),
-                               space, cls)
+    valid exactly when this holds."""
+    return z_symmetry_residual(
+        gram_matrix(assembly.X_c, space) @ (assembly.Lambda_a - assembly.Lambda_c),
+        space, cls)
 
 
 # ---------------------------------------------------------------------------

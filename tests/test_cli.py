@@ -1,5 +1,6 @@
 """End-to-end command line tests driving the shipped job files."""
 
+import argparse
 import json
 import os
 import shutil
@@ -12,7 +13,8 @@ import pytest
 import golden
 import specpreserve
 from specpreserve import matio
-from specpreserve.cli import _match_eigvecs, main
+from specpreserve import ScalarProductSpace, ToleranceProfile
+from specpreserve.cli import _match_eigvecs, _resolve_space, main
 
 
 def _run(*argv):
@@ -113,7 +115,7 @@ class TestInspect:
     def test_symmetric_member(self, tmp_path, rng, capsys):
         B = rng.standard_normal((4, 4))
         A = (B + B.T) / 2
-        matio.save_matrix(tmp_path / "A.json", A, "real")
+        matio.save_matrix(tmp_path / "A.json", A)
         job = {"matrix": "A.json", "space": "identity", "class": "jordan",
                "star": "t", "field": "real", "out": "out"}
         (tmp_path / "job.json").write_text(json.dumps(job))
@@ -170,13 +172,59 @@ class TestInspect:
 
     def test_non_member_reported_without_error(self, tmp_path, rng, capsys):
         A = rng.standard_normal((4, 4))
-        matio.save_matrix(tmp_path / "A.json", A, "real")
+        matio.save_matrix(tmp_path / "A.json", A)
         job = {"matrix": "A.json", "space": "identity", "class": "jordan",
                "star": "t", "field": "real"}
         (tmp_path / "job.json").write_text(json.dumps(job))
         assert _run("inspect", str(tmp_path / "job.json")) == 0
         out = capsys.readouterr().out
         assert "member: False" in out
+
+
+class TestSpaceSpellings:
+    # the --space strings and a job's dict spellings go through one parser;
+    # H.json holds diag(1, -1), so every spelling but identity is the
+    # signature space of "+-"
+    SPELLINGS = ["identity", "signature:+-", {"signature": "+-"},
+                 {"signature": [1, -1]}, "file:H.json", {"file": "H.json"},
+                 "H.json"]
+
+    @pytest.mark.parametrize("spec", SPELLINGS, ids=json.dumps)
+    def test_spelling_builds_the_preset_space(self, tmp_path, spec):
+        matio.save_matrix(tmp_path / "H.json", np.diag([1.0, -1.0]))
+        job = {"space": spec, "_dir": str(tmp_path)}
+        args = argparse.Namespace(space=None, star=None, field=None)
+        tol = ToleranceProfile()
+        space = _resolve_space(job, args, np.eye(2), tol)
+        kw = dict(star="t", field="real", structure_tol=tol.structure_tol)
+        assert space == (ScalarProductSpace.identity(2, **kw)
+                         if spec == "identity" else
+                         ScalarProductSpace.signature([1, -1], **kw))
+        if isinstance(spec, str):
+            args.space, job["space"] = spec, None
+            assert _resolve_space(job, args, np.eye(2), tol) == space
+
+    @pytest.mark.parametrize("spec", [{"signature": "+x"}, {"signature": 3},
+                                      {"bogus": 1}], ids=json.dumps)
+    def test_bad_dict_spelling_exits_3(self, tmp_path, spec, capsys):
+        matio.save_matrix(tmp_path / "A.json", np.eye(2))
+        job = {"matrix": "A.json", "space": spec, "class": "jordan"}
+        (tmp_path / "job.json").write_text(json.dumps(job))
+        assert _run("inspect", str(tmp_path / "job.json")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad ") and "Traceback" not in err
+
+    def test_jordan_type_ignores_the_oracle_bound(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # Jordan extraction is gated by its own size limit, so turning the
+        # oracle's dense tier off leaves inspect's Jordan type in place
+        monkeypatch.setenv("SPECPRESERVE_ORACLE_NMAX", "0")
+        matio.save_matrix(tmp_path / "A.json", np.array([[2.0, 1.0],
+                                                         [0.0, 2.0]]))
+        job = {"matrix": "A.json", "space": "identity", "class": "jordan"}
+        (tmp_path / "job.json").write_text(json.dumps(job))
+        assert _run("inspect", str(tmp_path / "job.json")) == 0
+        assert "jordan type:\n  " in capsys.readouterr().out
 
 
 class TestReassign:
@@ -204,7 +252,7 @@ class TestReassign:
         B = rng.standard_normal((4, 4))
         A = (B + B.T) / 2
         w, V = np.linalg.eigh(A)
-        matio.save_matrix(tmp_path / "A.json", A, "real")
+        matio.save_matrix(tmp_path / "A.json", A)
         job = {"matrix": "A.json", "space": "identity", "class": "jordan",
                "star": "t", "field": "real",
                "targets": [{"current": [w[0], 0.0], "target": [w[0], 0.0]}],
@@ -217,7 +265,7 @@ class TestReassign:
     def test_missing_current_eigenvalue_exits_2(self, tmp_path, rng):
         B = rng.standard_normal((4, 4))
         A = (B + B.T) / 2
-        matio.save_matrix(tmp_path / "A.json", A, "real")
+        matio.save_matrix(tmp_path / "A.json", A)
         job = {"matrix": "A.json", "space": "identity", "class": "jordan",
                "star": "t", "field": "real",
                "targets": [{"current": [123.0, 0.0], "target": [1.0, 0.0]}]}
@@ -299,7 +347,7 @@ class TestInvariant:
         X = [np.nan, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0]
         (tmp_path / "X.json").write_text(json.dumps(
             {"rows": 4, "cols": 2, "field": "real", "data": X}))
-        matio.save_matrix(tmp_path / "A.json", np.zeros((4, 4)), "real")
+        matio.save_matrix(tmp_path / "A.json", np.zeros((4, 4)))
         job = {"matrix": "A.json", "space": "flip", "class": "jordan",
                "star": "ct", "field": "complex", "basis": "X.json",
                "submode": "reproduce", "lambda_target": [[1.0, 0.0]] * 2}
@@ -371,7 +419,7 @@ class TestFlags:
         signs = np.diag([1.0, 1.0, -1.0])
         K = rng.standard_normal((3, 3))
         A = np.linalg.solve(signs, (K + K.T) / 2)  # member for the signature
-        matio.save_matrix(tmp_path / "A.json", A, "real")
+        matio.save_matrix(tmp_path / "A.json", A)
         job = {"matrix": "A.json", "class": "jordan", "star": "t",
                "field": "real",
                "targets": [{"current": [0.0, 0.0], "target": [0.0, 0.0]}]}
@@ -397,8 +445,8 @@ class TestFlags:
             "signature", "jordan", "real", "T",
             (PlanGroup(1 + 2j, (1,)), PlanGroup(1 - 2j, (1,)),
              PlanGroup(3.0, (1,))), seed=9))
-        matio.save_matrix(tmp_path / "A.json", inst.A.real, "real")
-        matio.save_matrix(tmp_path / "H.json", inst.space.H.real, "real")
+        matio.save_matrix(tmp_path / "A.json", inst.A.real)
+        matio.save_matrix(tmp_path / "H.json", inst.space.H.real)
         job = {"matrix": "A.json", "space": "file:H.json", "class": "jordan",
                "star": "t", "field": "real",
                "targets": [{"current": [1.0, 2.0], "target": [2.0, 1.0]}],

@@ -1030,6 +1030,17 @@ class TestRecipeValidation:
         with pytest.raises(ArgumentError):
             InstanceRecipe("torus", "jordan")
 
+    @pytest.mark.parametrize("kind", ["flip", "skewj"])
+    @pytest.mark.parametrize("chains", [(1,), (3,)])
+    def test_odd_dimension_on_a_swap_preset_is_infeasible(self, kind, chains):
+        # refused as an infeasible plan before the space constructor, whose
+        # own refusal is an ArgumentError
+        recipe = InstanceRecipe(kind, "jordan", "complex", "ct",
+                                (PlanGroup(1.5, chains),), seed=17)
+        with pytest.raises(InfeasiblePlanError,
+                           match=f"^{kind} space needs even dimension$"):
+            generate_instance(recipe)
+
     def test_star_spellings_build_the_same_member(self):
         # complex bilinear Jordan: every value is self-paired
         plan = (PlanGroup(1 + 2j, (1,)), PlanGroup(1 - 2j, (1,)))

@@ -159,7 +159,8 @@ REAL_ORBITS = {"jordan": ([0.0], [1.5], [1 + 2j, 1 - 2j]),
                        [1 + 2j, 1 - 2j, -1 - 2j, -1 + 2j])}
 PRESETS = [("identity", 0), ("flip", 0), ("signature", 0), ("skewj", 0),
            ("random", 1), ("random", -1)]
-BUILT = {"A0", "H0", "H1", "U", "G", "A"}
+# H1 is the space the constructors build, checked as inst.space.H
+BUILT = {"A0", "H0", "U", "G", "A"}
 
 
 def test_real_recipes_are_built_in_float64(monkeypatch):
@@ -185,6 +186,7 @@ def test_real_recipes_are_built_in_float64(monkeypatch):
                 built += 1
                 assert {seen[k] for k in BUILT} == {np.dtype(np.float64)}
                 assert inst.A.dtype == np.float64
+                assert inst.space.H.dtype == np.float64
     assert built == 62
 
 

@@ -21,7 +21,7 @@ class TestCanonicalFormat:
     def test_real_round_trip_plain_numbers(self, tmp_path, rng):
         A = rng.standard_normal((2, 2))
         path = tmp_path / "a.json"
-        matio.save_matrix(path, A, "real")
+        matio.save_matrix(path, A)
         payload = json.loads(path.read_text())
         assert payload["field"] == "real"
         assert all(isinstance(v, float) for v in payload["data"])

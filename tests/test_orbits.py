@@ -4,11 +4,14 @@ it), the unsupported rows, and the module-level names the benchmark tracer
 rebinds."""
 
 import inspect
+import itertools
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import specpreserve.core as core
+import specpreserve.diagnostics as diagnostics
 import specpreserve.spectral as spectral
 import specpreserve.subspaces as subspaces
 from specpreserve import (
@@ -79,6 +82,60 @@ def _assemble(inst, spec):
     if inst.cls is StructureClass.LIE:
         return assemble_real_lie(inst.A, spec, inst.space, inst.cls)
     return assemble_real_jordan(inst.A, spec, inst.space, inst.cls)
+
+
+# instances built per (preset, field, star) over ORBITS x chain lengths
+# (1,), (1, 1), (2,), (3,): every combination is reached
+PRESET_BUILDS = {
+    ("identity", "complex", "CT"): 4, ("identity", "complex", "T"): 8,
+    ("identity", "real", "CT"): 6, ("identity", "real", "T"): 6,
+    ("flip", "complex", "CT"): 12, ("flip", "complex", "T"): 6,
+    ("flip", "real", "CT"): 18, ("flip", "real", "T"): 18,
+    ("signature", "complex", "CT"): 16, ("signature", "complex", "T"): 8,
+    ("signature", "real", "CT"): 24, ("signature", "real", "T"): 24,
+    ("skewj", "complex", "CT"): 12, ("skewj", "complex", "T"): 5,
+    ("skewj", "real", "CT"): 14, ("skewj", "real", "T"): 14,
+}
+
+
+def test_generated_space_is_the_preset(monkeypatch):
+    # every preset instance of the catalogue carries exactly the space its
+    # ScalarProductSpace constructor builds; a signature space takes the
+    # inertia of the stacked canonical form H0 (half positive, rounded up,
+    # for the complex bilinear form, which has no inertia)
+    seen = {}
+
+    def spy(A, name="matrix", space=None):
+        seen[name] = out = core.as_matrix(A, name, space)
+        return out
+
+    monkeypatch.setattr(diagnostics, "as_matrix", spy)
+    built = {}
+    for field, orbit_star, cls, kind in ORBITS:
+        values = ORBITS[field, orbit_star, cls, kind]
+        for star in (["T", "CT"] if field == "real" else [orbit_star]):
+            for preset, chains in itertools.product(
+                    ("identity", "flip", "signature", "skewj"),
+                    ((1,), (1, 1), (2,), (3,))):
+                plan = tuple(PlanGroup(v, chains) for v in values)
+                try:
+                    inst = generate_instance(InstanceRecipe(
+                        preset, cls, field, star, plan, seed=17))
+                except InfeasiblePlanError:
+                    continue
+                n = inst.A.shape[0]
+                if preset != "signature":
+                    expected = getattr(ScalarProductSpace, preset)(
+                        n, star=star, field=field)
+                else:
+                    p = ((n + 1) // 2 if (field, star) == ("complex", "T") else
+                         int(np.sum(np.linalg.eigvalsh(seen["H0"]) > 0)))
+                    expected = ScalarProductSpace.signature(
+                        [1] * p + [-1] * (n - p), star=star, field=field)
+                assert inst.space == expected
+                key = (preset, field, star)
+                built[key] = built.get(key, 0) + 1
+    assert built == PRESET_BUILDS
 
 
 def test_real_skewj_lie_orbit_holds_both_partner_formulas():
