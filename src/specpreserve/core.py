@@ -267,8 +267,10 @@ class ScalarProductSpace:
     checked at construction; an H that fails them (for instance one typed
     in at too few decimals for the requested tolerance) is rejected rather
     than re-orthogonalized.  H is stored read-only in its field (float64 on
-    real spaces).  Spaces compare and hash by value: H entrywise, star,
-    field, eps1 and structure_tol.
+    real spaces) as ``(H + eps1 H*) / 2``, so ``H* = eps1 H`` holds
+    exactly; for an exactly symmetric H, such as every preset, that equals
+    the input (a zero may change its sign).  Spaces compare and hash by
+    value: H entrywise, star, field, eps1 and structure_tol.
     """
 
     H: np.ndarray
@@ -309,7 +311,8 @@ class ScalarProductSpace:
                 self.structure_tol * max(1.0, scale**2)).require(
             f"H fails unitarity at tolerance {self.structure_tol:g}")
 
-        H = np.array(H, order="C")
+        # exactly e1-symmetric, so that X* H = e1 (H X)* to the bit
+        H = np.array((H + eps1 * Hs) / 2, order="C")
         H.setflags(write=False)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "star", star)
@@ -466,9 +469,8 @@ def _check_full_column_rank(M, rank_tol, condition, what):
 
 
 def _star_h(X, space) -> np.ndarray:
-    """``X* H``; on a real space ``e1 (H X)*``, so H never meets complex X."""
-    if space.field == "complex":
-        return space.star_mat(X) @ space.H
+    """``X* H`` as ``e1 (H X)*``, exact for the stored H (``H* = e1 H``);
+    a real H meets complex X only as one real product."""
     return space.epsilon1 * space.star_mat(space.h_apply(X))
 
 

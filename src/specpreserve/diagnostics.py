@@ -750,16 +750,16 @@ def _balance_signs(units, space, kind):
     return out
 
 
-def _random_automorphism(space_H, recipe, eps1, rng):
+def _random_automorphism(space, recipe, eps1, rng):
     """Cayley transform of a sampled element of the form's automorphism
     Lie algebra, scaled to spectral norm CAYLEY_STRENGTH; satisfies
     G* H G = H exactly in exact arithmetic."""
-    n = space_H.shape[0]
+    n = space.n
     M = rng.standard_normal((n, n))
     if recipe.field == "complex":
         M = M + 1j * rng.standard_normal((n, n))
     K = (M - eps1 * _star(M, recipe.star, recipe.field)) / 2.0
-    W = np.linalg.solve(space_H, K)
+    W = space.h_solve(K)
     nrm = np.linalg.norm(W, 2)
     if nrm > 0:
         W = W * (CAYLEY_STRENGTH / nrm)
@@ -830,7 +830,7 @@ def generate_instance(recipe: InstanceRecipe) -> GeneratedInstance:
             raise InfeasiblePlanError(
                 f"internal: congruence onto the preset failed (residual {err:.3e})")
 
-    G = as_matrix(_random_automorphism(space.H, recipe, eps1, rng), "G", recipe)
+    G = as_matrix(_random_automorphism(space, recipe, eps1, rng), "G", recipe)
     UG = U @ G
     A = as_matrix(np.linalg.solve(UG, A0 @ UG), "A", recipe)
     # one solve for every chain: UG is factored once

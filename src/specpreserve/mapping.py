@@ -14,6 +14,13 @@ once, so it costs O(n^2 p) and forms no n x n matrix before that product;
 the Z term, ``H^-1 P* Z P`` with ``P = I - X X^+``, is expanded without
 forming P and takes the only n-column application of ``H^-1``, a product
 with the inverse a dense H gets once per space: no call solves with H.
+
+Every member is built by ``_family``, after the feasibility test its caller
+names: the public functions test the range and symmetry conditions; the
+subspace workflows, which have checked that X has full column rank (so the
+range condition holds), only ``W = e1 e2 W*``, whose W carries ``X* H A X``
+there; the reassignment, whose W is the certificate ``X* H X D`` it has
+decided itself, neither.
 """
 
 from __future__ import annotations
@@ -63,29 +70,18 @@ class FeasibilityReport:
     violations: tuple
 
 
-def _family_factors(B, HB, R, Q, space, cls):
-    """Factors ``(U, V)`` of the Z = 0 member, ``U @ V``:
-
-        B R + e1 e2 H^-1 R* [(H B)* - Q],   U = [B, e1 e2 H^-1 R*],
-                                            V = [R; (H B)* - Q]
-
-    with ``R = X^+`` and ``Q = (X* H B)* X^+``.  When only the first p
-    columns of B are nonzero, B may be passed as those columns, with R and
-    Q the matching p rows.
-    """
-    s = space.epsilon1 * cls.epsilon2
-    st = space.star_mat
-    U = np.hstack([B, s * space.h_solve(st(R))])
-    V = np.vstack([R, st(HB) - Q])
-    return U, V
-
-
 def _map_factors(X, B, Xd, space, cls):
-    """``(U, V, W)``: the family factors of ``A X = B`` for ``X^+ = Xd``,
-    and ``W = X* H B``."""
+    """``(U, V, W)``: the factors of the Z = 0 member of the family of
+    ``A X = B`` for ``X^+ = Xd``, and ``W = X* H B``:
+
+        B X^+ + e1 e2 H^-1 (X^+)* [(H B)* - W* X^+],
+            U = [B, e1 e2 H^-1 (X^+)*],   V = [X^+; (H B)* - W* X^+]
+    """
+    st = space.star_mat
     HB = space.h_apply(B)
-    W = space.star_mat(X) @ HB
-    U, V = _family_factors(B, HB, Xd, space.star_mat(W) @ Xd, space, cls)
+    W = st(X) @ HB
+    U = np.hstack([B, space.epsilon1 * cls.epsilon2 * space.h_solve(st(Xd))])
+    V = np.vstack([Xd, st(HB) - st(W) @ Xd])
     return U, V, W
 
 
@@ -98,41 +94,20 @@ def _z_term(Z, X, Xd, space):
     return space.h_solve(M)
 
 
-def _admissible_z(Z, space, cls, tol, real=False) -> np.ndarray:
-    """Z as an n x n matrix, checked to be an admissible family parameter:
-    when real is set, real to the structure tolerance (checked first, and
-    its real part is returned), and ``Z* = e1 e2 Z``."""
-    Z = as_matrix(Z, "Z", space)
-    if Z.shape != (space.n, space.n):
-        raise ArgumentError("Z must be n x n")
-    thr = tol.structure_tol * max(1.0, frob(Z))
-    if real and np.iscomplexobj(Z):
-        _decide("z_real", np.max(np.abs(Z.imag)), thr).require(
-            "real arrangements require a real parameter Z", None)
-    _decide("z_symmetry", z_symmetry_residual(Z, space, cls), thr).require(
-        "Z fails Z* = e1 e2 Z")
-    return np.ascontiguousarray(Z.real) if real else Z
-
-
-def _feasibility(X, B, Xd, W, space, cls, tol) -> FeasibilityReport:
-    r_range = float(np.linalg.norm(B @ (Xd @ X) - B))
-    thr_range = tol.residual_tol * frob(B) + ABS_FLOOR * max(1.0, frob(B))
-
-    r_sym = z_symmetry_residual(W, space, cls)
+def _feasibility(X, B, Xd, W, space, cls, tol, ranged=True) -> tuple:
+    """The decisions of the range condition (unless ranged is False) and
+    the symmetry condition of ``A X = B``, for ``W = X* H B``."""
     # the floor follows the rounding scale of forming W itself: W can vanish
     # identically (isotropic X) while carrying O(eps |X||B|) noise
     thr_sym = tol.residual_tol * frob(W) + ABS_FLOOR * max(
         1.0, frob(X) * frob(B))
-
-    violations = tuple(d for d in (
-        _decide("range_condition", r_range, thr_range),
-        _decide("symmetry_condition", r_sym, thr_sym)) if not d.passed)
-    return FeasibilityReport(
-        feasible=not violations,
-        range_residual=r_range,
-        symmetry_residual=r_sym,
-        violations=violations,
-    )
+    sym = _decide("symmetry_condition", z_symmetry_residual(W, space, cls),
+                  thr_sym)
+    if not ranged:
+        return (sym,)
+    r_range = float(np.linalg.norm(B @ (Xd @ X) - B))
+    thr_range = tol.residual_tol * frob(B) + ABS_FLOOR * max(1.0, frob(B))
+    return _decide("range_condition", r_range, thr_range), sym
 
 
 def _check_shapes(X, B, space):
@@ -150,9 +125,12 @@ def feasibility_check(X, B, space: ScalarProductSpace, cls: StructureClass,
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
     X, B = _check_shapes(X, B, space)
-    Xd = pseudoinverse(X, tol.rank_tol)
     W = space.star_mat(X) @ space.h_apply(B)
-    return _feasibility(X, B, Xd, W, space, cls, tol)
+    r_range, r_sym = _feasibility(X, B, pseudoinverse(X, tol.rank_tol), W,
+                                  space, cls, tol)
+    violations = tuple(d for d in (r_range, r_sym) if not d.passed)
+    return FeasibilityReport(not violations, r_range.value, r_sym.value,
+                             violations)
 
 
 @dataclass(frozen=True)
@@ -182,9 +160,47 @@ class StructuredMapSolution:
     def with_z(self, Z, tol: ToleranceProfile | None = None) -> np.ndarray:
         """Family member for an admissible parameter Z (``Z* = e1 e2 Z``,
         real on a real space)."""
-        Z = _admissible_z(Z, self.space, self.cls, tol or ToleranceProfile(),
-                          real=self.space.field == "real")
+        return self._member(Z, tol or ToleranceProfile(),
+                            self.space.field == "real")
+
+    def _member(self, Z, tol, real) -> np.ndarray:
+        """``family_base`` for Z = None, else the member for Z checked to be
+        an admissible parameter: n x n, real to the structure tolerance when
+        real is set (checked first; its real part is used), and
+        ``Z* = e1 e2 Z``."""
+        if Z is None:
+            return self.family_base
+        Z = as_matrix(Z, "Z", self.space)
+        if Z.shape != (self.space.n,) * 2:
+            raise ArgumentError("Z must be n x n")
+        thr = tol.structure_tol * max(1.0, frob(Z))
+        if real and np.iscomplexobj(Z):
+            _decide("z_real", np.max(np.abs(Z.imag)), thr).require(
+                "real arrangements require a real parameter Z", None)
+        _decide("z_symmetry", z_symmetry_residual(Z, self.space, self.cls),
+                thr).require("Z fails Z* = e1 e2 Z")
+        if real:
+            Z = np.ascontiguousarray(Z.real)
         return self.family_base + _z_term(Z, self.X, self.X_pinv, self.space)
+
+
+def _family(X, B, space, cls, tol, test="full") -> StructuredMapSolution:
+    """The family of ``A X = B``, the one entry of every member, after the
+    feasibility test its caller names; the first failed condition is raised
+    as ``feasibility``.  "full" tests the range and symmetry conditions,
+    "symmetry" only ``W = e1 e2 W*`` (X has been checked to have full
+    column rank, which gives the range condition), None neither (W is a
+    certificate the caller has decided)."""
+    Xd = pseudoinverse(X, tol.rank_tol)
+    U, V, W = _map_factors(X, B, Xd, space, cls)
+    failed = [d for d in (_feasibility(X, B, Xd, W, space, cls, tol,
+                                       test == "full") if test else ())
+              if not d.passed]
+    if failed:
+        names = ", ".join(d.condition for d in failed)
+        failed[0]._replace(condition="feasibility").require(
+            f"A X = B has no structured solution: {names} failed")
+    return StructuredMapSolution((U, V), X, Xd, space, cls)
 
 
 def map_family(X, B, space: ScalarProductSpace, cls: StructureClass,
@@ -196,27 +212,15 @@ def map_family(X, B, space: ScalarProductSpace, cls: StructureClass,
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
     X, B = _check_shapes(X, B, space)
-    Xd = pseudoinverse(X, tol.rank_tol)
-    U, V, W = _map_factors(X, B, Xd, space, cls)
-    report = _feasibility(X, B, Xd, W, space, cls, tol)
-    if not report.feasible:
-        # the first failed condition's residual and threshold, renamed
-        report.violations[0]._replace(condition="feasibility").require(
-            "A X = B has no structured solution: "
-            f"{', '.join(v.condition for v in report.violations)} failed "
-            f"(range {report.range_residual:.3e}, symmetry "
-            f"{report.symmetry_residual:.3e})", None)
-    return StructuredMapSolution(factors=(U, V), X=X, X_pinv=Xd, space=space,
-                                 cls=cls)
+    return _family(X, B, space, cls, tol)
 
 
 def solve_structured(X, B, space: ScalarProductSpace, cls: StructureClass,
                      Z=None, tol: ToleranceProfile | None = None) -> np.ndarray:
     """Structured solution of ``A X = B`` for one choice of parameter Z."""
-    family = map_family(X, B, space, cls, tol)
-    if Z is None:
-        return family.family_base
-    return family.with_z(Z, tol)
+    tol = tol or ToleranceProfile()
+    return map_family(X, B, space, cls, tol)._member(
+        Z, tol, space.field == "real")
 
 
 def minimal_structured(X, B, space: ScalarProductSpace, cls: StructureClass,

@@ -17,11 +17,12 @@ closed under conjugation, and on the real part of a Z checked to be real
 to the structure tolerance.
 
 Under the Gram certificate (``W = e1 e2 W*`` for ``W = X* H X D``) the
-family is the solution family of ``delta X = X D`` and is evaluated by the
-factored kernel of ``mapping``: O(n^2 p), with one n-column application of
-``H^-1`` only for the Z term, a product with the inverse a dense H gets
-once per space.  The no-spillover update applies the inverse Gram matrix
-to ``X_c* H``, also O(n^2 p).
+family is the solution family of ``delta X = X D``.  The certificate is
+decided once, here; ``mapping._family`` then evaluates the family with no
+feasibility test, as its W is that certificate: O(n^2 p), with one
+n-column application of ``H^-1`` only for the Z term, a product with the
+inverse a dense H gets once per space.  The no-spillover update applies
+the inverse Gram matrix to ``X_c* H``, also O(n^2 p), with no ``H^-1``.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ from .core import (
     ToleranceProfile,
     _decide,
     _gram_compatibility,
+    _star_h,
     as_matrix,
     frob,
     gram_matrix,
-    pseudoinverse,
 )
 from .diagnostics import PerturbationReport, verify_reassignment
 from .errors import ArgumentError, RealnessError
-from .mapping import _admissible_z, _map_factors, _z_term
+from .mapping import _family
 from .spectral import (
     SNAP_TOL,
     ReassignmentAssembly,
@@ -74,8 +75,11 @@ class ReassignmentResult:
     report: PerturbationReport | None
 
 
-def _check_certificate(assembly, space, cls, tol):
-    """Raise unless the Gram certificate holds; returns ``X_c* H X_c``."""
+def _check_certificate(A, assembly, space, cls, tol):
+    """Raise unless A is n x n and the Gram certificate holds; returns
+    ``X_c* H X_c``."""
+    if A.shape != (space.n,) * 2:
+        raise ArgumentError("A must match the space dimension")
     G = gram_matrix(assembly.X_c, space)
     _gram_compatibility(G, assembly.Lambda_a - assembly.Lambda_c, space, cls,
                         tol, "symmetry_certificate").require(
@@ -121,18 +125,11 @@ def reassign_family(A, assembly: ReassignmentAssembly, space: ScalarProductSpace
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
     A = as_matrix(A, "A", space)
-    n = space.n
-    if A.shape != (n, n):
-        raise ArgumentError("A must match the space dimension")
-    _check_certificate(assembly, space, cls, tol)
+    _check_certificate(A, assembly, space, cls, tol)
 
     X, B = _real_basis(assembly)
-    Xd = pseudoinverse(X, tol.rank_tol)
-    U, V, _ = _map_factors(X, B, Xd, space, cls)
-    delta = U @ V
-    if Z is not None:
-        Z = _admissible_z(Z, space, cls, tol, real=assembly.real_output)
-        delta = delta + _z_term(Z, X, Xd, space)
+    delta = _family(X, B, space, cls, tol, None)._member(
+        Z, tol, assembly.real_output)
     report = None
     if verify:
         report = verify_reassignment(A, delta, assembly, space, cls, tol=tol,
@@ -157,10 +154,7 @@ def reassign_no_spillover(A, assembly: ReassignmentAssembly,
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
     A = as_matrix(A, "A", space)
-    n = space.n
-    if A.shape != (n, n):
-        raise ArgumentError("A must match the space dimension")
-    G = _check_certificate(assembly, space, cls, tol)
+    G = _check_certificate(A, assembly, space, cls, tol)
 
     if fixed_spectrum_guard is not None:
         # an empty fixed spectrum is disjoint from everything (gap inf)
@@ -177,8 +171,8 @@ def reassign_no_spillover(A, assembly: ReassignmentAssembly,
 
     X, B = _real_basis(assembly)
     delta = _no_spillover_update(
-        G if X is assembly.X_c else gram_matrix(X, space), X, B, space,
-        tol.rank_tol)
+        G if X is assembly.X_c else gram_matrix(X, space), X, B,
+        _star_h(X, space), tol.rank_tol)
     report = None
     if verify:
         report = verify_reassignment(A, delta, assembly, space, cls, tol=tol)

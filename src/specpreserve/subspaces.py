@@ -5,24 +5,25 @@ and the closed-form rank-bounded no-spillover update.
 All updates stay inside the Jordan/Lie algebra of the space.  The central
 compatibility condition is on the Gram matrix ``G = X* H X``: a target
 restriction L is reachable by a structured perturbation iff
-``G L = e2 L* G``.
+``G L = e2 L* G``.  Each workflow decides it once, then takes one of two
+closed forms.  Reproducing and preserving a subspace take the family of
+``A X = B`` from ``mapping._family`` on a full-rank X, which tests only
+``W = e1 e2 W*`` (W carries ``X* H A X``): O(n^2 p), with one n-column
+application of ``H^-1`` (a product with the inverse a dense H gets once
+per space) only for the Z term.  The complementary update is the
+no-spillover update ``B_c G^-1 X_c* H``: the certified spectral gap forces
+``X_c* H X_f = 0`` (``Lambda_f* Y = e2 Y Lambda_c`` has only the zero
+solution; computed pairs meet it to within their residuals, so it is
+decided), and the update is the unique structured delta with
+``delta [X_c X_f] = [B_c, 0]``.  Both no-spillover entries solve with G
+through numpy: O(n^2 p), with no ``H^-1``.
 
-Reproducing and preserving a subspace solve ``A X = B`` with the factored
-kernel of ``mapping``: O(n^2 p), with one n-column application of ``H^-1``
-(a product with the inverse a dense H gets once per space) only for the Z
-term.  The complementary update is the same formula for the square basis
-``[X_c X_f]``; it needs only the first p rows of the basis inverse and
-``(X* H B_c)* X^-1``, both from one LU of the basis with p right-hand
-sides each.  The fixed block costs one n x n x m product ``A X_f``,
-O(n m w) for ``X_f Lambda_f`` with w diagonals in the band of Lambda_f
-(when it has few nonzeros off its diagonal; ``core.BAND_GATHER_COST`` says
-how few), and the LU of the basis, whose
-condition estimate also decides nonsingularity; the rest is O(n^2 p).  A
-triangular Lambda_f, such as a Jordan form, gives its spectrum from its
-diagonal with no ``eigvals``.
-That LU, with its ``?gecon`` estimate, is the module's one use of
-``scipy.linalg``; the no-spillover update solves with its p x p Gram matrix
-through numpy.
+The complementary checks cost one n x n x m product ``A X_f``, O(n m w)
+for ``X_f Lambda_f`` with w diagonals in the band of Lambda_f (when it has
+few nonzeros off its diagonal; ``core.BAND_GATHER_COST`` says how few),
+and one LU of ``[X_c X_f]``, whose ``?gecon`` estimate decides
+nonsingularity: the module's one use of ``scipy.linalg``.  A triangular
+Lambda_f, such as a Jordan form, gives its spectrum from its diagonal.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .core import (
     pseudoinverse,
 )
 from .errors import ArgumentError
-from .mapping import _family_factors, solve_structured
+from .mapping import _family
 from .spectral import _form_star, pairing_partner
 
 __all__ = [
@@ -124,7 +125,9 @@ def reproduce_invariant(A, X_a, Lambda_a, space: ScalarProductSpace,
     _gram_compatibility(_basis_gram(X_a, Lambda_a, space, tol), Lambda_a, space,
                         cls, tol).require(_INCOMPATIBLE, "condition_residual")
     B = X_a @ Lambda_a - _real_apply(A, X_a)
-    return solve_structured(X_a, B, space, cls, Z, tol)
+    # W = X_a* H B carries X_a* H A X_a, so W = e1 e2 W* is still tested
+    return _family(X_a, B, space, cls, tol, "symmetry")._member(
+        Z, tol, space.field == "real")
 
 
 def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
@@ -144,18 +147,14 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
         raise ArgumentError("R must be p x p")
     _check_full_column_rank(R, tol.rank_tol, "nonsingular_R",
                             "R is numerically singular")
+    _check_full_column_rank(X_c, tol.rank_tol, "rank", "X_c is rank deficient")
     _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol, "A X_c = X_c Lambda_c")
     GR = space.star_mat(R) @ gram_matrix(X_c, space) @ R
     _gram_compatibility(GR, Lambda_a, space, cls, tol).require(
         "Lambda_a incompatible in the basis X_c R", "condition_residual")
     Rt = R @ Lambda_a - Lambda_c @ R
-    return solve_structured(X_c @ R, X_c @ Rt, space, cls, Z, tol)
-
-
-def _spectral_gap(ec, ef, space, cls):
-    """Distance between the paired eigenvalues ec and the eigenvalues ef."""
-    paired = np.array([pairing_partner(l, cls, _form_star(space)) for l in ec])
-    return float(np.min(np.abs(paired[:, None] - ef[None, :])))
+    return _family(X_c @ R, X_c @ Rt, space, cls, tol, "symmetry")._member(
+        Z, tol, space.field == "real")
 
 
 def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
@@ -167,7 +166,8 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     Requires the paired spectrum of the changed block to lie more than
     ``SPECTRAL_SEPARATION`` times the spectral scale from the fixed
     spectrum; a gap within ten times that degrades the Gram matrix and is
-    warned about.
+    warned about.  The update is the no-spillover update of
+    ``B_c = X_c Lambda_a - A X_c``; an empty X_c gives the zero update.
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
@@ -176,8 +176,6 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     X_f = as_matrix(X_f, "X_f", space)
     Lambda_a = as_matrix(Lambda_a, "Lambda_a", space)
     Lambda_f = as_matrix(Lambda_f, "Lambda_f", space)
-    n = space.n
-    p = X_c.shape[1]
     if Lambda_f.shape != (X_f.shape[1],) * 2:
         raise ArgumentError("Lambda_f must be m x m for X_f with m columns")
     AX_c = _real_apply(A, X_c)
@@ -193,9 +191,12 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     # a triangular Lambda_f (Jordan chains) has its spectrum on the diagonal
     ef = (np.diagonal(Lambda_f) if min(band) == 0
           else np.linalg.eigvals(Lambda_f))
-    gap = _spectral_gap(ec, ef, space, cls)
+    # an empty side is disjoint from everything (gap inf)
+    paired = np.array([pairing_partner(l, cls, _form_star(space)) for l in ec])
+    gap = float(np.min(np.abs(paired[:, None] - ef[None, :]), initial=np.inf))
     spectral_scale = max(1.0, frob(ec), frob(ef))
-    G = gram_matrix(X_c, space)
+    XsH = _star_h(X_c, space)
+    G = XsH @ X_c
     _decide("spectral_disjointness", gap, SPECTRAL_SEPARATION * spectral_scale,
             at_least=True).require(
         "paired spectrum of the changed block meets the fixed spectrum",
@@ -210,28 +211,30 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
         _INCOMPATIBLE, "condition_residual")
 
     X = np.hstack([X_c, X_f])
-    if X.shape != (n, n):
+    if X.shape != (space.n,) * 2:
         raise ArgumentError("[X_c X_f] must be square")
     # one LU of X decides nonsingularity, by LAPACK's reciprocal 1-norm
-    # condition estimate (0 for an exactly singular X), and solves below
+    # condition estimate (0 for an exactly singular X)
     with _SCIPY_LAPACK_LOCK:
         getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (X,))
-        lu, piv, _ = getrf(X)
+        lu = getrf(X)[0]
         rcond = gecon(lu, np.abs(X).sum(axis=0).max(), norm="1")[0]
     _decide("nonsingular_basis", rcond, tol.rank_tol, at_least=True).require(
         "[X_c X_f] is numerically singular",
         "reciprocal condition estimate")
-    # B = [B_c, 0]: only the first p rows of X^-1 meet B, so R = (X^-1)[:p]
-    # and Q = (X* H B_c)* X^-1 come from the LU of X, as X^T [R^T Q^T]
-    B_c = X_c @ Lambda_a - AX_c
-    HB = space.h_apply(B_c)
-    st = space.star_mat
-    rhs = np.hstack([np.eye(n, p), st(st(X) @ HB).T])
-    with _SCIPY_LAPACK_LOCK:
-        RQ = scipy.linalg.lu_solve((lu, piv), rhs, trans=1,
-                                   check_finite=False).T
-    U, V = _family_factors(B_c, HB, RQ[:p], RQ[p:], space, cls)
-    return U @ V
+    # the gap gives X_c* H X_f = 0, so the no-spillover update solves
+    # delta [X_c X_f] = [B_c, 0]; computed pairs meet it only to their
+    # residuals over the gap, so it is decided, in O(n p m)
+    _decide("h_orthogonality", frob(XsH @ X_f),
+            tol.eig_tol * frob(X_c) * frob(X_f)).require(
+        "X_c* H X_f is not zero, as the spectral gap makes it")
+    # X_c T, B_c T give the same update; T scales each column of X_c to
+    # unit norm by a power of two (exactly), so the Gram test judges the
+    # basis, which the LU has judged, and not the scale of its columns
+    t = np.exp2(-np.round(np.log2(np.linalg.norm(X_c, axis=0))))
+    return _no_spillover_update(t[:, None] * G * t, X_c * t,
+                                (X_c @ Lambda_a - AX_c) * t, t[:, None] * XsH,
+                                tol.rank_tol)
 
 
 def gram_inverse_apply(G, RHS):
@@ -239,8 +242,9 @@ def gram_inverse_apply(G, RHS):
     plus one step of iterative refinement; returns
     (Y, one_norm_condition_estimate).  G is p x p, so factoring it again
     for the refinement step costs O(p^3), and numpy's LAPACK spares the
-    command line the import of ``scipy.linalg``."""
-    cond = float(np.real(np.linalg.cond(G, 1)))
+    command line the import of ``scipy.linalg``.  An empty G (p = 0) gives
+    an empty Y and condition 1."""
+    cond = float(np.real(np.linalg.cond(G, 1))) if G.size else 1.0
     Y = np.linalg.solve(G, RHS)
     Y = Y + np.linalg.solve(G, RHS - G @ Y)
     return Y, cond
@@ -269,13 +273,14 @@ def no_spillover(A, X_c, Lambda_c, Lambda_a, space: ScalarProductSpace,
     G = gram_matrix(X_c, space)
     _gram_compatibility(G, Lambda_a, space, cls, tol).require(
         _INCOMPATIBLE, "condition_residual")
-    return _no_spillover_update(G, X_c, X_c @ (Lambda_a - Lambda_c), space,
-                                tol.rank_tol)
+    return _no_spillover_update(G, X_c, X_c @ (Lambda_a - Lambda_c),
+                                _star_h(X_c, space), tol.rank_tol)
 
 
-def _no_spillover_update(G, X, B, space, rank_tol):
-    """``B G^-1 X* H`` for ``B = X D`` and ``G = X* H X``, which depends
-    only on the map ``X -> B``: ``(X T, B T)`` gives it for invertible T.
+def _no_spillover_update(G, X, B, XsH, rank_tol):
+    """``B G^-1 X* H`` for ``B = X D``, ``G = X* H X`` and ``XsH = X* H``,
+    which depends only on the map ``X -> B``: ``(X T, B T)`` gives it for
+    invertible T.
 
     G counts as singular when its smallest singular value is at most
     ``rank_tol * ||X||_F^2``.  H is unitary, so ``||G|| <= ||X||_F^2``:
@@ -290,7 +295,7 @@ def _no_spillover_update(G, X, B, space, rank_tol):
             rank_tol * frob(X) ** 2, at_least=True).require(
         "X_c* H X_c is numerically singular; the changed family is not "
         "self-contained under the eigenvalue pairing", "singular value")
-    Y, cond = gram_inverse_apply(G, _star_h(X, space))
+    Y, cond = gram_inverse_apply(G, XsH)
     if cond > COND_WARN:
         warnings.warn(
             f"Gram matrix badly conditioned (1-norm estimate {cond:.2e}); "

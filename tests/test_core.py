@@ -75,6 +75,32 @@ class TestScalarProductSpace:
         assert ScalarProductSpace.flip(4, field="complex").H.dtype == np.complex128
         assert ScalarProductSpace(golden.LIE4_H, star="ct").H.dtype == np.complex128
 
+    def test_h_is_stored_exactly_eps1_symmetric(self, rng):
+        # a Householder reflector is orthogonal and symmetric; one entry
+        # 1e-7 off passes validation at structure_tol 1e-5
+        v = rng.standard_normal((6, 1))
+        H = np.eye(6) - 2 * (v @ v.T) / (v.T @ v)
+        H[0, 1] += 1e-7
+        space = ScalarProductSpace(H, star="t", field="real",
+                                   structure_tol=1e-5)
+        assert np.array_equal(space.H.T, space.epsilon1 * space.H)
+        A = rng.standard_normal((6, 6))
+        ref = np.linalg.solve(space.H, A.T @ space.H)
+        assert frob(adjoint(A, space) - ref) <= 1e-13 * frob(ref)
+
+    @pytest.mark.parametrize("H,star", [
+        (golden.JORDAN5_H, "t"), (golden.LIE4_H, "ct"),
+        (ScalarProductSpace.skewj(4, star="t", field="real").H, "t"),
+        (ScalarProductSpace.flip(4, star="t").H, "t"),
+        (np.diag([1j, -1j, 1j]), "t"),
+    ], ids=["jordan5", "lie4", "skewj", "flip", "phased-signature"])
+    def test_exactly_symmetric_h_is_stored_as_given(self, H, star):
+        # equal as spaces compare H: a zero may change its sign
+        space = ScalarProductSpace(H, star=star, structure_tol=1e-3)
+        assert np.array_equal(space.H, H)
+        assert space == ScalarProductSpace(space.H, star=star,
+                                           structure_tol=1e-3)
+
     def test_equal_by_value_and_hashable(self):
         a = ScalarProductSpace.skewj(4, star="t", field="real")
         b = ScalarProductSpace(np.array(a.H), star="t", field="real")

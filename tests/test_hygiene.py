@@ -5,10 +5,12 @@ module loads a scipy submodule at import time, ``scipy.linalg`` and
 field-keeping modules never cast to complex outside ``as_matrix``, the
 verification oracle calls no eigenvector solver, factors no square matrix
 outside its fallback and memoizes the spectrum of no matrix but the
-unperturbed A, and every threshold test raises through ``core._decide``."""
+unperturbed A, no code but ``core._DenseH`` solves with H, and every
+threshold test raises through ``core._decide``."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -396,6 +398,76 @@ _FALLBACK = ("def _rank_and_structure(delta, B):\n"
 ])
 def test_oracle_factorization_rule_catches_a_planted_call(planted, flagged):
     assert bool(_oracle_factorizations(ast.parse(planted))) == flagged
+
+
+# H is solved with in one place, ``core._DenseH``, which inverts a dense H
+# once per space; everywhere else ``H^-1`` comes from ``space.h_solve``,
+# which is exact by indexing for a signed or phased permutation H
+H_SOLVERS = {"solve", "inv", "pinv", "lstsq", "lu", "lu_factor", "lu_solve",
+             "cho_factor", "solve_triangular", "getrf"}
+H_SOLVE_HOME = ("core.py", "_DenseH")
+
+
+def _names_h(node):
+    """True when the expression mentions H: the name ``H``, ``H`` with a
+    digit or ``_...`` suffix, a name ending in ``_H``, or an attribute
+    ``.H``."""
+    return any(isinstance(n, ast.Name)
+               and re.fullmatch(r"H(\d*|_\w*)|\w*_H", n.id)
+               or isinstance(n, ast.Attribute) and n.attr == "H"
+               for n in ast.walk(node))
+
+
+def _solves_with_h(tree, module):
+    """Lines calling a dense solver or factorization (numpy's ``solve``
+    and ``inv``, a scipy solver) on an argument that mentions H, outside
+    ``core._DenseH``."""
+    home = {id(n) for c in ast.walk(tree)
+            if (module, getattr(c, "name", None)) == H_SOLVE_HOME
+            and isinstance(c, ast.ClassDef) for n in ast.walk(c)}
+    return [call.lineno for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and id(call) not in home
+            and _called_name(call) in H_SOLVERS
+            and any(_names_h(a) for a in
+                    call.args + [kw.value for kw in call.keywords])]
+
+
+def test_only_the_dense_h_operator_solves_with_h():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SOURCES}
+    hits = {name: lines for name, tree in trees.items()
+            if (lines := _solves_with_h(tree, name))}
+    assert not hits, f"solves with H outside core._DenseH: {hits}"
+    # the rule sees the one solve it allows
+    assert len(_solves_with_h(trees["core.py"], "other.py")) == 1
+
+
+@pytest.mark.parametrize("module,planted,flagged", [
+    # the generator's solve that space.h_solve replaced
+    ("diagnostics.py", "def _random_automorphism(space_H, K):\n"
+     "    return np.linalg.solve(space_H, K)", True),
+    ("diagnostics.py", "W = np.linalg.solve(space.H, K)", True),
+    ("core.py", "def adjoint(A, space):\n"
+     "    return np.linalg.solve(space.H, A.T @ space.H)", True),
+    ("core.py", "class _MonomialH:\n    def solve(self, B):\n"
+     "        return np.linalg.solve(self.H, B)", True),
+    ("subspaces.py", "lu = scipy.linalg.lu_factor(H)", True),
+    ("spectral.py", "Y = scipy.linalg.solve(H0.T, b=B)", True),
+    ("diagnostics.py", "G = np.linalg.inv(H_u)", True),
+    # the home is one class of core
+    ("diagnostics.py", "class _DenseH:\n    def inv(self):\n"
+     "        return np.linalg.inv(self.H)", True),
+    ("core.py", "class _DenseH:\n    def inv(self):\n"
+     "        return np.linalg.inv(self.H)", False),
+    # what the rule leaves alone
+    ("diagnostics.py", "W = space.h_solve(K)", False),
+    ("diagnostics.py", "A = np.linalg.solve(UG, A0 @ UG)", False),
+    ("subspaces.py", "Y = np.linalg.solve(G, HB - G @ Y)", False),
+    ("core.py", "def h_solve(self, B):\n"
+     "    return self._h_op.solve(np.asarray(B))", False),
+])
+def test_h_solve_rule_catches_a_planted_call(module, planted, flagged):
+    assert bool(_solves_with_h(ast.parse(planted), module)) == flagged
 
 
 # the oracle keeps one thing between calls, the eigenvalues of the

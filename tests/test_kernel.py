@@ -332,19 +332,25 @@ def test_unparametrized_updates_solve_at_most_2p_columns(monkeypatch, field,
     La = _compatible(X_c, space, cls, rng)
 
     seen = _solve_spy(monkeypatch, space)
+    # (columns p, whether the update applies H^-1): the family updates apply
+    # it to at most 2p columns; the complementary update is the no-spillover
+    # formula, which applies neither H^-1 nor a solve with its basis
     runs = [
-        (2, lambda: map_family(X, S @ X, space, cls).family_base),
-        (2, lambda: reassign_family(S, asm, space, cls, verify=False)),
-        (2, lambda: reproduce_invariant(S, X, D, space, cls)),
-        (X_c.shape[1],
+        (2, True, lambda: map_family(X, S @ X, space, cls).family_base),
+        (2, True, lambda: reassign_family(S, asm, space, cls, verify=False)),
+        (2, True, lambda: reproduce_invariant(S, X, D, space, cls)),
+        (X_c.shape[1], False,
          lambda: preserve_complementary(S, X_c, La, X_f, L_f, space, cls)),
     ]
-    for p, run in runs * 2:
+    for p, family, run in runs * 2:
         for key in ("h_solve", "lu_solve", "dense"):
             seen[key].clear()
         run()
-        assert seen["h_solve"], "the update never applied H^-1"
-        assert all(shape[1] <= 2 * p for shape in seen["h_solve"])
+        if family:
+            assert seen["h_solve"], "the update never applied H^-1"
+            assert all(shape[1] <= 2 * p for shape in seen["h_solve"])
+        else:
+            assert not seen["h_solve"] and not seen["lu_solve"]
         assert all(shape[1] <= 2 * p for shape in seen["lu_solve"])
         assert not [c for c in seen["dense"] if c[0] == "inv" or c[1] == (n, n)]
     # H is inverted once for the space, and not at all when it is monomial;

@@ -216,6 +216,24 @@ def test_nan_right_hand_side_is_infeasible():
     _fails_on_nan(lambda: map_family(X, _nan(B), space, JORDAN), "feasibility")
 
 
+@pytest.mark.parametrize("call,condition", [
+    # W = X* H B carries X* H A X: only its symmetry test sees the NaN
+    (lambda A, V, w, space: subspaces.reproduce_invariant(
+        A, V[:, :2], _targets(space, w), space, JORDAN), "feasibility"),
+    (lambda A, V, w, space: subspaces.preserve_invariant(
+        A, V[:, :2], np.diag(w[:2]), np.eye(2), _targets(space, w), space,
+        JORDAN), "invariant_pair_residual"),
+    (lambda A, V, w, space: subspaces.preserve_complementary(
+        A, V[:, :2], _targets(space, w), V[:, 2:], np.diag(w[2:]), space,
+        JORDAN), "invariant_pair_residual"),
+], ids=["reproduce_invariant", "preserve_invariant", "preserve_complementary"])
+def test_nan_operator_fails_a_named_condition(call, condition):
+    space, A, w, V = _flip_setup()
+    A = A.copy()
+    A[3, 4] = np.nan
+    _fails_on_nan(lambda: call(A, V, w, space), condition)
+
+
 def _raise_first_violation(report):
     """Raise the first violation of a feasibility report, as map_family
     does."""

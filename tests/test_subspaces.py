@@ -21,6 +21,7 @@ from specpreserve import (
     numerical_rank,
     reassign_simple,
     sample_structured,
+    structure_residual,
 )
 from specpreserve import subspaces
 from specpreserve.spectral import jordan_block
@@ -119,6 +120,17 @@ class TestPreserveInvariant:
         Lc = np.diag(w[:2])
         delta = subspaces.preserve_invariant(A, X, Lc, np.eye(2), Lc, space, cls)
         assert np.linalg.norm(delta) <= 1e-9 * max(1.0, np.linalg.norm(A))
+
+    def test_rank_deficient_basis_rejected(self):
+        # the certified family entry takes a full-rank basis, on which the
+        # range condition of A X = B holds
+        space = ScalarProductSpace.flip(6, star="ct")
+        A, w, V = _structured_with_eigbasis(space, "jordan", seed=15)
+        X, Lc = V[:, [0, 0]], np.diag(w[[0, 0]])
+        with pytest.raises(StructureError) as exc:
+            subspaces.preserve_invariant(A, X, Lc, np.eye(2), Lc, space,
+                                         "jordan")
+        assert exc.value.condition == "rank"
 
     def test_identity_r_reduces_to_reproduce(self, rng):
         space = ScalarProductSpace.flip(6, star="ct")
@@ -250,6 +262,182 @@ class TestPreserveComplementary:
                 np.linalg.norm(X_c) * np.linalg.norm(X_f) * np.linalg.norm(space.H))
 
 
+def _quad(v):
+    return [v, np.conj(v), -v, -np.conj(v)]
+
+
+def _couple(v):
+    return [v, -np.conj(v)]
+
+
+# arrangement -> (field, star, class, eps1 of a random H, preset, changed
+# values, their targets, fixed values); each changed set is one closed
+# pairing family, so the targets keep G L = e2 L* G on its eigenvectors
+SPLITS = {
+    "real-jordan": ("real", "T", "jordan", 1, "identity", [1.0, 2.0],
+                    [1.5, 2.5], [-1.0, -2.0, 3.0, 4.0, -3.0, 5.0]),
+    # complex eigenvector data on a real space
+    "real-lie": ("real", "T", "lie", -1, "skewj", _quad(1 + 2j),
+                 _quad(1.5 + 2.5j), _quad(3 + 0.5j)),
+    "complex-lie": ("complex", "CT", "lie", 1, "flip", _couple(1 + 2j),
+                    _couple(1.5 + 2.5j),
+                    _couple(3 + 1j) + _couple(0.5 + 2.5j) + _couple(2 - 1j)),
+}
+
+
+def _generated_split(name, dense):
+    """(instance, X_c, Lambda_c, Lambda_a, X_f, Lambda_f) of eigenvectors
+    of a generated n = 8 instance, on the preset H or a random dense H."""
+    field, star, cls, eps1, preset, cur, tgt, fixed = SPLITS[name]
+    inst = generate_instance(InstanceRecipe(
+        "random" if dense else preset, cls, field, star,
+        tuple(PlanGroup(v, (1,)) for v in cur + fixed), seed=5,
+        eps1=eps1 if dense else 0))
+    chains = {complex(p.value): p.chain for p in inst.pairs}
+    X_c, X_f = (np.hstack([chains[complex(v)] for v in vs])
+                for vs in (cur, fixed))
+    return inst, X_c, np.diag(cur), np.diag(tgt), X_f, np.diag(fixed)
+
+
+class TestComplementaryIsNoSpillover:
+    """The certified gap forces X_c* H X_f = 0, so the complementary update
+    is the no-spillover update, and it fixes the fixed pair."""
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["preset", "dense"])
+    @pytest.mark.parametrize("name", list(SPLITS))
+    def test_equals_no_spillover_and_fixes_x_f(self, name, dense):
+        inst, X_c, Lc, La, X_f, Lf = _generated_split(name, dense)
+        delta = subspaces.preserve_complementary(inst.A, X_c, La, X_f, Lf,
+                                                 inst.space, inst.cls)
+        ref = subspaces.no_spillover(inst.A, X_c, Lc, La, inst.space,
+                                     inst.cls)
+        assert np.linalg.norm(delta - ref) <= 1e-12 * np.linalg.norm(ref)
+        for x in X_f.T:
+            assert (np.linalg.norm(delta @ x)
+                    <= 1e-12 * np.linalg.norm(delta) * np.linalg.norm(x))
+
+    @pytest.mark.parametrize("name", ["real-jordan", "complex-lie"])
+    def test_empty_fixed_block_is_disjoint_from_all(self, name):
+        inst, X_c, Lc, La, X_f, Lf = _generated_split(name, dense=False)
+        X = np.hstack([X_c, X_f])
+        L_all = scipy.linalg.block_diag(Lc, Lf)
+        L_new = scipy.linalg.block_diag(La, 1.25 * Lf)
+        delta = subspaces.preserve_complementary(
+            inst.A, X, L_new, X[:, :0], np.zeros((0, 0)), inst.space,
+            inst.cls)
+        ref = subspaces.no_spillover(inst.A, X, L_all, L_new, inst.space,
+                                     inst.cls)
+        assert np.linalg.norm(delta - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("name", ["real-jordan", "complex-lie"])
+    def test_empty_changed_block_gives_the_zero_update(self, name):
+        inst, X_c, Lc, La, X_f, Lf = _generated_split(name, dense=False)
+        X = np.hstack([X_c, X_f])
+        delta = subspaces.preserve_complementary(
+            inst.A, X[:, :0], np.zeros((0, 0)), X,
+            scipy.linalg.block_diag(Lc, Lf), inst.space, inst.cls)
+        assert delta.shape == inst.A.shape and delta.dtype == inst.A.dtype
+        assert not delta.any()
+
+def _unstructured(A, seed, size=1e-6):
+    """A plus a random real term of relative size 1e-6, out of the algebra
+    by far more than the residual tolerance."""
+    E = np.random.default_rng(seed).standard_normal(A.shape)
+    return A + size * np.linalg.norm(A) / np.linalg.norm(E) * E
+
+
+class TestUnstructuredOperator:
+    """W = X* H B carries ``X* H A X``, so the symmetry test of the family
+    is the one check on an A that leaves the algebra."""
+
+    @pytest.mark.parametrize("name", list(SPLITS))
+    def test_reproduce_refuses(self, name):
+        inst, X_c, _, La, _, _ = _generated_split(name, dense=False)
+        with pytest.raises(StructureError) as exc:
+            subspaces.reproduce_invariant(_unstructured(inst.A, 1), X_c, La,
+                                          inst.space, inst.cls)
+        assert exc.value.condition == "feasibility"
+
+    @pytest.mark.parametrize("name", list(SPLITS))
+    def test_preserve_refuses(self, name):
+        # A X_c = X_c Lambda_c holds exactly for the Lambda_c that A carries
+        # after a 1e-6 off-diagonal term, which G Lambda_c = e2 Lambda_c* G
+        # then fails
+        inst, X_c, Lc, La, _, _ = _generated_split(name, dense=False)
+        p = X_c.shape[1]
+        M = 1e-6 * np.eye(p, k=1)
+        A = inst.A + X_c @ M @ np.linalg.pinv(X_c)
+        with pytest.raises(StructureError) as exc:
+            subspaces.preserve_invariant(A, X_c, Lc + M, np.eye(p), La,
+                                         inst.space, inst.cls)
+        assert exc.value.condition == "feasibility"
+
+
+def _near_fixed_split(eps):
+    """A real Jordan instance on the identity H whose fixed value 1 + 1e-4
+    lies just outside ten times the separation from the changed value 1,
+    with that fixed eigenvector moved by eps along the changed one: its
+    pair residual is eps 1e-4 and ``X_c* H X_f`` is eps.  Returns (A,
+    space, X_c, Lambda_a, moved X_f, Lambda_f, exact X_f)."""
+    cur, tgt, fixed = [1.0, 2.0], [1.5, 2.5], [1.0 + 1e-4, -1.0, 3.0, 5.0]
+    inst = generate_instance(InstanceRecipe(
+        "identity", "jordan", "real", "T",
+        tuple(PlanGroup(v, (1,)) for v in cur + fixed), seed=5))
+    chains = {complex(p.value): p.chain for p in inst.pairs}
+    X_c, X_f = (np.hstack([chains[complex(v)] for v in vs])
+                for vs in (cur, fixed))
+    moved = X_f.copy()
+    moved[:, 0] += eps * X_c[:, 0] / np.linalg.norm(X_c[:, 0]) ** 2
+    return (inst.A, inst.space, X_c, np.diag(tgt), moved, np.diag(fixed),
+            X_f)
+
+
+class TestComplementaryFixedBasis:
+    """The update fixes the H-orthogonal complement of range(X_c), so a
+    fixed basis that is not H-orthogonal to X_c is decided, not trusted."""
+
+    def test_basis_off_h_orthogonality_is_refused(self):
+        A, space, X_c, La, X_f, Lf, _ = _near_fixed_split(1e-3)
+        with pytest.raises(StructureError) as exc:
+            subspaces.preserve_complementary(A, X_c, La, X_f, Lf, space,
+                                             "jordan")
+        assert exc.value.condition == "h_orthogonality"
+
+    def test_basis_error_stays_out_of_the_structure(self):
+        # within the decision the update is structured to rounding and fixes
+        # the exact eigenvectors, and the moved X_f to the decided bound;
+        # the basis-inverse solution [B_c, 0] [X_c X_f]^-1 fixes the moved
+        # X_f to rounding and leaves the algebra by about eps
+        tol = ToleranceProfile()
+        A, space, X_c, La, X_f, Lf, exact = _near_fixed_split(1e-6)
+        delta = subspaces.preserve_complementary(A, X_c, La, X_f, Lf, space,
+                                                 "jordan")
+        scale = np.linalg.norm(delta)
+        assert structure_residual(delta, space, "jordan") <= 1e-13 * scale
+        assert np.linalg.norm(delta @ exact) <= 1e-14 * scale
+        assert (np.linalg.norm(delta @ X_f)
+                <= tol.eig_tol * scale * np.linalg.norm(X_f))
+        X = np.hstack([X_c, X_f])
+        B = np.hstack([X_c @ La - A @ X_c, np.zeros_like(X_f)])
+        inverse_route = np.linalg.solve(X.T, B.T).T
+        assert np.linalg.norm(inverse_route @ X_f) <= 1e-14 * scale
+        assert structure_residual(inverse_route, space, "jordan") >= 1e-7 * scale
+
+    @pytest.mark.parametrize("scale", [1e5, 1e6])
+    @pytest.mark.parametrize("name", list(SPLITS))
+    def test_column_scale_of_x_c_leaves_the_update(self, name, scale):
+        # the Gram test sees X_c with unit columns, as the update does not
+        # depend on their scale
+        inst, X_c, _, La, X_f, Lf = _generated_split(name, dense=False)
+        D = np.diag([1.0] + [1 / scale] * (X_c.shape[1] - 1))
+        ref = subspaces.preserve_complementary(inst.A, X_c, La, X_f, Lf,
+                                               inst.space, inst.cls)
+        got = subspaces.preserve_complementary(
+            inst.A, X_c @ D, np.linalg.solve(D, La @ D), X_f, Lf, inst.space,
+            inst.cls)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def _jordan_fixed_case():
     """A real Jordan instance on a signature space: X_c is the simple
     eigenvalue 3, and the fixed pair holds two length-2 chains and a simple
@@ -316,6 +504,15 @@ class TestFixedSpectrum:
 
 
 class TestNoSpillover:
+    @pytest.mark.parametrize("name", ["real-jordan", "complex-lie"])
+    def test_no_changed_columns_give_the_zero_update(self, name):
+        inst = _generated_split(name, dense=False)[0]
+        empty = np.zeros((0, 0))
+        delta = subspaces.no_spillover(inst.A, np.zeros((8, 0)), empty,
+                                       empty, inst.space, inst.cls)
+        assert delta.shape == inst.A.shape and delta.dtype == inst.A.dtype
+        assert not delta.any()
+
     def test_same_target_gives_zero(self):
         space = ScalarProductSpace.flip(6, star="ct")
         cls = StructureClass.JORDAN
