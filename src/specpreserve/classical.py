@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (DEFAULT_RANK_TOL, _check_full_column_rank,
-                   _check_invariant_pair, _decide, as_matrix, pseudoinverse)
-from .errors import ArgumentError
+                   _check_invariant_pair, _decide, _square, as_matrix,
+                   pseudoinverse)
 
 __all__ = [
     "brauer_update",
@@ -29,10 +29,7 @@ EIGPAIR_TOL = 1e-6
 
 
 def _as_vector(x, n, name):
-    x = as_matrix(x, name).reshape(-1)
-    if x.shape[0] != n:
-        raise ArgumentError(f"{name} must have length {n}, got {x.shape[0]}")
-    return x
+    return as_matrix(np.ravel(x), name, shape=(n, 1))[:, 0]
 
 
 def brauer_update(A, x_k, lambda_k, q):
@@ -42,7 +39,7 @@ def brauer_update(A, x_k, lambda_k, q):
     The direction x_k stays an eigenvector of the result; that identity is
     algebraic and holds for any q.
     """
-    A = as_matrix(A, "A")
+    A = as_matrix(A, "A", shape=_square(A))
     n = A.shape[0]
     x_k = _as_vector(x_k, n, "x_k")
     q = _as_vector(q, n, "q")
@@ -57,7 +54,7 @@ def brauer_shift(A, lam, v, r, mu):
     Requires the normalization ``r^T v = 1``; the eigenvector v is kept:
     ``(A + (mu - lam) v r^T) v = mu v``.
     """
-    A = as_matrix(A, "A")
+    A = as_matrix(A, "A", shape=_square(A))
     n = A.shape[0]
     v = _as_vector(v, n, "v")
     r = _as_vector(r, n, "r")
@@ -76,14 +73,12 @@ def rado_update(A, X, Omega, C):
     spectrum of the result is ``eig(Omega + C X)`` together with the
     untouched eigenvalues of A.
     """
-    A = as_matrix(A, "A")
-    X = as_matrix(X, "X")
-    Omega = as_matrix(Omega, "Omega")
-    C = as_matrix(C, "C")
+    A = as_matrix(A, "A", shape=_square(A))
     n = A.shape[0]
+    X = as_matrix(X, "X", shape=(n, None))
     p = X.shape[1]
-    if X.shape[0] != n or Omega.shape != (p, p) or C.shape != (p, n):
-        raise ArgumentError("inconsistent shapes for rado_update")
+    Omega = as_matrix(Omega, "Omega", shape=(p, p))
+    C = as_matrix(C, "C", shape=(p, n))
     _check_full_column_rank(X, DEFAULT_RANK_TOL, "rank",
                             "eigenvector matrix X is rank deficient")
     _check_invariant_pair(A, X, Omega, EIGPAIR_TOL, "A X = X Omega")
@@ -97,19 +92,16 @@ def reproduce_invariant(A, X_a, Lambda_a, Z=None):
 
     Any choice of Z works; Z = None means Z = 0.
     """
-    A = as_matrix(A, "A")
-    X_a = as_matrix(X_a, "X_a")
-    Lambda_a = as_matrix(Lambda_a, "Lambda_a")
+    A = as_matrix(A, "A", shape=_square(A))
     n = A.shape[0]
-    p = X_a.shape[1]
-    if X_a.shape[0] != n or Lambda_a.shape != (p, p):
-        raise ArgumentError("inconsistent shapes for reproduce_invariant")
+    X_a = as_matrix(X_a, "X_a", shape=(n, None))
+    Lambda_a = as_matrix(Lambda_a, "Lambda_a", shape=(X_a.shape[1],) * 2)
     _check_full_column_rank(X_a, DEFAULT_RANK_TOL, "rank",
                             "X_a is rank deficient")
     Xd = pseudoinverse(X_a)
     delta = (X_a @ Lambda_a - A @ X_a) @ Xd
     if Z is not None:
-        Z = as_matrix(Z, "Z")
+        Z = as_matrix(Z, "Z", shape=(n, n))
         delta = delta + Z @ (np.eye(n) - X_a @ Xd)
     return delta
 
@@ -120,15 +112,13 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, Z=None):
 
         delta = X_c (R L_a - L_c R) (X_c R)^+ + Z (I - X_c R (X_c R)^+)
     """
-    A = as_matrix(A, "A")
-    X_c = as_matrix(X_c, "X_c")
-    Lambda_c = as_matrix(Lambda_c, "Lambda_c")
-    Lambda_a = as_matrix(Lambda_a, "Lambda_a")
-    R = as_matrix(R, "R")
+    A = as_matrix(A, "A", shape=_square(A))
     n = A.shape[0]
+    X_c = as_matrix(X_c, "X_c", shape=(n, None))
     p = X_c.shape[1]
-    if R.shape != (p, p) or Lambda_a.shape != (p, p) or Lambda_c.shape != (p, p):
-        raise ArgumentError("inconsistent shapes for preserve_invariant")
+    Lambda_c = as_matrix(Lambda_c, "Lambda_c", shape=(p, p))
+    Lambda_a = as_matrix(Lambda_a, "Lambda_a", shape=(p, p))
+    R = as_matrix(R, "R", shape=(p, p))
     _check_full_column_rank(R, DEFAULT_RANK_TOL, "nonsingular_R",
                             "R is numerically singular")
     _check_invariant_pair(A, X_c, Lambda_c, EIGPAIR_TOL, "A X_c = X_c Lambda_c")
@@ -136,7 +126,7 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, Z=None):
     XRd = pseudoinverse(XR)
     delta = X_c @ (R @ Lambda_a - Lambda_c @ R) @ XRd
     if Z is not None:
-        Z = as_matrix(Z, "Z")
+        Z = as_matrix(Z, "Z", shape=(n, n))
         delta = delta + Z @ (np.eye(n) - XR @ XRd)
     return delta
 
@@ -145,15 +135,14 @@ def preserve_complementary(A, X_a, X_f, Lambda_a_hat, Lambda_f_hat):
     """Perturbation assigning prescribed restrictions on a complementary pair
     of subspaces: ``delta = [X_a L_a - A X_a | X_f L_f - A X_f] [X_a X_f]^-1``.
     """
-    A = as_matrix(A, "A")
-    X_a = as_matrix(X_a, "X_a")
-    X_f = as_matrix(X_f, "X_f")
-    La = as_matrix(Lambda_a_hat, "Lambda_a_hat")
-    Lf = as_matrix(Lambda_f_hat, "Lambda_f_hat")
+    A = as_matrix(A, "A", shape=_square(A))
     n = A.shape[0]
+    X_a = as_matrix(X_a, "X_a", shape=(n, None))
+    p = X_a.shape[1]
+    X_f = as_matrix(X_f, "X_f", shape=(n, n - p))
+    La = as_matrix(Lambda_a_hat, "Lambda_a_hat", shape=(p, p))
+    Lf = as_matrix(Lambda_f_hat, "Lambda_f_hat", shape=(n - p, n - p))
     X = np.hstack([X_a, X_f])
-    if X.shape != (n, n):
-        raise ArgumentError("[X_a X_f] must be square")
     _check_full_column_rank(X, DEFAULT_RANK_TOL, "nonsingular_basis",
                             "[X_a X_f] is numerically singular")
     B = np.hstack([X_a @ La - A @ X_a, X_f @ Lf - A @ X_f])

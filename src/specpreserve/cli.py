@@ -83,17 +83,40 @@ def _job_path(job, value):
     return os.path.join(job.get("_dir", "."), value)
 
 
+def _job_matrix(job, key):
+    """The matrix in the file the job names under key, a required field."""
+    if not isinstance(job.get(key), str):
+        raise FormatError(f"job needs a matrix file path under {key!r}")
+    return matio.load_matrix(_job_path(job, job[key]))
+
+
+def _number(raw, convert, label):
+    """A number of the job, ``convert(raw)``, or a FormatError naming it."""
+    try:
+        return convert(raw)
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"bad {label} {raw!r}: {e}") from e
+
+
 def _tolerances(job, args) -> ToleranceProfile:
+    """The flags' tolerances, else the job's, else the profile defaults."""
     t = job.get("tolerances", {}) or {}
-    structure = args.tol_structure if args.tol_structure is not None else t.get("structure")
-    residual = args.tol_residual if args.tol_residual is not None else t.get("residual")
-    rank = args.rank_tol if args.rank_tol is not None else t.get("rank")
-    prof = ToleranceProfile()
-    return ToleranceProfile(
-        structure_tol=structure if structure is not None else prof.structure_tol,
-        residual_tol=residual if residual is not None else prof.residual_tol,
-        rank_tol=rank if rank is not None else prof.rank_tol,
-    )
+    if not isinstance(t, dict):
+        raise FormatError(f"bad tolerances {t!r}: expected an object")
+    flags = {"structure": args.tol_structure, "residual": args.tol_residual,
+             "rank": args.rank_tol}
+    given = {k: t.get(k) if flag is None else flag for k, flag in flags.items()}
+    return ToleranceProfile(**{f"{k}_tol": _number(v, float, f"{k} tolerance")
+                               for k, v in given.items() if v is not None})
+
+
+def _load_problem(args):
+    """The job of args, its tolerances, matrix, space and class."""
+    job = _load_job(args.job)
+    tol = _tolerances(job, args)
+    A = _job_matrix(job, "matrix")
+    space = _resolve_space(job, args, A, tol)
+    return job, tol, A, space, _resolve_class(job, args)
 
 
 _SIGNS = {"+": 1.0, "p": 1.0, "1": 1.0, "+1": 1.0,
@@ -167,7 +190,11 @@ def _resolve_class(job, args) -> StructureClass:
     return StructureClass.parse(value)
 
 
-def _resolve_z(job, args, space, cls, seed):
+def _resolve_z(job, args, space, cls):
+    # the seed is read even for a Z that is not random, so a malformed one
+    # is always refused
+    seed = args.seed if args.seed is not None else _number(
+        job.get("seed", 0), int, "seed")
     raw = args.z if args.z is not None else job.get("z", "zero")
     if isinstance(raw, dict):
         if "file" in raw:
@@ -230,12 +257,8 @@ def _fmt_complex(z):
 # ---------------------------------------------------------------------------
 
 def cmd_inspect(args) -> int:
-    job = _load_job(args.job)
-    tol = _tolerances(job, args)
-    A = matio.load_matrix(_job_path(job, job["matrix"]))
+    job, tol, A, space, cls = _load_problem(args)
     n = A.shape[0]
-    space = _resolve_space(job, args, A, tol)
-    cls = _resolve_class(job, args)
 
     res = structure_residual(A, space, cls)
     member = is_member(A, space, cls, tol)
@@ -340,17 +363,12 @@ def _fixed_residual(perturbed, X_f, L_f) -> float:
 
 
 def cmd_reassign(args) -> int:
-    job = _load_job(args.job)
-    tol = _tolerances(job, args)
-    A = matio.load_matrix(_job_path(job, job["matrix"]))
+    job, tol, A, space, cls = _load_problem(args)
     n = A.shape[0]
-    space = _resolve_space(job, args, A, tol)
-    cls = _resolve_class(job, args)
-    seed = args.seed if args.seed is not None else int(job.get("seed", 0))
     currents, targets = _collect_targets(job)
 
     if job.get("eigvecs"):
-        X = matio.load_matrix(_job_path(job, job["eigvecs"]))
+        X = _job_matrix(job, "eigvecs")
         if X.shape != (n, len(currents)):
             raise FormatError(
                 f"eigvecs must be {n} x {len(currents)}, got {X.shape}")
@@ -358,7 +376,7 @@ def cmd_reassign(args) -> int:
     else:
         vecs = _match_eigvecs(A, currents)
 
-    Z = _resolve_z(job, args, space, cls, seed)
+    Z = _resolve_z(job, args, space, cls)
     mode = job.get("mode") or ("family" if Z is not None else "no-spillover")
     result = reassign_simple(
         A, list(zip(currents, vecs)), targets, space, cls, Z=Z, mode=mode,
@@ -369,8 +387,7 @@ def cmd_reassign(args) -> int:
     fixed_supplied = None
     if job.get("fixed_basis"):
         fixed_supplied = _fixed_residual(
-            A + result.delta,
-            matio.load_matrix(_job_path(job, job["fixed_basis"])),
+            A + result.delta, _job_matrix(job, "fixed_basis"),
             _load_lambda(job, job.get("fixed_lambda"), "fixed_lambda"))
 
     if rep.spillover_residual is not None:
@@ -407,31 +424,25 @@ def cmd_reassign(args) -> int:
 
 
 def cmd_invariant(args) -> int:
-    job = _load_job(args.job)
-    tol = _tolerances(job, args)
-    A = matio.load_matrix(_job_path(job, job["matrix"]))
-    space = _resolve_space(job, args, A, tol)
-    cls = _resolve_class(job, args)
-    seed = args.seed if args.seed is not None else int(job.get("seed", 0))
+    job, tol, A, space, cls = _load_problem(args)
     submode = args.submode or job.get("submode")
     if submode not in ("reproduce", "preserve", "complementary", "no-spillover"):
         raise FormatError(
             "invariant needs submode reproduce | preserve | complementary | "
             "no-spillover")
 
-    X = matio.load_matrix(_job_path(job, job["basis"]))
+    X = _job_matrix(job, "basis")
     La = _load_lambda(job, job.get("lambda_target"), "lambda_target")
-    Z = _resolve_z(job, args, space, cls, seed)
+    Z = _resolve_z(job, args, space, cls)
 
     if submode == "reproduce":
         delta = reproduce_invariant(A, X, La, space, cls, Z=Z, tol=tol)
     elif submode == "preserve":
         Lc = _load_lambda(job, job.get("lambda_current"), "lambda_current")
-        R = (matio.load_matrix(_job_path(job, job["r"]))
-             if job.get("r") else np.eye(X.shape[1]))
+        R = _job_matrix(job, "r") if job.get("r") else np.eye(X.shape[1])
         delta = preserve_invariant(A, X, Lc, R, La, space, cls, Z=Z, tol=tol)
     elif submode == "complementary":
-        Xf = matio.load_matrix(_job_path(job, job["fixed_basis"]))
+        Xf = _job_matrix(job, "fixed_basis")
         Lf = _load_lambda(job, job.get("fixed_lambda"), "fixed_lambda")
         delta = preserve_complementary(A, X, La, Xf, Lf, space, cls, tol=tol)
     else:
@@ -477,7 +488,7 @@ def cmd_gen(args) -> int:
             seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
             eps1=int(raw.get("eps1", 0)),
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"malformed recipe: {e}") from e
 
     inst = generate_instance(recipe)

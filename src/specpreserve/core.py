@@ -9,6 +9,8 @@ the Jordan and Lie algebras this library works in.  With H the block flip
 
 ``H^-1`` is applied by indexing when H is a signed or phased permutation,
 and otherwise as a product with the inverse of H, formed once per space.
+``as_matrix`` decides the field of every operand and checks its shape
+against the one its role requires, naming it when they differ.
 """
 
 from __future__ import annotations
@@ -74,12 +76,14 @@ def _decide(condition, value, threshold, *, at_least=False) -> Decision:
                     value > threshold if at_least else value <= threshold)
 
 
-def as_matrix(A, name="matrix", space=None) -> np.ndarray:
+def as_matrix(A, name="matrix", space=None, shape=None) -> np.ndarray:
     """A as a 2-D array in its field, the one place a field is decided:
     float64 when the data is exactly real, unless the space is complex;
     complex128 when it has a nonzero imaginary entry or the space is
     complex.  Anything with a ``field`` (a space, an instance recipe) can
-    stand in for the space.  The test is exact, so nothing is dropped."""
+    stand in for the space.  The test is exact, so nothing is dropped.
+    It is also the one shape test: shape is the pair of extents the role of
+    A requires (None, printed p, matches any), or ArgumentError names A."""
     A = np.asarray(A)
     if (getattr(space, "field", "real") == "complex"
             or np.iscomplexobj(A) and np.any(A.imag)):
@@ -90,7 +94,16 @@ def as_matrix(A, name="matrix", space=None) -> np.ndarray:
         A = A.reshape(-1, 1)
     if A.ndim != 2:
         raise ArgumentError(f"{name} must be 2-dimensional, got shape {A.shape}")
+    if shape and any(s not in (None, a) for s, a in zip(shape, A.shape)):
+        want = " x ".join("p" if s is None else str(s) for s in shape)
+        raise ArgumentError(
+            f"{name} must be {want}, got {A.shape[0]} x {A.shape[1]}")
     return A
+
+
+def _square(A) -> tuple:
+    """The ``as_matrix`` shape of a square A: its row count twice."""
+    return np.shape(A)[:1] * 2
 
 
 class StructureClass(enum.Enum):
@@ -280,10 +293,8 @@ class ScalarProductSpace:
     structure_tol: float = DEFAULT_STRUCTURE_TOL
 
     def __post_init__(self):
-        H = as_matrix(self.H, "H")
+        H = as_matrix(self.H, "H", shape=_square(self.H))
         n = H.shape[0]
-        if H.shape[0] != H.shape[1]:
-            raise ArgumentError(f"H must be square, got shape {H.shape}")
         star = _normalize_star(self.star)
         field = self.field or ("complex" if np.iscomplexobj(H) else "real")
         if field not in ("real", "complex"):
@@ -404,10 +415,7 @@ def adjoint(A, space: ScalarProductSpace) -> np.ndarray:
     to the sign of zeros, and a product with the inverse formed once per
     space for any other H.
     """
-    A = as_matrix(A, "A")
-    n = space.n
-    if A.shape != (n, n):
-        raise ArgumentError(f"A has shape {A.shape}, space has dimension {n}")
+    A = as_matrix(A, "A", shape=(space.n, space.n))
     return space.h_solve(_star_h(A, space))
 
 
@@ -431,6 +439,11 @@ def is_member(A, space: ScalarProductSpace, cls: StructureClass,
             and structure_residual(A, space, cls) <= bound)
 
 
+def _has_svd(M) -> bool:
+    """Whether M has an SVD, which a NaN or infinite entry rules out."""
+    return bool(np.isfinite(M).all())
+
+
 def pseudoinverse(X, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with singular values below
     ``rank_tol * sigma_max`` treated as zero, in the dtype of X.  An X
@@ -438,17 +451,19 @@ def pseudoinverse(X, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     every residual that uses it is NaN and fails its decision."""
     X = np.asarray(X)
     X = X if X.ndim == 2 else as_matrix(X, "X")
-    if not np.isfinite(X).all():
+    if not _has_svd(X):
         return np.full(X.shape[::-1], np.nan, dtype=X.dtype)
     return np.linalg.pinv(X, rcond=rank_tol)
 
 
 def numerical_rank(X, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count of singular values above ``rank_tol * sigma_max``, taken in the
-    field of X."""
+    field of X; an X with a NaN or infinite entry raises ArgumentError."""
     X = as_matrix(X, "X")
     if X.size == 0:
         return 0
+    if not _has_svd(X):
+        raise ArgumentError("X has a NaN or infinite entry, so no SVD")
     s = np.linalg.svd(X, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -461,7 +476,7 @@ def _check_full_column_rank(M, rank_tol, condition, what):
     pass; an M with a NaN or infinite entry fails with NaN singular
     values."""
     p = M.shape[1]
-    s = (np.linalg.svd(M, compute_uv=False) if np.isfinite(M).all()
+    s = (np.linalg.svd(M, compute_uv=False) if _has_svd(M)
          else np.full(min(M.shape), np.nan))
     pth = np.inf if p == 0 else s[p - 1] if p <= s.size else 0.0
     _decide(condition, pth, rank_tol * (s[0] if s.size else 0.0),
@@ -488,7 +503,7 @@ def z_symmetry_residual(Z, space: ScalarProductSpace, cls: StructureClass) -> fl
     ``W = e1 e2 W*`` of the reassignment, mapping and subspace updates; it
     differs from membership in the algebra itself.
     """
-    Z = as_matrix(Z, "Z", space)
+    Z = as_matrix(Z, "Z", space, _square(Z))
     cls = StructureClass.parse(cls)
     s = space.epsilon1 * cls.epsilon2
     return float(np.linalg.norm(space.star_mat(Z) - s * Z))

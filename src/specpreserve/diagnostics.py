@@ -33,6 +33,7 @@ from .core import (
     _decide,
     _normalize_star,
     _real_apply,
+    _square,
     _star,
     _star_h,
     as_matrix,
@@ -261,10 +262,8 @@ def spectrum_multiset_compare(A, B, tol: float = 1e-8) -> SpectrumVerdict:
     (``_eigenvalues``), stays below ``tol * max(1, spectral scale)``.  Each
     spectrum is computed in the field of its matrix, afresh on every call.
     """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise ArgumentError("A and B must be square and of equal size")
+    A = as_matrix(A, "A", shape=_square(A))
+    B = as_matrix(B, "B", shape=A.shape)
     if A.shape[0] > oracle_dim_limit():
         raise ArgumentError(
             f"oracle limited to n <= {oracle_dim_limit()} "
@@ -465,8 +464,8 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A")
-    delta = as_matrix(delta, "delta")
+    A = as_matrix(A, "A", shape=(space.n, space.n))
+    delta = as_matrix(delta, "delta", shape=A.shape)
     notes = []
     X = assembly.X_c
     perturbed = A + delta

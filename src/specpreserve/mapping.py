@@ -40,7 +40,6 @@ from .core import (
     pseudoinverse,
     z_symmetry_residual,
 )
-from .errors import ArgumentError
 
 __all__ = [
     "FeasibilityReport",
@@ -110,21 +109,13 @@ def _feasibility(X, B, Xd, W, space, cls, tol, ranged=True) -> tuple:
     return _decide("range_condition", r_range, thr_range), sym
 
 
-def _check_shapes(X, B, space):
-    X = as_matrix(X, "X", space)
-    B = as_matrix(B, "B", space)
-    if X.shape != B.shape or X.shape[0] != space.n:
-        raise ArgumentError(
-            f"X and B must both be {space.n} x p, got {X.shape} and {B.shape}")
-    return X, B
-
-
 def feasibility_check(X, B, space: ScalarProductSpace, cls: StructureClass,
                       tol: ToleranceProfile | None = None) -> FeasibilityReport:
     """Check whether some structured A satisfies ``A X = B``."""
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    X, B = _check_shapes(X, B, space)
+    X = as_matrix(X, "X", space, (space.n, None))
+    B = as_matrix(B, "B", space, X.shape)
     W = space.star_mat(X) @ space.h_apply(B)
     r_range, r_sym = _feasibility(X, B, pseudoinverse(X, tol.rank_tol), W,
                                   space, cls, tol)
@@ -170,9 +161,7 @@ class StructuredMapSolution:
         ``Z* = e1 e2 Z``."""
         if Z is None:
             return self.family_base
-        Z = as_matrix(Z, "Z", self.space)
-        if Z.shape != (self.space.n,) * 2:
-            raise ArgumentError("Z must be n x n")
+        Z = as_matrix(Z, "Z", self.space, (self.space.n,) * 2)
         thr = tol.structure_tol * max(1.0, frob(Z))
         if real and np.iscomplexobj(Z):
             _decide("z_real", np.max(np.abs(Z.imag)), thr).require(
@@ -211,7 +200,8 @@ def map_family(X, B, space: ScalarProductSpace, cls: StructureClass,
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    X, B = _check_shapes(X, B, space)
+    X = as_matrix(X, "X", space, (space.n, None))
+    B = as_matrix(B, "B", space, X.shape)
     return _family(X, B, space, cls, tol)
 
 

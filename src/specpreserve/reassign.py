@@ -22,7 +22,8 @@ decided once, here; ``mapping._family`` then evaluates the family with no
 feasibility test, as its W is that certificate: O(n^2 p), with one
 n-column application of ``H^-1`` only for the Z term, a product with the
 inverse a dense H gets once per space.  The no-spillover update applies
-the inverse Gram matrix to ``X_c* H``, also O(n^2 p), with no ``H^-1``.
+the inverse Gram matrix to the ``X_c* H`` the certificate's Gram matrix
+was formed from (a real basis forms its own), O(n^2 p), with no ``H^-1``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .core import (
     _star_h,
     as_matrix,
     frob,
-    gram_matrix,
 )
 from .diagnostics import PerturbationReport, verify_reassignment
 from .errors import ArgumentError, RealnessError
@@ -75,30 +75,33 @@ class ReassignmentResult:
     report: PerturbationReport | None
 
 
-def _check_certificate(A, assembly, space, cls, tol):
-    """Raise unless A is n x n and the Gram certificate holds; returns
-    ``X_c* H X_c``."""
-    if A.shape != (space.n,) * 2:
-        raise ArgumentError("A must match the space dimension")
-    G = gram_matrix(assembly.X_c, space)
-    _gram_compatibility(G, assembly.Lambda_a - assembly.Lambda_c, space, cls,
-                        tol, "symmetry_certificate").require(
+def _check_certificate(assembly, space, cls, tol):
+    """Raise unless the Gram certificate holds; returns the assembly's n x p
+    X_c in the field of the space, ``X_c (Lambda_a - Lambda_c)`` and the
+    ``X_c* H`` the Gram matrix tested was formed from."""
+    X = as_matrix(assembly.X_c, "X_c", space, (space.n, None))
+    p = X.shape[1]
+    D = (as_matrix(assembly.Lambda_a, "Lambda_a", space, (p, p))
+         - as_matrix(assembly.Lambda_c, "Lambda_c", space, (p, p)))
+    XsH = _star_h(X, space)
+    _gram_compatibility(XsH @ X, D, space, cls, tol,
+                        "symmetry_certificate").require(
         "assembly fails the Gram symmetry certificate; the requested targets "
         "are incompatible with the structure", "condition_residual")
-    return G
+    return X, X @ D, XsH
 
 
-def _real_basis(assembly):
-    """The kernel's ``(X, B)`` for ``delta X_c = X_c (Lambda_a - Lambda_c)``:
-    on a real arrangement the real basis ``X_c T``, ``B T`` (``Re x_i, Im x_i``
-    per conjugate pair, ``Re x_i`` per self-conjugate column), which gives
-    the same update; realness is checked on it, ``conj(M) = M R``."""
-    X, R = assembly.X_c, assembly.conjugation
-    B = X @ (assembly.Lambda_a - assembly.Lambda_c)
+def _real_basis(assembly, X, B):
+    """The kernel's ``(X, B)`` for ``delta X_c = X_c (Lambda_a - Lambda_c)``,
+    given the assembly's X_c and B: on a real arrangement the real basis
+    ``X_c T``, ``B T`` (``Re x_i, Im x_i`` per conjugate pair, ``Re x_i``
+    per self-conjugate column), which gives the same update; realness is
+    checked on it, ``conj(M) = M R``."""
     if not assembly.real_output:
         return X, B
-    if R is None:
+    if assembly.conjugation is None:
         raise ArgumentError("a real arrangement needs its conjugation map")
+    R = as_matrix(assembly.conjugation, "conjugation", shape=(X.shape[1],) * 2)
     for M in (X, B):
         err = frob(np.conj(M) - M @ R)
         if err > IMAG_CAST_TOL * max(frob(M), 1e-300):
@@ -124,10 +127,9 @@ def reassign_family(A, assembly: ReassignmentAssembly, space: ScalarProductSpace
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A", space)
-    _check_certificate(A, assembly, space, cls, tol)
-
-    X, B = _real_basis(assembly)
+    A = as_matrix(A, "A", space, (space.n,) * 2)
+    X_c, B_c, _ = _check_certificate(assembly, space, cls, tol)
+    X, B = _real_basis(assembly, X_c, B_c)
     delta = _family(X, B, space, cls, tol, None)._member(
         Z, tol, assembly.real_output)
     report = None
@@ -153,8 +155,8 @@ def reassign_no_spillover(A, assembly: ReassignmentAssembly,
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A", space)
-    G = _check_certificate(A, assembly, space, cls, tol)
+    A = as_matrix(A, "A", space, (space.n,) * 2)
+    X_c, B_c, XsH = _check_certificate(assembly, space, cls, tol)
 
     if fixed_spectrum_guard is not None:
         # an empty fixed spectrum is disjoint from everything (gap inf)
@@ -169,10 +171,10 @@ def reassign_no_spillover(A, assembly: ReassignmentAssembly,
                 f"fixed spectrum meets the {what}; the no-spillover "
                 "hypothesis fails", "min gap")
 
-    X, B = _real_basis(assembly)
-    delta = _no_spillover_update(
-        G if X is assembly.X_c else gram_matrix(X, space), X, B,
-        _star_h(X, space), tol.rank_tol)
+    X, B = _real_basis(assembly, X_c, B_c)
+    if X is not X_c:
+        XsH = _star_h(X, space)
+    delta = _no_spillover_update(XsH @ X, X, B, XsH, tol.rank_tol)
     report = None
     if verify:
         report = verify_reassignment(A, delta, assembly, space, cls, tol=tol)
@@ -203,7 +205,7 @@ def reassign_simple(A, eigpairs, targets, space: ScalarProductSpace,
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A", space)
+    A = as_matrix(A, "A", space, (space.n,) * 2)
     eigpairs = [(complex(l), np.asarray(x).reshape(-1, 1)) for l, x in eigpairs]
     targets = [complex(t) for t in targets]
     if len(eigpairs) != len(targets):

@@ -31,6 +31,7 @@ from .core import (
     _check_invariant_pair,
     _decide,
     _normalize_star,
+    _square,
     as_matrix,
     frob,
     gram_matrix,
@@ -561,10 +562,8 @@ def extract_jordan_pairs(A, tol: ToleranceProfile | None = None) -> list:
     ``MAX_EXTRACT_DIM`` rows.
     """
     tol = tol or ToleranceProfile()
-    A = as_matrix(A, "A")
+    A = as_matrix(A, "A", shape=_square(A))
     n = A.shape[0]
-    if A.shape[1] != n:
-        raise ArgumentError("A must be square")
     if n > MAX_EXTRACT_DIM:
         raise ArgumentError(f"Jordan extraction is desk-scale only "
                             f"(n <= {MAX_EXTRACT_DIM}), got {n}")
@@ -780,7 +779,7 @@ def _assemble(A, spec, space, cls, field, tol):
     onto its own, and the partner emits their exact conjugates.
     """
     cls = StructureClass.parse(cls)
-    A = None if A is None else as_matrix(A, "A", space)
+    A = None if A is None else as_matrix(A, "A", space, (space.n,) * 2)
     tol = tol or ToleranceProfile()
     band = SNAP_TOL * spec.spectral_scale
     groups = spec.groups
@@ -801,7 +800,8 @@ def _assemble(A, spec, space, cls, field, tol):
         label = f"{kind} orbit of {orbit.rep:.6g}"
         emitted = []
         for i, (g, (value, target)) in enumerate(zip(gs, values)):
-            chains = _sorted_chains(g)
+            chains = [as_matrix(X, f"chain of {label}", shape=(space.n, None))
+                      for X in _sorted_chains(g)]
             j = i if conj is None else conj[i]
             if j < i:
                 chains = [np.conj(X) for X in emitted[j]]

@@ -15,8 +15,9 @@ no-spillover update ``B_c G^-1 X_c* H``: the certified spectral gap forces
 ``X_c* H X_f = 0`` (``Lambda_f* Y = e2 Y Lambda_c`` has only the zero
 solution; computed pairs meet it to within their residuals, so it is
 decided), and the update is the unique structured delta with
-``delta [X_c X_f] = [B_c, 0]``.  Both no-spillover entries solve with G
-through numpy: O(n^2 p), with no ``H^-1``.
+``delta [X_c X_f] = [B_c, 0]``.  Both no-spillover entries form
+``X_c* H`` once, for G and the update, and solve with G through numpy:
+O(n^2 p), with no ``H^-1``.
 
 The complementary checks cost one n x n x m product ``A X_f``, O(n m w)
 for ``X_f Lambda_f`` with w diagonals in the band of Lambda_f (when it has
@@ -43,6 +44,7 @@ from .core import (
     _check_full_column_rank,
     _check_invariant_pair,
     _decide,
+    _has_svd,
     _gram_compatibility,
     _real_apply,
     _star_h,
@@ -51,7 +53,6 @@ from .core import (
     gram_matrix,
     pseudoinverse,
 )
-from .errors import ArgumentError
 from .mapping import _family
 from .spectral import _form_star, pairing_partner
 
@@ -84,14 +85,13 @@ class CompatibilityReport:
     notes: str = ""
 
 
-def _basis_gram(X_a, Lambda_a, space, tol) -> np.ndarray:
-    """``X_a* H X_a`` after checking that X_a has full column rank and
-    Lambda_a is p x p."""
-    p = X_a.shape[1]
-    if Lambda_a.shape != (p, p):
-        raise ArgumentError("Lambda_a must be p x p for X_a with p columns")
+def _basis_pair(X_a, Lambda_a, space, tol):
+    """X_a as an n x p basis of full column rank and Lambda_a as p x p, in
+    the field of the space, and ``X_a* H X_a``."""
+    X_a = as_matrix(X_a, "X_a", space, (space.n, None))
+    Lambda_a = as_matrix(Lambda_a, "Lambda_a", space, (X_a.shape[1],) * 2)
     _check_full_column_rank(X_a, tol.rank_tol, "rank", "X_a is rank deficient")
-    return gram_matrix(X_a, space)
+    return X_a, Lambda_a, gram_matrix(X_a, space)
 
 
 def lambda_compatibility(X_a, Lambda_a, space: ScalarProductSpace,
@@ -101,10 +101,8 @@ def lambda_compatibility(X_a, Lambda_a, space: ScalarProductSpace,
     on range(X_a): requires ``(X_a* H X_a) L_a = e2 L_a* (X_a* H X_a)``."""
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    X_a = as_matrix(X_a, "X_a", space)
-    Lambda_a = as_matrix(Lambda_a, "Lambda_a", space)
-    d = _gram_compatibility(_basis_gram(X_a, Lambda_a, space, tol), Lambda_a,
-                            space, cls, tol)
+    _, Lambda_a, G = _basis_pair(X_a, Lambda_a, space, tol)
+    d = _gram_compatibility(G, Lambda_a, space, cls, tol)
     return CompatibilityReport(
         condition_residual=d.value, compatible=d.passed,
         notes="" if d.passed else
@@ -119,11 +117,10 @@ def reproduce_invariant(A, X_a, Lambda_a, space: ScalarProductSpace,
     Lambda_a.  Z = None yields the Frobenius-minimal member of the family."""
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A", space)
-    X_a = as_matrix(X_a, "X_a", space)
-    Lambda_a = as_matrix(Lambda_a, "Lambda_a", space)
-    _gram_compatibility(_basis_gram(X_a, Lambda_a, space, tol), Lambda_a, space,
-                        cls, tol).require(_INCOMPATIBLE, "condition_residual")
+    A = as_matrix(A, "A", space, (space.n,) * 2)
+    X_a, Lambda_a, G = _basis_pair(X_a, Lambda_a, space, tol)
+    _gram_compatibility(G, Lambda_a, space, cls, tol).require(
+        _INCOMPATIBLE, "condition_residual")
     B = X_a @ Lambda_a - _real_apply(A, X_a)
     # W = X_a* H B carries X_a* H A X_a, so W = e1 e2 W* is still tested
     return _family(X_a, B, space, cls, tol, "symmetry")._member(
@@ -137,14 +134,12 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
     invariant, in the re-basis X_c R, with new restriction Lambda_a."""
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A", space)
-    X_c = as_matrix(X_c, "X_c", space)
-    Lambda_c = as_matrix(Lambda_c, "Lambda_c", space)
-    Lambda_a = as_matrix(Lambda_a, "Lambda_a", space)
-    R = as_matrix(R, "R", space)
+    A = as_matrix(A, "A", space, (space.n,) * 2)
+    X_c = as_matrix(X_c, "X_c", space, (space.n, None))
     p = X_c.shape[1]
-    if R.shape != (p, p):
-        raise ArgumentError("R must be p x p")
+    Lambda_c = as_matrix(Lambda_c, "Lambda_c", space, (p, p))
+    Lambda_a = as_matrix(Lambda_a, "Lambda_a", space, (p, p))
+    R = as_matrix(R, "R", space, (p, p))
     _check_full_column_rank(R, tol.rank_tol, "nonsingular_R",
                             "R is numerically singular")
     _check_full_column_rank(X_c, tol.rank_tol, "rank", "X_c is rank deficient")
@@ -171,13 +166,12 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A", space)
-    X_c = as_matrix(X_c, "X_c", space)
-    X_f = as_matrix(X_f, "X_f", space)
-    Lambda_a = as_matrix(Lambda_a, "Lambda_a", space)
-    Lambda_f = as_matrix(Lambda_f, "Lambda_f", space)
-    if Lambda_f.shape != (X_f.shape[1],) * 2:
-        raise ArgumentError("Lambda_f must be m x m for X_f with m columns")
+    A = as_matrix(A, "A", space, (space.n,) * 2)
+    X_c = as_matrix(X_c, "X_c", space, (space.n, None))
+    p, m = X_c.shape[1], space.n - X_c.shape[1]
+    X_f = as_matrix(X_f, "X_f", space, (space.n, m))
+    Lambda_a = as_matrix(Lambda_a, "Lambda_a", space, (p, p))
+    Lambda_f = as_matrix(Lambda_f, "Lambda_f", space, (m, m))
     AX_c = _real_apply(A, X_c)
     norm_A = frob(A)
     Lambda_c = pseudoinverse(X_c, tol.rank_tol) @ AX_c
@@ -211,8 +205,6 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
         _INCOMPATIBLE, "condition_residual")
 
     X = np.hstack([X_c, X_f])
-    if X.shape != (space.n,) * 2:
-        raise ArgumentError("[X_c X_f] must be square")
     # one LU of X decides nonsingularity, by LAPACK's reciprocal 1-norm
     # condition estimate (0 for an exactly singular X)
     with _SCIPY_LAPACK_LOCK:
@@ -262,19 +254,18 @@ def no_spillover(A, X_c, Lambda_c, Lambda_a, space: ScalarProductSpace,
     """
     tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A", space)
-    X_c = as_matrix(X_c, "X_c", space)
-    Lambda_c = as_matrix(Lambda_c, "Lambda_c", space)
-    Lambda_a = as_matrix(Lambda_a, "Lambda_a", space)
+    A = as_matrix(A, "A", space, (space.n,) * 2)
+    X_c = as_matrix(X_c, "X_c", space, (space.n, None))
     p = X_c.shape[1]
-    if Lambda_c.shape != (p, p) or Lambda_a.shape != (p, p):
-        raise ArgumentError("Lambda_c and Lambda_a must be p x p")
+    Lambda_c = as_matrix(Lambda_c, "Lambda_c", space, (p, p))
+    Lambda_a = as_matrix(Lambda_a, "Lambda_a", space, (p, p))
     _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol, "A X_c = X_c Lambda_c")
-    G = gram_matrix(X_c, space)
+    XsH = _star_h(X_c, space)
+    G = XsH @ X_c
     _gram_compatibility(G, Lambda_a, space, cls, tol).require(
         _INCOMPATIBLE, "condition_residual")
-    return _no_spillover_update(G, X_c, X_c @ (Lambda_a - Lambda_c),
-                                _star_h(X_c, space), tol.rank_tol)
+    return _no_spillover_update(G, X_c, X_c @ (Lambda_a - Lambda_c), XsH,
+                                tol.rank_tol)
 
 
 def _no_spillover_update(G, X, B, XsH, rank_tol):
@@ -289,7 +280,7 @@ def _no_spillover_update(G, X, B, XsH, rank_tol):
     to rounding fails it even where G alone looks well conditioned (one
     column).  The Frobenius norm costs O(np), the 2-norm an SVD of X.
     """
-    s = (np.linalg.svd(G, compute_uv=False) if np.isfinite(G).all()
+    s = (np.linalg.svd(G, compute_uv=False) if _has_svd(G)
          else np.full(len(G), np.nan))
     _decide("gram_singular", s[-1] if s.size else np.inf,
             rank_tol * frob(X) ** 2, at_least=True).require(

@@ -383,6 +383,75 @@ class TestInvariant:
         assert "[rank]" in capsys.readouterr().err
 
 
+    def _generated(self, tmp_path):
+        """A generated flip/ct Jordan instance with four simple eigenpairs:
+        the job fields of its first pair (basis) and the other three
+        (fixed pair)."""
+        gen_job = {"recipe": {
+            "space": "flip", "class": "jordan", "field": "complex",
+            "star": "ct", "seed": 3,
+            "plan": [{"value": [v, 0.0], "chains": [1]}
+                     for v in (1.0, -2.0, 0.5, 3.0)]},
+            "out": "gen"}
+        (tmp_path / "gen_job.json").write_text(json.dumps(gen_job))
+        assert _run("gen", str(tmp_path / "gen_job.json")) == 0
+        truth = json.loads((tmp_path / "gen" / "ground_truth.json").read_text())
+        chains = [matio.matrix_from_payload(p["chain"]) for p in truth["pairs"]]
+        values = [matio.complex_from_pair(p["value"]) for p in truth["pairs"]]
+        matio.save_matrix(tmp_path / "X.json", chains[0])
+        matio.save_matrix(tmp_path / "Xf.json", np.hstack(chains[1:]))
+        A = matio.load_matrix(tmp_path / "gen" / "A.json")
+        return A, chains, values, {
+            "matrix": "gen/A.json", "space": "gen/H.json", "class": "jordan",
+            "star": "ct", "field": "complex", "basis": "X.json",
+            "lambda_current": [[values[0].real, 0.0]],
+            "lambda_target": [[values[0].real + 1.0, 0.0]], "out": "inv"}
+
+    def test_preserve_mode_on_generated_instance(self, tmp_path):
+        _, _, _, job = self._generated(tmp_path)
+        matio.save_matrix(tmp_path / "R.json", np.array([[2.0]]))
+        (tmp_path / "inv_job.json").write_text(json.dumps(dict(job,
+                                                               r="R.json")))
+        assert _run("invariant", str(tmp_path / "inv_job.json"),
+                    "--submode", "preserve") == 0
+        report = json.loads((tmp_path / "inv" / "report.json").read_text())
+        assert report["submode"] == "preserve"
+        assert report["invariance_residual"] <= 1e-9
+        assert report["structure_residual"] <= 1e-9
+
+    def test_complementary_mode_on_generated_instance(self, tmp_path):
+        A, chains, values, job = self._generated(tmp_path)
+        job = dict(job, fixed_basis="Xf.json",
+                   fixed_lambda=[[v.real, 0.0] for v in values[1:]])
+        (tmp_path / "inv_job.json").write_text(json.dumps(job))
+        assert _run("invariant", str(tmp_path / "inv_job.json"),
+                    "--submode", "complementary") == 0
+        report = json.loads((tmp_path / "inv" / "report.json").read_text())
+        assert report["submode"] == "complementary"
+        assert report["invariance_residual"] <= 1e-9
+        assert report["structure_residual"] <= 1e-9
+        # the fixed pair is kept
+        delta = matio.load_matrix(tmp_path / "inv" / "delta.json")
+        X_f = np.hstack(chains[1:])
+        np.testing.assert_allclose((A + delta) @ X_f,
+                                   X_f @ np.diag(values[1:]), atol=1e-9)
+
+    @pytest.mark.parametrize("change", [
+        {"matrix": None}, {"basis": None}, {"seed": "abc"},
+        {"tolerances": {"structure": "x"}}, {"tolerances": "x"}],
+        ids=["no-matrix", "no-basis", "seed", "tolerance", "tolerances"])
+    def test_malformed_job_field_exits_3(self, jobs_dir, tmp_path, capsys,
+                                         change):
+        d = _copy_job(jobs_dir, "sym3", tmp_path)
+        job = json.loads((d / "job.json").read_text())
+        job.update(change)
+        job = {k: v for k, v in job.items() if v is not None}
+        (d / "job.json").write_text(json.dumps(job))
+        assert _run("invariant", str(d / "job.json")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestGen:
     def test_shipped_demo_job(self, jobs_dir, tmp_path):
         d = _copy_job(jobs_dir, "gen6", tmp_path)

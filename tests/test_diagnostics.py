@@ -338,7 +338,8 @@ class TestRealFieldOracle:
         as_matrix = specpreserve.core.as_matrix
         for module in (specpreserve.core, specpreserve.diagnostics):
             monkeypatch.setattr(module, "as_matrix", lambda A, name="matrix",
-                                space=None: as_matrix(A, name, complex_field))
+                                space=None, shape=None: as_matrix(
+                                    A, name, complex_field, shape))
         seen = helpers.lapack_spy(monkeypatch)
         cplx = verify_reassignment(inst.A.astype(complex),
                                    delta.astype(complex), asm, inst.space,

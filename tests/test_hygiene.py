@@ -5,8 +5,9 @@ module loads a scipy submodule at import time, ``scipy.linalg`` and
 field-keeping modules never cast to complex outside ``as_matrix``, the
 verification oracle calls no eigenvector solver, factors no square matrix
 outside its fallback and memoizes the spectrum of no matrix but the
-unperturbed A, no code but ``core._DenseH`` solves with H, and every
-threshold test raises through ``core._decide``."""
+unperturbed A, no code but ``core._DenseH`` solves with H, every
+threshold test raises through ``core._decide``, and no code but
+``core.as_matrix`` refuses an operand for its shape."""
 
 import ast
 import pathlib
@@ -571,3 +572,83 @@ _CALLER = ("def verify_reassignment(A, delta):\n"
 ])
 def test_memo_rule_catches_a_planted_leak(planted, flagged):
     assert bool(_memo_leaks(ast.parse(planted))) == flagged
+
+
+# ``core.as_matrix`` is the one shape test: each entry passes the shape the
+# role of an operand requires, and a mismatch raises there, naming the
+# operand; no other code tests a shape for (in)equality to raise an
+# ArgumentError.  A bound on a size (the oracle's n <= limit) is no shape
+# rule and is left alone
+SHAPE_HOME = ("core.py", "as_matrix")
+SHAPE_TESTS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+
+
+def _compares_shape(test):
+    """True when the expression compares something reading ``.shape`` for
+    (in)equality."""
+    return any(isinstance(c, ast.Compare)
+               and any(isinstance(op, SHAPE_TESTS) for op in c.ops)
+               and any(isinstance(n, ast.Attribute) and n.attr == "shape"
+                       for n in ast.walk(c))
+               for c in ast.walk(test))
+
+
+def _raised_name(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "attr", None) or getattr(exc, "id", None)
+
+
+def _shape_raises(tree, module):
+    """Lines raising ``ArgumentError`` in either branch of an ``if`` whose
+    test compares a shape for (in)equality, outside ``core.as_matrix``."""
+    home = {id(n) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef)
+            and (module, f.name) == SHAPE_HOME for n in ast.walk(f)}
+    return sorted({raise_.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.If) and id(node) not in home
+                   and _compares_shape(node.test)
+                   for stmt in node.body + node.orelse
+                   for raise_ in ast.walk(stmt)
+                   if isinstance(raise_, ast.Raise) and raise_.exc is not None
+                   and _raised_name(raise_) == "ArgumentError"})
+
+
+def test_only_as_matrix_refuses_an_operand_for_its_shape():
+    hits = {path.name: lines for path in SOURCES
+            if (lines := _shape_raises(
+                ast.parse(path.read_text(encoding="utf-8")), path.name))}
+    assert not hits, f"shape tests outside core.as_matrix: {hits}"
+
+
+@pytest.mark.parametrize("module,planted,flagged", [
+    # the tests as_matrix replaced
+    ("core.py", "def adjoint(A, space):\n    if A.shape != (n, n):\n"
+     "        raise ArgumentError(f'A has shape {A.shape}')", True),
+    ("classical.py", "if X.shape[0] != n or Omega.shape != (p, p):\n"
+     "    raise ArgumentError('inconsistent shapes for rado_update')", True),
+    ("spectral.py", "if A.shape[1] != n:\n"
+     "    raise errors.ArgumentError('A must be square')", True),
+    ("subspaces.py", "if ok:\n    pass\nelif Lambda_f.shape != (m, m):\n"
+     "    raise ArgumentError('Lambda_f must be m x m')", True),
+    ("mapping.py", "if X.shape == B.shape:\n    pass\nelse:\n"
+     "    raise ArgumentError", True),
+    ("reassign.py", "if A.shape != (space.n,) * 2:\n    if strict:\n"
+     "        raise ArgumentError('A must match the space dimension')", True),
+    ("diagnostics.py", "def as_matrix(A, shape):\n    if A.shape != shape:\n"
+     "        raise ArgumentError('A')", True),
+    # the one home, and what the rule leaves alone
+    ("core.py", "def as_matrix(A, shape):\n    if A.shape != shape:\n"
+     "        raise ArgumentError('A')", False),
+    ("spectral.py", "if X.shape != Y.shape:\n"
+     "    raise StructureError('conjugate_chains', 'shapes differ')", False),
+    ("cli.py", "if X.shape != (n, k):\n    raise FormatError('eigvecs')",
+     False),
+    ("core.py", "if L.shape != (m, m) or m < BAND_MIN_ORDER:\n"
+     "    return X @ L", False),
+    ("core.py", "if n % 2:\n    raise ArgumentError('needs even dimension')",
+     False),
+    ("diagnostics.py", "if A.shape[0] > oracle_dim_limit():\n"
+     "    raise ArgumentError('oracle limited to n <= 64')", False),
+])
+def test_shape_rule_catches_a_planted_test(module, planted, flagged):
+    assert bool(_shape_raises(ast.parse(planted), module)) == flagged
