@@ -137,7 +137,7 @@ def preserve_complementary(A, X_a, X_f, Lambda_a_hat, Lambda_f_hat):
     """
     A = as_matrix(A, "A", shape=_square(A))
     n = A.shape[0]
-    X_a = as_matrix(X_a, "X_a", shape=(n, None))
+    X_a = as_matrix(X_a, "X_a", shape=(n, range(n + 1)))
     p = X_a.shape[1]
     X_f = as_matrix(X_f, "X_f", shape=(n, n - p))
     La = as_matrix(Lambda_a_hat, "Lambda_a_hat", shape=(p, p))

@@ -23,6 +23,9 @@ import numpy as np
 
 from . import matio
 from .core import (
+    DEFAULT_RANK_TOL,
+    DEFAULT_RESIDUAL_TOL,
+    DEFAULT_STRUCTURE_TOL,
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
@@ -77,45 +80,48 @@ def _load_job(path):
     return job
 
 
-def _job_path(job, value):
-    if os.path.isabs(value):
-        return value
+def _job_path(job, value, key):
+    """The job's file path value under key, against the job's directory."""
+    if not isinstance(value, str):
+        raise FormatError(f"job needs a file path under {key!r}, got {value!r}")
     return os.path.join(job.get("_dir", "."), value)
 
 
 def _job_matrix(job, key):
     """The matrix in the file the job names under key, a required field."""
-    if not isinstance(job.get(key), str):
-        raise FormatError(f"job needs a matrix file path under {key!r}")
-    return matio.load_matrix(_job_path(job, job[key]))
+    return matio.load_matrix(_job_path(job, job.get(key), key))
 
 
 def _number(raw, convert, label):
-    """A number of the job, ``convert(raw)``, or a FormatError naming it."""
-    try:
-        return convert(raw)
-    except (TypeError, ValueError) as e:
-        raise FormatError(f"bad {label} {raw!r}: {e}") from e
+    """A number of the job, ``convert(raw)``, or a FormatError naming it: a
+    JSON number, and an integral one for ``int``."""
+    want = "an integer" if convert is int else "a number"
+    if not (matio.is_integer if convert is int else matio.is_number)(raw):
+        raise FormatError(f"bad {label} {raw!r}: expected {want}")
+    return convert(raw)
 
 
-def _tolerances(job, args) -> ToleranceProfile:
-    """The flags' tolerances, else the job's, else the profile defaults."""
+def _tolerances(job, args) -> tuple:
+    """The flags' tolerances, else the job's, else the defaults: the space's
+    structure_tol, and the profile of rank_tol and residual_tol."""
     t = job.get("tolerances", {}) or {}
     if not isinstance(t, dict):
         raise FormatError(f"bad tolerances {t!r}: expected an object")
     flags = {"structure": args.tol_structure, "residual": args.tol_residual,
              "rank": args.rank_tol}
     given = {k: t.get(k) if flag is None else flag for k, flag in flags.items()}
-    return ToleranceProfile(**{f"{k}_tol": _number(v, float, f"{k} tolerance")
-                               for k, v in given.items() if v is not None})
+    given = {f"{k}_tol": _number(v, float, f"{k} tolerance")
+             for k, v in given.items() if v is not None}
+    return (given.pop("structure_tol", DEFAULT_STRUCTURE_TOL),
+            ToleranceProfile(**given))
 
 
 def _load_problem(args):
     """The job of args, its tolerances, matrix, space and class."""
     job = _load_job(args.job)
-    tol = _tolerances(job, args)
+    structure_tol, tol = _tolerances(job, args)
     A = _job_matrix(job, "matrix")
-    space = _resolve_space(job, args, A, tol)
+    space = _resolve_space(job, args, A, structure_tol)
     return job, tol, A, space, _resolve_class(job, args)
 
 
@@ -138,7 +144,7 @@ def _parse_signature(spec):
             tokens = list(spec)
         signs = [_SIGNS.get(t) for t in tokens]
     elif isinstance(spec, list):
-        signs = [float(v) if isinstance(v, (int, float)) and v in (1, -1)
+        signs = [float(v) if matio.is_number(v) and v in (1, -1)
                  else None for v in spec]
     else:
         signs = [None]
@@ -147,7 +153,7 @@ def _parse_signature(spec):
     return signs
 
 
-def _resolve_space(job, args, A, tol) -> ScalarProductSpace:
+def _resolve_space(job, args, A, structure_tol) -> ScalarProductSpace:
     """The space of --space or the job.  A job's ``{"file": P}`` and
     ``{"signature": S}`` read as ``file:P`` and ``signature:S``.  With no
     field from --field or the job, it is complex when A has a nonzero
@@ -160,7 +166,7 @@ def _resolve_space(job, args, A, tol) -> ScalarProductSpace:
     star = args.star if args.star is not None else job.get("star", "ct")
     field = args.field if args.field is not None else job.get("field")
     field = field or ("complex" if np.iscomplexobj(as_matrix(A)) else "")
-    kw = dict(star=star, field=field, structure_tol=tol.structure_tol)
+    kw = dict(star=star, field=field, structure_tol=structure_tol)
 
     name = str(spec)
     if isinstance(spec, dict):
@@ -172,15 +178,14 @@ def _resolve_space(job, args, A, tol) -> ScalarProductSpace:
         kind, _, arg = name.partition(":")
     elif name in ("identity", "flip", "skewj", "skewJ"):
         return getattr(ScalarProductSpace, name.lower())(A.shape[0], **kw)
-    elif os.path.exists(_job_path(job, name)):
+    elif os.path.exists(_job_path(job, name, "space")):
         kind, arg = "file", name
     else:
         raise FormatError(f"unknown space preset {name!r}")
     if kind == "signature":
         return ScalarProductSpace.signature(_parse_signature(arg), **kw)
-    if not isinstance(arg, str):
-        raise FormatError(f"bad space file {arg!r}")
-    return ScalarProductSpace(matio.load_matrix(_job_path(job, arg)), **kw)
+    return ScalarProductSpace(matio.load_matrix(_job_path(job, arg, "space")),
+                              **kw)
 
 
 def _resolve_class(job, args) -> StructureClass:
@@ -198,7 +203,7 @@ def _resolve_z(job, args, space, cls):
     raw = args.z if args.z is not None else job.get("z", "zero")
     if isinstance(raw, dict):
         if "file" in raw:
-            return matio.load_matrix(_job_path(job, raw["file"]))
+            return matio.load_matrix(_job_path(job, raw["file"], "z"))
         raise FormatError(f"bad z spec {raw!r}")
     name = str(raw)
     if name == "zero":
@@ -206,7 +211,7 @@ def _resolve_z(job, args, space, cls):
     if name == "random":
         return sample_structured(space, cls, seed)
     if name.startswith("file:"):
-        return matio.load_matrix(_job_path(job, name[5:]))
+        return matio.load_matrix(_job_path(job, name[5:], "z"))
     raise FormatError(f"bad z spec {name!r}")
 
 
@@ -215,7 +220,7 @@ def _load_lambda(job, raw, label):
     if raw is None:
         raise FormatError(f"missing {label}")
     if isinstance(raw, str):
-        return matio.load_matrix(_job_path(job, raw))
+        return matio.load_matrix(_job_path(job, raw, label))
     if isinstance(raw, list):
         return np.diag([matio.complex_from_pair(v) for v in raw])
     raise FormatError(f"bad {label}: expected a path or a list of values")
@@ -225,7 +230,7 @@ def _out_dir(job, args):
     out = args.out if args.out is not None else job.get("out")
     if out is None:
         return None
-    out = _job_path(job, out)
+    out = _job_path(job, out, "out")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -261,7 +266,7 @@ def cmd_inspect(args) -> int:
     n = A.shape[0]
 
     res = structure_residual(A, space, cls)
-    member = is_member(A, space, cls, tol)
+    member = is_member(A, space, cls)
     eigs = np.linalg.eigvals(np.asarray(A, dtype=complex))
     scale = max(1.0, float(np.max(np.abs(eigs))))
 
@@ -286,7 +291,7 @@ def cmd_inspect(args) -> int:
             jordan = f"extraction failed: {e}"
 
     print(f"structure: {cls.name.lower()} member: {member} "
-          f"(residual {res:.6e}, tolerance {tol.structure_tol:g})")
+          f"(residual {res:.6e}, tolerance {space.structure_tol:g})")
     _print_table([
         ("dimension", str(n)),
         ("field", space.field),
@@ -485,8 +490,9 @@ def cmd_gen(args) -> int:
             field=raw.get("field", "complex"),
             star=raw.get("star", "ct" if raw.get("field") != "real" else "t"),
             plan=plan,
-            seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
-            eps1=int(raw.get("eps1", 0)),
+            seed=args.seed if args.seed is not None else _number(
+                raw.get("seed", 0), int, "seed"),
+            eps1=_number(raw.get("eps1", 0), int, "eps1"),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"malformed recipe: {e}") from e
@@ -535,9 +541,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--class", dest="cls", help="jordan | lie")
         p.add_argument("--star", help="t | ct")
         p.add_argument("--field", help="real | complex")
-        p.add_argument("--tol-structure", type=float, default=None)
-        p.add_argument("--tol-residual", type=float, default=None)
-        p.add_argument("--rank-tol", type=float, default=None)
+        p.add_argument("--tol-structure", type=float,
+                       help="the space's structure tolerance in (0, 1), "
+                       f"default {DEFAULT_STRUCTURE_TOL:g}")
+        p.add_argument("--tol-residual", type=float,
+                       help="residual and eigen-data tolerance in (0, 1), "
+                       f"default {DEFAULT_RESIDUAL_TOL:g}")
+        p.add_argument("--rank-tol", type=float,
+                       help="relative singular-value cutoff in (0, 1), "
+                       f"default {DEFAULT_RANK_TOL:g}")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output directory")
 

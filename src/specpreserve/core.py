@@ -83,7 +83,8 @@ def as_matrix(A, name="matrix", space=None, shape=None) -> np.ndarray:
     complex.  Anything with a ``field`` (a space, an instance recipe) can
     stand in for the space.  The test is exact, so nothing is dropped.
     It is also the one shape test: shape is the pair of extents the role of
-    A requires (None, printed p, matches any), or ArgumentError names A."""
+    A requires (None or ``range(k + 1)``, printed p, match any or up to k),
+    or ArgumentError names A."""
     A = np.asarray(A)
     if (getattr(space, "field", "real") == "complex"
             or np.iscomplexobj(A) and np.any(A.imag)):
@@ -94,8 +95,10 @@ def as_matrix(A, name="matrix", space=None, shape=None) -> np.ndarray:
         A = A.reshape(-1, 1)
     if A.ndim != 2:
         raise ArgumentError(f"{name} must be 2-dimensional, got shape {A.shape}")
-    if shape and any(s not in (None, a) for s, a in zip(shape, A.shape)):
-        want = " x ".join("p" if s is None else str(s) for s in shape)
+    if shape and not all(s is None or a == s or isinstance(s, range) and a in s
+                         for s, a in zip(shape, A.shape)):
+        want = " x ".join(str(s) if isinstance(s, int) else "p" for s in shape)
+        want += "".join(f" with p <= {s[-1]}" for s in shape if isinstance(s, range))
         raise ArgumentError(
             f"{name} must be {want}, got {A.shape[0]} x {A.shape[1]}")
     return A
@@ -132,17 +135,22 @@ class StructureClass(enum.Enum):
         raise ArgumentError(f"unknown structure class {value!r}")
 
 
-@dataclass(frozen=True)
-class ToleranceProfile:
-    """Numerical thresholds shared by every operation.
+def _check_tol(name, value):
+    """Refuse a tolerance outside the open interval (0, 1), or NaN."""
+    if not (0.0 < value < 1.0):
+        raise ArgumentError(f"{name} must lie strictly between 0 and 1, got {value}")
 
-    structure_tol gates membership checks, rank_tol is the relative
-    singular-value cutoff, residual_tol gates interpolation residuals.
-    The defaults suit double-precision data; matrices transcribed at a
-    few decimals need a user profile around 1e-3.
+
+@dataclass(frozen=True, kw_only=True)
+class ToleranceProfile:
+    """Numerical thresholds shared by every operation, set by keyword.
+
+    rank_tol is the relative singular-value cutoff, residual_tol gates
+    interpolation residuals; structural tests take the structure_tol of
+    their space.  The defaults suit double-precision data; matrices
+    transcribed at a few decimals need a profile and a space around 1e-3.
     """
 
-    structure_tol: float = DEFAULT_STRUCTURE_TOL
     rank_tol: float = DEFAULT_RANK_TOL
     residual_tol: float = DEFAULT_RESIDUAL_TOL
 
@@ -154,10 +162,8 @@ class ToleranceProfile:
         return max(1e-6, self.residual_tol)
 
     def __post_init__(self):
-        for name in ("structure_tol", "rank_tol", "residual_tol"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ArgumentError(f"{name} must lie strictly between 0 and 1, got {v}")
+        _check_tol("rank_tol", self.rank_tol)
+        _check_tol("residual_tol", self.residual_tol)
 
 
 def _normalize_star(star) -> str:
@@ -274,7 +280,9 @@ class ScalarProductSpace:
         space restricts members to real matrices but still admits complex
         eigenvector data, on which the form acts sesquilinearly.
     structure_tol : float
-        Validation threshold for unitarity and the eps1 symmetry of H.
+        The one structure tolerance, in (0, 1): it validates the unitarity
+        and eps1 symmetry of H, and decides every structural test on the
+        space: membership, Gram compatibility and admissible parameters Z.
 
     The sign eps1 is detected from H and both defining properties are
     checked at construction; an H that fails them (for instance one typed
@@ -293,6 +301,7 @@ class ScalarProductSpace:
     structure_tol: float = DEFAULT_STRUCTURE_TOL
 
     def __post_init__(self):
+        _check_tol("structure_tol", self.structure_tol)
         H = as_matrix(self.H, "H", shape=_square(self.H))
         n = H.shape[0]
         star = _normalize_star(self.star)
@@ -426,14 +435,11 @@ def structure_residual(A, space: ScalarProductSpace, cls: StructureClass) -> flo
     return float(np.linalg.norm(adjoint(A, space) - cls.epsilon2 * A))
 
 
-def is_member(A, space: ScalarProductSpace, cls: StructureClass,
-              tol: ToleranceProfile | float = None) -> bool:
-    """True when A belongs to the Jordan/Lie algebra at the given tolerance."""
-    if tol is None:
-        tol = ToleranceProfile()
-    structure_tol = tol.structure_tol if isinstance(tol, ToleranceProfile) else float(tol)
+def is_member(A, space: ScalarProductSpace, cls: StructureClass) -> bool:
+    """True when A belongs to the Jordan/Lie algebra to the space's
+    structure tolerance."""
     A = as_matrix(A, "A")
-    bound = structure_tol * max(1.0, frob(A))
+    bound = space.structure_tol * max(1.0, frob(A))
     # a real space admits only real matrices
     return ((space.field == "complex" or frob(A.imag) <= bound)
             and structure_residual(A, space, cls) <= bound)
@@ -509,17 +515,18 @@ def z_symmetry_residual(Z, space: ScalarProductSpace, cls: StructureClass) -> fl
     return float(np.linalg.norm(space.star_mat(Z) - s * Z))
 
 
-def _gram_compatibility(G, L, space, cls, tol,
+def _gram_compatibility(G, L, space, cls,
                         condition="lambda_compatibility") -> Decision:
     """Whether the target restriction L is reachable on a basis with Gram
     matrix G.
 
     Because ``G* = e1 G``, ``G L = e2 L* G`` is the certificate
     ``W = e1 e2 W*`` for ``W = G L``, with the same residual norm.  The
-    threshold scales with ``|G| |L|``, the rounding scale of forming W.
+    threshold is the space's structure_tol times ``max(1, |G| |L|)``, the
+    rounding scale of forming W.
     """
     return _decide(condition, z_symmetry_residual(G @ L, space, cls),
-                   tol.structure_tol * max(1.0, frob(G) * frob(L)))
+                   space.structure_tol * max(1.0, frob(G) * frob(L)))
 
 
 def _bandwidth(L) -> tuple[int, int]:

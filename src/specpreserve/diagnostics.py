@@ -429,7 +429,7 @@ def _rank_and_structure(delta, space, cls, k, rank_tol, notes):
 
 def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
                         space: ScalarProductSpace, cls: StructureClass,
-                        tol: ToleranceProfile | None = None,
+                        tol: ToleranceProfile = ToleranceProfile(),
                         check_spillover: bool = True) -> PerturbationReport:
     """Build the verification bundle for a perturbation.
 
@@ -462,7 +462,6 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     eigenvalue solves, the factorizations and every product run in the
     field of their matrices: real LAPACK and BLAS for exactly real data.
     """
-    tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
     A = as_matrix(A, "A", shape=(space.n, space.n))
     delta = as_matrix(delta, "delta", shape=A.shape)

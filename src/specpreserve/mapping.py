@@ -110,9 +110,8 @@ def _feasibility(X, B, Xd, W, space, cls, tol, ranged=True) -> tuple:
 
 
 def feasibility_check(X, B, space: ScalarProductSpace, cls: StructureClass,
-                      tol: ToleranceProfile | None = None) -> FeasibilityReport:
+                      tol: ToleranceProfile = ToleranceProfile()) -> FeasibilityReport:
     """Check whether some structured A satisfies ``A X = B``."""
-    tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
     X = as_matrix(X, "X", space, (space.n, None))
     B = as_matrix(B, "B", space, X.shape)
@@ -148,21 +147,20 @@ class StructuredMapSolution:
     def projector(self) -> np.ndarray:
         return np.eye(self.space.n) - self.X @ self.X_pinv
 
-    def with_z(self, Z, tol: ToleranceProfile | None = None) -> np.ndarray:
+    def with_z(self, Z) -> np.ndarray:
         """Family member for an admissible parameter Z (``Z* = e1 e2 Z``,
-        real on a real space)."""
-        return self._member(Z, tol or ToleranceProfile(),
-                            self.space.field == "real")
+        real on a real space); Z = None gives ``family_base``."""
+        return self._member(Z, self.space.field == "real")
 
-    def _member(self, Z, tol, real) -> np.ndarray:
+    def _member(self, Z, real) -> np.ndarray:
         """``family_base`` for Z = None, else the member for Z checked to be
-        an admissible parameter: n x n, real to the structure tolerance when
-        real is set (checked first; its real part is used), and
-        ``Z* = e1 e2 Z``."""
+        an admissible parameter: n x n, real to the space's structure
+        tolerance when real is set (checked first; its real part is used),
+        and ``Z* = e1 e2 Z``."""
         if Z is None:
             return self.family_base
         Z = as_matrix(Z, "Z", self.space, (self.space.n,) * 2)
-        thr = tol.structure_tol * max(1.0, frob(Z))
+        thr = self.space.structure_tol * max(1.0, frob(Z))
         if real and np.iscomplexobj(Z):
             _decide("z_real", np.max(np.abs(Z.imag)), thr).require(
                 "real arrangements require a real parameter Z", None)
@@ -193,12 +191,11 @@ def _family(X, B, space, cls, tol, test="full") -> StructuredMapSolution:
 
 
 def map_family(X, B, space: ScalarProductSpace, cls: StructureClass,
-               tol: ToleranceProfile | None = None) -> StructuredMapSolution:
+               tol: ToleranceProfile = ToleranceProfile()) -> StructuredMapSolution:
     """Solve ``A X = B`` over the structured class, returning the family.
 
     Raises StructureError when the feasibility conditions fail.
     """
-    tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
     X = as_matrix(X, "X", space, (space.n, None))
     B = as_matrix(B, "B", space, X.shape)
@@ -206,14 +203,12 @@ def map_family(X, B, space: ScalarProductSpace, cls: StructureClass,
 
 
 def solve_structured(X, B, space: ScalarProductSpace, cls: StructureClass,
-                     Z=None, tol: ToleranceProfile | None = None) -> np.ndarray:
+                     Z=None, tol: ToleranceProfile = ToleranceProfile()) -> np.ndarray:
     """Structured solution of ``A X = B`` for one choice of parameter Z."""
-    tol = tol or ToleranceProfile()
-    return map_family(X, B, space, cls, tol)._member(
-        Z, tol, space.field == "real")
+    return map_family(X, B, space, cls, tol).with_z(Z)
 
 
 def minimal_structured(X, B, space: ScalarProductSpace, cls: StructureClass,
-                       tol: ToleranceProfile | None = None) -> np.ndarray:
+                       tol: ToleranceProfile = ToleranceProfile()) -> np.ndarray:
     """The unique Frobenius-minimal structured solution of ``A X = B``."""
     return map_family(X, B, space, cls, tol).family_base

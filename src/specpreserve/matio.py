@@ -28,6 +28,8 @@ __all__ = [
     "save_matrix",
     "load_matrix",
     "complex_from_pair",
+    "is_number",
+    "is_integer",
     "pair_from_complex",
     "dump_json",
 ]
@@ -69,11 +71,22 @@ class MatrixData:
                    entries=tuple(complex(v) for v in a.reshape(-1)))
 
 
+def is_number(v) -> bool:
+    """Whether v is a JSON number: an int or a float, and not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def is_integer(v) -> bool:
+    """Whether v is a JSON number with an integral value, such as 3 or 3.0."""
+    return is_number(v) and v % 1 == 0
+
+
 def complex_from_pair(v) -> complex:
-    """Parse a scalar from a number or an [re, im] pair."""
-    if isinstance(v, (int, float)):
+    """Parse a scalar from a number or an [re, im] pair of numbers."""
+    if is_number(v):
         return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
+    if (isinstance(v, (list, tuple)) and len(v) == 2
+            and all(map(is_number, v))):
         return complex(float(v[0]), float(v[1]))
     raise FormatError(f"expected a number or [re, im] pair, got {v!r}")
 
@@ -94,16 +107,19 @@ def matrix_to_payload(a) -> dict:
 
 def matrix_from_payload(payload) -> np.ndarray:
     try:
-        rows = int(payload["rows"])
-        cols = int(payload["cols"])
+        rows = payload["rows"]
+        cols = payload["cols"]
         field = payload["field"]
         data = payload["data"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise FormatError(f"malformed matrix payload: {e}") from e
+    if not all(is_integer(k) for k in (rows, cols)):
+        raise FormatError("matrix rows and cols must be integers, "
+                          f"got {rows!r}, {cols!r}")
     if not isinstance(data, list):
         raise FormatError("matrix data must be an array")
     entries = [complex_from_pair(v) for v in data]
-    return MatrixData(rows=rows, cols=cols, field=field,
+    return MatrixData(rows=int(rows), cols=int(cols), field=field,
                       entries=tuple(entries)).to_array()
 
 

@@ -14,7 +14,7 @@ whose rank equals rank(D) and which leaves every other Jordan pair of A
 untouched, known or not.  Real arrangements produce float64 perturbations
 by construction: the kernel runs on a real basis of chains checked to be
 closed under conjugation, and on the real part of a Z checked to be real
-to the structure tolerance.
+to the space's structure tolerance.
 
 Under the Gram certificate (``W = e1 e2 W*`` for ``W = X* H X D``) the
 family is the solution family of ``delta X = X D``.  The certificate is
@@ -75,7 +75,7 @@ class ReassignmentResult:
     report: PerturbationReport | None
 
 
-def _check_certificate(assembly, space, cls, tol):
+def _check_certificate(assembly, space, cls):
     """Raise unless the Gram certificate holds; returns the assembly's n x p
     X_c in the field of the space, ``X_c (Lambda_a - Lambda_c)`` and the
     ``X_c* H`` the Gram matrix tested was formed from."""
@@ -84,8 +84,7 @@ def _check_certificate(assembly, space, cls, tol):
     D = (as_matrix(assembly.Lambda_a, "Lambda_a", space, (p, p))
          - as_matrix(assembly.Lambda_c, "Lambda_c", space, (p, p)))
     XsH = _star_h(X, space)
-    _gram_compatibility(XsH @ X, D, space, cls, tol,
-                        "symmetry_certificate").require(
+    _gram_compatibility(XsH @ X, D, space, cls, "symmetry_certificate").require(
         "assembly fails the Gram symmetry certificate; the requested targets "
         "are incompatible with the structure", "condition_residual")
     return X, X @ D, XsH
@@ -116,7 +115,7 @@ def _real_basis(assembly, X, B):
 
 def reassign_family(A, assembly: ReassignmentAssembly, space: ScalarProductSpace,
                     cls: StructureClass, Z=None,
-                    tol: ToleranceProfile | None = None,
+                    tol: ToleranceProfile = ToleranceProfile(),
                     verify: bool = True) -> ReassignmentResult:
     """Member of the parametric family of structured perturbations replacing
     the assembly's current eigenvalues by its targets while keeping the
@@ -125,13 +124,11 @@ def reassign_family(A, assembly: ReassignmentAssembly, space: ScalarProductSpace
     Z = None takes the Z = 0 member.  The result satisfies
     ``(A + delta) X_c = X_c Lambda_a`` and stays in the algebra.
     """
-    tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
     A = as_matrix(A, "A", space, (space.n,) * 2)
-    X_c, B_c, _ = _check_certificate(assembly, space, cls, tol)
+    X_c, B_c, _ = _check_certificate(assembly, space, cls)
     X, B = _real_basis(assembly, X_c, B_c)
-    delta = _family(X, B, space, cls, tol, None)._member(
-        Z, tol, assembly.real_output)
+    delta = _family(X, B, space, cls, tol, None)._member(Z, assembly.real_output)
     report = None
     if verify:
         report = verify_reassignment(A, delta, assembly, space, cls, tol=tol,
@@ -142,7 +139,7 @@ def reassign_family(A, assembly: ReassignmentAssembly, space: ScalarProductSpace
 def reassign_no_spillover(A, assembly: ReassignmentAssembly,
                           space: ScalarProductSpace, cls: StructureClass,
                           fixed_spectrum_guard=None,
-                          tol: ToleranceProfile | None = None,
+                          tol: ToleranceProfile = ToleranceProfile(),
                           verify: bool = True) -> ReassignmentResult:
     """Closed-form no-spillover perturbation of rank ``rank(L_a - L_c)``.
 
@@ -153,10 +150,9 @@ def reassign_no_spillover(A, assembly: ReassignmentAssembly,
     more than ``SPECTRAL_SEPARATION`` times their scale from it, or the
     update is refused.  Without a guard the update proceeds uncertified.
     """
-    tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
     A = as_matrix(A, "A", space, (space.n,) * 2)
-    X_c, B_c, XsH = _check_certificate(assembly, space, cls, tol)
+    X_c, B_c, XsH = _check_certificate(assembly, space, cls)
 
     if fixed_spectrum_guard is not None:
         # an empty fixed spectrum is disjoint from everything (gap inf)
@@ -184,7 +180,7 @@ def reassign_no_spillover(A, assembly: ReassignmentAssembly,
 def reassign_simple(A, eigpairs, targets, space: ScalarProductSpace,
                     cls: StructureClass, Z=None, mode: str = "no-spillover",
                     complete_pairing: bool = False,
-                    tol: ToleranceProfile | None = None,
+                    tol: ToleranceProfile = ToleranceProfile(),
                     verify: bool = True) -> ReassignmentResult:
     """Convenience wrapper for simple, mutually distinct eigenvalues.
 
@@ -203,7 +199,6 @@ def reassign_simple(A, eigpairs, targets, space: ScalarProductSpace,
     independent eigenvector data (for instance -lambda in the real Lie
     case) are never invented.
     """
-    tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
     A = as_matrix(A, "A", space, (space.n,) * 2)
     eigpairs = [(complex(l), np.asarray(x).reshape(-1, 1)) for l, x in eigpairs]

@@ -548,7 +548,7 @@ def _nullspace(M, threshold):
     return vh[r:].conj().T
 
 
-def extract_jordan_pairs(A, tol: ToleranceProfile | None = None) -> list:
+def extract_jordan_pairs(A, tol: ToleranceProfile = ToleranceProfile()) -> list:
     """Compute all Jordan pairs of a desk-scale matrix.
 
     Eigenvalues come from ``eigvals`` in complex arithmetic (the diagonal
@@ -561,7 +561,6 @@ def extract_jordan_pairs(A, tol: ToleranceProfile | None = None) -> list:
     instances well separated relative to it.  A is limited to
     ``MAX_EXTRACT_DIM`` rows.
     """
-    tol = tol or ToleranceProfile()
     A = as_matrix(A, "A", shape=_square(A))
     n = A.shape[0]
     if n > MAX_EXTRACT_DIM:
@@ -780,7 +779,6 @@ def _assemble(A, spec, space, cls, field, tol):
     """
     cls = StructureClass.parse(cls)
     A = None if A is None else as_matrix(A, "A", space, (space.n,) * 2)
-    tol = tol or ToleranceProfile()
     band = SNAP_TOL * spec.spectral_scale
     groups = spec.groups
     orbits, violations = _group_orbits(_spec_entries(spec), cls,
@@ -847,7 +845,7 @@ def _require_real(fn, space, cls, want):
 
 def assemble_complex(A, spec: ReassignmentSpec, space: ScalarProductSpace,
                      cls: StructureClass,
-                     tol: ToleranceProfile | None = None) -> ReassignmentAssembly:
+                     tol: ToleranceProfile = ToleranceProfile()) -> ReassignmentAssembly:
     """Order the groups for a complex-field reassignment: non-self-paired
     couples first, each as (representative chains, partner chains), then the
     self-paired groups.  Every group keeps its own values."""
@@ -856,7 +854,7 @@ def assemble_complex(A, spec: ReassignmentSpec, space: ScalarProductSpace,
 
 def assemble_real_lie(A, spec: ReassignmentSpec, space: ScalarProductSpace,
                       cls: StructureClass = StructureClass.LIE,
-                      tol: ToleranceProfile | None = None) -> ReassignmentAssembly:
+                      tol: ToleranceProfile = ToleranceProfile()) -> ReassignmentAssembly:
     """Real Lie-algebra arrangement.
 
     Nonzero eigenvalues are grouped into quadruples
@@ -871,7 +869,7 @@ def assemble_real_lie(A, spec: ReassignmentSpec, space: ScalarProductSpace,
 
 def assemble_real_jordan(A, spec: ReassignmentSpec, space: ScalarProductSpace,
                          cls: StructureClass = StructureClass.JORDAN,
-                         tol: ToleranceProfile | None = None) -> ReassignmentAssembly:
+                         tol: ToleranceProfile = ToleranceProfile()) -> ReassignmentAssembly:
     """Real Jordan-algebra arrangement: conjugate couples first (chains and
     their exact conjugates), then real eigenvalues with real chains."""
     cls = _require_real("assemble_real_jordan", space, cls,

@@ -96,13 +96,12 @@ def _basis_pair(X_a, Lambda_a, space, tol):
 
 def lambda_compatibility(X_a, Lambda_a, space: ScalarProductSpace,
                          cls: StructureClass,
-                         tol: ToleranceProfile | None = None) -> CompatibilityReport:
+                         tol: ToleranceProfile = ToleranceProfile()) -> CompatibilityReport:
     """Test whether Lambda_a can be the restriction of a structured update
     on range(X_a): requires ``(X_a* H X_a) L_a = e2 L_a* (X_a* H X_a)``."""
-    tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
     _, Lambda_a, G = _basis_pair(X_a, Lambda_a, space, tol)
-    d = _gram_compatibility(G, Lambda_a, space, cls, tol)
+    d = _gram_compatibility(G, Lambda_a, space, cls)
     return CompatibilityReport(
         condition_residual=d.value, compatible=d.passed,
         notes="" if d.passed else
@@ -112,27 +111,24 @@ def lambda_compatibility(X_a, Lambda_a, space: ScalarProductSpace,
 
 def reproduce_invariant(A, X_a, Lambda_a, space: ScalarProductSpace,
                         cls: StructureClass, Z=None,
-                        tol: ToleranceProfile | None = None) -> np.ndarray:
+                        tol: ToleranceProfile = ToleranceProfile()) -> np.ndarray:
     """Structured perturbation making range(X_a) invariant with restriction
     Lambda_a.  Z = None yields the Frobenius-minimal member of the family."""
-    tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
     A = as_matrix(A, "A", space, (space.n,) * 2)
     X_a, Lambda_a, G = _basis_pair(X_a, Lambda_a, space, tol)
-    _gram_compatibility(G, Lambda_a, space, cls, tol).require(
+    _gram_compatibility(G, Lambda_a, space, cls).require(
         _INCOMPATIBLE, "condition_residual")
     B = X_a @ Lambda_a - _real_apply(A, X_a)
     # W = X_a* H B carries X_a* H A X_a, so W = e1 e2 W* is still tested
-    return _family(X_a, B, space, cls, tol, "symmetry")._member(
-        Z, tol, space.field == "real")
+    return _family(X_a, B, space, cls, tol, "symmetry").with_z(Z)
 
 
 def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
                        cls: StructureClass, Z=None,
-                       tol: ToleranceProfile | None = None) -> np.ndarray:
+                       tol: ToleranceProfile = ToleranceProfile()) -> np.ndarray:
     """Structured perturbation keeping the invariant subspace range(X_c)
     invariant, in the re-basis X_c R, with new restriction Lambda_a."""
-    tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
     A = as_matrix(A, "A", space, (space.n,) * 2)
     X_c = as_matrix(X_c, "X_c", space, (space.n, None))
@@ -145,16 +141,15 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
     _check_full_column_rank(X_c, tol.rank_tol, "rank", "X_c is rank deficient")
     _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol, "A X_c = X_c Lambda_c")
     GR = space.star_mat(R) @ gram_matrix(X_c, space) @ R
-    _gram_compatibility(GR, Lambda_a, space, cls, tol).require(
+    _gram_compatibility(GR, Lambda_a, space, cls).require(
         "Lambda_a incompatible in the basis X_c R", "condition_residual")
     Rt = R @ Lambda_a - Lambda_c @ R
-    return _family(X_c @ R, X_c @ Rt, space, cls, tol, "symmetry")._member(
-        Z, tol, space.field == "real")
+    return _family(X_c @ R, X_c @ Rt, space, cls, tol, "symmetry").with_z(Z)
 
 
 def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
                            space: ScalarProductSpace, cls: StructureClass,
-                           tol: ToleranceProfile | None = None) -> np.ndarray:
+                           tol: ToleranceProfile = ToleranceProfile()) -> np.ndarray:
     """Structured perturbation reassigning the restriction on range(X_c) to
     Lambda_a while fixing the complementary invariant pair (X_f, Lambda_f).
 
@@ -164,10 +159,9 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     warned about.  The update is the no-spillover update of
     ``B_c = X_c Lambda_a - A X_c``; an empty X_c gives the zero update.
     """
-    tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
     A = as_matrix(A, "A", space, (space.n,) * 2)
-    X_c = as_matrix(X_c, "X_c", space, (space.n, None))
+    X_c = as_matrix(X_c, "X_c", space, (space.n, range(space.n + 1)))
     p, m = X_c.shape[1], space.n - X_c.shape[1]
     X_f = as_matrix(X_f, "X_f", space, (space.n, m))
     Lambda_a = as_matrix(Lambda_a, "Lambda_a", space, (p, p))
@@ -201,7 +195,7 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
             f"Gram 1-norm condition {np.real(np.linalg.cond(G, 1)):.2e}",
             stacklevel=2)
 
-    _gram_compatibility(G, Lambda_a, space, cls, tol).require(
+    _gram_compatibility(G, Lambda_a, space, cls).require(
         _INCOMPATIBLE, "condition_residual")
 
     X = np.hstack([X_c, X_f])
@@ -243,7 +237,8 @@ def gram_inverse_apply(G, RHS):
 
 
 def no_spillover(A, X_c, Lambda_c, Lambda_a, space: ScalarProductSpace,
-                 cls: StructureClass, tol: ToleranceProfile | None = None) -> np.ndarray:
+                 cls: StructureClass,
+                 tol: ToleranceProfile = ToleranceProfile()) -> np.ndarray:
     """Closed-form structured update touching nothing outside range(X_c):
 
         delta = X_c (L_a - L_c) (X_c* H X_c)^-1 X_c* H
@@ -252,7 +247,6 @@ def no_spillover(A, X_c, Lambda_c, Lambda_a, space: ScalarProductSpace,
     is annihilated by delta, known or not; the rank of delta equals the
     rank of ``L_a - L_c`` and never exceeds the number of changed columns.
     """
-    tol = tol or ToleranceProfile()
     cls = StructureClass.parse(cls)
     A = as_matrix(A, "A", space, (space.n,) * 2)
     X_c = as_matrix(X_c, "X_c", space, (space.n, None))
@@ -262,7 +256,7 @@ def no_spillover(A, X_c, Lambda_c, Lambda_a, space: ScalarProductSpace,
     _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol, "A X_c = X_c Lambda_c")
     XsH = _star_h(X_c, space)
     G = XsH @ X_c
-    _gram_compatibility(G, Lambda_a, space, cls, tol).require(
+    _gram_compatibility(G, Lambda_a, space, cls).require(
         _INCOMPATIBLE, "condition_residual")
     return _no_spillover_update(G, X_c, X_c @ (Lambda_a - Lambda_c), XsH,
                                 tol.rank_tol)

@@ -84,12 +84,13 @@ def make_space(n, star, eps1, field, preset, rng, structure_tol=1e-8):
     return ScalarProductSpace(H, star=star, field=field, structure_tol=structure_tol)
 
 
-def space_catalog(n, rng, presets=("identity", "flip", "skewj", "random")):
+def space_catalog(n, rng, presets=("identity", "flip", "skewj", "random"),
+                  structure_tol=1e-8):
     """Every consistent (space, class) combination at dimension n."""
     out = []
     for field, star, eps1 in FIELD_STAR_EPS1:
         for preset in presets:
-            space = make_space(n, star, eps1, field, preset, rng)
+            space = make_space(n, star, eps1, field, preset, rng, structure_tol)
             if space is None:
                 continue
             for cls in CLASSES:

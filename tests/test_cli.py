@@ -12,8 +12,7 @@ import pytest
 
 import golden
 import specpreserve
-from specpreserve import matio
-from specpreserve import ScalarProductSpace, ToleranceProfile
+from specpreserve import ScalarProductSpace, matio
 from specpreserve.cli import _match_eigvecs, _resolve_space, main
 
 
@@ -64,7 +63,7 @@ def test_dense_h_family_solve_leaves_scipy_unloaded(jobs_dir):
         "X = np.random.default_rng(5).standard_normal((5, 2))\n"
         "solve_structured(X, A @ X, space, 'jordan', "
         "Z=sample_structured(space, 'jordan', 7), "
-        "tol=ToleranceProfile(1e-3, residual_tol=1e-3))")
+        "tol=ToleranceProfile(residual_tol=1e-3))")
     assert _modules_loaded_by(code) == set()
 
 
@@ -195,15 +194,15 @@ class TestSpaceSpellings:
         matio.save_matrix(tmp_path / "H.json", np.diag([1.0, -1.0]))
         job = {"space": spec, "_dir": str(tmp_path)}
         args = argparse.Namespace(space=None, star=None, field=None)
-        tol = ToleranceProfile()
-        space = _resolve_space(job, args, np.eye(2), tol)
-        kw = dict(star="t", field="real", structure_tol=tol.structure_tol)
+        # the job's structure tolerance reaches the space
+        space = _resolve_space(job, args, np.eye(2), 1e-3)
+        kw = dict(star="t", field="real", structure_tol=1e-3)
         assert space == (ScalarProductSpace.identity(2, **kw)
                          if spec == "identity" else
                          ScalarProductSpace.signature([1, -1], **kw))
         if isinstance(spec, str):
             args.space, job["space"] = spec, None
-            assert _resolve_space(job, args, np.eye(2), tol) == space
+            assert _resolve_space(job, args, np.eye(2), 1e-3) == space
 
     @pytest.mark.parametrize("spec, signs", [
         ("signature:-1", [-1]), ({"signature": "+1"}, [1]),
@@ -213,13 +212,12 @@ class TestSpaceSpellings:
         # a sign followed by a digit is one signed number, not two signs
         job = {"space": spec}
         args = argparse.Namespace(space=None, star=None, field=None)
-        tol = ToleranceProfile()
-        assert _resolve_space(job, args, np.eye(len(signs)), tol) == (
-            ScalarProductSpace.signature(signs, star="t", field="real",
-                                         structure_tol=tol.structure_tol))
+        assert _resolve_space(job, args, np.eye(len(signs)), 1e-8) == (
+            ScalarProductSpace.signature(signs, star="t", field="real"))
 
     @pytest.mark.parametrize("spec", [{"signature": "+x"}, {"signature": 3},
                                       {"signature": "1,x"},
+                                      {"signature": [True, -1]},
                                       {"signature": "+1-1"}, {"bogus": 1}],
                              ids=json.dumps)
     def test_bad_dict_spelling_exits_3(self, tmp_path, spec, capsys):
@@ -438,8 +436,12 @@ class TestInvariant:
 
     @pytest.mark.parametrize("change", [
         {"matrix": None}, {"basis": None}, {"seed": "abc"},
-        {"tolerances": {"structure": "x"}}, {"tolerances": "x"}],
-        ids=["no-matrix", "no-basis", "seed", "tolerance", "tolerances"])
+        {"tolerances": {"structure": "x"}}, {"tolerances": "x"},
+        {"z": {"file": 3}}, {"out": 5}, {"lambda_target": [True, 1.3342]},
+        {"seed": True}, {"seed": 1.9}, {"tolerances": {"residual": True}}],
+        ids=["no-matrix", "no-basis", "seed", "tolerance", "tolerances",
+             "z-file", "out", "bool-value", "bool-seed", "fractional-seed",
+             "bool-tolerance"])
     def test_malformed_job_field_exits_3(self, jobs_dir, tmp_path, capsys,
                                          change):
         d = _copy_job(jobs_dir, "sym3", tmp_path)
@@ -450,6 +452,17 @@ class TestInvariant:
         assert _run("invariant", str(d / "job.json")) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+    def test_fractional_matrix_extent_exits_3(self, jobs_dir, tmp_path,
+                                               capsys):
+        # "rows": 3.5 was truncated to 3 and the basis read as 3 x 2
+        d = _copy_job(jobs_dir, "sym3", tmp_path)
+        payload = json.loads((d / "Xc.json").read_text())
+        payload["rows"] = 3.5
+        (d / "Xc.json").write_text(json.dumps(payload))
+        assert _run("invariant", str(d / "job.json")) == 3
+        assert "must be integers" in capsys.readouterr().err
 
 
 class TestGen:
@@ -488,6 +501,19 @@ class TestGen:
             "out": "out"}
         (tmp_path / "job.json").write_text(json.dumps(job))
         assert _run("gen", str(tmp_path / "job.json")) == 2
+
+    @pytest.mark.parametrize("change", [{"seed": 1.9}, {"seed": True},
+                                        {"eps1": 0.5}],
+                             ids=["fractional-seed", "bool-seed", "eps1"])
+    def test_malformed_recipe_number_exits_3(self, jobs_dir, tmp_path,
+                                             capsys, change):
+        # int() would truncate 1.9 to 1 and read true as 1
+        d = _copy_job(jobs_dir, "gen6", tmp_path)
+        job = json.loads((d / "job.json").read_text())
+        job["recipe"].update(change)
+        (d / "job.json").write_text(json.dumps(job))
+        assert _run("gen", str(d / "job.json")) == 3
+        assert "expected an integer" in capsys.readouterr().err
 
     def test_seeded_repeatability_byte_identical(self, jobs_dir, tmp_path):
         d1 = _copy_job(jobs_dir, "gen6", tmp_path / "first")

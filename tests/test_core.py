@@ -229,9 +229,8 @@ class TestIsMember:
         assert not is_member(np.eye(3), space, "lie")
 
     def test_printed_lie_delta(self):
-        space = ScalarProductSpace(golden.LIE4_H, star="ct")
-        assert is_member(golden.LIE4_DELTA, space, "lie",
-                         ToleranceProfile(structure_tol=1e-3))
+        space = ScalarProductSpace(golden.LIE4_H, star="ct", structure_tol=1e-3)
+        assert is_member(golden.LIE4_DELTA, space, "lie")
 
 
 class TestPseudoinverse:

@@ -254,13 +254,13 @@ class TestVerifyReassignment:
 
     def test_printed_lie_report(self):
         from specpreserve import ToleranceProfile, reassign_simple
-        space = ScalarProductSpace(golden.LIE4_H, star="ct")
+        space = ScalarProductSpace(golden.LIE4_H, star="ct", structure_tol=1e-3)
         res = reassign_simple(
             golden.LIE4_A,
             list(zip(golden.LIE4_CURRENT,
                      [golden.LIE4_XC[:, j] for j in range(3)])),
             golden.LIE4_TARGET, space, "lie", Z=golden.LIE4_Z, mode="family",
-            tol=ToleranceProfile(structure_tol=1e-3, residual_tol=1e-3))
+            tol=ToleranceProfile(residual_tol=1e-3))
         assert res.report.reassigned_residual <= 1e-3
         assert res.report.structure_residual <= 1e-3
 
@@ -276,7 +276,7 @@ class TestVerifyReassignment:
                                    space, tol=ToleranceProfile(residual_tol=1e-3))
         res = reassign_no_spillover(
             golden.JORDAN5_A, asm, space, "jordan", verify=False,
-            tol=ToleranceProfile(structure_tol=1e-3, residual_tol=1e-3))
+            tol=ToleranceProfile(residual_tol=1e-3))
         rep = verify_reassignment(
             golden.JORDAN5_A, res.delta, asm, space, "jordan",
             tol=ToleranceProfile(residual_tol=1e-3))
@@ -748,7 +748,7 @@ class TestSpilloverResidual:
                                    space, tol=ToleranceProfile(residual_tol=1e-3))
         delta = reassign_no_spillover(
             golden.JORDAN5_A, asm, space, "jordan", verify=False,
-            tol=ToleranceProfile(structure_tol=1e-3, residual_tol=1e-3)).delta
+            tol=ToleranceProfile(residual_tol=1e-3)).delta
         # a direct product, pinned to the value it has always had
         assert _fixed_residual(golden.JORDAN5_A + delta, golden.JORDAN5_XF,
                                golden.JORDAN5_LF) == pytest.approx(

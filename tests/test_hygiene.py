@@ -6,8 +6,9 @@ field-keeping modules never cast to complex outside ``as_matrix``, the
 verification oracle calls no eigenvector solver, factors no square matrix
 outside its fallback and memoizes the spectrum of no matrix but the
 unperturbed A, no code but ``core._DenseH`` solves with H, every
-threshold test raises through ``core._decide``, and no code but
-``core.as_matrix`` refuses an operand for its shape."""
+threshold test raises through ``core._decide``, no code but
+``core.as_matrix`` refuses an operand for its shape, and no code reads
+``structure_tol`` from anything but a space."""
 
 import ast
 import pathlib
@@ -652,3 +653,68 @@ def test_only_as_matrix_refuses_an_operand_for_its_shape():
 ])
 def test_shape_rule_catches_a_planted_test(module, planted, flagged):
     assert bool(_shape_raises(ast.parse(planted), module)) == flagged
+
+
+# the one structure tolerance is the one the space validated H at: every
+# structural test reads it from the space, never from a tolerance profile,
+# an argument or a copy
+STRUCTURE_TOL_HOME = "ScalarProductSpace"
+
+
+def _names_space(node):
+    """True for the name ``space`` or an attribute ``.space``."""
+    return (getattr(node, "id", None) == "space"
+            or getattr(node, "attr", None) == "space")
+
+
+def _structure_tol_reads(tree):
+    """Lines reading ``structure_tol`` (as ``X.structure_tol`` or
+    ``getattr(X, "structure_tol")``) from an X that is not a space:
+    ``space``, ``<...>.space``, or ``self`` in ``ScalarProductSpace``."""
+    home = {id(n) for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef) and c.name == STRUCTURE_TOL_HOME
+            for n in ast.walk(c)}
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "structure_tol":
+            owner = node.value
+        elif (isinstance(node, ast.Call) and _called_name(node) == "getattr"
+              and len(node.args) > 1
+              and getattr(node.args[1], "value", None) == "structure_tol"):
+            owner = node.args[0]
+        else:
+            continue
+        if not (_names_space(owner) or id(node) in home
+                and getattr(owner, "id", None) == "self"):
+            hits.append(node.lineno)
+    return hits
+
+
+def test_structure_tol_is_read_only_from_a_space():
+    hits = {path.name: lines for path in SOURCES
+            if (lines := _structure_tol_reads(
+                ast.parse(path.read_text(encoding="utf-8"))))}
+    assert not hits, f"structure_tol read from a non-space: {hits}"
+
+
+@pytest.mark.parametrize("planted,flagged", [
+    # the reads the space's tolerance replaced
+    ("thr = tol.structure_tol * max(1.0, frob(Z))", True),
+    ("kw = dict(star=star, structure_tol=tol.structure_tol)", True),
+    ("print(f'tolerance {tol.structure_tol:g}')", True),
+    ("t = self.tol.structure_tol", True),
+    ("t = getattr(profile, 'structure_tol')", True),
+    ("class ToleranceProfile:\n    def f(self):\n"
+     "        return self.structure_tol", True),
+    ("def f(self):\n    return self.structure_tol", True),
+    # reads from a space, and what the rule leaves alone
+    ("thr = space.structure_tol * max(1.0, frob(Z))", False),
+    ("thr = self.space.structure_tol", False),
+    ("t = inst.space.structure_tol", False),
+    ("t = getattr(space, 'structure_tol')", False),
+    ("class ScalarProductSpace:\n    def f(self):\n"
+     "        return self.structure_tol", False),
+    ("ScalarProductSpace(H, structure_tol=structure_tol)", False),
+])
+def test_structure_tol_rule_catches_a_planted_read(planted, flagged):
+    assert bool(_structure_tol_reads(ast.parse(planted))) == flagged

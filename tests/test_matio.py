@@ -49,6 +49,31 @@ class TestCanonicalFormat:
         with pytest.raises(FormatError):
             matio.load_matrix(path)
 
+    @pytest.mark.parametrize("rows,cols", [(1.9, 1), (1, 1.5), (True, 1),
+                                           (1, False), ("1", 1),
+                                           (float("nan"), 1), (float("inf"), 1)])
+    def test_extent_must_be_an_integer(self, rows, cols):
+        # int() would truncate 1.9 to 1 and read true as 1
+        payload = {"rows": rows, "cols": cols, "field": "real", "data": [2.0]}
+        with pytest.raises(FormatError, match="must be integers"):
+            matio.matrix_from_payload(payload)
+
+    def test_integral_float_extent_accepted(self):
+        payload = {"rows": 1.0, "cols": 2, "field": "real", "data": [1.0, 2.0]}
+        np.testing.assert_array_equal(matio.matrix_from_payload(payload),
+                                      [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("value", [True, False, [True, 0.0], [1.0, False],
+                                       ["1", 0.0], [1.0, None]])
+    def test_scalar_must_be_numbers(self, value):
+        # a JSON boolean is no number, though Python counts it as an int
+        with pytest.raises(FormatError):
+            matio.complex_from_pair(value)
+
+    def test_scalar_from_number_or_pair(self):
+        assert matio.complex_from_pair(2) == 2
+        assert matio.complex_from_pair([1.5, -2]) == 1.5 - 2j
+
     def test_missing_file(self):
         with pytest.raises(FormatError):
             matio.load_matrix("/nonexistent/m.json")

@@ -181,7 +181,32 @@ def test_shape_rule_message():
     assert core.as_matrix(np.zeros(8), "x", shape=(8, None)).shape == (8, 1)
     assert core.as_matrix(np.zeros((2, 5)), "M", shape=(None, None)).shape \
         == (2, 5)
+    # a bound range(k + 1) prints as p and matches 0 to k
+    with pytest.raises(ArgumentError,
+                       match="^X must be 4 x p with p <= 4, got 4 x 5$"):
+        core.as_matrix(np.zeros((4, 5)), "X", shape=(4, range(5)))
+    for p in (0, 4):
+        assert core.as_matrix(np.zeros((4, p)), "X",
+                              shape=(4, range(5))).shape == (4, p)
     assert "as_matrix" not in core.__all__
+
+
+# [X_c X_f] is square, so the changed basis has at most n columns; a wider
+# one was refused for X_f, with the extent n - p = -1
+def test_complementary_update_refuses_a_basis_wider_than_the_space():
+    inst = _instance("real")
+    A, _, _, X_f, L_f, La, _ = _operands(inst)
+    with pytest.raises(ArgumentError,
+                       match="^X_c must be 4 x p with p <= 4, got 4 x 5$"):
+        subspaces.preserve_complementary(A, np.eye(4, 5), La, X_f, L_f,
+                                         inst.space, JORDAN)
+
+
+def test_classical_complementary_update_refuses_a_basis_wider_than_the_space():
+    A, _, _, X_f, L_f, La, _ = _operands(_instance("real"))
+    with pytest.raises(ArgumentError,
+                       match="^X_a must be 4 x p with p <= 4, got 4 x 5$"):
+        classical.preserve_complementary(A, np.eye(4, 5), X_f, La, L_f)
 
 
 def test_numerical_rank_refuses_non_finite_input():

@@ -26,7 +26,7 @@ from specpreserve import (
 from specpreserve import subspaces
 from specpreserve.spectral import jordan_block
 
-LOOSE = ToleranceProfile(structure_tol=1e-3, residual_tol=1e-3)
+LOOSE = ToleranceProfile(residual_tol=1e-3)
 
 
 def _structured_with_eigbasis(space, cls, seed):
@@ -52,7 +52,7 @@ class TestLambdaCompatibility:
             X, herm + np.array([[0, 0.3], [0, 0]]), space, "jordan").compatible
 
     def test_printed_lie_targets_compatible(self):
-        space = ScalarProductSpace(golden.LIE4_H, star="ct")
+        space = ScalarProductSpace(golden.LIE4_H, star="ct", structure_tol=1e-3)
         La = np.diag(golden.LIE4_TARGET)
         rep = subspaces.lambda_compatibility(golden.LIE4_XC, La, space, "lie", LOOSE)
         assert rep.compatible
@@ -527,7 +527,8 @@ class TestNoSpillover:
         assert numerical_rank(delta) == 0
 
     def test_printed_symmetric_example(self):
-        space = ScalarProductSpace(np.eye(3), star="t", field="real")
+        space = ScalarProductSpace(np.eye(3), star="t", field="real",
+                                   structure_tol=1e-3)
         Lc = np.diag(golden.SYM3_CURRENT)
         La = np.diag(golden.SYM3_TARGET)
         delta = subspaces.no_spillover(
@@ -542,7 +543,8 @@ class TestNoSpillover:
         """The sym3 basis is printed at 4 decimals (relative invariant-pair
         residual 4.6e-6): the loose profile admits it, as the CLI job does,
         and the default profile's 1e-6 rejects it."""
-        space = ScalarProductSpace(np.eye(3), star="t", field="real")
+        space = ScalarProductSpace(np.eye(3), star="t", field="real",
+                                   structure_tol=1e-3)
         args = (golden.SYM3_A, golden.SYM3_XC, np.diag(golden.SYM3_CURRENT),
                 np.diag(golden.SYM3_TARGET), space, "jordan")
         assert (LOOSE.eig_tol, ToleranceProfile().eig_tol) == (1e-3, 1e-6)
