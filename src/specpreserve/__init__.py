@@ -63,7 +63,6 @@ from .spectral import (
     assemble_real_lie,
     certificate_residual,
     extract_jordan_pairs,
-    gram_blocks,
     jordan_block,
     pairing_partner,
     validate_pairing_closure,
@@ -85,7 +84,7 @@ __all__ = [
     "CompatibilityReport", "lambda_compatibility", "no_spillover",
     "JordanPair", "ReassignmentGroup", "ReassignmentSpec",
     "ReassignmentAssembly", "jordan_block", "pairing_partner",
-    "validate_pairing_closure", "extract_jordan_pairs", "gram_blocks",
+    "validate_pairing_closure", "extract_jordan_pairs",
     "assemble_complex", "assemble_real_lie", "assemble_real_jordan",
     "certificate_residual",
     "ReassignmentResult", "reassign_family", "reassign_no_spillover",

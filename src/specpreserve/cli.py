@@ -327,7 +327,7 @@ def cmd_inspect(args) -> int:
 
 def _collect_targets(job):
     raw = job.get("targets")
-    if not raw:
+    if not isinstance(raw, list) or not raw:
         raise FormatError("job needs a 'targets' list of {current, target}")
     currents, targets = [], []
     for item in raw:
@@ -482,7 +482,8 @@ def cmd_gen(args) -> int:
         raise FormatError("gen needs a 'recipe' object")
     try:
         plan = tuple(
-            PlanGroup(matio.complex_from_pair(g["value"]), tuple(g["chains"]))
+            PlanGroup(matio.complex_from_pair(g["value"]),
+                      tuple(_number(k, int, "chain length") for k in g["chains"]))
             for g in raw["plan"])
         recipe = InstanceRecipe(
             space_kind=raw.get("space", "random"),

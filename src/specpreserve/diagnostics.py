@@ -17,6 +17,7 @@ taken.  The perturbed matrix under test, and both matrices of
 
 from __future__ import annotations
 
+import numbers
 import os
 import threading
 from collections import OrderedDict
@@ -545,10 +546,14 @@ class PlanGroup:
 
     def __post_init__(self):
         object.__setattr__(self, "value", complex(self.value))
-        chains = tuple(int(k) for k in self.chains)
-        if not chains or any(k < 1 for k in chains):
-            raise ArgumentError("chain lengths must be positive integers")
-        object.__setattr__(self, "chains", chains)
+        chains = tuple(self.chains)
+        # int() would truncate 1.9 to 1 and read True or "2" as a length
+        if not chains or not all(
+                isinstance(k, numbers.Real) and not isinstance(k, bool)
+                and k % 1 == 0 and k >= 1 for k in chains):
+            raise ArgumentError(
+                f"chain lengths must be positive integers, got {chains!r}")
+        object.__setattr__(self, "chains", tuple(int(k) for k in chains))
 
     @property
     def multiplicity(self) -> int:

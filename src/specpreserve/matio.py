@@ -15,14 +15,12 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError
 
 __all__ = [
-    "MatrixData",
     "matrix_to_payload",
     "matrix_from_payload",
     "save_matrix",
@@ -33,42 +31,6 @@ __all__ = [
     "pair_from_complex",
     "dump_json",
 ]
-
-
-@dataclass(frozen=True)
-class MatrixData:
-    """Validated file-level matrix record."""
-
-    rows: int
-    cols: int
-    field: str
-    entries: tuple  # row-major complex values
-
-    def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
-            raise FormatError("matrix dimensions must be positive")
-        if self.field not in ("real", "complex"):
-            raise FormatError(f"unknown field {self.field!r}")
-        entries = tuple(complex(e) for e in self.entries)
-        if len(entries) != self.rows * self.cols:
-            raise FormatError(
-                f"expected {self.rows * self.cols} entries, got {len(entries)}")
-        if self.field == "real" and any(e.imag != 0.0 for e in entries):
-            raise FormatError("real matrix has nonzero imaginary entries")
-        object.__setattr__(self, "entries", entries)
-
-    def to_array(self) -> np.ndarray:
-        a = np.array(self.entries, dtype=complex).reshape(self.rows, self.cols)
-        return a.real if self.field == "real" else a
-
-    @classmethod
-    def from_array(cls, a) -> "MatrixData":
-        """The record of an array, real exactly when no entry has a nonzero
-        imaginary part."""
-        a = np.asarray(np.atleast_2d(a), dtype=complex)
-        field = "real" if np.max(np.abs(a.imag), initial=0.0) == 0.0 else "complex"
-        return cls(rows=a.shape[0], cols=a.shape[1], field=field,
-                   entries=tuple(complex(v) for v in a.reshape(-1)))
 
 
 def is_number(v) -> bool:
@@ -97,12 +59,16 @@ def pair_from_complex(z) -> list:
 
 
 def matrix_to_payload(a) -> dict:
-    md = MatrixData.from_array(a)
-    if md.field == "real":
-        data = [e.real for e in md.entries]
-    else:
-        data = [[e.real, e.imag] for e in md.entries]
-    return {"rows": md.rows, "cols": md.cols, "field": md.field, "data": data}
+    """The payload of an array, real exactly when no entry has a nonzero
+    imaginary part."""
+    a = np.asarray(np.atleast_2d(a), dtype=complex)
+    if a.ndim != 2 or a.size == 0:
+        raise FormatError(f"cannot write an array of shape {a.shape} as a matrix")
+    real = np.max(np.abs(a.imag), initial=0.0) == 0.0
+    data = (a.real.reshape(-1) if real
+            else np.stack([a.real, a.imag], axis=-1).reshape(-1, 2))
+    return {"rows": a.shape[0], "cols": a.shape[1],
+            "field": "real" if real else "complex", "data": data}
 
 
 def matrix_from_payload(payload) -> np.ndarray:
@@ -118,9 +84,18 @@ def matrix_from_payload(payload) -> np.ndarray:
                           f"got {rows!r}, {cols!r}")
     if not isinstance(data, list):
         raise FormatError("matrix data must be an array")
-    entries = [complex_from_pair(v) for v in data]
-    return MatrixData(rows=int(rows), cols=int(cols), field=field,
-                      entries=tuple(entries)).to_array()
+    a = np.array([complex_from_pair(v) for v in data], dtype=complex)
+    rows, cols = int(rows), int(cols)
+    if rows <= 0 or cols <= 0:
+        raise FormatError("matrix dimensions must be positive")
+    if field not in ("real", "complex"):
+        raise FormatError(f"unknown field {field!r}")
+    if a.size != rows * cols:
+        raise FormatError(f"expected {rows * cols} entries, got {a.size}")
+    if field == "real" and np.any(a.imag != 0.0):
+        raise FormatError("real matrix has nonzero imaginary entries")
+    a = a.reshape(rows, cols)
+    return a.real if field == "real" else a
 
 
 def save_matrix(path, a):

@@ -1,5 +1,5 @@
-"""Eigenvalue pairing, Jordan chains, Gram-block structure and the ordered
-block assemblies feeding the reassignment constructors.
+"""Eigenvalue pairing, Jordan chains and the ordered block assemblies
+feeding the reassignment constructors.
 
 Members of the Jordan/Lie algebra carry a spectrum symmetry: eigenvalues
 occur in pairs ``lambda <-> e2 lambda*`` with equal partial multiplicities.
@@ -49,8 +49,6 @@ __all__ = [
     "pairing_partner",
     "validate_pairing_closure",
     "extract_jordan_pairs",
-    "gram_blocks",
-    "GramBlocks",
     "assemble_complex",
     "assemble_real_lie",
     "assemble_real_jordan",
@@ -654,60 +652,6 @@ def extract_jordan_pairs(A, tol: ToleranceProfile = ToleranceProfile()) -> list:
             X = X / np.linalg.norm(X[:, 0])
             pairs.append(JordanPair(value=lam, chain=X))
     return pairs
-
-
-# ---------------------------------------------------------------------------
-# Gram blocks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GramBlocks:
-    """Gram matrix of aggregated chains with its predicted zero pattern.
-
-    predicted_zero[j, k] is True when the pairing forces block (j, k) of
-    ``X* H X`` to vanish; deviations holds the measured Frobenius norm of
-    every block so predictions can be audited.
-    """
-
-    matrix: np.ndarray
-    slices: tuple
-    predicted_zero: np.ndarray
-    deviations: np.ndarray
-
-    @property
-    def max_predicted_deviation(self) -> float:
-        if not self.predicted_zero.any():
-            return 0.0
-        return float(np.max(self.deviations[self.predicted_zero]))
-
-
-def gram_blocks(pairs, space: ScalarProductSpace, cls: StructureClass,
-                gap_tol: float = 1e-6) -> GramBlocks:
-    """Gram matrix ``X* H X`` over a list of Jordan pairs of one structured
-    matrix, with the zero pattern the pairing predicts."""
-    cls = StructureClass.parse(cls)
-    pairs = list(pairs)
-    if not pairs:
-        raise ArgumentError("need at least one Jordan pair")
-    X = np.hstack([p.chain for p in pairs])
-    G = gram_matrix(X, space)
-    m = len(pairs)
-    scale = max(1.0, max(abs(p.value) for p in pairs))
-    slices = []
-    start = 0
-    for p in pairs:
-        slices.append((start, start + p.length))
-        start += p.length
-    predicted = np.zeros((m, m), dtype=bool)
-    deviations = np.zeros((m, m))
-    for j in range(m):
-        for k in range(m):
-            partner = pairing_partner(pairs[j].value, cls, _form_star(space))
-            predicted[j, k] = abs(partner - pairs[k].value) > gap_tol * scale
-            bj, bk = slices[j], slices[k]
-            deviations[j, k] = float(np.linalg.norm(G[bj[0]:bj[1], bk[0]:bk[1]]))
-    return GramBlocks(matrix=G, slices=tuple(slices),
-                      predicted_zero=predicted, deviations=deviations)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,12 @@ and spectra from numpy's dense eigensolver.
 
 import numpy as np
 
-from specpreserve import ScalarProductSpace, StructureClass, sample_structured
+from specpreserve import (
+    ScalarProductSpace,
+    StructureClass,
+    pairing_partner,
+    sample_structured,
+)
 
 # consistent (field, star, eps1) triples; real spaces are transpose-only
 FIELD_STAR_EPS1 = [
@@ -229,6 +234,23 @@ def paired_targets(w_sel, space, cls, rng, spread=0.5, tol=1e-8):
         targets[j] = cls.epsilon2 * space.star_scalar(t)
         done[i] = done[j] = True
     return targets
+
+
+def gram_zero_blocks(pairs, space, cls, gap_tol=1e-6):
+    """The blocks (j, k) of the chains' Gram matrix ``X* H X`` the pairing
+    forces to vanish, as the partner of pair j is no eigenvalue of pair k
+    (Mackey, Mackey & Tisseur 2006), and their largest Frobenius norm."""
+    star = space.star if space.field == "complex" else "CT"
+    scale = max(1.0, max(abs(p.value) for p in pairs))
+    zeros, deviation = set(), 0.0
+    for j, p in enumerate(pairs):
+        partner = pairing_partner(p.value, cls, star)
+        for k, q in enumerate(pairs):
+            if abs(partner - q.value) > gap_tol * scale:
+                zeros.add((j, k))
+                block = space.star_mat(p.chain) @ space.H @ q.chain
+                deviation = max(deviation, float(np.linalg.norm(block)))
+    return zeros, deviation
 
 
 def spectra_match(A, B, tol=1e-8):

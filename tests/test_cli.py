@@ -12,7 +12,7 @@ import pytest
 
 import golden
 import specpreserve
-from specpreserve import ScalarProductSpace, matio
+from specpreserve import ArgumentError, PlanGroup, ScalarProductSpace, matio
 from specpreserve.cli import _match_eigvecs, _resolve_space, main
 
 
@@ -438,18 +438,22 @@ class TestInvariant:
         {"matrix": None}, {"basis": None}, {"seed": "abc"},
         {"tolerances": {"structure": "x"}}, {"tolerances": "x"},
         {"z": {"file": 3}}, {"out": 5}, {"lambda_target": [True, 1.3342]},
-        {"seed": True}, {"seed": 1.9}, {"tolerances": {"residual": True}}],
+        {"seed": True}, {"seed": 1.9}, {"tolerances": {"residual": True}},
+        {"targets": 5}, {"targets": True}],
         ids=["no-matrix", "no-basis", "seed", "tolerance", "tolerances",
              "z-file", "out", "bool-value", "bool-seed", "fractional-seed",
-             "bool-tolerance"])
+             "bool-tolerance", "number-targets", "bool-targets"])
     def test_malformed_job_field_exits_3(self, jobs_dir, tmp_path, capsys,
                                          change):
-        d = _copy_job(jobs_dir, "sym3", tmp_path)
+        # reassign reads the targets, invariant every other field here
+        name, command = (("lie4", "reassign") if "targets" in change
+                         else ("sym3", "invariant"))
+        d = _copy_job(jobs_dir, name, tmp_path)
         job = json.loads((d / "job.json").read_text())
         job.update(change)
         job = {k: v for k, v in job.items() if v is not None}
         (d / "job.json").write_text(json.dumps(job))
-        assert _run("invariant", str(d / "job.json")) == 3
+        assert _run(command, str(d / "job.json")) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
@@ -515,6 +519,29 @@ class TestGen:
         assert _run("gen", str(d / "job.json")) == 3
         assert "expected an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", [1.9, True, "2"],
+                             ids=["fractional", "bool", "string"])
+    def test_malformed_chain_length_exits_3(self, jobs_dir, tmp_path, capsys,
+                                            length):
+        # int() would read each of these as a length
+        d = _copy_job(jobs_dir, "gen6", tmp_path)
+        job = json.loads((d / "job.json").read_text())
+        job["recipe"]["plan"][2]["chains"] = [length]
+        (d / "job.json").write_text(json.dumps(job))
+        assert _run("gen", str(d / "job.json")) == 3
+        err = capsys.readouterr().err
+        assert "bad chain length" in err and "expected an integer" in err
+
+    @pytest.mark.parametrize("length", [1.9, True, "2", 0, float("nan")])
+    def test_plan_group_refuses_a_non_integral_length(self, length):
+        with pytest.raises(ArgumentError, match="positive integers"):
+            PlanGroup(1.0, (length,))
+
+    @pytest.mark.parametrize("length", [2, np.int64(2), 2.0])
+    def test_plan_group_reads_an_integral_length(self, length):
+        chains = PlanGroup(1.0, (length,)).chains
+        assert chains == (2,) and type(chains[0]) is int
+
     def test_seeded_repeatability_byte_identical(self, jobs_dir, tmp_path):
         d1 = _copy_job(jobs_dir, "gen6", tmp_path / "first")
         d2 = _copy_job(jobs_dir, "gen6", tmp_path / "second")
@@ -562,7 +589,7 @@ class TestFlags:
     def test_complete_pairing_flag(self, tmp_path, rng):
         # real Jordan member with a complex couple; ask to move only one
         # member of the couple and let the flag insert the conjugate
-        from specpreserve import InstanceRecipe, PlanGroup, generate_instance
+        from specpreserve import InstanceRecipe, generate_instance
         inst = generate_instance(InstanceRecipe(
             "signature", "jordan", "real", "T",
             (PlanGroup(1 + 2j, (1,)), PlanGroup(1 - 2j, (1,)),

@@ -7,8 +7,9 @@ verification oracle calls no eigenvector solver, factors no square matrix
 outside its fallback and memoizes the spectrum of no matrix but the
 unperturbed A, no code but ``core._DenseH`` solves with H, every
 threshold test raises through ``core._decide``, no code but
-``core.as_matrix`` refuses an operand for its shape, and no code reads
-``structure_tol`` from anything but a space."""
+``core.as_matrix`` refuses an operand for its shape, no code reads
+``structure_tol`` from anything but a space, and every public name has a
+reader."""
 
 import ast
 import pathlib
@@ -718,3 +719,56 @@ def test_structure_tol_is_read_only_from_a_space():
 ])
 def test_structure_tol_rule_catches_a_planted_read(planted, flagged):
     assert bool(_structure_tol_reads(ast.parse(planted))) == flagged
+
+
+# every name the package exports is read: by the package outside the name's
+# own definition and the export lists, by the benchmark harness, or in the
+# README; an export nothing reads is code to delete
+REPO = pathlib.Path(__file__).resolve().parents[1]
+READER_TEXTS = sorted((REPO / "perfbench").rglob("*.py")) + [REPO / "README.md"]
+
+
+def _reads(tree):
+    """Names a module loads or reads as an attribute, outside the top-level
+    definition of the same name; import and ``__all__`` lists read none."""
+    reads = set()
+    for d in tree.body:
+        for n in ast.walk(d):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                reads.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                reads.add(n.attr)
+        reads.discard(getattr(d, "name", None))
+    return reads
+
+
+def _unread(names, trees, texts):
+    """The names no tree reads and no text mentions as a word."""
+    read = set().union(*map(_reads, trees))
+    return sorted(name for name in names if name not in read
+                  and not any(re.search(rf"\b{name}\b", t) for t in texts))
+
+
+def test_every_public_name_has_a_reader():
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES]
+    texts = [p.read_text(encoding="utf-8") for p in READER_TEXTS]
+    unread = _unread(specpreserve.__all__, trees, texts)
+    assert not unread, f"exported but read nowhere: {unread}"
+
+
+@pytest.mark.parametrize("planted,text,flagged", [
+    # the audit nothing called: defined, imported and exported
+    ("from .spectral import gram_blocks\n__all__ = ['gram_blocks']", "",
+     True),
+    ("def gram_blocks(pairs):\n    return gram_blocks(pairs[1:])", "", True),
+    ("gram_blocks = audit", "", True),
+    ("", "gram_blocks_v2(pairs)", True),
+    # a reader in the package, the harness or the README
+    ("def gram_blocks(pairs):\n    pass\nG = gram_blocks(p)", "", False),
+    ("def f(p):\n    return spectral.gram_blocks(p)", "", False),
+    ("", "G = specpreserve.gram_blocks(pairs)", False),
+    ("", "`gram_blocks` predicts the zero pattern", False),
+])
+def test_reader_rule_catches_a_planted_name(planted, text, flagged):
+    unread = _unread(["gram_blocks"], [ast.parse(planted)], [text])
+    assert (unread == ["gram_blocks"]) == flagged

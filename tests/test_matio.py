@@ -58,6 +58,31 @@ class TestCanonicalFormat:
         with pytest.raises(FormatError, match="must be integers"):
             matio.matrix_from_payload(payload)
 
+    @pytest.mark.parametrize("payload,message", [
+        ({"rows": 0, "cols": 1, "field": "real", "data": []},
+         "must be positive"),
+        ({"rows": -1, "cols": 1, "field": "real", "data": [1.0]},
+         "must be positive"),
+        ({"rows": 1, "cols": 1, "field": "quaternion", "data": [1.0]},
+         "unknown field 'quaternion'"),
+        ({"rows": 1, "cols": 1, "field": "real", "data": {}},
+         "data must be an array"),
+        ({"rows": 1, "cols": 1, "data": [1.0]},
+         "malformed matrix payload: 'field'"),
+        ({"rows": 2, "cols": 2, "field": "real", "data": [1.0, 2.0, 3.0]},
+         "expected 4 entries, got 3"),
+        ({"rows": 1, "cols": 1, "field": "real", "data": [[0, 1]]},
+         "real matrix has nonzero imaginary entries"),
+    ])
+    def test_malformed_payload_refused_by_message(self, payload, message):
+        with pytest.raises(FormatError, match=message):
+            matio.matrix_from_payload(payload)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 2, 2), (0,)])
+    def test_array_that_is_no_matrix_is_not_written(self, tmp_path, shape):
+        with pytest.raises(FormatError):
+            matio.save_matrix(tmp_path / "a.json", np.zeros(shape))
+
     def test_integral_float_extent_accepted(self):
         payload = {"rows": 1.0, "cols": 2, "field": "real", "data": [1.0, 2.0]}
         np.testing.assert_array_equal(matio.matrix_from_payload(payload),
