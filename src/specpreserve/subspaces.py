@@ -198,13 +198,18 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     _gram_compatibility(G, Lambda_a, space, cls).require(
         _INCOMPATIBLE, "condition_residual")
 
-    X = np.hstack([X_c, X_f])
     # one LU of X decides nonsingularity, by LAPACK's reciprocal 1-norm
-    # condition estimate (0 for an exactly singular X)
+    # condition estimate (0 for an exactly singular X); X is built once in
+    # Fortran order, so getrf factors it in place, after its 1-norm is
+    # summed row by row over C-ordered absolute values, as of the stacked X
+    norm_X = max(np.abs(B, order="C").sum(axis=0).max(initial=0.0)
+                 for B in (X_c, X_f))
+    X = np.empty((space.n, space.n), np.result_type(X_c, X_f), order="F")
+    X[:, :p], X[:, p:] = X_c, X_f
     with _SCIPY_LAPACK_LOCK:
         getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (X,))
-        lu = getrf(X)[0]
-        rcond = gecon(lu, np.abs(X).sum(axis=0).max(), norm="1")[0]
+        lu = getrf(X, overwrite_a=True)[0]
+        rcond = gecon(lu, norm_X, norm="1")[0]
     _decide("nonsingular_basis", rcond, tol.rank_tol, at_least=True).require(
         "[X_c X_f] is numerically singular",
         "reciprocal condition estimate")

@@ -86,6 +86,58 @@ def test_command_loads_only_the_scipy_it_runs(command, job, jobs_dir,
     assert _modules_loaded_by(code) == set()
 
 
+# a tied pairing (a repeated value, or a value with two nearest partners)
+# is solved in numpy too, so it loads no scipy submodule either
+def test_tied_spectrum_compare_leaves_scipy_unloaded():
+    code = ("import numpy as np\n"
+            "from specpreserve import spectrum_multiset_compare\n"
+            "v = spectrum_multiset_compare(np.diag([1.0, 1.0, 2.0]), "
+            "np.diag([2.0, 1.0, 1.0]))\n"
+            "assert v.matched and v.max_distance == 0")
+    assert _modules_loaded_by(code) == set()
+
+
+def test_verifying_a_moved_double_value_leaves_scipy_unloaded():
+    # the planned spectrum repeats the target and pairs the currents, a
+    # double value, with the spectrum of A
+    code = (
+        "from specpreserve import (InstanceRecipe, PlanGroup, "
+        "ReassignmentGroup, ReassignmentSpec, assemble_real_jordan, "
+        "generate_instance, reassign_no_spillover, verify_reassignment)\n"
+        "inst = generate_instance(InstanceRecipe('identity', 'jordan', "
+        "'real', 't', (PlanGroup(1.0, (1, 1)), PlanGroup(2.0, (1,)), "
+        "PlanGroup(-3.0, (1,))), seed=3))\n"
+        "chains = tuple(p.chain for p in inst.pairs if abs(p.value - 1) "
+        "< 1e-9)\n"
+        "assert len(chains) == 2\n"
+        "asm = assemble_real_jordan(inst.A, ReassignmentSpec(("
+        "ReassignmentGroup(1.0, 5.0, chains),)), inst.space, inst.cls)\n"
+        "delta = reassign_no_spillover(inst.A, asm, inst.space, inst.cls, "
+        "verify=False).delta\n"
+        "rep = verify_reassignment(inst.A, delta, asm, inst.space, "
+        "inst.cls)\n"
+        "assert rep.spectrum_verdict.matched")
+    assert _modules_loaded_by(code) == set()
+
+
+@pytest.mark.parametrize("currents,code", [([1.0], 0), ([1.0, 1.0], 2)],
+                         ids=["one-copy", "both-copies"])
+def test_reassign_on_a_double_eigenvalue_leaves_scipy_unloaded(
+        currents, code, tmp_path):
+    # A has the double eigenvalue 1, so its eigenvalues pair with the
+    # currents through ties; listing both copies is refused after the
+    # pairing, as simple reassignment takes distinct values only
+    matio.save_matrix(tmp_path / "A.json", np.diag([1.0, 1.0, 2.0, 3.0]))
+    job = {"command": "reassign", "matrix": "A.json", "space": "identity",
+           "class": "jordan", "star": "t", "field": "real", "out": "out",
+           "targets": [{"current": [c, 0], "target": [4.0 + i, 0]}
+                       for i, c in enumerate(currents)]}
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    argv = ["reassign", str(tmp_path / "job.json")]
+    run = f"from specpreserve.cli import main\nassert main({argv!r}) == {code}"
+    assert _modules_loaded_by(run) == set()
+
+
 # numpy 2.4's ``np.unique`` imports ``numpy.ma`` (about 37 ms), so the
 # pairing of an update without spillover tests distinctness by a set
 @pytest.mark.parametrize("command,job", SHIPPED_COMMANDS,

@@ -11,6 +11,8 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 import helpers
@@ -39,8 +41,8 @@ from specpreserve import (
 from specpreserve.cli import _fixed_residual
 from specpreserve.core import frob
 from specpreserve.diagnostics import (_assign_multisets, _compare_spectra,
-                                      _planned_spectrum, _spillover_residual,
-                                      oracle_dim_limit)
+                                      _planned_spectrum, _rectangular_lsap,
+                                      _spillover_residual, oracle_dim_limit)
 
 
 class TestSpectrumCompare:
@@ -120,16 +122,17 @@ class TestSpectrumCompare:
         assert rep.spillover_residual <= 1e-14
 
 
-def _hungarian_spy(monkeypatch):
-    """Record the cost shape of every call to scipy's Hungarian solver."""
+def _search_spy(monkeypatch):
+    """Record the cost shape of every search of the pairing: the step for
+    the rows its vector pass cannot settle."""
     calls = []
-    orig = scipy.optimize.linear_sum_assignment
+    orig = specpreserve.diagnostics._augmenting_path
 
-    def spy(cost):
+    def spy(cost, *args):
         calls.append(cost.shape)
-        return orig(cost)
+        return orig(cost, *args)
 
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+    monkeypatch.setattr(specpreserve.diagnostics, "_augmenting_path", spy)
     return calls
 
 
@@ -138,8 +141,9 @@ def _random_values(rng, n):
 
 
 def _pairing_case(name, rng):
-    """(ea, eb, route): route True when only the Hungarian can pair them,
-    False when every value has its own nearest partner, None when the
+    """(ea, eb, route): route True when a row of the pairing needs a
+    search (every nearest partner it has is taken), False when each row
+    takes a free nearest partner, the lowest of a tie, None when the
     random draw decides."""
     d = 2e-6
     a9, b9 = _random_values(rng, 9), _random_values(rng, 9)
@@ -150,31 +154,37 @@ def _pairing_case(name, rng):
         "fewer-rows-near-copies": (b9[[5, 0, 3]] + 1e-9, b9, False),
         "more-rows": (a9, b9[:4], True),
         "duplicates": (np.array([1.0, 1.0, 2 + 1j]),
-                       np.array([2 + 1j, 1.0, 1.0]), True),
+                       np.array([2 + 1j, 1.0, 1.0]), False),
+        # the third 1 finds both of its nearest partners taken
+        "duplicates-outnumber-partners": (np.array([1.0, 1.0, 1.0, 2.0]),
+                                          np.array([1.0, 1.0, 2.0, 2.0]),
+                                          True),
         "conjugates-equidistant-from-real": (
-            np.array([2.0 + 0j]), np.array([1 + 1j, 1 - 1j]), True),
+            np.array([2.0 + 0j]), np.array([1 + 1j, 1 - 1j]), False),
         "real-equidistant-from-conjugates": (
             np.array([1 + 1j, 1 - 1j]), np.array([2.0 + 0j, 7.0 + 0j]), True),
         # the optimal-pairing example, both ways round: nearest-first pairs
         # 1 + 2d with 1 + 3d and leaves 1 + 4d at 4d from 1
         "shared-nearest": (np.array([1 + 2 * d, 1 + 4 * d]),
                            np.array([1.0, 1 + 3 * d]), True),
+        # 1 takes 1 + 2d, which leaves 1 + 3d its free nearest 1 + 4d
         "shared-nearest-transposed": (np.array([1.0, 1 + 3 * d]),
-                                      np.array([1 + 2 * d, 1 + 4 * d]), True),
+                                      np.array([1 + 2 * d, 1 + 4 * d]), False),
     }[name]
 
 
 class TestAssignMultisets:
     @pytest.mark.parametrize("name", [
         "square", "square-near-copies", "fewer-rows", "fewer-rows-near-copies",
-        "more-rows", "duplicates", "conjugates-equidistant-from-real",
+        "more-rows", "duplicates", "duplicates-outnumber-partners",
+        "conjugates-equidistant-from-real",
         "real-equidistant-from-conjugates", "shared-nearest",
         "shared-nearest-transposed"])
     def test_matches_the_hungarian_exactly(self, name, rng, monkeypatch):
         ea, eb, route = _pairing_case(name, rng)
         cost = np.abs(np.subtract.outer(ea, eb))
         want_rows, want_cols = scipy.optimize.linear_sum_assignment(cost)
-        calls = _hungarian_spy(monkeypatch)
+        calls = _search_spy(monkeypatch)
         rows, cols, dist = _assign_multisets(ea, eb)
         for got, want in ((rows, want_rows), (cols, want_cols),
                           (dist, cost[want_rows, want_cols])):
@@ -200,12 +210,68 @@ class TestAssignMultisets:
         ea = _random_values(rng, 256)
         perm = rng.permutation(256)
         eb = (ea + 1e-10 * _random_values(rng, 256))[perm]
-        calls = _hungarian_spy(monkeypatch)
+        calls = _search_spy(monkeypatch)
         rows, cols, dist = _assign_multisets(ea, eb)
         assert calls == []
         np.testing.assert_array_equal(rows, np.arange(256))
         np.testing.assert_array_equal(cols, np.argsort(perm))
         assert np.max(dist) < 1e-9
+
+
+@st.composite
+def _lsap_costs(draw):
+    """Cost matrices up to 9 x 9, either way round or empty: random reals,
+    integers in 0..2 (many ties) or the distances between two spectra on
+    a small grid, closed under conjugation (duplicates and conjugate
+    pairs), with at times an entry +inf, NaN or -inf, or a row of +inf.
+    Hypothesis draws the shape, kind and defect; a drawn seed, the
+    entries."""
+    shape = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    if draw(st.integers(0, 15)) == 0:
+        shape = draw(st.sampled_from([(0, 0), (0, shape[1]), (shape[0], 0)]))
+    kind = draw(st.sampled_from(["real", "integer", "spectra"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "real":
+        cost = 100 * rng.random(shape)
+    elif kind == "integer":
+        cost = rng.integers(0, 3, shape).astype(float)
+    else:
+        ea, eb = (rng.integers(-2, 3, (k + 1) // 2)
+                  + 1j * rng.integers(0, 3, (k + 1) // 2) for k in shape)
+        ea, eb = (np.column_stack([z, z.conj()]).ravel()[:k]
+                  for z, k in zip((ea, eb), shape))
+        cost = np.abs(np.subtract.outer(ea, eb))
+    special = draw(st.sampled_from([None] * 4 + [np.inf, np.nan, -np.inf,
+                                                 "inf-row"]))
+    if special is not None and cost.size:
+        if special == "inf-row":
+            cost[draw(st.integers(0, shape[0] - 1))] = np.inf
+        else:
+            cost.flat[draw(st.integers(0, cost.size - 1))] = special
+    return cost
+
+
+def _lsap_outcome(solve, cost):
+    try:
+        return solve(cost)
+    except ValueError as e:
+        return str(e)
+
+
+class TestRectangularLsap:
+    @given(cost=_lsap_costs())
+    @settings(max_examples=2000, derandomize=True, database=None,
+              deadline=None)
+    def test_is_scipy_exactly(self, cost):
+        want = _lsap_outcome(scipy.optimize.linear_sum_assignment, cost)
+        got = _lsap_outcome(_rectangular_lsap, cost)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
 
 
 class TestPlannedSpectrum:

@@ -1,7 +1,7 @@
 """Source hygiene that no installed linter checks: every module-level import
 in the package is used by its module or re-exported through ``__all__``, no
-module loads a scipy submodule at import time, ``scipy.linalg`` and
-``scipy.optimize`` are used only by an allowlist of definitions, the
+module loads a scipy submodule at import time, ``scipy.linalg`` is used
+only by an allowlist of definitions and ``scipy.optimize`` by none, the
 field-keeping modules never cast to complex outside ``as_matrix``, the
 verification oracle calls no eigenvector solver, factors no square matrix
 outside its fallback and memoizes the spectrum of no matrix but the
@@ -102,20 +102,23 @@ def test_submodule_rule_catches_a_planted_import(planted, flagged):
 
 
 # the shipped commands run on numpy's LAPACK alone; loading
-# ``scipy.linalg`` or ``scipy.optimize`` costs a process about 200 ms, so
-# the package uses them only where numpy has no equivalent: the LU with
-# ``?gecon`` of ``[X_c X_f]``, the real Schur form of a skew form and the
-# Hungarian of a tied pairing (a dense H is inverted by numpy)
+# ``scipy.linalg`` costs a process about 200 ms, and ``scipy.optimize``
+# more (it loads ``sparse``, ``spatial``, ``special`` and ``fft``), so the
+# package uses ``scipy.linalg`` only where numpy has no equivalent, the LU
+# with ``?gecon`` of ``[X_c X_f]`` and the real Schur form of a skew form,
+# and ``scipy.optimize`` nowhere (a dense H is inverted by numpy, and a
+# tied pairing is solved by ``diagnostics._rectangular_lsap``)
 SCIPY_SUBMODULE_USERS = {
     "subspaces.py": {"preserve_complementary"},
-    "diagnostics.py": {"_skew_orthogonal_normalize", "_assign_multisets"},
+    "diagnostics.py": {"_skew_orthogonal_normalize"},
 }
-HEAVY_SUBMODULES = ("scipy.linalg", "scipy.optimize")
+ALLOWED_SUBMODULE = "scipy.linalg"
+HEAVY_SUBMODULES = (ALLOWED_SUBMODULE, "scipy.optimize")
 
 
 def _heavy_scipy_uses(tree, module):
-    """Lines outside the module's allowlisted top-level definitions that
-    name ``scipy.linalg`` or ``scipy.optimize``: an attribute chain such as
+    """Lines that name ``scipy.optimize``, or ``scipy.linalg`` outside the
+    module's allowlisted top-level definitions: an attribute chain such as
     ``scipy.linalg.lu_factor`` or an import of either, at any depth."""
     allowed = {id(n) for d in tree.body
                if isinstance(d, (ast.FunctionDef, ast.ClassDef))
@@ -123,13 +126,14 @@ def _heavy_scipy_uses(tree, module):
                for n in ast.walk(d)}
     hits = []
     for node in ast.walk(tree):
-        if id(node) in allowed:
-            continue
         names = _imported_names(node)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             names = [f"{node.value.id}.{node.attr}"]
-        if any(name == sub or name.startswith(sub + ".")
-               for name in names for sub in HEAVY_SUBMODULES):
+        used = {sub for name in names for sub in HEAVY_SUBMODULES
+                if name == sub or name.startswith(sub + ".")}
+        if id(node) in allowed:
+            used.discard(ALLOWED_SUBMODULE)
+        if used:
             hits.append(node.lineno)
     return hits
 
@@ -138,7 +142,8 @@ def test_scipy_submodules_are_used_only_where_allowed():
     hits = {path.name: lines for path in SOURCES
             if (lines := _heavy_scipy_uses(
                 ast.parse(path.read_text(encoding="utf-8")), path.name))}
-    assert not hits, f"scipy.linalg/optimize outside the allowlist: {hits}"
+    assert not hits, (f"scipy.linalg outside the allowlist or "
+                      f"scipy.optimize: {hits}")
 
 
 @pytest.mark.parametrize("module,planted,flagged", [
@@ -157,11 +162,20 @@ def test_scipy_submodules_are_used_only_where_allowed():
     ("core.py", "class _DenseH:\n    def lu(self):\n"
      "        return scipy.linalg.lu_factor(self.H)", True),
     # the name of an allowed definition in another module
+    ("spectral.py", "def _skew_orthogonal_normalize(H):\n"
+     "    return scipy.linalg.schur(H, output='real')", True),
+    # scipy.optimize, which the numpy pairing replaced, in any definition
     ("spectral.py", "def _assign_multisets(c):\n"
      "    return scipy.optimize.linear_sum_assignment(c)", True),
-    # the allowlist, and what the rule leaves alone
     ("diagnostics.py", "def _assign_multisets(c):\n"
-     "    return scipy.optimize.linear_sum_assignment(c)", False),
+     "    return scipy.optimize.linear_sum_assignment(c)", True),
+    ("diagnostics.py", "def _skew_orthogonal_normalize(H):\n"
+     "    import scipy.optimize", True),
+    ("subspaces.py", "def preserve_complementary(X):\n"
+     "    from scipy import optimize", True),
+    # the allowlist, and what the rule leaves alone
+    ("diagnostics.py", "def _skew_orthogonal_normalize(H):\n"
+     "    return scipy.linalg.schur(H, output='real')", False),
     ("subspaces.py", "def preserve_complementary(X):\n"
      "    return scipy.linalg.get_lapack_funcs(('getrf',), (X,))", False),
     ("matio.py", "def load(path):\n    import scipy.io\n"
