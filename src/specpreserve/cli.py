@@ -104,7 +104,7 @@ def _number(raw, convert, label):
 def _tolerances(job, args) -> tuple:
     """The flags' tolerances, else the job's, else the defaults: the space's
     structure_tol, and the profile of rank_tol and residual_tol."""
-    t = job.get("tolerances", {}) or {}
+    t = {} if job.get("tolerances") is None else job["tolerances"]
     if not isinstance(t, dict):
         raise FormatError(f"bad tolerances {t!r}: expected an object")
     flags = {"structure": args.tol_structure, "residual": args.tol_residual,
@@ -371,6 +371,10 @@ def cmd_reassign(args) -> int:
     job, tol, A, space, cls = _load_problem(args)
     n = A.shape[0]
     currents, targets = _collect_targets(job)
+    complete = job.get("complete_pairing")
+    if not isinstance(complete, (bool, type(None))):
+        raise FormatError(
+            f"bad complete_pairing {complete!r}: expected true or false")
 
     if job.get("eigvecs"):
         X = _job_matrix(job, "eigvecs")
@@ -385,8 +389,7 @@ def cmd_reassign(args) -> int:
     mode = job.get("mode") or ("family" if Z is not None else "no-spillover")
     result = reassign_simple(
         A, list(zip(currents, vecs)), targets, space, cls, Z=Z, mode=mode,
-        complete_pairing=bool(args.complete_pairing or job.get("complete_pairing")),
-        tol=tol)
+        complete_pairing=args.complete_pairing or bool(complete), tol=tol)
 
     rep = result.report
     fixed_supplied = None

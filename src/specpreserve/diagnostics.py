@@ -17,6 +17,9 @@ taken.  The perturbed matrix under test, and both matrices of
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import numbers
 import os
 import threading
@@ -125,141 +128,43 @@ class SpectrumVerdict:
         return d
 
 
+@functools.cache
+def _linear_sum_assignment():
+    """scipy's compiled ``linear_sum_assignment``, loaded from its own
+    extension module without the package init of ``scipy.optimize``, which
+    loads sparse, spatial, special and fft (about 45 MB).  Loading it puts
+    the module in ``sys.modules``, so the function is the one
+    ``scipy.optimize`` exports, whichever is imported first.  There is no
+    fallback to the package: a scipy without the module raises."""
+    name = "scipy.optimize._lsap"
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(os.path.dirname(scipy.__file__), "optimize")])
+    if spec is None:
+        raise ImportError(f"scipy has no extension module {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.linear_sum_assignment
+
+
 def _assign_multisets(ea, eb):
     """Optimal pairing of two complex multisets.
 
     Returns the row indices into ea, the column indices into eb and the
     paired distances; when the sizes differ, the smaller side is paired in
-    full.  The pairing is ``_rectangular_lsap`` on the distances, so it is
-    the one scipy's ``linear_sum_assignment`` returns, ties and all.
+    full.  The pairing is scipy's ``linear_sum_assignment`` on the
+    distances, ties and all, loaded by ``_linear_sum_assignment``.
     """
     cost = np.abs(np.subtract.outer(ea, eb))
-    rows, cols = _rectangular_lsap(cost)
+    rows, cols = _linear_sum_assignment()(cost)
     return rows, cols, cost[rows, cols]
-
-
-def _rectangular_lsap(cost):
-    """Minimum-cost assignment of the rows of a float cost matrix, as
-    ``(rows, cols)``: the rows, columns (intp), tie-breaking and
-    ValueError messages of scipy's ``linear_sum_assignment``, in numpy.
-
-    It is scipy's ``rectangular_lsap``, Crouse's shortest augmenting path
-    (IEEE Trans. Aerosp. Electron. Syst. 52(4), 2016): a tall cost is
-    transposed, its rows are assigned in order and the result sorted by
-    row.  A row's search starts from its minimum of ``C - v`` (v the
-    column duals) and stops at once when that minimum sits at a free
-    column, the lowest-index one of a tie; so such a row takes it without
-    a search, a run of rows with distinct lowest minima at free columns is
-    assigned in one vector step, and only the other rows run
-    ``_augmenting_path``.  Only a search moves v, and only on the columns
-    it scanned, so each search refreshes the minima of the rows left that
-    sat there.  Separated spectra cost one pass over C.
-    """
-    tall = cost.shape[0] > cost.shape[1]
-    C = cost.T if tall else cost
-    nr, nc = C.shape
-    if nr == 0:
-        return np.zeros(0, np.intp), np.zeros(0, np.intp)
-    if np.isnan(C).any() or np.isneginf(C).any():
-        raise ValueError("matrix contains invalid numeric entries")
-    u, v = np.zeros(nr), np.zeros(nc)
-    col4row = np.full(nr, -1, np.intp)
-    row4col = np.full(nc, -1, np.intp)
-    # each row's minimum of C - v, and the lowest column holding it
-    first = C.argmin(axis=1)
-    low = C[np.arange(nr), first]
-    i = 0
-    while i < nr:
-        if low[i] < np.inf and row4col[first[i]] < 0:
-            # a column taken, or wanted by an earlier row of the run, is
-            # not free when a row's turn comes
-            want = first[i:]
-            free = np.isfinite(low[i:]) & (row4col[want] < 0)
-            order = np.argsort(want, kind="stable")
-            free[order[1:][want[order[1:]] == want[order[:-1]]]] = False
-            run = free.size if free.all() else int(free.argmin())
-            col4row[i:i + run] = want[:run]
-            row4col[want[:run]] = np.arange(i, i + run)
-            u[i:i + run] = low[i:i + run]
-            i += run
-            continue
-        tied_free = np.flatnonzero((C[i] - v == low[i]) & (row4col < 0))
-        if low[i] < np.inf and tied_free.size:
-            j = tied_free[0]
-            col4row[i], row4col[j], u[i] = j, i, low[i]
-            i += 1
-            continue
-        scanned = _augmenting_path(C, u, v, col4row, row4col, i)
-        i += 1
-        stale = i + np.flatnonzero(scanned[first[i:]])
-        D = C[stale] - v
-        first[stale] = D.argmin(axis=1)
-        low[stale] = D[np.arange(stale.size), first[stale]]
-    if tall:
-        order = np.argsort(col4row)
-        return col4row[order], order
-    return np.arange(nr, dtype=np.intp), col4row
-
-
-def _augmenting_path(C, u, v, col4row, row4col, row):
-    """Assign the free ``row`` of ``_rectangular_lsap`` by a search: the
-    shortest augmenting path to a free column on the reduced costs
-    ``C - u - v``, then the dual update and the augmentation, in place;
-    returns the mask of the scanned columns, whose duals moved.  The
-    arithmetic and the tie rule are scipy's: its scan visits the unscanned
-    columns in a list that starts highest first and puts the last entry in
-    place of each pick (``left``, with ``pos`` its inverse), and takes the
-    first lowest column it meets, or the last free one when any is free.
-    """
-    nc = C.shape[1]
-    left = np.arange(nc - 1, -1, -1)
-    pos = left.copy()
-    # path costs of the unscanned columns (inf once scanned), and the cost
-    # at which each scanned column was reached
-    short, reached = np.full(nc, np.inf), np.empty(nc)
-    path = np.empty(nc, np.intp)
-    unscanned = np.ones(nc, bool)
-    rows = []
-    i, min_val = row, 0.0
-    while True:
-        rows.append(i)
-        r = min_val + C[i] - u[i] - v
-        closer = (r < short) & unscanned
-        np.copyto(path, i, where=closer)
-        np.copyto(short, r, where=closer)
-        min_val = short.min()
-        if min_val == np.inf:
-            raise ValueError("cost matrix is infeasible")
-        at_min = np.flatnonzero(short == min_val)
-        j = at_min[0]
-        if at_min.size > 1:
-            free = at_min[row4col[at_min] < 0]
-            j = (free[pos[free].argmax()] if free.size
-                 else at_min[pos[at_min].argmin()])
-        unscanned[j], reached[j], short[j] = False, min_val, np.inf
-        last = left[nc - len(rows)]
-        left[pos[j]], pos[last] = last, pos[j]
-        if row4col[j] < 0:
-            break
-        i = row4col[j]
-    u[row] += min_val
-    rest = np.array(rows[1:], dtype=np.intp)
-    u[rest] += min_val - reached[col4row[rest]]
-    scanned = ~unscanned
-    v[scanned] -= min_val - reached[scanned]
-    while True:
-        i = path[j]
-        row4col[j] = i
-        col4row[i], j = j, col4row[i]
-        if i == row:
-            return scanned
 
 
 def _compare_spectra(ea, eb, tol, slack=0.0) -> SpectrumVerdict:
     """Verdict on two equal-size eigenvalue multisets at ``tol * scale``,
     each paired distance counted with the slack of the two spectra.  The
     pairing is ``_assign_multisets``: a planned spectrum repeats a moved
-    value once per chain column, and those ties cost a search each."""
+    value once per chain column, and scipy's compiled routine settles those
+    ties."""
     scale = max(1.0, float(np.max(np.abs(ea)) if ea.size else 0.0),
                 float(np.max(np.abs(eb)) if eb.size else 0.0))
     threshold = tol * scale
@@ -362,8 +267,8 @@ def _memoized_solve(M, tier):
 def spectrum_multiset_compare(A, B, tol: float = 1e-8) -> SpectrumVerdict:
     """Compare the spectra of A and B as multisets.
 
-    Eigenvalues are paired by a minimum-cost assignment on pairwise
-    distances (``_assign_multisets``), not nearest-first, since a greedy
+    Eigenvalues are paired by scipy's compiled minimum-cost assignment on
+    pairwise distances (``_assign_multisets``), not nearest-first: a greedy
     pass would misreport swapped conjugate pairs.  The verdict is matched when
     the largest paired distance, plus the slack of the Hermitian tier
     (``_eigenvalues``), stays below ``tol * max(1, spectral scale)``.  Each

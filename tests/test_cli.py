@@ -87,14 +87,19 @@ def test_command_loads_only_the_scipy_it_runs(command, job, jobs_dir,
 
 
 # a tied pairing (a repeated value, or a value with two nearest partners)
-# is solved in numpy too, so it loads no scipy submodule either
+# runs scipy's compiled routine from its own extension module, which loads
+# neither scipy submodule package
+PAIRING_MODULES = SCIPY_SUBMODULES + ("scipy.optimize._lsap",)
+
+
 def test_tied_spectrum_compare_leaves_scipy_unloaded():
     code = ("import numpy as np\n"
             "from specpreserve import spectrum_multiset_compare\n"
             "v = spectrum_multiset_compare(np.diag([1.0, 1.0, 2.0]), "
             "np.diag([2.0, 1.0, 1.0]))\n"
             "assert v.matched and v.max_distance == 0")
-    assert _modules_loaded_by(code) == set()
+    assert _modules_loaded_by(code, PAIRING_MODULES) == {
+        "scipy.optimize._lsap"}
 
 
 def test_verifying_a_moved_double_value_leaves_scipy_unloaded():
@@ -117,7 +122,8 @@ def test_verifying_a_moved_double_value_leaves_scipy_unloaded():
         "rep = verify_reassignment(inst.A, delta, asm, inst.space, "
         "inst.cls)\n"
         "assert rep.spectrum_verdict.matched")
-    assert _modules_loaded_by(code) == set()
+    assert _modules_loaded_by(code, PAIRING_MODULES) == {
+        "scipy.optimize._lsap"}
 
 
 @pytest.mark.parametrize("currents,code", [([1.0], 0), ([1.0, 1.0], 2)],
@@ -491,10 +497,12 @@ class TestInvariant:
         {"tolerances": {"structure": "x"}}, {"tolerances": "x"},
         {"z": {"file": 3}}, {"out": 5}, {"lambda_target": [True, 1.3342]},
         {"seed": True}, {"seed": 1.9}, {"tolerances": {"residual": True}},
-        {"targets": 5}, {"targets": True}],
+        {"targets": 5}, {"targets": True}, {"tolerances": False},
+        {"tolerances": []}],
         ids=["no-matrix", "no-basis", "seed", "tolerance", "tolerances",
              "z-file", "out", "bool-value", "bool-seed", "fractional-seed",
-             "bool-tolerance", "number-targets", "bool-targets"])
+             "bool-tolerance", "number-targets", "bool-targets",
+             "false-tolerances", "list-tolerances"])
     def test_malformed_job_field_exits_3(self, jobs_dir, tmp_path, capsys,
                                          change):
         # reassign reads the targets, invariant every other field here
@@ -658,3 +666,22 @@ class TestFlags:
                     "--complete-pairing") == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["spectrum"]["matched"] is True
+
+    # only a JSON boolean, or no value, sets the job's key: a truthy string
+    # or number is refused, not read as true
+    @pytest.mark.parametrize("value,code", [
+        ("no", 3), (1, 3), ("true", 3), (True, 0), (False, 2), (None, 2)],
+        ids=["no-string", "one", "true-string", "true", "false", "null"])
+    def test_complete_pairing_job_key(self, value, code, jobs_dir, tmp_path,
+                                      capsys):
+        # one member of jordan5's complex couple, found by its eigenvalue
+        d = _copy_job(jobs_dir, "jordan5", tmp_path)
+        job = json.loads((d / "job.json").read_text())
+        for key in ("eigvecs", "fixed_basis", "fixed_lambda"):
+            del job[key]
+        job.update(targets=job["targets"][:1], complete_pairing=value)
+        (d / "job.json").write_text(json.dumps(job))
+        assert _run("reassign", str(d / "job.json")) == code
+        err = capsys.readouterr().err
+        assert ("complete_pairing" in err) == (code == 3)
+        assert "Traceback" not in err

@@ -1,7 +1,8 @@
 """Source hygiene that no installed linter checks: every module-level import
 in the package is used by its module or re-exported through ``__all__``, no
 module loads a scipy submodule at import time, ``scipy.linalg`` is used
-only by an allowlist of definitions and ``scipy.optimize`` by none, the
+only by an allowlist of definitions and ``scipy.optimize`` by none (one
+loader names the extension module of its compiled assignment), the
 field-keeping modules never cast to complex outside ``as_matrix``, the
 verification oracle calls no eigenvector solver, factors no square matrix
 outside its fallback and memoizes the spectrum of no matrix but the
@@ -106,29 +107,41 @@ def test_submodule_rule_catches_a_planted_import(planted, flagged):
 # more (it loads ``sparse``, ``spatial``, ``special`` and ``fft``), so the
 # package uses ``scipy.linalg`` only where numpy has no equivalent, the LU
 # with ``?gecon`` of ``[X_c X_f]`` and the real Schur form of a skew form,
-# and ``scipy.optimize`` nowhere (a dense H is inverted by numpy, and a
-# tied pairing is solved by ``diagnostics._rectangular_lsap``)
+# and ``scipy.optimize`` nowhere (a dense H is inverted by numpy); a tied
+# pairing runs scipy's compiled assignment, which one loader takes from
+# its own extension module by name, without the package init
 SCIPY_SUBMODULE_USERS = {
     "subspaces.py": {"preserve_complementary"},
     "diagnostics.py": {"_skew_orthogonal_normalize"},
 }
 ALLOWED_SUBMODULE = "scipy.linalg"
 HEAVY_SUBMODULES = (ALLOWED_SUBMODULE, "scipy.optimize")
+# (module, definition, the one string it may name)
+LSAP_LOADER = ("diagnostics.py", "_linear_sum_assignment",
+               "scipy.optimize._lsap")
 
 
 def _heavy_scipy_uses(tree, module):
     """Lines that name ``scipy.optimize``, or ``scipy.linalg`` outside the
     module's allowlisted top-level definitions: an attribute chain such as
-    ``scipy.linalg.lu_factor`` or an import of either, at any depth."""
-    allowed = {id(n) for d in tree.body
-               if isinstance(d, (ast.FunctionDef, ast.ClassDef))
-               and d.name in SCIPY_SUBMODULE_USERS.get(module, ())
-               for n in ast.walk(d)}
+    ``scipy.linalg.lu_factor``, an import of either, or a string naming
+    either or a module under it, as ``importlib.import_module`` takes, at
+    any depth.  The loader of the compiled assignment may name its module."""
+    def inside(names):
+        return {id(n) for d in tree.body
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                and d.name in names for n in ast.walk(d)}
+
+    allowed = inside(SCIPY_SUBMODULE_USERS.get(module, ()))
+    loader = inside({LSAP_LOADER[1]} if module == LSAP_LOADER[0] else ())
     hits = []
     for node in ast.walk(tree):
         names = _imported_names(node)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             names = [f"{node.value.id}.{node.attr}"]
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = ([] if id(node) in loader and node.value == LSAP_LOADER[2]
+                     else [node.value])
         used = {sub for name in names for sub in HEAVY_SUBMODULES
                 if name == sub or name.startswith(sub + ".")}
         if id(node) in allowed:
@@ -173,6 +186,21 @@ def test_scipy_submodules_are_used_only_where_allowed():
      "    import scipy.optimize", True),
     ("subspaces.py", "def preserve_complementary(X):\n"
      "    from scipy import optimize", True),
+    # a submodule named by a string, which an import statement never shows
+    ("spectral.py", "def f(A):\n"
+     "    return importlib.import_module('scipy.optimize')", True),
+    ("core.py", "def f(A):\n    return __import__('scipy.linalg')", True),
+    ("core.py", "NAME = 'scipy.linalg.lapack'", True),
+    # the loader of the compiled assignment may name its module, and only
+    # that string; no other definition may name it
+    ("diagnostics.py", "def _linear_sum_assignment():\n"
+     "    name = 'scipy.optimize._lsap'", False),
+    ("diagnostics.py", "def _linear_sum_assignment():\n"
+     "    return importlib.import_module('scipy.optimize')", True),
+    ("diagnostics.py", "def _assign_multisets(ea, eb):\n"
+     "    name = 'scipy.optimize._lsap'", True),
+    ("spectral.py", "def _linear_sum_assignment():\n"
+     "    name = 'scipy.optimize._lsap'", True),
     # the allowlist, and what the rule leaves alone
     ("diagnostics.py", "def _skew_orthogonal_normalize(H):\n"
      "    return scipy.linalg.schur(H, output='real')", False),
@@ -181,6 +209,8 @@ def test_scipy_submodules_are_used_only_where_allowed():
     ("matio.py", "def load(path):\n    import scipy.io\n"
      "    return scipy.io.mmread(path)", False),
     ("spectral.py", "import scipy", False),
+    ("matio.py", "def load(path):\n    return __import__('scipy.io')", False),
+    ("core.py", "NOTE = 'scipy.linalg is loaded on first use'", False),
     ("spectral.py", "def f(A):\n    return np.linalg.eigvals(A)", False),
 ])
 def test_scipy_use_rule_catches_a_planted_call(module, planted, flagged):
