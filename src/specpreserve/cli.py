@@ -376,7 +376,7 @@ def cmd_reassign(args) -> int:
         raise FormatError(
             f"bad complete_pairing {complete!r}: expected true or false")
 
-    if job.get("eigvecs"):
+    if job.get("eigvecs") is not None:
         X = _job_matrix(job, "eigvecs")
         if X.shape != (n, len(currents)):
             raise FormatError(
@@ -386,14 +386,18 @@ def cmd_reassign(args) -> int:
         vecs = _match_eigvecs(A, currents)
 
     Z = _resolve_z(job, args, space, cls)
-    mode = job.get("mode") or ("family" if Z is not None else "no-spillover")
+    mode = job.get("mode")
+    if mode is None:
+        mode = "family" if Z is not None else "no-spillover"
+    elif not isinstance(mode, str):
+        raise FormatError(f"bad mode {mode!r}: expected a string")
     result = reassign_simple(
         A, list(zip(currents, vecs)), targets, space, cls, Z=Z, mode=mode,
         complete_pairing=args.complete_pairing or bool(complete), tol=tol)
 
     rep = result.report
     fixed_supplied = None
-    if job.get("fixed_basis"):
+    if job.get("fixed_basis") is not None:
         fixed_supplied = _fixed_residual(
             A + result.delta, _job_matrix(job, "fixed_basis"),
             _load_lambda(job, job.get("fixed_lambda"), "fixed_lambda"))
@@ -447,7 +451,8 @@ def cmd_invariant(args) -> int:
         delta = reproduce_invariant(A, X, La, space, cls, Z=Z, tol=tol)
     elif submode == "preserve":
         Lc = _load_lambda(job, job.get("lambda_current"), "lambda_current")
-        R = _job_matrix(job, "r") if job.get("r") else np.eye(X.shape[1])
+        R = (np.eye(X.shape[1]) if job.get("r") is None
+             else _job_matrix(job, "r"))
         delta = preserve_invariant(A, X, Lc, R, La, space, cls, Z=Z, tol=tol)
     elif submode == "complementary":
         Xf = _job_matrix(job, "fixed_basis")

@@ -218,8 +218,8 @@ class _MonomialH:
 
 # scipy's LAPACK wrappers can return wrong values, or corrupt the heap,
 # when two threads call them at once (seen with scipy 1.17.1 lu_solve on one
-# shared LU), so every scipy.linalg call in the package runs under this one
-# lock; numpy.linalg gave the sequential results in the same test
+# shared LU), so every call of a ``diagnostics._flapack`` routine runs under
+# this one lock; numpy.linalg gave the sequential results in the same test
 _SCIPY_LAPACK_LOCK = threading.Lock()
 
 
@@ -244,14 +244,14 @@ class _DenseH:
 
 
 def _real_apply(M, B) -> np.ndarray:
-    """``M B``; a real M meets complex B as one real product with
-    ``[Re B, Im B]``, never cast to complex."""
+    """``M B``; a real M meets a complex128 B as one real product with the
+    interleaved real view of B (no copy of a C-contiguous B), viewed back
+    as complex: never cast to complex."""
     if np.iscomplexobj(M) or not np.iscomplexobj(B):
         return M @ B
-    R = B.reshape(B.shape[0], -1)
-    k = R.shape[1]
-    Y = M @ np.hstack([R.real, R.imag])
-    return (Y[:, :k] + 1j * Y[:, k:]).reshape(Y.shape[:1] + B.shape[1:])
+    R = np.ascontiguousarray(B).reshape(B.shape[0], -1)
+    Y = M @ R.view(np.float64)
+    return Y.view(np.complex128).reshape(Y.shape[:1] + B.shape[1:])
 
 
 def _h_operator(H):

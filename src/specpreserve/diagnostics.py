@@ -128,22 +128,38 @@ class SpectrumVerdict:
         return d
 
 
-@functools.cache
-def _linear_sum_assignment():
-    """scipy's compiled ``linear_sum_assignment``, loaded from its own
-    extension module without the package init of ``scipy.optimize``, which
-    loads sparse, spatial, special and fft (about 45 MB).  Loading it puts
-    the module in ``sys.modules``, so the function is the one
-    ``scipy.optimize`` exports, whichever is imported first.  There is no
-    fallback to the package: a scipy without the module raises."""
-    name = "scipy.optimize._lsap"
+def _scipy_extension(name):
+    """scipy's compiled extension module ``name``, ``scipy.<package>.<m>``,
+    loaded from its own file under scipy's directory without the init of
+    the package.  Loading it puts the module in ``sys.modules``, so its
+    functions are the ones the package exports, whichever is imported
+    first.  There is no fallback to the package: a scipy without the
+    module raises."""
     spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(os.path.dirname(scipy.__file__), "optimize")])
+        name, [os.path.join(os.path.dirname(scipy.__file__),
+                            name.split(".")[1])])
     if spec is None:
         raise ImportError(f"scipy has no extension module {name}", name=name)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.linear_sum_assignment
+    return module
+
+
+@functools.cache
+def _linear_sum_assignment():
+    """scipy's compiled ``linear_sum_assignment``, without
+    ``scipy.optimize``, which loads sparse, spatial, special and fft (about
+    45 MB)."""
+    return _scipy_extension("scipy.optimize._lsap").linear_sum_assignment
+
+
+@functools.cache
+def _flapack():
+    """scipy's f2py LAPACK wrappers, without ``scipy.linalg`` (about 210 ms
+    and 27 MB): each routine is the object
+    ``scipy.linalg.get_lapack_funcs`` returns.  Call them under
+    ``core._SCIPY_LAPACK_LOCK``."""
+    return _scipy_extension("scipy.linalg._flapack")
 
 
 def _assign_multisets(ea, eb):
@@ -660,14 +676,27 @@ def _preset_eps1(recipe) -> int:
     return _PRESET_EPS1.get(recipe.space_kind) or recipe.eps1 or 1
 
 
+def _real_schur(H):
+    """(T, Q) with H = Q T Q^T for the real square H, by ``dgees`` called
+    as ``scipy.linalg.schur(H, output="real")`` calls it: a workspace
+    query, then the unsorted real Schur form of a copy of H."""
+    gees, select = _flapack().dgees, (lambda x, y=None: None)
+    with _SCIPY_LAPACK_LOCK:
+        lwork = int(gees(select, H, lwork=-1)[-2][0])
+        T, *_, Q, _, info = gees(select, H, lwork=lwork, overwrite_a=False,
+                                 sort_t=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgees failed with info = {info}")
+    return T, Q
+
+
 def _skew_orthogonal_normalize(H):
     """Real orthogonal Q with Q^T H Q = skewJ for real skew-orthogonal H."""
     H = np.real_if_close(H, tol=1e6)
     n = H.shape[0]
     if n % 2:
         raise InfeasiblePlanError("a skew form needs even dimension")
-    with _SCIPY_LAPACK_LOCK:
-        T, Q = scipy.linalg.schur(np.asarray(H, dtype=float), output="real")
+    T, Q = _real_schur(np.asarray(H, dtype=float))
     # T is block diagonal with [[0, b], [-b, 0]] blocks, b = +-1
     for i in range(0, n, 2):
         if abs(T[i, i + 1]) < 0.5:

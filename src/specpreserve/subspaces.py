@@ -23,8 +23,10 @@ The complementary checks cost one n x n x m product ``A X_f``, O(n m w)
 for ``X_f Lambda_f`` with w diagonals in the band of Lambda_f (when it has
 few nonzeros off its diagonal; ``core.BAND_GATHER_COST`` says how few),
 and one LU of ``[X_c X_f]``, whose ``?gecon`` estimate decides
-nonsingularity: the module's one use of ``scipy.linalg``.  A triangular
-Lambda_f, such as a Jordan form, gives its spectrum from its diagonal.
+nonsingularity: the module's one call past numpy's LAPACK, to scipy's f2py
+``?getrf`` and ``?gecon`` from ``scipy.linalg._flapack``, without the
+package.  A triangular Lambda_f, such as a Jordan form, gives its spectrum
+from its diagonal.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .core import (
     ScalarProductSpace,
@@ -53,6 +54,7 @@ from .core import (
     gram_matrix,
     pseudoinverse,
 )
+from .diagnostics import _flapack
 from .mapping import _family
 from .spectral import _form_star, pairing_partner
 
@@ -206,10 +208,10 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
                  for B in (X_c, X_f))
     X = np.empty((space.n, space.n), np.result_type(X_c, X_f), order="F")
     X[:, :p], X[:, p:] = X_c, X_f
+    lapack, t = _flapack(), "z" if np.iscomplexobj(X) else "d"
     with _SCIPY_LAPACK_LOCK:
-        getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (X,))
-        lu = getrf(X, overwrite_a=True)[0]
-        rcond = gecon(lu, norm_X, norm="1")[0]
+        lu = getattr(lapack, t + "getrf")(X, overwrite_a=True)[0]
+        rcond = getattr(lapack, t + "gecon")(lu, norm_X, norm="1")[0]
     _decide("nonsingular_basis", rcond, tol.rank_tol, at_least=True).require(
         "[X_c X_f] is numerically singular",
         "reciprocal condition estimate")

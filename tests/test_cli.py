@@ -126,6 +126,63 @@ def test_verifying_a_moved_double_value_leaves_scipy_unloaded():
         "scipy.optimize._lsap"}
 
 
+# the real Schur form of a skew form, and the LU of ``[X_c X_f]`` with its
+# ``?gecon`` estimate, call scipy's f2py LAPACK wrappers from their own
+# extension module, which loads neither scipy submodule package
+LAPACK_MODULES = SCIPY_SUBMODULES + ("scipy.linalg._flapack",)
+SKEWJ_RECIPE = {"space": "skewj", "class": "lie", "field": "real",
+                "star": "t", "seed": 3,
+                "plan": [{"value": [0.5, 0.0], "chains": [1]},
+                         {"value": [-0.5, 0.0], "chains": [1]}]}
+
+
+def test_skewj_instance_loads_only_the_lapack_wrappers():
+    code = ("from specpreserve import InstanceRecipe, PlanGroup, "
+            "generate_instance\n"
+            "generate_instance(InstanceRecipe('skewj', 'lie', 'real', 't', "
+            "(PlanGroup(0.5, (1,)), PlanGroup(-0.5, (1,))), seed=3))")
+    assert _modules_loaded_by(code, LAPACK_MODULES) == {
+        "scipy.linalg._flapack"}
+
+
+def test_gen_on_a_skewj_job_loads_only_the_lapack_wrappers(tmp_path):
+    (tmp_path / "job.json").write_text(json.dumps(
+        {"recipe": SKEWJ_RECIPE, "out": "out"}))
+    argv = ["gen", str(tmp_path / "job.json")]
+    code = f"from specpreserve.cli import main\nassert main({argv!r}) == 0"
+    assert _modules_loaded_by(code, LAPACK_MODULES) == {
+        "scipy.linalg._flapack"}
+    assert (tmp_path / "out" / "A.json").exists()
+
+
+def test_complementary_update_loads_only_the_lapack_wrappers(tmp_path):
+    # a generated flip/ct Jordan instance: its first eigenpair moves, the
+    # other three stay
+    plan = [{"value": [v, 0.0], "chains": [1]} for v in (1.0, -2.0, 0.5, 3.0)]
+    (tmp_path / "gen_job.json").write_text(json.dumps({"recipe": {
+        "space": "flip", "class": "jordan", "field": "complex", "star": "ct",
+        "seed": 3, "plan": plan}, "out": "gen"}))
+    assert _run("gen", str(tmp_path / "gen_job.json")) == 0
+    truth = json.loads((tmp_path / "gen" / "ground_truth.json").read_text())
+    chains = [matio.matrix_from_payload(p["chain"]) for p in truth["pairs"]]
+    values = [matio.complex_from_pair(p["value"]) for p in truth["pairs"]]
+    matio.save_matrix(tmp_path / "X.json", chains[0])
+    matio.save_matrix(tmp_path / "Xf.json", np.hstack(chains[1:]))
+    (tmp_path / "job.json").write_text(json.dumps({
+        "matrix": "gen/A.json", "space": "gen/H.json", "class": "jordan",
+        "star": "ct", "field": "complex", "basis": "X.json",
+        "lambda_target": [[values[0].real + 1.0, 0.0]],
+        "fixed_basis": "Xf.json",
+        "fixed_lambda": [[v.real, 0.0] for v in values[1:]], "out": "inv"}))
+    argv = ["invariant", str(tmp_path / "job.json"),
+            "--submode", "complementary"]
+    code = f"from specpreserve.cli import main\nassert main({argv!r}) == 0"
+    assert _modules_loaded_by(code, LAPACK_MODULES) == {
+        "scipy.linalg._flapack"}
+    report = json.loads((tmp_path / "inv" / "report.json").read_text())
+    assert report["submode"] == "complementary"
+
+
 @pytest.mark.parametrize("currents,code", [([1.0], 0), ([1.0, 1.0], 2)],
                          ids=["one-copy", "both-copies"])
 def test_reassign_on_a_double_eigenvalue_leaves_scipy_unloaded(
@@ -517,6 +574,38 @@ class TestInvariant:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+
+    # an optional file or mode key is absent or null, or it goes through its
+    # check: a value that is not a string exits 3, and is never read as no
+    # value
+    @pytest.mark.parametrize("command,name,change,message", [
+        ("reassign", "jordan5", {"eigvecs": False}, "'eigvecs', got False"),
+        ("reassign", "jordan5", {"fixed_basis": 0}, "'fixed_basis', got 0"),
+        ("reassign", "jordan5", {"mode": 0}, "bad mode 0"),
+        ("invariant", "sym3", {"submode": "preserve", "r": 0}, "'r', got 0")],
+        ids=["false-eigvecs", "zero-fixed-basis", "zero-mode", "zero-r"])
+    def test_malformed_optional_key_exits_3(self, jobs_dir, tmp_path, capsys,
+                                            command, name, change, message):
+        d = _copy_job(jobs_dir, name, tmp_path)
+        job = json.loads((d / "job.json").read_text())
+        (d / "job.json").write_text(json.dumps(dict(job, **change)))
+        assert _run(command, str(d / "job.json")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_null_optional_keys_mean_none(self, jobs_dir, tmp_path, capsys):
+        # eigenvectors from eig, the default mode and no supplied fixed pair
+        d = _copy_job(jobs_dir, "jordan5", tmp_path)
+        job = json.loads((d / "job.json").read_text())
+        job.update(eigvecs=None, fixed_basis=None, mode=None)
+        (d / "job.json").write_text(json.dumps(job))
+        assert _run("reassign", str(d / "job.json")) == 0
+        out = capsys.readouterr().out
+        assert "[no-spillover]" in out
+        assert "supplied fixed residual" not in out
+        report = json.loads((d / "out" / "report.json").read_text())
+        assert report["fixed_residual_supplied"] is None
 
     def test_fractional_matrix_extent_exits_3(self, jobs_dir, tmp_path,
                                                capsys):

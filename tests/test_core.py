@@ -27,6 +27,7 @@ from specpreserve.core import (
     _bandwidth,
     _check_invariant_pair,
     _decide,
+    _real_apply,
     frob,
 )
 
@@ -483,3 +484,21 @@ class TestBandProduct:
         with np.errstate(invalid="ignore"):  # inf - inf on the way
             condition, passed, _ = _pair_outcome(A, X, L, 0.5)
         assert (condition, passed) == ("invariant_pair_residual", False)
+
+
+class TestRealApply:
+    # small integers keep every product and sum exact, so the product through
+    # the interleaved real view of B equals the complex product bit for bit,
+    # whatever order BLAS sums in
+    @pytest.mark.parametrize("layout", ["C", "F", "column slice", "1-D",
+                                        "1-D strided"])
+    def test_view_product_is_the_complex_product(self, layout):
+        rng = np.random.default_rng(11)
+        M = rng.integers(-8, 9, (7, 6)).astype(float)
+        B = rng.integers(-8, 9, (6, 10)) + 1j * rng.integers(-8, 9, (6, 10))
+        B = {"C": B, "F": np.asfortranarray(B), "column slice": B[:, 1::3],
+             "1-D": B[:, 3].copy(), "1-D strided": B[:, 3]}[layout]
+        got = _real_apply(M, B)
+        want = M.astype(complex) @ B
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)

@@ -1,8 +1,8 @@
 """Source hygiene that no installed linter checks: every module-level import
 in the package is used by its module or re-exported through ``__all__``, no
-module loads a scipy submodule at import time, ``scipy.linalg`` is used
-only by an allowlist of definitions and ``scipy.optimize`` by none (one
-loader names the extension module of its compiled assignment), the
+module loads a scipy submodule at import time, neither ``scipy.linalg``
+nor ``scipy.optimize`` is used (two loaders name the extension modules of
+scipy's compiled LAPACK wrappers and assignment), the
 field-keeping modules never cast to complex outside ``as_matrix``, the
 verification oracle calls no eigenvector solver, factors no square matrix
 outside its fallback and memoizes the spectrum of no matrix but the
@@ -103,50 +103,41 @@ def test_submodule_rule_catches_a_planted_import(planted, flagged):
 
 
 # the shipped commands run on numpy's LAPACK alone; loading
-# ``scipy.linalg`` costs a process about 200 ms, and ``scipy.optimize``
-# more (it loads ``sparse``, ``spatial``, ``special`` and ``fft``), so the
-# package uses ``scipy.linalg`` only where numpy has no equivalent, the LU
-# with ``?gecon`` of ``[X_c X_f]`` and the real Schur form of a skew form,
-# and ``scipy.optimize`` nowhere (a dense H is inverted by numpy); a tied
-# pairing runs scipy's compiled assignment, which one loader takes from
-# its own extension module by name, without the package init
-SCIPY_SUBMODULE_USERS = {
-    "subspaces.py": {"preserve_complementary"},
-    "diagnostics.py": {"_skew_orthogonal_normalize"},
+# ``scipy.linalg`` costs a process about 200 ms and 27 MB, and
+# ``scipy.optimize`` more (it loads ``sparse``, ``spatial``, ``special`` and
+# ``fft``), so the package uses neither (a dense H is inverted by numpy);
+# where numpy has no equivalent, the LU with ``?gecon`` of ``[X_c X_f]``,
+# the real Schur form of a skew form and a tied pairing, it runs scipy's
+# compiled routines, which two loaders take from their own extension
+# modules by name, without the package init
+HEAVY_SUBMODULES = ("scipy.linalg", "scipy.optimize")
+# (module, definition) -> the one string the definition may name
+EXTENSION_LOADERS = {
+    ("diagnostics.py", "_linear_sum_assignment"): "scipy.optimize._lsap",
+    ("diagnostics.py", "_flapack"): "scipy.linalg._flapack",
 }
-ALLOWED_SUBMODULE = "scipy.linalg"
-HEAVY_SUBMODULES = (ALLOWED_SUBMODULE, "scipy.optimize")
-# (module, definition, the one string it may name)
-LSAP_LOADER = ("diagnostics.py", "_linear_sum_assignment",
-               "scipy.optimize._lsap")
 
 
 def _heavy_scipy_uses(tree, module):
-    """Lines that name ``scipy.optimize``, or ``scipy.linalg`` outside the
-    module's allowlisted top-level definitions: an attribute chain such as
-    ``scipy.linalg.lu_factor``, an import of either, or a string naming
-    either or a module under it, as ``importlib.import_module`` takes, at
-    any depth.  The loader of the compiled assignment may name its module."""
-    def inside(names):
-        return {id(n) for d in tree.body
-                if isinstance(d, (ast.FunctionDef, ast.ClassDef))
-                and d.name in names for n in ast.walk(d)}
-
-    allowed = inside(SCIPY_SUBMODULE_USERS.get(module, ()))
-    loader = inside({LSAP_LOADER[1]} if module == LSAP_LOADER[0] else ())
+    """Lines that name ``scipy.linalg`` or ``scipy.optimize``: an attribute
+    chain such as ``scipy.linalg.lu_factor``, an import of either, or a
+    string naming either or a module under it, as
+    ``importlib.import_module`` takes, at any depth.  Each loader of a
+    compiled extension may name its module, and only that one."""
+    loader = {id(n): name for d in tree.body
+              if isinstance(d, ast.FunctionDef)
+              and (name := EXTENSION_LOADERS.get((module, d.name)))
+              for n in ast.walk(d)}
     hits = []
     for node in ast.walk(tree):
         names = _imported_names(node)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             names = [f"{node.value.id}.{node.attr}"]
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names = ([] if id(node) in loader and node.value == LSAP_LOADER[2]
+            names = ([] if node.value == loader.get(id(node))
                      else [node.value])
-        used = {sub for name in names for sub in HEAVY_SUBMODULES
-                if name == sub or name.startswith(sub + ".")}
-        if id(node) in allowed:
-            used.discard(ALLOWED_SUBMODULE)
-        if used:
+        if any(name == sub or name.startswith(sub + ".")
+               for name in names for sub in HEAVY_SUBMODULES):
             hits.append(node.lineno)
     return hits
 
@@ -155,8 +146,7 @@ def test_scipy_submodules_are_used_only_where_allowed():
     hits = {path.name: lines for path in SOURCES
             if (lines := _heavy_scipy_uses(
                 ast.parse(path.read_text(encoding="utf-8")), path.name))}
-    assert not hits, (f"scipy.linalg outside the allowlist or "
-                      f"scipy.optimize: {hits}")
+    assert not hits, f"scipy.linalg or scipy.optimize: {hits}"
 
 
 @pytest.mark.parametrize("module,planted,flagged", [
@@ -174,9 +164,13 @@ def test_scipy_submodules_are_used_only_where_allowed():
     # the LU of a dense H that numpy's inverse replaced
     ("core.py", "class _DenseH:\n    def lu(self):\n"
      "        return scipy.linalg.lu_factor(self.H)", True),
-    # the name of an allowed definition in another module
+    # the calls the extension module of scipy's LAPACK wrappers replaced
     ("spectral.py", "def _skew_orthogonal_normalize(H):\n"
      "    return scipy.linalg.schur(H, output='real')", True),
+    ("diagnostics.py", "def _skew_orthogonal_normalize(H):\n"
+     "    return scipy.linalg.schur(H, output='real')", True),
+    ("subspaces.py", "def preserve_complementary(X):\n"
+     "    return scipy.linalg.get_lapack_funcs(('getrf',), (X,))", True),
     # scipy.optimize, which the numpy pairing replaced, in any definition
     ("spectral.py", "def _assign_multisets(c):\n"
      "    return scipy.optimize.linear_sum_assignment(c)", True),
@@ -201,11 +195,21 @@ def test_scipy_submodules_are_used_only_where_allowed():
      "    name = 'scipy.optimize._lsap'", True),
     ("spectral.py", "def _linear_sum_assignment():\n"
      "    name = 'scipy.optimize._lsap'", True),
-    # the allowlist, and what the rule leaves alone
+    # and so may the loader of the LAPACK wrappers, and only its own module
+    ("diagnostics.py", "def _flapack():\n"
+     "    return _scipy_extension('scipy.linalg._flapack')", False),
+    ("diagnostics.py", "def _flapack():\n"
+     "    return _scipy_extension('scipy.optimize._lsap')", True),
+    ("diagnostics.py", "def _linear_sum_assignment():\n"
+     "    return _scipy_extension('scipy.linalg._flapack')", True),
     ("diagnostics.py", "def _skew_orthogonal_normalize(H):\n"
-     "    return scipy.linalg.schur(H, output='real')", False),
-    ("subspaces.py", "def preserve_complementary(X):\n"
-     "    return scipy.linalg.get_lapack_funcs(('getrf',), (X,))", False),
+     "    return _scipy_extension('scipy.linalg._flapack').dgees", True),
+    ("diagnostics.py", "def _scipy_extension(name):\n"
+     "    name = 'scipy.linalg._flapack'", True),
+    ("subspaces.py", "def _flapack():\n"
+     "    return _scipy_extension('scipy.linalg._flapack')", True),
+    ("core.py", "FLAPACK = 'scipy.linalg._flapack'", True),
+    # what the rule leaves alone
     ("matio.py", "def load(path):\n    import scipy.io\n"
      "    return scipy.io.mmread(path)", False),
     ("spectral.py", "import scipy", False),
