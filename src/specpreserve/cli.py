@@ -148,7 +148,7 @@ def _parse_signature(spec):
                  else None for v in spec]
     else:
         signs = [None]
-    if None in signs:
+    if not signs or None in signs:
         raise FormatError(f"bad signature pattern {spec!r}")
     return signs
 
@@ -543,49 +543,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "invariant-subspace updates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, problem=True, seed=True):
+        """A subcommand with the job and --out, the flags of a problem
+        (space, class, star, field, tolerances) when it loads one, and
+        --seed when it draws."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("job", help="JSON job file")
-        p.add_argument("--space", help="identity | flip | skewj | "
-                                       "signature:PATTERN | file:PATH")
-        p.add_argument("--class", dest="cls", help="jordan | lie")
-        p.add_argument("--star", help="t | ct")
-        p.add_argument("--field", help="real | complex")
-        p.add_argument("--tol-structure", type=float,
-                       help="the space's structure tolerance in (0, 1), "
-                       f"default {DEFAULT_STRUCTURE_TOL:g}")
-        p.add_argument("--tol-residual", type=float,
-                       help="residual and eigen-data tolerance in (0, 1), "
-                       f"default {DEFAULT_RESIDUAL_TOL:g}")
-        p.add_argument("--rank-tol", type=float,
-                       help="relative singular-value cutoff in (0, 1), "
-                       f"default {DEFAULT_RANK_TOL:g}")
-        p.add_argument("--seed", type=int, default=None)
+        if problem:
+            p.add_argument("--space", help="identity | flip | skewj | "
+                                           "signature:PATTERN | file:PATH")
+            p.add_argument("--class", dest="cls", help="jordan | lie")
+            p.add_argument("--star", help="t | ct")
+            p.add_argument("--field", help="real | complex")
+            p.add_argument("--tol-structure", type=float,
+                           help="the space's structure tolerance in (0, 1), "
+                           f"default {DEFAULT_STRUCTURE_TOL:g}")
+            p.add_argument("--tol-residual", type=float,
+                           help="residual and eigen-data tolerance in (0, 1), "
+                           f"default {DEFAULT_RESIDUAL_TOL:g}")
+            p.add_argument("--rank-tol", type=float,
+                           help="relative singular-value cutoff in (0, 1), "
+                           f"default {DEFAULT_RANK_TOL:g}")
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output directory")
+        return p
 
-    p = sub.add_parser("inspect", help="membership, pairing and Jordan type")
-    common(p)
-    p.set_defaults(func=cmd_inspect)
+    command("inspect", cmd_inspect, "membership, pairing and Jordan type",
+            seed=False)
 
-    p = sub.add_parser("reassign", help="replace selected eigenvalues")
-    common(p)
+    p = command("reassign", cmd_reassign, "replace selected eigenvalues")
     p.add_argument("--z", default=None,
                    help="zero | random | file:PATH (free family parameter)")
     p.add_argument("--complete-pairing", action="store_true", default=False,
                    help="insert missing conjugate partner targets")
-    p.set_defaults(func=cmd_reassign)
 
-    p = sub.add_parser("invariant", help="invariant-subspace workflows")
-    common(p)
+    p = command("invariant", cmd_invariant, "invariant-subspace workflows")
     p.add_argument("--z", default=None)
     p.add_argument("--submode",
                    choices=["reproduce", "preserve", "complementary",
                             "no-spillover"])
-    p.set_defaults(func=cmd_invariant)
 
-    p = sub.add_parser("gen", help="generate a structured instance")
-    common(p)
-    p.set_defaults(func=cmd_gen)
-    parser.set_defaults(complete_pairing=False, z=None, submode=None)
+    command("gen", cmd_gen, "generate a structured instance", problem=False)
     return parser
 
 

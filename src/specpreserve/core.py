@@ -304,6 +304,8 @@ class ScalarProductSpace:
         _check_tol("structure_tol", self.structure_tol)
         H = as_matrix(self.H, "H", shape=_square(self.H))
         n = H.shape[0]
+        if not n:
+            raise ArgumentError("H must be at least 1 x 1, got 0 x 0")
         star = _normalize_star(self.star)
         field = self.field or ("complex" if np.iscomplexobj(H) else "real")
         if field not in ("real", "complex"):
@@ -357,11 +359,6 @@ class ScalarProductSpace:
     def star_mat(self, M) -> np.ndarray:
         """Apply the star of this space to matrix data."""
         return _star(M, self.star, self.field)
-
-    def star_scalar(self, lam) -> complex:
-        if self.star == "T" and self.field == "complex":
-            return complex(lam)
-        return complex(np.conj(lam))
 
     @functools.cached_property
     def _h_op(self):

@@ -33,7 +33,6 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
-    _SCIPY_LAPACK_LOCK,
     _decide,
     _normalize_star,
     _real_apply,
@@ -676,40 +675,6 @@ def _preset_eps1(recipe) -> int:
     return _PRESET_EPS1.get(recipe.space_kind) or recipe.eps1 or 1
 
 
-def _real_schur(H):
-    """(T, Q) with H = Q T Q^T for the real square H, by ``dgees`` called
-    as ``scipy.linalg.schur(H, output="real")`` calls it: a workspace
-    query, then the unsorted real Schur form of a copy of H."""
-    gees, select = _flapack().dgees, (lambda x, y=None: None)
-    with _SCIPY_LAPACK_LOCK:
-        lwork = int(gees(select, H, lwork=-1)[-2][0])
-        T, *_, Q, _, info = gees(select, H, lwork=lwork, overwrite_a=False,
-                                 sort_t=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgees failed with info = {info}")
-    return T, Q
-
-
-def _skew_orthogonal_normalize(H):
-    """Real orthogonal Q with Q^T H Q = skewJ for real skew-orthogonal H."""
-    H = np.real_if_close(H, tol=1e6)
-    n = H.shape[0]
-    if n % 2:
-        raise InfeasiblePlanError("a skew form needs even dimension")
-    T, Q = _real_schur(np.asarray(H, dtype=float))
-    # T is block diagonal with [[0, b], [-b, 0]] blocks, b = +-1
-    for i in range(0, n, 2):
-        if abs(T[i, i + 1]) < 0.5:
-            raise InfeasiblePlanError(
-                "internal: Schur normal form of the skew form is not "
-                "block-paired")
-        if T[i, i + 1] < 0:
-            Q[:, [i, i + 1]] = Q[:, [i + 1, i]]
-    # interleaved blocks -> [[0, I], [-I, 0]] ordering
-    perm = list(range(0, n, 2)) + list(range(1, n, 2))
-    return Q[:, perm]
-
-
 def _inertia_carrier(H, eps1, star, field):
     """The Hermitian matrix that carries the inertia of the form ``H``:
     H itself when eps1 = +1 and the form is sesquilinear or real, ``iH``
@@ -758,9 +723,12 @@ def _congruence_transform(H0, H1, star, eps1, field):
         W0 = _involutory_symmetric_sqrt(H0)
         W1 = _involutory_symmetric_sqrt(H1)
         return np.conj(W0) @ W1.T
-    Q0 = _skew_orthogonal_normalize(H0)
-    Q1 = _skew_orthogonal_normalize(H1)
-    return Q0 @ Q1.T
+    # a real skew-orthogonal H0 (only skewj comes here, so H1 is J): iH0
+    # is Hermitian with eigenvalues +-1, and its +1 eigenvectors V give the
+    # real orthogonal U = sqrt(2) [Im V, Re V] with U^T H0 U = J
+    n = H0.shape[0]
+    V = np.linalg.eigh(1j * np.real(H0))[1][:, n // 2:]
+    return np.sqrt(2.0) * np.hstack([V.imag, V.real])
 
 
 def _balance_signs(units, space, kind):

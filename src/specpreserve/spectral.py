@@ -172,7 +172,6 @@ class ReassignmentAssembly:
     X_c: np.ndarray
     Lambda_c: np.ndarray
     Lambda_a: np.ndarray
-    arrangement: str
     blocks: tuple
     real_output: bool = False
     conjugation: np.ndarray | None = None
@@ -721,6 +720,8 @@ def _assemble(A, spec, space, cls, field, tol):
     real, a member with a conjugate partner has the partner's chains merged
     onto its own, and the partner emits their exact conjugates.
     """
+    if not spec.groups:
+        raise ArgumentError("a reassignment spec needs at least one group")
     cls = StructureClass.parse(cls)
     A = None if A is None else as_matrix(A, "A", space, (space.n,) * 2)
     band = SNAP_TOL * spec.spectral_scale
@@ -771,7 +772,6 @@ def _assemble(A, spec, space, cls, field, tol):
         X_c=as_matrix(np.hstack(X_parts), "X_c", space),
         Lambda_c=as_matrix(_block_diag(*Lc_parts), "Lambda_c", space),
         Lambda_a=as_matrix(_block_diag(*La_parts), "Lambda_a", space),
-        arrangement=f"real-{cls.name.lower()}" if real else "complex",
         blocks=tuple(blocks),
         real_output=real,
         conjugation=_block_diag(*R_parts) if real else None,

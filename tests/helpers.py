@@ -14,6 +14,7 @@ from specpreserve import (
     pairing_partner,
     sample_structured,
 )
+from specpreserve.spectral import _form_star
 
 # consistent (field, star, eps1) triples; real spaces are transpose-only
 FIELD_STAR_EPS1 = [
@@ -178,7 +179,7 @@ def paired_split(w, space, cls, count, tol=1e-8):
     while unused:
         i = unused.pop(0)
         fam = [i]
-        partner = cls.epsilon2 * space.star_scalar(w[i])
+        partner = pairing_partner(w[i], cls, _form_star(space))
         if abs(partner - w[i]) > tol * scale:
             js = [j for j in unused if abs(w[j] - partner) <= tol * scale]
             if not js:
@@ -211,10 +212,10 @@ def paired_targets(w_sel, space, cls, rng, spread=0.5, tol=1e-8):
     for i in range(len(w_sel)):
         if done[i]:
             continue
-        partner = cls.epsilon2 * space.star_scalar(w_sel[i])
+        partner = pairing_partner(w_sel[i], cls, _form_star(space))
         if abs(partner - w_sel[i]) <= tol * scale:
             t = w_sel[i] + spread * rng.standard_normal()
-            if abs(cls.epsilon2 * space.star_scalar(t) - t) > tol * scale:
+            if abs(pairing_partner(t, cls, _form_star(space)) - t) > tol * scale:
                 # move along the admissible axis instead
                 if cls is StructureClass.JORDAN:
                     t = complex(w_sel[i].real + spread * rng.standard_normal(),
@@ -231,7 +232,7 @@ def paired_targets(w_sel, space, cls, rng, spread=0.5, tol=1e-8):
         j = js[0]
         t = w_sel[i] + spread * (rng.standard_normal() + 1j * rng.standard_normal())
         targets[i] = t
-        targets[j] = cls.epsilon2 * space.star_scalar(t)
+        targets[j] = pairing_partner(t, cls, _form_star(space))
         done[i] = done[j] = True
     return targets
 

@@ -29,12 +29,14 @@ from specpreserve import (
     generate_instance,
     map_family,
     numerical_rank,
+    pairing_partner,
     reassign_family,
     reassign_no_spillover,
     reassign_simple,
     sample_structured,
     structure_residual,
 )
+from specpreserve.spectral import _form_star
 
 LOOSE = ToleranceProfile(residual_tol=1e-3)
 
@@ -356,9 +358,9 @@ def test_criterion_7_orthogonality_identities():
 
                 # anti-diagonal couple form whenever a non-self-paired
                 # eigenvalue exists
-                e2 = inst.cls.epsilon2
                 for i, p in enumerate(inst.pairs):
-                    partner = e2 * inst.space.star_scalar(p.value)
+                    partner = pairing_partner(p.value, inst.cls,
+                                              _form_star(inst.space))
                     if abs(partner - p.value) <= 1e-8:
                         continue
                     js = [j for j, q in enumerate(inst.pairs)

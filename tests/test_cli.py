@@ -67,6 +67,30 @@ def test_dense_h_family_solve_leaves_scipy_unloaded(jobs_dir):
     assert _modules_loaded_by(code) == set()
 
 
+# each command takes only the flags it reads: gen reads its recipe, not a
+# problem, and inspect draws nothing; a flag once accepted and ignored is
+# now a usage error
+DROPPED_FLAGS = [("gen", "--space", "skewj"), ("gen", "--class", "lie"),
+                 ("gen", "--star", "t"), ("gen", "--field", "real"),
+                 ("gen", "--tol-structure", "1e-3"),
+                 ("gen", "--tol-residual", "1e-3"), ("gen", "--rank-tol", "1e-3"),
+                 ("gen", "--z", "zero"), ("inspect", "--seed", "3"),
+                 ("inspect", "--z", "random"), ("inspect", "--submode", "preserve"),
+                 ("inspect", "--complete-pairing")]
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c, *f in DROPPED_FLAGS],
+                         ids=[f"{c}{f[0]}" for c, *f in DROPPED_FLAGS])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(command, flag,
+                                                           jobs_dir, capsys):
+    job = os.path.join(jobs_dir, "gen6" if command == "gen" else "sym3",
+                       "job.json")
+    with pytest.raises(SystemExit) as e:
+        _run(command, job, *flag)
+    assert e.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 # every shipped command runs on numpy's LAPACK alone: no dense-H solve, no
 # Schur form (Jordan extraction takes eigvals), the Gram solve of the
 # no-spillover jobs through numpy and a pairing without ties
@@ -126,32 +150,32 @@ def test_verifying_a_moved_double_value_leaves_scipy_unloaded():
         "scipy.optimize._lsap"}
 
 
-# the real Schur form of a skew form, and the LU of ``[X_c X_f]`` with its
-# ``?gecon`` estimate, call scipy's f2py LAPACK wrappers from their own
-# extension module, which loads neither scipy submodule package
+# the LU of ``[X_c X_f]`` with its ``?gecon`` estimate calls scipy's f2py
+# LAPACK wrappers from their own extension module, which loads neither
+# scipy submodule package; a skew-form instance is moved onto skewj by
+# numpy's ``eigh`` and loads no scipy extension at all
 LAPACK_MODULES = SCIPY_SUBMODULES + ("scipy.linalg._flapack",)
+EXTENSION_MODULES = LAPACK_MODULES + ("scipy.optimize._lsap",)
 SKEWJ_RECIPE = {"space": "skewj", "class": "lie", "field": "real",
                 "star": "t", "seed": 3,
                 "plan": [{"value": [0.5, 0.0], "chains": [1]},
                          {"value": [-0.5, 0.0], "chains": [1]}]}
 
 
-def test_skewj_instance_loads_only_the_lapack_wrappers():
+def test_skewj_instance_loads_no_scipy_extension():
     code = ("from specpreserve import InstanceRecipe, PlanGroup, "
             "generate_instance\n"
             "generate_instance(InstanceRecipe('skewj', 'lie', 'real', 't', "
             "(PlanGroup(0.5, (1,)), PlanGroup(-0.5, (1,))), seed=3))")
-    assert _modules_loaded_by(code, LAPACK_MODULES) == {
-        "scipy.linalg._flapack"}
+    assert _modules_loaded_by(code, EXTENSION_MODULES) == set()
 
 
-def test_gen_on_a_skewj_job_loads_only_the_lapack_wrappers(tmp_path):
+def test_gen_on_a_skewj_job_loads_no_scipy_extension(tmp_path):
     (tmp_path / "job.json").write_text(json.dumps(
         {"recipe": SKEWJ_RECIPE, "out": "out"}))
     argv = ["gen", str(tmp_path / "job.json")]
     code = f"from specpreserve.cli import main\nassert main({argv!r}) == 0"
-    assert _modules_loaded_by(code, LAPACK_MODULES) == {
-        "scipy.linalg._flapack"}
+    assert _modules_loaded_by(code, EXTENSION_MODULES) == set()
     assert (tmp_path / "out" / "A.json").exists()
 
 
@@ -333,7 +357,9 @@ class TestSpaceSpellings:
     @pytest.mark.parametrize("spec", [{"signature": "+x"}, {"signature": 3},
                                       {"signature": "1,x"},
                                       {"signature": [True, -1]},
-                                      {"signature": "+1-1"}, {"bogus": 1}],
+                                      {"signature": "+1-1"},
+                                      {"signature": ""}, {"signature": []},
+                                      {"bogus": 1}],
                              ids=json.dumps)
     def test_bad_dict_spelling_exits_3(self, tmp_path, spec, capsys):
         matio.save_matrix(tmp_path / "A.json", np.eye(2))
@@ -353,6 +379,14 @@ class TestSpaceSpellings:
         assert "member: True" in capsys.readouterr().out
         assert _run("inspect", path, "--space", "signature:1,x") == 3
         assert capsys.readouterr().err.startswith("error: bad ")
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_empty_signature_exits_3(self, jobs_dir, field, capsys):
+        # once a numpy traceback (real) or "A must be 0 x 0" (complex)
+        path = os.path.join(jobs_dir, "sym3", "job.json")
+        assert _run("inspect", path, "--space", "signature:",
+                    "--field", field) == 3
+        assert capsys.readouterr().err == "error: bad signature pattern ''\n"
 
     def test_jordan_type_ignores_the_oracle_bound(self, tmp_path, monkeypatch,
                                                   capsys):

@@ -41,6 +41,17 @@ class TestScalarProductSpace:
         space = ScalarProductSpace.skewj(4, star="ct")
         assert space.epsilon1 == -1
 
+    @pytest.mark.parametrize("make", [
+        lambda: ScalarProductSpace.identity(0, field="real"),
+        lambda: ScalarProductSpace.identity(0, field="complex"),
+        lambda: ScalarProductSpace.signature([]),
+        lambda: ScalarProductSpace(np.zeros((0, 0)), star="t"),
+    ], ids=["identity-real", "identity-complex", "signature", "H"])
+    def test_empty_form_is_refused(self, make):
+        # once a traceback from np.max of an empty array (real field)
+        with pytest.raises(ArgumentError, match="at least 1 x 1"):
+            make()
+
     def test_eps1_is_detected_never_passed(self):
         with pytest.raises(TypeError):
             ScalarProductSpace(np.eye(2), epsilon1=-1)

@@ -42,10 +42,12 @@ from specpreserve import (
 )
 from specpreserve.cli import _fixed_residual
 from specpreserve.core import frob
-from specpreserve.diagnostics import (_assign_multisets, _compare_spectra,
+from specpreserve.diagnostics import (_assign_multisets, _balance_signs,
+                                      _compare_spectra, _congruence_transform,
                                       _flapack, _linear_sum_assignment,
-                                      _planned_spectrum, _real_schur,
+                                      _plan_units, _planned_spectrum,
                                       _spillover_residual, oracle_dim_limit)
+from specpreserve.spectral import SNAP_TOL, _block_diag
 
 
 class TestSpectrumCompare:
@@ -286,24 +288,6 @@ class TestFlapack:
     """The LAPACK routines past numpy's come from scipy's own f2py module,
     ``scipy.linalg._flapack``, loaded without the ``scipy.linalg``
     package: they are the routines scipy calls, in either import order."""
-
-    @staticmethod
-    def _skew_orthogonal(n, seed):
-        J = ScalarProductSpace.skewj(n, star="t", field="real").H
-        Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
-        return Q @ J @ Q.T
-
-    @pytest.mark.parametrize("n,seed", [(2, 1), (8, 2), (64, 3)])
-    def test_real_schur_is_scipy_schur_bitwise(self, n, seed):
-        for H in (ScalarProductSpace.skewj(n, star="t", field="real").H,
-                  self._skew_orthogonal(n, seed)):
-            H_before = H.copy()
-            T, Q = _real_schur(H)
-            want_T, want_Q = scipy.linalg.schur(H, output="real")
-            for got, want in ((T, want_T), (Q, want_Q)):
-                assert got.dtype == want.dtype
-                np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(H, H_before)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_getrf_gecon_are_scipy_lapack_funcs(self, dtype):
@@ -1137,6 +1121,47 @@ class TestGenerateInstance:
         assert lengths(1 - 2j) == [2]
         assert lengths(3.0) == [1]
         assert lengths(-2.0) == [2]
+
+
+def _skewj_recipe_form():
+    """The stacked canonical form H0 a skewj recipe hands the congruence:
+    a real Lie quadruple with 2-chains and a real pair, n = 10."""
+    rec = InstanceRecipe("skewj", "lie", "real", "T",
+                         (PlanGroup(1 + 2j, (2,)), PlanGroup(1 - 2j, (2,)),
+                          PlanGroup(-1 + 2j, (2,)), PlanGroup(-1 - 2j, (2,)),
+                          PlanGroup(0.8, (1,)), PlanGroup(-0.8, (1,))), seed=7)
+    units = _plan_units(rec, SNAP_TOL * max(abs(g.value) for g in rec.plan))
+    space = ScalarProductSpace.skewj(rec.n, star="t", field="real")
+    return _block_diag(*[u[1] for u in _balance_signs(units, space, "skewj")])
+
+
+def _rotated_skewj(n, seed):
+    J = ScalarProductSpace.skewj(n, star="t", field="real").H
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+    return Q @ J @ Q.T
+
+
+class TestCongruenceTransform:
+    """The skew route: a real skew-orthogonal H0 moves onto skewj's J by
+    the real orthogonal U built from the +1 eigenvectors of iH0."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("H0", [
+        pytest.param(ScalarProductSpace.skewj(8, star="t", field="real").H,
+                     id="J"),
+        pytest.param(_rotated_skewj(2, 1), id="rotated-2"),
+        pytest.param(_rotated_skewj(8, 2), id="rotated-8"),
+        pytest.param(_rotated_skewj(64, 3), id="rotated-64"),
+        pytest.param(_skewj_recipe_form(), id="recipe"),
+    ])
+    def test_skew_form_moves_onto_j(self, H0, field):
+        n = H0.shape[0]
+        J = ScalarProductSpace.skewj(n, star="t", field=field).H
+        H0 = H0.astype(complex) if field == "complex" else H0
+        U = _congruence_transform(H0, J, "T", -1, field)
+        assert U.dtype == np.float64
+        assert np.linalg.norm(U.T @ U - np.eye(n)) <= 1e-12 * n
+        assert np.linalg.norm(U.T @ H0 @ U - J) <= 1e-12 * n
 
 
 class TestRecipeValidation:

@@ -2,7 +2,8 @@
 in the package is used by its module or re-exported through ``__all__``, no
 module loads a scipy submodule at import time, neither ``scipy.linalg``
 nor ``scipy.optimize`` is used (two loaders name the extension modules of
-scipy's compiled LAPACK wrappers and assignment), the
+scipy's compiled LAPACK wrappers and assignment), only
+``subspaces.preserve_complementary`` calls the LAPACK wrappers, the
 field-keeping modules never cast to complex outside ``as_matrix``, the
 verification oracle calls no eigenvector solver, factors no square matrix
 outside its fallback and memoizes the spectrum of no matrix but the
@@ -105,11 +106,11 @@ def test_submodule_rule_catches_a_planted_import(planted, flagged):
 # the shipped commands run on numpy's LAPACK alone; loading
 # ``scipy.linalg`` costs a process about 200 ms and 27 MB, and
 # ``scipy.optimize`` more (it loads ``sparse``, ``spatial``, ``special`` and
-# ``fft``), so the package uses neither (a dense H is inverted by numpy);
-# where numpy has no equivalent, the LU with ``?gecon`` of ``[X_c X_f]``,
-# the real Schur form of a skew form and a tied pairing, it runs scipy's
-# compiled routines, which two loaders take from their own extension
-# modules by name, without the package init
+# ``fft``), so the package uses neither (a dense H is inverted by numpy,
+# and a skew form is moved onto skewj by numpy's ``eigh``); where numpy
+# has no equivalent, the LU with ``?gecon`` of ``[X_c X_f]`` and a tied
+# pairing, it runs scipy's compiled routines, which two loaders take from
+# their own extension modules by name, without the package init
 HEAVY_SUBMODULES = ("scipy.linalg", "scipy.optimize")
 # (module, definition) -> the one string the definition may name
 EXTENSION_LOADERS = {
@@ -219,6 +220,56 @@ def test_scipy_submodules_are_used_only_where_allowed():
 ])
 def test_scipy_use_rule_catches_a_planted_call(module, planted, flagged):
     assert bool(_heavy_scipy_uses(ast.parse(planted), module)) == flagged
+
+
+# scipy's LAPACK wrappers serve one decision numpy's LAPACK cannot make,
+# the nonsingularity of ``[X_c X_f]`` by ``?getrf`` and ``?gecon``; no other
+# definition calls their loader
+FLAPACK_LOADER = "_flapack"
+FLAPACK_CALLER = ("subspaces.py", "preserve_complementary")
+
+
+def _flapack_calls(tree, module):
+    """Lines calling ``_flapack()`` outside
+    ``subspaces.preserve_complementary``."""
+    home = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+            and (module, f.name) == FLAPACK_CALLER for n in ast.walk(f)}
+    return [call.lineno for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and id(call) not in home
+            and _called_name(call) == FLAPACK_LOADER]
+
+
+def test_only_the_complementary_update_calls_the_lapack_wrappers():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SOURCES}
+    hits = {name: lines for name, tree in trees.items()
+            if (lines := _flapack_calls(tree, name))}
+    assert not hits, f"_flapack() outside preserve_complementary: {hits}"
+    # the rule sees the one call it allows
+    assert len(_flapack_calls(trees["subspaces.py"], "other.py")) == 1
+
+
+@pytest.mark.parametrize("module,planted,flagged", [
+    # the real Schur form numpy's eigh replaced
+    ("diagnostics.py", "def _congruence_transform(H0, H1, star, eps1, "
+     "field):\n    return _flapack().dgees", True),
+    ("diagnostics.py", "gees = diagnostics._flapack().dgees", True),
+    # the Gram solve, which numpy's ``?gesv`` does
+    ("subspaces.py", "def gram_inverse_apply(G, RHS):\n"
+     "    return _flapack().dgesv(G, RHS)", True),
+    # the home is one function of subspaces
+    ("diagnostics.py", "def preserve_complementary(A, X_c):\n"
+     "    lapack = _flapack()", True),
+    ("subspaces.py", "def preserve_complementary(A, X_c):\n"
+     "    lapack = _flapack()", False),
+    ("subspaces.py", "def preserve_complementary(A, X_c):\n"
+     "    return getattr(_flapack(), t + 'getrf')(X)", False),
+    # what the rule leaves alone: the loader's definition
+    ("diagnostics.py", "@functools.cache\ndef _flapack():\n"
+     "    return _scipy_extension('scipy.linalg._flapack')", False),
+])
+def test_flapack_rule_catches_a_planted_call(module, planted, flagged):
+    assert bool(_flapack_calls(ast.parse(planted), module)) == flagged
 
 
 # modules that keep the field of their data: ``core.as_matrix`` (with the

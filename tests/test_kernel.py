@@ -17,9 +17,11 @@ from specpreserve import (
     adjoint,
     map_family,
     matio,
+    pairing_partner,
     reassign_family,
     sample_structured,
 )
+from specpreserve.spectral import _form_star
 from specpreserve.subspaces import preserve_complementary, reproduce_invariant
 
 N = 6
@@ -118,7 +120,7 @@ def _closed_split(A, space, cls):
     sel = {0}
     while True:
         orbit = [w[i] for i in sel] + [
-            cls.epsilon2 * space.star_scalar(w[i]) for i in sel]
+            pairing_partner(w[i], cls, _form_star(space)) for i in sel]
         grown = {j for j in range(len(w))
                  if min(abs(w[j] - v) for v in orbit) <= band}
         if grown <= sel:
@@ -152,8 +154,7 @@ def test_kernel_matches_dense_formulas(space, cls, complex_data):
     D = _compatible(X, space, cls, rng)
     asm = ReassignmentAssembly(X_c=X.astype(complex),
                                Lambda_c=np.zeros((p, p), dtype=complex),
-                               Lambda_a=D.astype(complex), arrangement="test",
-                               blocks=())
+                               Lambda_a=D.astype(complex), blocks=())
     for z in (None, Z):
         got = reassign_family(S, asm, space, cls, Z=z, verify=False).delta
         _assert_close(got, _dense_reassign(X, D, space, cls, z))
@@ -326,8 +327,7 @@ def test_unparametrized_updates_solve_at_most_2p_columns(monkeypatch, field,
     D = _compatible(X, space, cls, rng)
     asm = ReassignmentAssembly(X_c=X.astype(complex),
                                Lambda_c=np.zeros((2, 2), dtype=complex),
-                               Lambda_a=D.astype(complex), arrangement="test",
-                               blocks=())
+                               Lambda_a=D.astype(complex), blocks=())
     X_c, X_f, L_f = _closed_split(S, space, cls)
     La = _compatible(X_c, space, cls, rng)
 

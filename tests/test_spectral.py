@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import golden
 import helpers
 from specpreserve import (
+    ArgumentError,
     InstanceRecipe,
     PlanGroup,
     ReassignmentGroup,
@@ -62,6 +63,16 @@ class TestPairingClosure:
         space = ScalarProductSpace.flip(4)
         spec = ReassignmentSpec(groups=())
         assert validate_pairing_closure(spec, space, "lie") == []
+
+    @pytest.mark.parametrize("assemble,cls", [
+        (assemble_complex, "lie"), (assemble_real_lie, "lie"),
+        (assemble_real_jordan, "jordan")])
+    def test_empty_spec_is_refused_by_assembly(self, assemble, cls):
+        # once numpy's "need at least one array to concatenate"
+        space = ScalarProductSpace.flip(4, star="t", field="real")
+        with pytest.raises(ArgumentError, match="at least one group"):
+            assemble(np.zeros((4, 4)), ReassignmentSpec(groups=()), space,
+                     cls)
 
     def test_real_jordan_conjugate_couple_ok(self):
         space = ScalarProductSpace(golden.JORDAN5_H, star="t", field="real",

@@ -99,7 +99,7 @@ def test_lambda_compatibility_follows_the_space(t, space, cls, label, ratio):
 @pytest.mark.parametrize("ratio", OFF)
 def test_symmetry_certificate_follows_the_space(t, space, cls, label, ratio):
     X, L = _gram_target(space, cls, ratio, seed=2)
-    asm = ReassignmentAssembly(X, np.zeros((P, P)), L, "complex", ())
+    asm = ReassignmentAssembly(X, np.zeros((P, P)), L, ())
     assert _refusal(lambda: reassign_no_spillover(
         np.zeros((N, N)), asm, space, cls, verify=False)) == (
         None if OFF[ratio] else "symmetry_certificate"), label
