@@ -9,7 +9,7 @@ Four commands, each driven by a JSON job file plus flag overrides:
   gen        write a generated structured instance with ground truth
 
 Exit codes: 0 success, 2 violated mathematical precondition (the failing
-hypothesis is named), 3 I/O or format trouble.
+hypothesis is named), 3 I/O or format trouble, a usage error included.
 """
 
 from __future__ import annotations
@@ -590,7 +590,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse's usage error 2 is format trouble
+        raise SystemExit(3 if e.code == 2 else e.code) from None
     try:
         return args.func(args)
     except (FormatError, OSError) as e:

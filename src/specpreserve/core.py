@@ -207,7 +207,9 @@ class _MonomialH:
 
     @staticmethod
     def _scale_rows(v, M):
-        return v.reshape((-1,) + (1,) * (M.ndim - 1)) * M
+        # M is a fresh gather: scaled in place unless v is of a wider field
+        v = v.reshape((-1,) + (1,) * (M.ndim - 1))
+        return np.multiply(v, M, out=M if np.can_cast(v, M.dtype) else None)
 
     def apply(self, B):
         return self._scale_rows(self.vals, B[self.cols])
@@ -468,8 +470,6 @@ def numerical_rank(X, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     if not _has_svd(X):
         raise ArgumentError("X has a NaN or infinite entry, so no SVD")
     s = np.linalg.svd(X, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
     return int(np.count_nonzero(s > rank_tol * s[0]))
 
 
@@ -507,9 +507,10 @@ def z_symmetry_residual(Z, space: ScalarProductSpace, cls: StructureClass) -> fl
     differs from membership in the algebra itself.
     """
     Z = as_matrix(Z, "Z", space, _square(Z))
-    cls = StructureClass.parse(cls)
-    s = space.epsilon1 * cls.epsilon2
-    return float(np.linalg.norm(space.star_mat(Z) - s * Z))
+    # star(Z) as a view: conj() returns real data itself, not a copy
+    Zt = Z.T if (space.star, space.field) == ("T", "complex") else Z.T.conj()
+    same = space.epsilon1 == StructureClass.parse(cls).epsilon2
+    return float(np.linalg.norm(Zt - Z if same else Zt + Z))
 
 
 def _gram_compatibility(G, L, space, cls,

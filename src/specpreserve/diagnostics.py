@@ -27,7 +27,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy
 
 from .core import (
     ScalarProductSpace,
@@ -129,13 +128,14 @@ class SpectrumVerdict:
 
 def _scipy_extension(name):
     """scipy's compiled extension module ``name``, ``scipy.<package>.<m>``,
-    loaded from its own file under scipy's directory without the init of
-    the package.  Loading it puts the module in ``sys.modules``, so its
-    functions are the ones the package exports, whichever is imported
-    first.  There is no fallback to the package: a scipy without the
-    module raises."""
-    spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(os.path.dirname(scipy.__file__),
+    loaded from its own file under scipy's directory, which is found
+    without importing scipy, so no package init runs.  It goes in
+    ``sys.modules``, so its functions are the ones the package exports,
+    whichever is imported first.  There is no fallback to the package: a
+    scipy without the module raises."""
+    pkg = importlib.util.find_spec("scipy")
+    spec = pkg and importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(pkg.submodule_search_locations[0],
                             name.split(".")[1])])
     if spec is None:
         raise ImportError(f"scipy has no extension module {name}", name=name)
@@ -637,15 +637,6 @@ class GeneratedInstance:
     recipe: InstanceRecipe
 
 
-def _embed(block_chains, offset, width, total):
-    """Lift block-local chains (value, X_local) to global coordinates."""
-    out = []
-    for lam, Xl in block_chains:
-        X = np.zeros((total, Xl.shape[1]), Xl.dtype)
-        X[offset:offset + width, :] = Xl
-        out.append((lam, X))
-    return out
-
 def _plan_units(recipe, band):
     """Canonical units for the recipe's plan, orbit by orbit in plan order:
     each orbit's units come from its pairing-table row, longest chain first
@@ -814,7 +805,10 @@ def generate_instance(recipe: InstanceRecipe) -> GeneratedInstance:
     offset = 0
     for A_u, H_u, ch in units:
         w = A_u.shape[0]
-        chains.extend(_embed(ch, offset, w, n))
+        for lam, Xl in ch:  # block-local chains lifted to global coordinates
+            X = np.zeros((n, Xl.shape[1]), Xl.dtype)
+            X[offset:offset + w, :] = Xl
+            chains.append((lam, X))
         offset += w
     if offset != n:
         raise InfeasiblePlanError(

@@ -11,9 +11,9 @@ Frobenius-minimal solution.  Star is the star of the space throughout.
 
 The Z = 0 member is kept as factors ``U V`` of width 2p and multiplied out
 once, so it costs O(n^2 p) and forms no n x n matrix before that product;
-the Z term, ``H^-1 P* Z P`` with ``P = I - X X^+``, is expanded without
-forming P and takes the only n-column application of ``H^-1``, a product
-with the inverse a dense H gets once per space: no call solves with H.
+a member with a parameter Z is ``H^-1 Z + L R``, the Z term ``H^-1 P* Z P``
+(``P = I - X X^+``, never formed) folded into factors L, R of that width.
+``H^-1 Z`` is the one n-column ``H^-1``: no call solves with H.
 
 Every member is built by ``_family``, after the feasibility test its caller
 names: the public functions test the range and symmetry conditions; the
@@ -84,13 +84,17 @@ def _map_factors(X, B, Xd, space, cls):
     return U, V, W
 
 
-def _z_term(Z, X, Xd, space):
-    """``H^-1 P* Z P`` for ``P = I - X X^+``, expanded without forming P."""
-    st = space.star_mat
-    XsZ = st(X) @ Z
-    ZX = Z @ X
-    M = Z - st(Xd) @ (XsZ - (XsZ @ X) @ Xd) - ZX @ Xd
-    return space.h_solve(M)
+def _z_member(Z, X, Xd, U, V, space, cls):
+    """``H^-1 Z + L R`` for Z and the Z = 0 factors ``[B, U2] [X^+; V2]``:
+    ``L = [B - H^-1 Z X, U2]``, ``R = [X^+; V2 - e1 e2 X* Z P]``."""
+    p = X.shape[1]
+    XsZ = space.star_mat(X) @ Z
+    L = np.hstack([U[:, :p] - space.h_solve(Z @ X), U[:, p:]])
+    R = np.vstack([Xd, V[p:] - space.epsilon1 * cls.epsilon2 * (
+        XsZ - (XsZ @ X) @ Xd)])
+    out = L @ R
+    out += space.h_solve(Z)  # into L R, which complex chains make complex
+    return out
 
 
 def _feasibility(X, B, Xd, W, space, cls, tol, ranged=True) -> tuple:
@@ -168,7 +172,8 @@ class StructuredMapSolution:
                 thr).require("Z fails Z* = e1 e2 Z")
         if real:
             Z = np.ascontiguousarray(Z.real)
-        return self.family_base + _z_term(Z, self.X, self.X_pinv, self.space)
+        return _z_member(Z, self.X, self.X_pinv, *self.factors, self.space,
+                         self.cls)
 
 
 def _family(X, B, space, cls, tol, test="full") -> StructuredMapSolution:

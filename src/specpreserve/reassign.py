@@ -19,8 +19,8 @@ to the space's structure tolerance.
 Under the Gram certificate (``W = e1 e2 W*`` for ``W = X* H X D``) the
 family is the solution family of ``delta X = X D``.  The certificate is
 decided once, here; ``mapping._family`` then evaluates the family with no
-feasibility test, as its W is that certificate: O(n^2 p), with one
-n-column application of ``H^-1`` only for the Z term, a product with the
+feasibility test, as its W is that certificate: O(n^2 p), plus for a
+parameter Z the one n-column ``H^-1``, ``H^-1 Z``, a product with the
 inverse a dense H gets once per space.  The no-spillover update applies
 the inverse Gram matrix to the ``X_c* H`` the certificate's Gram matrix
 was formed from (a real basis forms its own), O(n^2 p), with no ``H^-1``.

@@ -128,10 +128,6 @@ class ReassignmentGroup:
     def chain_lengths(self) -> tuple:
         return tuple(c.shape[1] for c in self.chains)
 
-    @property
-    def multiplicity(self) -> int:
-        return int(sum(self.chain_lengths))
-
 
 @dataclass(frozen=True)
 class ReassignmentSpec:

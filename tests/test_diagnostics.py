@@ -3,6 +3,7 @@
 import concurrent.futures
 import functools
 import importlib.machinery
+import importlib.util
 import os
 import subprocess
 import sys
@@ -276,12 +277,19 @@ class TestRectangularLsap:
 
     def test_a_scipy_without_the_module_raises(self, monkeypatch, tmp_path):
         # no fallback to the ``scipy.optimize`` package
-        monkeypatch.setattr(specpreserve.diagnostics, "scipy",
-                            types.SimpleNamespace(
-                                __file__=str(tmp_path / "__init__.py")))
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name: types.SimpleNamespace(
+                                submodule_search_locations=[str(tmp_path)]))
         with pytest.raises(ImportError, match=r"scipy\.optimize\._lsap") as e:
             _linear_sum_assignment.__wrapped__()
         assert e.value.name == "scipy.optimize._lsap"
+
+    def test_no_scipy_at_all_is_the_same_import_error(self, monkeypatch):
+        # scipy's directory is looked up, not imported, so a missing scipy
+        # surfaces at the first load
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match=r"scipy\.optimize\._lsap"):
+            _linear_sum_assignment.__wrapped__()
 
 
 class TestFlapack:

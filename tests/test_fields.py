@@ -195,7 +195,7 @@ def test_real_recipes_are_built_in_float64(monkeypatch):
 # ---------------------------------------------------------------------------
 
 # spied helper -> the module that defines it
-SPIED = {"_map_factors": mapping, "_z_term": mapping,
+SPIED = {"_map_factors": mapping, "_z_member": mapping,
          "_no_spillover_update": subspaces, "_star_h": core}
 
 
