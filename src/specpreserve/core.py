@@ -225,6 +225,36 @@ class _MonomialH:
 _SCIPY_LAPACK_LOCK = threading.Lock()
 
 
+class _Background(threading.Thread):
+    """``fn(*args)`` on a thread of its own, started at once (numpy and
+    LAPACK release the interpreter lock); ``result()`` joins it and returns
+    or raises what fn did, and a ``with`` joins it on every exit."""
+
+    def __init__(self, fn, *args):
+        super().__init__(daemon=True)
+        self._call = functools.partial(fn, *args)
+        self._out = self._err = None
+        self.start()
+
+    def run(self):
+        try:
+            self._out = self._call()
+        except BaseException as e:  # re-raised by result() in the caller
+            self._err = e
+
+    def result(self):
+        self.join()
+        if self._err is not None:
+            raise self._err
+        return self._out
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.join()
+
+
 class _DenseH:
     """Any other H: H and H^-1 applied by products, with H^-1 formed by
     ``np.linalg.inv`` (LU with partial pivoting) on the first solve.  H is

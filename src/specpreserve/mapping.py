@@ -13,7 +13,8 @@ The Z = 0 member is kept as factors ``U V`` of width 2p and multiplied out
 once, so it costs O(n^2 p) and forms no n x n matrix before that product;
 a member with a parameter Z is ``H^-1 Z + L R``, the Z term ``H^-1 P* Z P``
 (``P = I - X X^+``, never formed) folded into factors L, R of that width.
-``H^-1 Z`` is the one n-column ``H^-1``: no call solves with H.
+``H^-1 Z`` is the one n-column ``H^-1``: no call solves with H.  On a
+dense H it runs on a second thread while L R is formed, bitwise as inline.
 
 Every member is built by ``_family``, after the feasibility test its caller
 names: the public functions test the range and symmetry conditions; the
@@ -34,7 +35,10 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
+    _Background,
+    _DenseH,
     _decide,
+    _real_apply,
     as_matrix,
     frob,
     pseudoinverse,
@@ -84,16 +88,20 @@ def _map_factors(X, B, Xd, space, cls):
     return U, V, W
 
 
-def _z_member(Z, X, Xd, U, V, space, cls):
+def _z_member(Z, h_solve_z, X, Xd, U, V, space, cls):
     """``H^-1 Z + L R`` for Z and the Z = 0 factors ``[B, U2] [X^+; V2]``:
-    ``L = [B - H^-1 Z X, U2]``, ``R = [X^+; V2 - e1 e2 X* Z P]``."""
+    ``L = [B - H^-1 Z X, U2]``, ``R = [X^+; V2 - e1 e2 X* Z P]``, with
+    ``H^-1 Z = h_solve_z()`` added last.  A real Z meets complex X only in
+    real products (on a real space, whose star conjugates)."""
     p = X.shape[1]
-    XsZ = space.star_mat(X) @ Z
-    L = np.hstack([U[:, :p] - space.h_solve(Z @ X), U[:, p:]])
+    real_view = np.iscomplexobj(X) and not np.iscomplexobj(Z)
+    XsZ = (_real_apply(Z.T, X.conj()).T if real_view
+           else space.star_mat(X) @ Z)
+    L = np.hstack([U[:, :p] - space.h_solve(_real_apply(Z, X)), U[:, p:]])
     R = np.vstack([Xd, V[p:] - space.epsilon1 * cls.epsilon2 * (
         XsZ - (XsZ @ X) @ Xd)])
     out = L @ R
-    out += space.h_solve(Z)  # into L R, which complex chains make complex
+    out += h_solve_z()  # into L R, which complex chains make complex
     return out
 
 
@@ -160,7 +168,9 @@ class StructuredMapSolution:
         """``family_base`` for Z = None, else the member for Z checked to be
         an admissible parameter: n x n, real to the space's structure
         tolerance when real is set (checked first; its real part is used),
-        and ``Z* = e1 e2 Z``."""
+        and ``Z* = e1 e2 Z``.  ``H^-1 Z`` of a dense H runs on a second
+        thread from then on, after its inverse is taken here (once per
+        space); a monomial H gives it by a gather, inline."""
         if Z is None:
             return self.family_base
         Z = as_matrix(Z, "Z", self.space, (self.space.n,) * 2)
@@ -172,8 +182,12 @@ class StructuredMapSolution:
                 thr).require("Z fails Z* = e1 e2 Z")
         if real:
             Z = np.ascontiguousarray(Z.real)
-        return _z_member(Z, self.X, self.X_pinv, *self.factors, self.space,
-                         self.cls)
+        args = self.X, self.X_pinv, *self.factors, self.space, self.cls
+        h = self.space._h_op
+        if not isinstance(h, _DenseH):
+            return _z_member(Z, lambda: self.space.h_solve(Z), *args)
+        with _Background(_real_apply, h.inv, Z) as h_solve_z:
+            return _z_member(Z, h_solve_z.result, *args)
 
 
 def _family(X, B, space, cls, tol, test="full") -> StructuredMapSolution:

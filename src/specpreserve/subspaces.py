@@ -25,8 +25,9 @@ few nonzeros off its diagonal; ``core.BAND_GATHER_COST`` says how few),
 and one LU of ``[X_c X_f]``, whose ``?gecon`` estimate decides
 nonsingularity: the module's one call past numpy's LAPACK, to scipy's f2py
 ``?getrf`` and ``?gecon`` from ``scipy.linalg._flapack``, without the
-package.  A triangular Lambda_f, such as a Jordan form, gives its spectrum
-from its diagonal.
+package.  The LU runs on a second thread beside the checks, which keep
+their order.  A triangular Lambda_f, such as a Jordan form, gives its
+spectrum from its diagonal.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .core import (
     StructureClass,
     ToleranceProfile,
     _SCIPY_LAPACK_LOCK,
+    _Background,
     _bandwidth,
     _check_full_column_rank,
     _check_invariant_pair,
@@ -168,53 +170,59 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     X_f = as_matrix(X_f, "X_f", space, (space.n, m))
     Lambda_a = as_matrix(Lambda_a, "Lambda_a", space, (p, p))
     Lambda_f = as_matrix(Lambda_f, "Lambda_f", space, (m, m))
-    AX_c = _real_apply(A, X_c)
-    norm_A = frob(A)
-    Lambda_c = pseudoinverse(X_c, tol.rank_tol) @ AX_c
-    _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol,
-                          "invariance of range(X_c) under A", AX=AX_c,
-                          norm_A=norm_A)
-    band = _bandwidth(Lambda_f)
-    _check_invariant_pair(A, X_f, Lambda_f, tol.eig_tol, "A X_f = X_f Lambda_f",
-                          norm_A=norm_A, band=band)
-    ec = np.linalg.eigvals(Lambda_c)
-    # a triangular Lambda_f (Jordan chains) has its spectrum on the diagonal
-    ef = (np.diagonal(Lambda_f) if min(band) == 0
-          else np.linalg.eigvals(Lambda_f))
-    # an empty side is disjoint from everything (gap inf)
-    paired = np.array([pairing_partner(l, cls, _form_star(space)) for l in ec])
-    gap = float(np.min(np.abs(paired[:, None] - ef[None, :]), initial=np.inf))
-    spectral_scale = max(1.0, frob(ec), frob(ef))
-    XsH = _star_h(X_c, space)
-    G = XsH @ X_c
-    _decide("spectral_disjointness", gap, SPECTRAL_SEPARATION * spectral_scale,
-            at_least=True).require(
-        "paired spectrum of the changed block meets the fixed spectrum",
-        "min gap")
-    if gap < 10 * SPECTRAL_SEPARATION * spectral_scale:
-        warnings.warn(
-            f"spectral gap {gap:.3e} is close to the separation threshold; "
-            f"Gram 1-norm condition {np.real(np.linalg.cond(G, 1)):.2e}",
-            stacklevel=2)
-
-    _gram_compatibility(G, Lambda_a, space, cls).require(
-        _INCOMPATIBLE, "condition_residual")
-
     # one LU of X decides nonsingularity, by LAPACK's reciprocal 1-norm
-    # condition estimate (0 for an exactly singular X); X is built once in
-    # Fortran order, so getrf factors it in place, after its 1-norm is
-    # summed row by row over C-ordered absolute values, as of the stacked X
-    norm_X = max(np.abs(B, order="C").sum(axis=0).max(initial=0.0)
-                 for B in (X_c, X_f))
+    # condition estimate (0 for an exactly singular X), on a second thread
+    # beside the checks; X is built once in Fortran order, so getrf factors
+    # it in place, after its 1-norm is summed row by row over C-ordered
+    # absolute values, as of the stacked X
     X = np.empty((space.n, space.n), np.result_type(X_c, X_f), order="F")
     X[:, :p], X[:, p:] = X_c, X_f
-    lapack, t = _flapack(), "z" if np.iscomplexobj(X) else "d"
-    with _SCIPY_LAPACK_LOCK:
-        lu = getattr(lapack, t + "getrf")(X, overwrite_a=True)[0]
-        rcond = getattr(lapack, t + "gecon")(lu, norm_X, norm="1")[0]
-    _decide("nonsingular_basis", rcond, tol.rank_tol, at_least=True).require(
-        "[X_c X_f] is numerically singular",
-        "reciprocal condition estimate")
+
+    def rcond():
+        norm_X = max(np.abs(B, order="C").sum(axis=0).max(initial=0.0)
+                     for B in (X_c, X_f))
+        lapack, t = _flapack(), "z" if np.iscomplexobj(X) else "d"
+        with _SCIPY_LAPACK_LOCK:
+            lu = getattr(lapack, t + "getrf")(X, overwrite_a=True)[0]
+            return getattr(lapack, t + "gecon")(lu, norm_X, norm="1")[0]
+
+    with _Background(rcond) as estimate:
+        AX_c = _real_apply(A, X_c)
+        norm_A = frob(A)
+        Lambda_c = pseudoinverse(X_c, tol.rank_tol) @ AX_c
+        _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol,
+                              "invariance of range(X_c) under A", AX=AX_c,
+                              norm_A=norm_A)
+        band = _bandwidth(Lambda_f)
+        _check_invariant_pair(A, X_f, Lambda_f, tol.eig_tol,
+                              "A X_f = X_f Lambda_f", norm_A=norm_A, band=band)
+        ec = np.linalg.eigvals(Lambda_c)
+        # a triangular Lambda_f (Jordan chains) has its spectrum on the diagonal
+        ef = (np.diagonal(Lambda_f) if min(band) == 0
+              else np.linalg.eigvals(Lambda_f))
+        # an empty side is disjoint from everything (gap inf)
+        paired = np.array([pairing_partner(l, cls, _form_star(space))
+                           for l in ec])
+        gap = float(np.min(np.abs(paired[:, None] - ef[None, :]),
+                           initial=np.inf))
+        spectral_scale = max(1.0, frob(ec), frob(ef))
+        XsH = _star_h(X_c, space)
+        G = XsH @ X_c
+        _decide("spectral_disjointness", gap,
+                SPECTRAL_SEPARATION * spectral_scale, at_least=True).require(
+            "paired spectrum of the changed block meets the fixed spectrum",
+            "min gap")
+        if gap < 10 * SPECTRAL_SEPARATION * spectral_scale:
+            warnings.warn(
+                f"spectral gap {gap:.3e} is close to the separation threshold; "
+                f"Gram 1-norm condition {np.real(np.linalg.cond(G, 1)):.2e}",
+                stacklevel=2)
+
+        _gram_compatibility(G, Lambda_a, space, cls).require(
+            _INCOMPATIBLE, "condition_residual")
+        _decide("nonsingular_basis", estimate.result(), tol.rank_tol,
+                at_least=True).require("[X_c X_f] is numerically singular",
+                                       "reciprocal condition estimate")
     # the gap gives X_c* H X_f = 0, so the no-spillover update solves
     # delta [X_c X_f] = [B_c, 0]; computed pairs meet it only to their
     # residuals over the gap, so it is decided, in O(n p m)

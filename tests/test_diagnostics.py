@@ -1049,6 +1049,31 @@ CASES, ROUNDS = 1, 200
 work = lambda i: verify_reassignment(inst.A, delta, asm, inst.space, inst.cls)
 same = lambda a, b: a.summary() == b.summary() and a.notes == b.notes
 """,
+    # each call runs the LU of [X_c X_f] on a thread of its own
+    "preserve_complementary": """
+from specpreserve.subspaces import preserve_complementary
+from test_diagnostics import _annihilation_case
+inst, asm, _, _ = _annihilation_case("complex-lie", 64)
+moved = np.linalg.eigvals(asm.Lambda_c)
+rest = [p for p in inst.pairs if np.min(np.abs(moved - p.value)) > 1e-9]
+X_f = np.hstack([p.chain for p in rest])
+L_f = np.diag([p.value for p in rest])
+CASES, ROUNDS = 1, 400
+work = lambda i: preserve_complementary(inst.A, asm.X_c, asm.Lambda_a, X_f,
+                                        L_f, inst.space, inst.cls)
+same = lambda a, b: a.tobytes() == b.tobytes()
+""",
+    # each call forms H^-1 Z on a thread of its own
+    "with_z": """
+from specpreserve import map_family, sample_structured
+from test_diagnostics import _annihilation_case
+inst, asm, _, _ = _annihilation_case("complex-lie", 64)
+fam = map_family(asm.X_c, inst.A @ asm.X_c, inst.space, inst.cls)
+CASES, ROUNDS = 4, 400
+Z = [sample_structured(inst.space, inst.cls, seed=i) for i in range(CASES)]
+work = lambda i: fam.with_z(Z[i])
+same = lambda a, b: a.tobytes() == b.tobytes()
+""",
 }
 
 

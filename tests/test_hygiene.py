@@ -3,9 +3,12 @@ in the package is used by its module or re-exported through ``__all__``, no
 module loads a scipy submodule at import time, neither ``scipy.linalg``
 nor ``scipy.optimize`` is used (two loaders name the extension modules of
 scipy's compiled LAPACK wrappers and assignment), only
-``subspaces.preserve_complementary`` calls the LAPACK wrappers, the
-field-keeping modules never cast to complex outside ``as_matrix``, the
-verification oracle calls no eigenvector solver, factors no square matrix
+``subspaces.preserve_complementary`` calls the LAPACK wrappers, only
+``core`` names a thread class or ``concurrent.futures`` and its one
+helper thread is started only by ``preserve_complementary`` and
+``StructuredMapSolution._member``, the field-keeping modules never cast
+to complex outside ``as_matrix``, the verification oracle calls no
+eigenvector solver, factors no square matrix
 outside its fallback and memoizes the spectrum of no matrix but the
 unperturbed A, no code but ``core._DenseH`` solves with H, every
 threshold test raises through ``core._decide``, no code but
@@ -270,6 +273,83 @@ def test_only_the_complementary_update_calls_the_lapack_wrappers():
 ])
 def test_flapack_rule_catches_a_planted_call(module, planted, flagged):
     assert bool(_flapack_calls(ast.parse(planted), module)) == flagged
+
+
+# one concurrency boundary: ``core._Background`` is the one thread class,
+# started only for the O(n^3) step a call can run beside its other work,
+# the LU of ``[X_c X_f]`` and ``H^-1 Z`` on a dense H; the oracle stays
+# serial (its eigensolver on a second thread slowed verified calls)
+THREAD_HOME = "core.py"
+BACKGROUND = "_Background"
+BACKGROUND_STARTERS = {("subspaces.py", "preserve_complementary"),
+                       ("mapping.py", "StructuredMapSolution._member")}
+
+
+def _definitions(node, prefix=""):
+    """(qualified name, node) of every function and class in node."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            yield name, child
+            name += "."
+        yield from _definitions(child, name)
+
+
+def _concurrency_uses(tree, module):
+    """Lines naming ``threading.Thread`` or ``concurrent.futures`` outside
+    ``core``, and lines starting ``_Background`` outside its two
+    starters."""
+    names_threads = [] if module == THREAD_HOME else [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "Thread"
+        or isinstance(node, ast.Name) and node.id == "Thread"
+        or any(name == "threading.Thread" or name.startswith("concurrent")
+               for name in _imported_names(node))]
+    home = {id(n) for name, d in _definitions(tree)
+            if (module, name) in BACKGROUND_STARTERS for n in ast.walk(d)}
+    return names_threads + [
+        call.lineno for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and id(call) not in home
+        and _called_name(call) == BACKGROUND]
+
+
+def test_only_core_starts_threads_and_only_for_two_calls():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SOURCES}
+    hits = {name: lines for name, tree in trees.items()
+            if (lines := _concurrency_uses(tree, name))}
+    assert not hits, f"threads outside the two starters: {hits}"
+    # the rule sees the thread class and each start it allows
+    assert _concurrency_uses(trees["core.py"], "other.py")
+    for module, _ in BACKGROUND_STARTERS:
+        assert len(_concurrency_uses(trees[module], "other.py")) == 1
+
+
+@pytest.mark.parametrize("module,planted,flagged", [
+    # the oracle's eigensolver on a second thread
+    ("diagnostics.py", "def verify_reassignment(A, delta):\n"
+     "    eig = _Background(_eigenvalues, A + delta)", True),
+    ("core.py", "def adjoint(A, space):\n"
+     "    return _Background(space.h_solve, A).result()", True),
+    ("mapping.py", "def _member(self, Z, real):\n"
+     "    return _Background(_real_apply, h.inv, Z)", True),
+    ("diagnostics.py", "import concurrent.futures", True),
+    ("mapping.py", "from concurrent.futures import ThreadPoolExecutor", True),
+    ("subspaces.py", "lu = threading.Thread(target=rcond)", True),
+    ("reassign.py", "from threading import Thread", True),
+    # the thread class and its two starters
+    ("core.py", "class _Background(threading.Thread):\n    pass", False),
+    ("subspaces.py", "def preserve_complementary(A, X_c):\n"
+     "    with _Background(rcond) as lu:\n        pass", False),
+    ("mapping.py", "class StructuredMapSolution:\n"
+     "    def _member(self, Z, real):\n"
+     "        return _Background(_real_apply, h.inv, Z)", False),
+    # what the rule leaves alone: the lock of the LAPACK wrappers
+    ("core.py", "_SCIPY_LAPACK_LOCK = threading.Lock()", False),
+])
+def test_thread_rule_catches_a_planted_start(module, planted, flagged):
+    assert bool(_concurrency_uses(ast.parse(planted), module)) == flagged
 
 
 # modules that keep the field of their data: ``core.as_matrix`` (with the

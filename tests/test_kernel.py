@@ -1,9 +1,14 @@
 """The factored structured-solve kernel against the dense formulas it
 evaluates, the exact H^-1 of signed and phased permutations, the H^-1 of a
-dense H formed once per space, and the size of every solve the
-unparametrized updates run."""
+dense H formed once per space, the size of every solve the
+unparametrized updates run, and the step two calls run on a second
+thread."""
 
+import importlib.util
 import os
+import threading
+import time
+import types
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from specpreserve import (
     ReassignmentAssembly,
     ScalarProductSpace,
     StructureClass,
+    StructureError,
     adjoint,
     map_family,
     matio,
@@ -22,7 +28,9 @@ from specpreserve import (
     sample_structured,
     z_symmetry_residual,
 )
+from specpreserve import core, subspaces
 from specpreserve.core import as_matrix
+from specpreserve.diagnostics import _flapack
 from specpreserve.spectral import _form_star
 from specpreserve.subspaces import preserve_complementary, reproduce_invariant
 
@@ -190,6 +198,7 @@ Z_MEMBER_CASES = {
     "skewj-complex-t": ("complex", "T", -1, "skewj", 24, 3, True),
     "complex-basis-real-skewj": ("real", "T", -1, "skewj", 24, 3, True),
     "complex-basis-real-dense": ("real", "T", 1, "random", 24, 3, True),
+    "complex-basis-real-skewj-wide": ("real", "T", -1, "skewj", 128, 64, True),
     "p0-real": ("real", "T", 1, "identity", 24, 0, False),
     "p0-dense-complex": ("complex", "CT", 1, "random", 24, 0, True),
     "p64-real-skewj": ("real", "T", -1, "skewj", 128, 64, False),
@@ -425,3 +434,111 @@ def test_unparametrized_updates_solve_at_most_2p_columns(monkeypatch, field,
     # it is never LU-factored
     assert seen["inv_h"] == (0 if preset == "flip" else 1)
     assert seen["lu_factor_h"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the step run on a second thread: the LU of [X_c X_f] in
+# preserve_complementary and H^-1 Z of a member on a dense H give the bits
+# of an inline run, refusals keep their order and no thread outlives a call
+# ---------------------------------------------------------------------------
+
+# (field, star, eps1, preset, class): H = I, skewj and a dense H
+ARRANGED = {
+    "real-jordan-identity": ("real", "T", 1, "identity",
+                             StructureClass.JORDAN),
+    "real-lie-skewj": ("real", "T", -1, "skewj", StructureClass.LIE),
+    "complex-lie-random": ("complex", "CT", 1, "random", StructureClass.LIE),
+}
+
+
+def _threaded_calls(arrangement, n=128):
+    """The two calls that start a second thread, on a closed invariant
+    pair of a random member and a full-rank basis with its image."""
+    field, star, eps1, preset, cls = ARRANGED[arrangement]
+    rng = np.random.default_rng(128)
+    space = helpers.make_space(n, star, eps1, field, preset, rng)
+    S = helpers.random_member(space, cls, seed=9)
+    X_c, X_f, L_f = _closed_split(S, space, cls)
+    La = _compatible(X_c, space, cls, rng)
+    X = _data((n, 4), rng, field == "complex")
+    Z = sample_structured(space, cls, seed=6)
+    return space, [
+        lambda: preserve_complementary(S, X_c, La, X_f, L_f, space, cls),
+        lambda: map_family(X, S @ X, space, cls).with_z(Z),
+    ]
+
+
+@pytest.mark.parametrize("arrangement", sorted(ARRANGED))
+def test_the_second_thread_gives_the_bits_of_an_inline_run(monkeypatch,
+                                                           arrangement):
+    space, calls = _threaded_calls(arrangement)
+    ran_on, run = [], core._Background.run
+    monkeypatch.setattr(core._Background, "run", lambda self: (
+        ran_on.append(threading.get_ident()), run(self)))
+    threaded = [call() for call in calls]
+    # H^-1 Z of a monomial H is a gather, run inline without a thread
+    dense = isinstance(space._h_op, core._DenseH)
+    assert len(ran_on) == 1 + dense
+    assert threading.get_ident() not in ran_on
+    monkeypatch.setattr(core._Background, "start", lambda self: self.run())
+    monkeypatch.setattr(core._Background, "join", lambda self, timeout=None:
+                        None)
+    ran_on.clear()
+    inline = [call() for call in calls]
+    assert ran_on == [threading.get_ident()] * (1 + dense)
+    for a, b in zip(threaded, inline):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _refusal(call):
+    """The condition call refuses with; no thread it started is left."""
+    before = threading.active_count()
+    with pytest.raises(StructureError) as e:
+        call()
+    assert threading.active_count() == before
+    return e.value.condition
+
+
+def test_refusals_keep_their_order_beside_the_second_thread(monkeypatch):
+    # the LU is held back, so the gap is refused while it still runs
+    monkeypatch.setattr(subspaces, "_flapack",
+                        lambda: time.sleep(0.05) or _flapack())
+    n = 128
+    space = ScalarProductSpace.identity(n, star="t", field="real")
+    A = helpers.random_member(space, "jordan", 25).real
+    w, V = np.linalg.eigh(A)
+    X_c, X_f, w_f = V[:, :2], V[:, 2:].copy(), w[2:].copy()
+    La = np.diag(w[:2] + 1.0)
+    # the gap is refused first, though the basis is singular too
+    X_f[:, -1], w_f[-1] = X_c[:, 0], w[0]
+    assert _refusal(lambda: preserve_complementary(
+        A, X_c, La, X_f, np.diag(w_f), space, "jordan")) \
+        == "spectral_disjointness"
+    X_f, w_f = V[:, 2:].copy(), w[2:]
+    X_f[:, -1] *= 1e-13
+    assert _refusal(lambda: preserve_complementary(
+        A, X_c, La, X_f, np.diag(w_f), space, "jordan")) \
+        == "nonsingular_basis"
+    dense, _ = _threaded_calls("complex-lie-random", 16)
+    fam = map_family(np.eye(16, 2), np.zeros((16, 2)), dense, "lie")
+    bad = np.random.default_rng(5).standard_normal((16, 16))
+    assert _refusal(lambda: fam.with_z(bad)) == "z_symmetry"
+
+
+def test_a_loader_failure_on_the_second_thread_reaches_the_caller(
+        monkeypatch, tmp_path):
+    _, calls = _threaded_calls("real-jordan-identity", 16)
+    # a scipy without the module, as in the loader's own test; the cache is
+    # cleared so the complementary update loads it again
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name: types.SimpleNamespace(
+                            submodule_search_locations=[str(tmp_path)]))
+    _flapack.cache_clear()
+    before = threading.active_count()
+    try:
+        with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack") as e:
+            calls[0]()
+    finally:
+        _flapack.cache_clear()
+    assert e.value.name == "scipy.linalg._flapack"
+    assert threading.active_count() == before
