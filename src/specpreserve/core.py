@@ -68,12 +68,13 @@ class Decision(NamedTuple):
 
 
 def _decide(condition, value, threshold, *, at_least=False) -> Decision:
-    """The one threshold rule: a residual passes when ``value <= threshold``,
-    a lower bound (at_least: a gap, an rcond, a singular value) when
-    ``value > threshold``, so zero never does.  A NaN on either side fails."""
+    """The one threshold rule: a residual passes when it is finite and
+    ``value <= threshold`` (the relative threshold of an infinite operand is
+    infinite), a lower bound (at_least: a gap, an rcond, a singular value)
+    when ``value > threshold``, so zero never does.  NaN always fails."""
     value, threshold = float(value), float(threshold)
-    return Decision(condition, value, threshold,
-                    value > threshold if at_least else value <= threshold)
+    return Decision(condition, value, threshold, value > threshold if at_least
+                    else value <= threshold and value < np.inf)
 
 
 def as_matrix(A, name="matrix", space=None, shape=None) -> np.ndarray:
@@ -470,8 +471,10 @@ def is_member(A, space: ScalarProductSpace, cls: StructureClass) -> bool:
     A = as_matrix(A, "A")
     bound = space.structure_tol * max(1.0, frob(A))
     # a real space admits only real matrices
-    return ((space.field == "complex" or frob(A.imag) <= bound)
-            and structure_residual(A, space, cls) <= bound)
+    return ((space.field == "complex"
+             or _decide("member_real", frob(A.imag), bound).passed)
+            and _decide("membership", structure_residual(A, space, cls),
+                        bound).passed)
 
 
 def _has_svd(M) -> bool:
@@ -535,12 +538,25 @@ def z_symmetry_residual(Z, space: ScalarProductSpace, cls: StructureClass) -> fl
     solver must carry, and the one test of the Gram certificate
     ``W = e1 e2 W*`` of the reassignment, mapping and subspace updates; it
     differs from membership in the algebra itself.
+
+    Past one tile (64 complex or 128 real entries, 1 KiB of a row, so that a
+    tile and its mirror stay in cache) the norm is summed over the tiles on
+    and above the diagonal, each below it counted by its mirror:
+    ``star(Z) -/+ Z`` is -/+ its own star entry by entry in IEEE arithmetic.
     """
     Z = as_matrix(Z, "Z", space, _square(Z))
     # star(Z) as a view: conj() returns real data itself, not a copy
     Zt = Z.T if (space.star, space.field) == ("T", "complex") else Z.T.conj()
     same = space.epsilon1 == StructureClass.parse(cls).epsilon2
-    return float(np.linalg.norm(Zt - Z if same else Zt + Z))
+    diff, n, b = np.subtract if same else np.add, len(Z), 1024 // Z.itemsize
+    if n <= b:
+        return float(np.linalg.norm(diff(Zt, Z)))
+    sq = 0.0
+    for i in range(0, n, b):
+        for j in range(i, n, b):
+            D = diff(Zt[i:i + b, j:j + b], Z[i:i + b, j:j + b])
+            sq += (1 + (j > i)) * np.vdot(D, D).real
+    return float(np.sqrt(sq))
 
 
 def _gram_compatibility(G, L, space, cls,

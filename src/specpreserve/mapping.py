@@ -14,7 +14,9 @@ once, so it costs O(n^2 p) and forms no n x n matrix before that product;
 a member with a parameter Z is ``H^-1 Z + L R``, the Z term ``H^-1 P* Z P``
 (``P = I - X X^+``, never formed) folded into factors L, R of that width.
 ``H^-1 Z`` is the one n-column ``H^-1``: no call solves with H.  On a
-dense H it runs on a second thread while L R is formed, bitwise as inline.
+dense H, ``_start_h_solve_z`` runs it on a second thread from the entry of
+the call, beside the feasibility test, the checks of Z and L R, bitwise as
+inline; refusals keep their order and a refused call still joins it.
 
 Every member is built by ``_family``, after the feasibility test its caller
 names: the public functions test the range and symmetry conditions; the
@@ -26,6 +28,7 @@ decided itself, neither.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 
@@ -161,16 +164,19 @@ class StructuredMapSolution:
 
     def with_z(self, Z) -> np.ndarray:
         """Family member for an admissible parameter Z (``Z* = e1 e2 Z``,
-        real on a real space); Z = None gives ``family_base``."""
-        return self._member(Z, self.space.field == "real")
+        real on a real space); Z = None gives ``family_base``.  ``H^-1 Z``
+        of a dense H starts on a second thread here, before Z is checked."""
+        real = self.space.field == "real"
+        with _start_h_solve_z(Z, self.space, real) as started:
+            return self._member(Z, real, started)
 
-    def _member(self, Z, real) -> np.ndarray:
+    def _member(self, Z, real, started) -> np.ndarray:
         """``family_base`` for Z = None, else the member for Z checked to be
         an admissible parameter: n x n, real to the space's structure
         tolerance when real is set (checked first; its real part is used),
-        and ``Z* = e1 e2 Z``.  ``H^-1 Z`` of a dense H runs on a second
-        thread from then on, after its inverse is taken here (once per
-        space); a monomial H gives it by a gather, inline."""
+        and ``Z* = e1 e2 Z``.  ``H^-1 Z`` is the result of started, the
+        helper ``_start_h_solve_z`` gave for the same Z and real, or, when
+        that is None (a monomial H), a gather made inline."""
         if Z is None:
             return self.family_base
         Z = as_matrix(Z, "Z", self.space, (self.space.n,) * 2)
@@ -182,12 +188,30 @@ class StructuredMapSolution:
                 thr).require("Z fails Z* = e1 e2 Z")
         if real:
             Z = np.ascontiguousarray(Z.real)
-        args = self.X, self.X_pinv, *self.factors, self.space, self.cls
-        h = self.space._h_op
-        if not isinstance(h, _DenseH):
-            return _z_member(Z, lambda: self.space.h_solve(Z), *args)
-        with _Background(_real_apply, h.inv, Z) as h_solve_z:
-            return _z_member(Z, h_solve_z.result, *args)
+        h_solve_z = (started.result if started
+                     else functools.partial(self.space.h_solve, Z))
+        return _z_member(Z, h_solve_z, self.X, self.X_pinv, *self.factors,
+                         self.space, self.cls)
+
+
+def _start_h_solve_z(Z, space, real):
+    """``H^-1 Z`` of a member's Z on a dense H, started on a second thread at
+    once after H^-1 is formed here (once per space), as a ``with`` context
+    that joins it on every exit; a context holding None for no Z or a
+    monomial H.  The thread casts Z as ``_member`` does, so the product has
+    the serial bits; only ``_member`` reads it, once the caller checked Z."""
+    h = None if Z is None else space._h_op
+    if not isinstance(h, _DenseH):
+        return contextlib.nullcontext()
+    inv = h.inv
+
+    def h_solve_z():
+        # silent: a refused Z's product is discarded, an admitted Z is finite
+        with np.errstate(all="ignore"):
+            Zm = as_matrix(Z, "Z", space, (space.n,) * 2)
+            return _real_apply(inv, np.ascontiguousarray(Zm.real) if real
+                               else Zm)
+    return _Background(h_solve_z)
 
 
 def _family(X, B, space, cls, tol, test="full") -> StructuredMapSolution:
@@ -224,7 +248,9 @@ def map_family(X, B, space: ScalarProductSpace, cls: StructureClass,
 def solve_structured(X, B, space: ScalarProductSpace, cls: StructureClass,
                      Z=None, tol: ToleranceProfile = ToleranceProfile()) -> np.ndarray:
     """Structured solution of ``A X = B`` for one choice of parameter Z."""
-    return map_family(X, B, space, cls, tol).with_z(Z)
+    real = space.field == "real"
+    with _start_h_solve_z(Z, space, real) as started:
+        return map_family(X, B, space, cls, tol)._member(Z, real, started)
 
 
 def minimal_structured(X, B, space: ScalarProductSpace, cls: StructureClass,

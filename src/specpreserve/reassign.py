@@ -44,7 +44,7 @@ from .core import (
 )
 from .diagnostics import PerturbationReport, verify_reassignment
 from .errors import ArgumentError, RealnessError
-from .mapping import _family
+from .mapping import _family, _start_h_solve_z
 from .spectral import (
     SNAP_TOL,
     ReassignmentAssembly,
@@ -125,10 +125,12 @@ def reassign_family(A, assembly: ReassignmentAssembly, space: ScalarProductSpace
     ``(A + delta) X_c = X_c Lambda_a`` and stays in the algebra.
     """
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A", space, (space.n,) * 2)
-    X_c, B_c, _ = _check_certificate(assembly, space, cls)
-    X, B = _real_basis(assembly, X_c, B_c)
-    delta = _family(X, B, space, cls, tol, None)._member(Z, assembly.real_output)
+    real = assembly.real_output
+    with _start_h_solve_z(Z, space, real) as started:
+        A = as_matrix(A, "A", space, (space.n,) * 2)
+        X_c, B_c, _ = _check_certificate(assembly, space, cls)
+        X, B = _real_basis(assembly, X_c, B_c)
+        delta = _family(X, B, space, cls, tol, None)._member(Z, real, started)
     report = None
     if verify:
         report = verify_reassignment(A, delta, assembly, space, cls, tol=tol,

@@ -57,7 +57,7 @@ from .core import (
     pseudoinverse,
 )
 from .diagnostics import _flapack
-from .mapping import _family
+from .mapping import _family, _start_h_solve_z
 from .spectral import _form_star, pairing_partner
 
 __all__ = [
@@ -119,13 +119,16 @@ def reproduce_invariant(A, X_a, Lambda_a, space: ScalarProductSpace,
     """Structured perturbation making range(X_a) invariant with restriction
     Lambda_a.  Z = None yields the Frobenius-minimal member of the family."""
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A", space, (space.n,) * 2)
-    X_a, Lambda_a, G = _basis_pair(X_a, Lambda_a, space, tol)
-    _gram_compatibility(G, Lambda_a, space, cls).require(
-        _INCOMPATIBLE, "condition_residual")
-    B = X_a @ Lambda_a - _real_apply(A, X_a)
-    # W = X_a* H B carries X_a* H A X_a, so W = e1 e2 W* is still tested
-    return _family(X_a, B, space, cls, tol, "symmetry").with_z(Z)
+    real = space.field == "real"
+    with _start_h_solve_z(Z, space, real) as started:
+        A = as_matrix(A, "A", space, (space.n,) * 2)
+        X_a, Lambda_a, G = _basis_pair(X_a, Lambda_a, space, tol)
+        _gram_compatibility(G, Lambda_a, space, cls).require(
+            _INCOMPATIBLE, "condition_residual")
+        B = X_a @ Lambda_a - _real_apply(A, X_a)
+        # W = X_a* H B carries X_a* H A X_a, so W = e1 e2 W* is still tested
+        fam = _family(X_a, B, space, cls, tol, "symmetry")
+        return fam._member(Z, real, started)
 
 
 def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
@@ -134,21 +137,24 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
     """Structured perturbation keeping the invariant subspace range(X_c)
     invariant, in the re-basis X_c R, with new restriction Lambda_a."""
     cls = StructureClass.parse(cls)
-    A = as_matrix(A, "A", space, (space.n,) * 2)
-    X_c = as_matrix(X_c, "X_c", space, (space.n, None))
-    p = X_c.shape[1]
-    Lambda_c = as_matrix(Lambda_c, "Lambda_c", space, (p, p))
-    Lambda_a = as_matrix(Lambda_a, "Lambda_a", space, (p, p))
-    R = as_matrix(R, "R", space, (p, p))
-    _check_full_column_rank(R, tol.rank_tol, "nonsingular_R",
-                            "R is numerically singular")
-    _check_full_column_rank(X_c, tol.rank_tol, "rank", "X_c is rank deficient")
-    _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol, "A X_c = X_c Lambda_c")
-    GR = space.star_mat(R) @ gram_matrix(X_c, space) @ R
-    _gram_compatibility(GR, Lambda_a, space, cls).require(
-        "Lambda_a incompatible in the basis X_c R", "condition_residual")
-    Rt = R @ Lambda_a - Lambda_c @ R
-    return _family(X_c @ R, X_c @ Rt, space, cls, tol, "symmetry").with_z(Z)
+    real = space.field == "real"
+    with _start_h_solve_z(Z, space, real) as started:
+        A = as_matrix(A, "A", space, (space.n,) * 2)
+        X_c = as_matrix(X_c, "X_c", space, (space.n, None))
+        p = X_c.shape[1]
+        Lambda_c = as_matrix(Lambda_c, "Lambda_c", space, (p, p))
+        Lambda_a = as_matrix(Lambda_a, "Lambda_a", space, (p, p))
+        R = as_matrix(R, "R", space, (p, p))
+        _check_full_column_rank(R, tol.rank_tol, "nonsingular_R",
+                                "R is numerically singular")
+        _check_full_column_rank(X_c, tol.rank_tol, "rank", "X_c is rank deficient")
+        _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol, "A X_c = X_c Lambda_c")
+        GR = space.star_mat(R) @ gram_matrix(X_c, space) @ R
+        _gram_compatibility(GR, Lambda_a, space, cls).require(
+            "Lambda_a incompatible in the basis X_c R", "condition_residual")
+        Rt = R @ Lambda_a - Lambda_c @ R
+        fam = _family(X_c @ R, X_c @ Rt, space, cls, tol, "symmetry")
+        return fam._member(Z, real, started)
 
 
 def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,

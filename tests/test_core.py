@@ -244,6 +244,22 @@ class TestIsMember:
         space = ScalarProductSpace(golden.LIE4_H, star="ct", structure_tol=1e-3)
         assert is_member(golden.LIE4_DELTA, space, "lie")
 
+    @pytest.mark.parametrize("cls,entries", [
+        ("lie", {(0, 0): np.inf}),
+        ("lie", {(0, 1): np.inf, (1, 0): np.inf}),
+        ("jordan", {(0, 1): np.inf, (1, 0): -np.inf}),
+        ("lie", {(0, 0): np.nan}),
+        ("jordan", {(0, 1): np.nan, (1, 0): np.nan}),
+    ])
+    def test_non_finite_matrix_is_not_a_member(self, cls, entries):
+        # the bound tol max(1, |A|) of an infinite A is infinite
+        space = ScalarProductSpace.identity(4, star="T", field="real")
+        A = np.zeros((4, 4))
+        for ij, v in entries.items():
+            A[ij] = v
+        with np.errstate(invalid="ignore"):
+            assert not is_member(A, space, cls)
+
 
 class TestPseudoinverse:
     def test_identity(self):
@@ -332,6 +348,11 @@ class TestDecide:
         (1.0, np.nan, False, False),
         (1.0, np.nan, True, False),
         (np.inf, 1.0, True, True),
+        # a relative threshold of an infinite operand is infinite too: an
+        # infinite residual never passes, an infinite gap (an empty side)
+        # still does
+        (np.inf, np.inf, False, False),
+        (np.inf, 1.0, False, False),
     ])
     def test_rule(self, value, threshold, at_least, passed):
         assert _decide("c", value, threshold, at_least=at_least).passed is passed

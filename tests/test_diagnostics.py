@@ -1074,6 +1074,28 @@ Z = [sample_structured(inst.space, inst.cls, seed=i) for i in range(CASES)]
 work = lambda i: fam.with_z(Z[i])
 same = lambda a, b: a.tobytes() == b.tobytes()
 """,
+    # each call starts H^-1 Z on a thread of its own as it is entered
+    "reassign_family.z": """
+from specpreserve import reassign_family, sample_structured
+from test_diagnostics import _annihilation_case
+inst, asm, _, _ = _annihilation_case("complex-lie", 64)
+CASES, ROUNDS = 4, 400
+Z = [sample_structured(inst.space, inst.cls, seed=i) for i in range(CASES)]
+work = lambda i: reassign_family(inst.A, asm, inst.space, inst.cls, Z=Z[i],
+                                 verify=False).delta
+same = lambda a, b: a.tobytes() == b.tobytes()
+""",
+    "reproduce_invariant.z": """
+from specpreserve import sample_structured
+from specpreserve.subspaces import reproduce_invariant
+from test_diagnostics import _annihilation_case
+inst, asm, _, _ = _annihilation_case("complex-lie", 64)
+CASES, ROUNDS = 4, 400
+Z = [sample_structured(inst.space, inst.cls, seed=i) for i in range(CASES)]
+work = lambda i: reproduce_invariant(inst.A, asm.X_c, asm.Lambda_a,
+                                     inst.space, inst.cls, Z=Z[i])
+same = lambda a, b: a.tobytes() == b.tobytes()
+""",
 }
 
 

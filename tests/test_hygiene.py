@@ -277,12 +277,13 @@ def test_flapack_rule_catches_a_planted_call(module, planted, flagged):
 
 # one concurrency boundary: ``core._Background`` is the one thread class,
 # started only for the O(n^3) step a call can run beside its other work,
-# the LU of ``[X_c X_f]`` and ``H^-1 Z`` on a dense H; the oracle stays
-# serial (its eigensolver on a second thread slowed verified calls)
+# the LU of ``[X_c X_f]`` and ``H^-1 Z`` on a dense H, the latter by the one
+# starter every family entry with a Z calls; the oracle stays serial (its
+# eigensolver on a second thread slowed verified calls)
 THREAD_HOME = "core.py"
 BACKGROUND = "_Background"
 BACKGROUND_STARTERS = {("subspaces.py", "preserve_complementary"),
-                       ("mapping.py", "StructuredMapSolution._member")}
+                       ("mapping.py", "_start_h_solve_z")}
 
 
 def _definitions(node, prefix=""):
@@ -334,6 +335,13 @@ def test_only_core_starts_threads_and_only_for_two_calls():
      "    return _Background(space.h_solve, A).result()", True),
     ("mapping.py", "def _member(self, Z, real):\n"
      "    return _Background(_real_apply, h.inv, Z)", True),
+    # H^-1 Z started in an entry itself, or in the member the starter feeds
+    ("reassign.py", "def reassign_family(A, assembly, space, cls, Z=None):\n"
+     "    with _Background(_real_apply, space._h_op.inv, Z) as started:\n"
+     "        pass", True),
+    ("mapping.py", "class StructuredMapSolution:\n"
+     "    def _member(self, Z, real, started):\n"
+     "        return _Background(_real_apply, h.inv, Z)", True),
     ("diagnostics.py", "import concurrent.futures", True),
     ("mapping.py", "from concurrent.futures import ThreadPoolExecutor", True),
     ("subspaces.py", "lu = threading.Thread(target=rcond)", True),
@@ -342,9 +350,8 @@ def test_only_core_starts_threads_and_only_for_two_calls():
     ("core.py", "class _Background(threading.Thread):\n    pass", False),
     ("subspaces.py", "def preserve_complementary(A, X_c):\n"
      "    with _Background(rcond) as lu:\n        pass", False),
-    ("mapping.py", "class StructuredMapSolution:\n"
-     "    def _member(self, Z, real):\n"
-     "        return _Background(_real_apply, h.inv, Z)", False),
+    ("mapping.py", "def _start_h_solve_z(Z, space, real):\n"
+     "    return _Background(h_solve_z)", False),
     # what the rule leaves alone: the lock of the LAPACK wrappers
     ("core.py", "_SCIPY_LAPACK_LOCK = threading.Lock()", False),
 ])

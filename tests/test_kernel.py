@@ -1,8 +1,8 @@
 """The factored structured-solve kernel against the dense formulas it
-evaluates, the exact H^-1 of signed and phased permutations, the H^-1 of a
-dense H formed once per space, the size of every solve the
-unparametrized updates run, and the step two calls run on a second
-thread."""
+evaluates, the tiled Z symmetry residual, the exact H^-1 of signed and
+phased permutations, the H^-1 of a dense H formed once per space, the size
+of every solve the unparametrized updates run, and the step two calls run
+on a second thread, for a member with a Z from the entry of its call."""
 
 import importlib.util
 import os
@@ -16,6 +16,7 @@ import scipy.linalg
 
 import helpers
 from specpreserve import (
+    ArgumentError,
     ReassignmentAssembly,
     ScalarProductSpace,
     StructureClass,
@@ -26,13 +27,18 @@ from specpreserve import (
     pairing_partner,
     reassign_family,
     sample_structured,
+    solve_structured,
     z_symmetry_residual,
 )
-from specpreserve import core, subspaces
+from specpreserve import core, mapping, subspaces
 from specpreserve.core import as_matrix
 from specpreserve.diagnostics import _flapack
 from specpreserve.spectral import _form_star
-from specpreserve.subspaces import preserve_complementary, reproduce_invariant
+from specpreserve.subspaces import (
+    preserve_complementary,
+    preserve_invariant,
+    reproduce_invariant,
+)
 
 N = 6
 PRESETS = ("identity", "flip", "skewj", "signature", "random")
@@ -248,6 +254,42 @@ def test_z_symmetry_residual_is_the_starred_difference_to_the_bit(
             == _old_z_symmetry_residual(Zm, space, cls)
 
 
+# Z in every layout: C order, Fortran order and a strided view
+Z_LAYOUTS = {
+    "c": lambda K: K,
+    "fortran": np.asfortranarray,
+    "strided": lambda K: np.repeat(np.repeat(K, 2, 0), 3, 1)[::2, ::3],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(Z_LAYOUTS))
+@pytest.mark.parametrize("field,star,eps1", helpers.FIELD_STAR_EPS1)
+@pytest.mark.parametrize("cls", helpers.CLASSES, ids=lambda c: c.name)
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127, 128, 129, 300, 513])
+def test_z_symmetry_residual_sums_tiles_to_the_starred_difference(
+        n, cls, field, star, eps1, layout):
+    rng = np.random.default_rng(n)
+    space = helpers.make_space(2, star, eps1, field, "random", rng)
+    K = rng.standard_normal((n, n))
+    if field == "complex":
+        K = K + 1j * rng.standard_normal((n, n))
+    # a Z near the admissible class: the difference is small against Z
+    Z = Z_LAYOUTS[layout](K + space.epsilon1 * cls.epsilon2 * _st(space, K)
+                          + 1e-3 * K)
+    Zm = as_matrix(Z, "Z", space)
+    got = z_symmetry_residual(Z, space, cls)
+    ref = _old_z_symmetry_residual(Zm, space, cls)
+    if n <= (64 if np.iscomplexobj(Zm) else 128):  # one tile
+        assert got == ref
+    else:
+        assert abs(got - ref) <= n * _U * ref
+    for bad in (np.inf, np.nan) if n else ():
+        Zb = np.array(Z)
+        Zb[n // 2, n // 3] = bad
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(z_symmetry_residual(Zb, space, cls))
+
+
 # ---------------------------------------------------------------------------
 # H^-1: exact on signed and phased permutations, an inverse formed once
 # per space otherwise
@@ -442,11 +484,13 @@ def test_unparametrized_updates_solve_at_most_2p_columns(monkeypatch, field,
 # of an inline run, refusals keep their order and no thread outlives a call
 # ---------------------------------------------------------------------------
 
-# (field, star, eps1, preset, class): H = I, skewj and a dense H
+# (field, star, eps1, preset, class): H = I, skewj and a dense real and
+# complex H
 ARRANGED = {
     "real-jordan-identity": ("real", "T", 1, "identity",
                              StructureClass.JORDAN),
     "real-lie-skewj": ("real", "T", -1, "skewj", StructureClass.LIE),
+    "real-jordan-random": ("real", "T", 1, "random", StructureClass.JORDAN),
     "complex-lie-random": ("complex", "CT", 1, "random", StructureClass.LIE),
 }
 
@@ -542,3 +586,125 @@ def test_a_loader_failure_on_the_second_thread_reaches_the_caller(
         _flapack.cache_clear()
     assert e.value.name == "scipy.linalg._flapack"
     assert threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
+# H^-1 Z of a dense H started at the entry of every call with a parameter
+# Z: the bits of an inline run, refusals in their order, and the start
+# ahead of the family
+# ---------------------------------------------------------------------------
+
+def _z_calls(arrangement, n=128):
+    """The calls that take a parameter Z, on a random member S: the four
+    entries (a reassignment, reproducing range(X) for a basis X, preserving
+    an invariant subspace of S, and ``A X = S X``) and ``with_z``."""
+    field, star, eps1, preset, cls = ARRANGED[arrangement]
+    rng = np.random.default_rng(n)
+    space = helpers.make_space(n, star, eps1, field, preset, rng)
+    S = helpers.random_member(space, cls, seed=9)
+    X = _data((n, 4), rng, field == "complex")
+    D = _compatible(X, space, cls, rng)
+    asm = ReassignmentAssembly(X_c=X.astype(complex),
+                               Lambda_c=np.zeros((4, 4), dtype=complex),
+                               Lambda_a=D.astype(complex), blocks=())
+    X_c = _closed_split(S, space, cls)[0]
+    L_c = np.linalg.pinv(X_c) @ S @ X_c
+    La = _compatible(X_c, space, cls, rng)
+    Z = sample_structured(space, cls, seed=6)
+    fam = map_family(X, S @ X, space, cls)
+    return space, {
+        "reassign_family": lambda: reassign_family(
+            S, asm, space, cls, Z=Z, verify=False).delta,
+        "reproduce_invariant": lambda: reproduce_invariant(
+            S, X, D, space, cls, Z=Z),
+        "preserve_invariant": lambda: preserve_invariant(
+            S, X_c, L_c, np.eye(len(L_c)), La, space, cls, Z=Z),
+        "solve_structured": lambda: solve_structured(X, S @ X, space, cls,
+                                                     Z=Z),
+        "with_z": lambda: fam.with_z(Z),
+    }
+
+
+@pytest.mark.parametrize("arrangement", sorted(ARRANGED))
+def test_h_solve_z_from_the_entry_gives_the_bits_of_an_inline_run(
+        monkeypatch, arrangement):
+    space, calls = _z_calls(arrangement)
+    ran_on, run = [], core._Background.run
+    monkeypatch.setattr(core._Background, "run", lambda self: (
+        ran_on.append(threading.get_ident()), run(self)))
+    threaded = {name: call() for name, call in calls.items()}
+    # one helper a call on a dense H, none on a monomial H (a gather)
+    dense = isinstance(space._h_op, core._DenseH)
+    assert len(ran_on) == dense * len(calls)
+    assert threading.get_ident() not in ran_on
+    monkeypatch.setattr(core._Background, "start", lambda self: self.run())
+    monkeypatch.setattr(core._Background, "join", lambda self, timeout=None:
+                        None)
+    for name, call in calls.items():
+        got = call()
+        assert got.dtype == threaded[name].dtype, name
+        assert got.tobytes() == threaded[name].tobytes(), name
+
+
+def _held_back(monkeypatch):
+    """H^-1 Z on the helper held back 50 ms, so that a call refuses while
+    it still runs."""
+    product = mapping._real_apply
+
+    def slow(M, B):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)
+        return product(M, B)
+    monkeypatch.setattr(mapping, "_real_apply", slow)
+
+
+def test_refusals_keep_their_order_beside_h_solve_z(monkeypatch):
+    _held_back(monkeypatch)
+    n, cls = 16, StructureClass.LIE
+    space = helpers.make_space(n, "CT", 1, "complex", "random",
+                               np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    S = helpers.random_member(space, cls, seed=9)
+    X = _data((n, 2), rng, True)
+    D = _compatible(X, space, cls, rng)
+    bad_z = _data((n, n), rng, True)
+    # infeasible data is refused before the inadmissible Z
+    assert _refusal(lambda: solve_structured(
+        X, _data((n, 2), rng, True), space, cls, Z=bad_z)) == "feasibility"
+    assert _refusal(lambda: reproduce_invariant(
+        S, X, D + 1e-3, space, cls, Z=bad_z)) == "lambda_compatibility"
+    assert _refusal(lambda: reproduce_invariant(
+        S, X, D, space, cls, Z=bad_z)) == "z_symmetry"
+    # a wrong-shape Z is refused where the member reads it: after the
+    # data, and by the caller, not the helper
+    wrong = np.zeros((n, n - 1))
+    assert _refusal(lambda: reproduce_invariant(
+        S, X, D + 1e-3, space, cls, Z=wrong)) == "lambda_compatibility"
+    for call in (lambda: reproduce_invariant(S, X, D, space, cls, Z=wrong),
+                 lambda: solve_structured(X, S @ X, space, cls, Z=wrong)):
+        before = threading.active_count()
+        with pytest.raises(ArgumentError, match=f"Z must be {n} x {n}, got "
+                           f"{n} x {n - 1}"):
+            call()
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("entry", ["reassign_family", "reproduce_invariant",
+                                   "preserve_invariant", "solve_structured",
+                                   "with_z"])
+def test_h_solve_z_starts_before_the_family_is_formed(monkeypatch, entry):
+    _, calls = _z_calls("complex-lie-random", 16)
+    events = []
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: (events.append(name),
+                                                     fn(*a))[1])
+    spy(core._Background, "start")
+    spy(mapping, "pseudoinverse")
+    spy(mapping, "z_symmetry_residual")
+    calls[entry]()
+    # with_z, on a family already formed, starts it before checking Z
+    first = "z_symmetry_residual" if entry == "with_z" else "pseudoinverse"
+    assert events.count("start") == 1
+    assert events.index("start") < events.index(first)

@@ -22,6 +22,7 @@ from specpreserve import (
     map_family,
     reassign_family,
     reassign_no_spillover,
+    sample_structured,
     z_symmetry_residual,
 )
 from specpreserve import classical, subspaces
@@ -232,6 +233,36 @@ def test_nan_operator_fails_a_named_condition(call, condition):
     A = A.copy()
     A[3, 4] = np.nan
     _fails_on_nan(lambda: call(A, V, w, space), condition)
+
+
+def _infinite_z_member(field, star, entry):
+    """A member on a dense H for an admissible Z (``Z* = -Z``, Lie class)
+    with one infinite entry: on its diagonal, or an infinite imaginary
+    part (on a real space); either makes the threshold infinite."""
+    rng = np.random.default_rng(3)
+    space = helpers.make_space(8, star, 1, field, "random", rng)
+    lie = StructureClass.LIE
+    X = rng.standard_normal((8, 2))
+    fam = map_family(X, helpers.random_member(space, lie, seed=2) @ X,
+                     space, lie)
+    Z = sample_structured(space, lie, seed=3).astype(complex)
+    Z[0, 0] = entry
+    return lambda: fam.with_z(Z)
+
+
+@pytest.mark.parametrize("field,star,entry,condition", [
+    ("complex", "CT", np.inf, "z_symmetry"),
+    ("real", "T", np.inf, "z_symmetry"),
+    ("real", "T", complex(0.0, np.inf), "z_real"),
+    ("complex", "CT", np.nan, "z_symmetry"),
+    ("real", "T", complex(0.0, np.nan), "z_real"),
+], ids=["complex-ct-inf", "real-t-inf", "real-t-imaginary-inf",
+        "complex-ct-nan", "real-t-imaginary-nan"])
+def test_non_finite_parameter_is_refused(field, star, entry, condition):
+    with pytest.raises(StructureError) as exc, np.errstate(invalid="ignore"):
+        _infinite_z_member(field, star, entry)()
+    assert exc.value.condition == condition
+    assert not np.isfinite(exc.value.residual)
 
 
 def _raise_first_violation(report):
