@@ -519,10 +519,10 @@ def _check_full_column_rank(M, rank_tol, condition, what):
             at_least=True).require(what, "singular value")
 
 
-def _star_h(X, space) -> np.ndarray:
-    """``X* H`` as ``e1 (H X)*``, exact for the stored H (``H* = e1 H``);
-    a real H meets complex X only as one real product."""
-    return space.epsilon1 * space.star_mat(space.h_apply(X))
+def _star_h(X, space, HX=None) -> np.ndarray:
+    """``X* H`` as ``e1 (H X)*`` (HX when given), exact for the stored H
+    (``H* = e1 H``); a real H meets complex X only as one real product."""
+    return space.epsilon1 * space.star_mat(space.h_apply(X) if HX is None else HX)
 
 
 def gram_matrix(X, space: ScalarProductSpace) -> np.ndarray:

@@ -76,16 +76,16 @@ class FeasibilityReport:
     violations: tuple
 
 
-def _map_factors(X, B, Xd, space, cls):
+def _map_factors(X, B, Xd, space, cls, HB=None, W=None):
     """``(U, V, W)``: the factors of the Z = 0 member of the family of
-    ``A X = B`` for ``X^+ = Xd``, and ``W = X* H B``:
+    ``A X = B`` for ``X^+ = Xd``, and ``W = X* H B`` (HB, W when given):
 
         B X^+ + e1 e2 H^-1 (X^+)* [(H B)* - W* X^+],
             U = [B, e1 e2 H^-1 (X^+)*],   V = [X^+; (H B)* - W* X^+]
     """
     st = space.star_mat
-    HB = space.h_apply(B)
-    W = st(X) @ HB
+    HB = space.h_apply(B) if HB is None else HB
+    W = st(X) @ HB if W is None else W
     U = np.hstack([B, space.epsilon1 * cls.epsilon2 * space.h_solve(st(Xd))])
     V = np.vstack([Xd, st(HB) - st(W) @ Xd])
     return U, V, W
@@ -214,15 +214,16 @@ def _start_h_solve_z(Z, space, real):
     return _Background(h_solve_z)
 
 
-def _family(X, B, space, cls, tol, test="full") -> StructuredMapSolution:
+def _family(X, B, space, cls, tol, test="full", HB=None,
+            W=None) -> StructuredMapSolution:
     """The family of ``A X = B``, the one entry of every member, after the
     feasibility test its caller names; the first failed condition is raised
     as ``feasibility``.  "full" tests the range and symmetry conditions,
     "symmetry" only ``W = e1 e2 W*`` (X has been checked to have full
     column rank, which gives the range condition), None neither (W is a
-    certificate the caller has decided)."""
+    certificate the caller has decided); ``HB = H B`` and W may be passed."""
     Xd = pseudoinverse(X, tol.rank_tol)
-    U, V, W = _map_factors(X, B, Xd, space, cls)
+    U, V, W = _map_factors(X, B, Xd, space, cls, HB, W)
     failed = [d for d in (_feasibility(X, B, Xd, W, space, cls, tol,
                                        test == "full") if test else ())
               if not d.passed]

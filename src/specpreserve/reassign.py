@@ -18,12 +18,12 @@ to the space's structure tolerance.
 
 Under the Gram certificate (``W = e1 e2 W*`` for ``W = X* H X D``) the
 family is the solution family of ``delta X = X D``.  The certificate is
-decided once, here; ``mapping._family`` then evaluates the family with no
-feasibility test, as its W is that certificate: O(n^2 p), plus for a
-parameter Z the one n-column ``H^-1``, ``H^-1 Z``, a product with the
-inverse a dense H gets once per space.  The no-spillover update applies
-the inverse Gram matrix to the ``X_c* H`` the certificate's Gram matrix
-was formed from (a real basis forms its own), O(n^2 p), with no ``H^-1``.
+decided once, here, from the one ``H X_c``; ``mapping._family`` then takes
+``H B = (H X_c) D`` and its W, ``G D``, from it, with no feasibility test:
+O(n^2 p), plus for a parameter Z the one n-column ``H^-1``, ``H^-1 Z``, a
+product with the inverse a dense H gets once per space.  The no-spillover
+update applies the p x p inverse of the certificate's G to its ``X_c* H``
+(a real basis takes the real basis of ``H X_c``): O(n^2 p), no ``H^-1``.
 """
 
 from __future__ import annotations
@@ -77,40 +77,46 @@ class ReassignmentResult:
 
 def _check_certificate(assembly, space, cls):
     """Raise unless the Gram certificate holds; returns the assembly's n x p
-    X_c in the field of the space, ``X_c (Lambda_a - Lambda_c)`` and the
-    ``X_c* H`` the Gram matrix tested was formed from."""
+    X_c in the field of the space, ``D = Lambda_a - Lambda_c``, the one
+    ``H X_c``, and the ``X_c* H`` and ``G = X_c* H X_c`` it tested."""
     X = as_matrix(assembly.X_c, "X_c", space, (space.n, None))
     p = X.shape[1]
     D = (as_matrix(assembly.Lambda_a, "Lambda_a", space, (p, p))
          - as_matrix(assembly.Lambda_c, "Lambda_c", space, (p, p)))
-    XsH = _star_h(X, space)
-    _gram_compatibility(XsH @ X, D, space, cls, "symmetry_certificate").require(
+    HX = space.h_apply(X)
+    XsH = _star_h(X, space, HX)
+    G = XsH @ X
+    _gram_compatibility(G, D, space, cls, "symmetry_certificate").require(
         "assembly fails the Gram symmetry certificate; the requested targets "
         "are incompatible with the structure", "condition_residual")
-    return X, X @ D, XsH
+    return X, D, HX, XsH, G
 
 
-def _real_basis(assembly, X, B):
-    """The kernel's ``(X, B)`` for ``delta X_c = X_c (Lambda_a - Lambda_c)``,
-    given the assembly's X_c and B: on a real arrangement the real basis
-    ``X_c T``, ``B T`` (``Re x_i, Im x_i`` per conjugate pair, ``Re x_i``
-    per self-conjugate column), which gives the same update; realness is
-    checked on it, ``conj(M) = M R``."""
+def _real_basis(assembly, X, B, HM):
+    """The kernel's ``(X, B, HM)`` for ``delta X_c = X_c (Lambda_a -
+    Lambda_c)``, given the assembly's X_c, B and ``HM = H X_c`` or ``H B``:
+    on a real arrangement the real basis ``X_c T``, ``B T``, ``HM T``
+    (``Re x_i, Im x_i`` per conjugate pair, ``Re x_i`` per self-conjugate
+    column), which gives the same update; realness is checked on X and B,
+    ``conj(M) = M R`` for the exact 0/1 symmetric permutation R."""
     if not assembly.real_output:
-        return X, B
+        return X, B, HM
     if assembly.conjugation is None:
         raise ArgumentError("a real arrangement needs its conjugation map")
     R = as_matrix(assembly.conjugation, "conjugation", shape=(X.shape[1],) * 2)
+    k, partner = np.arange(len(R)), np.argmax(R, axis=0)  # conj x_k = x_partner
+    if not (np.array_equal(R, np.eye(len(R))[:, partner])
+            and np.array_equal(partner[partner], k)):
+        raise ArgumentError("conjugation must be a symmetric 0/1 permutation")
     for M in (X, B):
-        err = frob(np.conj(M) - M @ R)
+        err = frob(np.conj(M) - M[:, partner])
         if err > IMAG_CAST_TOL * max(frob(M), 1e-300):
             raise RealnessError(
                 f"real arrangement not closed under conjugation (residual "
                 f"{err:.3e}); check the conjugate chains", imag_magnitude=err)
-    k, partner = np.arange(len(R)), np.argmax(R, axis=0)  # conj x_k = x_partner
     first = np.minimum(k, partner)
     return tuple(np.where(partner >= k, M[:, first].real, M[:, first].imag)
-                 for M in (X, B))
+                 for M in (X, B, HM))
 
 
 def reassign_family(A, assembly: ReassignmentAssembly, space: ScalarProductSpace,
@@ -128,9 +134,10 @@ def reassign_family(A, assembly: ReassignmentAssembly, space: ScalarProductSpace
     real = assembly.real_output
     with _start_h_solve_z(Z, space, real) as started:
         A = as_matrix(A, "A", space, (space.n,) * 2)
-        X_c, B_c, _ = _check_certificate(assembly, space, cls)
-        X, B = _real_basis(assembly, X_c, B_c)
-        delta = _family(X, B, space, cls, tol, None)._member(Z, real, started)
+        X_c, D, HX, _, G = _check_certificate(assembly, space, cls)
+        X, B, HB = _real_basis(assembly, X_c, X_c @ D, HX @ D)
+        W = G @ D if X is X_c else None  # a real basis forms its own W
+        delta = _family(X, B, space, cls, tol, None, HB, W)._member(Z, real, started)
     report = None
     if verify:
         report = verify_reassignment(A, delta, assembly, space, cls, tol=tol,
@@ -147,32 +154,38 @@ def reassign_no_spillover(A, assembly: ReassignmentAssembly,
 
     Every Jordan pair of A whose eigenvalue avoids the changed family stays
     a Jordan pair of ``A + delta`` even when unknown.  When the fixed
-    spectrum is known, pass it as fixed_spectrum_guard to certify the
-    disjointness hypothesis: the currents and the targets must each lie
-    more than ``SPECTRAL_SEPARATION`` times their scale from it, or the
-    update is refused.  Without a guard the update proceeds uncertified.
+    spectrum is known, pass its values as fixed_spectrum_guard (finite,
+    flattened) to certify the disjointness hypothesis: the currents and the
+    targets must each lie more than ``SPECTRAL_SEPARATION`` times their
+    scale from it, or the update is refused.  Without a guard the update
+    proceeds uncertified.
     """
     cls = StructureClass.parse(cls)
     A = as_matrix(A, "A", space, (space.n,) * 2)
-    X_c, B_c, XsH = _check_certificate(assembly, space, cls)
+    X_c, D, HX, XsH, G = _check_certificate(assembly, space, cls)
 
     if fixed_spectrum_guard is not None:
         # an empty fixed spectrum is disjoint from everything (gap inf)
-        guard = np.asarray(list(fixed_spectrum_guard))
+        guard = np.asarray(fixed_spectrum_guard)
+        if guard.dtype == object and np.iterable(fixed_spectrum_guard):
+            guard = np.asarray(list(fixed_spectrum_guard))
+        if guard.dtype.kind not in "iufc" or not np.isfinite(guard).all():
+            raise ArgumentError("fixed_spectrum_guard must hold finite numbers")
         for what, values in (("changed eigenvalue family", assembly.current_values),
                              ("target values", assembly.target_values)):
             scale = max(1.0, float(np.max(np.abs(values))),
                         float(np.max(np.abs(guard), initial=0.0)))
             _decide("spectral_disjointness", np.min(
-                np.abs(values[:, None] - guard[None, :]), initial=np.inf),
+                np.abs(values[:, None] - guard.ravel()[None, :]), initial=np.inf),
                 SPECTRAL_SEPARATION * scale, at_least=True).require(
                 f"fixed spectrum meets the {what}; the no-spillover "
                 "hypothesis fails", "min gap")
 
-    X, B = _real_basis(assembly, X_c, B_c)
+    X, B, HX = _real_basis(assembly, X_c, X_c @ D, HX)
     if X is not X_c:
-        XsH = _star_h(X, space)
-    delta = _no_spillover_update(XsH @ X, X, B, XsH, tol.rank_tol)
+        XsH = _star_h(X, space, HX)
+        G = XsH @ X
+    delta = _no_spillover_update(G, X, B, XsH, tol.rank_tol)
     report = None
     if verify:
         report = verify_reassignment(A, delta, assembly, space, cls, tol=tol)

@@ -16,8 +16,8 @@ no-spillover update ``B_c G^-1 X_c* H``: the certified spectral gap forces
 solution; computed pairs meet it to within their residuals, so it is
 decided), and the update is the unique structured delta with
 ``delta [X_c X_f] = [B_c, 0]``.  Both no-spillover entries form
-``X_c* H`` once, for G and the update, and solve with G through numpy:
-O(n^2 p), with no ``H^-1``.
+``X_c* H`` once, for G and the update, invert G on p x p through numpy
+and apply ``B G^-1`` to ``X_c* H``: O(n^2 p), with no ``H^-1``.
 
 The complementary checks cost one n x n x m product ``A X_f``, O(n m w)
 for ``X_f Lambda_f`` with w diagonals in the band of Lambda_f (when it has
@@ -284,7 +284,7 @@ def no_spillover(A, X_c, Lambda_c, Lambda_a, space: ScalarProductSpace,
 
 
 def _no_spillover_update(G, X, B, XsH, rank_tol):
-    """``B G^-1 X* H`` for ``B = X D``, ``G = X* H X`` and ``XsH = X* H``,
+    """``(B G^-1) X* H`` for ``B = X D``, ``G = X* H X`` and ``XsH = X* H``,
     which depends only on the map ``X -> B``: ``(X T, B T)`` gives it for
     invertible T.
 
@@ -301,9 +301,9 @@ def _no_spillover_update(G, X, B, XsH, rank_tol):
             rank_tol * frob(X) ** 2, at_least=True).require(
         "X_c* H X_c is numerically singular; the changed family is not "
         "self-contained under the eigenvalue pairing", "singular value")
-    Y, cond = gram_inverse_apply(G, XsH)
+    G_inv, cond = gram_inverse_apply(G, np.eye(len(G), dtype=G.dtype))
     if cond > COND_WARN:
         warnings.warn(
             f"Gram matrix badly conditioned (1-norm estimate {cond:.2e}); "
             "the no-spillover guarantee degrades", stacklevel=3)
-    return B @ Y
+    return (B @ G_inv) @ XsH

@@ -3,7 +3,8 @@ real spaces requires realness, real instances, samples and assemblies are
 float64 (the generator builds real recipes in float64 throughout), the
 kernels never hold an n x n complex array on a real arrangement, and the
 realness guards of the real-basis reassignment still fire on broken
-conjugate chains and on an assembly without its conjugation map."""
+conjugate chains and on an assembly without its conjugation map, or with
+one that is not a symmetric 0/1 permutation."""
 
 import dataclasses
 import itertools
@@ -341,8 +342,29 @@ def test_broken_conjugate_chain_raises_realness_error():
     X[:, k] += 1e-6 * np.linalg.norm(X[:, k]) / np.linalg.norm(v) * v
     broken = dataclasses.replace(asm, X_c=X)
     for run in (reassign_family, reassign_no_spillover):
-        with pytest.raises(RealnessError):
+        with pytest.raises(RealnessError) as e:
             run(inst.A, broken, space, inst.cls, verify=False)
+        # each conjugate is read at its partner column: the residual of the
+        # product conj(X) - X R, to the bit
+        assert e.value.imag_magnitude == np.linalg.norm(
+            np.conj(X) - X @ asm.conjugation)
+
+
+@pytest.mark.parametrize("bad", ["near", "mixed", "nan", "cycle", "zero"])
+def test_conjugation_map_must_be_a_symmetric_permutation(bad):
+    # a map within IMAG_CAST_TOL of one ("near") was taken as its argmax,
+    # others gave a realness error that blamed the chains
+    inst = _real_lie_instance()
+    asm = _assembly(inst, LIE_MOVED, 1.25)
+    R, I = asm.conjugation, np.eye(len(asm.conjugation))
+    nan = R.copy()
+    nan[0, 0] = np.nan
+    R = {"near": R * (1 + 1e-12), "mixed": (R + I) / 2, "nan": nan,
+         "cycle": np.roll(I, 1, axis=0), "zero": 0 * R}[bad]
+    for run in (reassign_family, reassign_no_spillover):
+        with pytest.raises(ArgumentError, match="conjugation"):
+            run(inst.A, dataclasses.replace(asm, conjugation=R), inst.space,
+                inst.cls, verify=False)
 
 
 def test_real_arrangement_without_conjugation_map_raises():

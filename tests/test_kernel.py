@@ -1,8 +1,10 @@
 """The factored structured-solve kernel against the dense formulas it
 evaluates, the tiled Z symmetry residual, the exact H^-1 of signed and
 phased permutations, the H^-1 of a dense H formed once per space, the size
-of every solve the unparametrized updates run, and the step two calls run
-on a second thread, for a member with a Z from the entry of its call."""
+of every solve the unparametrized updates run, the no-spillover updates and
+the Z = 0 reassignment at p = 64 against their closed forms, and the step
+two calls run on a second thread, for a member with a Z from the entry of
+its call."""
 
 import importlib.util
 import os
@@ -17,15 +19,24 @@ import scipy.linalg
 import helpers
 from specpreserve import (
     ArgumentError,
+    InstanceRecipe,
+    PlanGroup,
     ReassignmentAssembly,
+    ReassignmentGroup,
+    ReassignmentSpec,
     ScalarProductSpace,
     StructureClass,
     StructureError,
     adjoint,
+    assemble_complex,
+    assemble_real_jordan,
+    assemble_real_lie,
+    generate_instance,
     map_family,
     matio,
     pairing_partner,
     reassign_family,
+    reassign_no_spillover,
     sample_structured,
     solve_structured,
     z_symmetry_residual,
@@ -476,6 +487,113 @@ def test_unparametrized_updates_solve_at_most_2p_columns(monkeypatch, field,
     # it is never LU-factored
     assert seen["inv_h"] == (0 if preset == "flip" else 1)
     assert seen["lu_factor_h"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the no-spillover updates and the Z = 0 reassignment at p = 64 against the
+# closed forms of their docstrings, on the three arrangements of the
+# library: real Jordan on H = I, real Lie on skewj and complex Lie on a
+# dense H
+# ---------------------------------------------------------------------------
+
+# name -> (space kind, field, star, class, the orbit of a value v)
+WIDE_ARRANGEMENTS = {
+    "real-jordan": ("identity", "real", "T", StructureClass.JORDAN,
+                    lambda v: [np.copysign(abs(v), v.real)]),
+    "real-lie": ("skewj", "real", "T", StructureClass.LIE,
+                 lambda v: [v, v.conjugate(), -v, -v.conjugate()]),
+    "complex-lie": ("random", "complex", "CT", StructureClass.LIE,
+                    lambda v: [v, -v.conjugate()]),
+}
+
+
+def _wide_case(name, n=128, p=64):
+    """An instance of the arrangement with n simple eigenvalues, each orbit
+    on its own modulus, and the assembly moving the first p of them by a
+    quarter of their modulus; with the fixed pair of the other n - p."""
+    kind, field, star, cls, orbit = WIDE_ARRANGEMENTS[name]
+    k = len(orbit(1j))
+    rng = np.random.default_rng(64)
+    # orbit i on the modulus 1 + i / 8, at a seeded angle off both axes
+    values = [(-1) ** i * (1 + i / 8) * np.exp(1j * rng.uniform(0.3, 1.2))
+              for i in range(n // k)]
+    inst = generate_instance(InstanceRecipe(
+        kind, cls, field, star,
+        tuple(PlanGroup(u, (1,)) for v in values for u in orbit(v)), seed=65))
+    moved = [u for v in values[:p // k] for u in orbit(v)]
+    near = lambda w: min(abs(w - u) for u in moved) < 1e-9  # noqa: E731
+    groups = tuple(ReassignmentGroup(q.value, 1.25 * q.value, (q.chain,))
+                   for q in inst.pairs if near(q.value))
+    assemble = (assemble_complex if field == "complex" else
+                assemble_real_lie if cls is StructureClass.LIE
+                else assemble_real_jordan)
+    asm = assemble(inst.A, ReassignmentSpec(groups), inst.space, cls)
+    rest = [q for q in inst.pairs if not near(q.value)]
+    X_f = np.hstack([q.chain for q in rest])
+    return inst, asm, X_f, np.diag([q.value for q in rest])
+
+
+def _dense_no_spillover(X, B, space):
+    """``B (X* H X)^-1 X* H`` (reassign, subspaces), with numpy's solve."""
+    XsH = _st(space, X) @ space.H
+    return B @ np.linalg.solve(XsH @ X, XsH)
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_ARRANGEMENTS))
+def test_wide_updates_match_their_closed_forms(name):
+    inst, asm, X_f, L_f = _wide_case(name)
+    A, space, cls = inst.A, inst.space, inst.cls
+    X, D = asm.X_c, asm.Lambda_a - asm.Lambda_c
+    assert X.shape == (128, 64)
+    La = np.diag(asm.target_values)
+    runs = {
+        "reassign_no_spillover": (
+            reassign_no_spillover(A, asm, space, cls, verify=False).delta,
+            _dense_no_spillover(X, X @ D, space)),
+        "reassign_family": (
+            reassign_family(A, asm, space, cls, verify=False).delta,
+            _dense_reassign(X, D, space, cls)),
+        "no_spillover": (
+            subspaces.no_spillover(A, X, asm.Lambda_c, asm.Lambda_a, space,
+                                   cls),
+            _dense_no_spillover(X, X @ D, space)),
+        "preserve_complementary": (
+            preserve_complementary(A, X, La, X_f, L_f, space, cls),
+            _dense_no_spillover(X, X @ La - A @ X, space)),
+    }
+    for entry, (got, ref) in runs.items():
+        # a real arrangement gives a real update; its complex reference
+        # carries an imaginary part of the size of the error
+        assert got.dtype == (np.float64 if asm.real_output
+                             and entry.startswith("reassign") else ref.dtype)
+        # measured at most 0.71 n u |delta| for the family on complex Lie,
+        # most of it the dense reference's own error, and 0.03 n u |delta|
+        # for the no-spillover updates
+        assert np.linalg.norm(got - ref) <= 2 * 128 * _U * np.linalg.norm(ref), \
+            entry
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_ARRANGEMENTS))
+def test_no_spillover_updates_solve_for_at_most_p_columns(monkeypatch, name):
+    # G^-1 is solved for on p x p and then applied to the n columns of X* H
+    inst, asm, X_f, L_f = _wide_case(name, n=32, p=8)
+    A, space, cls, X = inst.A, inst.space, inst.cls, asm.X_c
+    La = np.diag(asm.target_values)
+    columns, solve = [], np.linalg.solve
+
+    def spy(a, b):
+        columns.append(np.shape(b)[1] if np.ndim(b) == 2 else 1)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    for run in (
+            lambda: reassign_no_spillover(A, asm, space, cls, verify=False),
+            lambda: subspaces.no_spillover(A, X, asm.Lambda_c, asm.Lambda_a,
+                                           space, cls),
+            lambda: preserve_complementary(A, X, La, X_f, L_f, space, cls)):
+        columns.clear()
+        run()
+        assert columns and max(columns) <= 8, columns
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """One operand rule: ``core.as_matrix`` checks the shape the role of each
 operand requires, where it decides its field, so every public entry refuses
 a wrong-shaped operand with an ArgumentError that names it; the SVD users
-share one guard against non-finite input; and the no-spillover updates form
-``X* H`` once per basis."""
+share one guard against non-finite input; and the reassignments and the
+no-spillover update apply H once per call."""
 
 import dataclasses
 
@@ -20,6 +20,7 @@ from specpreserve import (
     adjoint,
     assemble_complex,
     assemble_real_jordan,
+    assemble_real_lie,
     extract_jordan_pairs,
     feasibility_check,
     generate_instance,
@@ -216,13 +217,30 @@ def test_numerical_rank_refuses_non_finite_input():
     assert np.isnan(core.pseudoinverse(np.array([[np.inf, 0.0]]))).all()
 
 
-@pytest.mark.parametrize("field,reassigned", [("complex", 1), ("real", 2)])
-def test_no_spillover_applies_h_once_per_basis(monkeypatch, field,
-                                               reassigned):
-    # the certificate and the update share X_c* H; a real arrangement forms
-    # it again only for its real basis
-    inst = _instance(field)
-    asm = _assembly(inst)
+def _real_lie_case():
+    """A real Lie member on skewj with a conjugate quadruple moved, so the
+    real basis holds real and imaginary parts."""
+    quad = (1 + 2j, 1 - 2j, -1 + 2j, -1 - 2j)
+    inst = generate_instance(InstanceRecipe(
+        "skewj", "lie", "real", "t",
+        tuple(PlanGroup(v, (1,)) for v in quad + (3.0, -3.0)), seed=62))
+    groups = tuple(ReassignmentGroup(p.value, 1.25 * p.value, (p.chain,))
+                   for p in inst.pairs if abs(p.value.real) < 2)
+    return inst, assemble_real_lie(inst.A, ReassignmentSpec(groups),
+                                   inst.space)
+
+
+@pytest.mark.parametrize("case", ["complex", "real", "real-conjugate"])
+def test_reassignments_apply_h_once(monkeypatch, case):
+    # the certificate forms H X_c once: the no-spillover update takes X_c* H
+    # and G from it, the Z = 0 member H B and W, and a real arrangement the
+    # real basis of those columns
+    if case == "real-conjugate":
+        inst, asm = _real_lie_case()
+        assert not np.array_equal(asm.conjugation, np.eye(4))
+    else:
+        inst = _instance(case)
+        asm = _assembly(inst)
     calls = []
     h_apply = ScalarProductSpace.h_apply
 
@@ -231,9 +249,11 @@ def test_no_spillover_applies_h_once_per_basis(monkeypatch, field,
         return h_apply(self, B)
 
     monkeypatch.setattr(ScalarProductSpace, "h_apply", spy)
-    reassign_no_spillover(inst.A, asm, inst.space, JORDAN, verify=False)
-    assert len(calls) == reassigned
+    for run in (reassign_no_spillover, reassign_family):
+        calls.clear()
+        run(inst.A, asm, inst.space, inst.cls, verify=False)
+        assert len(calls) == 1, run.__name__
     calls.clear()
     subspaces.no_spillover(inst.A, asm.X_c, asm.Lambda_c, asm.Lambda_a,
-                           inst.space, JORDAN)
+                           inst.space, inst.cls)
     assert len(calls) == 1

@@ -11,6 +11,7 @@ import pytest
 
 import helpers
 from specpreserve import (
+    ArgumentError,
     ReassignmentGroup,
     ReassignmentSpec,
     ScalarProductSpace,
@@ -202,12 +203,15 @@ def test_nan_h_is_rejected(field, H, condition):
     _fails_on_nan(lambda: ScalarProductSpace(H, field=field), condition)
 
 
-def test_nan_fixed_spectrum_guard_fails_disjointness():
+@pytest.mark.parametrize("guard", [[np.nan], [1.0, np.inf]],
+                         ids=["nan", "inf"])
+def test_non_finite_fixed_spectrum_guard_is_refused_by_name(guard):
+    # a NaN gap would read as the guard meeting the changed family
     space, A, w, V = _flip_setup()
     asm = _assembly(A, w, V, space, np.diag(_targets(space, w)))
-    _fails_on_nan(lambda: reassign_no_spillover(
-        A, asm, space, JORDAN, fixed_spectrum_guard=[np.nan], verify=False),
-        "spectral_disjointness")
+    with pytest.raises(ArgumentError, match="fixed_spectrum_guard"):
+        reassign_no_spillover(A, asm, space, JORDAN,
+                              fixed_spectrum_guard=guard, verify=False)
 
 
 def test_nan_right_hand_side_is_infeasible():

@@ -189,6 +189,41 @@ class TestReassignNoSpillover:
                                       verify=False)
         np.testing.assert_array_equal(guarded.delta, plain.delta)
 
+    def _guarded(self, guard):
+        rec = InstanceRecipe("flip", "jordan", "complex", "CT",
+                             (PlanGroup(2 + 1j, (1,)), PlanGroup(2 - 1j, (1,)),
+                              PlanGroup(1.0, (1,)), PlanGroup(-3.0, (1,))),
+                             seed=54)
+        inst = generate_instance(rec)
+        p = _pick(inst.pairs, 1.0)
+        spec = ReassignmentSpec((ReassignmentGroup(p.value, 6.0, (p.chain,)),))
+        asm = assemble_complex(inst.A, spec, inst.space, inst.cls)
+        return reassign_no_spillover(inst.A, asm, inst.space, inst.cls,
+                                     fixed_spectrum_guard=guard,
+                                     verify=False).delta
+
+    def test_scalar_guard_is_a_one_value_guard(self):
+        np.testing.assert_array_equal(self._guarded(-3.0),
+                                      self._guarded([-3.0]))
+        with pytest.raises(StructureError) as e:
+            self._guarded(6.0)
+        assert e.value.condition == "spectral_disjointness"
+
+    def test_guard_is_read_flattened_from_any_iterable(self):
+        want = self._guarded([2 + 1j, 2 - 1j, -3.0])
+        for guard in ([[2 + 1j], [2 - 1j], [-3.0]], (2 + 1j, 2 - 1j, -3),
+                      {2 + 1j, 2 - 1j, -3.0},
+                      (v for v in (2 + 1j, 2 - 1j, -3.0))):
+            np.testing.assert_array_equal(self._guarded(guard), want)
+
+    @pytest.mark.parametrize("guard", ["1.0", b"1", ["2", 3.0], [None],
+                                       object(), [True]],
+                             ids=["str", "bytes", "str-item", "none-item",
+                                  "object", "bool-item"])
+    def test_guard_that_is_not_numbers_is_refused_by_name(self, guard):
+        with pytest.raises(ArgumentError, match="fixed_spectrum_guard"):
+            self._guarded(guard)
+
     def test_rank_equals_changed_multiplicity(self):
         rec = InstanceRecipe("flip", "lie", "complex", "CT",
                              (PlanGroup(2 + 1j, (2,)), PlanGroup(-2 + 1j, (2,)),
