@@ -592,56 +592,32 @@ def _bandwidth(L) -> tuple[int, int]:
             int(np.max(np.where(rows, last - i, 0))))
 
 
-# X L is summed over the diagonal of an m x m L and its nonzero entries off
-# it when m >= BAND_MIN_ORDER and those entries number at most
-# m^2 / BAND_GATHER_COST, and taken by BLAS otherwise.  Each such entry costs
-# a gathered column of X, so the band path grows with their number where
-# X @ L grows with m^2.  Measured at n = 512 with one BLAS thread, entries
-# scattered over the sub- and superdiagonal: the two paths cost the same at
-# about m^2 / 420 entries on real data (m = 128, 256, 508) and m^2 / 220 on
-# complex data; the constant takes the real field, with a margin.  Reading
-# the band has a fixed cost of 25 to 60 us, which X @ L undercuts below
-# m = 80 (m = 64, one entry on each side diagonal: 107 against 77 us real,
-# 171 against 413 us complex; m = 72: 139 against 152 us real).
-BAND_GATHER_COST = 600
-BAND_MIN_ORDER = 80
-
-
-def _band_product(X, L, band=None) -> np.ndarray:
-    """``X L`` in the field of X and L.  For a square L with s nonzeros off
-    its diagonal, in the w diagonals of its band ``band = _bandwidth(L)``,
-    it costs O(n (m + s)) once they are found in O(m w)."""
-    m = X.shape[1]
-    if L.shape != (m, m) or m < BAND_MIN_ORDER:
-        return X @ L
-    kl, ku = _bandwidth(L) if band is None else band
-    budget, off = m * m // BAND_GATHER_COST, []
-    # nearest diagonals first, so a filled band goes to BLAS after one
-    for k in (*range(1, ku + 1), *range(-1, -kl - 1, -1)):
-        j = np.flatnonzero(np.diagonal(L, k))
-        budget -= j.size
-        if budget < 0:
-            return X @ L
-        off.append((k, j))
-    XL = X * np.diagonal(L)
-    for k, j in off:
-        r, c = j + max(-k, 0), j + max(k, 0)  # the entries L[r, c]
-        XL[:, c] += X[:, r] * L[r, c]
-    return XL
+_PROBES = 8
+_PROBE_SEED = 20110503
 
 
 def _check_invariant_pair(A, X, L, tol, what, condition="invariant_pair_residual",
-                          *, AX=None, norm_A=None, band=None):
+                          *, AX=None, norm_A=None):
     """Raise unless ``A X = X L`` holds to the relative residual
     ``|A X - X L| / (|A| |X|)`` at most tol.
 
-    A caller that already has ``A X``, ``|A|_F`` or the bandwidth of L
-    passes it.  Past ``A X`` (one n x n x m product), the check costs
-    O(n m w) for an L with w diagonals in its band, read from the band once
-    m >= BAND_MIN_ORDER and L has at most m^2 / BAND_GATHER_COST nonzeros off
-    its diagonal; any other L costs one BLAS product X L."""
-    residual = frob((_real_apply(A, X) if AX is None else AX)
-                    - _band_product(X, L, band))
+    A caller that already has ``A X`` or ``|A|_F`` passes it, and ``A X``
+    is judged exactly.  Otherwise an X of m > _PROBES columns is judged by
+    ``|(A X - X L) Omega|_F`` for ``Omega = G / sqrt(8)``, G the m x 8
+    standard Gaussian of ``default_rng(_PROBE_SEED)``, whose expected square
+    is ``|A X - X L|_F^2``: ``A (X Omega) - X (L Omega)`` costs O(n^2) per
+    probe, not the n x n x m product ``A X`` (Freivalds 1977; Halko,
+    Martinsson & Tropp, SIAM Review 53, 2011, sec. 4.3).  The estimate
+    falls below a tenth of the residual with probability at most
+    ``P(chi2_8 <= 0.08) = 1.03e-7`` (a rank-one residual is the worst
+    case), so a residual ten times tol passes no more often than that.  At
+    most _PROBES columns take Omega = I: the exact residual, to the bit."""
+    if AX is None and X.shape[1] > _PROBES:
+        Om = (np.random.default_rng(_PROBE_SEED).standard_normal(
+            (X.shape[1], _PROBES)) / np.sqrt(_PROBES))
+        residual = frob(_real_apply(A, X @ Om) - X @ (L @ Om))
+    else:
+        residual = frob((_real_apply(A, X) if AX is None else AX) - X @ L)
     norm_A = frob(A) if norm_A is None else norm_A
     _decide(condition, residual / max(norm_A * frob(X), 1e-300), tol).require(
         f"{what} fails", "relative residual")

@@ -55,7 +55,7 @@ from .spectral import (
     assemble_real_jordan,
     assemble_real_lie,
 )
-from .subspaces import SPECTRAL_SEPARATION, _no_spillover_update
+from .subspaces import SPECTRAL_SEPARATION, _no_spillover_update, _require_update
 
 __all__ = [
     "ReassignmentResult",
@@ -98,7 +98,9 @@ def _real_basis(assembly, X, B, HM):
     on a real arrangement the real basis ``X_c T``, ``B T``, ``HM T``
     (``Re x_i, Im x_i`` per conjugate pair, ``Re x_i`` per self-conjugate
     column), which gives the same update; realness is checked on X and B,
-    ``conj(M) = M R`` for the exact 0/1 symmetric permutation R."""
+    ``conj(M) = M R`` for the exact 0/1 symmetric permutation R.  Real
+    data under the identity map (a real arrangement of real values) is
+    its own real basis and is returned as it is."""
     if not assembly.real_output:
         return X, B, HM
     if assembly.conjugation is None:
@@ -108,6 +110,8 @@ def _real_basis(assembly, X, B, HM):
     if not (np.array_equal(R, np.eye(len(R))[:, partner])
             and np.array_equal(partner[partner], k)):
         raise ArgumentError("conjugation must be a symmetric 0/1 permutation")
+    if np.array_equal(partner, k) and not any(map(np.iscomplexobj, (X, B, HM))):
+        return X, B, HM
     for M in (X, B):
         err = frob(np.conj(M) - M[:, partner])
         if err > IMAG_CAST_TOL * max(frob(M), 1e-300):
@@ -136,7 +140,7 @@ def reassign_family(A, assembly: ReassignmentAssembly, space: ScalarProductSpace
         A = as_matrix(A, "A", space, (space.n,) * 2)
         X_c, D, HX, _, G = _check_certificate(assembly, space, cls)
         X, B, HB = _real_basis(assembly, X_c, X_c @ D, HX @ D)
-        W = G @ D if X is X_c else None  # a real basis forms its own W
+        W = None if real else G @ D  # a real basis forms its own W
         delta = _family(X, B, space, cls, tol, None, HB, W)._member(Z, real, started)
     report = None
     if verify:
@@ -185,7 +189,7 @@ def reassign_no_spillover(A, assembly: ReassignmentAssembly,
     if X is not X_c:
         XsH = _star_h(X, space, HX)
         G = XsH @ X
-    delta = _no_spillover_update(G, X, B, XsH, tol.rank_tol)
+    delta = _require_update(*_no_spillover_update(G, X, B, XsH, tol.rank_tol))
     report = None
     if verify:
         report = verify_reassignment(A, delta, assembly, space, cls, tol=tol)

@@ -19,15 +19,15 @@ decided), and the update is the unique structured delta with
 ``X_c* H`` once, for G and the update, invert G on p x p through numpy
 and apply ``B G^-1`` to ``X_c* H``: O(n^2 p), with no ``H^-1``.
 
-The complementary checks cost one n x n x m product ``A X_f``, O(n m w)
-for ``X_f Lambda_f`` with w diagonals in the band of Lambda_f (when it has
-few nonzeros off its diagonal; ``core.BAND_GATHER_COST`` says how few),
-and one LU of ``[X_c X_f]``, whose ``?gecon`` estimate decides
-nonsingularity: the module's one call past numpy's LAPACK, to scipy's f2py
-``?getrf`` and ``?gecon`` from ``scipy.linalg._flapack``, without the
-package.  The LU runs on a second thread beside the checks, which keep
-their order.  A triangular Lambda_f, such as a Jordan form, gives its
-spectrum from its diagonal.
+The complementary checks judge the fixed pair through eight seeded
+probes, ``A (X_f Omega) - X_f (Lambda_f Omega)`` in O(n^2) each (see
+``core._check_invariant_pair``), and take one LU of ``[X_c X_f]``, whose
+``?gecon`` estimate decides nonsingularity: the module's one call past
+numpy's LAPACK, to scipy's f2py ``?getrf`` and ``?gecon`` from
+``scipy.linalg._flapack``, without the package.  The LU runs on a second
+thread beside the checks and the update, which are formed before it is
+read; every decision keeps its order.  A triangular Lambda_f, such as a
+Jordan form, gives its spectrum from its diagonal.
 """
 
 from __future__ import annotations
@@ -178,9 +178,9 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     Lambda_f = as_matrix(Lambda_f, "Lambda_f", space, (m, m))
     # one LU of X decides nonsingularity, by LAPACK's reciprocal 1-norm
     # condition estimate (0 for an exactly singular X), on a second thread
-    # beside the checks; X is built once in Fortran order, so getrf factors
-    # it in place, after its 1-norm is summed row by row over C-ordered
-    # absolute values, as of the stacked X
+    # beside the checks and the update; X is built once in Fortran order,
+    # so getrf factors it in place, after its 1-norm is summed row by row
+    # over C-ordered absolute values, as of the stacked X
     X = np.empty((space.n, space.n), np.result_type(X_c, X_f), order="F")
     X[:, :p], X[:, p:] = X_c, X_f
 
@@ -199,12 +199,11 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
         _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol,
                               "invariance of range(X_c) under A", AX=AX_c,
                               norm_A=norm_A)
-        band = _bandwidth(Lambda_f)
         _check_invariant_pair(A, X_f, Lambda_f, tol.eig_tol,
-                              "A X_f = X_f Lambda_f", norm_A=norm_A, band=band)
+                              "A X_f = X_f Lambda_f", norm_A=norm_A)
         ec = np.linalg.eigvals(Lambda_c)
         # a triangular Lambda_f (Jordan chains) has its spectrum on the diagonal
-        ef = (np.diagonal(Lambda_f) if min(band) == 0
+        ef = (np.diagonal(Lambda_f) if min(_bandwidth(Lambda_f)) == 0
               else np.linalg.eigvals(Lambda_f))
         # an empty side is disjoint from everything (gap inf)
         paired = np.array([pairing_partner(l, cls, _form_star(space))
@@ -226,22 +225,27 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
 
         _gram_compatibility(G, Lambda_a, space, cls).require(
             _INCOMPATIBLE, "condition_residual")
+        # the numbers of the decisions after the LU's are formed while the
+        # LU runs, and decided after it: the gap gives X_c* H X_f = 0, so the
+        # no-spillover update solves delta [X_c X_f] = [B_c, 0]; computed
+        # pairs meet it only to their residuals over the gap, in O(n p m)
+        cross = frob(XsH @ X_f)
+        # X_c T, B_c T give the same update; T scales each column of X_c to
+        # unit norm by a power of two (exactly), so the Gram test judges the
+        # basis, which the LU judges, and not the scale of its columns; a
+        # zero column, which the LU refuses, keeps its scale
+        s = np.linalg.norm(X_c, axis=0)
+        t = np.exp2(-np.round(np.log2(s, out=np.zeros_like(s), where=s > 0)))
+        update = _no_spillover_update(t[:, None] * G * t, X_c * t,
+                                      (X_c @ Lambda_a - AX_c) * t,
+                                      t[:, None] * XsH, tol.rank_tol)
         _decide("nonsingular_basis", estimate.result(), tol.rank_tol,
                 at_least=True).require("[X_c X_f] is numerically singular",
                                        "reciprocal condition estimate")
-    # the gap gives X_c* H X_f = 0, so the no-spillover update solves
-    # delta [X_c X_f] = [B_c, 0]; computed pairs meet it only to their
-    # residuals over the gap, so it is decided, in O(n p m)
-    _decide("h_orthogonality", frob(XsH @ X_f),
+    _decide("h_orthogonality", cross,
             tol.eig_tol * frob(X_c) * frob(X_f)).require(
         "X_c* H X_f is not zero, as the spectral gap makes it")
-    # X_c T, B_c T give the same update; T scales each column of X_c to
-    # unit norm by a power of two (exactly), so the Gram test judges the
-    # basis, which the LU has judged, and not the scale of its columns
-    t = np.exp2(-np.round(np.log2(np.linalg.norm(X_c, axis=0))))
-    return _no_spillover_update(t[:, None] * G * t, X_c * t,
-                                (X_c @ Lambda_a - AX_c) * t, t[:, None] * XsH,
-                                tol.rank_tol)
+    return _require_update(*update)
 
 
 def gram_inverse_apply(G, RHS):
@@ -279,14 +283,16 @@ def no_spillover(A, X_c, Lambda_c, Lambda_a, space: ScalarProductSpace,
     G = XsH @ X_c
     _gram_compatibility(G, Lambda_a, space, cls).require(
         _INCOMPATIBLE, "condition_residual")
-    return _no_spillover_update(G, X_c, X_c @ (Lambda_a - Lambda_c), XsH,
-                                tol.rank_tol)
+    return _require_update(*_no_spillover_update(
+        G, X_c, X_c @ (Lambda_a - Lambda_c), XsH, tol.rank_tol))
 
 
 def _no_spillover_update(G, X, B, XsH, rank_tol):
     """``(B G^-1) X* H`` for ``B = X D``, ``G = X* H X`` and ``XsH = X* H``,
     which depends only on the map ``X -> B``: ``(X T, B T)`` gives it for
-    invertible T.
+    invertible T.  Returns the numbers ``_require_update`` decides: the
+    ``gram_singular`` Decision, then the update and the 1-norm condition
+    estimate of G, both None when G is refused.
 
     G counts as singular when its smallest singular value is at most
     ``rank_tol * ||X||_F^2``.  H is unitary, so ``||G|| <= ||X||_F^2``:
@@ -297,13 +303,23 @@ def _no_spillover_update(G, X, B, XsH, rank_tol):
     """
     s = (np.linalg.svd(G, compute_uv=False) if _has_svd(G)
          else np.full(len(G), np.nan))
-    _decide("gram_singular", s[-1] if s.size else np.inf,
-            rank_tol * frob(X) ** 2, at_least=True).require(
+    singular = _decide("gram_singular", s[-1] if s.size else np.inf,
+                       rank_tol * frob(X) ** 2, at_least=True)
+    if not singular.passed:
+        return singular, None, None
+    G_inv, cond = gram_inverse_apply(G, np.eye(len(G), dtype=G.dtype))
+    return singular, (B @ G_inv) @ XsH, cond
+
+
+def _require_update(singular, update, cond):
+    """The update of ``_no_spillover_update``, once its Gram matrix is
+    decided nonsingular; a badly conditioned one is warned about at the
+    caller of the public entry that calls this."""
+    singular.require(
         "X_c* H X_c is numerically singular; the changed family is not "
         "self-contained under the eigenvalue pairing", "singular value")
-    G_inv, cond = gram_inverse_apply(G, np.eye(len(G), dtype=G.dtype))
     if cond > COND_WARN:
         warnings.warn(
             f"Gram matrix badly conditioned (1-norm estimate {cond:.2e}); "
             "the no-spillover guarantee degrades", stacklevel=3)
-    return (B @ G_inv) @ XsH
+    return update

@@ -13,8 +13,9 @@ outside its fallback and memoizes the spectrum of no matrix but the
 unperturbed A, no code but ``core._DenseH`` solves with H, every
 threshold test raises through ``core._decide``, no code but
 ``core.as_matrix`` refuses an operand for its shape, no code reads
-``structure_tol`` from anything but a space, and every public name has a
-reader."""
+``structure_tol`` from anything but a space, every random draw comes from
+``np.random.default_rng`` with a module-constant or caller-supplied seed,
+and every public name has a reader."""
 
 import ast
 import pathlib
@@ -831,8 +832,7 @@ def test_only_as_matrix_refuses_an_operand_for_its_shape():
      "    raise StructureError('conjugate_chains', 'shapes differ')", False),
     ("cli.py", "if X.shape != (n, k):\n    raise FormatError('eigvecs')",
      False),
-    ("core.py", "if L.shape != (m, m) or m < BAND_MIN_ORDER:\n"
-     "    return X @ L", False),
+    ("core.py", "if L.shape != (m, m):\n    return X @ L", False),
     ("core.py", "if n % 2:\n    raise ArgumentError('needs even dimension')",
      False),
     ("diagnostics.py", "if A.shape[0] > oracle_dim_limit():\n"
@@ -905,6 +905,112 @@ def test_structure_tol_is_read_only_from_a_space():
 ])
 def test_structure_tol_rule_catches_a_planted_read(planted, flagged):
     assert bool(_structure_tol_reads(ast.parse(planted))) == flagged
+
+
+# every random draw is reproducible from its call: it comes from a
+# generator ``np.random.default_rng(seed)``, seeded by a module constant (an
+# upper-case name bound at the top of its module) or by the caller (a
+# parameter of an enclosing function, or an attribute of one); no global
+# numpy state, no stdlib ``random``, no seed from the clock or the OS
+RANDOM_MODULES = ("random", "numpy.random")
+SEEDED_GENERATOR = "default_rng"
+
+
+def _module_constants(tree):
+    """Upper-case names bound at the top level of a module."""
+    return {t.id for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for t in (node.targets if isinstance(node, ast.Assign)
+                      else [node.target])
+            if isinstance(t, ast.Name)
+            and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)}
+
+
+def _numpy_random(node):
+    """True for ``np.random.<name>`` or ``numpy.random.<name>``."""
+    return (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "random"
+            and getattr(node.value.value, "id", None) in ("np", "numpy"))
+
+
+def _unseeded_draws(tree):
+    """Lines importing a random module, or naming ``np.random`` other than
+    as ``np.random.default_rng(seed)`` with one seed argument: a module
+    constant, a parameter of an enclosing function or an attribute of
+    one."""
+    constants, seeded = _module_constants(tree), set()
+
+    def visit(node, params):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            params = params | {p.arg for p in a.posonlyargs + a.args
+                               + a.kwonlyargs + [a.vararg, a.kwarg] if p}
+        if (isinstance(node, ast.Call) and _numpy_random(node.func)
+                and node.func.attr == SEEDED_GENERATOR
+                and len(node.args) == 1 and not node.keywords):
+            seed = node.args[0]
+            while isinstance(seed, ast.Attribute):
+                seed = seed.value
+            if (isinstance(seed, ast.Name) and (
+                    seed.id in params or seed is node.args[0]
+                    and seed.id in constants)):
+                seeded.add(id(node.func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    visit(tree, frozenset())
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if _numpy_random(node) and id(node) not in seeded
+                   or any(name == m or name.startswith(m + ".")
+                          for name in _imported_names(node)
+                          for m in RANDOM_MODULES)})
+
+
+def test_every_random_draw_comes_from_a_seeded_generator():
+    hits = {path.name: lines for path in SOURCES
+            if (lines := _unseeded_draws(
+                ast.parse(path.read_text(encoding="utf-8"))))}
+    assert not hits, f"random draws without a fixed or given seed: {hits}"
+    # the rule sees the package's draws: the probe of the invariant-pair
+    # check, the oracle's sketches and the seeded samplers
+    assert all(any(map(_numpy_random, ast.walk(ast.parse(
+        path.read_text(encoding="utf-8")))))
+        for path in SOURCES if path.name in ("core.py", "diagnostics.py"))
+
+
+@pytest.mark.parametrize("planted,flagged", [
+    # global state, the clock, the OS, a literal and a local as the seed
+    ("x = np.random.standard_normal((n, 8))", True),
+    ("np.random.seed(0)", True),
+    ("rng = np.random.default_rng()", True),
+    ("rng = np.random.default_rng(None)", True),
+    ("def probe(n):\n    return np.random.default_rng(1234).random(n)", True),
+    ("def probe(n):\n    return np.random.default_rng(time.time_ns())", True),
+    ("def probe(n):\n    seed = n + 1\n    return np.random.default_rng(seed)",
+     True),
+    ("seed = 5\nrng = np.random.default_rng(seed)", True),
+    ("rng = np.random.default_rng(seed=SEED)", True),
+    ("g = np.random.Generator(np.random.PCG64(SEED))", True),
+    ("draw = np.random.default_rng", True),
+    ("import random\nx = random.random()", True),
+    ("from numpy.random import default_rng", True),
+    ("import numpy.random", True),
+    # a module constant or the caller's seed, and a generator's own draws
+    ("SEED = 7\nrng = np.random.default_rng(SEED)", False),
+    ("_PROBE_SEED = 7\ndef probe(m):\n"
+     "    return np.random.default_rng(_PROBE_SEED).standard_normal((m, 8))",
+     False),
+    ("def sample(space, seed):\n    return np.random.default_rng(seed)", False),
+    ("def build(recipe):\n    rng = numpy.random.default_rng(recipe.seed)",
+     False),
+    ("def outer(seed):\n    def inner():\n"
+     "        return np.random.default_rng(seed)\n    return inner", False),
+    ("def draw(rng, n):\n    return rng.standard_normal((n, n))", False),
+])
+def test_random_draw_rule_catches_a_planted_draw(planted, flagged):
+    assert bool(_unseeded_draws(ast.parse(planted))) == flagged
 
 
 # every name the package exports is read: by the package outside the name's

@@ -2,15 +2,18 @@
 evaluates, the tiled Z symmetry residual, the exact H^-1 of signed and
 phased permutations, the H^-1 of a dense H formed once per space, the size
 of every solve the unparametrized updates run, the no-spillover updates and
-the Z = 0 reassignment at p = 64 against their closed forms, and the step
+the Z = 0 reassignment at p = 64 against their closed forms, the step
 two calls run on a second thread, for a member with a Z from the entry of
-its call."""
+its call, the order of the refusals of a basis that fails two ways, and
+the seeded probes that judge the fixed pair of the complementary
+update."""
 
 import importlib.util
 import os
 import threading
 import time
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from specpreserve import (
     ScalarProductSpace,
     StructureClass,
     StructureError,
+    ToleranceProfile,
     adjoint,
     assemble_complex,
     assemble_real_jordan,
@@ -42,7 +46,7 @@ from specpreserve import (
     z_symmetry_residual,
 )
 from specpreserve import core, mapping, subspaces
-from specpreserve.core import as_matrix
+from specpreserve.core import as_matrix, frob
 from specpreserve.diagnostics import _flapack
 from specpreserve.spectral import _form_star
 from specpreserve.subspaces import (
@@ -687,6 +691,59 @@ def test_refusals_keep_their_order_beside_the_second_thread(monkeypatch):
     assert _refusal(lambda: fam.with_z(bad)) == "z_symmetry"
 
 
+def _failing_two_ways(case, n=16, repeat=True):
+    """Arguments of ``preserve_complementary`` refused as
+    ``nonsingular_basis`` that fail a later test as well: A = diag(d) on a
+    real space, X_c built from the first columns of I, and X_f the columns
+    of I whose values stay off the changed spectrum, with one repeated
+    (repeat=False leaves it out, and the basis may be nonsingular)."""
+    d = np.arange(1.0, n + 1)
+    e = np.eye(n)
+    space = ScalarProductSpace.identity(n, star="t", field="real")
+    if case == "isotropic X_c":
+        # H = flip, Jordan: A = diag(d, d); e_0 is isotropic, G = 0, and
+        # its twin e_{n/2} (same value) is left out of the fixed block
+        space = ScalarProductSpace.flip(n, star="t", field="real")
+        d = np.tile(d[:n // 2], 2)
+        X_c = e[:, :1]
+    elif case == "ill-conditioned G":
+        # G = X_c* X_c has 1-norm condition ~4e8 > COND_WARN, and passes
+        # its singular-value bound
+        X_c = np.stack([e[0], e[0] + 1e-4 * e[1]], axis=1)
+    else:
+        X_c = np.stack([e[0], 0 * e[0]], axis=1)
+    p = X_c.shape[1]
+    fixed = [j for j in range(1, n) if d[j] != d[0]][-(n - p - repeat):]
+    fixed += fixed[:1] * repeat
+    # a multiple of I_p: compatible with every G
+    La = (n + 1.0) * np.eye(p)
+    return (np.diag(d), X_c, La, e[:, fixed], np.diag(d[fixed]), space,
+            "jordan")
+
+
+@pytest.mark.parametrize("case", ["isotropic X_c", "ill-conditioned G",
+                                  "zero column of X_c"])
+def test_a_basis_failing_two_ways_is_refused_as_singular_without_warning(
+        monkeypatch, case):
+    # the update is formed while the LU runs, here held back; the basis is
+    # still refused first, and nothing formed ahead of that warns
+    monkeypatch.setattr(subspaces, "_flapack",
+                        lambda: time.sleep(0.02) or _flapack())
+    args = _failing_two_ways(case)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _refusal(lambda: preserve_complementary(*args)) \
+            == "nonsingular_basis"
+    assert not caught, [str(w.message) for w in caught]
+
+
+def test_an_ill_conditioned_gram_on_a_nonsingular_basis_still_warns():
+    args = _failing_two_ways("ill-conditioned G", repeat=False)
+    with pytest.warns(UserWarning, match="badly conditioned") as caught:
+        preserve_complementary(*args)
+    assert caught[0].filename == __file__
+
+
 def test_a_loader_failure_on_the_second_thread_reaches_the_caller(
         monkeypatch, tmp_path):
     _, calls = _threaded_calls("real-jordan-identity", 16)
@@ -704,6 +761,134 @@ def test_a_loader_failure_on_the_second_thread_reaches_the_caller(
         _flapack.cache_clear()
     assert e.value.name == "scipy.linalg._flapack"
     assert threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
+# the fixed pair of preserve_complementary judged through eight seeded
+# probes: a column of X_f off by ten times eig_tol is refused and one off
+# by a tenth passes, whichever the column; at most eight columns give the
+# exact residual, and A meets no block of more than eight columns
+# ---------------------------------------------------------------------------
+
+PROBED = ("real-jordan-identity", "real-lie-skewj", "complex-lie-random")
+
+
+def _complementary_case(arrangement, n):
+    """The arguments of preserve_complementary on a random member A: a
+    closed X_c with a compatible target, and the rest of the eigenvectors
+    as the fixed pair."""
+    field, star, eps1, preset, cls = ARRANGED[arrangement]
+    rng = np.random.default_rng(n)
+    space = helpers.make_space(n, star, eps1, field, preset, rng)
+    A = as_matrix(helpers.random_member(space, cls, seed=n), "A", space)
+    X_c, X_f, L_f = _closed_split(A, space, cls)
+    return [A, X_c, _compatible(X_c, space, cls, rng), X_f, L_f, space, cls]
+
+
+def _exact_residual(A, X, L):
+    return frob(A @ X - X @ L) / (frob(A) * frob(X))
+
+
+def _off_by(A, X, L, j, ratio, rng):
+    """X with column j moved along a random direction, so that the exact
+    relative residual of (X, L) is ratio times the default eig_tol."""
+    target = ratio * ToleranceProfile().eig_tol
+    d = _data(len(X), rng, np.iscomplexobj(X))
+    Y = X.copy()
+    Y[:, j] += 1e-3 * d
+    # the residual is linear in the step; |Y| barely moves with it
+    Y[:, j] = X[:, j] + 1e-3 * target / _exact_residual(A, Y, L) * d
+    assert abs(_exact_residual(A, Y, L) / target - 1) < 1e-3
+    return Y
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("arrangement", PROBED)
+def test_a_fixed_column_ten_times_off_is_refused_and_a_tenth_passes(
+        arrangement, n):
+    # the check the fixed pair takes, on every column at n = 128 and on 32
+    # at n = 256; the call itself on three of them
+    args = _complementary_case(arrangement, n)
+    A, X_f, L_f = args[0], args[3], args[4]
+    rng = np.random.default_rng(n + 1)
+    m = X_f.shape[1]
+    cols = range(m) if n == 128 else rng.choice(m, 32, replace=False)
+    for j in cols:
+        for ratio, passed in ((10.0, False), (0.1, True)):
+            X = _off_by(A, X_f, L_f, j, ratio, rng)
+            outcome = _pair_outcome(A, X, L_f, frob(A))
+            assert outcome == ("invariant_pair_residual", passed), (j, ratio)
+            if j in cols[:3]:
+                args[3] = X
+                assert _complementary_outcome(args) == outcome
+
+
+def _pair_outcome(A, X, L, norm_A):
+    """(condition, passed) of the fixed pair's check in
+    preserve_complementary."""
+    try:
+        core._check_invariant_pair(A, X, L, ToleranceProfile().eig_tol,
+                                   "A X_f = X_f Lambda_f", norm_A=norm_A)
+    except StructureError as e:
+        return e.condition, False
+    return "invariant_pair_residual", True
+
+
+def _complementary_outcome(args):
+    try:
+        preserve_complementary(*args)
+    except StructureError as e:
+        assert "A X_f = X_f Lambda_f" in str(e)
+        return e.condition, False
+    return "invariant_pair_residual", True
+
+
+@pytest.mark.parametrize("where", ["X_f", "Lambda_f"])
+@pytest.mark.parametrize("arrangement", PROBED)
+def test_a_nan_in_the_fixed_pair_is_refused(arrangement, where):
+    args = _complementary_case(arrangement, 64)
+    k = 3 if where == "X_f" else 4
+    args[k] = args[k].copy()
+    args[k][5, 5] = np.nan
+    with pytest.raises(StructureError, match="A X_f = X_f Lambda_f") as e:
+        preserve_complementary(*args)
+    assert e.value.condition == "invariant_pair_residual"
+
+
+@pytest.mark.parametrize("arrangement", PROBED)
+def test_at_most_eight_columns_give_the_exact_residual(monkeypatch,
+                                                       arrangement):
+    A, _, _, X_f, L_f, _, _ = _complementary_case(arrangement, 64)
+    values, decide = [], core._decide
+    monkeypatch.setattr(core, "_decide", lambda condition, value, *a, **k: (
+        values.append(value), decide(condition, value, *a, **k))[1])
+    for m in range(1, 9):
+        X, L = X_f[:, :m], L_f[:m, :m]
+        core._check_invariant_pair(A, X, L, 1e-6, "A X = X L")
+        exact = frob(core._real_apply(A, X) - X @ L) / (frob(A) * frob(X))
+        assert values.pop() == exact, m
+
+
+@pytest.mark.parametrize("arrangement", PROBED)
+def test_a_meets_no_block_of_more_than_eight_columns(monkeypatch,
+                                                     arrangement):
+    args = _complementary_case(arrangement, 64)
+    A, X_c, X_f = args[0], args[1], args[3]
+    assert X_c.shape[1] <= 8 < X_f.shape[1]
+    widths, apply = [], core._real_apply
+
+    def spy(M, B):
+        if np.shares_memory(M, A):
+            widths.append(np.shape(B)[1])
+        return apply(M, B)
+
+    monkeypatch.setattr(core, "_real_apply", spy)
+    monkeypatch.setattr(subspaces, "_real_apply", spy)
+    core._check_invariant_pair(A, X_f, args[4], 1e-6, "A X = X L")
+    assert widths == [8]
+    widths.clear()
+    preserve_complementary(*args)
+    assert widths and max(widths) <= 8, widths
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ from specpreserve import (
     ScalarProductSpace,
     StructureClass,
     StructureError,
+    RealnessError,
     ToleranceProfile,
     assemble_complex,
+    assemble_real_jordan,
     extract_jordan_pairs,
     generate_instance,
     is_member,
@@ -26,6 +28,9 @@ from specpreserve import (
     sample_structured,
     solve_structured,
 )
+from specpreserve import reassign
+from specpreserve.core import as_matrix
+from specpreserve.reassign import _real_basis
 
 LOOSE = ToleranceProfile(residual_tol=1e-3)
 
@@ -93,7 +98,6 @@ class TestReassignFamily:
                               PlanGroup(3.0, (1,)), PlanGroup(-1.0, (1,))),
                              seed=52)
         inst = generate_instance(rec)
-        from specpreserve import assemble_real_jordan
         groups = (
             ReassignmentGroup(1 + 2j, 2 + 1j, (_pick(inst.pairs, 1 + 2j).chain,)),
             ReassignmentGroup(1 - 2j, 2 - 1j, (_pick(inst.pairs, 1 - 2j).chain,)),
@@ -396,3 +400,50 @@ class TestSpectralReplacement:
             res = reassign_no_spillover(inst.A, asm, inst.space, inst.cls)
             v = res.report.spectrum_verdict
             assert v.matched and v.max_distance <= 1e-6
+
+
+class TestRealBasis:
+    @staticmethod
+    def _real_values(n=64, p=8):
+        """A real Jordan arrangement of real values on H = I (symmetric A),
+        whose conjugation map is the identity."""
+        rng = np.random.default_rng(64)
+        space = ScalarProductSpace.identity(n, star="t", field="real")
+        S = rng.standard_normal((n, n))
+        w, V = np.linalg.eigh(S + S.T)
+        groups = tuple(ReassignmentGroup(w[j], w[j] + 0.1 * j, (V[:, [j]],))
+                       for j in range(1, 2 * p, 2))
+        A = (V * w) @ V.T
+        asm = assemble_real_jordan(A, ReassignmentSpec(groups), space)
+        return A, space, StructureClass.JORDAN, asm
+
+    def test_real_data_under_the_identity_map_is_its_own_basis(self):
+        _, space, _, asm = self._real_values()
+        np.testing.assert_array_equal(asm.conjugation, np.eye(8))
+        X = as_matrix(asm.X_c, "X_c", space)
+        D = np.asarray(asm.Lambda_a - asm.Lambda_c).real
+        out = (X, X @ D, space.h_apply(X))
+        assert all(a is b for a, b in zip(_real_basis(asm, *out), out))
+        # complex data under the same map is still checked for realness
+        bad = (X + 1e-3j, X @ D + 0j, out[2] + 0j)
+        with pytest.raises(RealnessError, match="not closed under"):
+            _real_basis(asm, *bad)
+
+    def test_returned_as_it_is_gives_the_bits_of_a_copied_basis(
+            self, monkeypatch):
+        A, space, cls, asm = self._real_values()
+        Z = sample_structured(space, cls, seed=99)
+        calls = [lambda: reassign_family(A, asm, space, cls, verify=False),
+                 lambda: reassign_family(A, asm, space, cls, Z=Z,
+                                         verify=False),
+                 lambda: reassign_no_spillover(A, asm, space, cls,
+                                               verify=False)]
+        fast = [call().delta for call in calls]
+        # the real basis in arrays of its own, as the conjugate pairs give it
+        real_basis = reassign._real_basis
+        monkeypatch.setattr(reassign, "_real_basis", lambda *a: tuple(
+            M.copy() for M in real_basis(*a)))
+        for got, call in zip(fast, calls):
+            want = call().delta
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
