@@ -10,7 +10,10 @@ the Jordan and Lie algebras this library works in.  With H the block flip
 ``H^-1`` is applied by indexing when H is a signed or phased permutation,
 and otherwise as a product with the inverse of H, formed once per space.
 ``as_matrix`` decides the field of every operand and checks its shape
-against the one its role requires, naming it when they differ.
+against the one its role requires, naming it when they differ.  Every
+factorization runs on numpy's LAPACK; the eight seeded Gaussian probes of
+``_probes`` judge a residual (``_check_invariant_pair``, O(n^2) per probe)
+and, in ``subspaces``, the condition of a square basis.
 """
 
 from __future__ import annotations
@@ -217,13 +220,6 @@ class _MonomialH:
 
     def solve(self, B):
         return self._scale_rows(self.inv_vals, B[self.rows])
-
-
-# scipy's LAPACK wrappers can return wrong values, or corrupt the heap,
-# when two threads call them at once (seen with scipy 1.17.1 lu_solve on one
-# shared LU), so every call of a ``diagnostics._flapack`` routine runs under
-# this one lock; numpy.linalg gave the sequential results in the same test
-_SCIPY_LAPACK_LOCK = threading.Lock()
 
 
 class _Background(threading.Thread):
@@ -596,6 +592,14 @@ _PROBES = 8
 _PROBE_SEED = 20110503
 
 
+def _probes(m):
+    """The m x 8 probes ``G / sqrt(8)``, G the standard Gaussian of
+    ``default_rng(_PROBE_SEED)``: ``E |M Omega|_F^2 = |M|_F^2`` for any M
+    of m columns, and the same bits on every call."""
+    return (np.random.default_rng(_PROBE_SEED).standard_normal((m, _PROBES))
+            / np.sqrt(_PROBES))
+
+
 def _check_invariant_pair(A, X, L, tol, what, condition="invariant_pair_residual",
                           *, AX=None, norm_A=None):
     """Raise unless ``A X = X L`` holds to the relative residual
@@ -603,9 +607,8 @@ def _check_invariant_pair(A, X, L, tol, what, condition="invariant_pair_residual
 
     A caller that already has ``A X`` or ``|A|_F`` passes it, and ``A X``
     is judged exactly.  Otherwise an X of m > _PROBES columns is judged by
-    ``|(A X - X L) Omega|_F`` for ``Omega = G / sqrt(8)``, G the m x 8
-    standard Gaussian of ``default_rng(_PROBE_SEED)``, whose expected square
-    is ``|A X - X L|_F^2``: ``A (X Omega) - X (L Omega)`` costs O(n^2) per
+    ``|(A X - X L) Omega|_F`` for ``Omega = _probes(m)``, whose expected
+    square is ``|A X - X L|_F^2``: ``A (X Omega) - X (L Omega)`` costs O(n^2) per
     probe, not the n x n x m product ``A X`` (Freivalds 1977; Halko,
     Martinsson & Tropp, SIAM Review 53, 2011, sec. 4.3).  The estimate
     falls below a tenth of the residual with probability at most
@@ -613,8 +616,7 @@ def _check_invariant_pair(A, X, L, tol, what, condition="invariant_pair_residual
     case), so a residual ten times tol passes no more often than that.  At
     most _PROBES columns take Omega = I: the exact residual, to the bit."""
     if AX is None and X.shape[1] > _PROBES:
-        Om = (np.random.default_rng(_PROBE_SEED).standard_normal(
-            (X.shape[1], _PROBES)) / np.sqrt(_PROBES))
+        Om = _probes(X.shape[1])
         residual = frob(_real_apply(A, X @ Om) - X @ (L @ Om))
     else:
         residual = frob((_real_apply(A, X) if AX is None else AX) - X @ L)

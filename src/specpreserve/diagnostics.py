@@ -5,7 +5,9 @@ dense eigenvalue solver, residuals from direct multiplication, the
 no-spillover claim from a randomized annihilation identity, and generated
 instances are built from exact canonical blocks conjugated by exact
 automorphisms of the form, so the oracle genuinely cross-checks the
-library instead of echoing it.
+library instead of echoing it.  Its one compiled routine past numpy is
+scipy's ``linear_sum_assignment``, which pairs tied spectra and links no
+LAPACK: ``_linear_sum_assignment`` loads it without ``scipy.optimize``.
 
 The one thing kept between calls is the spectrum of the unperturbed A in
 ``verify_reassignment``: a process-wide memo of _SPECTRA_SIZE entries, each
@@ -126,39 +128,25 @@ class SpectrumVerdict:
         return d
 
 
-def _scipy_extension(name):
-    """scipy's compiled extension module ``name``, ``scipy.<package>.<m>``,
-    loaded from its own file under scipy's directory, which is found
-    without importing scipy, so no package init runs.  It goes in
-    ``sys.modules``, so its functions are the ones the package exports,
-    whichever is imported first.  There is no fallback to the package: a
-    scipy without the module raises."""
-    pkg = importlib.util.find_spec("scipy")
-    spec = pkg and importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(pkg.submodule_search_locations[0],
-                            name.split(".")[1])])
-    if spec is None:
-        raise ImportError(f"scipy has no extension module {name}", name=name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @functools.cache
 def _linear_sum_assignment():
     """scipy's compiled ``linear_sum_assignment``, without
     ``scipy.optimize``, which loads sparse, spatial, special and fft (about
-    45 MB)."""
-    return _scipy_extension("scipy.optimize._lsap").linear_sum_assignment
-
-
-@functools.cache
-def _flapack():
-    """scipy's f2py LAPACK wrappers, without ``scipy.linalg`` (about 210 ms
-    and 27 MB): each routine is the object
-    ``scipy.linalg.get_lapack_funcs`` returns.  Call them under
-    ``core._SCIPY_LAPACK_LOCK``."""
-    return _scipy_extension("scipy.linalg._flapack")
+    45 MB): the extension module ``scipy.optimize._lsap``, loaded from its
+    own file under scipy's directory, which is found without importing
+    scipy, so no package init runs.  It goes in ``sys.modules``, so the
+    function is the one the package exports, whichever is imported first.
+    There is no fallback to the package: a scipy without the module
+    raises."""
+    name = "scipy.optimize._lsap"
+    pkg = importlib.util.find_spec("scipy")
+    spec = pkg and importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(pkg.submodule_search_locations[0], "optimize")])
+    if spec is None:
+        raise ImportError(f"scipy has no extension module {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.linear_sum_assignment
 
 
 def _assign_multisets(ea, eb):

@@ -19,15 +19,16 @@ decided), and the update is the unique structured delta with
 ``X_c* H`` once, for G and the update, invert G on p x p through numpy
 and apply ``B G^-1`` to ``X_c* H``: O(n^2 p), with no ``H^-1``.
 
-The complementary checks judge the fixed pair through eight seeded
-probes, ``A (X_f Omega) - X_f (Lambda_f Omega)`` in O(n^2) each (see
-``core._check_invariant_pair``), and take one LU of ``[X_c X_f]``, whose
-``?gecon`` estimate decides nonsingularity: the module's one call past
-numpy's LAPACK, to scipy's f2py ``?getrf`` and ``?gecon`` from
-``scipy.linalg._flapack``, without the package.  The LU runs on a second
+The complementary checks use the eight seeded probes Omega of
+``core._probes`` twice: the fixed pair is judged by
+``A (X_f Omega) - X_f (Lambda_f Omega)`` in O(n^2) per probe (see
+``core._check_invariant_pair``), and ``X = [X_c X_f]`` is decided
+nonsingular by ``1 / (|X|_F |X^-T Omega|_F)``, one numpy solve with eight
+right-hand sides (see ``_basis_rcond``).  That solve runs on a second
 thread beside the checks and the update, which are formed before it is
-read; every decision keeps its order.  A triangular Lambda_f, such as a
-Jordan form, gives its spectrum from its diagonal.
+read; every decision keeps its order.  Every factorization here is
+numpy's.  A triangular Lambda_f, such as a Jordan form, gives its spectrum
+from its diagonal.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
-    _SCIPY_LAPACK_LOCK,
     _Background,
     _bandwidth,
     _check_full_column_rank,
@@ -49,6 +49,7 @@ from .core import (
     _decide,
     _has_svd,
     _gram_compatibility,
+    _probes,
     _real_apply,
     _star_h,
     as_matrix,
@@ -56,7 +57,6 @@ from .core import (
     gram_matrix,
     pseudoinverse,
 )
-from .diagnostics import _flapack
 from .mapping import _family, _start_h_solve_z
 from .spectral import _form_star, pairing_partner
 
@@ -176,23 +176,9 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     X_f = as_matrix(X_f, "X_f", space, (space.n, m))
     Lambda_a = as_matrix(Lambda_a, "Lambda_a", space, (p, p))
     Lambda_f = as_matrix(Lambda_f, "Lambda_f", space, (m, m))
-    # one LU of X decides nonsingularity, by LAPACK's reciprocal 1-norm
-    # condition estimate (0 for an exactly singular X), on a second thread
-    # beside the checks and the update; X is built once in Fortran order,
-    # so getrf factors it in place, after its 1-norm is summed row by row
-    # over C-ordered absolute values, as of the stacked X
-    X = np.empty((space.n, space.n), np.result_type(X_c, X_f), order="F")
-    X[:, :p], X[:, p:] = X_c, X_f
-
-    def rcond():
-        norm_X = max(np.abs(B, order="C").sum(axis=0).max(initial=0.0)
-                     for B in (X_c, X_f))
-        lapack, t = _flapack(), "z" if np.iscomplexobj(X) else "d"
-        with _SCIPY_LAPACK_LOCK:
-            lu = getattr(lapack, t + "getrf")(X, overwrite_a=True)[0]
-            return getattr(lapack, t + "gecon")(lu, norm_X, norm="1")[0]
-
-    with _Background(rcond) as estimate:
+    # the nonsingularity of [X_c X_f] is estimated on a second thread
+    # beside the checks and the update
+    with _Background(_basis_rcond, X_c, X_f) as estimate:
         AX_c = _real_apply(A, X_c)
         norm_A = frob(A)
         Lambda_c = pseudoinverse(X_c, tol.rank_tol) @ AX_c
@@ -225,15 +211,17 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
 
         _gram_compatibility(G, Lambda_a, space, cls).require(
             _INCOMPATIBLE, "condition_residual")
-        # the numbers of the decisions after the LU's are formed while the
-        # LU runs, and decided after it: the gap gives X_c* H X_f = 0, so the
-        # no-spillover update solves delta [X_c X_f] = [B_c, 0]; computed
-        # pairs meet it only to their residuals over the gap, in O(n p m)
+        # the numbers of the decisions after the basis's are formed while
+        # its solve runs, and decided after it: the gap gives X_c* H X_f = 0,
+        # so the no-spillover update solves delta [X_c X_f] = [B_c, 0];
+        # computed pairs meet it only to their residuals over the gap, in
+        # O(n p m)
         cross = frob(XsH @ X_f)
         # X_c T, B_c T give the same update; T scales each column of X_c to
         # unit norm by a power of two (exactly), so the Gram test judges the
-        # basis, which the LU judges, and not the scale of its columns; a
-        # zero column, which the LU refuses, keeps its scale
+        # basis, as the basis decision does, and not the scale of its
+        # columns; a zero column, which that decision refuses, keeps its
+        # scale
         s = np.linalg.norm(X_c, axis=0)
         t = np.exp2(-np.round(np.log2(s, out=np.zeros_like(s), where=s > 0)))
         update = _no_spillover_update(t[:, None] * G * t, X_c * t,
@@ -248,17 +236,28 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     return _require_update(*update)
 
 
+def _basis_rcond(X_c, X_f):
+    """``1 / (|X|_F |X^-T Omega|_F)`` for ``X = [X_c X_f]`` and the probes
+    ``Omega = core._probes(n)``: the reciprocal of an estimate of
+    ``kappa_F(X) = kappa_F(X^T)``, since ``E |X^-T Omega|_F^2 =
+    |X^-1|_F^2`` (Dixon, SIAM J. Numer. Anal. 20, 1983).  The C-ordered X
+    is the Fortran-ordered X^T, so LAPACK factors it without a transposing
+    copy.  An exactly zero pivot gives 0; no overflow or NaN warns."""
+    X = np.hstack([X_c, X_f])
+    try:
+        with np.errstate(all="ignore"):
+            return 1 / (frob(X) * frob(np.linalg.solve(X.T, _probes(len(X)))))
+    except np.linalg.LinAlgError:
+        return 0.0
+
+
 def gram_inverse_apply(G, RHS):
     """Solve ``G Y = RHS`` by LU with partial pivoting (numpy's ``?gesv``)
-    plus one step of iterative refinement; returns
-    (Y, one_norm_condition_estimate).  G is p x p, so factoring it again
-    for the refinement step costs O(p^3), and numpy's LAPACK spares the
-    command line the import of ``scipy.linalg``.  An empty G (p = 0) gives
-    an empty Y and condition 1."""
-    cond = float(np.real(np.linalg.cond(G, 1))) if G.size else 1.0
+    plus one step of iterative refinement.  G is p x p, so factoring it
+    again for the refinement step costs O(p^3).  An empty G (p = 0) gives
+    an empty Y."""
     Y = np.linalg.solve(G, RHS)
-    Y = Y + np.linalg.solve(G, RHS - G @ Y)
-    return Y, cond
+    return Y + np.linalg.solve(G, RHS - G @ Y)
 
 
 def no_spillover(A, X_c, Lambda_c, Lambda_a, space: ScalarProductSpace,
@@ -292,7 +291,8 @@ def _no_spillover_update(G, X, B, XsH, rank_tol):
     which depends only on the map ``X -> B``: ``(X T, B T)`` gives it for
     invertible T.  Returns the numbers ``_require_update`` decides: the
     ``gram_singular`` Decision, then the update and the 1-norm condition
-    estimate of G, both None when G is refused.
+    number ``|G|_1 |G^-1|_1``, taken with the G^-1 the update uses (1 for
+    p = 0), both None when G is refused.
 
     G counts as singular when its smallest singular value is at most
     ``rank_tol * ||X||_F^2``.  H is unitary, so ``||G|| <= ||X||_F^2``:
@@ -307,7 +307,9 @@ def _no_spillover_update(G, X, B, XsH, rank_tol):
                        rank_tol * frob(X) ** 2, at_least=True)
     if not singular.passed:
         return singular, None, None
-    G_inv, cond = gram_inverse_apply(G, np.eye(len(G), dtype=G.dtype))
+    G_inv = gram_inverse_apply(G, np.eye(len(G), dtype=G.dtype))
+    cond = (np.linalg.norm(G, 1) * np.linalg.norm(G_inv, 1) if G.size
+            else 1.0)
     return singular, (B @ G_inv) @ XsH, cond
 
 

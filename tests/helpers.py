@@ -114,6 +114,41 @@ def random_member(space, cls, seed, scale=1.0):
     return A
 
 
+def _star(space, M):
+    return M.T if space.star == "T" and space.field == "complex" else M.conj().T
+
+
+def compatible_restriction(X, space, cls, rng):
+    """L with ``W = X* H X L`` satisfying ``W = e1 e2 W*``: L = G^-1 K with
+    K carrying that symmetry exactly."""
+    s = space.epsilon1 * cls.epsilon2
+    G = _star(space, X) @ space.H @ X
+    M = rng.standard_normal(G.shape)
+    if np.iscomplexobj(X) or space.field == "complex":
+        M = M + 1j * rng.standard_normal(G.shape)
+    return np.linalg.solve(G, (M + s * _star(space, M)) / 2)
+
+
+def closed_split(A, space, cls):
+    """Eigenvectors of A split into a part closed under the pairing
+    ``lambda -> e2 lambda*`` (repeated values included) and the rest."""
+    w, V = np.linalg.eig(A)
+    band = 1e-6 * max(1.0, float(np.max(np.abs(w))))
+    sel = {0}
+    while True:
+        orbit = [w[i] for i in sel] + [
+            pairing_partner(w[i], cls, _form_star(space)) for i in sel]
+        grown = {j for j in range(len(w))
+                 if min(abs(w[j] - v) for v in orbit) <= band}
+        if grown <= sel:
+            break
+        sel |= grown
+    sel = sorted(sel)
+    rest = [j for j in range(len(w)) if j not in sel]
+    assert rest, "the pairing orbit took the whole spectrum"
+    return V[:, sel], V[:, rest], np.diag(w[rest])
+
+
 def random_full_rank(n, p, rng, field="complex"):
     X = rng.standard_normal((n, p))
     if field == "complex":

@@ -151,12 +151,11 @@ def test_verifying_a_moved_double_value_leaves_scipy_unloaded():
         "scipy.optimize._lsap"}
 
 
-# the LU of ``[X_c X_f]`` with its ``?gecon`` estimate calls scipy's f2py
-# LAPACK wrappers from their own extension module, which loads neither
-# scipy submodule package; a skew-form instance is moved onto skewj by
-# numpy's ``eigh`` and loads no scipy extension at all
-LAPACK_MODULES = SCIPY_SUBMODULES + ("scipy.linalg._flapack",)
-EXTENSION_MODULES = LAPACK_MODULES + ("scipy.optimize._lsap",)
+# the nonsingularity of ``[X_c X_f]`` is decided by numpy's solve, and a
+# skew-form instance is moved onto skewj by numpy's ``eigh``: neither loads
+# a scipy extension
+EXTENSION_MODULES = SCIPY_SUBMODULES + ("scipy.linalg._flapack",
+                                        "scipy.optimize._lsap")
 SKEWJ_RECIPE = {"space": "skewj", "class": "lie", "field": "real",
                 "star": "t", "seed": 3,
                 "plan": [{"value": [0.5, 0.0], "chains": [1]},
@@ -180,9 +179,9 @@ def test_gen_on_a_skewj_job_loads_no_scipy_extension(tmp_path):
     assert (tmp_path / "out" / "A.json").exists()
 
 
-def test_complementary_update_loads_only_the_lapack_wrappers(tmp_path):
-    # a generated flip/ct Jordan instance: its first eigenpair moves, the
-    # other three stay
+def _complementary_job(tmp_path):
+    """argv of ``invariant --submode complementary`` on a generated flip/ct
+    Jordan instance: its first eigenpair moves, the other three stay."""
     plan = [{"value": [v, 0.0], "chains": [1]} for v in (1.0, -2.0, 0.5, 3.0)]
     (tmp_path / "gen_job.json").write_text(json.dumps({"recipe": {
         "space": "flip", "class": "jordan", "field": "complex", "star": "ct",
@@ -199,11 +198,60 @@ def test_complementary_update_loads_only_the_lapack_wrappers(tmp_path):
         "lambda_target": [[values[0].real + 1.0, 0.0]],
         "fixed_basis": "Xf.json",
         "fixed_lambda": [[v.real, 0.0] for v in values[1:]], "out": "inv"}))
-    argv = ["invariant", str(tmp_path / "job.json"),
+    return ["invariant", str(tmp_path / "job.json"),
             "--submode", "complementary"]
+
+
+def test_complementary_update_loads_no_scipy_extension(tmp_path):
+    argv = _complementary_job(tmp_path)
     code = f"from specpreserve.cli import main\nassert main({argv!r}) == 0"
-    assert _modules_loaded_by(code, LAPACK_MODULES) == {
-        "scipy.linalg._flapack"}
+    assert _modules_loaded_by(code, EXTENSION_MODULES) == set()
+    report = json.loads((tmp_path / "inv" / "report.json").read_text())
+    assert report["submode"] == "complementary"
+
+
+# the complementary update on the three arrangements (real Jordan on H = I,
+# real Lie on skewj, complex Lie on a dense H) and on the command line maps
+# no BLAS beyond numpy's: the OpenBLAS files a Linux process maps are those
+# ``import numpy`` mapped
+ONE_OPENBLAS = """\
+import sys
+import numpy as np
+
+def openblas():
+    if not sys.platform.startswith("linux"):
+        return set()
+    with open("/proc/self/maps") as maps:
+        files = {line.split()[-1] for line in maps}
+    return {f for f in files if "openblas" in f.rsplit("/", 1)[-1].lower()}
+
+numpys = openblas()
+sys.path.insert(0, TESTS)
+import helpers
+from specpreserve import StructureClass
+from specpreserve.subspaces import preserve_complementary
+from specpreserve.cli import main
+
+for star, eps1, field, preset, cls in [
+        ("T", 1, "real", "identity", StructureClass.JORDAN),
+        ("T", -1, "real", "skewj", StructureClass.LIE),
+        ("CT", 1, "complex", "random", StructureClass.LIE)]:
+    rng = np.random.default_rng(64)
+    space = helpers.make_space(64, star, eps1, field, preset, rng)
+    A = helpers.random_member(space, cls, seed=64)
+    X_c, X_f, L_f = helpers.closed_split(A, space, cls)
+    La = helpers.compatible_restriction(X_c, space, cls, rng)
+    preserve_complementary(A, X_c, La, X_f, L_f, space, cls)
+assert main(ARGV) == 0
+assert "scipy.linalg._flapack" not in sys.modules
+assert openblas() == numpys, (openblas(), numpys)
+"""
+
+
+def test_complementary_update_maps_only_numpys_openblas(tmp_path):
+    code = (f"TESTS = {os.path.dirname(__file__)!r}\n"
+            f"ARGV = {_complementary_job(tmp_path)!r}\n{ONE_OPENBLAS}")
+    assert _modules_loaded_by(code, SCIPY_SUBMODULES) == set()
     report = json.loads((tmp_path / "inv" / "report.json").read_text())
     assert report["submode"] == "complementary"
 

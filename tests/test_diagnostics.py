@@ -2,7 +2,6 @@
 
 import concurrent.futures
 import functools
-import importlib.machinery
 import importlib.util
 import os
 import subprocess
@@ -12,7 +11,6 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,9 +43,9 @@ from specpreserve.cli import _fixed_residual
 from specpreserve.core import frob
 from specpreserve.diagnostics import (_assign_multisets, _balance_signs,
                                       _compare_spectra, _congruence_transform,
-                                      _flapack, _linear_sum_assignment,
-                                      _plan_units, _planned_spectrum,
-                                      _spillover_residual, oracle_dim_limit)
+                                      _linear_sum_assignment, _plan_units,
+                                      _planned_spectrum, _spillover_residual,
+                                      oracle_dim_limit)
 from specpreserve.spectral import SNAP_TOL, _block_diag
 
 
@@ -290,46 +288,6 @@ class TestRectangularLsap:
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
         with pytest.raises(ImportError, match=r"scipy\.optimize\._lsap"):
             _linear_sum_assignment.__wrapped__()
-
-
-class TestFlapack:
-    """The LAPACK routines past numpy's come from scipy's own f2py module,
-    ``scipy.linalg._flapack``, loaded without the ``scipy.linalg``
-    package: they are the routines scipy calls, in either import order."""
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_getrf_gecon_are_scipy_lapack_funcs(self, dtype):
-        X = np.eye(3, dtype=dtype)
-        want = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (X,))
-        t = "z" if dtype is np.complex128 else "d"
-        got = [getattr(_flapack(), t + f) for f in ("getrf", "gecon")]
-        assert all(g is w for g, w in zip(got, want))
-
-    def test_getrf_gecon_are_scipy_lapack_funcs_when_loaded_first(self):
-        code = ("import sys\n"
-                "import numpy as np\n"
-                "from specpreserve.diagnostics import _flapack\n"
-                "lapack = _flapack()\n"
-                "assert 'scipy.linalg' not in sys.modules\n"
-                "import scipy.linalg\n"
-                "for t, dtype in (('d', float), ('z', complex)):\n"
-                "    want = scipy.linalg.get_lapack_funcs(('getrf', 'gecon'), "
-                "(np.eye(3, dtype=dtype),))\n"
-                "    assert want[0] is getattr(lapack, t + 'getrf')\n"
-                "    assert want[1] is getattr(lapack, t + 'gecon')")
-        src = os.path.dirname(os.path.dirname(specpreserve.__file__))
-        proc = subprocess.run([sys.executable, "-c", code], timeout=120,
-                              env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-
-    def test_a_scipy_without_the_module_raises(self, monkeypatch):
-        # no fallback to the ``scipy.linalg`` package
-        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
-                            lambda *args, **kwargs: None)
-        with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack") as e:
-            _flapack.__wrapped__()
-        assert e.value.name == "scipy.linalg._flapack"
 
 
 class TestPlannedSpectrum:

@@ -1,10 +1,9 @@
 """Source hygiene that no installed linter checks: every module-level import
 in the package is used by its module or re-exported through ``__all__``, no
 module loads a scipy submodule at import time, neither ``scipy.linalg``
-nor ``scipy.optimize`` is used (two loaders name the extension modules of
-scipy's compiled LAPACK wrappers and assignment), only
-``subspaces.preserve_complementary`` calls the LAPACK wrappers, only
-``core`` names a thread class or ``concurrent.futures`` and its one
+nor ``scipy.optimize`` is used (one loader names the extension module of
+scipy's compiled assignment, and no code names scipy's LAPACK wrappers),
+only ``core`` names a thread class or ``concurrent.futures`` and its one
 helper thread is started only by ``preserve_complementary`` and
 ``StructuredMapSolution._member``, the field-keeping modules never cast
 to complex outside ``as_matrix``, the verification oracle calls no
@@ -112,14 +111,13 @@ def test_submodule_rule_catches_a_planted_import(planted, flagged):
 # ``scipy.optimize`` more (it loads ``sparse``, ``spatial``, ``special`` and
 # ``fft``), so the package uses neither (a dense H is inverted by numpy,
 # and a skew form is moved onto skewj by numpy's ``eigh``); where numpy
-# has no equivalent, the LU with ``?gecon`` of ``[X_c X_f]`` and a tied
-# pairing, it runs scipy's compiled routines, which two loaders take from
-# their own extension modules by name, without the package init
+# has no equivalent, a tied pairing, it runs scipy's compiled routine,
+# which one loader takes from its own extension module by name, without
+# the package init
 HEAVY_SUBMODULES = ("scipy.linalg", "scipy.optimize")
 # (module, definition) -> the one string the definition may name
 EXTENSION_LOADERS = {
     ("diagnostics.py", "_linear_sum_assignment"): "scipy.optimize._lsap",
-    ("diagnostics.py", "_flapack"): "scipy.linalg._flapack",
 }
 
 
@@ -200,19 +198,18 @@ def test_scipy_submodules_are_used_only_where_allowed():
      "    name = 'scipy.optimize._lsap'", True),
     ("spectral.py", "def _linear_sum_assignment():\n"
      "    name = 'scipy.optimize._lsap'", True),
-    # and so may the loader of the LAPACK wrappers, and only its own module
-    ("diagnostics.py", "def _flapack():\n"
-     "    return _scipy_extension('scipy.linalg._flapack')", False),
     ("diagnostics.py", "def _flapack():\n"
      "    return _scipy_extension('scipy.optimize._lsap')", True),
+    # scipy's f2py LAPACK wrappers, which numpy's solve replaced, are named
+    # nowhere, not even by a loader of their own
+    ("diagnostics.py", "def _flapack():\n"
+     "    return _scipy_extension('scipy.linalg._flapack')", True),
     ("diagnostics.py", "def _linear_sum_assignment():\n"
      "    return _scipy_extension('scipy.linalg._flapack')", True),
     ("diagnostics.py", "def _skew_orthogonal_normalize(H):\n"
      "    return _scipy_extension('scipy.linalg._flapack').dgees", True),
-    ("diagnostics.py", "def _scipy_extension(name):\n"
-     "    name = 'scipy.linalg._flapack'", True),
-    ("subspaces.py", "def _flapack():\n"
-     "    return _scipy_extension('scipy.linalg._flapack')", True),
+    ("subspaces.py", "def _basis_rcond(X_c, X_f):\n"
+     "    return importlib.import_module('scipy.linalg._flapack')", True),
     ("core.py", "FLAPACK = 'scipy.linalg._flapack'", True),
     # what the rule leaves alone
     ("matio.py", "def load(path):\n    import scipy.io\n"
@@ -226,59 +223,9 @@ def test_scipy_use_rule_catches_a_planted_call(module, planted, flagged):
     assert bool(_heavy_scipy_uses(ast.parse(planted), module)) == flagged
 
 
-# scipy's LAPACK wrappers serve one decision numpy's LAPACK cannot make,
-# the nonsingularity of ``[X_c X_f]`` by ``?getrf`` and ``?gecon``; no other
-# definition calls their loader
-FLAPACK_LOADER = "_flapack"
-FLAPACK_CALLER = ("subspaces.py", "preserve_complementary")
-
-
-def _flapack_calls(tree, module):
-    """Lines calling ``_flapack()`` outside
-    ``subspaces.preserve_complementary``."""
-    home = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
-            and (module, f.name) == FLAPACK_CALLER for n in ast.walk(f)}
-    return [call.lineno for call in ast.walk(tree)
-            if isinstance(call, ast.Call) and id(call) not in home
-            and _called_name(call) == FLAPACK_LOADER]
-
-
-def test_only_the_complementary_update_calls_the_lapack_wrappers():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in SOURCES}
-    hits = {name: lines for name, tree in trees.items()
-            if (lines := _flapack_calls(tree, name))}
-    assert not hits, f"_flapack() outside preserve_complementary: {hits}"
-    # the rule sees the one call it allows
-    assert len(_flapack_calls(trees["subspaces.py"], "other.py")) == 1
-
-
-@pytest.mark.parametrize("module,planted,flagged", [
-    # the real Schur form numpy's eigh replaced
-    ("diagnostics.py", "def _congruence_transform(H0, H1, star, eps1, "
-     "field):\n    return _flapack().dgees", True),
-    ("diagnostics.py", "gees = diagnostics._flapack().dgees", True),
-    # the Gram solve, which numpy's ``?gesv`` does
-    ("subspaces.py", "def gram_inverse_apply(G, RHS):\n"
-     "    return _flapack().dgesv(G, RHS)", True),
-    # the home is one function of subspaces
-    ("diagnostics.py", "def preserve_complementary(A, X_c):\n"
-     "    lapack = _flapack()", True),
-    ("subspaces.py", "def preserve_complementary(A, X_c):\n"
-     "    lapack = _flapack()", False),
-    ("subspaces.py", "def preserve_complementary(A, X_c):\n"
-     "    return getattr(_flapack(), t + 'getrf')(X)", False),
-    # what the rule leaves alone: the loader's definition
-    ("diagnostics.py", "@functools.cache\ndef _flapack():\n"
-     "    return _scipy_extension('scipy.linalg._flapack')", False),
-])
-def test_flapack_rule_catches_a_planted_call(module, planted, flagged):
-    assert bool(_flapack_calls(ast.parse(planted), module)) == flagged
-
-
 # one concurrency boundary: ``core._Background`` is the one thread class,
 # started only for the O(n^3) step a call can run beside its other work,
-# the LU of ``[X_c X_f]`` and ``H^-1 Z`` on a dense H, the latter by the one
+# the solve with ``[X_c X_f]`` and ``H^-1 Z`` on a dense H, the latter by the one
 # starter every family entry with a Z calls; the oracle stays serial (its
 # eigensolver on a second thread slowed verified calls)
 THREAD_HOME = "core.py"
@@ -353,8 +300,8 @@ def test_only_core_starts_threads_and_only_for_two_calls():
      "    with _Background(rcond) as lu:\n        pass", False),
     ("mapping.py", "def _start_h_solve_z(Z, space, real):\n"
      "    return _Background(h_solve_z)", False),
-    # what the rule leaves alone: the lock of the LAPACK wrappers
-    ("core.py", "_SCIPY_LAPACK_LOCK = threading.Lock()", False),
+    # what the rule leaves alone: a lock beside the thread class
+    ("core.py", "_LOCK = threading.Lock()", False),
 ])
 def test_thread_rule_catches_a_planted_start(module, planted, flagged):
     assert bool(_concurrency_uses(ast.parse(planted), module)) == flagged

@@ -5,14 +5,13 @@ of every solve the unparametrized updates run, the no-spillover updates and
 the Z = 0 reassignment at p = 64 against their closed forms, the step
 two calls run on a second thread, for a member with a Z from the entry of
 its call, the order of the refusals of a basis that fails two ways, and
-the seeded probes that judge the fixed pair of the complementary
-update."""
+the seeded probes that judge the fixed pair and the basis of the
+complementary update."""
 
-import importlib.util
+import functools
 import os
 import threading
 import time
-import types
 import warnings
 
 import numpy as np
@@ -38,7 +37,6 @@ from specpreserve import (
     generate_instance,
     map_family,
     matio,
-    pairing_partner,
     reassign_family,
     reassign_no_spillover,
     sample_structured,
@@ -47,8 +45,6 @@ from specpreserve import (
 )
 from specpreserve import core, mapping, subspaces
 from specpreserve.core import as_matrix, frob
-from specpreserve.diagnostics import _flapack
-from specpreserve.spectral import _form_star
 from specpreserve.subspaces import (
     preserve_complementary,
     preserve_invariant,
@@ -134,35 +130,6 @@ def _data(shape, rng, complex_data):
     return M
 
 
-def _compatible(X, space, cls, rng):
-    """L with ``W = X* H X L`` satisfying ``W = e1 e2 W*``: L = G^-1 K with
-    K carrying that symmetry exactly."""
-    s = space.epsilon1 * cls.epsilon2
-    G = _st(space, X) @ space.H @ X
-    M = _data(G.shape, rng, np.iscomplexobj(X) or space.field == "complex")
-    return np.linalg.solve(G, (M + s * _st(space, M)) / 2)
-
-
-def _closed_split(A, space, cls):
-    """Eigenvectors of A split into a part closed under the pairing
-    ``lambda -> e2 lambda*`` (repeated values included) and the rest."""
-    w, V = np.linalg.eig(A)
-    band = 1e-6 * max(1.0, float(np.max(np.abs(w))))
-    sel = {0}
-    while True:
-        orbit = [w[i] for i in sel] + [
-            pairing_partner(w[i], cls, _form_star(space)) for i in sel]
-        grown = {j for j in range(len(w))
-                 if min(abs(w[j] - v) for v in orbit) <= band}
-        if grown <= sel:
-            break
-        sel |= grown
-    sel = sorted(sel)
-    rest = [j for j in range(len(w)) if j not in sel]
-    assert rest, "the pairing orbit took the whole spectrum"
-    return V[:, sel], V[:, rest], np.diag(w[rest])
-
-
 def _assert_close(got, ref):
     assert np.linalg.norm(got - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
@@ -182,7 +149,7 @@ def test_kernel_matches_dense_formulas(space, cls, complex_data):
     np.testing.assert_allclose(fam.projector, np.eye(N) - X @ np.linalg.pinv(X),
                                atol=1e-12)
 
-    D = _compatible(X, space, cls, rng)
+    D = helpers.compatible_restriction(X, space, cls, rng)
     asm = ReassignmentAssembly(X_c=X.astype(complex),
                                Lambda_c=np.zeros((p, p), dtype=complex),
                                Lambda_a=D.astype(complex), blocks=())
@@ -190,12 +157,12 @@ def test_kernel_matches_dense_formulas(space, cls, complex_data):
         got = reassign_family(S, asm, space, cls, Z=z, verify=False).delta
         _assert_close(got, _dense_reassign(X, D, space, cls, z))
 
-    La = _compatible(X, space, cls, rng)
+    La = helpers.compatible_restriction(X, space, cls, rng)
     _assert_close(reproduce_invariant(S, X, La, space, cls),
                   _dense_family(X, X @ La - S @ X, space, cls))
 
-    X_c, X_f, L_f = _closed_split(S, space, cls)
-    La = _compatible(X_c, space, cls, rng)
+    X_c, X_f, L_f = helpers.closed_split(S, space, cls)
+    La = helpers.compatible_restriction(X_c, space, cls, rng)
     Xs = np.hstack([X_c, X_f])
     B = np.hstack([X_c @ La - S @ X_c, np.zeros_like(X_f)])
     _assert_close(preserve_complementary(S, X_c, La, X_f, L_f, space, cls),
@@ -436,7 +403,8 @@ def _solve_spy(monkeypatch, space):
             if _name == "inv" and np.array_equal(a, space.H):
                 seen["inv_h"] += 1
             else:
-                seen["dense"].append((_name, np.shape(a)))
+                seen["dense"].append((_name, np.shape(a))
+                                     + tuple(np.shape(b) for b in args))
             return _orig(a, *args, **kw)
         monkeypatch.setattr(np.linalg, name, dense)
     monkeypatch.setattr(ScalarProductSpace, "h_solve", h_solve)
@@ -458,17 +426,18 @@ def test_unparametrized_updates_solve_at_most_2p_columns(monkeypatch, field,
     cls = StructureClass.JORDAN
     S = helpers.random_member(space, cls, seed=7)
     X = _data((n, 2), rng, field == "complex")
-    D = _compatible(X, space, cls, rng)
+    D = helpers.compatible_restriction(X, space, cls, rng)
     asm = ReassignmentAssembly(X_c=X.astype(complex),
                                Lambda_c=np.zeros((2, 2), dtype=complex),
                                Lambda_a=D.astype(complex), blocks=())
-    X_c, X_f, L_f = _closed_split(S, space, cls)
-    La = _compatible(X_c, space, cls, rng)
+    X_c, X_f, L_f = helpers.closed_split(S, space, cls)
+    La = helpers.compatible_restriction(X_c, space, cls, rng)
 
     seen = _solve_spy(monkeypatch, space)
     # (columns p, whether the update applies H^-1): the family updates apply
     # it to at most 2p columns; the complementary update is the no-spillover
-    # formula, which applies neither H^-1 nor a solve with its basis
+    # formula, which applies no H^-1, and solves with its basis only for the
+    # eight probes of the nonsingularity estimate
     runs = [
         (2, True, lambda: map_family(X, S @ X, space, cls).family_base),
         (2, True, lambda: reassign_family(S, asm, space, cls, verify=False)),
@@ -486,7 +455,8 @@ def test_unparametrized_updates_solve_at_most_2p_columns(monkeypatch, field,
         else:
             assert not seen["h_solve"] and not seen["lu_solve"]
         assert all(shape[1] <= 2 * p for shape in seen["lu_solve"])
-        assert not [c for c in seen["dense"] if c[0] == "inv" or c[1] == (n, n)]
+        assert [c for c in seen["dense"] if c[0] == "inv" or c[1] == (n, n)] \
+            == ([] if family else [("solve", (n, n), (n, 8))])
     # H is inverted once for the space, and not at all when it is monomial;
     # it is never LU-factored
     assert seen["inv_h"] == (0 if preset == "flip" else 1)
@@ -601,7 +571,7 @@ def test_no_spillover_updates_solve_for_at_most_p_columns(monkeypatch, name):
 
 
 # ---------------------------------------------------------------------------
-# the step run on a second thread: the LU of [X_c X_f] in
+# the step run on a second thread: the solve with [X_c X_f] in
 # preserve_complementary and H^-1 Z of a member on a dense H give the bits
 # of an inline run, refusals keep their order and no thread outlives a call
 # ---------------------------------------------------------------------------
@@ -624,8 +594,8 @@ def _threaded_calls(arrangement, n=128):
     rng = np.random.default_rng(128)
     space = helpers.make_space(n, star, eps1, field, preset, rng)
     S = helpers.random_member(space, cls, seed=9)
-    X_c, X_f, L_f = _closed_split(S, space, cls)
-    La = _compatible(X_c, space, cls, rng)
+    X_c, X_f, L_f = helpers.closed_split(S, space, cls)
+    La = helpers.compatible_restriction(X_c, space, cls, rng)
     X = _data((n, 4), rng, field == "complex")
     Z = sample_structured(space, cls, seed=6)
     return space, [
@@ -666,9 +636,9 @@ def _refusal(call):
 
 
 def test_refusals_keep_their_order_beside_the_second_thread(monkeypatch):
-    # the LU is held back, so the gap is refused while it still runs
-    monkeypatch.setattr(subspaces, "_flapack",
-                        lambda: time.sleep(0.05) or _flapack())
+    # the solve is held back, so the gap is refused while it still runs
+    monkeypatch.setattr(subspaces, "_probes",
+                        lambda m: time.sleep(0.05) or core._probes(m))
     n = 128
     space = ScalarProductSpace.identity(n, star="t", field="real")
     A = helpers.random_member(space, "jordan", 25).real
@@ -725,10 +695,10 @@ def _failing_two_ways(case, n=16, repeat=True):
                                   "zero column of X_c"])
 def test_a_basis_failing_two_ways_is_refused_as_singular_without_warning(
         monkeypatch, case):
-    # the update is formed while the LU runs, here held back; the basis is
-    # still refused first, and nothing formed ahead of that warns
-    monkeypatch.setattr(subspaces, "_flapack",
-                        lambda: time.sleep(0.02) or _flapack())
+    # the update is formed while the solve runs, here held back; the basis
+    # is still refused first, and nothing formed ahead of that warns
+    monkeypatch.setattr(subspaces, "_probes",
+                        lambda m: time.sleep(0.02) or core._probes(m))
     args = _failing_two_ways(case)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -744,22 +714,22 @@ def test_an_ill_conditioned_gram_on_a_nonsingular_basis_still_warns():
     assert caught[0].filename == __file__
 
 
-def test_a_loader_failure_on_the_second_thread_reaches_the_caller(
-        monkeypatch, tmp_path):
+def test_an_error_in_the_solve_on_the_second_thread_reaches_the_caller(
+        monkeypatch):
     _, calls = _threaded_calls("real-jordan-identity", 16)
-    # a scipy without the module, as in the loader's own test; the cache is
-    # cleared so the complementary update loads it again
-    monkeypatch.setattr(importlib.util, "find_spec",
-                        lambda name: types.SimpleNamespace(
-                            submodule_search_locations=[str(tmp_path)]))
-    _flapack.cache_clear()
+    ran_on, solve = [], np.linalg.solve
+
+    def failing(a, b):
+        if len(a) < 16:
+            return solve(a, b)
+        ran_on.append(threading.get_ident())
+        raise MemoryError("planted in the solve with [X_c X_f]")
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
     before = threading.active_count()
-    try:
-        with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack") as e:
-            calls[0]()
-    finally:
-        _flapack.cache_clear()
-    assert e.value.name == "scipy.linalg._flapack"
+    with pytest.raises(MemoryError, match="planted"):
+        calls[0]()
+    assert ran_on and threading.get_ident() not in ran_on
     assert threading.active_count() == before
 
 
@@ -781,8 +751,9 @@ def _complementary_case(arrangement, n):
     rng = np.random.default_rng(n)
     space = helpers.make_space(n, star, eps1, field, preset, rng)
     A = as_matrix(helpers.random_member(space, cls, seed=n), "A", space)
-    X_c, X_f, L_f = _closed_split(A, space, cls)
-    return [A, X_c, _compatible(X_c, space, cls, rng), X_f, L_f, space, cls]
+    X_c, X_f, L_f = helpers.closed_split(A, space, cls)
+    La = helpers.compatible_restriction(X_c, space, cls, rng)
+    return [A, X_c, La, X_f, L_f, space, cls]
 
 
 def _exact_residual(A, X, L):
@@ -892,6 +863,155 @@ def test_a_meets_no_block_of_more_than_eight_columns(monkeypatch,
 
 
 # ---------------------------------------------------------------------------
+# the nonsingularity of [X_c X_f], decided by 1 / (|X|_F |X^-T Omega|_F) on
+# the eight seeded probes: a column scaled to ten times past the threshold
+# is refused and one ten times inside it passes, whichever the column; an
+# exactly singular basis reads 0, a non-finite one is refused, the
+# estimate never warns and two calls read the same bits
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _basis_case(arrangement, n):
+    """``_complementary_case``, built once; copy an array to change it."""
+    return tuple(_complementary_case(arrangement, n))
+
+
+@pytest.fixture
+def basis_reads(monkeypatch):
+    """Runs preserve_complementary on its arguments: the value its
+    nonsingular_basis decision read (None when it refused before) and the
+    condition it refused with (None when it passed); neither thread warns."""
+    values, decide = [], subspaces._decide
+
+    def spy(condition, value, *args, **kwargs):
+        if condition == "nonsingular_basis":
+            values.append(value)
+        return decide(condition, value, *args, **kwargs)
+
+    monkeypatch.setattr(subspaces, "_decide", spy)
+
+    def read(args):
+        values.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                preserve_complementary(*args)
+                refused = None
+            except StructureError as e:
+                refused = e.condition
+        assert not caught, [str(w.message) for w in caught]
+        return (values.pop() if values else None), refused
+
+    return read
+
+
+def _estimate(X_c, X_f):
+    """The estimate, on a second thread as in the call; it records no
+    warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = core._Background(subspaces._basis_rcond, X_c, X_f).result()
+    assert not caught, [str(w.message) for w in caught]
+    return value
+
+
+def _scaled_column(X_c, X_f, X_inv, j, kappa):
+    """X_f with column j scaled so that ``kappa_F([X_c X_f]) = kappa``:
+    scaling column k of the basis by s scales row k of its inverse X_inv
+    by 1 / s."""
+    k = X_c.shape[1] + j
+    b, d = frob(X_f[:, j]) ** 2, frob(X_inv[k]) ** 2
+    a = frob(X_c) ** 2 + frob(X_f) ** 2 - b
+    c = frob(X_inv) ** 2 - d
+    # (a + b t)(c + d / t) = kappa^2 for t = s^2: the smaller root
+    e = kappa ** 2 - a * c - b * d
+    Y = X_f.copy()
+    Y[:, j] *= np.sqrt(2 * a * d / (e + np.sqrt(e * e - 4 * a * b * c * d)))
+    return Y
+
+
+RANK_TOL = ToleranceProfile().rank_tol
+
+
+@pytest.mark.parametrize("n", [128, 512])
+@pytest.mark.parametrize("arrangement", PROBED)
+def test_a_basis_ten_times_past_the_threshold_is_refused_and_inside_passes(
+        basis_reads, arrangement, n):
+    # the estimate on every column at n = 128 and on 16 at n = 512; the call
+    # itself on three of them
+    args = list(_basis_case(arrangement, n))
+    X_c, X_f = args[1], args[3]
+    X_inv = np.linalg.inv(np.hstack([X_c, X_f]))
+    m = X_f.shape[1]
+    rng = np.random.default_rng(n + 2)
+    cols = range(m) if n == 128 else rng.choice(m, 16, replace=False)
+    for i, j in enumerate(cols):
+        for ratio, passed in ((0.1, False), (10.0, True)):
+            Y = _scaled_column(X_c, X_f, X_inv, j, 1 / (ratio * RANK_TOL))
+            value = _estimate(X_c, Y)
+            assert (value > RANK_TOL) == passed, (j, ratio, value)
+            if i < 3:
+                args[3] = Y
+                assert basis_reads(args) == (
+                    value, None if passed else "nonsingular_basis")
+    # the scaling gives the condition number it aims at
+    assert np.linalg.cond(np.hstack([X_c, Y]), "fro") == pytest.approx(
+        0.1 / RANK_TOL, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [128, 512])
+@pytest.mark.parametrize("arrangement", PROBED)
+def test_a_zero_column_reads_zero_and_a_repeated_one_reads_below_u(
+        basis_reads, arrangement, n):
+    args = list(_basis_case(arrangement, n))
+    X_f, L_f = args[3].copy(), args[4].copy()
+    X_f[:, 1], L_f[1, 1] = X_f[:, 0], L_f[0, 0]
+    args[3], args[4] = X_f, L_f
+    # the LU meets a pivot of the order of rounding, and no exact zero
+    value, refused = basis_reads(args)
+    assert value <= _U and refused == "nonsingular_basis"
+    X_f = X_f.copy()
+    X_f[:, 1] = 0
+    args[3] = X_f
+    assert basis_reads(args) == (0.0, "nonsingular_basis")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "tiny column", "huge column"])
+@pytest.mark.parametrize("n", [128, 512])
+@pytest.mark.parametrize("arrangement", PROBED)
+def test_a_non_finite_or_overflowing_basis_is_refused(arrangement, n, bad):
+    # NaN in X_f is refused first as a residual (see above), and the
+    # estimate refuses it too; the main thread may warn on such data, the
+    # estimate does not
+    args = list(_basis_case(arrangement, n))
+    X_f = args[3].copy()
+    if bad in ("nan", "inf"):
+        X_f[5, 5] = float(bad)
+    else:
+        X_f[:, 1] *= 1e-300 if bad == "tiny column" else 1e300
+    args[3] = X_f
+    value = _estimate(args[1], X_f)
+    assert not value > RANK_TOL
+    assert value == 0 or np.isnan(value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(StructureError):
+            preserve_complementary(*args)
+
+
+@pytest.mark.parametrize("n", [128, 512])
+@pytest.mark.parametrize("arrangement", PROBED)
+def test_two_calls_read_the_same_bits(basis_reads, arrangement, n):
+    args = list(_basis_case(arrangement, n))
+    X_c, X_f = args[1], args[3]
+    X_inv = np.linalg.inv(np.hstack([X_c, X_f]))
+    args[3] = _scaled_column(X_c, X_f, X_inv, 3, 1 / RANK_TOL)
+    first, second = basis_reads(args), basis_reads(args)
+    assert first == second
+    assert first[0] == _estimate(X_c, args[3])
+
+
+# ---------------------------------------------------------------------------
 # H^-1 Z of a dense H started at the entry of every call with a parameter
 # Z: the bits of an inline run, refusals in their order, and the start
 # ahead of the family
@@ -906,13 +1026,13 @@ def _z_calls(arrangement, n=128):
     space = helpers.make_space(n, star, eps1, field, preset, rng)
     S = helpers.random_member(space, cls, seed=9)
     X = _data((n, 4), rng, field == "complex")
-    D = _compatible(X, space, cls, rng)
+    D = helpers.compatible_restriction(X, space, cls, rng)
     asm = ReassignmentAssembly(X_c=X.astype(complex),
                                Lambda_c=np.zeros((4, 4), dtype=complex),
                                Lambda_a=D.astype(complex), blocks=())
-    X_c = _closed_split(S, space, cls)[0]
+    X_c = helpers.closed_split(S, space, cls)[0]
     L_c = np.linalg.pinv(X_c) @ S @ X_c
-    La = _compatible(X_c, space, cls, rng)
+    La = helpers.compatible_restriction(X_c, space, cls, rng)
     Z = sample_structured(space, cls, seed=6)
     fam = map_family(X, S @ X, space, cls)
     return space, {
@@ -969,7 +1089,7 @@ def test_refusals_keep_their_order_beside_h_solve_z(monkeypatch):
     rng = np.random.default_rng(4)
     S = helpers.random_member(space, cls, seed=9)
     X = _data((n, 2), rng, True)
-    D = _compatible(X, space, cls, rng)
+    D = helpers.compatible_restriction(X, space, cls, rng)
     bad_z = _data((n, n), rng, True)
     # infeasible data is refused before the inadmissible Z
     assert _refusal(lambda: solve_structured(

@@ -648,21 +648,45 @@ def _lu_reference(G, RHS):
     return Y + scipy.linalg.lu_solve(lu, RHS - G @ Y)
 
 
+_U = np.finfo(float).eps / 2
+
+
+def _draw(rng, field, *shape):
+    M = rng.standard_normal(shape)
+    return M + 1j * rng.standard_normal(shape) if field == "complex" else M
+
+
 class TestGramInverseApply:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("p", [1, 2, 4, 64])
     def test_matches_the_scipy_lu_reference(self, p, field, rng):
-        def draw(*shape):
-            M = rng.standard_normal(shape)
-            return M + 1j * rng.standard_normal(shape) if field == "complex" else M
-        G = draw(p, p) + p * np.eye(p) / 4
-        RHS = draw(p, 3 * p + 5)
-        Y, cond = subspaces.gram_inverse_apply(G, RHS)
+        G = _draw(rng, field, p, p) + p * np.eye(p) / 4
+        RHS = _draw(rng, field, p, 3 * p + 5)
+        Y = subspaces.gram_inverse_apply(G, RHS)
         want = _lu_reference(G, RHS)
         assert Y.dtype == want.dtype
         assert (np.linalg.norm(Y - want)
-                <= 1e-12 * cond * np.linalg.norm(want))
-        assert cond == float(np.real(np.linalg.cond(G, 1)))
+                <= 1e-12 * np.linalg.cond(G, 1) * np.linalg.norm(want))
+
+    @pytest.mark.parametrize("graded", [False, True])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("p", [0, 1, 2, 4, 64])
+    def test_the_update_takes_the_condition_from_its_inverse(self, p, field,
+                                                            graded, rng):
+        # numpy's cond(G, 1) is |G|_1 |inv(G)|_1; the update takes it from
+        # the G^-1 it applies, which is as accurate as inv(G), so the two
+        # agree to kappa u relative (4 kappa u: the norms and their product
+        # round as well); graded, G has singular values from 1 to 1e-8
+        G = _draw(rng, field, p, p) + p * np.eye(p) / 4
+        if graded:
+            Q = np.linalg.qr(_draw(rng, field, p, p))[0]
+            G = (Q * np.logspace(0, -8, p)) @ Q.conj().T
+        X = np.eye(p + 1, p)
+        singular, _, cond = subspaces._no_spillover_update(G, X, X, X.T,
+                                                           1e-12)
+        assert singular.passed
+        want = np.linalg.cond(G, 1) if p else 1.0
+        assert abs(cond - want) <= 4 * want * _U * want
 
     def test_ill_conditioned_gram_still_warns(self):
         # X_c spans the invariant plane of the double eigenvalue 1 through
