@@ -43,6 +43,8 @@ def brauer_update(A, x_k, lambda_k, q):
     n = A.shape[0]
     x_k = _as_vector(x_k, n, "x_k")
     q = _as_vector(q, n, "q")
+    _check_full_column_rank(x_k[:, None], DEFAULT_RANK_TOL, "rank",
+                            "eigenvector x_k is zero")
     _check_invariant_pair(A, x_k[:, None], np.array([[lambda_k]]), EIGPAIR_TOL,
                           "eigenpair (lambda_k, x_k)", "eigenpair_residual")
     return A + np.outer(x_k, q)

@@ -31,6 +31,7 @@ from .core import (
     ToleranceProfile,
     _decide,
     _real_apply,
+    _require_finite,
     as_matrix,
     frob,
     is_member,
@@ -264,6 +265,7 @@ def _fmt_complex(z):
 def cmd_inspect(args) -> int:
     job, tol, A, space, cls = _load_problem(args)
     n = A.shape[0]
+    _require_finite(A, "A")
 
     res = structure_residual(A, space, cls)
     member = is_member(A, space, cls)
@@ -346,6 +348,7 @@ def _match_eigvecs(A, currents):
     nearest-first pass can take the eigenvalue a later current needs); each
     pair must lie within ``MATCH_TOL`` times the spectral scale.
     """
+    _require_finite(A, "A")
     w, V = np.linalg.eig(np.asarray(A, dtype=complex))
     scale = max(1.0, float(np.max(np.abs(w))))
     rows, cols, dist = _assign_multisets(np.asarray(currents, dtype=complex), w)
@@ -362,9 +365,15 @@ def _match_eigvecs(A, currents):
 
 
 def _fixed_residual(perturbed, X_f, L_f) -> float:
-    """``|(A + delta) X_f - X_f L_f|`` of the job's fixed pair."""
-    X_f = as_matrix(X_f, "X_f")
-    return frob(_real_apply(perturbed, X_f) - X_f @ as_matrix(L_f, "Lambda_f"))
+    """``|(A + delta) X_f - X_f L_f|`` of the job's fixed pair, an n x m
+    fixed_basis and an m x m fixed_lambda."""
+    X_f, L_f = as_matrix(X_f, "X_f"), as_matrix(L_f, "Lambda_f")
+    n, m = len(perturbed), X_f.shape[1]
+    if X_f.shape[0] != n:
+        raise FormatError(f"fixed_basis must have {n} rows, got {X_f.shape}")
+    if L_f.shape != (m, m):
+        raise FormatError(f"fixed_lambda must be {m} x {m}, got {L_f.shape}")
+    return frob(_real_apply(perturbed, X_f) - X_f @ L_f)
 
 
 def cmd_reassign(args) -> int:

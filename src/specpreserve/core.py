@@ -490,14 +490,21 @@ def pseudoinverse(X, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return np.linalg.pinv(X, rcond=rank_tol)
 
 
+def _require_finite(M, name, what="eigenvalues"):
+    """Refuse an M with a NaN or infinite entry, which has no SVD and no
+    eigenvalues, with an ArgumentError naming it."""
+    if not _has_svd(M):
+        raise ArgumentError(
+            f"{name} has a NaN or infinite entry, so no {what}")
+
+
 def numerical_rank(X, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count of singular values above ``rank_tol * sigma_max``, taken in the
     field of X; an X with a NaN or infinite entry raises ArgumentError."""
     X = as_matrix(X, "X")
     if X.size == 0:
         return 0
-    if not _has_svd(X):
-        raise ArgumentError("X has a NaN or infinite entry, so no SVD")
+    _require_finite(X, "X", "SVD")
     s = np.linalg.svd(X, compute_uv=False)
     return int(np.count_nonzero(s > rank_tol * s[0]))
 
@@ -569,25 +576,6 @@ def _gram_compatibility(G, L, space, cls,
                    space.structure_tol * max(1.0, frob(G) * frob(L)))
 
 
-def _bandwidth(L) -> tuple[int, int]:
-    """The lower and upper bandwidth of a square L: the largest ``i - j``
-    and ``j - i`` over its nonzero entries (a NaN counts as nonzero), 0 when
-    there are none.  Read from the first and last nonzero of each row in
-    O(m^2) boolean passes; nonzero corners end it at once."""
-    m = len(L)
-    if m == 0:
-        return 0, 0
-    if L[-1, 0] != 0 and L[0, -1] != 0:
-        return m - 1, m - 1
-    nz = L != 0
-    i = np.arange(m)
-    first = nz.argmax(axis=1)
-    last = m - 1 - nz[:, ::-1].argmax(axis=1)
-    rows = nz[i, first]
-    return (int(np.max(np.where(rows, i - first, 0))),
-            int(np.max(np.where(rows, last - i, 0))))
-
-
 _PROBES = 8
 _PROBE_SEED = 20110503
 
@@ -601,16 +589,17 @@ def _probes(m):
 
 
 def _check_invariant_pair(A, X, L, tol, what, condition="invariant_pair_residual",
-                          *, AX=None, norm_A=None):
+                          *, AX=None):
     """Raise unless ``A X = X L`` holds to the relative residual
     ``|A X - X L| / (|A| |X|)`` at most tol.
 
-    A caller that already has ``A X`` or ``|A|_F`` passes it, and ``A X``
-    is judged exactly.  Otherwise an X of m > _PROBES columns is judged by
-    ``|(A X - X L) Omega|_F`` for ``Omega = _probes(m)``, whose expected
-    square is ``|A X - X L|_F^2``: ``A (X Omega) - X (L Omega)`` costs O(n^2) per
-    probe, not the n x n x m product ``A X`` (Freivalds 1977; Halko,
-    Martinsson & Tropp, SIAM Review 53, 2011, sec. 4.3).  The estimate
+    A caller that already has ``A X`` passes it and is judged exactly;
+    ``|A|_F`` is taken on every call.  Otherwise an X of m > _PROBES
+    columns is judged by ``|(A X - X L) Omega|_F`` for
+    ``Omega = _probes(m)``, whose expected square is ``|A X - X L|_F^2``:
+    ``A (X Omega) - X (L Omega)`` costs O(n^2) per probe, not the
+    n x n x m product ``A X`` (Freivalds 1977; Halko, Martinsson & Tropp,
+    SIAM Review 53, 2011, sec. 4.3).  The estimate
     falls below a tenth of the residual with probability at most
     ``P(chi2_8 <= 0.08) = 1.03e-7`` (a rank-one residual is the worst
     case), so a residual ten times tol passes no more often than that.  At
@@ -620,8 +609,7 @@ def _check_invariant_pair(A, X, L, tol, what, condition="invariant_pair_residual
         residual = frob(_real_apply(A, X @ Om) - X @ (L @ Om))
     else:
         residual = frob((_real_apply(A, X) if AX is None else AX) - X @ L)
-    norm_A = frob(A) if norm_A is None else norm_A
-    _decide(condition, residual / max(norm_A * frob(X), 1e-300), tol).require(
+    _decide(condition, residual / max(frob(A) * frob(X), 1e-300), tol).require(
         f"{what} fails", "relative residual")
 
 

@@ -37,6 +37,7 @@ from .core import (
     _decide,
     _normalize_star,
     _real_apply,
+    _require_finite,
     _square,
     _star,
     _star_h,
@@ -283,6 +284,8 @@ def spectrum_multiset_compare(A, B, tol: float = 1e-8) -> SpectrumVerdict:
         raise ArgumentError(
             f"oracle limited to n <= {oracle_dim_limit()} "
             f"(set {ORACLE_NMAX_ENV} to raise)")
+    _require_finite(A, "A")
+    _require_finite(B, "B")
     ea, slack_a = _eigenvalues(A, tol, [], "A")
     eb, slack_b = _eigenvalues(B, tol, [], "B")
     return _compare_spectra(ea, eb, tol, slack_a + slack_b)

@@ -31,6 +31,7 @@ from .core import (
     _check_invariant_pair,
     _decide,
     _normalize_star,
+    _require_finite,
     _square,
     as_matrix,
     frob,
@@ -552,15 +553,17 @@ def extract_jordan_pairs(A, tol: ToleranceProfile = ToleranceProfile()) -> list:
     the default tolerance accommodates chains up to length four or five;
     distinct eigenvalues closer than the tolerance get merged, so keep
     instances well separated relative to it.  A is limited to
-    ``MAX_EXTRACT_DIM`` rows.
+    ``MAX_EXTRACT_DIM`` rows; an empty A has no pairs, and one with a NaN
+    or infinite entry raises ArgumentError.
     """
     A = as_matrix(A, "A", shape=_square(A))
     n = A.shape[0]
     if n > MAX_EXTRACT_DIM:
         raise ArgumentError(f"Jordan extraction is desk-scale only "
                             f"(n <= {MAX_EXTRACT_DIM}), got {n}")
+    _require_finite(A, "A")
     eigs = np.linalg.eigvals(np.asarray(A, dtype=complex))
-    scale = max(1.0, float(np.max(np.abs(eigs))))
+    scale = float(np.max(np.abs(eigs), initial=1.0))
 
     # cluster by connected components at CLUSTER_TOL * scale
     order = np.argsort(eigs.real + 1e-9 * eigs.imag, kind="stable")

@@ -56,6 +56,13 @@ class TestBrauerUpdate:
         with pytest.raises(StructureError):
             classical.brauer_update(A, S[:, 0] + 0.5, w[0], np.zeros(4))
 
+    def test_zero_eigenvector_rejected(self, rng):
+        # a zero x_k has relative residual 0 / 0 and is no eigenvector
+        A, w, _ = _diagonalizable(4, rng)
+        with pytest.raises(StructureError, match="x_k is zero") as e:
+            classical.brauer_update(A, np.zeros(4), w[0], np.ones(4))
+        assert e.value.condition == "rank"
+
 
 class TestBrauerShift:
     def test_mu_equals_lambda(self, rng):

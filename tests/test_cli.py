@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 import specpreserve
@@ -20,6 +22,9 @@ def _run(*argv):
     return main(list(argv))
 
 
+JOBS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "jobs")
+
+
 def _copy_job(jobs_dir, name, tmp_path):
     src = os.path.join(jobs_dir, name)
     dst = tmp_path / name
@@ -28,6 +33,19 @@ def _copy_job(jobs_dir, name, tmp_path):
 
 
 SCIPY_SUBMODULES = ("scipy.linalg", "scipy.optimize")
+
+
+NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+def _set_entry(path, k, value):
+    """Set the real part of the k-th entry of a matrix file to value; json
+    writes a NaN or infinity as a bare literal."""
+    payload = json.loads(path.read_text())
+    entry = payload["data"][k]
+    payload["data"][k] = ([value, entry[1]] if isinstance(entry, list)
+                          else value)
+    path.write_text(json.dumps(payload))
 
 
 def _modules_loaded_by(code, modules=SCIPY_SUBMODULES):
@@ -357,6 +375,19 @@ class TestInspect:
             report = json.loads((tmp_path / "out" / "inspect.json").read_text())
             assert report["member"] is True and report["field"] == field
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_matrix_exits_2(self, jobs_dir, tmp_path, capsys,
+                                       value):
+        # the matrix reader takes a bare NaN or Infinity; A has no
+        # eigenvalues then
+        d = _copy_job(jobs_dir, "jordan5", tmp_path)
+        _set_entry(d / "A.json", 7, value)
+        assert _run("inspect", str(d / "job.json")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: A has a NaN or infinite entry, so no "
+                                "eigenvalues\n")
+
     def test_non_member_reported_without_error(self, tmp_path, rng, capsys):
         A = rng.standard_normal((4, 4))
         matio.save_matrix(tmp_path / "A.json", A)
@@ -494,6 +525,40 @@ class TestReassign:
                "targets": [{"current": [123.0, 0.0], "target": [1.0, 0.0]}]}
         (tmp_path / "job.json").write_text(json.dumps(job))
         assert _run("reassign", str(tmp_path / "job.json")) == 2
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_matrix_without_eigvecs_exits_2(self, jobs_dir,
+                                                       tmp_path, capsys,
+                                                       value):
+        # the eigenvectors are matched from eig(A), which A does not have
+        d = _copy_job(jobs_dir, "jordan5", tmp_path)
+        _set_entry(d / "A.json", 7, value)
+        job = json.loads((d / "job.json").read_text())
+        del job["eigvecs"]
+        (d / "job.json").write_text(json.dumps(job))
+        assert _run("reassign", str(d / "job.json")) == 2
+        assert capsys.readouterr().err == (
+            "error: A has a NaN or infinite entry, so no eigenvalues\n")
+
+    @pytest.mark.parametrize("key, payload, message", [
+        ("fixed_basis", {"rows": 3, "cols": 2, "field": "real",
+                         "data": [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]},
+         "fixed_basis must have 5 rows, got (3, 2)"),
+        ("fixed_lambda", [[-6.2804, 0.0]],
+         "fixed_lambda must be 2 x 2, got (1, 1)"),
+    ], ids=["fixed_basis", "fixed_lambda"])
+    def test_fixed_pair_of_the_wrong_shape_exits_3(self, jobs_dir, tmp_path,
+                                                   capsys, key, payload,
+                                                   message):
+        d = _copy_job(jobs_dir, "jordan5", tmp_path)
+        job = json.loads((d / "job.json").read_text())
+        if key == "fixed_basis":
+            (d / "Xf.json").write_text(json.dumps(payload))
+        else:
+            job[key] = payload
+        (d / "job.json").write_text(json.dumps(job))
+        assert _run("reassign", str(d / "job.json")) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_job_file_exits_3(self):
         assert _run("reassign", "/nonexistent/job.json") == 3
@@ -857,3 +922,94 @@ class TestFlags:
         err = capsys.readouterr().err
         assert ("complete_pairing" in err) == (code == 3)
         assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# malformed jobs
+# ---------------------------------------------------------------------------
+
+SHAPED_KEYS = ("eigvecs", "fixed_basis", "basis")
+ODD_VALUES = (None, True, 7, -2.5, "x", [], [1, 2], {}, {"a": 1})
+
+
+def _job_of(name):
+    path = os.path.join(JOBS_DIR, name, "job.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _resized(payload, drop_row=None, drop_col=None, transpose=False):
+    """A matrix payload without one row or column, or transposed."""
+    rows, cols = payload["rows"], payload["cols"]
+    grid = [payload["data"][i * cols:(i + 1) * cols] for i in range(rows)]
+    if drop_row is not None:
+        del grid[drop_row % rows]
+    if drop_col is not None:
+        grid = [r[:drop_col % cols] + r[drop_col % cols + 1:] for r in grid]
+    if transpose:
+        grid = [list(c) for c in zip(*grid)]
+    return dict(payload, rows=len(grid), cols=len(grid[0]),
+                data=[v for r in grid for v in r])
+
+
+@st.composite
+def _malformed_jobs(draw):
+    """(command, job name, mutation): one matrix entry NaN or infinite, a
+    matrix file short of a row, a basis file of the wrong shape, or a job
+    or recipe field set to a value of any JSON type."""
+    command, name = draw(st.sampled_from(SHIPPED_COMMANDS))
+    job = _job_of(name)
+    files = sorted({v.partition(":")[2] or v for v in job.values()
+                    if isinstance(v, str) and v.endswith(".json")})
+    shaped = [k for k in SHAPED_KEYS if k in job]
+    kinds = (["field"] + ["entry", "row"] * bool(files)
+             + ["shape"] * bool(shaped))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "entry":
+        return command, name, (kind, draw(st.sampled_from(files)),
+                               draw(st.integers(0, 5)),
+                               draw(st.sampled_from(NON_FINITE)))
+    if kind == "row":
+        return command, name, (kind, draw(st.sampled_from(files)),
+                               draw(st.integers(0, 5)))
+    if kind == "shape":
+        return command, name, (kind, job[draw(st.sampled_from(shaped))],
+                               draw(st.integers(0, 5)), draw(st.booleans()))
+    fields = [k for k in job if k != "command"]
+    fields += [f"recipe.{k}" for k in job.get("recipe", {})]
+    return command, name, (kind, draw(st.sampled_from(fields)),
+                           draw(st.sampled_from(ODD_VALUES)))
+
+
+def _mutate(d, mutation):
+    """Apply a mutation of ``_malformed_jobs`` to the job copied to d."""
+    kind, target, *rest = mutation
+    if kind == "entry":
+        return _set_entry(d / target, *rest)
+    path = d / ("job.json" if kind == "field" else target)
+    payload = json.loads(path.read_text())
+    if kind == "field":
+        *outer, key = target.split(".")
+        (payload[outer[0]] if outer else payload)[key] = rest[0]
+    elif kind == "row":
+        payload = _resized(payload, drop_row=rest[0])
+    else:
+        j, transpose = rest
+        payload = _resized(payload, drop_col=None if transpose else j,
+                           transpose=transpose)
+    path.write_text(json.dumps(payload))
+
+
+@given(case=_malformed_jobs())
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+def test_a_malformed_job_exits_with_a_documented_code(case, tmp_path_factory):
+    # 0 success, 2 a violated precondition, 3 format trouble: never a
+    # traceback
+    command, name, mutation = case
+    d = _copy_job(JOBS_DIR, name, tmp_path_factory.mktemp("job"))
+    _mutate(d, mutation)
+    try:
+        code = _run(command, str(d / "job.json"))
+    except SystemExit as e:
+        code = e.code
+    assert code in (0, 2, 3)

@@ -21,7 +21,6 @@ from specpreserve import (
     z_symmetry_residual,
 )
 from specpreserve.core import (
-    _bandwidth,
     _check_invariant_pair,
     _decide,
     _real_apply,
@@ -417,22 +416,6 @@ def _pair_outcome(A, X, L, tol):
 
 
 class TestInvariantPairCheck:
-    @pytest.mark.parametrize("kind", SHAPES)
-    def test_bandwidth_of_each_shape(self, kind):
-        rng = np.random.default_rng([7, len(kind)])
-        assert _bandwidth(_band_matrix(kind, "real", rng)) == BANDS[kind]
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_bandwidth_matches_nonzero_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(1, 9))
-        L = np.where(rng.random((m, m)) < 0.2, rng.standard_normal((m, m)), 0)
-        if seed % 3 == 0:
-            L[rng.integers(m), rng.integers(m)] = np.nan  # counts as nonzero
-        i, j = np.nonzero(L)
-        assert _bandwidth(L) == (max([0, *(i - j)]), max([0, *(j - i)]))
-        assert _bandwidth(np.zeros((0, 0))) == (0, 0)
-
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("kind", SHAPES)
     def test_decisions_match_the_exact_residual(self, kind, field):

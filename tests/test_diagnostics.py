@@ -95,6 +95,18 @@ class TestSpectrumCompare:
         with pytest.raises(ArgumentError):
             spectrum_multiset_compare(np.eye(5), np.eye(5))
 
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_is_refused(self, side, value):
+        from specpreserve import ArgumentError
+        M = np.eye(3)
+        M[0, 1] = value
+        A, B = (M, np.eye(3)) if side == "A" else (np.eye(3), M)
+        with pytest.raises(ArgumentError,
+                           match=f"{side} has a NaN or infinite entry, so no "
+                                 "eigenvalues"):
+            spectrum_multiset_compare(A, B)
+
     def test_oracle_bound_default(self, monkeypatch):
         monkeypatch.delenv("SPECPRESERVE_ORACLE_NMAX", raising=False)
         assert oracle_dim_limit() == 64

@@ -787,19 +787,19 @@ def test_a_fixed_column_ten_times_off_is_refused_and_a_tenth_passes(
     for j in cols:
         for ratio, passed in ((10.0, False), (0.1, True)):
             X = _off_by(A, X_f, L_f, j, ratio, rng)
-            outcome = _pair_outcome(A, X, L_f, frob(A))
+            outcome = _pair_outcome(A, X, L_f)
             assert outcome == ("invariant_pair_residual", passed), (j, ratio)
             if j in cols[:3]:
                 args[3] = X
                 assert _complementary_outcome(args) == outcome
 
 
-def _pair_outcome(A, X, L, norm_A):
+def _pair_outcome(A, X, L):
     """(condition, passed) of the fixed pair's check in
     preserve_complementary."""
     try:
         core._check_invariant_pair(A, X, L, ToleranceProfile().eig_tol,
-                                   "A X_f = X_f Lambda_f", norm_A=norm_A)
+                                   "A X_f = X_f Lambda_f")
     except StructureError as e:
         return e.condition, False
     return "invariant_pair_residual", True

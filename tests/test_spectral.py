@@ -144,6 +144,19 @@ class TestExtractJordanPairs:
         with pytest.raises(ArgumentError):
             extract_jordan_pairs(np.eye(70))
 
+    def test_empty_matrix_has_no_pairs(self):
+        assert extract_jordan_pairs(np.zeros((0, 0))) == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_is_refused(self, value):
+        from specpreserve import ArgumentError
+        A = np.eye(3)
+        A[1, 2] = value
+        with pytest.raises(ArgumentError,
+                           match="A has a NaN or infinite entry, so no "
+                                 "eigenvalues"):
+            extract_jordan_pairs(A)
+
 
 # Jordan structures (value, chain lengths) with chains up to length 4, each
 # hidden by a seeded similarity

@@ -454,6 +454,30 @@ def _jordan_fixed_case():
     return inst, X_c, np.hstack(list(chains.values())), L_f
 
 
+# m x m fixed blocks with real distinct eigenvalues, by the triangles
+# their nonzero entries take
+FIXED_SHAPES = ["diagonal", "upper_bidiagonal", "lower_bidiagonal",
+                "upper_dense", "lower_dense", "lower_corner", "tridiagonal",
+                "corners", "dense"]
+
+
+def _fixed_block(shape, m, rng):
+    """A T of the named shape with real distinct eigenvalues: S + S^T for
+    a symmetric shape, else the diagonal 1..m with entries in a triangle."""
+    R = rng.standard_normal((m, m))
+    band = np.triu(np.tril(R, 1), -1)
+    corner = np.zeros((m, m))
+    corner[-1, 0] = 1.0
+    if shape in ("tridiagonal", "corners", "dense"):
+        S = {"tridiagonal": band, "corners": np.diag(np.diag(R)) + corner,
+             "dense": R}[shape]
+        return S + S.T
+    off = {"diagonal": 0 * R, "upper_bidiagonal": np.triu(band, 1),
+           "lower_bidiagonal": np.tril(band, -1), "upper_dense": np.triu(R, 1),
+           "lower_dense": np.tril(R, -1), "lower_corner": corner}[shape]
+    return np.diag(np.arange(1.0, m + 1)) + off
+
+
 class TestFixedSpectrum:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("lower", [False, True])
@@ -471,13 +495,42 @@ class TestFixedSpectrum:
                 np.sort_complex(np.diagonal(T)),
                 np.sort_complex(np.linalg.eigvals(T)))
 
-    def test_jordan_fixed_block_takes_no_eigvals(self, monkeypatch):
+    @pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
+    def test_jordan_fixed_block_takes_no_eigvals(self, monkeypatch, lower):
         inst, X_c, X_f, L_f = _jordan_fixed_case()
+        if lower:
+            # the chains in reverse order: Lambda_f is lower bidiagonal
+            X_f, L_f = X_f[:, ::-1], L_f[::-1, ::-1]
+            assert np.tril(L_f, -1).any() and not np.triu(L_f, 1).any()
         shapes = []
         helpers.lapack_spy(monkeypatch, shapes)
         subspaces.preserve_complementary(inst.A, X_c, np.array([[3.5]]), X_f,
                                          L_f, inst.space, inst.cls)
         assert [s for name, s in shapes if name == "eigvals"] == [(1, 1)]
+
+    @pytest.mark.parametrize("shape", FIXED_SHAPES)
+    def test_only_a_fixed_block_with_both_triangles_takes_eigvals(
+            self, monkeypatch, shape):
+        # A = Q diag(100, eig(T)) Q^T has the fixed pair (Q_f W^-1, T) for
+        # T = W diag(eig(T)) W^-1; its update is that of (Q_f, diag(eig(T)))
+        rng = np.random.default_rng([12, len(shape)])
+        T = _fixed_block(shape, 12, rng)
+        w, W = np.linalg.eig(T)
+        assert not np.iscomplexobj(w)
+        Q = np.linalg.qr(rng.standard_normal((13, 13)))[0]
+        A = Q @ np.diag(np.r_[100.0, w]) @ Q.T
+        space = ScalarProductSpace.identity(13, field="real")
+        args = (A, Q[:, :1], np.array([[101.0]]))
+        plain = subspaces.preserve_complementary(*args, Q[:, 1:], np.diag(w),
+                                                 space, "jordan")
+        shapes = []
+        helpers.lapack_spy(monkeypatch, shapes)
+        delta = subspaces.preserve_complementary(
+            *args, Q[:, 1:] @ np.linalg.inv(W), T, space, "jordan")
+        triangular = not (np.tril(T, -1).any() and np.triu(T, 1).any())
+        assert ((12, 12) in [s for name, s in shapes if name == "eigvals"]
+                ) == (not triangular)
+        np.testing.assert_allclose(delta, plain, atol=1e-9 * np.linalg.norm(A))
 
     def test_dense_fixed_block_still_takes_eigvals(self, monkeypatch):
         inst, X_c, X_f, L_f = _jordan_fixed_case()
