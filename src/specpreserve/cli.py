@@ -196,11 +196,19 @@ def _resolve_class(job, args) -> StructureClass:
     return StructureClass.parse(value)
 
 
+def _seed(args, raw):
+    """--seed, else raw (the job's seed): a non-negative integer, or a
+    FormatError naming it."""
+    seed = args.seed if args.seed is not None else _number(raw, int, "seed")
+    if seed < 0:
+        raise FormatError(f"bad seed {seed}: expected a non-negative integer")
+    return seed
+
+
 def _resolve_z(job, args, space, cls):
     # the seed is read even for a Z that is not random, so a malformed one
     # is always refused
-    seed = args.seed if args.seed is not None else _number(
-        job.get("seed", 0), int, "seed")
+    seed = _seed(args, job.get("seed", 0))
     raw = args.z if args.z is not None else job.get("z", "zero")
     if isinstance(raw, dict):
         if "file" in raw:
@@ -364,15 +372,24 @@ def _match_eigvecs(A, currents):
     return vecs
 
 
-def _fixed_residual(perturbed, X_f, L_f) -> float:
-    """``|(A + delta) X_f - X_f L_f|`` of the job's fixed pair, an n x m
-    fixed_basis and an m x m fixed_lambda."""
-    X_f, L_f = as_matrix(X_f, "X_f"), as_matrix(L_f, "Lambda_f")
-    n, m = len(perturbed), X_f.shape[1]
+def _fixed_pair(job, n):
+    """The job's supplied fixed pair, an n x m fixed_basis and an m x m
+    fixed_lambda, or None when it names no fixed_basis."""
+    if job.get("fixed_basis") is None:
+        return None
+    X_f = as_matrix(_job_matrix(job, "fixed_basis"), "X_f")
+    L_f = as_matrix(_load_lambda(job, job.get("fixed_lambda"), "fixed_lambda"),
+                    "Lambda_f")
+    m = X_f.shape[1]
     if X_f.shape[0] != n:
         raise FormatError(f"fixed_basis must have {n} rows, got {X_f.shape}")
     if L_f.shape != (m, m):
         raise FormatError(f"fixed_lambda must be {m} x {m}, got {L_f.shape}")
+    return X_f, L_f
+
+
+def _fixed_residual(perturbed, X_f, L_f) -> float:
+    """``|(A + delta) X_f - X_f L_f|`` of a fixed pair of ``_fixed_pair``."""
     return frob(_real_apply(perturbed, X_f) - X_f @ L_f)
 
 
@@ -400,16 +417,14 @@ def cmd_reassign(args) -> int:
         mode = "family" if Z is not None else "no-spillover"
     elif not isinstance(mode, str):
         raise FormatError(f"bad mode {mode!r}: expected a string")
+    fixed = _fixed_pair(job, n)
     result = reassign_simple(
         A, list(zip(currents, vecs)), targets, space, cls, Z=Z, mode=mode,
         complete_pairing=args.complete_pairing or bool(complete), tol=tol)
 
     rep = result.report
-    fixed_supplied = None
-    if job.get("fixed_basis") is not None:
-        fixed_supplied = _fixed_residual(
-            A + result.delta, _job_matrix(job, "fixed_basis"),
-            _load_lambda(job, job.get("fixed_lambda"), "fixed_lambda"))
+    fixed_supplied = (None if fixed is None
+                      else _fixed_residual(A + result.delta, *fixed))
 
     if rep.spillover_residual is not None:
         fixed_row = ("spillover residual", f"{rep.spillover_residual:.6e}")
@@ -492,28 +507,42 @@ def cmd_invariant(args) -> int:
     return 0
 
 
+def _recipe_plan(raw):
+    """The PlanGroups of a recipe's plan, a list of ``{value, chains}``
+    objects, or a FormatError naming the field at fault."""
+    plan = raw.get("plan")
+    if not isinstance(plan, list):
+        raise FormatError(f"bad recipe plan {plan!r}: expected a list of "
+                          "{value, chains} objects")
+    groups = []
+    for g in plan:
+        if not (isinstance(g, dict) and isinstance(g.get("chains"), list)):
+            raise FormatError(f"bad recipe plan entry {g!r}: expected "
+                              "{value, chains} with a list of chains")
+        try:
+            value = matio.complex_from_pair(g.get("value"))
+        except FormatError as e:
+            raise FormatError(f"bad recipe plan value: {e}") from None
+        groups.append(PlanGroup(value, tuple(
+            _number(k, int, "chain length") for k in g["chains"])))
+    return tuple(groups)
+
+
 def cmd_gen(args) -> int:
     job = _load_job(args.job)
     raw = job.get("recipe")
     if not isinstance(raw, dict):
         raise FormatError("gen needs a 'recipe' object")
-    try:
-        plan = tuple(
-            PlanGroup(matio.complex_from_pair(g["value"]),
-                      tuple(_number(k, int, "chain length") for k in g["chains"]))
-            for g in raw["plan"])
-        recipe = InstanceRecipe(
-            space_kind=raw.get("space", "random"),
-            cls=raw.get("class", "jordan"),
-            field=raw.get("field", "complex"),
-            star=raw.get("star", "ct" if raw.get("field") != "real" else "t"),
-            plan=plan,
-            seed=args.seed if args.seed is not None else _number(
-                raw.get("seed", 0), int, "seed"),
-            eps1=_number(raw.get("eps1", 0), int, "eps1"),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"malformed recipe: {e}") from e
+    plan = _recipe_plan(raw)
+    recipe = InstanceRecipe(
+        space_kind=raw.get("space", "random"),
+        cls=raw.get("class", "jordan"),
+        field=raw.get("field", "complex"),
+        star=raw.get("star", "ct" if raw.get("field") != "real" else "t"),
+        plan=plan,
+        seed=_seed(args, raw.get("seed", 0)),
+        eps1=_number(raw.get("eps1", 0), int, "eps1"),
+    )
 
     inst = generate_instance(recipe)
     res = structure_residual(inst.A, inst.space, inst.cls)

@@ -1,7 +1,10 @@
 """Independent verification oracle and structured test-instance generation.
 
 Nothing here reuses the perturbation constructors: spectra come from a
-dense eigenvalue solver, residuals from direct multiplication, the
+dense eigenvalue solver, residuals from direct multiplication, the rank
+and structure residual of an update from a seeded sketch of it or, past
+eight columns when the sketch fails, from the eight seeded probes of
+``core._probes`` (a full-rank certificate and a probed residual), the
 no-spillover claim from a randomized annihilation identity, and generated
 instances are built from exact canonical blocks conjugated by exact
 automorphisms of the form, so the oracle genuinely cross-checks the
@@ -34,8 +37,11 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
+    _PROBES,
     _decide,
     _normalize_star,
+    _probes,
+    _rcond_estimate,
     _real_apply,
     _require_finite,
     _square,
@@ -401,7 +407,7 @@ def _rank_and_structure(delta, space, cls, k, rank_tol, notes):
     column rank (``sigma_min(R) > rank_tol sigma_max(R)``, from the
     condition number of the k x k R), delta has rank at least k, beyond the
     rank bound 2p < k of every update the sketch is sized for, so it goes
-    straight to the full path (noted).  Otherwise the sketch is accepted when
+    straight to the fallback (noted).  Otherwise the sketch is accepted when
     the ``sketch_residual`` gate ``||delta - Q B||_F <= 256 u ||delta||_F``
     passes; delta_rank is then the rank of the k x n matrix B, and the
     structure residual that of ``Q B``:
@@ -409,9 +415,21 @@ def _rank_and_structure(delta, space, cls, k, rank_tol, notes):
     of ``[Q* H; -e2 B]`` times the triangular factor of a thin QR of the
     n x 2k left factor, with ``H^-1`` applied by ``space.h_solve`` to its
     n x k block (a product with the inverse a dense H gets once per space).
-    That is O(n^2 k) with no n x n factorization of delta.  When k >= n, or
-    the sketch is refused or rejected (noted), the full SVD and
-    ``structure_residual`` answer.
+    That is O(n^2 k) with no n x n factorization of delta.
+
+    The fallback takes k >= n, and a sketch refused or rejected (noted).
+    At most _PROBES columns, the full SVD and ``structure_residual``
+    answer, to the bit.  Past that, the eight seeded probes
+    ``Omega = core._probes(n)`` answer.  The ``full_rank_certificate``
+    decision passes when ``core._rcond_estimate(delta)``, one solve with
+    eight right-hand sides, exceeds ``10 rank_tol``; then
+    ``sigma_n / sigma_1 >= 1 / kappa_F > rank_tol`` and delta_rank is n,
+    except with probability at most ``P(chi2_8 <= 0.08) = 1.03e-7``
+    (Dixon, SIAM J. Numer. Anal. 20, 1983).  When it fails, the full SVD
+    gives the rank.  The structure residual is estimated as
+    ``|H^-1 delta* H Omega - e2 delta Omega|_F``, whose expected square is
+    the exact residual's: O(n^2) per probe, with no adjoint of delta.  Both
+    are noted.
     """
     n = delta.shape[0]
     if k < n:
@@ -423,8 +441,7 @@ def _rank_and_structure(delta, space, cls, k, rank_tol, notes):
             notes.append(f"a {k}-column sketch is refused: delta Omega has "
                          f"full column rank (sketch_full_rank "
                          f"{full.value:.3e} > {full.threshold:.3e}), so "
-                         f"rank delta >= {k}: rank and structure from the "
-                         f"full SVD and adjoint")
+                         f"rank delta >= {k}")
         else:
             B = Q.conj().T @ delta
             fit = _decide("sketch_residual",
@@ -440,9 +457,30 @@ def _rank_and_structure(delta, space, cls, k, rank_tol, notes):
                     np.linalg.qr(left, mode="r") @ right)
             notes.append(f"a {k}-column sketch does not capture delta "
                          f"(sketch_residual {fit.value:.3e} > "
-                         f"{fit.threshold:.3e}): rank and structure from "
-                         f"the full SVD and adjoint")
-    return numerical_rank(delta, rank_tol), structure_residual(delta, space, cls)
+                         f"{fit.threshold:.3e})")
+    if n <= _PROBES:
+        return (numerical_rank(delta, rank_tol),
+                structure_residual(delta, space, cls))
+    cert = _decide("full_rank_certificate", _rcond_estimate(delta),
+                   10 * rank_tol, at_least=True)
+    if cert.passed:
+        rank = n
+        notes.append(f"delta_rank {n} from the full_rank_certificate "
+                     f"{cert.value:.3e} > {cert.threshold:.3e} "
+                     f"(probes={_PROBES})")
+    else:
+        rank = numerical_rank(delta, rank_tol)
+        notes.append(f"delta_rank from the full SVD: full_rank_certificate "
+                     f"{cert.value:.3e} <= {cert.threshold:.3e} "
+                     f"(probes={_PROBES})")
+    # delta* H Omega as star(star(H Omega) delta): no n x n copy of delta
+    omega = _probes(n)
+    h_omega = space.h_apply(omega)
+    struct = frob(space.h_solve(space.star_mat(space.star_mat(h_omega) @ delta))
+                  - cls.epsilon2 * (delta @ omega))
+    notes.append(f"structure residual {struct:.3e} estimated on delta Omega "
+                 f"(probes={_PROBES})")
+    return rank, struct
 
 
 def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
@@ -466,10 +504,13 @@ def verify_reassignment(A, delta, assembly: ReassignmentAssembly,
     solved on every call, and the gate, slack and notes are recomputed, so
     a report is the same whether A was cached or not.
     delta_rank and the structure residual come from a seeded sketch of
-    delta in O(n^2 p) (``_rank_and_structure``), or from the full SVD and
-    adjoint when p is close to n or the sketch is refused (delta of rank at
-    least the sketch width, as a family member with a parameter) or does
-    not capture delta.  A delta with a NaN or infinite entry is never
+    delta in O(n^2 p) (``_rank_and_structure``).  When p is close to n or
+    the sketch is refused (delta of rank at least the sketch width, as a
+    family member with a parameter) or does not capture delta, the full
+    SVD and adjoint answer up to eight columns; past eight, a full-rank
+    certificate from one solve with the eight seeded probes gives rank n
+    (the SVD decides when it fails) and the probes estimate the structure
+    residual in O(n^2) each.  A delta with a NaN or infinite entry is never
     factored or solved: its residuals come out NaN, delta_rank is the
     bound n and the spectrum is not compared, each with a note.  An A with
     such an entry is not solved or memoized either: the residuals that

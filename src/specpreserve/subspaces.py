@@ -24,7 +24,7 @@ The complementary checks use the eight seeded probes Omega of
 ``A (X_f Omega) - X_f (Lambda_f Omega)`` in O(n^2) per probe (see
 ``core._check_invariant_pair``), and ``X = [X_c X_f]`` is decided
 nonsingular by ``1 / (|X|_F |X^-T Omega|_F)``, one numpy solve with eight
-right-hand sides (see ``_basis_rcond``).  That solve runs on a second
+right-hand sides (see ``core._rcond_estimate``).  That solve runs on a second
 thread beside the checks and the update, which are formed before it is
 read; every decision keeps its order.  Every factorization here is
 numpy's.  A lower or upper triangular Lambda_f, such as a Jordan form
@@ -48,7 +48,7 @@ from .core import (
     _decide,
     _has_svd,
     _gram_compatibility,
-    _probes,
+    _rcond_estimate,
     _real_apply,
     _star_h,
     as_matrix,
@@ -177,7 +177,7 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     Lambda_f = as_matrix(Lambda_f, "Lambda_f", space, (m, m))
     # the nonsingularity of [X_c X_f] is estimated on a second thread
     # beside the checks and the update
-    with _Background(_basis_rcond, X_c, X_f) as estimate:
+    with _Background(lambda: _rcond_estimate(np.hstack([X_c, X_f]))) as rcond:
         AX_c = _real_apply(A, X_c)
         Lambda_c = pseudoinverse(X_c, tol.rank_tol) @ AX_c
         _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol,
@@ -226,28 +226,13 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
         update = _no_spillover_update(t[:, None] * G * t, X_c * t,
                                       (X_c @ Lambda_a - AX_c) * t,
                                       t[:, None] * XsH, tol.rank_tol)
-        _decide("nonsingular_basis", estimate.result(), tol.rank_tol,
+        _decide("nonsingular_basis", rcond.result(), tol.rank_tol,
                 at_least=True).require("[X_c X_f] is numerically singular",
                                        "reciprocal condition estimate")
     _decide("h_orthogonality", cross,
             tol.eig_tol * frob(X_c) * frob(X_f)).require(
         "X_c* H X_f is not zero, as the spectral gap makes it")
     return _require_update(*update)
-
-
-def _basis_rcond(X_c, X_f):
-    """``1 / (|X|_F |X^-T Omega|_F)`` for ``X = [X_c X_f]`` and the probes
-    ``Omega = core._probes(n)``: the reciprocal of an estimate of
-    ``kappa_F(X) = kappa_F(X^T)``, since ``E |X^-T Omega|_F^2 =
-    |X^-1|_F^2`` (Dixon, SIAM J. Numer. Anal. 20, 1983).  The C-ordered X
-    is the Fortran-ordered X^T, so LAPACK factors it without a transposing
-    copy.  An exactly zero pivot gives 0; no overflow or NaN warns."""
-    X = np.hstack([X_c, X_f])
-    try:
-        with np.errstate(all="ignore"):
-            return 1 / (frob(X) * frob(np.linalg.solve(X.T, _probes(len(X)))))
-    except np.linalg.LinAlgError:
-        return 0.0
 
 
 def gram_inverse_apply(G, RHS):

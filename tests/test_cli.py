@@ -1,6 +1,8 @@
 """End-to-end command line tests driving the shipped job files."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -548,8 +550,8 @@ class TestReassign:
          "fixed_lambda must be 2 x 2, got (1, 1)"),
     ], ids=["fixed_basis", "fixed_lambda"])
     def test_fixed_pair_of_the_wrong_shape_exits_3(self, jobs_dir, tmp_path,
-                                                   capsys, key, payload,
-                                                   message):
+                                                   capsys, monkeypatch, key,
+                                                   payload, message):
         d = _copy_job(jobs_dir, "jordan5", tmp_path)
         job = json.loads((d / "job.json").read_text())
         if key == "fixed_basis":
@@ -557,8 +559,13 @@ class TestReassign:
         else:
             job[key] = payload
         (d / "job.json").write_text(json.dumps(job))
+        # refused as it is read, before any reassignment runs
+        solves = []
+        monkeypatch.setattr(specpreserve.cli, "reassign_simple",
+                            lambda *a, **kw: solves.append(a))
         assert _run("reassign", str(d / "job.json")) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert solves == []
 
     def test_missing_job_file_exits_3(self):
         assert _run("reassign", "/nonexistent/job.json") == 3
@@ -1008,8 +1015,53 @@ def test_a_malformed_job_exits_with_a_documented_code(case, tmp_path_factory):
     command, name, mutation = case
     d = _copy_job(JOBS_DIR, name, tmp_path_factory.mktemp("job"))
     _mutate(d, mutation)
+    err = io.StringIO()
     try:
-        code = _run(command, str(d / "job.json"))
+        with contextlib.redirect_stderr(err):
+            code = _run(command, str(d / "job.json"))
     except SystemExit as e:
         code = e.code
     assert code in (0, 2, 3)
+    # a refused gen job names the field at fault, never raw Python
+    # exception text such as "'bool' object is not iterable"
+    if command == "gen" and code:
+        key = mutation[1].split(".")[-1]
+        assert key in err.getvalue(), (mutation, err.getvalue())
+
+
+@pytest.mark.parametrize("recipe, message", [
+    ({"plan": "x"},
+     "bad recipe plan 'x': expected a list of {value, chains} objects"),
+    ({"plan": True},
+     "bad recipe plan True: expected a list of {value, chains} objects"),
+    ({"plan": [1, 2]}, "bad recipe plan entry 1: expected {value, chains} "
+     "with a list of chains"),
+    ({"plan": [{"value": 1.0}]}, "bad recipe plan entry {'value': 1.0}: "
+     "expected {value, chains} with a list of chains"),
+    ({"plan": [{"value": 1.0, "chains": "x"}]},
+     "bad recipe plan entry {'value': 1.0, 'chains': 'x'}: expected "
+     "{value, chains} with a list of chains"),
+    ({"plan": [{"chains": [1]}]}, "bad recipe plan value: expected a number "
+     "or [re, im] pair, got None"),
+    ({"plan": [{"value": 1.0, "chains": ["a"]}]},
+     "bad chain length 'a': expected an integer"),
+    ({"seed": -1}, "bad seed -1: expected a non-negative integer"),
+], ids=["plan-string", "plan-bool", "entry-number", "no-chains",
+        "chains-string", "no-value", "chain-length", "negative-seed"])
+def test_a_malformed_recipe_is_refused_by_its_field(recipe, message, tmp_path,
+                                                    capsys):
+    job = _job_of("gen6")
+    job["recipe"].update(recipe)
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    assert _run("gen", str(tmp_path / "job.json")) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, job", [("gen", "gen6"),
+                                          ("reassign", "lie4")])
+def test_a_negative_seed_flag_exits_3(command, job, tmp_path, capsys):
+    d = _copy_job(JOBS_DIR, job, tmp_path)
+    assert _run(command, str(d / "job.json"), "--seed", "-2", "--out",
+                str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err == (
+        "error: bad seed -2: expected a non-negative integer\n")

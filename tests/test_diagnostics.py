@@ -581,8 +581,12 @@ class TestSketchedBundle:
         assert ("svd", (self.N, self.N)) in shapes
         # refused before B = Q* delta: the one thin QR is that of delta Omega
         assert [s for s in shapes if s[0] == "qr"] == [("qr", (self.N, k))]
-        assert abs(rep.structure_residual - structure_residual(
-            wide, space, "jordan")) <= 1e-12 * frob(wide)
+        # rank deficient: the certificate fails and the SVD decides; the
+        # structure residual is the eight probes' estimate
+        assert _has_note(rep, "delta_rank from the full SVD: "
+                         "full_rank_certificate")
+        exact = structure_residual(wide, space, "jordan")
+        assert 0.1 * exact <= rep.structure_residual <= 10 * exact
 
     def test_noise_under_the_rank_cutoff_is_rejected_by_the_residual(self):
         A, space, asm, delta = _symmetric_case(self.N)
@@ -610,9 +614,13 @@ class TestSketchedBundle:
         rep = verify_reassignment(inst.A, delta, asm, inst.space, inst.cls,
                                   check_spillover=False)
         assert _has_note(rep, "(sketch_full_rank")
-        assert rep.delta_rank == rank
+        assert rep.delta_rank == rank == self.N
         assert [s for s in shapes if s[0] == "qr"] == [("qr", (self.N, k))]
-        assert ("svd", (self.N, self.N)) in shapes
+        # full rank is certified by the probes' one solve, with no SVD
+        assert _has_note(rep, f"delta_rank {self.N} from the "
+                         "full_rank_certificate")
+        assert ("svd", (self.N, self.N)) not in shapes
+        assert shapes.count(("solve", (self.N, self.N))) == 1
 
     def test_structure_defect_lifts_the_residual(self):
         A, space, asm, delta = _symmetric_case(self.N)
@@ -657,6 +665,124 @@ class TestSketchedBundle:
             assert _has_note(rep, "eigenvalues of A + delta from its Hermitian")
         assert right.spectrum_verdict.matched
         assert not off.spectrum_verdict.matched
+
+
+# the probed fallback of the rank and structure past core._PROBES columns,
+# on the arrangements of helpers.make_space: (field, star, eps1, preset,
+# class), the last one on a dense H
+PROBED = {
+    "real-jordan-identity": ("real", "T", 1, "identity", "jordan"),
+    "real-lie-skewj": ("real", "T", -1, "skewj", "lie"),
+    "complex-lie-dense": ("complex", "CT", 1, "random", "lie"),
+}
+RANK_TOL = specpreserve.core.DEFAULT_RANK_TOL
+
+
+@functools.lru_cache(maxsize=None)
+def _member_case(arrangement, n):
+    """A random member A, an assembly moving a random 2-column basis to a
+    compatible restriction, and the family member with a parameter Z of
+    that assembly (full rank): A, space, class, assembly, delta."""
+    field, star, eps1, preset, cls = PROBED[arrangement]
+    rng = np.random.default_rng(n)
+    space = helpers.make_space(n, star, eps1, field, preset, rng)
+    cls = specpreserve.StructureClass.parse(cls)
+    A = specpreserve.core.as_matrix(helpers.random_member(space, cls, 9),
+                                    "A", space)
+    X = rng.standard_normal((n, 2))
+    if field == "complex":
+        X = X + 1j * rng.standard_normal((n, 2))
+    D = helpers.compatible_restriction(X, space, cls, rng)
+    asm = specpreserve.ReassignmentAssembly(
+        X_c=X.astype(complex), Lambda_c=np.zeros((2, 2), dtype=complex),
+        Lambda_a=D.astype(complex), blocks=())
+    Z = specpreserve.core.sample_structured(space, cls, seed=6)
+    delta = reassign_family(A, asm, space, cls, Z=Z, verify=False).delta
+    return A, space, cls, asm, delta
+
+
+def _rank_and_structure(delta, space, cls):
+    """The oracle's fallback (a sketch as wide as delta): rank, structure
+    residual and notes."""
+    notes = []
+    rank, struct = specpreserve.diagnostics._rank_and_structure(
+        delta, space, cls, len(delta), RANK_TOL, notes)
+    return rank, struct, notes
+
+
+@pytest.mark.usefixtures("cold_spectra")
+class TestProbedFallback:
+    """Past eight columns the fallback certifies full rank and estimates
+    the structure residual with the eight seeded probes."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("arrangement", sorted(PROBED))
+    def test_a_full_rank_member_takes_one_solve_and_no_svd(
+            self, monkeypatch, arrangement, n):
+        A, space, cls, asm, delta = _member_case(arrangement, n)
+        rank = specpreserve.core.numerical_rank(delta)
+        shapes, solves = [], []
+        helpers.lapack_spy(monkeypatch, shapes)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: (
+            solves.append((np.shape(a), np.shape(b))), solve(a, b))[1])
+        rep = verify_reassignment(A, delta, asm, space, cls,
+                                  check_spillover=False)
+        assert rep.delta_rank == rank == n
+        assert _has_note(rep, f"delta_rank {n} from the "
+                         "full_rank_certificate")
+        assert _has_note(rep, "(probes=8)")
+        assert ("svd", (n, n)) not in shapes
+        assert [s for s in solves if s[0] == (n, n)] == [((n, n), (n, 8))]
+        # a structured member reads structured to rounding
+        assert rep.structure_residual <= 1e-12 * max(1.0, frob(delta))
+
+    @pytest.mark.parametrize("ratio", [0.1, 10.0])
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("arrangement", sorted(PROBED))
+    def test_a_planted_condition_gets_the_rank_of_the_svd(
+            self, arrangement, n, ratio):
+        _, space, cls, _, _ = _member_case(arrangement, n)
+        rng = np.random.default_rng([n, 3])
+        U = helpers.random_unitary(n, rng, space.field)
+        V = helpers.random_unitary(n, rng, space.field)
+        # sigma_n / sigma_1 at ratio times the rank cutoff
+        s = np.linspace(1.0, 0.5, n)
+        s[-1] = ratio * RANK_TOL
+        delta = (U * s) @ V.conj().T
+        rank, _, notes = _rank_and_structure(delta, space, cls)
+        assert rank == specpreserve.core.numerical_rank(delta, RANK_TOL)
+        assert rank == (n if ratio > 1 else n - 1)
+        # 1 / kappa_F is below sigma_n / sigma_1: the SVD decides both
+        assert any("delta_rank from the full SVD" in t for t in notes)
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("arrangement", sorted(PROBED))
+    def test_an_unstructured_term_is_estimated_within_ten_times(
+            self, monkeypatch, arrangement, n):
+        _, space, cls, _, delta = _member_case(arrangement, n)
+        rng = np.random.default_rng([n, 5])
+        u, v = rng.standard_normal((2, n))
+        term = 1e-8 * frob(delta) * np.outer(u, v) / (frob(u) * frob(v))
+        bad = delta + term
+        exact = structure_residual(bad, space, cls)
+        assert exact >= 1e-9 * frob(delta)
+        ratios = []
+        for seed in range(200):
+            monkeypatch.setattr(specpreserve.core, "_PROBE_SEED", seed)
+            ratios.append(_rank_and_structure(bad, space, cls)[1] / exact)
+        assert 0.1 <= min(ratios) and max(ratios) <= 10, (min(ratios),
+                                                          max(ratios))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("arrangement", sorted(PROBED))
+    def test_eight_columns_or_fewer_stay_exact(self, arrangement, n):
+        A, space, cls, asm, delta = _member_case(arrangement, n)
+        rep = verify_reassignment(A, delta, asm, space, cls,
+                                  check_spillover=False)
+        assert rep.delta_rank == specpreserve.core.numerical_rank(delta)
+        assert rep.structure_residual == structure_residual(delta, space, cls)
+        assert not _has_note(rep, "probes=")
 
 
 @pytest.mark.usefixtures("cold_spectra")

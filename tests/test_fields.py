@@ -274,7 +274,7 @@ def test_real_kernels_hold_no_square_complex_array(monkeypatch, arrangement):
 # ---------------------------------------------------------------------------
 
 VERIFY_SPIED = {"_real_apply": core, "_spillover_residual": diagnostics,
-                "structure_residual": core, "numerical_rank": core,
+                "_rcond_estimate": core, "numerical_rank": core,
                 "gram_matrix": core}
 
 

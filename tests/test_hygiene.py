@@ -208,7 +208,7 @@ def test_scipy_submodules_are_used_only_where_allowed():
      "    return _scipy_extension('scipy.linalg._flapack')", True),
     ("diagnostics.py", "def _skew_orthogonal_normalize(H):\n"
      "    return _scipy_extension('scipy.linalg._flapack').dgees", True),
-    ("subspaces.py", "def _basis_rcond(X_c, X_f):\n"
+    ("core.py", "def _rcond_estimate(M):\n"
      "    return importlib.import_module('scipy.linalg._flapack')", True),
     ("core.py", "FLAPACK = 'scipy.linalg._flapack'", True),
     # what the rule leaves alone
@@ -452,13 +452,14 @@ def test_threshold_rule_catches_a_planted_raise(planted, flagged):
 
 # the verification oracle factors no n x n matrix on its sketched path: it
 # never solves with or inverts a matrix itself (H^-1 comes from the space),
-# and it reaches an SVD, or the full-matrix rank and structure routines of
-# delta, only in the fallback of ``_rank_and_structure``, the statements
-# after its sketch branch
+# and it reaches an SVD, the probes' condition estimate ``core._rcond_estimate``
+# (one solve), or the full-matrix rank and structure routines of delta, only
+# in the fallback of ``_rank_and_structure``, the statements after its
+# sketch branch (its first ``if``)
 ORACLE_ENTRIES = ("verify_reassignment", "spectrum_multiset_compare")
 SKETCHED = "_rank_and_structure"
 NEVER = {"solve", "inv", "pinv", "lstsq"}
-FALLBACK_ONLY = {"svd"}
+FALLBACK_ONLY = {"svd", "_rcond_estimate"}
 DELTA_FALLBACK_ONLY = {"numerical_rank", "structure_residual", "adjoint"}
 
 
@@ -482,8 +483,10 @@ def _oracle_functions(tree):
 def _oracle_factorizations(tree):
     """Lines where oracle code factors a matrix outside the fallback."""
     oracle = _oracle_functions(tree)
-    fallback = {id(n) for stmt in getattr(oracle.get(SKETCHED), "body", [])
-                if not isinstance(stmt, ast.If) for n in ast.walk(stmt)}
+    body = getattr(oracle.get(SKETCHED), "body", [])
+    sketch = next((i for i, stmt in enumerate(body)
+                   if isinstance(stmt, ast.If)), len(body))
+    fallback = {id(n) for stmt in body[sketch + 1:] for n in ast.walk(stmt)}
     hits = []
     for fn in oracle.values():
         for call in ast.walk(fn):
@@ -530,6 +533,17 @@ _FALLBACK = ("def _rank_and_structure(delta, B):\n"
     (_FALLBACK.format("return numerical_rank(delta), np.linalg.svd(delta)"),
      False),
     (_FALLBACK.format("return structure_residual(delta)"), False),
+    # the probes' condition estimate: only in the fallback, under any if
+    (_FALLBACK.replace("frob(B)", "_rcond_estimate(delta)").format(
+        "return 0"), True),
+    (_FALLBACK.format("return _rcond_estimate(delta)"), False),
+    (_FALLBACK.format("if n <= 8:\n        return numerical_rank(delta)\n"
+                      "    return _rcond_estimate(delta)"), False),
+    # ahead of the sketch branch is not the fallback
+    (_FALLBACK.replace("    if k < n:", "    r = _rcond_estimate(delta)\n"
+                       "    if k < n:").format("return 0"), True),
+    (_FALLBACK.replace("    if k < n:", "    r = numerical_rank(delta)\n"
+                       "    if k < n:").format("return 0"), True),
     ("def generate_instance(A):\n    return np.linalg.solve(A, A)", False),
     ("def verify_reassignment(B):\n    return numerical_rank(B)", False),
 ])

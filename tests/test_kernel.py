@@ -637,8 +637,8 @@ def _refusal(call):
 
 def test_refusals_keep_their_order_beside_the_second_thread(monkeypatch):
     # the solve is held back, so the gap is refused while it still runs
-    monkeypatch.setattr(subspaces, "_probes",
-                        lambda m: time.sleep(0.05) or core._probes(m))
+    monkeypatch.setattr(subspaces, "_rcond_estimate",
+                        lambda M: time.sleep(0.05) or core._rcond_estimate(M))
     n = 128
     space = ScalarProductSpace.identity(n, star="t", field="real")
     A = helpers.random_member(space, "jordan", 25).real
@@ -697,8 +697,8 @@ def test_a_basis_failing_two_ways_is_refused_as_singular_without_warning(
         monkeypatch, case):
     # the update is formed while the solve runs, here held back; the basis
     # is still refused first, and nothing formed ahead of that warns
-    monkeypatch.setattr(subspaces, "_probes",
-                        lambda m: time.sleep(0.02) or core._probes(m))
+    monkeypatch.setattr(subspaces, "_rcond_estimate",
+                        lambda M: time.sleep(0.02) or core._rcond_estimate(M))
     args = _failing_two_ways(case)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -910,7 +910,8 @@ def _estimate(X_c, X_f):
     warning."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = core._Background(subspaces._basis_rcond, X_c, X_f).result()
+        value = core._Background(core._rcond_estimate,
+                                 np.hstack([X_c, X_f])).result()
     assert not caught, [str(w.message) for w in caught]
     return value
 
