@@ -58,15 +58,14 @@ from .spectral import (
     ReassignmentAssembly,
     ReassignmentGroup,
     ReassignmentSpec,
-    assemble_complex,
-    assemble_real_jordan,
-    assemble_real_lie,
+    assemble,
     certificate_residual,
     extract_jordan_pairs,
     jordan_block,
     pairing_partner,
     validate_pairing_closure,
 )
+from . import spectral
 from .subspaces import (
     CompatibilityReport,
     lambda_compatibility,
@@ -74,6 +73,13 @@ from .subspaces import (
 )
 
 __version__ = "0.1.0"
+
+# The three per-arrangement entries of earlier versions, for the benchmark
+# harness, which imports them from the package and traces them in spectral;
+# each is ``assemble``, which takes the arrangement from its space.
+assemble_complex = assemble_real_lie = assemble_real_jordan = \
+    spectral.assemble_complex = spectral.assemble_real_lie = \
+    spectral.assemble_real_jordan = assemble
 
 __all__ = [
     "ScalarProductSpace", "StructureClass", "ToleranceProfile",
@@ -85,8 +91,7 @@ __all__ = [
     "JordanPair", "ReassignmentGroup", "ReassignmentSpec",
     "ReassignmentAssembly", "jordan_block", "pairing_partner",
     "validate_pairing_closure", "extract_jordan_pairs",
-    "assemble_complex", "assemble_real_lie", "assemble_real_jordan",
-    "certificate_residual",
+    "assemble", "certificate_residual",
     "ReassignmentResult", "reassign_family", "reassign_no_spillover",
     "reassign_simple",
     "SpectrumVerdict", "PerturbationReport", "PlanGroup", "InstanceRecipe",

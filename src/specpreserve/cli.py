@@ -374,7 +374,7 @@ def _match_eigvecs(A, currents):
 
 def _fixed_pair(job, n):
     """The job's supplied fixed pair, an n x m fixed_basis and an m x m
-    fixed_lambda, or None when it names no fixed_basis."""
+    fixed_lambda of finite entries, or None when it names no fixed_basis."""
     if job.get("fixed_basis") is None:
         return None
     X_f = as_matrix(_job_matrix(job, "fixed_basis"), "X_f")
@@ -385,6 +385,8 @@ def _fixed_pair(job, n):
         raise FormatError(f"fixed_basis must have {n} rows, got {X_f.shape}")
     if L_f.shape != (m, m):
         raise FormatError(f"fixed_lambda must be {m} x {m}, got {L_f.shape}")
+    _require_finite(X_f, "fixed_basis", "fixed residual")
+    _require_finite(L_f, "fixed_lambda", "fixed residual")
     return X_f, L_f
 
 

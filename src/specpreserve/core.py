@@ -590,9 +590,9 @@ def _probes(m):
             / np.sqrt(_PROBES))
 
 
-def _rcond_estimate(M):
-    """``1 / (|M|_F |M^-T Omega|_F)`` for a square M and the probes
-    ``Omega = _probes(n)``: the reciprocal of an estimate of
+def _rcond_estimate(M, omega):
+    """``1 / (|M|_F |M^-T Omega|_F)`` for a square M and its caller's
+    probes ``Omega = _probes(n)``: the reciprocal of an estimate of
     ``kappa_F(M) = kappa_F(M^T)``, since ``E |M^-T Omega|_F^2 =
     |M^-1|_F^2`` (Dixon, SIAM J. Numer. Anal. 20, 1983), from one numpy
     solve with eight right-hand sides.  It exceeds ten times
@@ -602,7 +602,7 @@ def _rcond_estimate(M):
     no overflow or NaN warns."""
     try:
         with np.errstate(all="ignore"):
-            return 1 / (frob(M) * frob(np.linalg.solve(M.T, _probes(len(M)))))
+            return 1 / (frob(M) * frob(np.linalg.solve(M.T, omega)))
     except np.linalg.LinAlgError:
         return 0.0
 

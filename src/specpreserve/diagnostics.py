@@ -420,9 +420,10 @@ def _rank_and_structure(delta, space, cls, k, rank_tol, notes):
     The fallback takes k >= n, and a sketch refused or rejected (noted).
     At most _PROBES columns, the full SVD and ``structure_residual``
     answer, to the bit.  Past that, the eight seeded probes
-    ``Omega = core._probes(n)`` answer.  The ``full_rank_certificate``
-    decision passes when ``core._rcond_estimate(delta)``, one solve with
-    eight right-hand sides, exceeds ``10 rank_tol``; then
+    ``Omega = core._probes(n)``, drawn once, answer.  The
+    ``full_rank_certificate`` decision passes when
+    ``core._rcond_estimate(delta, Omega)``, one solve with eight right-hand
+    sides, exceeds ``10 rank_tol``; then
     ``sigma_n / sigma_1 >= 1 / kappa_F > rank_tol`` and delta_rank is n,
     except with probability at most ``P(chi2_8 <= 0.08) = 1.03e-7``
     (Dixon, SIAM J. Numer. Anal. 20, 1983).  When it fails, the full SVD
@@ -461,7 +462,8 @@ def _rank_and_structure(delta, space, cls, k, rank_tol, notes):
     if n <= _PROBES:
         return (numerical_rank(delta, rank_tol),
                 structure_residual(delta, space, cls))
-    cert = _decide("full_rank_certificate", _rcond_estimate(delta),
+    omega = _probes(n)
+    cert = _decide("full_rank_certificate", _rcond_estimate(delta, omega),
                    10 * rank_tol, at_least=True)
     if cert.passed:
         rank = n
@@ -474,7 +476,6 @@ def _rank_and_structure(delta, space, cls, k, rank_tol, notes):
                      f"{cert.value:.3e} <= {cert.threshold:.3e} "
                      f"(probes={_PROBES})")
     # delta* H Omega as star(star(H Omega) delta): no n x n copy of delta
-    omega = _probes(n)
     h_omega = space.h_apply(omega)
     struct = frob(space.h_solve(space.star_mat(space.star_mat(h_omega) @ delta))
                   - cls.epsilon2 * (delta @ omega))

@@ -166,24 +166,24 @@ class StructuredMapSolution:
         """Family member for an admissible parameter Z (``Z* = e1 e2 Z``,
         real on a real space); Z = None gives ``family_base``.  ``H^-1 Z``
         of a dense H starts on a second thread here, before Z is checked."""
-        real = self.space.field == "real"
-        with _start_h_solve_z(Z, self.space, real) as started:
-            return self._member(Z, real, started)
+        with _start_h_solve_z(Z, self.space) as started:
+            return self._member(Z, started)
 
-    def _member(self, Z, real, started) -> np.ndarray:
+    def _member(self, Z, started) -> np.ndarray:
         """``family_base`` for Z = None, else the member for Z checked to be
         an admissible parameter: n x n, real to the space's structure
-        tolerance when real is set (checked first; its real part is used),
+        tolerance on a real space (checked first; its real part is used),
         and ``Z* = e1 e2 Z``.  ``H^-1 Z`` is the result of started, the
-        helper ``_start_h_solve_z`` gave for the same Z and real, or, when
+        helper ``_start_h_solve_z`` gave for the same Z and space, or, when
         that is None (a monomial H), a gather made inline."""
         if Z is None:
             return self.family_base
+        real = self.space.field == "real"
         Z = as_matrix(Z, "Z", self.space, (self.space.n,) * 2)
         thr = self.space.structure_tol * max(1.0, frob(Z))
         if real and np.iscomplexobj(Z):
             _decide("z_real", np.max(np.abs(Z.imag)), thr).require(
-                "real arrangements require a real parameter Z", None)
+                "a real space requires a real parameter Z", None)
         _decide("z_symmetry", z_symmetry_residual(Z, self.space, self.cls),
                 thr).require("Z fails Z* = e1 e2 Z")
         if real:
@@ -194,7 +194,7 @@ class StructuredMapSolution:
                          self.space, self.cls)
 
 
-def _start_h_solve_z(Z, space, real):
+def _start_h_solve_z(Z, space):
     """``H^-1 Z`` of a member's Z on a dense H, started on a second thread at
     once after H^-1 is formed here (once per space), as a ``with`` context
     that joins it on every exit; a context holding None for no Z or a
@@ -209,8 +209,8 @@ def _start_h_solve_z(Z, space, real):
         # silent: a refused Z's product is discarded, an admitted Z is finite
         with np.errstate(all="ignore"):
             Zm = as_matrix(Z, "Z", space, (space.n,) * 2)
-            return _real_apply(inv, np.ascontiguousarray(Zm.real) if real
-                               else Zm)
+            return _real_apply(inv, np.ascontiguousarray(Zm.real)
+                               if space.field == "real" else Zm)
     return _Background(h_solve_z)
 
 
@@ -249,9 +249,8 @@ def map_family(X, B, space: ScalarProductSpace, cls: StructureClass,
 def solve_structured(X, B, space: ScalarProductSpace, cls: StructureClass,
                      Z=None, tol: ToleranceProfile = ToleranceProfile()) -> np.ndarray:
     """Structured solution of ``A X = B`` for one choice of parameter Z."""
-    real = space.field == "real"
-    with _start_h_solve_z(Z, space, real) as started:
-        return map_family(X, B, space, cls, tol)._member(Z, real, started)
+    with _start_h_solve_z(Z, space) as started:
+        return map_family(X, B, space, cls, tol)._member(Z, started)
 
 
 def minimal_structured(X, B, space: ScalarProductSpace, cls: StructureClass,

@@ -51,9 +51,7 @@ from .spectral import (
     ReassignmentGroup,
     ReassignmentSpec,
     _pairing_orbit,
-    assemble_complex,
-    assemble_real_jordan,
-    assemble_real_lie,
+    assemble,
 )
 from .subspaces import SPECTRAL_SEPARATION, _no_spillover_update, _require_update
 
@@ -135,13 +133,13 @@ def reassign_family(A, assembly: ReassignmentAssembly, space: ScalarProductSpace
     ``(A + delta) X_c = X_c Lambda_a`` and stays in the algebra.
     """
     cls = StructureClass.parse(cls)
-    real = assembly.real_output
-    with _start_h_solve_z(Z, space, real) as started:
+    with _start_h_solve_z(Z, space) as started:
         A = as_matrix(A, "A", space, (space.n,) * 2)
         X_c, D, HX, _, G = _check_certificate(assembly, space, cls)
         X, B, HB = _real_basis(assembly, X_c, X_c @ D, HX @ D)
-        W = None if real else G @ D  # a real basis forms its own W
-        delta = _family(X, B, space, cls, tol, None, HB, W)._member(Z, real, started)
+        # a real basis forms its own W
+        W = None if assembly.real_output else G @ D
+        delta = _family(X, B, space, cls, tol, None, HB, W)._member(Z, started)
     report = None
     if verify:
         report = verify_reassignment(A, delta, assembly, space, cls, tol=tol,
@@ -207,8 +205,8 @@ def reassign_simple(A, eigpairs, targets, space: ScalarProductSpace,
     parallel sequence of replacement values.  The wrapper builds one-column
     chains, refuses eigenvalues that coincide within ``SNAP_TOL`` times the
     spectral scale, snaps near-conjugate inputs within that band into exact
-    conjugate pairs, selects the arrangement matching the space (complex,
-    real Lie or real Jordan) and dispatches by mode: "no-spillover"
+    conjugate pairs, assembles them with ``assemble`` (whose arrangement
+    the space and cls decide) and dispatches by mode: "no-spillover"
     (default, Z must be None) or "family" (Z allowed).
 
     complete_pairing inserts the missing orbit members that the pairing
@@ -260,13 +258,8 @@ def reassign_simple(A, eigpairs, targets, space: ScalarProductSpace,
             have.append(c)
         groups = groups + extra
 
-    spec = ReassignmentSpec(groups=tuple(groups))
-    if space.field != "real":
-        assemble = assemble_complex
-    else:
-        assemble = (assemble_real_lie if cls is StructureClass.LIE
-                    else assemble_real_jordan)
-    assembly = assemble(A, spec, space, cls, tol=tol)
+    assembly = assemble(A, ReassignmentSpec(groups=tuple(groups)), space, cls,
+                        tol=tol)
 
     if mode == "family":
         return reassign_family(A, assembly, space, cls, Z=Z, tol=tol, verify=verify)

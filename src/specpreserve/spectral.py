@@ -50,9 +50,7 @@ __all__ = [
     "pairing_partner",
     "validate_pairing_closure",
     "extract_jordan_pairs",
-    "assemble_complex",
-    "assemble_real_lie",
-    "assemble_real_jordan",
+    "assemble",
     "certificate_residual",
 ]
 
@@ -706,18 +704,32 @@ def _realify_chain(X, label):
     return np.ascontiguousarray(X.real)
 
 
-def _assemble(A, spec, space, cls, field, tol):
-    """The one assembly body: group the spec into pairing orbits, then
-    emit them in block order, each orbit's members in table order with
-    their chains longest first, each held to ``tol.eig_tol`` in
-    ``A X = X J(lambda)`` when A is given.  Values within ``SNAP_TOL``
-    times the spectral scale count as one orbit member.
+def assemble(A, spec: ReassignmentSpec, space: ScalarProductSpace,
+             cls: StructureClass,
+             tol: ToleranceProfile = ToleranceProfile()) -> ReassignmentAssembly:
+    """The ordered assembly ``(X_c, Lambda_c, Lambda_a)`` of a spec, in the
+    arrangement of the space's field and the algebra cls: group the spec
+    into pairing orbits, then emit them in block order, each orbit's
+    members in table order with their chains longest first, each held to
+    ``tol.eig_tol`` in ``A X = X J(lambda)`` when A is given.  Values
+    within ``SNAP_TOL`` times the spectral scale count as one orbit member;
+    a spec not closed under the orbits is refused as ``pairing_closure``.
 
-    On the complex field every member keeps its own group's values and
-    chains.  On a real field the values are the table's images of the
-    snapped representative and target; a real member's chains are cast
-    real, a member with a conjugate partner has the partner's chains merged
-    onto its own, and the partner emits their exact conjugates.
+    - Complex field: non-self-paired couples first, each as
+      (representative chains, partner chains), then the self-paired groups.
+      Every member keeps its own group's values and chains.
+    - Real field, Lie algebra: nonzero eigenvalues are grouped into
+      quadruples ``{l, conj l, -l, -conj l}`` (generic), imaginary pairs
+      ``{l, conj l}`` and real pairs ``{l, -l}``, emitted in that order;
+      targets must fall in the same category and follow the family.
+    - Real field, Jordan algebra: conjugate couples first (chains and their
+      exact conjugates), then real eigenvalues with real chains.
+
+    On a real field the values are the table's images of the snapped
+    representative and target; a real member's chains are cast real, a
+    member with a conjugate partner has the partner's chains merged onto
+    its own, and the partner emits their exact conjugates, so the resulting
+    perturbation is real.
     """
     if not spec.groups:
         raise ArgumentError("a reassignment spec needs at least one group")
@@ -726,7 +738,7 @@ def _assemble(A, spec, space, cls, field, tol):
     band = SNAP_TOL * spec.spectral_scale
     groups = spec.groups
     orbits, violations = _group_orbits(_spec_entries(spec), cls,
-                                       _form_star(space), field, band)
+                                       _form_star(space), space.field, band)
     if violations:
         raise StructureError("pairing_closure", "; ".join(violations))
     orbits.sort(key=lambda o: _KIND_ORDER.index(o[0].row.kind))
@@ -766,7 +778,7 @@ def _assemble(A, spec, space, cls, field, tol):
         if conj is not None:
             R_parts.append(np.kron(np.eye(len(conj))[list(conj)], np.eye(width)))
 
-    real = field == "real"
+    real = space.field == "real"
     return ReassignmentAssembly(
         X_c=as_matrix(np.hstack(X_parts), "X_c", space),
         Lambda_c=as_matrix(_block_diag(*Lc_parts), "Lambda_c", space),
@@ -775,46 +787,3 @@ def _assemble(A, spec, space, cls, field, tol):
         real_output=real,
         conjugation=_block_diag(*R_parts) if real else None,
     )
-
-
-def _require_real(fn, space, cls, want):
-    cls = StructureClass.parse(cls)
-    if cls is not want:
-        raise ArgumentError(f"{fn} is for the {want.name.capitalize()} algebra")
-    if space.field != "real":
-        raise ArgumentError(f"{fn} needs a real-field space")
-    return cls
-
-
-def assemble_complex(A, spec: ReassignmentSpec, space: ScalarProductSpace,
-                     cls: StructureClass,
-                     tol: ToleranceProfile = ToleranceProfile()) -> ReassignmentAssembly:
-    """Order the groups for a complex-field reassignment: non-self-paired
-    couples first, each as (representative chains, partner chains), then the
-    self-paired groups.  Every group keeps its own values."""
-    return _assemble(A, spec, space, cls, "complex", tol)
-
-
-def assemble_real_lie(A, spec: ReassignmentSpec, space: ScalarProductSpace,
-                      cls: StructureClass = StructureClass.LIE,
-                      tol: ToleranceProfile = ToleranceProfile()) -> ReassignmentAssembly:
-    """Real Lie-algebra arrangement.
-
-    Nonzero eigenvalues are grouped into quadruples
-    ``{l, conj l, -l, -conj l}`` (generic), imaginary pairs ``{l, conj l}``
-    and real pairs ``{l, -l}``, emitted in that order; targets must fall in
-    the same category and follow the family.  Partner chains are snapped
-    to exact conjugates so the resulting perturbation is real.
-    """
-    cls = _require_real("assemble_real_lie", space, cls, StructureClass.LIE)
-    return _assemble(A, spec, space, cls, "real", tol)
-
-
-def assemble_real_jordan(A, spec: ReassignmentSpec, space: ScalarProductSpace,
-                         cls: StructureClass = StructureClass.JORDAN,
-                         tol: ToleranceProfile = ToleranceProfile()) -> ReassignmentAssembly:
-    """Real Jordan-algebra arrangement: conjugate couples first (chains and
-    their exact conjugates), then real eigenvalues with real chains."""
-    cls = _require_real("assemble_real_jordan", space, cls,
-                        StructureClass.JORDAN)
-    return _assemble(A, spec, space, cls, "real", tol)

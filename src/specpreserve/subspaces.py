@@ -48,6 +48,7 @@ from .core import (
     _decide,
     _has_svd,
     _gram_compatibility,
+    _probes,
     _rcond_estimate,
     _real_apply,
     _star_h,
@@ -118,8 +119,7 @@ def reproduce_invariant(A, X_a, Lambda_a, space: ScalarProductSpace,
     """Structured perturbation making range(X_a) invariant with restriction
     Lambda_a.  Z = None yields the Frobenius-minimal member of the family."""
     cls = StructureClass.parse(cls)
-    real = space.field == "real"
-    with _start_h_solve_z(Z, space, real) as started:
+    with _start_h_solve_z(Z, space) as started:
         A = as_matrix(A, "A", space, (space.n,) * 2)
         X_a, Lambda_a, G = _basis_pair(X_a, Lambda_a, space, tol)
         _gram_compatibility(G, Lambda_a, space, cls).require(
@@ -127,7 +127,7 @@ def reproduce_invariant(A, X_a, Lambda_a, space: ScalarProductSpace,
         B = X_a @ Lambda_a - _real_apply(A, X_a)
         # W = X_a* H B carries X_a* H A X_a, so W = e1 e2 W* is still tested
         fam = _family(X_a, B, space, cls, tol, "symmetry")
-        return fam._member(Z, real, started)
+        return fam._member(Z, started)
 
 
 def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
@@ -136,8 +136,7 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
     """Structured perturbation keeping the invariant subspace range(X_c)
     invariant, in the re-basis X_c R, with new restriction Lambda_a."""
     cls = StructureClass.parse(cls)
-    real = space.field == "real"
-    with _start_h_solve_z(Z, space, real) as started:
+    with _start_h_solve_z(Z, space) as started:
         A = as_matrix(A, "A", space, (space.n,) * 2)
         X_c = as_matrix(X_c, "X_c", space, (space.n, None))
         p = X_c.shape[1]
@@ -153,7 +152,7 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
             "Lambda_a incompatible in the basis X_c R", "condition_residual")
         Rt = R @ Lambda_a - Lambda_c @ R
         fam = _family(X_c @ R, X_c @ Rt, space, cls, tol, "symmetry")
-        return fam._member(Z, real, started)
+        return fam._member(Z, started)
 
 
 def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
@@ -177,7 +176,8 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     Lambda_f = as_matrix(Lambda_f, "Lambda_f", space, (m, m))
     # the nonsingularity of [X_c X_f] is estimated on a second thread
     # beside the checks and the update
-    with _Background(lambda: _rcond_estimate(np.hstack([X_c, X_f]))) as rcond:
+    with _Background(lambda: _rcond_estimate(np.hstack([X_c, X_f]),
+                                              _probes(space.n))) as rcond:
         AX_c = _real_apply(A, X_c)
         Lambda_c = pseudoinverse(X_c, tol.rank_tol) @ AX_c
         _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol,

@@ -19,11 +19,8 @@ from specpreserve import (
     ReassignmentGroup,
     ReassignmentSpec,
     ScalarProductSpace,
-    StructureClass,
     ToleranceProfile,
-    assemble_complex,
-    assemble_real_jordan,
-    assemble_real_lie,
+    assemble,
     classical,
     extract_jordan_pairs,
     generate_instance,
@@ -257,11 +254,7 @@ def _assemble_for(inst, change):
     spec = ReassignmentSpec(tuple(
         ReassignmentGroup(k, change[k], tuple(chains))
         for k, chains in merged.items()))
-    if inst.space.field == "real":
-        if inst.cls is StructureClass.LIE:
-            return assemble_real_lie(inst.A, spec, inst.space, inst.cls)
-        return assemble_real_jordan(inst.A, spec, inst.space, inst.cls)
-    return assemble_complex(inst.A, spec, inst.space, inst.cls)
+    return assemble(inst.A, spec, inst.space, inst.cls)
 
 
 def _chain_lengths(pairs, value, tol=1e-2):

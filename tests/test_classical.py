@@ -194,6 +194,23 @@ class TestPreserveInvariant:
         scale = np.linalg.norm(A) + np.linalg.norm(delta)
         assert np.linalg.norm((A + delta) @ (X @ R) - (X @ R) @ La) <= 1e-9 * scale
 
+    def test_z_adds_its_part_off_the_basis(self, rng):
+        A, w, S = _diagonalizable(6, rng)
+        X, Lc = S[:, :2], np.diag(w[:2])
+        R = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        La = np.diag([0.5, -1.5])
+        Z = rng.standard_normal((6, 6))
+        base = classical.preserve_invariant(A, X, Lc, R, La)
+        delta = classical.preserve_invariant(A, X, Lc, R, La, Z=Z)
+        XR = X @ R
+        scale = np.linalg.norm(A) + np.linalg.norm(delta)
+        assert np.linalg.norm((A + delta) @ XR - XR @ La) <= 1e-9 * scale
+        # Z (I - X R (X R)^+): zero on the basis, Z on its complement
+        np.testing.assert_allclose(
+            delta - base, Z @ (np.eye(6) - XR @ np.linalg.pinv(XR)),
+            atol=1e-10 * scale)
+        assert np.linalg.norm(delta - base) > 0.1 * np.linalg.norm(Z)
+
 
 class TestPreserveComplementary:
     def test_matching_restrictions_give_zero(self, rng):

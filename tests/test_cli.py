@@ -152,7 +152,7 @@ def test_verifying_a_moved_double_value_leaves_scipy_unloaded():
     # double value, with the spectrum of A
     code = (
         "from specpreserve import (InstanceRecipe, PlanGroup, "
-        "ReassignmentGroup, ReassignmentSpec, assemble_real_jordan, "
+        "ReassignmentGroup, ReassignmentSpec, assemble, "
         "generate_instance, reassign_no_spillover, verify_reassignment)\n"
         "inst = generate_instance(InstanceRecipe('identity', 'jordan', "
         "'real', 't', (PlanGroup(1.0, (1, 1)), PlanGroup(2.0, (1,)), "
@@ -160,7 +160,7 @@ def test_verifying_a_moved_double_value_leaves_scipy_unloaded():
         "chains = tuple(p.chain for p in inst.pairs if abs(p.value - 1) "
         "< 1e-9)\n"
         "assert len(chains) == 2\n"
-        "asm = assemble_real_jordan(inst.A, ReassignmentSpec(("
+        "asm = assemble(inst.A, ReassignmentSpec(("
         "ReassignmentGroup(1.0, 5.0, chains),)), inst.space, inst.cls)\n"
         "delta = reassign_no_spillover(inst.A, asm, inst.space, inst.cls, "
         "verify=False).delta\n"
@@ -567,6 +567,27 @@ class TestReassign:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert solves == []
 
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["fixed_basis", "fixed_lambda"])
+    def test_a_non_finite_fixed_pair_exits_2(self, jobs_dir, tmp_path, capsys,
+                                             monkeypatch, key, value):
+        # once exit 0 with a NaN supplied fixed residual
+        d = _copy_job(jobs_dir, "jordan5", tmp_path)
+        if key == "fixed_basis":
+            _set_entry(d / "Xf.json", 3, value)
+        else:
+            job = json.loads((d / "job.json").read_text())
+            job[key][1][0] = value
+            (d / "job.json").write_text(json.dumps(job))
+        solves = []
+        monkeypatch.setattr(specpreserve.cli, "reassign_simple",
+                            lambda *a, **kw: solves.append(a))
+        assert _run("reassign", str(d / "job.json")) == 2
+        assert capsys.readouterr().err == (
+            f"error: {key} has a NaN or infinite entry, so no fixed "
+            "residual\n")
+        assert solves == []
+
     def test_missing_job_file_exits_3(self):
         assert _run("reassign", "/nonexistent/job.json") == 3
 
@@ -959,6 +980,16 @@ def _resized(payload, drop_row=None, drop_col=None, transpose=False):
                 data=[v for r in grid for v in r])
 
 
+def _files_read(command, name):
+    """The matrix files of a shipped job that command reads: inspect reads
+    the matrix and the space's H, the other commands every file the job
+    names."""
+    job = _job_of(name)
+    keys = ("matrix", "space") if command == "inspect" else job
+    return {job[k].partition(":")[2] or job[k] for k in keys
+            if isinstance(job.get(k), str) and job[k].endswith(".json")}
+
+
 @st.composite
 def _malformed_jobs(draw):
     """(command, job name, mutation): one matrix entry NaN or infinite, a
@@ -1022,6 +1053,9 @@ def test_a_malformed_job_exits_with_a_documented_code(case, tmp_path_factory):
     except SystemExit as e:
         code = e.code
     assert code in (0, 2, 3)
+    # a NaN or infinite entry in a file the command reads is refused
+    if mutation[0] == "entry" and mutation[1] in _files_read(command, name):
+        assert code in (2, 3), (mutation, err.getvalue())
     # a refused gen job names the field at fault, never raw Python
     # exception text such as "'bool' object is not iterable"
     if command == "gen" and code:

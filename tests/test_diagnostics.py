@@ -27,9 +27,7 @@ from specpreserve import (
     ReassignmentGroup,
     ReassignmentSpec,
     ScalarProductSpace,
-    assemble_complex,
-    assemble_real_jordan,
-    assemble_real_lie,
+    assemble,
     extract_jordan_pairs,
     generate_instance,
     is_member,
@@ -329,8 +327,8 @@ class TestVerifyReassignment:
             key = complex(np.round(p.value, 6))
             if key in mapping:
                 groups.append(ReassignmentGroup(p.value, mapping[key], (p.chain,)))
-        return assemble_complex(inst.A, ReassignmentSpec(tuple(groups)),
-                                inst.space, inst.cls)
+        return assemble(inst.A, ReassignmentSpec(tuple(groups)), inst.space,
+                        inst.cls)
 
     def test_zero_delta_all_clean(self):
         rec = InstanceRecipe("flip", "jordan", "complex", "CT",
@@ -359,15 +357,15 @@ class TestVerifyReassignment:
         assert res.report.structure_residual <= 1e-3
 
     def test_supplied_fixed_pair(self):
-        from specpreserve import ToleranceProfile, assemble_real_jordan
+        from specpreserve import ToleranceProfile
         space = ScalarProductSpace(golden.JORDAN5_H, star="t", field="real",
                                    structure_tol=1e-3)
         groups = tuple(
             ReassignmentGroup(c, t, (golden.JORDAN5_XC[:, [j]],))
             for j, (c, t) in enumerate(zip(golden.JORDAN5_CURRENT,
                                            golden.JORDAN5_TARGET)))
-        asm = assemble_real_jordan(golden.JORDAN5_A, ReassignmentSpec(groups),
-                                   space, tol=ToleranceProfile(residual_tol=1e-3))
+        asm = assemble(golden.JORDAN5_A, ReassignmentSpec(groups), space,
+                       "jordan", tol=ToleranceProfile(residual_tol=1e-3))
         res = reassign_no_spillover(
             golden.JORDAN5_A, asm, space, "jordan", verify=False,
             tol=ToleranceProfile(residual_tol=1e-3))
@@ -386,13 +384,11 @@ def _real_field_case(arrangement):
         mapping = {1.0: 1.3, -2.0: -2.4}
         rec = InstanceRecipe("identity", "jordan", "real", "T",
                              tuple(PlanGroup(v, (1,)) for v in plan), seed=81)
-        assemble = assemble_real_jordan
     else:
         plan = (1 + 2j, 1 - 2j, -1 + 2j, -1 - 2j, 0.5, -0.5, 1.5j, -1.5j)
         mapping = {0.5: 0.8, -0.5: -0.8}
         rec = InstanceRecipe("skewj", "lie", "real", "T",
                              tuple(PlanGroup(v, (1,)) for v in plan), seed=82)
-        assemble = assemble_real_lie
     inst = generate_instance(rec)
     groups = tuple(
         ReassignmentGroup(p.value, mapping[complex(np.round(p.value, 6))],
@@ -476,7 +472,7 @@ class TestRealFieldOracle:
                              seed=70)
         inst = generate_instance(rec)
         p = next(p for p in inst.pairs if abs(p.value - 1.0) < 1e-6)
-        asm = assemble_complex(
+        asm = assemble(
             inst.A, ReassignmentSpec((ReassignmentGroup(p.value, 1.5,
                                                         (p.chain,)),)),
             inst.space, inst.cls)
@@ -505,7 +501,7 @@ def _symmetric_case(n, shift=0.0):
     step = 10.0 / n
 
     def assembly(off):
-        return assemble_real_jordan(A, ReassignmentSpec(tuple(
+        return assemble(A, ReassignmentSpec(tuple(
             ReassignmentGroup(w[i], w[i] + step + off, (V[:, [i]],))
             for i in moved)), space, "jordan")
 
@@ -726,8 +722,15 @@ class TestProbedFallback:
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: (
             solves.append((np.shape(a), np.shape(b))), solve(a, b))[1])
+        drawn = []
+        probes = specpreserve.core._probes
+        for module in (specpreserve.core, specpreserve.diagnostics):
+            monkeypatch.setattr(module, "_probes",
+                                lambda m: drawn.append(m) or probes(m))
         rep = verify_reassignment(A, delta, asm, space, cls,
                                   check_spillover=False)
+        # one draw serves the certificate and the structure estimate
+        assert drawn == [n]
         assert rep.delta_rank == rank == n
         assert _has_note(rep, f"delta_rank {n} from the "
                          "full_rank_certificate")
@@ -860,15 +863,15 @@ class TestNonFiniteA:
         assert (clean.spectrum_verdict is not None) == (n <= oracle_dim_limit())
 
 
-# recipe (space kind, class, field, star), assembly and pairing orbit of a
-# seed value for each arrangement; real Jordan on the flip form, which
-# admits Jordan chains
+# recipe (space kind, class, field, star) and pairing orbit of a seed value
+# for each arrangement; real Jordan on the flip form, which admits Jordan
+# chains
 ARRANGED = {
-    "real-jordan": (("flip", "jordan", "real", "T"), assemble_real_jordan,
+    "real-jordan": (("flip", "jordan", "real", "T"),
                     lambda l: [l, l.conjugate()]),
-    "real-lie": (("skewj", "lie", "real", "T"), assemble_real_lie,
+    "real-lie": (("skewj", "lie", "real", "T"),
                  lambda l: [l, l.conjugate(), -l, -l.conjugate()]),
-    "complex-lie": (("random", "lie", "complex", "CT"), assemble_complex,
+    "complex-lie": (("random", "lie", "complex", "CT"),
                     lambda l: [l, -l.conjugate()]),
 }
 ANGLES = (0.7, 0.0, np.pi / 2)   # general, real and imaginary seeds
@@ -882,7 +885,7 @@ def _annihilation_case(arrangement, n, chain=False):
     with chain set one orbit of length-2 chains.  Orbits get distinct
     radii; each target sits half a radius step further out.  Also returns a
     fixed eigenvector, real on the real arrangements."""
-    recipe_args, assemble, orbit = ARRANGED[arrangement]
+    recipe_args, orbit = ARRANGED[arrangement]
     step = 9.5 / n
     plan, moved, used, k = [], {}, 0, 0
     while used < n:
@@ -964,8 +967,8 @@ class TestSpilloverResidual:
             ReassignmentGroup(c, t, (golden.JORDAN5_XC[:, [j]],))
             for j, (c, t) in enumerate(zip(golden.JORDAN5_CURRENT,
                                            golden.JORDAN5_TARGET)))
-        asm = assemble_real_jordan(golden.JORDAN5_A, ReassignmentSpec(groups),
-                                   space, tol=ToleranceProfile(residual_tol=1e-3))
+        asm = assemble(golden.JORDAN5_A, ReassignmentSpec(groups), space,
+                       "jordan", tol=ToleranceProfile(residual_tol=1e-3))
         delta = reassign_no_spillover(
             golden.JORDAN5_A, asm, space, "jordan", verify=False,
             tol=ToleranceProfile(residual_tol=1e-3)).delta

@@ -24,8 +24,7 @@ from specpreserve import (
     ReassignmentSpec,
     ScalarProductSpace,
     StructureError,
-    assemble_real_jordan,
-    assemble_real_lie,
+    assemble,
     generate_instance,
     is_member,
     map_family,
@@ -130,10 +129,8 @@ def _assembly(inst, values, shift):
         if hit:
             v = hit[0]
             groups.append(ReassignmentGroup(v, v * shift, (p.chain,)))
-    spec = ReassignmentSpec(tuple(groups))
-    assemble = (assemble_real_lie if inst.cls.name == "LIE"
-                else assemble_real_jordan)
-    return assemble(inst.A, spec, inst.space, inst.cls)
+    return assemble(inst.A, ReassignmentSpec(tuple(groups)), inst.space,
+                    inst.cls)
 
 
 JORDAN_MOVED = (1.0, -2.0, 3.0, 4.5)

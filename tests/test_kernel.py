@@ -31,9 +31,7 @@ from specpreserve import (
     StructureError,
     ToleranceProfile,
     adjoint,
-    assemble_complex,
-    assemble_real_jordan,
-    assemble_real_lie,
+    assemble,
     generate_instance,
     map_family,
     matio,
@@ -498,9 +496,6 @@ def _wide_case(name, n=128, p=64):
     near = lambda w: min(abs(w - u) for u in moved) < 1e-9  # noqa: E731
     groups = tuple(ReassignmentGroup(q.value, 1.25 * q.value, (q.chain,))
                    for q in inst.pairs if near(q.value))
-    assemble = (assemble_complex if field == "complex" else
-                assemble_real_lie if cls is StructureClass.LIE
-                else assemble_real_jordan)
     asm = assemble(inst.A, ReassignmentSpec(groups), inst.space, cls)
     rest = [q for q in inst.pairs if not near(q.value)]
     X_f = np.hstack([q.chain for q in rest])
@@ -638,7 +633,8 @@ def _refusal(call):
 def test_refusals_keep_their_order_beside_the_second_thread(monkeypatch):
     # the solve is held back, so the gap is refused while it still runs
     monkeypatch.setattr(subspaces, "_rcond_estimate",
-                        lambda M: time.sleep(0.05) or core._rcond_estimate(M))
+                        lambda M, omega: time.sleep(0.05)
+                        or core._rcond_estimate(M, omega))
     n = 128
     space = ScalarProductSpace.identity(n, star="t", field="real")
     A = helpers.random_member(space, "jordan", 25).real
@@ -698,7 +694,8 @@ def test_a_basis_failing_two_ways_is_refused_as_singular_without_warning(
     # the update is formed while the solve runs, here held back; the basis
     # is still refused first, and nothing formed ahead of that warns
     monkeypatch.setattr(subspaces, "_rcond_estimate",
-                        lambda M: time.sleep(0.02) or core._rcond_estimate(M))
+                        lambda M, omega: time.sleep(0.02)
+                        or core._rcond_estimate(M, omega))
     args = _failing_two_ways(case)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -910,8 +907,8 @@ def _estimate(X_c, X_f):
     warning."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = core._Background(core._rcond_estimate,
-                                 np.hstack([X_c, X_f])).result()
+        value = core._Background(core._rcond_estimate, np.hstack([X_c, X_f]),
+                                 core._probes(len(X_c))).result()
     assert not caught, [str(w.message) for w in caught]
     return value
 

@@ -18,9 +18,7 @@ from specpreserve import (
     ScalarProductSpace,
     StructureClass,
     adjoint,
-    assemble_complex,
-    assemble_real_jordan,
-    assemble_real_lie,
+    assemble,
     extract_jordan_pairs,
     feasibility_check,
     generate_instance,
@@ -54,9 +52,7 @@ def _assembly(inst):
     p = inst.pairs[0]
     spec = ReassignmentSpec((ReassignmentGroup(p.value, p.value + 0.5,
                                                (p.chain,)),))
-    if inst.space.field == "real":
-        return assemble_real_jordan(inst.A, spec, inst.space)
-    return assemble_complex(inst.A, spec, inst.space, JORDAN)
+    return assemble(inst.A, spec, inst.space, JORDAN)
 
 
 def _operands(inst):
@@ -137,8 +133,7 @@ def _cases():
                                  JORDAN), "chain"),
         # spectral
         ("extract_jordan_pairs", lambda: extract_jordan_pairs(A0[:3]), "A"),
-        ("assemble_real_jordan",
-         lambda: assemble_real_jordan(A0, chain3, space), "chain"),
+        ("assemble", lambda: assemble(A0, chain3, space, JORDAN), "chain"),
         # diagnostics
         ("verify_reassignment",
          lambda: verify_reassignment(A0, np.zeros((3, 3)), asm, space,
@@ -226,8 +221,8 @@ def _real_lie_case():
         tuple(PlanGroup(v, (1,)) for v in quad + (3.0, -3.0)), seed=62))
     groups = tuple(ReassignmentGroup(p.value, 1.25 * p.value, (p.chain,))
                    for p in inst.pairs if abs(p.value.real) < 2)
-    return inst, assemble_real_lie(inst.A, ReassignmentSpec(groups),
-                                   inst.space)
+    return inst, assemble(inst.A, ReassignmentSpec(groups), inst.space,
+                          inst.cls)
 
 
 @pytest.mark.parametrize("case", ["complex", "real", "real-conjugate"])

@@ -24,9 +24,7 @@ from specpreserve import (
     ScalarProductSpace,
     StructureClass,
     StructureError,
-    assemble_complex,
-    assemble_real_jordan,
-    assemble_real_lie,
+    assemble,
     certificate_residual,
     generate_instance,
     pairing_partner,
@@ -74,14 +72,6 @@ def _row_reason(row, eps1):
         return row.reason
     build = row.units[eps1 == -1]
     return build if isinstance(build, str) else None
-
-
-def _assemble(inst, spec):
-    if inst.space.field == "complex":
-        return assemble_complex(inst.A, spec, inst.space, inst.cls)
-    if inst.cls is StructureClass.LIE:
-        return assemble_real_lie(inst.A, spec, inst.space, inst.cls)
-    return assemble_real_jordan(inst.A, spec, inst.space, inst.cls)
 
 
 # instances built per (preset, field, star) over ORBITS x chain lengths
@@ -195,7 +185,7 @@ def test_generator_catalogue(field, star, cls, kind, preset, eps1):
         chains.setdefault(complex(np.round(p.value, 10)), []).append(p.chain)
     spec = ReassignmentSpec(tuple(
         ReassignmentGroup(v, 1.25 * v, tuple(c)) for v, c in chains.items()))
-    asm = _assemble(inst, spec)
+    asm = assemble(inst.A, spec, inst.space, inst.cls)
     scale = max(1.0, np.linalg.norm(inst.A)) * np.linalg.norm(asm.X_c)
     assert np.linalg.norm(inst.A @ asm.X_c - asm.X_c @ asm.Lambda_c) <= 1e-9 * scale
     G = asm.X_c.conj().T @ inst.space.H @ asm.X_c
@@ -234,7 +224,7 @@ def test_sketched_bundle_agrees_with_the_full_factorizations(
     def no_spillover(chosen):
         spec = ReassignmentSpec(tuple(ReassignmentGroup(v, 1.25 * v, tuple(c))
                                       for v, c in chosen.items()))
-        asm = _assemble(inst, spec)
+        asm = assemble(inst.A, spec, inst.space, inst.cls)
         return asm.X_c.shape[1], reassign_no_spillover(
             A, asm, space, inst.cls, verify=False).delta
 
@@ -289,12 +279,10 @@ def test_real_lie_zero_is_rejected_by_the_assembly_with_its_reason():
     spec = ReassignmentSpec((ReassignmentGroup(0.0, 1.0, (np.ones((2, 1)),)),))
     row = _ORBITS["real", "T", StructureClass.LIE, "zero"]
     with pytest.raises(StructureError, match=row.reason):
-        assemble_real_lie(None, spec, space)
+        assemble(None, spec, space, StructureClass.LIE)
 
 
-TRACED = [(spectral, "assemble_complex"), (spectral, "assemble_real_lie"),
-          (spectral, "assemble_real_jordan"),
-          (spectral, "validate_pairing_closure"),
+TRACED = [(spectral, "assemble"), (spectral, "validate_pairing_closure"),
           (spectral, "certificate_residual"), (subspaces, "no_spillover"),
           (subspaces, "gram_inverse_apply")]
 
@@ -303,7 +291,8 @@ TRACED = [(spectral, "assemble_complex"), (spectral, "assemble_real_lie"),
 def test_traced_entry_point_is_its_own_function(module, name):
     # the benchmark tracer finds each of these by name and rebinds every
     # reference to that very object; an alias would be traced twice and a
-    # removal would break traced runs
+    # removal would break traced runs (the tracer still wraps the three
+    # per-arrangement aliases of assemble, which test_spectral pins)
     fn = getattr(module, name)
     assert inspect.isfunction(fn)
     assert fn.__name__ == name and fn.__module__ == module.__name__

@@ -12,13 +12,13 @@ import pytest
 import helpers
 from specpreserve import (
     ArgumentError,
+    ReassignmentAssembly,
     ReassignmentGroup,
     ReassignmentSpec,
     ScalarProductSpace,
     StructureClass,
     StructureError,
-    assemble_complex,
-    assemble_real_jordan,
+    assemble,
     feasibility_check,
     map_family,
     reassign_family,
@@ -63,9 +63,7 @@ def _assembly(A, w, V, space, targets):
     spec = ReassignmentSpec(groups=tuple(
         ReassignmentGroup(current=w[j], target=targets[j], chains=(V[:, [j]],))
         for j in range(2)))
-    if space.field == "real":
-        return assemble_real_jordan(A, spec, space)
-    return assemble_complex(A, spec, space, JORDAN)
+    return assemble(A, spec, space, JORDAN)
 
 
 def _nan(M):
@@ -91,14 +89,19 @@ def _asymmetric_z(space, poisoned=False):
     return _nan(K + K.T) if poisoned else K
 
 
-def _complex_z_on_real_arrangement(poisoned=False):
+def _complex_z_on_real_arrangement(poisoned=False, user_built=False):
     space, A, w, V = _identity_setup()
     K = np.random.default_rng(4).standard_normal((6, 6))
     Z = 1j * (K - K.T)  # Hermitian, so Z* = Z holds, but not real
     assert z_symmetry_residual(Z, space, JORDAN) == 0.0
-    return reassign_family(
-        A, _assembly(A, w, V, space, np.diag(_targets(space, w))), space,
-        JORDAN, Z=_nan(Z) if poisoned else Z, verify=False)
+    asm = _assembly(A, w, V, space, np.diag(_targets(space, w)))
+    if user_built:
+        # real_output keeps its default False: the real space alone asks
+        # for a real Z
+        asm = ReassignmentAssembly(asm.X_c, asm.Lambda_c, asm.Lambda_a,
+                                   asm.blocks)
+    return reassign_family(A, asm, space, JORDAN,
+                           Z=_nan(Z) if poisoned else Z, verify=False)
 
 
 def _case(name, poisoned=False):
@@ -132,12 +135,14 @@ def _case(name, poisoned=False):
             Z=_asymmetric_z(space, poisoned), verify=False),
         "reassign_family/z_real": lambda: _complex_z_on_real_arrangement(
             poisoned),
+        "reassign_family/z_real/user_built":
+            lambda: _complex_z_on_real_arrangement(poisoned, user_built=True),
         "reassign_no_spillover": lambda: reassign_no_spillover(
             A, _bad_certificate(A, w, V, space, poisoned), space, JORDAN,
             verify=False),
         "with_z": lambda: map_family(X, X @ La - A @ X, space, JORDAN).with_z(
             _asymmetric_z(space, poisoned)),
-        "assemble_complex": lambda: assemble_complex(
+        "assemble": lambda: assemble(
             A, ReassignmentSpec(groups=tuple(
                 ReassignmentGroup(current=w[j], target=La[j, j], chains=(
                     _break(V[:, [j]], 0.1 * V[:, [2]], poisoned),))
@@ -156,9 +161,10 @@ PRECONDITIONS = [
     ("reassign_family/certificate", "symmetry_certificate"),
     ("reassign_family/z_symmetry", "z_symmetry"),
     ("reassign_family/z_real", "z_real"),
+    ("reassign_family/z_real/user_built", "z_real"),
     ("reassign_no_spillover", "symmetry_certificate"),
     ("with_z", "z_symmetry"),
-    ("assemble_complex", "chain_residual"),
+    ("assemble", "chain_residual"),
 ]
 
 

@@ -16,8 +16,7 @@ from specpreserve import (
     StructureError,
     RealnessError,
     ToleranceProfile,
-    assemble_complex,
-    assemble_real_jordan,
+    assemble,
     extract_jordan_pairs,
     generate_instance,
     is_member,
@@ -40,8 +39,8 @@ def _lie4_assembly():
     groups = tuple(
         ReassignmentGroup(c, t, (golden.LIE4_XC[:, [j]],))
         for j, (c, t) in enumerate(zip(golden.LIE4_CURRENT, golden.LIE4_TARGET)))
-    asm = assemble_complex(golden.LIE4_A, ReassignmentSpec(groups), space,
-                           "lie", tol=ToleranceProfile(residual_tol=1e-3))
+    asm = assemble(golden.LIE4_A, ReassignmentSpec(groups), space,
+                   "lie", tol=ToleranceProfile(residual_tol=1e-3))
     return space, asm
 
 
@@ -61,7 +60,7 @@ class TestReassignFamily:
         inst = generate_instance(rec)
         p = _pick(inst.pairs, 1.0)
         spec = ReassignmentSpec((ReassignmentGroup(p.value, p.value, (p.chain,)),))
-        asm = assemble_complex(inst.A, spec, inst.space, inst.cls)
+        asm = assemble(inst.A, spec, inst.space, inst.cls)
         res = reassign_family(inst.A, asm, inst.space, inst.cls)
         assert np.linalg.norm(res.delta) <= 1e-10 * max(1.0, np.linalg.norm(inst.A))
 
@@ -83,8 +82,7 @@ class TestReassignFamily:
             ReassignmentGroup(2 + 1j, 3 + 2j, (_pick(inst.pairs, 2 + 1j).chain,)),
             ReassignmentGroup(-2 + 1j, -3 + 2j, (_pick(inst.pairs, -2 + 1j).chain,)),
         )
-        asm = assemble_complex(inst.A, ReassignmentSpec(groups), inst.space,
-                               inst.cls)
+        asm = assemble(inst.A, ReassignmentSpec(groups), inst.space, inst.cls)
         d_family = reassign_family(inst.A, asm, inst.space, inst.cls,
                                    verify=False).delta
         B = asm.X_c @ (asm.Lambda_a - asm.Lambda_c)
@@ -102,7 +100,7 @@ class TestReassignFamily:
             ReassignmentGroup(1 + 2j, 2 + 1j, (_pick(inst.pairs, 1 + 2j).chain,)),
             ReassignmentGroup(1 - 2j, 2 - 1j, (_pick(inst.pairs, 1 - 2j).chain,)),
         )
-        asm = assemble_real_jordan(inst.A, ReassignmentSpec(groups), inst.space)
+        asm = assemble(inst.A, ReassignmentSpec(groups), inst.space, inst.cls)
         Z = sample_structured(inst.space, inst.cls, seed=99)
         res = reassign_family(inst.A, asm, inst.space, inst.cls, Z=Z)
         assert not np.iscomplexobj(res.delta)
@@ -127,7 +125,7 @@ class TestReassignNoSpillover:
         inst = generate_instance(rec)
         p = _pick(inst.pairs, -3.0)
         spec = ReassignmentSpec((ReassignmentGroup(p.value, p.value, (p.chain,)),))
-        asm = assemble_complex(inst.A, spec, inst.space, inst.cls)
+        asm = assemble(inst.A, spec, inst.space, inst.cls)
         res = reassign_no_spillover(inst.A, asm, inst.space, inst.cls)
         assert np.linalg.norm(res.delta) <= 1e-10 * max(1.0, np.linalg.norm(inst.A))
         assert res.report.delta_rank == 0
@@ -173,7 +171,7 @@ class TestReassignNoSpillover:
         inst = generate_instance(rec)
         p = _pick(inst.pairs, 1.0)
         spec = ReassignmentSpec((ReassignmentGroup(p.value, 6.0, (p.chain,)),))
-        asm = assemble_complex(inst.A, spec, inst.space, inst.cls)
+        asm = assemble(inst.A, spec, inst.space, inst.cls)
         with pytest.raises(StructureError):
             reassign_no_spillover(inst.A, asm, inst.space, inst.cls,
                                   fixed_spectrum_guard=[1.0 + 0j, -3.0 + 0j])
@@ -186,7 +184,7 @@ class TestReassignNoSpillover:
         inst = generate_instance(rec)
         p = _pick(inst.pairs, 1.0)
         spec = ReassignmentSpec((ReassignmentGroup(p.value, 6.0, (p.chain,)),))
-        asm = assemble_complex(inst.A, spec, inst.space, inst.cls)
+        asm = assemble(inst.A, spec, inst.space, inst.cls)
         guarded = reassign_no_spillover(inst.A, asm, inst.space, inst.cls,
                                         fixed_spectrum_guard=[], verify=False)
         plain = reassign_no_spillover(inst.A, asm, inst.space, inst.cls,
@@ -201,7 +199,7 @@ class TestReassignNoSpillover:
         inst = generate_instance(rec)
         p = _pick(inst.pairs, 1.0)
         spec = ReassignmentSpec((ReassignmentGroup(p.value, 6.0, (p.chain,)),))
-        asm = assemble_complex(inst.A, spec, inst.space, inst.cls)
+        asm = assemble(inst.A, spec, inst.space, inst.cls)
         return reassign_no_spillover(inst.A, asm, inst.space, inst.cls,
                                      fixed_spectrum_guard=guard,
                                      verify=False).delta
@@ -238,8 +236,7 @@ class TestReassignNoSpillover:
             ReassignmentGroup(2 + 1j, 3 + 2j, (_pick(inst.pairs, 2 + 1j).chain,)),
             ReassignmentGroup(-2 + 1j, -3 + 2j, (_pick(inst.pairs, -2 + 1j).chain,)),
         )
-        asm = assemble_complex(inst.A, ReassignmentSpec(groups), inst.space,
-                               inst.cls)
+        asm = assemble(inst.A, ReassignmentSpec(groups), inst.space, inst.cls)
         res = reassign_no_spillover(inst.A, asm, inst.space, inst.cls)
         D = asm.Lambda_a - asm.Lambda_c
         assert res.report.delta_rank == numerical_rank(D) == 4
@@ -255,8 +252,7 @@ class TestReassignNoSpillover:
             ReassignmentGroup(2 + 1j, 4 + 1j, (_pick(inst.pairs, 2 + 1j).chain,)),
             ReassignmentGroup(2 - 1j, 4 - 1j, (_pick(inst.pairs, 2 - 1j).chain,)),
         )
-        asm = assemble_complex(inst.A, ReassignmentSpec(groups), inst.space,
-                               inst.cls)
+        asm = assemble(inst.A, ReassignmentSpec(groups), inst.space, inst.cls)
         res = reassign_no_spillover(inst.A, asm, inst.space, inst.cls)
         before = extract_jordan_pairs(inst.A)
         after = extract_jordan_pairs(inst.A + res.delta)
@@ -395,8 +391,8 @@ class TestSpectralReplacement:
                 ReassignmentGroup(2 - 1j, 5 - 2j, (_pick(inst.pairs, 2 - 1j).chain,)),
                 ReassignmentGroup(1.0, -6.0, (_pick(inst.pairs, 1.0).chain,)),
             )
-            asm = assemble_complex(inst.A, ReassignmentSpec(groups), inst.space,
-                                   inst.cls)
+            asm = assemble(inst.A, ReassignmentSpec(groups), inst.space,
+                           inst.cls)
             res = reassign_no_spillover(inst.A, asm, inst.space, inst.cls)
             v = res.report.spectrum_verdict
             assert v.matched and v.max_distance <= 1e-6
@@ -414,7 +410,7 @@ class TestRealBasis:
         groups = tuple(ReassignmentGroup(w[j], w[j] + 0.1 * j, (V[:, [j]],))
                        for j in range(1, 2 * p, 2))
         A = (V * w) @ V.T
-        asm = assemble_real_jordan(A, ReassignmentSpec(groups), space)
+        asm = assemble(A, ReassignmentSpec(groups), space, "jordan")
         return A, space, StructureClass.JORDAN, asm
 
     def test_real_data_under_the_identity_map_is_its_own_basis(self):

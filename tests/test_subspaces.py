@@ -184,6 +184,23 @@ class TestPreserveComplementary:
                 "jordan")
         assert exc.value.condition == "nonsingular_basis"
 
+    def test_a_near_gap_warns_and_still_fixes_the_pair(self):
+        # a current 3e-5 from a fixed value: past SPECTRAL_SEPARATION = 1e-6
+        # of the scale |w_f|_F ~ 7.1, within ten times it
+        space = ScalarProductSpace(np.eye(6), star="t", field="real")
+        Q = np.linalg.qr(np.random.default_rng(26).standard_normal((6, 6)))[0]
+        w = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 1.0 + 3e-5])
+        A = (Q * w) @ Q.T
+        La, Lf = np.diag([1.5, 2.5]), np.diag(w[2:])
+        with pytest.warns(UserWarning, match="spectral gap 3.0"):
+            delta = subspaces.preserve_complementary(
+                A, Q[:, :2], La, Q[:, 2:], Lf, space, "jordan")
+        scale = np.linalg.norm(A) + np.linalg.norm(delta)
+        assert np.linalg.norm((A + delta) @ Q[:, 2:] - Q[:, 2:] @ Lf) <= (
+            1e-10 * scale)
+        assert np.linalg.norm((A + delta) @ Q[:, :2] - Q[:, :2] @ La) <= (
+            1e-10 * scale)
+
     def test_nonsingularity_takes_no_square_svd(self, monkeypatch):
         space, A, w, V = self._symmetric()
         shapes = []
