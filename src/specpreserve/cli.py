@@ -88,9 +88,21 @@ def _job_path(job, value, key):
     return os.path.join(job.get("_dir", "."), value)
 
 
+def _finite(M, key):
+    """M, a matrix the job gives under key, refused by key when it has a NaN
+    or infinite entry: before any product, so numpy never warns."""
+    _require_finite(M, key, "result")
+    return M
+
+
+def _read_matrix(job, value, key):
+    """The finite matrix in the file at the job's path value under key."""
+    return _finite(matio.load_matrix(_job_path(job, value, key)), key)
+
+
 def _job_matrix(job, key):
     """The matrix in the file the job names under key, a required field."""
-    return matio.load_matrix(_job_path(job, job.get(key), key))
+    return _read_matrix(job, job.get(key), key)
 
 
 def _number(raw, convert, label):
@@ -185,8 +197,7 @@ def _resolve_space(job, args, A, structure_tol) -> ScalarProductSpace:
         raise FormatError(f"unknown space preset {name!r}")
     if kind == "signature":
         return ScalarProductSpace.signature(_parse_signature(arg), **kw)
-    return ScalarProductSpace(matio.load_matrix(_job_path(job, arg, "space")),
-                              **kw)
+    return ScalarProductSpace(_read_matrix(job, arg, "space"), **kw)
 
 
 def _resolve_class(job, args) -> StructureClass:
@@ -212,7 +223,7 @@ def _resolve_z(job, args, space, cls):
     raw = args.z if args.z is not None else job.get("z", "zero")
     if isinstance(raw, dict):
         if "file" in raw:
-            return matio.load_matrix(_job_path(job, raw["file"], "z"))
+            return _read_matrix(job, raw["file"], "z")
         raise FormatError(f"bad z spec {raw!r}")
     name = str(raw)
     if name == "zero":
@@ -220,18 +231,20 @@ def _resolve_z(job, args, space, cls):
     if name == "random":
         return sample_structured(space, cls, seed)
     if name.startswith("file:"):
-        return matio.load_matrix(_job_path(job, name[5:], "z"))
+        return _read_matrix(job, name[5:], "z")
     raise FormatError(f"bad z spec {name!r}")
 
 
 def _load_lambda(job, raw, label):
-    """A small matrix given either as a file path or a diagonal list."""
+    """A small finite matrix given either as a file path or a diagonal
+    list."""
     if raw is None:
         raise FormatError(f"missing {label}")
     if isinstance(raw, str):
-        return matio.load_matrix(_job_path(job, raw, label))
+        return _read_matrix(job, raw, label)
     if isinstance(raw, list):
-        return np.diag([matio.complex_from_pair(v) for v in raw])
+        return _finite(np.diag([matio.complex_from_pair(v) for v in raw]),
+                       label)
     raise FormatError(f"bad {label}: expected a path or a list of values")
 
 
@@ -273,7 +286,6 @@ def _fmt_complex(z):
 def cmd_inspect(args) -> int:
     job, tol, A, space, cls = _load_problem(args)
     n = A.shape[0]
-    _require_finite(A, "A")
 
     res = structure_residual(A, space, cls)
     member = is_member(A, space, cls)
@@ -356,7 +368,6 @@ def _match_eigvecs(A, currents):
     nearest-first pass can take the eigenvalue a later current needs); each
     pair must lie within ``MATCH_TOL`` times the spectral scale.
     """
-    _require_finite(A, "A")
     w, V = np.linalg.eig(np.asarray(A, dtype=complex))
     scale = max(1.0, float(np.max(np.abs(w))))
     rows, cols, dist = _assign_multisets(np.asarray(currents, dtype=complex), w)
@@ -385,8 +396,6 @@ def _fixed_pair(job, n):
         raise FormatError(f"fixed_basis must have {n} rows, got {X_f.shape}")
     if L_f.shape != (m, m):
         raise FormatError(f"fixed_lambda must be {m} x {m}, got {L_f.shape}")
-    _require_finite(X_f, "fixed_basis", "fixed residual")
-    _require_finite(L_f, "fixed_lambda", "fixed residual")
     return X_f, L_f
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import threading
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
@@ -222,36 +221,6 @@ class _MonomialH:
 
     def solve(self, B):
         return self._scale_rows(self.inv_vals, B[self.rows])
-
-
-class _Background(threading.Thread):
-    """``fn(*args)`` on a thread of its own, started at once (numpy and
-    LAPACK release the interpreter lock); ``result()`` joins it and returns
-    or raises what fn did, and a ``with`` joins it on every exit."""
-
-    def __init__(self, fn, *args):
-        super().__init__(daemon=True)
-        self._call = functools.partial(fn, *args)
-        self._out = self._err = None
-        self.start()
-
-    def run(self):
-        try:
-            self._out = self._call()
-        except BaseException as e:  # re-raised by result() in the caller
-            self._err = e
-
-    def result(self):
-        self.join()
-        if self._err is not None:
-            raise self._err
-        return self._out
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.join()
 
 
 class _DenseH:

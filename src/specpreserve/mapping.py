@@ -13,10 +13,7 @@ The Z = 0 member is kept as factors ``U V`` of width 2p and multiplied out
 once, so it costs O(n^2 p) and forms no n x n matrix before that product;
 a member with a parameter Z is ``H^-1 Z + L R``, the Z term ``H^-1 P* Z P``
 (``P = I - X X^+``, never formed) folded into factors L, R of that width.
-``H^-1 Z`` is the one n-column ``H^-1``: no call solves with H.  On a
-dense H, ``_start_h_solve_z`` runs it on a second thread from the entry of
-the call, beside the feasibility test, the checks of Z and L R, bitwise as
-inline; refusals keep their order and a refused call still joins it.
+``H^-1 Z`` is the one n-column ``H^-1``: no call solves with H.
 
 Every member is built by ``_family``, after the feasibility test its caller
 names: the public functions test the range and symmetry conditions; the
@@ -28,7 +25,6 @@ decided itself, neither.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import dataclass
 
@@ -38,8 +34,6 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
-    _Background,
-    _DenseH,
     _decide,
     _real_apply,
     as_matrix,
@@ -91,11 +85,11 @@ def _map_factors(X, B, Xd, space, cls, HB=None, W=None):
     return U, V, W
 
 
-def _z_member(Z, h_solve_z, X, Xd, U, V, space, cls):
+def _z_member(Z, X, Xd, U, V, space, cls):
     """``H^-1 Z + L R`` for Z and the Z = 0 factors ``[B, U2] [X^+; V2]``:
     ``L = [B - H^-1 Z X, U2]``, ``R = [X^+; V2 - e1 e2 X* Z P]``, with
-    ``H^-1 Z = h_solve_z()`` added last.  A real Z meets complex X only in
-    real products (on a real space, whose star conjugates)."""
+    ``H^-1 Z`` added last.  A real Z meets complex X only in real products
+    (on a real space, whose star conjugates)."""
     p = X.shape[1]
     real_view = np.iscomplexobj(X) and not np.iscomplexobj(Z)
     XsZ = (_real_apply(Z.T, X.conj()).T if real_view
@@ -104,7 +98,7 @@ def _z_member(Z, h_solve_z, X, Xd, U, V, space, cls):
     R = np.vstack([Xd, V[p:] - space.epsilon1 * cls.epsilon2 * (
         XsZ - (XsZ @ X) @ Xd)])
     out = L @ R
-    out += h_solve_z()  # into L R, which complex chains make complex
+    out += space.h_solve(Z)  # into L R, which complex chains make complex
     return out
 
 
@@ -163,19 +157,10 @@ class StructuredMapSolution:
         return np.eye(self.space.n) - self.X @ self.X_pinv
 
     def with_z(self, Z) -> np.ndarray:
-        """Family member for an admissible parameter Z (``Z* = e1 e2 Z``,
-        real on a real space); Z = None gives ``family_base``.  ``H^-1 Z``
-        of a dense H starts on a second thread here, before Z is checked."""
-        with _start_h_solve_z(Z, self.space) as started:
-            return self._member(Z, started)
-
-    def _member(self, Z, started) -> np.ndarray:
-        """``family_base`` for Z = None, else the member for Z checked to be
-        an admissible parameter: n x n, real to the space's structure
-        tolerance on a real space (checked first; its real part is used),
-        and ``Z* = e1 e2 Z``.  ``H^-1 Z`` is the result of started, the
-        helper ``_start_h_solve_z`` gave for the same Z and space, or, when
-        that is None (a monomial H), a gather made inline."""
+        """Family member for an admissible parameter Z; Z = None gives
+        ``family_base``.  Z is checked to be n x n, real to the space's
+        structure tolerance on a real space (checked first; its real part
+        is used), and ``Z* = e1 e2 Z``."""
         if Z is None:
             return self.family_base
         real = self.space.field == "real"
@@ -188,30 +173,8 @@ class StructuredMapSolution:
                 thr).require("Z fails Z* = e1 e2 Z")
         if real:
             Z = np.ascontiguousarray(Z.real)
-        h_solve_z = (started.result if started
-                     else functools.partial(self.space.h_solve, Z))
-        return _z_member(Z, h_solve_z, self.X, self.X_pinv, *self.factors,
+        return _z_member(Z, self.X, self.X_pinv, *self.factors,
                          self.space, self.cls)
-
-
-def _start_h_solve_z(Z, space):
-    """``H^-1 Z`` of a member's Z on a dense H, started on a second thread at
-    once after H^-1 is formed here (once per space), as a ``with`` context
-    that joins it on every exit; a context holding None for no Z or a
-    monomial H.  The thread casts Z as ``_member`` does, so the product has
-    the serial bits; only ``_member`` reads it, once the caller checked Z."""
-    h = None if Z is None else space._h_op
-    if not isinstance(h, _DenseH):
-        return contextlib.nullcontext()
-    inv = h.inv
-
-    def h_solve_z():
-        # silent: a refused Z's product is discarded, an admitted Z is finite
-        with np.errstate(all="ignore"):
-            Zm = as_matrix(Z, "Z", space, (space.n,) * 2)
-            return _real_apply(inv, np.ascontiguousarray(Zm.real)
-                               if space.field == "real" else Zm)
-    return _Background(h_solve_z)
 
 
 def _family(X, B, space, cls, tol, test="full", HB=None,
@@ -249,8 +212,7 @@ def map_family(X, B, space: ScalarProductSpace, cls: StructureClass,
 def solve_structured(X, B, space: ScalarProductSpace, cls: StructureClass,
                      Z=None, tol: ToleranceProfile = ToleranceProfile()) -> np.ndarray:
     """Structured solution of ``A X = B`` for one choice of parameter Z."""
-    with _start_h_solve_z(Z, space) as started:
-        return map_family(X, B, space, cls, tol)._member(Z, started)
+    return map_family(X, B, space, cls, tol).with_z(Z)
 
 
 def minimal_structured(X, B, space: ScalarProductSpace, cls: StructureClass,

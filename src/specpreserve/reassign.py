@@ -44,7 +44,7 @@ from .core import (
 )
 from .diagnostics import PerturbationReport, verify_reassignment
 from .errors import ArgumentError, RealnessError
-from .mapping import _family, _start_h_solve_z
+from .mapping import _family
 from .spectral import (
     SNAP_TOL,
     ReassignmentAssembly,
@@ -133,13 +133,12 @@ def reassign_family(A, assembly: ReassignmentAssembly, space: ScalarProductSpace
     ``(A + delta) X_c = X_c Lambda_a`` and stays in the algebra.
     """
     cls = StructureClass.parse(cls)
-    with _start_h_solve_z(Z, space) as started:
-        A = as_matrix(A, "A", space, (space.n,) * 2)
-        X_c, D, HX, _, G = _check_certificate(assembly, space, cls)
-        X, B, HB = _real_basis(assembly, X_c, X_c @ D, HX @ D)
-        # a real basis forms its own W
-        W = None if assembly.real_output else G @ D
-        delta = _family(X, B, space, cls, tol, None, HB, W)._member(Z, started)
+    A = as_matrix(A, "A", space, (space.n,) * 2)
+    X_c, D, HX, _, G = _check_certificate(assembly, space, cls)
+    X, B, HB = _real_basis(assembly, X_c, X_c @ D, HX @ D)
+    # a real basis forms its own W
+    W = None if assembly.real_output else G @ D
+    delta = _family(X, B, space, cls, tol, None, HB, W).with_z(Z)
     report = None
     if verify:
         report = verify_reassignment(A, delta, assembly, space, cls, tol=tol,

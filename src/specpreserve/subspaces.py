@@ -24,11 +24,10 @@ The complementary checks use the eight seeded probes Omega of
 ``A (X_f Omega) - X_f (Lambda_f Omega)`` in O(n^2) per probe (see
 ``core._check_invariant_pair``), and ``X = [X_c X_f]`` is decided
 nonsingular by ``1 / (|X|_F |X^-T Omega|_F)``, one numpy solve with eight
-right-hand sides (see ``core._rcond_estimate``).  That solve runs on a second
-thread beside the checks and the update, which are formed before it is
-read; every decision keeps its order.  Every factorization here is
-numpy's.  A lower or upper triangular Lambda_f, such as a Jordan form
-or its transpose, gives its spectrum from its diagonal.
+right-hand sides (see ``core._rcond_estimate``), before the update is
+formed.  Every factorization here is numpy's.  A lower or upper
+triangular Lambda_f, such as a Jordan form or its transpose, gives its
+spectrum from its diagonal.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .core import (
     ScalarProductSpace,
     StructureClass,
     ToleranceProfile,
-    _Background,
     _check_full_column_rank,
     _check_invariant_pair,
     _decide,
@@ -57,7 +55,7 @@ from .core import (
     gram_matrix,
     pseudoinverse,
 )
-from .mapping import _family, _start_h_solve_z
+from .mapping import _family
 from .spectral import _form_star, pairing_partner
 
 __all__ = [
@@ -119,15 +117,13 @@ def reproduce_invariant(A, X_a, Lambda_a, space: ScalarProductSpace,
     """Structured perturbation making range(X_a) invariant with restriction
     Lambda_a.  Z = None yields the Frobenius-minimal member of the family."""
     cls = StructureClass.parse(cls)
-    with _start_h_solve_z(Z, space) as started:
-        A = as_matrix(A, "A", space, (space.n,) * 2)
-        X_a, Lambda_a, G = _basis_pair(X_a, Lambda_a, space, tol)
-        _gram_compatibility(G, Lambda_a, space, cls).require(
-            _INCOMPATIBLE, "condition_residual")
-        B = X_a @ Lambda_a - _real_apply(A, X_a)
-        # W = X_a* H B carries X_a* H A X_a, so W = e1 e2 W* is still tested
-        fam = _family(X_a, B, space, cls, tol, "symmetry")
-        return fam._member(Z, started)
+    A = as_matrix(A, "A", space, (space.n,) * 2)
+    X_a, Lambda_a, G = _basis_pair(X_a, Lambda_a, space, tol)
+    _gram_compatibility(G, Lambda_a, space, cls).require(
+        _INCOMPATIBLE, "condition_residual")
+    B = X_a @ Lambda_a - _real_apply(A, X_a)
+    # W = X_a* H B carries X_a* H A X_a, so W = e1 e2 W* is still tested
+    return _family(X_a, B, space, cls, tol, "symmetry").with_z(Z)
 
 
 def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
@@ -136,23 +132,21 @@ def preserve_invariant(A, X_c, Lambda_c, R, Lambda_a, space: ScalarProductSpace,
     """Structured perturbation keeping the invariant subspace range(X_c)
     invariant, in the re-basis X_c R, with new restriction Lambda_a."""
     cls = StructureClass.parse(cls)
-    with _start_h_solve_z(Z, space) as started:
-        A = as_matrix(A, "A", space, (space.n,) * 2)
-        X_c = as_matrix(X_c, "X_c", space, (space.n, None))
-        p = X_c.shape[1]
-        Lambda_c = as_matrix(Lambda_c, "Lambda_c", space, (p, p))
-        Lambda_a = as_matrix(Lambda_a, "Lambda_a", space, (p, p))
-        R = as_matrix(R, "R", space, (p, p))
-        _check_full_column_rank(R, tol.rank_tol, "nonsingular_R",
-                                "R is numerically singular")
-        _check_full_column_rank(X_c, tol.rank_tol, "rank", "X_c is rank deficient")
-        _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol, "A X_c = X_c Lambda_c")
-        GR = space.star_mat(R) @ gram_matrix(X_c, space) @ R
-        _gram_compatibility(GR, Lambda_a, space, cls).require(
-            "Lambda_a incompatible in the basis X_c R", "condition_residual")
-        Rt = R @ Lambda_a - Lambda_c @ R
-        fam = _family(X_c @ R, X_c @ Rt, space, cls, tol, "symmetry")
-        return fam._member(Z, started)
+    A = as_matrix(A, "A", space, (space.n,) * 2)
+    X_c = as_matrix(X_c, "X_c", space, (space.n, None))
+    p = X_c.shape[1]
+    Lambda_c = as_matrix(Lambda_c, "Lambda_c", space, (p, p))
+    Lambda_a = as_matrix(Lambda_a, "Lambda_a", space, (p, p))
+    R = as_matrix(R, "R", space, (p, p))
+    _check_full_column_rank(R, tol.rank_tol, "nonsingular_R",
+                            "R is numerically singular")
+    _check_full_column_rank(X_c, tol.rank_tol, "rank", "X_c is rank deficient")
+    _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol, "A X_c = X_c Lambda_c")
+    GR = space.star_mat(R) @ gram_matrix(X_c, space) @ R
+    _gram_compatibility(GR, Lambda_a, space, cls).require(
+        "Lambda_a incompatible in the basis X_c R", "condition_residual")
+    Rt = R @ Lambda_a - Lambda_c @ R
+    return _family(X_c @ R, X_c @ Rt, space, cls, tol, "symmetry").with_z(Z)
 
 
 def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
@@ -174,65 +168,55 @@ def preserve_complementary(A, X_c, Lambda_a, X_f, Lambda_f,
     X_f = as_matrix(X_f, "X_f", space, (space.n, m))
     Lambda_a = as_matrix(Lambda_a, "Lambda_a", space, (p, p))
     Lambda_f = as_matrix(Lambda_f, "Lambda_f", space, (m, m))
-    # the nonsingularity of [X_c X_f] is estimated on a second thread
-    # beside the checks and the update
-    with _Background(lambda: _rcond_estimate(np.hstack([X_c, X_f]),
-                                              _probes(space.n))) as rcond:
-        AX_c = _real_apply(A, X_c)
-        Lambda_c = pseudoinverse(X_c, tol.rank_tol) @ AX_c
-        _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol,
-                              "invariance of range(X_c) under A", AX=AX_c)
-        _check_invariant_pair(A, X_f, Lambda_f, tol.eig_tol,
-                              "A X_f = X_f Lambda_f")
-        ec = np.linalg.eigvals(Lambda_c)
-        # a triangular Lambda_f (Jordan chains) has its spectrum on the diagonal
-        nz = Lambda_f != 0
-        triangular = not (np.tril(nz, -1).any() and np.triu(nz, 1).any())
-        ef = (np.diagonal(Lambda_f) if triangular
-              else np.linalg.eigvals(Lambda_f))
-        # an empty side is disjoint from everything (gap inf)
-        paired = np.array([pairing_partner(l, cls, _form_star(space))
-                           for l in ec])
-        gap = float(np.min(np.abs(paired[:, None] - ef[None, :]),
-                           initial=np.inf))
-        spectral_scale = max(1.0, frob(ec), frob(ef))
-        XsH = _star_h(X_c, space)
-        G = XsH @ X_c
-        _decide("spectral_disjointness", gap,
-                SPECTRAL_SEPARATION * spectral_scale, at_least=True).require(
-            "paired spectrum of the changed block meets the fixed spectrum",
-            "min gap")
-        if gap < 10 * SPECTRAL_SEPARATION * spectral_scale:
-            warnings.warn(
-                f"spectral gap {gap:.3e} is close to the separation threshold; "
-                f"Gram 1-norm condition {np.real(np.linalg.cond(G, 1)):.2e}",
-                stacklevel=2)
+    AX_c = _real_apply(A, X_c)
+    Lambda_c = pseudoinverse(X_c, tol.rank_tol) @ AX_c
+    _check_invariant_pair(A, X_c, Lambda_c, tol.eig_tol,
+                          "invariance of range(X_c) under A", AX=AX_c)
+    _check_invariant_pair(A, X_f, Lambda_f, tol.eig_tol,
+                          "A X_f = X_f Lambda_f")
+    ec = np.linalg.eigvals(Lambda_c)
+    # a triangular Lambda_f (Jordan chains) has its spectrum on the diagonal
+    nz = Lambda_f != 0
+    triangular = not (np.tril(nz, -1).any() and np.triu(nz, 1).any())
+    ef = np.diagonal(Lambda_f) if triangular else np.linalg.eigvals(Lambda_f)
+    # an empty side is disjoint from everything (gap inf)
+    paired = np.array([pairing_partner(l, cls, _form_star(space))
+                       for l in ec])
+    gap = float(np.min(np.abs(paired[:, None] - ef[None, :]), initial=np.inf))
+    spectral_scale = max(1.0, frob(ec), frob(ef))
+    XsH = _star_h(X_c, space)
+    G = XsH @ X_c
+    _decide("spectral_disjointness", gap,
+            SPECTRAL_SEPARATION * spectral_scale, at_least=True).require(
+        "paired spectrum of the changed block meets the fixed spectrum",
+        "min gap")
+    if gap < 10 * SPECTRAL_SEPARATION * spectral_scale:
+        warnings.warn(
+            f"spectral gap {gap:.3e} is close to the separation threshold; "
+            f"Gram 1-norm condition {np.real(np.linalg.cond(G, 1)):.2e}",
+            stacklevel=2)
 
-        _gram_compatibility(G, Lambda_a, space, cls).require(
-            _INCOMPATIBLE, "condition_residual")
-        # the numbers of the decisions after the basis's are formed while
-        # its solve runs, and decided after it: the gap gives X_c* H X_f = 0,
-        # so the no-spillover update solves delta [X_c X_f] = [B_c, 0];
-        # computed pairs meet it only to their residuals over the gap, in
-        # O(n p m)
-        cross = frob(XsH @ X_f)
-        # X_c T, B_c T give the same update; T scales each column of X_c to
-        # unit norm by a power of two (exactly), so the Gram test judges the
-        # basis, as the basis decision does, and not the scale of its
-        # columns; a zero column, which that decision refuses, keeps its
-        # scale
-        s = np.linalg.norm(X_c, axis=0)
-        t = np.exp2(-np.round(np.log2(s, out=np.zeros_like(s), where=s > 0)))
-        update = _no_spillover_update(t[:, None] * G * t, X_c * t,
-                                      (X_c @ Lambda_a - AX_c) * t,
-                                      t[:, None] * XsH, tol.rank_tol)
-        _decide("nonsingular_basis", rcond.result(), tol.rank_tol,
-                at_least=True).require("[X_c X_f] is numerically singular",
-                                       "reciprocal condition estimate")
-    _decide("h_orthogonality", cross,
+    _gram_compatibility(G, Lambda_a, space, cls).require(
+        _INCOMPATIBLE, "condition_residual")
+    _decide("nonsingular_basis",
+            _rcond_estimate(np.hstack([X_c, X_f]), _probes(space.n)),
+            tol.rank_tol, at_least=True).require(
+        "[X_c X_f] is numerically singular", "reciprocal condition estimate")
+    # the gap gives X_c* H X_f = 0, so the no-spillover update solves
+    # delta [X_c X_f] = [B_c, 0]; computed pairs meet it only to their
+    # residuals over the gap, in O(n p m)
+    _decide("h_orthogonality", frob(XsH @ X_f),
             tol.eig_tol * frob(X_c) * frob(X_f)).require(
         "X_c* H X_f is not zero, as the spectral gap makes it")
-    return _require_update(*update)
+    # X_c T, B_c T give the same update; T scales each column of X_c to unit
+    # norm by a power of two (exactly), so the Gram test judges the basis, as
+    # the basis decision does, and not the scale of its columns; a zero
+    # column, which that decision refuses, keeps its scale
+    s = np.linalg.norm(X_c, axis=0)
+    t = np.exp2(-np.round(np.log2(s, out=np.zeros_like(s), where=s > 0)))
+    return _require_update(*_no_spillover_update(
+        t[:, None] * G * t, X_c * t, (X_c @ Lambda_a - AX_c) * t,
+        t[:, None] * XsH, tol.rank_tol))
 
 
 def gram_inverse_apply(G, RHS):

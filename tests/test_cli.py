@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -380,15 +381,15 @@ class TestInspect:
     @pytest.mark.parametrize("value", NON_FINITE)
     def test_non_finite_matrix_exits_2(self, jobs_dir, tmp_path, capsys,
                                        value):
-        # the matrix reader takes a bare NaN or Infinity; A has no
-        # eigenvalues then
+        # the matrix reader takes a bare NaN or Infinity; the matrix is
+        # refused by its job key as it is read
         d = _copy_job(jobs_dir, "jordan5", tmp_path)
         _set_entry(d / "A.json", 7, value)
         assert _run("inspect", str(d / "job.json")) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: A has a NaN or infinite entry, so no "
-                                "eigenvalues\n")
+        assert captured.err == ("error: matrix has a NaN or infinite entry, "
+                                "so no result\n")
 
     def test_non_member_reported_without_error(self, tmp_path, rng, capsys):
         A = rng.standard_normal((4, 4))
@@ -532,7 +533,7 @@ class TestReassign:
     def test_non_finite_matrix_without_eigvecs_exits_2(self, jobs_dir,
                                                        tmp_path, capsys,
                                                        value):
-        # the eigenvectors are matched from eig(A), which A does not have
+        # refused as it is read, before eig(A) matches the eigenvectors
         d = _copy_job(jobs_dir, "jordan5", tmp_path)
         _set_entry(d / "A.json", 7, value)
         job = json.loads((d / "job.json").read_text())
@@ -540,7 +541,7 @@ class TestReassign:
         (d / "job.json").write_text(json.dumps(job))
         assert _run("reassign", str(d / "job.json")) == 2
         assert capsys.readouterr().err == (
-            "error: A has a NaN or infinite entry, so no eigenvalues\n")
+            "error: matrix has a NaN or infinite entry, so no result\n")
 
     @pytest.mark.parametrize("key, payload, message", [
         ("fixed_basis", {"rows": 3, "cols": 2, "field": "real",
@@ -584,8 +585,7 @@ class TestReassign:
                             lambda *a, **kw: solves.append(a))
         assert _run("reassign", str(d / "job.json")) == 2
         assert capsys.readouterr().err == (
-            f"error: {key} has a NaN or infinite entry, so no fixed "
-            "residual\n")
+            f"error: {key} has a NaN or infinite entry, so no result\n")
         assert solves == []
 
     def test_missing_job_file_exits_3(self):
@@ -658,8 +658,9 @@ class TestInvariant:
         assert "condition_residual" in err
 
     def test_nan_basis_exits_2(self, tmp_path, capsys):
-        # a NaN basis has no SVD; the rank decision fails instead of numpy.
-        # json writes NaN as a bare literal, which the matrix reader accepts
+        # a NaN basis is refused by its job key as it is read, before a
+        # product or an SVD takes it.  json writes NaN as a bare literal,
+        # which the matrix reader accepts
         X = [np.nan, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0]
         (tmp_path / "X.json").write_text(json.dumps(
             {"rows": 4, "cols": 2, "field": "real", "data": X}))
@@ -669,7 +670,8 @@ class TestInvariant:
                "submode": "reproduce", "lambda_target": [[1.0, 0.0]] * 2}
         (tmp_path / "job.json").write_text(json.dumps(job))
         assert _run("invariant", str(tmp_path / "job.json")) == 2
-        assert "[rank]" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: basis has a NaN or infinite entry, so no result\n")
 
 
     def _generated(self, tmp_path):
@@ -981,13 +983,27 @@ def _resized(payload, drop_row=None, drop_col=None, transpose=False):
 
 
 def _files_read(command, name):
-    """The matrix files of a shipped job that command reads: inspect reads
-    the matrix and the space's H, the other commands every file the job
-    names."""
+    """The matrix files of a shipped job that command reads, each with the
+    job key that names it: inspect reads the matrix and the space's H, the
+    other commands every file the job names."""
     job = _job_of(name)
     keys = ("matrix", "space") if command == "inspect" else job
-    return {job[k].partition(":")[2] or job[k] for k in keys
+    return {job[k].partition(":")[2] or job[k]: k for k in keys
             if isinstance(job.get(k), str) and job[k].endswith(".json")}
+
+
+def _run_caught(*argv):
+    """The exit code, stderr and warnings of a command run in process."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = _run(*argv)
+        except SystemExit as e:
+            code = e.code
+    return code, err.getvalue(), [str(w.message) for w in caught
+                                  if issubclass(w.category, RuntimeWarning)]
 
 
 @st.composite
@@ -1046,21 +1062,41 @@ def test_a_malformed_job_exits_with_a_documented_code(case, tmp_path_factory):
     command, name, mutation = case
     d = _copy_job(JOBS_DIR, name, tmp_path_factory.mktemp("job"))
     _mutate(d, mutation)
-    err = io.StringIO()
-    try:
-        with contextlib.redirect_stderr(err):
-            code = _run(command, str(d / "job.json"))
-    except SystemExit as e:
-        code = e.code
+    code, err, warned = _run_caught(command, str(d / "job.json"))
     assert code in (0, 2, 3)
-    # a NaN or infinite entry in a file the command reads is refused
-    if mutation[0] == "entry" and mutation[1] in _files_read(command, name):
-        assert code in (2, 3), (mutation, err.getvalue())
+    # numpy prints nothing to stderr: every operand is refused before a
+    # product could warn
+    assert not warned, (mutation, warned)
+    # a NaN or infinite entry in a file the command reads is refused by the
+    # job key that names the file
+    key = _files_read(command, name).get(mutation[1])
+    if mutation[0] == "entry" and key:
+        assert (code, err) == (2, f"error: {key} has a NaN or infinite "
+                               "entry, so no result\n"), mutation
     # a refused gen job names the field at fault, never raw Python
     # exception text such as "'bool' object is not iterable"
     if command == "gen" and code:
         key = mutation[1].split(".")[-1]
-        assert key in err.getvalue(), (mutation, err.getvalue())
+        assert key in err, (mutation, err)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, name, file, key", [
+    ("reassign", "jordan5", "A.json", "matrix"),
+    ("reassign", "lie4", "H.json", "space"),
+    ("reassign", "jordan5", "Xc.json", "eigvecs"),
+    ("invariant", "sym3", "Xc.json", "basis"),
+], ids=["jordan5-A", "lie4-H", "jordan5-Xc", "sym3-Xc"])
+def test_a_non_finite_operand_is_refused_before_numpy_warns(
+        command, name, file, key, value, tmp_path):
+    # once refused with exit 2 only after a product with it had printed a
+    # RuntimeWarning
+    d = _copy_job(JOBS_DIR, name, tmp_path)
+    _set_entry(d / file, 0, value)
+    code, err, warned = _run_caught(command, str(d / "job.json"))
+    assert not warned
+    assert (code, err) == (
+        2, f"error: {key} has a NaN or infinite entry, so no result\n")
 
 
 @pytest.mark.parametrize("recipe, message", [

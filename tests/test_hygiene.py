@@ -1,21 +1,19 @@
 """Source hygiene that no installed linter checks: every module-level import
 in the package is used by its module or re-exported through ``__all__``, no
-module loads a scipy submodule at import time, neither ``scipy.linalg``
-nor ``scipy.optimize`` is used (one loader names the extension module of
-scipy's compiled assignment, and no code names scipy's LAPACK wrappers),
-only ``core`` names a thread class or ``concurrent.futures`` and its one
-helper thread is started only by ``preserve_complementary`` and
-``StructuredMapSolution._member``, the field-keeping modules never cast
-to complex outside ``as_matrix``, the verification oracle calls no
-eigenvector solver, factors no square matrix
-outside its fallback and memoizes the spectrum of no matrix but the
-unperturbed A, no code but ``core._DenseH`` solves with H, every
-threshold test raises through ``core._decide``, no code but
-``core.as_matrix`` refuses an operand for its shape, no code reads
-``structure_tol`` from anything but a space, every random draw comes from
-``np.random.default_rng`` with a module-constant or caller-supplied seed,
-every public name has a reader, and the per-arrangement names of
-``assemble`` appear only in their one binding and the one test of it."""
+module loads a scipy submodule at import time, neither ``scipy.linalg`` nor
+``scipy.optimize`` is used (one loader names the extension module of
+scipy's compiled assignment, and no code names scipy's LAPACK wrappers), no
+module names a thread class or ``concurrent.futures``, the field-keeping
+modules never cast to complex outside ``as_matrix``, the verification
+oracle calls no eigenvector solver, factors no square matrix outside its
+fallback and memoizes the spectrum of no matrix but the unperturbed A, no
+code but ``core._DenseH`` solves with H, every threshold test raises
+through ``core._decide``, no code but ``core.as_matrix`` refuses an operand
+for its shape, no code reads ``structure_tol`` from anything but a space,
+every random draw comes from ``np.random.default_rng`` with a
+module-constant or caller-supplied seed, every public name has a reader,
+and the per-arrangement names of ``assemble`` appear only in their one
+binding and the one test of it."""
 
 import ast
 import pathlib
@@ -224,88 +222,36 @@ def test_scipy_use_rule_catches_a_planted_call(module, planted, flagged):
     assert bool(_heavy_scipy_uses(ast.parse(planted), module)) == flagged
 
 
-# one concurrency boundary: ``core._Background`` is the one thread class,
-# started only for the O(n^3) step a call can run beside its other work,
-# the solve with ``[X_c X_f]`` and ``H^-1 Z`` on a dense H, the latter by the one
-# starter every family entry with a Z calls; the oracle stays serial (its
-# eigensolver on a second thread slowed verified calls)
-THREAD_HOME = "core.py"
-BACKGROUND = "_Background"
-BACKGROUND_STARTERS = {("subspaces.py", "preserve_complementary"),
-                       ("mapping.py", "_start_h_solve_z")}
+# no helper threads: every call runs on its caller's thread, and BLAS owns
+# the parallelism (a caller may run calls from several threads)
+def _concurrency_uses(tree):
+    """Lines naming ``threading.Thread``, ``Thread`` or
+    ``concurrent.futures``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "Thread"
+            or isinstance(node, ast.Name) and node.id == "Thread"
+            or any(name == "threading.Thread" or name.startswith("concurrent")
+                   for name in _imported_names(node))]
 
 
-def _definitions(node, prefix=""):
-    """(qualified name, node) of every function and class in node."""
-    for child in ast.iter_child_nodes(node):
-        name = prefix
-        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            name = prefix + child.name
-            yield name, child
-            name += "."
-        yield from _definitions(child, name)
+def test_no_module_starts_a_thread():
+    hits = {path.name: lines for path in SOURCES
+            if (lines := _concurrency_uses(
+                ast.parse(path.read_text(encoding="utf-8"))))}
+    assert not hits, f"threads started in the package: {hits}"
 
 
-def _concurrency_uses(tree, module):
-    """Lines naming ``threading.Thread`` or ``concurrent.futures`` outside
-    ``core``, and lines starting ``_Background`` outside its two
-    starters."""
-    names_threads = [] if module == THREAD_HOME else [
-        node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "Thread"
-        or isinstance(node, ast.Name) and node.id == "Thread"
-        or any(name == "threading.Thread" or name.startswith("concurrent")
-               for name in _imported_names(node))]
-    home = {id(n) for name, d in _definitions(tree)
-            if (module, name) in BACKGROUND_STARTERS for n in ast.walk(d)}
-    return names_threads + [
-        call.lineno for call in ast.walk(tree)
-        if isinstance(call, ast.Call) and id(call) not in home
-        and _called_name(call) == BACKGROUND]
-
-
-def test_only_core_starts_threads_and_only_for_two_calls():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in SOURCES}
-    hits = {name: lines for name, tree in trees.items()
-            if (lines := _concurrency_uses(tree, name))}
-    assert not hits, f"threads outside the two starters: {hits}"
-    # the rule sees the thread class and each start it allows
-    assert _concurrency_uses(trees["core.py"], "other.py")
-    for module, _ in BACKGROUND_STARTERS:
-        assert len(_concurrency_uses(trees[module], "other.py")) == 1
-
-
-@pytest.mark.parametrize("module,planted,flagged", [
-    # the oracle's eigensolver on a second thread
-    ("diagnostics.py", "def verify_reassignment(A, delta):\n"
-     "    eig = _Background(_eigenvalues, A + delta)", True),
-    ("core.py", "def adjoint(A, space):\n"
-     "    return _Background(space.h_solve, A).result()", True),
-    ("mapping.py", "def _member(self, Z, started):\n"
-     "    return _Background(_real_apply, h.inv, Z)", True),
-    # H^-1 Z started in an entry itself, or in the member the starter feeds
-    ("reassign.py", "def reassign_family(A, assembly, space, cls, Z=None):\n"
-     "    with _Background(_real_apply, space._h_op.inv, Z) as started:\n"
-     "        pass", True),
-    ("mapping.py", "class StructuredMapSolution:\n"
-     "    def _member(self, Z, started):\n"
-     "        return _Background(_real_apply, h.inv, Z)", True),
-    ("diagnostics.py", "import concurrent.futures", True),
-    ("mapping.py", "from concurrent.futures import ThreadPoolExecutor", True),
-    ("subspaces.py", "lu = threading.Thread(target=rcond)", True),
-    ("reassign.py", "from threading import Thread", True),
-    # the thread class and its two starters
-    ("core.py", "class _Background(threading.Thread):\n    pass", False),
-    ("subspaces.py", "def preserve_complementary(A, X_c):\n"
-     "    with _Background(rcond) as lu:\n        pass", False),
-    ("mapping.py", "def _start_h_solve_z(Z, space):\n"
-     "    return _Background(h_solve_z)", False),
-    # what the rule leaves alone: a lock beside the thread class
-    ("core.py", "_LOCK = threading.Lock()", False),
+@pytest.mark.parametrize("planted,flagged", [
+    ("import concurrent.futures", True),
+    ("from concurrent.futures import ThreadPoolExecutor", True),
+    ("lu = threading.Thread(target=rcond)", True),
+    ("from threading import Thread", True),
+    ("class _Background(threading.Thread):\n    pass", True),
+    # what the rule leaves alone: a lock
+    ("_LOCK = threading.Lock()", False),
 ])
-def test_thread_rule_catches_a_planted_start(module, planted, flagged):
-    assert bool(_concurrency_uses(ast.parse(planted), module)) == flagged
+def test_thread_rule_catches_a_planted_start(planted, flagged):
+    assert bool(_concurrency_uses(ast.parse(planted))) == flagged
 
 
 # modules that keep the field of their data: ``core.as_matrix`` (with the

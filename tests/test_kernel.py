@@ -2,16 +2,13 @@
 evaluates, the tiled Z symmetry residual, the exact H^-1 of signed and
 phased permutations, the H^-1 of a dense H formed once per space, the size
 of every solve the unparametrized updates run, the no-spillover updates and
-the Z = 0 reassignment at p = 64 against their closed forms, the step
-two calls run on a second thread, for a member with a Z from the entry of
-its call, the order of the refusals of a basis that fails two ways, and
+the Z = 0 reassignment at p = 64 against their closed forms, the order of
+the refusals of the complementary update and of a member with a Z, and
 the seeded probes that judge the fixed pair and the basis of the
 complementary update."""
 
 import functools
 import os
-import threading
-import time
 import warnings
 
 import numpy as np
@@ -41,13 +38,9 @@ from specpreserve import (
     solve_structured,
     z_symmetry_residual,
 )
-from specpreserve import core, mapping, subspaces
+from specpreserve import core, subspaces
 from specpreserve.core import as_matrix, frob
-from specpreserve.subspaces import (
-    preserve_complementary,
-    preserve_invariant,
-    reproduce_invariant,
-)
+from specpreserve.subspaces import preserve_complementary, reproduce_invariant
 
 N = 6
 PRESETS = ("identity", "flip", "skewj", "signature", "random")
@@ -566,75 +559,19 @@ def test_no_spillover_updates_solve_for_at_most_p_columns(monkeypatch, name):
 
 
 # ---------------------------------------------------------------------------
-# the step run on a second thread: the solve with [X_c X_f] in
-# preserve_complementary and H^-1 Z of a member on a dense H give the bits
-# of an inline run, refusals keep their order and no thread outlives a call
+# the refusals of preserve_complementary keep their order: the gap, the Gram
+# test, the basis, then X_c* H X_f and the Gram matrix; a refused basis forms
+# no update
 # ---------------------------------------------------------------------------
 
-# (field, star, eps1, preset, class): H = I, skewj and a dense real and
-# complex H
-ARRANGED = {
-    "real-jordan-identity": ("real", "T", 1, "identity",
-                             StructureClass.JORDAN),
-    "real-lie-skewj": ("real", "T", -1, "skewj", StructureClass.LIE),
-    "real-jordan-random": ("real", "T", 1, "random", StructureClass.JORDAN),
-    "complex-lie-random": ("complex", "CT", 1, "random", StructureClass.LIE),
-}
-
-
-def _threaded_calls(arrangement, n=128):
-    """The two calls that start a second thread, on a closed invariant
-    pair of a random member and a full-rank basis with its image."""
-    field, star, eps1, preset, cls = ARRANGED[arrangement]
-    rng = np.random.default_rng(128)
-    space = helpers.make_space(n, star, eps1, field, preset, rng)
-    S = helpers.random_member(space, cls, seed=9)
-    X_c, X_f, L_f = helpers.closed_split(S, space, cls)
-    La = helpers.compatible_restriction(X_c, space, cls, rng)
-    X = _data((n, 4), rng, field == "complex")
-    Z = sample_structured(space, cls, seed=6)
-    return space, [
-        lambda: preserve_complementary(S, X_c, La, X_f, L_f, space, cls),
-        lambda: map_family(X, S @ X, space, cls).with_z(Z),
-    ]
-
-
-@pytest.mark.parametrize("arrangement", sorted(ARRANGED))
-def test_the_second_thread_gives_the_bits_of_an_inline_run(monkeypatch,
-                                                           arrangement):
-    space, calls = _threaded_calls(arrangement)
-    ran_on, run = [], core._Background.run
-    monkeypatch.setattr(core._Background, "run", lambda self: (
-        ran_on.append(threading.get_ident()), run(self)))
-    threaded = [call() for call in calls]
-    # H^-1 Z of a monomial H is a gather, run inline without a thread
-    dense = isinstance(space._h_op, core._DenseH)
-    assert len(ran_on) == 1 + dense
-    assert threading.get_ident() not in ran_on
-    monkeypatch.setattr(core._Background, "start", lambda self: self.run())
-    monkeypatch.setattr(core._Background, "join", lambda self, timeout=None:
-                        None)
-    ran_on.clear()
-    inline = [call() for call in calls]
-    assert ran_on == [threading.get_ident()] * (1 + dense)
-    for a, b in zip(threaded, inline):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 def _refusal(call):
-    """The condition call refuses with; no thread it started is left."""
-    before = threading.active_count()
+    """The condition call refuses with."""
     with pytest.raises(StructureError) as e:
         call()
-    assert threading.active_count() == before
     return e.value.condition
 
 
-def test_refusals_keep_their_order_beside_the_second_thread(monkeypatch):
-    # the solve is held back, so the gap is refused while it still runs
-    monkeypatch.setattr(subspaces, "_rcond_estimate",
-                        lambda M, omega: time.sleep(0.05)
-                        or core._rcond_estimate(M, omega))
+def test_refusals_keep_their_order():
     n = 128
     space = ScalarProductSpace.identity(n, star="t", field="real")
     A = helpers.random_member(space, "jordan", 25).real
@@ -651,7 +588,8 @@ def test_refusals_keep_their_order_beside_the_second_thread(monkeypatch):
     assert _refusal(lambda: preserve_complementary(
         A, X_c, La, X_f, np.diag(w_f), space, "jordan")) \
         == "nonsingular_basis"
-    dense, _ = _threaded_calls("complex-lie-random", 16)
+    dense = helpers.make_space(16, "CT", 1, "complex", "random",
+                               np.random.default_rng(128))
     fam = map_family(np.eye(16, 2), np.zeros((16, 2)), dense, "lie")
     bad = np.random.default_rng(5).standard_normal((16, 16))
     assert _refusal(lambda: fam.with_z(bad)) == "z_symmetry"
@@ -691,17 +629,18 @@ def _failing_two_ways(case, n=16, repeat=True):
                                   "zero column of X_c"])
 def test_a_basis_failing_two_ways_is_refused_as_singular_without_warning(
         monkeypatch, case):
-    # the update is formed while the solve runs, here held back; the basis
-    # is still refused first, and nothing formed ahead of that warns
-    monkeypatch.setattr(subspaces, "_rcond_estimate",
-                        lambda M, omega: time.sleep(0.02)
-                        or core._rcond_estimate(M, omega))
+    # the basis is refused first, before the update is formed, and nothing
+    # formed ahead of that warns
+    formed, form = [], subspaces._no_spillover_update
+    monkeypatch.setattr(subspaces, "_no_spillover_update",
+                        lambda *a: formed.append(1) or form(*a))
     args = _failing_two_ways(case)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert _refusal(lambda: preserve_complementary(*args)) \
             == "nonsingular_basis"
     assert not caught, [str(w.message) for w in caught]
+    assert formed == []
 
 
 def test_an_ill_conditioned_gram_on_a_nonsingular_basis_still_warns():
@@ -711,25 +650,6 @@ def test_an_ill_conditioned_gram_on_a_nonsingular_basis_still_warns():
     assert caught[0].filename == __file__
 
 
-def test_an_error_in_the_solve_on_the_second_thread_reaches_the_caller(
-        monkeypatch):
-    _, calls = _threaded_calls("real-jordan-identity", 16)
-    ran_on, solve = [], np.linalg.solve
-
-    def failing(a, b):
-        if len(a) < 16:
-            return solve(a, b)
-        ran_on.append(threading.get_ident())
-        raise MemoryError("planted in the solve with [X_c X_f]")
-
-    monkeypatch.setattr(np.linalg, "solve", failing)
-    before = threading.active_count()
-    with pytest.raises(MemoryError, match="planted"):
-        calls[0]()
-    assert ran_on and threading.get_ident() not in ran_on
-    assert threading.active_count() == before
-
-
 # ---------------------------------------------------------------------------
 # the fixed pair of preserve_complementary judged through eight seeded
 # probes: a column of X_f off by ten times eig_tol is refused and one off
@@ -737,14 +657,20 @@ def test_an_error_in_the_solve_on_the_second_thread_reaches_the_caller(
 # exact residual, and A meets no block of more than eight columns
 # ---------------------------------------------------------------------------
 
-PROBED = ("real-jordan-identity", "real-lie-skewj", "complex-lie-random")
+# (field, star, eps1, preset, class): H = I, skewj and a dense complex H
+PROBED = {
+    "real-jordan-identity": ("real", "T", 1, "identity",
+                             StructureClass.JORDAN),
+    "real-lie-skewj": ("real", "T", -1, "skewj", StructureClass.LIE),
+    "complex-lie-random": ("complex", "CT", 1, "random", StructureClass.LIE),
+}
 
 
 def _complementary_case(arrangement, n):
     """The arguments of preserve_complementary on a random member A: a
     closed X_c with a compatible target, and the rest of the eigenvectors
     as the fixed pair."""
-    field, star, eps1, preset, cls = ARRANGED[arrangement]
+    field, star, eps1, preset, cls = PROBED[arrangement]
     rng = np.random.default_rng(n)
     space = helpers.make_space(n, star, eps1, field, preset, rng)
     A = as_matrix(helpers.random_member(space, cls, seed=n), "A", space)
@@ -877,7 +803,8 @@ def _basis_case(arrangement, n):
 def basis_reads(monkeypatch):
     """Runs preserve_complementary on its arguments: the value its
     nonsingular_basis decision read (None when it refused before) and the
-    condition it refused with (None when it passed); neither thread warns."""
+    condition it refused with (None when it passed); the call warns
+    nothing."""
     values, decide = [], subspaces._decide
 
     def spy(condition, value, *args, **kwargs):
@@ -903,12 +830,11 @@ def basis_reads(monkeypatch):
 
 
 def _estimate(X_c, X_f):
-    """The estimate, on a second thread as in the call; it records no
-    warning."""
+    """The estimate the call takes; it records no warning."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = core._Background(core._rcond_estimate, np.hstack([X_c, X_f]),
-                                 core._probes(len(X_c))).result()
+        value = core._rcond_estimate(np.hstack([X_c, X_f]),
+                                     core._probes(len(X_c)))
     assert not caught, [str(w.message) for w in caught]
     return value
 
@@ -979,8 +905,8 @@ def test_a_zero_column_reads_zero_and_a_repeated_one_reads_below_u(
 @pytest.mark.parametrize("arrangement", PROBED)
 def test_a_non_finite_or_overflowing_basis_is_refused(arrangement, n, bad):
     # NaN in X_f is refused first as a residual (see above), and the
-    # estimate refuses it too; the main thread may warn on such data, the
-    # estimate does not
+    # estimate refuses it too; the checks ahead of it may warn on such
+    # data, the estimate does not
     args = list(_basis_case(arrangement, n))
     X_f = args[3].copy()
     if bad in ("nan", "inf"):
@@ -1010,77 +936,10 @@ def test_two_calls_read_the_same_bits(basis_reads, arrangement, n):
 
 
 # ---------------------------------------------------------------------------
-# H^-1 Z of a dense H started at the entry of every call with a parameter
-# Z: the bits of an inline run, refusals in their order, and the start
-# ahead of the family
+# the calls with a parameter Z refuse the data before Z
 # ---------------------------------------------------------------------------
 
-def _z_calls(arrangement, n=128):
-    """The calls that take a parameter Z, on a random member S: the four
-    entries (a reassignment, reproducing range(X) for a basis X, preserving
-    an invariant subspace of S, and ``A X = S X``) and ``with_z``."""
-    field, star, eps1, preset, cls = ARRANGED[arrangement]
-    rng = np.random.default_rng(n)
-    space = helpers.make_space(n, star, eps1, field, preset, rng)
-    S = helpers.random_member(space, cls, seed=9)
-    X = _data((n, 4), rng, field == "complex")
-    D = helpers.compatible_restriction(X, space, cls, rng)
-    asm = ReassignmentAssembly(X_c=X.astype(complex),
-                               Lambda_c=np.zeros((4, 4), dtype=complex),
-                               Lambda_a=D.astype(complex), blocks=())
-    X_c = helpers.closed_split(S, space, cls)[0]
-    L_c = np.linalg.pinv(X_c) @ S @ X_c
-    La = helpers.compatible_restriction(X_c, space, cls, rng)
-    Z = sample_structured(space, cls, seed=6)
-    fam = map_family(X, S @ X, space, cls)
-    return space, {
-        "reassign_family": lambda: reassign_family(
-            S, asm, space, cls, Z=Z, verify=False).delta,
-        "reproduce_invariant": lambda: reproduce_invariant(
-            S, X, D, space, cls, Z=Z),
-        "preserve_invariant": lambda: preserve_invariant(
-            S, X_c, L_c, np.eye(len(L_c)), La, space, cls, Z=Z),
-        "solve_structured": lambda: solve_structured(X, S @ X, space, cls,
-                                                     Z=Z),
-        "with_z": lambda: fam.with_z(Z),
-    }
-
-
-@pytest.mark.parametrize("arrangement", sorted(ARRANGED))
-def test_h_solve_z_from_the_entry_gives_the_bits_of_an_inline_run(
-        monkeypatch, arrangement):
-    space, calls = _z_calls(arrangement)
-    ran_on, run = [], core._Background.run
-    monkeypatch.setattr(core._Background, "run", lambda self: (
-        ran_on.append(threading.get_ident()), run(self)))
-    threaded = {name: call() for name, call in calls.items()}
-    # one helper a call on a dense H, none on a monomial H (a gather)
-    dense = isinstance(space._h_op, core._DenseH)
-    assert len(ran_on) == dense * len(calls)
-    assert threading.get_ident() not in ran_on
-    monkeypatch.setattr(core._Background, "start", lambda self: self.run())
-    monkeypatch.setattr(core._Background, "join", lambda self, timeout=None:
-                        None)
-    for name, call in calls.items():
-        got = call()
-        assert got.dtype == threaded[name].dtype, name
-        assert got.tobytes() == threaded[name].tobytes(), name
-
-
-def _held_back(monkeypatch):
-    """H^-1 Z on the helper held back 50 ms, so that a call refuses while
-    it still runs."""
-    product = mapping._real_apply
-
-    def slow(M, B):
-        if threading.current_thread() is not threading.main_thread():
-            time.sleep(0.05)
-        return product(M, B)
-    monkeypatch.setattr(mapping, "_real_apply", slow)
-
-
-def test_refusals_keep_their_order_beside_h_solve_z(monkeypatch):
-    _held_back(monkeypatch)
+def test_refusals_keep_their_order_beside_h_solve_z():
     n, cls = 16, StructureClass.LIE
     space = helpers.make_space(n, "CT", 1, "complex", "random",
                                np.random.default_rng(3))
@@ -1096,36 +955,12 @@ def test_refusals_keep_their_order_beside_h_solve_z(monkeypatch):
         S, X, D + 1e-3, space, cls, Z=bad_z)) == "lambda_compatibility"
     assert _refusal(lambda: reproduce_invariant(
         S, X, D, space, cls, Z=bad_z)) == "z_symmetry"
-    # a wrong-shape Z is refused where the member reads it: after the
-    # data, and by the caller, not the helper
+    # a wrong-shape Z is refused where the member reads it: after the data
     wrong = np.zeros((n, n - 1))
     assert _refusal(lambda: reproduce_invariant(
         S, X, D + 1e-3, space, cls, Z=wrong)) == "lambda_compatibility"
     for call in (lambda: reproduce_invariant(S, X, D, space, cls, Z=wrong),
                  lambda: solve_structured(X, S @ X, space, cls, Z=wrong)):
-        before = threading.active_count()
         with pytest.raises(ArgumentError, match=f"Z must be {n} x {n}, got "
                            f"{n} x {n - 1}"):
             call()
-        assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("entry", ["reassign_family", "reproduce_invariant",
-                                   "preserve_invariant", "solve_structured",
-                                   "with_z"])
-def test_h_solve_z_starts_before_the_family_is_formed(monkeypatch, entry):
-    _, calls = _z_calls("complex-lie-random", 16)
-    events = []
-
-    def spy(owner, name):
-        fn = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a: (events.append(name),
-                                                     fn(*a))[1])
-    spy(core._Background, "start")
-    spy(mapping, "pseudoinverse")
-    spy(mapping, "z_symmetry_residual")
-    calls[entry]()
-    # with_z, on a family already formed, starts it before checking Z
-    first = "z_symmetry_residual" if entry == "with_z" else "pseudoinverse"
-    assert events.count("start") == 1
-    assert events.index("start") < events.index(first)
