@@ -1148,6 +1148,52 @@ CASES, ROUNDS = 1, 200
 work = lambda i: verify_reassignment(inst.A, delta, asm, inst.space, inst.cls)
 same = lambda a, b: a.summary() == b.summary() and a.notes == b.notes
 """,
+    # the calls below read H^-1 of the one space their callers share: the
+    # fixed pair's H-orthogonality and the Z term of a member
+    "preserve_complementary": """
+from specpreserve.subspaces import preserve_complementary
+from test_diagnostics import _annihilation_case
+inst, asm, _, _ = _annihilation_case("complex-lie", 64)
+moved = np.linalg.eigvals(asm.Lambda_c)
+rest = [p for p in inst.pairs if np.min(np.abs(moved - p.value)) > 1e-9]
+X_f = np.hstack([p.chain for p in rest])
+L_f = np.diag([p.value for p in rest])
+CASES, ROUNDS = 1, 400
+work = lambda i: preserve_complementary(inst.A, asm.X_c, asm.Lambda_a, X_f,
+                                        L_f, inst.space, inst.cls)
+same = lambda a, b: a.tobytes() == b.tobytes()
+""",
+    "with_z": """
+from specpreserve import map_family, sample_structured
+from test_diagnostics import _annihilation_case
+inst, asm, _, _ = _annihilation_case("complex-lie", 64)
+fam = map_family(asm.X_c, inst.A @ asm.X_c, inst.space, inst.cls)
+CASES, ROUNDS = 4, 400
+Z = [sample_structured(inst.space, inst.cls, seed=i) for i in range(CASES)]
+work = lambda i: fam.with_z(Z[i])
+same = lambda a, b: a.tobytes() == b.tobytes()
+""",
+    "reassign_family.z": """
+from specpreserve import reassign_family, sample_structured
+from test_diagnostics import _annihilation_case
+inst, asm, _, _ = _annihilation_case("complex-lie", 64)
+CASES, ROUNDS = 4, 400
+Z = [sample_structured(inst.space, inst.cls, seed=i) for i in range(CASES)]
+work = lambda i: reassign_family(inst.A, asm, inst.space, inst.cls, Z=Z[i],
+                                 verify=False).delta
+same = lambda a, b: a.tobytes() == b.tobytes()
+""",
+    "reproduce_invariant.z": """
+from specpreserve import sample_structured
+from specpreserve.subspaces import reproduce_invariant
+from test_diagnostics import _annihilation_case
+inst, asm, _, _ = _annihilation_case("complex-lie", 64)
+CASES, ROUNDS = 4, 400
+Z = [sample_structured(inst.space, inst.cls, seed=i) for i in range(CASES)]
+work = lambda i: reproduce_invariant(inst.A, asm.X_c, asm.Lambda_a,
+                                     inst.space, inst.cls, Z=Z[i])
+same = lambda a, b: a.tobytes() == b.tobytes()
+""",
 }
 
 

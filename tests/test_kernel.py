@@ -3,12 +3,13 @@ evaluates, the tiled Z symmetry residual, the exact H^-1 of signed and
 phased permutations, the H^-1 of a dense H formed once per space, the size
 of every solve the unparametrized updates run, the no-spillover updates and
 the Z = 0 reassignment at p = 64 against their closed forms, the order of
-the refusals of the complementary update and of a member with a Z, and
-the seeded probes that judge the fixed pair and the basis of the
-complementary update."""
+the refusals of the complementary update and of a member with a Z, the
+seeded probes that judge the fixed pair and the basis of the
+complementary update, and the caller's thread that runs every call."""
 
 import functools
 import os
+import threading
 import warnings
 
 import numpy as np
@@ -40,7 +41,11 @@ from specpreserve import (
 )
 from specpreserve import core, subspaces
 from specpreserve.core import as_matrix, frob
-from specpreserve.subspaces import preserve_complementary, reproduce_invariant
+from specpreserve.subspaces import (
+    preserve_complementary,
+    preserve_invariant,
+    reproduce_invariant,
+)
 
 N = 6
 PRESETS = ("identity", "flip", "skewj", "signature", "random")
@@ -964,3 +969,89 @@ def test_refusals_keep_their_order_beside_h_solve_z():
         with pytest.raises(ArgumentError, match=f"Z must be {n} x {n}, got "
                            f"{n} x {n - 1}"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# every call runs on its caller's thread: it starts no thread, a call from a
+# thread of the caller's gives the bits of one from the main thread, and a
+# member with a Z solves H X = Z once
+# ---------------------------------------------------------------------------
+
+# (field, star, eps1, preset, class): H = I, skewj and a dense real and
+# complex H
+ARRANGED = {
+    "real-jordan-identity": ("real", "T", 1, "identity",
+                             StructureClass.JORDAN),
+    "real-lie-skewj": ("real", "T", -1, "skewj", StructureClass.LIE),
+    "real-jordan-random": ("real", "T", 1, "random", StructureClass.JORDAN),
+    "complex-lie-random": ("complex", "CT", 1, "random", StructureClass.LIE),
+}
+
+
+def _calls(arrangement, n=128):
+    """The parameter Z and the calls with an O(n^3) step of their own, on a
+    random member S: the complementary update of a closed invariant pair
+    with a full-rank basis, and the calls that take Z (a reassignment,
+    reproducing range(X) for a basis X, preserving an invariant subspace of
+    S, ``A X = S X`` and ``with_z``)."""
+    field, star, eps1, preset, cls = ARRANGED[arrangement]
+    rng = np.random.default_rng(n)
+    space = helpers.make_space(n, star, eps1, field, preset, rng)
+    S = helpers.random_member(space, cls, seed=9)
+    X = _data((n, 4), rng, field == "complex")
+    D = helpers.compatible_restriction(X, space, cls, rng)
+    asm = ReassignmentAssembly(X_c=X.astype(complex),
+                               Lambda_c=np.zeros((4, 4), dtype=complex),
+                               Lambda_a=D.astype(complex), blocks=())
+    X_c, X_f, L_f = helpers.closed_split(S, space, cls)
+    L_c = np.linalg.pinv(X_c) @ S @ X_c
+    La = helpers.compatible_restriction(X_c, space, cls, rng)
+    Z = sample_structured(space, cls, seed=6)
+    fam = map_family(X, S @ X, space, cls)
+    return Z, {
+        "preserve_complementary": lambda: preserve_complementary(
+            S, X_c, La, X_f, L_f, space, cls),
+        "reassign_family": lambda: reassign_family(
+            S, asm, space, cls, Z=Z, verify=False).delta,
+        "reproduce_invariant": lambda: reproduce_invariant(
+            S, X, D, space, cls, Z=Z),
+        "preserve_invariant": lambda: preserve_invariant(
+            S, X_c, L_c, np.eye(len(L_c)), La, space, cls, Z=Z),
+        "solve_structured": lambda: solve_structured(X, S @ X, space, cls,
+                                                     Z=Z),
+        "with_z": lambda: fam.with_z(Z),
+    }
+
+
+@pytest.mark.parametrize("arrangement", sorted(ARRANGED))
+def test_every_call_runs_on_its_callers_thread(monkeypatch, arrangement):
+    _, calls = _calls(arrangement)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (
+        started.append(self), start(self)))
+    here = {name: call() for name, call in calls.items()}
+    assert started == []
+    there = {}
+    caller = threading.Thread(target=lambda: there.update(
+        (name, call()) for name, call in calls.items()))
+    caller.start()
+    caller.join(timeout=300)
+    assert started == [caller] and not caller.is_alive()
+    assert there.keys() == here.keys()
+    for name, got in there.items():
+        assert got.dtype == here[name].dtype, name
+        assert got.tobytes() == here[name].tobytes(), name
+
+
+@pytest.mark.parametrize("entry", ["reassign_family", "reproduce_invariant",
+                                   "preserve_invariant", "solve_structured",
+                                   "with_z"])
+def test_a_member_with_z_solves_h_once_for_z(monkeypatch, entry):
+    # on a dense H each solve is a product with the n x n inverse
+    Z, calls = _calls("complex-lie-random")
+    solved, solve = [], core.ScalarProductSpace.h_solve
+    monkeypatch.setattr(core.ScalarProductSpace, "h_solve", lambda self, B: (
+        solved.append(np.asarray(B).copy()), solve(self, B))[1])
+    calls[entry]()
+    assert sum(B.shape == Z.shape and B.tobytes() == Z.tobytes()
+               for B in solved) == 1
